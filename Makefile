@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
+.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
 MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkDecoderGenerate$$
@@ -44,8 +44,9 @@ vet:
 # fast even when its unit tests are skipped, the adversary-suite gate,
 # the fault-injection chaos suite, the lossless-codec stack, the
 # crash-recovery kill/resume drill, the distributed-tracing smoke run,
-# and bounded fuzz passes over the wire, codec, and checkpoint decoders.
-ci: vet race bench-smoke bench-guard test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke
+# bounded fuzz passes over the wire, codec, and checkpoint decoders, and
+# the benchmark module's own vet and tests.
+ci: vet race bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
@@ -90,13 +91,24 @@ bench-guard:
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json
 
+# bench-harness vets and tests benchmark/, the ledger's program. It is
+# its own module, so `go build ./...` and `go test ./...` never see it,
+# yet it compiles against internal/fl, fednet, experiment, wire and
+# persist: a refactor of those must not break the ledger silently.
+bench-harness:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+
 # test-attacks is the adversary-suite gate: the attack unit tests, the
-# fl-layer hook-dispatch and cohort-rewrite tests, and the matrix smoke
-# (a 2×2 grid asserting byte-identical CSV at -matrix-workers 1 vs 4).
-# Race on — the cohort hook and the matrix worker pool are concurrent.
+# fl-layer hook-dispatch and cohort-rewrite tests, the loopback proof
+# that colluding attacks over TCP equal the in-process ones, and the
+# matrix smoke (a 2×2 grid asserting byte-identical CSV at
+# -matrix-workers 1 vs 4). Race on — the cohort hook and the matrix
+# worker pool are concurrent.
 test-attacks:
 	$(GO) test -race ./internal/attack/
 	$(GO) test -race -run 'Attack|Cohort|StreamAuditGated' ./internal/fl/
+	$(GO) test -race -run 'CohortAttack' ./internal/fednet/
 	$(GO) test -race -run 'Matrix' ./internal/experiment/
 
 # test-chaos runs the deterministic fault-injection suite — the faultnet

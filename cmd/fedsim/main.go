@@ -61,31 +61,9 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address (e.g. 127.0.0.1:6060)")
 		metricsOut = flag.String("metrics-out", "", "write a JSON metrics snapshot to this path on exit")
 		trace      = flag.Bool("trace", false, "record span trees (run → round → client/aggregate phases), exported into the -events log; analyze with fedtrace")
-
-		// Accepted for CLI parity with fednode, where the fault-tolerance
-		// and wire-compression machinery live. The in-process simulator has
-		// no network to tolerate faults on or compress, so these only
-		// validate and warn.
-		minClients   = flag.Int("min-clients", 0, "round quorum (networked runs only; see fednode)")
-		roundTimeout = flag.Duration("round-timeout", 0, "round straggler budget (networked runs only; see fednode)")
-		compress     = flag.Bool("compress", false, "wire compression (networked runs only; see fednode)")
 	)
 	flag.Parse()
 
-	if *minClients < 0 {
-		fatal(fmt.Errorf("-min-clients = %d", *minClients))
-	}
-	if *roundTimeout < 0 {
-		fatal(fmt.Errorf("-round-timeout = %v", *roundTimeout))
-	}
-	if *minClients > 0 || *roundTimeout > 0 {
-		fmt.Fprintln(os.Stderr,
-			"fedsim: -min-clients/-round-timeout have no effect in-process; use fednode for fault-tolerant networked runs")
-	}
-	if *compress {
-		fmt.Fprintln(os.Stderr,
-			"fedsim: -compress has no effect in-process (nothing crosses a socket); use fednode for compressed networked runs")
-	}
 	if *resume && *ckptDir == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint-dir"))
 	}

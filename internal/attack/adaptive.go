@@ -7,11 +7,9 @@
 // The colluding attacks implement CohortAware: every malicious client
 // first trains a benign-looking draft, then the cohort observes all
 // co-conspirators' drafts and rewrites them jointly before upload. The
-// in-process federation applies the hook at the round barrier; over a
-// real network the colluders would coordinate out of band, which the
-// networked deployment does not simulate — there each attack degrades to
-// its documented solo fallback (the cohort-of-one limit of the same
-// formula).
+// round engine applies the hook at the round barrier on both
+// deployments: real colluders would coordinate out of band, which the
+// simulation stands in for by rewriting the delivered drafts server-side.
 package attack
 
 import (
@@ -24,9 +22,8 @@ import (
 // CohortAware is implemented by attacks whose malicious clients
 // coordinate within a round. After every colluder has trained its
 // benign-looking draft, PoisonCohort observes all drafts and rewrites
-// them in place; the per-client PoisonModel hook is the solo fallback
-// used when no coordination channel exists (single colluder sampled, or
-// a networked client that cannot see its co-conspirators).
+// them in place; the per-client PoisonModel hook produces the draft, and
+// is all that happens when a single colluder is sampled.
 type CohortAware interface {
 	Attack
 	// PoisonCohort rewrites the cohort's drafts in place. drafts[i]

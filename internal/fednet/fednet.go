@@ -2,6 +2,15 @@
 // sockets — the deployment shape of the paper's Grid'5000 evaluation
 // (one server node, clients on remote nodes, Ethernet in between).
 //
+// There is one round loop, fl.RunRounds, and two cohorts it can drive:
+// the in-process goroutine pool of fl.Federation and this package's
+// Server, which reaches its clients over TCP. Server.Run does what only
+// a networked run needs — load a checkpoint, register clients, keep
+// accepting rejoins, shut connections down — and hands the rounds to the
+// engine; sampling, attacks, stream audit, aggregation, the ψ-update,
+// evaluation, telemetry and checkpointing are the engine's on both
+// transports.
+//
 // The server and clients share nothing but the wire protocol (package
 // wire) and the experiment seed: each client regenerates its SynthDigits
 // shard locally from the data seed, derives its private random stream
@@ -28,8 +37,7 @@
 // model with their next TrainRequest. All of it is observable:
 // ClientDropped / ClientRejoined / RoundDegraded events plus retry,
 // timeout, and drop counters. With MinClientsPerRound == 0 (the zero
-// value) the strict legacy behavior is preserved: no deadlines, and any
-// failure aborts the run.
+// value) there are no deadlines and any client failure aborts the run.
 package fednet
 
 import (
@@ -55,14 +63,16 @@ import (
 	"fedguard/internal/persist"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
-	"fedguard/internal/tensor"
 	"fedguard/internal/wire"
 )
 
 // Config describes a networked federation. Experiment carries the
 // federation shape (N, m, R, α, server LR, malicious fraction, client
-// hyperparameters); the Attack *instance* field of Experiment is ignored
-// — attacks travel by name so remote clients can construct their own.
+// hyperparameters, sampler). NewServer overwrites the Experiment fields
+// this Config states in networked form: Attack and Client.Arch come from
+// AttackName and ArchName — both travel by name so remote clients can
+// construct their own — and Telemetry, StreamAudit and the checkpoint
+// sink and cadence from the fields below.
 type Config struct {
 	Experiment fl.FederationConfig
 	// AttackName is the malicious clients' attack ("" or "none" = benign
@@ -81,8 +91,7 @@ type Config struct {
 	// MinClientsPerRound enables fault-tolerant operation when > 0: a
 	// round proceeds as long as at least this many sampled clients
 	// deliver updates; the rest are dropped for the round and may rejoin
-	// later. 0 (the default) keeps the strict legacy behavior where any
-	// client failure aborts the run.
+	// later. With 0 (the default) any client failure aborts the run.
 	MinClientsPerRound int
 	// RoundTimeout bounds the client-training phase of one round; sampled
 	// clients that have not delivered by then are dropped (0 = unbounded).
@@ -158,17 +167,14 @@ type Config struct {
 // tolerant reports whether graceful degradation is enabled.
 func (c *Config) tolerant() bool { return c.MinClientsPerRound > 0 }
 
-// NewAttackByName builds a client-side attack instance. AdditiveNoise
-// instances built from the same seed draw the same collusive noise
-// vector, so per-client construction preserves the paper's collusion
-// semantics.
-//
-// The colluding extension attacks (alie, ipm, min-max) are accepted but
-// run their solo fallbacks here: networked clients cannot observe their
-// co-conspirators' drafts, so each degrades to the cohort-of-one limit
-// of its formula (ALIE and min-max become no-ops, IPM negates and
-// scales the client's own draft). Use the in-process experiment matrix
-// for full-collusion results.
+// NewAttackByName builds an attack instance from its wire name.
+// AdditiveNoise instances built from the same seed draw the same
+// collusive noise vector, so per-client construction preserves the
+// paper's collusion semantics. The colluding extension attacks (alie,
+// ipm, min-max) collude here as they do in-process: each malicious
+// client uploads its PoisonModel draft, and the server's own instance
+// (built by NewServer) rewrites the round's drafts jointly after the
+// barrier.
 func NewAttackByName(name string, seed uint64) (attack.Attack, error) {
 	switch name {
 	case "", "none":
@@ -196,7 +202,8 @@ func NewAttackByName(name string, seed uint64) (attack.Attack, error) {
 	}
 }
 
-// Server coordinates a networked federation round loop.
+// Server is the networked fl.Cohort: it registers remote clients, reaches
+// them over TCP each round, and lets fl.RunRounds drive the rounds.
 type Server struct {
 	cfg      Config
 	test     *dataset.Dataset
@@ -209,6 +216,9 @@ type Server struct {
 
 	// round is the 1-based round currently driving (for rejoin events).
 	round atomic.Int64
+	// lastRead/lastWritten are the socket totals at the previous round's
+	// byte record; WireBytes reports the growth since.
+	lastRead, lastWritten int64
 
 	parts     [][]int
 	malicious map[int]bool
@@ -265,20 +275,31 @@ var bcastBufPool = sync.Pool{New: func() any { return []byte(nil) }}
 
 // NewServer validates the configuration and returns a server. test is
 // evaluated locally each round (the server owns the held-out set, as in
-// the paper's harness).
+// the paper's harness). This is the one place Config is mapped onto the
+// round engine's fl.FederationConfig: the named architecture and attack
+// become instances (the server-side attack instance performs the
+// post-barrier cohort rewrite for colluding attacks, exactly as the
+// in-process federation does), and telemetry, stream audit and
+// checkpointing move from their Config fields into Experiment.
 func NewServer(cfg Config, test *dataset.Dataset, strategy fl.Strategy) (*Server, error) {
-	if _, err := classifier.ByName(cfg.ArchName); err != nil {
+	arch, err := classifier.ByName(cfg.ArchName)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := NewAttackByName(cfg.AttackName, 0); err != nil {
+	exp := &cfg.Experiment
+	att, err := NewAttackByName(cfg.AttackName, rng.DeriveSeed(exp.Seed, "noise", 0))
+	if err != nil {
 		return nil, err
+	}
+	if t, ok := att.(attack.AGRTailored); ok {
+		t.TailorTo(strategy.Name())
 	}
 	if cfg.TrainSize <= 0 {
 		return nil, fmt.Errorf("fednet: TrainSize = %d", cfg.TrainSize)
 	}
-	if cfg.MinClientsPerRound < 0 || cfg.MinClientsPerRound > cfg.Experiment.PerRound {
+	if cfg.MinClientsPerRound < 0 || cfg.MinClientsPerRound > exp.PerRound {
 		return nil, fmt.Errorf("fednet: MinClientsPerRound = %d with m = %d",
-			cfg.MinClientsPerRound, cfg.Experiment.PerRound)
+			cfg.MinClientsPerRound, exp.PerRound)
 	}
 	if cfg.RoundTimeout < 0 || cfg.IOTimeout < 0 || cfg.MaxRetries < 0 ||
 		cfg.RetryBackoff < 0 || cfg.RegisterTimeout < 0 {
@@ -290,12 +311,18 @@ func NewServer(cfg Config, test *dataset.Dataset, strategy fl.Strategy) (*Server
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("fednet: Resume requires CheckpointDir")
 	}
-	probe := cfg.Experiment
-	probe.Attack = attack.None{} // instance irrelevant; satisfy validation
-	if probe.MaliciousFraction == 0 {
-		probe.Attack = nil
+	exp.Client.Arch = arch
+	exp.Attack = att
+	exp.Telemetry = cfg.Telemetry
+	exp.StreamAudit = cfg.StreamAudit
+	exp.CheckpointEvery = cfg.CheckpointEvery
+	exp.CheckpointSink = nil
+	if dir := cfg.CheckpointDir; dir != "" {
+		exp.CheckpointSink = func(ck *fl.Checkpoint) (string, int64, error) {
+			return persist.SaveCheckpoint(dir, ck)
+		}
 	}
-	if err := probe.Validate(); err != nil {
+	if err := exp.Validate(); err != nil {
 		return nil, err
 	}
 	return &Server{cfg: cfg, test: test, strategy: strategy, kill: make(chan struct{})}, nil
@@ -380,13 +407,14 @@ var errNotConnected = errors.New("fednet: client not connected")
 var errProtocol = errors.New("fednet: protocol violation")
 
 // Run accepts client registrations on ln, configures them, drives R
-// federated rounds, and returns the full history. onRound, if non-nil,
-// fires after every round.
+// federated rounds through fl.RunRounds with this server as the cohort,
+// and returns the full history. onRound, if non-nil, fires after every
+// round. What stays here is what only a networked run has: the
+// checkpoint is loaded before anyone is accepted, clients register, the
+// rejoin accept loop runs alongside the rounds, and every connection is
+// shut down (or, after Kill, just severed) on the way out.
 func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History, error) {
 	cfg := s.cfg.Experiment
-	if cfg.AggWorkers > 0 {
-		tensor.SetAggWorkers(cfg.AggWorkers)
-	}
 	train := dataset.Generate(s.cfg.TrainSize, dataset.DefaultGenOptions(), rng.New(s.cfg.DataSeed))
 	s.parts = fl.Partition(train, cfg)
 	s.malicious = fl.MaliciousPlacement(cfg)
@@ -477,208 +505,30 @@ func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History
 		rejoinWG.Wait()
 	}()
 
-	serverRNG := rng.New(rng.DeriveSeed(cfg.Seed, "server", 0))
-	global := s.initGlobal
-	evalModel, err := classifier.ByName(s.cfg.ArchName)
-	if err != nil {
-		return nil, err
-	}
-	eval := evalModel(rng.New(rng.DeriveSeed(cfg.Seed, "eval", 0)))
-
-	testIdx := dataset.Range(s.test.Len())
-	if cfg.TestSubset > 0 && cfg.TestSubset < len(testIdx) {
-		testIdx = testIdx[:cfg.TestSubset]
-	}
-	needDecoders := s.strategy.NeedsDecoders()
-	history := &fl.History{Strategy: s.strategy.Name()}
-
-	startRound := 1
-	if resume != nil {
-		global = append([]float32(nil), resume.Global...)
-		serverRNG.SetState(resume.ServerRNG)
-		history.Rounds = append(history.Rounds, resume.Rounds...)
-		startRound = resume.Round + 1
-	}
-
-	tel.Emit(telemetry.RunStarted{
-		Strategy:          s.strategy.Name(),
-		NumClients:        cfg.NumClients,
-		PerRound:          cfg.PerRound,
-		Rounds:            cfg.Rounds,
-		Seed:              cfg.Seed,
-		Attack:            s.cfg.AttackName,
-		MaliciousFraction: cfg.MaliciousFraction,
-	})
-	if resume != nil {
-		tel.Emit(telemetry.RunResumed{Round: resume.Round, Strategy: s.strategy.Name()})
-	}
-	runStart := time.Now()
-
 	// Snapshot the counters so registration/setup traffic is not charged
 	// to round 1.
-	lastRead, lastWritten := s.totalBytes()
-	for round := startRound; round <= cfg.Rounds; round++ {
-		if s.killed() {
-			return history, ErrKilled
-		}
-		s.round.Store(int64(round))
-		trainStart := time.Now()
-		roundSpan := s.runSpan.Child("round", telemetry.L("round", strconv.Itoa(round)))
-		sampled := serverRNG.Sample(cfg.NumClients, cfg.PerRound)
-		var attackIDs []int
-		for _, id := range sampled {
-			if s.malicious[id] {
-				attackIDs = append(attackIDs, id)
-			}
-		}
-		if len(attackIDs) > 0 {
-			tel.Emit(telemetry.AttackSampled{Round: round, ClientIDs: attackIDs})
-		}
-
-		// The round RNG is split off before training — nothing draws from
-		// serverRNG in between, so the child stream is byte-identical to a
-		// post-barrier split — which lets a streaming strategy pre-draw its
-		// whole audit plan while uploads are still in flight.
-		ctx := &fl.RoundContext{
-			Round:     round,
-			Global:    global,
-			RNG:       serverRNG.Split(),
-			Report:    map[string]float64{},
-			Telemetry: tel,
-		}
-		var stream fl.RoundStream
-		if s.cfg.StreamAudit {
-			if ss, ok := s.strategy.(fl.StreamingStrategy); ok {
-				stream = ss.BeginRound(ctx, len(sampled))
-			}
-		}
-		updates, dropped, err := s.trainRound(round, sampled, needDecoders, global, stream, roundSpan)
-		if err != nil {
-			if stream != nil {
-				stream.Abort()
-			}
-			if s.killed() {
-				// The failures are our own severed connections.
-				return history, ErrKilled
-			}
-			return history, err
-		}
-		trainSecs := time.Since(trainStart).Seconds()
-
-		aggStart := time.Now()
-		aggSpan, stopAgg := tel.StartPhase(roundSpan, "server.aggregate",
-			telemetry.L("strategy", s.strategy.Name()),
-			telemetry.L("workers", strconv.Itoa(tensor.EffectiveAggWorkers())))
-		ctx.Updates = updates
-		ctx.Span = aggSpan
-		var agg []float32
-		if stream != nil {
-			busy, jobs := stream.Overlap()
-			fl.RecordStreamOverlap(tel, roundSpan, busy, jobs)
-			agg, err = stream.Finalize(ctx)
-		} else {
-			agg, err = s.strategy.Aggregate(ctx)
-		}
-		if err != nil {
-			return history, fmt.Errorf("fednet: round %d aggregation: %w", round, err)
-		}
-		// ψ ← ψ + lr·(agg − ψ). Unlike the in-process server this buffer
-		// cannot ping-pong: connections retain the round's global as their
-		// delta base (baseVec) until the next broadcast lands.
-		next := make([]float32, len(global))
-		tensor.LerpInto(next, global, agg, float32(cfg.ServerLR))
-		global = next
-		stopAgg()
-		aggSecs := time.Since(aggStart).Seconds()
-		fl.RecordAggregate(tel, s.strategy.Name(), aggSecs)
-
-		// Byte accounting, both ways: the logical columns follow the
-		// paper's Table V (full payload sizes at 4 bytes per parameter);
-		// the wire columns are *measured* from the sockets — framing,
-		// retries, and every compression saving included. From the
-		// server's perspective writes are uploads, reads are downloads.
-		read, written := s.totalBytes()
-		s.publishPeerBytes()
-		var logicalDown int64
-		for _, u := range updates {
-			logicalDown += int64(len(u.Weights)+len(u.Decoder)) * 4
-		}
-		maliciousSampled := 0
-		for _, id := range sampled {
-			if s.malicious[id] {
-				maliciousSampled++
-			}
-		}
-		rec := fl.RoundRecord{
-			Round:             round,
-			TrainSeconds:      trainSecs,
-			AggregateSeconds:  aggSecs,
-			UploadBytes:       int64(cfg.PerRound) * int64(len(global)) * 4,
-			DownloadBytes:     logicalDown,
-			WireUploadBytes:   written - lastWritten,
-			WireDownloadBytes: read - lastRead,
-			Sampled:           sampled,
-			MaliciousSampled:  maliciousSampled,
-			Dropped:           dropped,
-			Report:            ctx.Report,
-		}
-		lastRead, lastWritten = read, written
-
-		evalStart := time.Now()
-		_, stopEval := tel.StartPhase(roundSpan, "server.eval")
-		if err := eval.LoadParams(global); err != nil {
-			return history, err
-		}
-		rec.TestAccuracy = classifier.Evaluate(eval, s.test, testIdx)
-		stopEval()
-		rec.EvalSeconds = time.Since(evalStart).Seconds()
-		rec.Seconds = rec.TrainSeconds + rec.AggregateSeconds + rec.EvalSeconds
-
-		roundSpan.SetInt("sampled", int64(len(sampled)))
-		roundSpan.SetInt("dropped", int64(len(dropped)))
-		roundSpan.End()
-		fl.RecordRound(tel, rec)
-		history.Rounds = append(history.Rounds, rec)
-		// Checkpoint BEFORE onRound: a crash inside the callback (the test
-		// harness's kill point) resumes at round+1 and never replays a
-		// round the caller already observed.
-		if s.cfg.CheckpointDir != "" && round%ckptEvery(s.cfg.CheckpointEvery) == 0 {
-			if err := s.writeCheckpoint(round, global, serverRNG, history); err != nil {
-				return history, err
-			}
-		}
-		if onRound != nil {
-			onRound(rec)
-		}
-	}
-	history.FinalWeights = global
-	s.runSpan.End()
-	tel.Emit(telemetry.RunCompleted{
-		Rounds:        cfg.Rounds,
-		FinalAccuracy: history.FinalAccuracy(),
-		TotalSeconds:  time.Since(runStart).Seconds(),
-	})
-	return history, nil
+	s.lastRead, s.lastWritten = s.totalBytes()
+	return fl.RunRounds(cfg, s.test, s.strategy, s, s.runSpan, resume, onRound)
 }
 
-// ckptEvery normalizes the checkpoint cadence (<= 0 means every round).
-func ckptEvery(every int) int {
-	if every <= 0 {
-		return 1
-	}
-	return every
+// WireBytes implements fl.Cohort with the bytes *measured* on the
+// sockets since the previous round — framing, retries, and every
+// compression saving included. From the server's perspective writes are
+// uploads, reads are downloads.
+func (s *Server) WireBytes([]fl.Update, int64) (up, down int64) {
+	read, written := s.totalBytes()
+	s.publishPeerBytes()
+	up, down = written-s.lastWritten, read-s.lastRead
+	s.lastRead, s.lastWritten = read, written
+	return up, down
 }
 
-// writeCheckpoint atomically persists the run state after a completed
-// round: global weights, server RNG stream, accumulated history, and
-// the decoder dedup cache (bytes included, so a resumed server can
-// answer hash-only decoder tokens from rejoining clients). Client
-// RNG/decoder state lives in the client processes and is deliberately
-// NOT captured — networked resume relies on the clients surviving the
-// server crash and redialing.
-func (s *Server) writeCheckpoint(round int, global []float32, serverRNG *rng.RNG, history *fl.History) error {
-	tel := s.cfg.Telemetry
-	start := time.Now()
+// Snapshot implements fl.Cohort: the decoder dedup cache, bytes
+// included, so a resumed server can answer hash-only decoder tokens from
+// rejoining clients. Client RNG/decoder state lives in the client
+// processes and is deliberately NOT captured — networked resume relies
+// on the clients surviving the server crash and redialing.
+func (s *Server) Snapshot(ck *fl.Checkpoint) {
 	s.mu.Lock()
 	decs := make([]fl.DecoderState, 0, len(s.decoders))
 	for id, e := range s.decoders {
@@ -690,22 +540,22 @@ func (s *Server) writeCheckpoint(round int, global []float32, serverRNG *rng.RNG
 	}
 	s.mu.Unlock()
 	sort.Slice(decs, func(i, j int) bool { return decs[i].ID < decs[j].ID })
-	path, n, err := persist.SaveCheckpoint(s.cfg.CheckpointDir, &fl.Checkpoint{
-		Round:     round,
-		Seed:      s.cfg.Experiment.Seed,
-		Strategy:  s.strategy.Name(),
-		Global:    append([]float32(nil), global...),
-		ServerRNG: serverRNG.State(),
-		Rounds:    history.Rounds,
-		Decoders:  decs,
-	})
-	if err != nil {
-		return fmt.Errorf("fednet: round %d checkpoint: %w", round, err)
+	ck.Decoders = decs
+}
+
+// Train implements fl.Cohort around trainRound. After Kill the round
+// does not start, and a round that failed on the server's own severed
+// connections is not a failed round: both are ErrKilled.
+func (s *Server) Train(round int, sampled []int, global []float32, needDecoders bool, stream fl.RoundStream, roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
+	if s.killed() {
+		return nil, nil, ErrKilled
 	}
-	secs := time.Since(start).Seconds()
-	tel.Observe(telemetry.CheckpointMetric, secs)
-	tel.Emit(telemetry.CheckpointWritten{Round: round, Path: path, Bytes: n, Seconds: secs})
-	return nil
+	s.round.Store(int64(round))
+	updates, dropped, err := s.trainRound(round, sampled, global, needDecoders, stream, roundSpan)
+	if err != nil && s.killed() {
+		return nil, nil, ErrKilled
+	}
+	return updates, dropped, err
 }
 
 // trainRound fans one round's work out to the sampled clients and
@@ -717,7 +567,7 @@ func (s *Server) writeCheckpoint(round int, global []float32, serverRNG *rng.RNG
 // remaining uploads; slots line up with the compacted updates slice only
 // on drop-free rounds, which is exactly when the stream's fast path is
 // valid (Finalize detects the mismatch otherwise and falls back).
-func (s *Server) trainRound(round int, sampled []int, needDecoders bool, global []float32, stream fl.RoundStream, roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
+func (s *Server) trainRound(round int, sampled []int, global []float32, needDecoders bool, stream fl.RoundStream, roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
 	tel := s.cfg.Telemetry
 	conns := make([]*clientConn, len(sampled))
 	s.mu.Lock()

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"sort"
 
 	"fedguard/internal/rng"
 )
@@ -115,37 +114,4 @@ func CheckResume(cfg FederationConfig, strategyName string, ck *Checkpoint) erro
 		return fmt.Errorf("fl: checkpoint carries %d round records for round %d", len(ck.Rounds), ck.Round)
 	}
 	return nil
-}
-
-// checkpointEvery normalizes the cadence: any non-positive setting means
-// every round once a sink or directory is configured.
-func checkpointEvery(every int) int {
-	if every > 0 {
-		return every
-	}
-	return 1
-}
-
-// decoderStates flattens the dedup map in ID order, so checkpoint bytes
-// are deterministic for a given run state.
-func decoderStates(hashes map[int]uint64) []DecoderState {
-	ids := make([]int, 0, len(hashes))
-	for id := range hashes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]DecoderState, len(ids))
-	for i, id := range ids {
-		out[i] = DecoderState{ID: id, Hash: hashes[id]}
-	}
-	return out
-}
-
-// captureClients snapshots every client in ID order.
-func captureClients(clients []*Client) []ClientState {
-	out := make([]ClientState, len(clients))
-	for i, c := range clients {
-		out[i] = c.CaptureState()
-	}
-	return out
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"fedguard/internal/attack"
 	"fedguard/internal/classifier"
@@ -14,7 +13,6 @@ import (
 	"fedguard/internal/dataset"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
-	"fedguard/internal/tensor"
 )
 
 // FederationConfig describes a full federated experiment (paper §IV-A):
@@ -190,322 +188,127 @@ func (f *Federation) Resume(strategy Strategy, ck *Checkpoint, onRound func(Roun
 }
 
 func (f *Federation) run(strategy Strategy, onRound func(RoundRecord), resume *Checkpoint) (*History, error) {
-	cfg := f.cfg
-	if cfg.AggWorkers > 0 {
-		tensor.SetAggWorkers(cfg.AggWorkers)
+	p, err := f.newPool(resume)
+	if err != nil {
+		return nil, err
 	}
-	// All streams are derived from the experiment seed by domain tag so a
-	// distributed deployment (package fednet) can reconstruct any client's
-	// stream independently and produce bit-identical results.
-	parts := Partition(f.train, cfg)
-	clients := make([]*Client, cfg.NumClients)
-	for i := range clients {
-		var att attack.Attack = attack.None{}
-		if f.MaliciousIDs[i] {
-			att = cfg.Attack
-		}
-		clients[i] = NewClient(i, f.train, parts[i], cfg.Client, att,
-			rng.New(rng.DeriveSeed(cfg.Seed, "client", uint64(i))))
-		clients[i].SetTelemetry(cfg.Telemetry)
-		if cfg.Stream != nil {
-			clients[i].EnableStream(cfg.Stream.InitialFraction,
-				cfg.Stream.PerRound, cfg.Stream.CVAERetrainEvery)
-		}
-	}
-	serverRNG := rng.New(rng.DeriveSeed(cfg.Seed, "server", 0))
+	// The in-process trace mirrors the networked one: run → round →
+	// client.round → client.train/…, so cmd/fedtrace reads both the same way.
+	runSpan := f.cfg.Telemetry.StartRoot("run", telemetry.L("strategy", strategy.Name()))
+	return RunRounds(f.cfg, f.test, strategy, p, runSpan, resume, onRound)
+}
 
-	// ψ₀ ← init() (Alg. 1 line 15). nextGlobal is the ping-pong partner
-	// for the per-round ψ update.
-	global := InitialGlobal(cfg)
-	nextGlobal := make([]float32, len(global))
-	evalModel := cfg.Client.Arch(rng.New(rng.DeriveSeed(cfg.Seed, "eval", 0)))
-
-	testIdx := dataset.Range(f.test.Len())
-	if cfg.TestSubset > 0 && cfg.TestSubset < len(testIdx) {
-		testIdx = testIdx[:cfg.TestSubset]
-	}
-
-	needDecoders := strategy.NeedsDecoders()
-	history := &History{Strategy: strategy.Name()}
-	sampler := cfg.Sampler
-	if sampler == nil {
-		sampler = UniformSampler{}
-	}
-
+// pool is the in-process Cohort: the federation's N clients, trained on
+// a bounded goroutine pool, with the wire modeled rather than measured.
+type pool struct {
+	clients []*Client
+	workers int
 	// decoderHashes tracks the decoder payload each client most recently
 	// delivered, so wire-byte accounting charges a decoder only when it
 	// would actually cross the network — the dedup semantics the
 	// networked deployment implements for real.
-	decoderHashes := make(map[int]uint64, cfg.NumClients)
+	decoderHashes map[int]uint64
+}
 
-	startRound := 1
-	if resume != nil {
-		if len(resume.Global) != len(global) {
-			return nil, fmt.Errorf("fl: checkpoint holds %d parameters, architecture has %d",
-				len(resume.Global), len(global))
+// newPool builds one run's clients from the seed-derived partition and
+// streams, restoring their state from resume when one is given.
+func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
+	cfg := f.cfg
+	parts := Partition(f.train, cfg)
+	p := &pool{
+		clients:       make([]*Client, cfg.NumClients),
+		workers:       cfg.Workers,
+		decoderHashes: make(map[int]uint64, cfg.NumClients),
+	}
+	for i := range p.clients {
+		var att attack.Attack = attack.None{}
+		if f.MaliciousIDs[i] {
+			att = cfg.Attack
 		}
-		global = append([]float32(nil), resume.Global...)
-		serverRNG.SetState(resume.ServerRNG)
-		history.Rounds = append(history.Rounds, resume.Rounds...)
+		p.clients[i] = NewClient(i, f.train, parts[i], cfg.Client, att,
+			rng.New(rng.DeriveSeed(cfg.Seed, "client", uint64(i))))
+		p.clients[i].SetTelemetry(cfg.Telemetry)
+		if cfg.Stream != nil {
+			p.clients[i].EnableStream(cfg.Stream.InitialFraction,
+				cfg.Stream.PerRound, cfg.Stream.CVAERetrainEvery)
+		}
+	}
+	if resume != nil {
 		for _, st := range resume.Clients {
-			if st.ID < 0 || st.ID >= len(clients) {
-				return nil, fmt.Errorf("fl: checkpoint client %d outside 0..%d", st.ID, len(clients)-1)
+			if st.ID < 0 || st.ID >= len(p.clients) {
+				return nil, fmt.Errorf("fl: checkpoint client %d outside 0..%d", st.ID, len(p.clients)-1)
 			}
-			clients[st.ID].RestoreState(st)
+			p.clients[st.ID].RestoreState(st)
 		}
 		for _, d := range resume.Decoders {
-			decoderHashes[d.ID] = d.Hash
-		}
-		startRound = resume.Round + 1
-	}
-
-	tel := cfg.Telemetry
-	attackName := ""
-	if cfg.Attack != nil {
-		attackName = cfg.Attack.Name()
-	}
-	tel.Emit(telemetry.RunStarted{
-		Strategy:          strategy.Name(),
-		NumClients:        cfg.NumClients,
-		PerRound:          cfg.PerRound,
-		Rounds:            cfg.Rounds,
-		Seed:              cfg.Seed,
-		Attack:            attackName,
-		MaliciousFraction: cfg.MaliciousFraction,
-	})
-	if resume != nil {
-		tel.Emit(telemetry.RunResumed{Round: resume.Round, Strategy: strategy.Name()})
-	}
-	runStart := time.Now()
-	// Root of the run's trace (nil — and free — unless EnableTracing was
-	// called on the bundle). The in-process topology mirrors the
-	// networked one: run → round → client.round → client.train/…, so
-	// cmd/fedtrace reads both the same way.
-	runSpan := tel.StartRoot("run", telemetry.L("strategy", strategy.Name()))
-
-	for round := startRound; round <= cfg.Rounds; round++ {
-		trainStart := time.Now()
-		roundSpan := runSpan.Child("round", telemetry.L("round", strconv.Itoa(round)))
-
-		// J ← sample(range(1,N), m) (Alg. 1 line 17).
-		sampled := sampler.SampleClients(round, cfg.NumClients, cfg.PerRound, serverRNG)
-		var attackIDs []int
-		for _, id := range sampled {
-			if f.MaliciousIDs[id] {
-				attackIDs = append(attackIDs, id)
-			}
-		}
-		if len(attackIDs) > 0 {
-			tel.Emit(telemetry.AttackSampled{Round: round, ClientIDs: attackIDs})
-		}
-		// The round RNG is split off before training so a streaming
-		// strategy can pre-draw its plan; nothing draws from serverRNG in
-		// between, so the child stream is identical to a post-barrier split.
-		ctx := &RoundContext{
-			Round:     round,
-			Global:    global,
-			RNG:       serverRNG.Split(),
-			Report:    map[string]float64{},
-			Telemetry: tel,
-		}
-		// A cohort-aware attack rewrites the malicious drafts after the
-		// round barrier, so updates streamed as they land would be
-		// pre-rewrite; rounds with such a cohort fall back to the batch
-		// audit path (benign rounds still stream).
-		_, cohortAttack := cfg.Attack.(attack.CohortAware)
-		var stream RoundStream
-		if cfg.StreamAudit && !(cohortAttack && len(attackIDs) > 0) {
-			if ss, ok := strategy.(StreamingStrategy); ok {
-				stream = ss.BeginRound(ctx, len(sampled))
-			}
-		}
-		updates := make([]Update, len(sampled))
-		f.trainSampled(clients, sampled, global, needDecoders, updates, stream, roundSpan)
-		if cohortAttack && len(attackIDs) > 0 {
-			applyCohortAttack(cfg.Attack.(attack.CohortAware), updates, sampled,
-				f.MaliciousIDs, cfg.Seed, round)
-		}
-		trainSecs := time.Since(trainStart).Seconds()
-
-		aggStart := time.Now()
-		aggSpan, stopAgg := tel.StartPhase(roundSpan, "server.aggregate",
-			telemetry.L("strategy", strategy.Name()),
-			telemetry.L("workers", strconv.Itoa(tensor.EffectiveAggWorkers())))
-		ctx.Updates = updates
-		ctx.Span = aggSpan
-		var agg []float32
-		var err error
-		if stream != nil {
-			busy, jobs := stream.Overlap()
-			RecordStreamOverlap(tel, roundSpan, busy, jobs)
-			agg, err = stream.Finalize(ctx)
-		} else {
-			agg, err = strategy.Aggregate(ctx)
-		}
-		if err != nil {
-			return history, fmt.Errorf("fl: round %d aggregation: %w", round, err)
-		}
-		if len(agg) != len(global) {
-			return history, fmt.Errorf("fl: round %d: strategy returned %d parameters, want %d",
-				round, len(agg), len(global))
-		}
-		// ψ ← ψ + lr·(agg − ψ): lr = 1 reduces to plain replacement. The
-		// two buffers ping-pong between rounds (everything downstream —
-		// clients, checkpoints, history — copies rather than retains), so
-		// the server update allocates nothing after round one.
-		tensor.LerpInto(nextGlobal, global, agg, float32(cfg.ServerLR))
-		global, nextGlobal = nextGlobal, global
-		stopAgg()
-		aggSecs := time.Since(aggStart).Seconds()
-		RecordAggregate(tel, strategy.Name(), aggSecs)
-
-		// Byte accounting per Table V: uploads are the global broadcast to
-		// the m sampled clients; downloads are their returned updates plus
-		// any decoder payloads. The logical columns charge every payload in
-		// full; the wire columns apply dedup semantics — a decoder costs
-		// bytes only when its content changed since the client's last
-		// delivery, which is exactly when the networked path resends it.
-		var down, wireDown int64
-		malicious := 0
-		for i, u := range updates {
-			down += int64(len(u.Weights)+len(u.Decoder)) * 4
-			wireDown += int64(len(u.Weights)) * 4
-			if len(u.Decoder) > 0 {
-				h := codec.Hash(u.Decoder)
-				if decoderHashes[sampled[i]] != h {
-					decoderHashes[sampled[i]] = h
-					wireDown += int64(len(u.Decoder)) * 4
-				}
-			}
-			if f.MaliciousIDs[sampled[i]] {
-				malicious++
-			}
-		}
-		up := int64(cfg.PerRound) * int64(len(global)) * 4
-		rec := RoundRecord{
-			Round:             round,
-			TrainSeconds:      trainSecs,
-			AggregateSeconds:  aggSecs,
-			UploadBytes:       up,
-			DownloadBytes:     down,
-			WireUploadBytes:   up,
-			WireDownloadBytes: wireDown,
-			Sampled:           sampled,
-			MaliciousSampled:  malicious,
-			Report:            ctx.Report,
-		}
-
-		evalStart := time.Now()
-		_, stopEval := tel.StartPhase(roundSpan, "server.eval")
-		if err := evalModel.LoadParams(global); err != nil {
-			return history, err
-		}
-		rec.TestAccuracy = classifier.Evaluate(evalModel, f.test, testIdx)
-		stopEval()
-		rec.EvalSeconds = time.Since(evalStart).Seconds()
-		rec.Seconds = rec.TrainSeconds + rec.AggregateSeconds + rec.EvalSeconds
-
-		roundSpan.SetInt("sampled", int64(len(sampled)))
-		roundSpan.End()
-		RecordRound(tel, rec)
-		history.Rounds = append(history.Rounds, rec)
-		// Snapshot BEFORE onRound: a crash inside the callback (or any
-		// time after it) then resumes at round+1, never replaying a round
-		// the caller already observed.
-		if cfg.CheckpointSink != nil && round%checkpointEvery(cfg.CheckpointEvery) == 0 {
-			ckStart := time.Now()
-			path, n, err := cfg.CheckpointSink(&Checkpoint{
-				Round:     round,
-				Seed:      cfg.Seed,
-				Strategy:  strategy.Name(),
-				Global:    append([]float32(nil), global...),
-				ServerRNG: serverRNG.State(),
-				Rounds:    history.Rounds,
-				Decoders:  decoderStates(decoderHashes),
-				Clients:   captureClients(clients),
-			})
-			if err != nil {
-				return history, fmt.Errorf("fl: round %d checkpoint: %w", round, err)
-			}
-			secs := time.Since(ckStart).Seconds()
-			tel.Observe(telemetry.CheckpointMetric, secs)
-			tel.Emit(telemetry.CheckpointWritten{Round: round, Path: path, Bytes: n, Seconds: secs})
-		}
-		if onRound != nil {
-			onRound(rec)
+			p.decoderHashes[d.ID] = d.Hash
 		}
 	}
-	history.FinalWeights = global
-	runSpan.End()
-	tel.Emit(telemetry.RunCompleted{
-		Rounds:        cfg.Rounds,
-		FinalAccuracy: history.FinalAccuracy(),
-		TotalSeconds:  time.Since(runStart).Seconds(),
-	})
-	return history, nil
+	return p, nil
 }
 
-// applyCohortAttack hands the round's malicious drafts to a
-// CohortAware attack for a joint rewrite: the threat model's colluders
-// exchanging their locally trained updates before upload. Drafts are
-// ordered by ascending client ID and the cohort RNG is derived from
-// (seed, round), so the rewrite is deterministic for a given sample set
-// — including across a checkpoint resume — regardless of training
-// goroutine scheduling.
-func applyCohortAttack(ca attack.CohortAware, updates []Update, sampled []int, malicious map[int]bool, seed uint64, round int) {
-	var slots []int
+// Train implements Cohort: the sampled clients train on a bounded worker
+// pool, each under its own "client.round" span, and each finished update
+// goes to the stream immediately so the strategy's audit overlaps the
+// remaining clients' training. Local clients never drop.
+func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bool, stream RoundStream, roundSpan *telemetry.Span) ([]Update, []int, error) {
+	out := make([]Update, len(sampled))
+	sem := make(chan struct{}, p.workers)
+	var wg sync.WaitGroup
 	for i, id := range sampled {
-		if malicious[id] {
-			slots = append(slots, i)
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i, id int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			sp := roundSpan.Child("client.round", telemetry.L("client", strconv.Itoa(id)))
+			out[i] = p.clients[id].RunRoundSpan(global, needDecoders, sp)
+			sp.SetInt("num_samples", int64(out[i].NumSamples))
+			sp.End()
+			if stream != nil {
+				stream.Submit(i, out[i])
+			}
+		}(i, id)
+	}
+	wg.Wait()
+	return out, nil, nil
+}
+
+// WireBytes implements Cohort with the logical sizes under dedup
+// semantics: a decoder costs bytes only when its content changed since
+// the client's last delivery, which is exactly when the networked path
+// resends it.
+func (p *pool) WireBytes(updates []Update, broadcast int64) (up, down int64) {
+	for _, u := range updates {
+		down += int64(len(u.Weights)) * 4
+		if len(u.Decoder) > 0 {
+			h := codec.Hash(u.Decoder)
+			if p.decoderHashes[u.ClientID] != h {
+				p.decoderHashes[u.ClientID] = h
+				down += int64(len(u.Decoder)) * 4
+			}
 		}
 	}
-	sort.Slice(slots, func(a, b int) bool {
-		return sampled[slots[a]] < sampled[slots[b]]
-	})
-	drafts := make([][]float32, len(slots))
-	ids := make([]int, len(slots))
-	for k, i := range slots {
-		drafts[k] = updates[i].Weights
-		ids[k] = sampled[i]
+	return broadcast, down
+}
+
+// Snapshot implements Cohort: dedup hashes and every client in ID order.
+// The hashes are flattened in ID order too, so checkpoint bytes are
+// deterministic for a given run state.
+func (p *pool) Snapshot(ck *Checkpoint) {
+	ids := make([]int, 0, len(p.decoderHashes))
+	for id := range p.decoderHashes {
+		ids = append(ids, id)
 	}
-	ca.PoisonCohort(drafts, ids, rng.New(rng.DeriveSeed(seed, "cohort", uint64(round))))
-}
-
-// RecordAggregate publishes one round's server-side aggregation cost to
-// the per-strategy histogram. Shared with the networked server.
-func RecordAggregate(tel *telemetry.T, strategy string, secs float64) {
-	tel.Observe(telemetry.AggregateMetric, secs, telemetry.L("strategy", strategy))
-}
-
-// RecordRound publishes one round's record as a structured event plus
-// current-state gauges and totals counters. Shared with the networked
-// server (package fednet calls it too).
-func RecordRound(tel *telemetry.T, rec RoundRecord) {
-	tel.Emit(telemetry.RoundCompleted{
-		Round:             rec.Round,
-		TestAccuracy:      rec.TestAccuracy,
-		TrainSeconds:      rec.TrainSeconds,
-		AggregateSeconds:  rec.AggregateSeconds,
-		EvalSeconds:       rec.EvalSeconds,
-		Seconds:           rec.Seconds,
-		UploadBytes:       rec.UploadBytes,
-		DownloadBytes:     rec.DownloadBytes,
-		WireUploadBytes:   rec.WireUploadBytes,
-		WireDownloadBytes: rec.WireDownloadBytes,
-		Sampled:           rec.Sampled,
-		MaliciousSampled:  rec.MaliciousSampled,
-		Dropped:           rec.Dropped,
-		Report:            rec.Report,
-	})
-	tel.AddCounter("fedguard_rounds_total", 1)
-	tel.AddCounter("fedguard_upload_bytes_total", float64(rec.UploadBytes))
-	tel.AddCounter("fedguard_download_bytes_total", float64(rec.DownloadBytes))
-	tel.AddCounter("fedguard_wire_upload_bytes_total", float64(rec.WireUploadBytes))
-	tel.AddCounter("fedguard_wire_download_bytes_total", float64(rec.WireDownloadBytes))
-	tel.SetGauge("fedguard_round", float64(rec.Round))
-	tel.SetGauge("fedguard_test_accuracy", rec.TestAccuracy)
-	tel.SetGauge("fedguard_excluded", float64(rec.Excluded()))
-	tel.Observe("fedguard_round_seconds", rec.Seconds)
+	sort.Ints(ids)
+	ck.Decoders = make([]DecoderState, len(ids))
+	for i, id := range ids {
+		ck.Decoders[i] = DecoderState{ID: id, Hash: p.decoderHashes[id]}
+	}
+	ck.Clients = make([]ClientState, len(p.clients))
+	for i, c := range p.clients {
+		ck.Clients[i] = c.CaptureState()
+	}
 }
 
 // Partition derives the federation's data partition from the experiment
@@ -537,43 +340,4 @@ func InitialGlobalFrom(arch classifier.Arch, seed uint64) []float32 {
 // give them.
 func ClientRNGSeed(seed uint64, id int) uint64 {
 	return rng.DeriveSeed(seed, "client", uint64(id))
-}
-
-// trainSampled runs the sampled clients' local training on a bounded
-// worker pool, writing each update at its position. When roundSpan is
-// live each client gets a "client.round" child span, so the in-process
-// trace carries the same per-client topology a networked run does. A
-// non-nil stream receives each finished update immediately, overlapping
-// the strategy's audit with the remaining clients' training.
-func (f *Federation) trainSampled(clients []*Client, sampled []int, global []float32, needDecoders bool, out []Update, stream RoundStream, roundSpan *telemetry.Span) {
-	sem := make(chan struct{}, f.cfg.Workers)
-	var wg sync.WaitGroup
-	for i, id := range sampled {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i, id int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			sp := roundSpan.Child("client.round", telemetry.L("client", strconv.Itoa(id)))
-			out[i] = clients[id].RunRoundSpan(global, needDecoders, sp)
-			sp.SetInt("num_samples", int64(out[i].NumSamples))
-			sp.End()
-			if stream != nil {
-				stream.Submit(i, out[i])
-			}
-		}(i, id)
-	}
-	wg.Wait()
-}
-
-// RecordStreamOverlap publishes one streaming round's overlap figures: a
-// zero-length "server.audit_stream" span under the round carrying the
-// overlapped busy time and job count, plus the AuditOverlapMetric
-// histogram observation. Shared by the in-process and networked servers.
-func RecordStreamOverlap(tel *telemetry.T, roundSpan *telemetry.Span, busy time.Duration, jobs int) {
-	sp := roundSpan.Child("server.audit_stream")
-	sp.SetInt("overlap_us", busy.Microseconds())
-	sp.SetInt("jobs", int64(jobs))
-	sp.End()
-	tel.Observe(telemetry.AuditOverlapMetric, busy.Seconds())
 }

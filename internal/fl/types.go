@@ -1,10 +1,11 @@
 // Package fl implements the federated-learning core of the paper's
 // Algorithm 1: clients that train a local classifier (and, for FedGuard,
-// a local CVAE) on private partitions, a server that samples m of N
-// clients per round and hands their submissions to a pluggable
-// aggregation Strategy, and a Federation driver that runs R rounds with a
-// bounded worker pool, records per-round accuracy/time/byte telemetry,
-// and applies an optional server learning rate (paper Fig. 5).
+// a local CVAE) on private partitions, and one server loop (RunRounds)
+// that samples m of N clients per round, hands their submissions to a
+// pluggable aggregation Strategy, applies an optional server learning
+// rate (paper Fig. 5) and records per-round accuracy/time/byte
+// telemetry. The loop reaches clients through a Cohort: Federation's
+// bounded in-process worker pool here, TCP connections in package fednet.
 package fl
 
 import (
