@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
+.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
 MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkDecoderGenerate$$
@@ -44,9 +44,17 @@ vet:
 # fast even when its unit tests are skipped, the adversary-suite gate,
 # the fault-injection chaos suite, the lossless-codec stack, the
 # crash-recovery kill/resume drill, the distributed-tracing smoke run,
-# bounded fuzz passes over the wire, codec, and checkpoint decoders, and
-# the benchmark module's own vet and tests.
-ci: vet race bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke
+# bounded fuzz passes over the wire, codec, and checkpoint decoders, the
+# benchmark module's own vet and tests, and the compute substrate again
+# on its scalar kernels.
+ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke
+
+# test-purego reruns the compute substrate with the assembly kernels
+# compiled out. The bitwise kernel tables and the golden FinalWeights in
+# internal/classifier then hold the scalar path to the same bits as the
+# AVX tiles the default build runs.
+test-purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/classifier
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
@@ -81,14 +89,17 @@ bench-json:
 # bench-guard re-measures the round-pipeline critical benchmarks and
 # fails if any exceed the ceilings committed in BENCH_guard.json — the
 # regression tripwire for the pooled frame writer, the codec fast paths,
-# the per-round checkpoint serialization cost, and the blocked
-# aggregation kernels. Ceilings are loose (≈2-3× the snapshot numbers)
-# so CI noise passes but a lost fast path or reintroduced per-op
-# allocation fails.
+# the per-round checkpoint serialization cost, the blocked aggregation
+# kernels, and the train step (its time, and that a second proc does not
+# make it slower). Ceilings are loose (≈2-3× the snapshot numbers) so CI
+# noise passes but a lost fast path or reintroduced per-op allocation
+# fails.
 bench-guard:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkWireWriteUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCheckpointWrite$$' -benchmem -benchtime=50x ./internal/persist/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$' -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkTrainEpochTwoProcs$$' -benchtime=2x . ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json
 
 # bench-harness vets and tests benchmark/, the ledger's program. It is

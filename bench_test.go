@@ -15,7 +15,9 @@ package fedguard
 //	go test -bench=BenchmarkTableIV_SignFlip -benchtime=1x
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
@@ -218,43 +220,125 @@ func BenchmarkMatMul128(b *testing.B) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
+// convShapes are the convolution benchmarks' layers: the paper's first
+// layer at the historical batch of 8 (N = 32 output channels, the wide
+// row-kernel path) and both layers of the `small` classifier every
+// preset trains, at the training batch of 32 (N = 8 and 16, the
+// register-tiled path; the second layer also returns an input gradient).
+var convShapes = []struct {
+	name            string
+	inC, outC, b, h int
+}{
+	{"paper-1to32-b8", 1, 32, 8, 28},
+	{"small-1to8-b32", 1, 8, 32, 28},
+	{"small-8to16-b32", 8, 16, 32, 12},
+}
+
 func BenchmarkConvForward(b *testing.B) {
-	r := rng.New(2)
-	conv := nn.NewConv2D(1, 32, 5, 5, r)
-	x := tensor.New(8, 1, 28, 28)
-	r.FillNormal(x.Data, 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.Forward(x, true)
+	for _, s := range convShapes {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.New(2)
+			conv := nn.NewConv2D(s.inC, s.outC, 5, 5, r)
+			x := tensor.New(s.b, s.inC, s.h, s.h)
+			r.FillNormal(x.Data, 0, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				conv.Forward(x, true)
+			}
+		})
 	}
 }
 
+// BenchmarkConvBackward feeds a gradient with the sparsity training
+// produces behind ReLU and a 2×2 max pool (about one live element in
+// eight): the row kernel's zero-skip and the tiles' multiply-through
+// are only comparable on that input.
 func BenchmarkConvBackward(b *testing.B) {
-	r := rng.New(3)
-	conv := nn.NewConv2D(1, 32, 5, 5, r)
-	x := tensor.New(8, 1, 28, 28)
-	r.FillNormal(x.Data, 0, 1)
-	y := conv.Forward(x, true)
-	g := tensor.New(y.Shape()...)
-	r.FillNormal(g.Data, 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.Backward(g)
+	for _, s := range convShapes {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.New(3)
+			conv := nn.NewConv2D(s.inC, s.outC, 5, 5, r)
+			conv.InputGradOff = s.inC == 1
+			x := tensor.New(s.b, s.inC, s.h, s.h)
+			r.FillNormal(x.Data, 0, 1)
+			y := conv.Forward(x, true)
+			g := tensor.New(y.Shape()...)
+			r.FillNormal(g.Data, 0, 1)
+			for i := range g.Data {
+				if r.Float64() < 0.875 {
+					g.Data[i] = 0
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				conv.Backward(g)
+			}
+		})
 	}
+}
+
+// trainEpochSamples is the size of the train-epoch benchmarks' dataset.
+const trainEpochSamples = 256
+
+// trainEpoch returns a function that runs one local epoch of the `small`
+// classifier over trainEpochSamples synthetic images at the presets'
+// batch size.
+func trainEpoch() func() {
+	r := rng.New(4)
+	train := dataset.Generate(trainEpochSamples, dataset.DefaultGenOptions(), r)
+	model := classifier.Small()(r)
+	cfg := classifier.TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.05, Momentum: 0.9}
+	indices := dataset.Range(train.Len())
+	return func() { classifier.Train(model, train, indices, cfg, r) }
 }
 
 func BenchmarkClassifierTrainEpoch(b *testing.B) {
-	r := rng.New(4)
-	train := dataset.Generate(256, dataset.DefaultGenOptions(), r)
-	model := classifier.Small()(r)
-	cfg := classifier.TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.05, Momentum: 0.9}
+	epoch := trainEpoch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		classifier.Train(model, train, dataset.Range(train.Len()), cfg, r)
+		epoch()
 	}
-	b.ReportMetric(float64(train.Len())*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+	b.ReportMetric(trainEpochSamples*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+}
+
+// BenchmarkTrainEpochTwoProcs guards the kernel pool's dispatch
+// threshold. With two procs the only products a train epoch may hand to
+// the pool are the batch-level forward ones, so an epoch must not cost
+// more than on one proc — it did (82 vs 76 ms) while every 15 µs
+// per-image backward product was dispatched too. Each iteration takes
+// the best of five interleaved epochs per side; the reported
+// procs2/procs1 ratio has a ceiling in BENCH_guard.json.
+func BenchmarkTrainEpochTwoProcs(b *testing.B) {
+	if runtime.NumCPU() < 2 {
+		b.Skip("needs two CPUs")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer tensor.SetWorkers(tensor.Workers())
+	train := trainEpoch()
+	epoch := func(procs int) time.Duration {
+		runtime.GOMAXPROCS(procs)
+		tensor.SetWorkers(procs)
+		start := time.Now()
+		train()
+		return time.Since(start)
+	}
+	epoch(2) // grow the model's scratch and start the pool
+	var ratio float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		best := [3]time.Duration{}
+		for rep := 0; rep < 5; rep++ {
+			for procs := 1; procs <= 2; procs++ {
+				if d := epoch(procs); best[procs] == 0 || d < best[procs] {
+					best[procs] = d
+				}
+			}
+		}
+		ratio = float64(best[2]) / float64(best[1])
+	}
+	b.ReportMetric(ratio, "procs2/procs1")
 }
 
 func BenchmarkCVAEStep(b *testing.B) {

@@ -14,49 +14,49 @@ import (
 // — the package contract (see the package comment) that a layer instance
 // is never shared between concurrent training loops makes this safe.
 
-// ensureBoolMask grows a []bool scratch slice to n, reusing capacity.
-func ensureBoolMask(mask []bool, n int) []bool {
-	if cap(mask) >= n {
-		return mask[:n]
-	}
-	return make([]bool, n)
-}
-
 // ReLU is the rectified linear activation, y = max(0, x).
+//
+// Both passes are branch-free selects on the float bit patterns: the
+// sign of a pre-activation (and so the liveness of a gradient element)
+// is a coin flip the branch predictor loses about every other element,
+// which made the compare-and-branch loops the largest non-matmul cost of
+// a training step. The backward mask is not stored: y > 0 exactly where
+// x > 0, so Backward reads it off the retained output.
 type ReLU struct {
-	mask []bool
-	y    *tensor.Tensor
-	dx   *tensor.Tensor
+	y  *tensor.Tensor
+	dx *tensor.Tensor
 }
 
 // NewReLU constructs a ReLU activation.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies max(0, x) element-wise.
+// Forward applies max(0, x) element-wise: x where x > 0, otherwise +0
+// (also for -0 and NaN, like the comparison it replaces).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.y = tensor.Ensure(r.y, x.Shape()...)
-	r.mask = ensureBoolMask(r.mask, x.Len())
+	y := r.y.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			r.y.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.y.Data[i] = 0
-			r.mask[i] = false
-		}
+		// v > 0 ⇔ bits ∈ [1, 0x7f800000] (positive finite or +Inf) ⇔
+		// bits-1 < 0x7f800000 unsigned; the 64-bit difference's sign,
+		// smeared, is the all-ones/all-zeros select mask.
+		bits := math.Float32bits(v)
+		keep := uint32((int64(bits-1) - 0x7f800000) >> 63)
+		y[i] = math.Float32frombits(bits & keep)
 	}
 	return r.y
 }
 
-// Backward zeroes gradients where the forward input was non-positive.
+// Backward zeroes gradients where the forward input was non-positive,
+// i.e. where the retained output is +0.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = tensor.Ensure(r.dx, grad.Shape()...)
+	dx := r.dx.Data[:len(grad.Data)]
+	y := r.y.Data[:len(grad.Data)]
 	for i, g := range grad.Data {
-		if r.mask[i] {
-			r.dx.Data[i] = g
-		} else {
-			r.dx.Data[i] = 0
-		}
+		// The output is +0 or positive: nonzero bits mean the unit fired.
+		yb := math.Float32bits(y[i])
+		keep := uint32(int32(yb|-yb) >> 31)
+		dx[i] = math.Float32frombits(math.Float32bits(g) & keep)
 	}
 	return r.dx
 }

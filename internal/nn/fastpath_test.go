@@ -1,0 +1,93 @@
+package nn
+
+import (
+	"math"
+	"testing"
+
+	"fedguard/internal/rng"
+	"fedguard/internal/tensor"
+)
+
+// specials are the float32 values on which a bit-pattern select and a
+// float comparison could disagree.
+var specials = []float32{
+	0, float32(math.Copysign(0, -1)), 1, -1,
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	math.MaxFloat32, -math.MaxFloat32,
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.Float32frombits(0xffc00001), // NaN with the sign bit set
+}
+
+// TestReLUMatchesComparison holds the branch-free ReLU to the loop it
+// replaced — y = x if x > 0 else +0, dx = g where x > 0 else +0 — bit
+// for bit, on random data and on every special value as input and as
+// gradient.
+func TestReLUMatchesComparison(t *testing.T) {
+	r := rng.New(0x4e10)
+	x := tensor.New(4, 64)
+	g := tensor.New(4, 64)
+	r.FillNormal(x.Data, 0, 1)
+	r.FillNormal(g.Data, 0, 1)
+	for i, v := range specials {
+		x.Data[i] = v
+		g.Data[len(g.Data)-1-i] = v
+		g.Data[i] = specials[(i+3)%len(specials)]
+	}
+	l := NewReLU()
+	y := l.Forward(x, true)
+	dx := l.Backward(g)
+	for i, v := range x.Data {
+		var wantY, wantDx float32
+		if v > 0 {
+			wantY, wantDx = v, g.Data[i]
+		}
+		if math.Float32bits(y.Data[i]) != math.Float32bits(wantY) {
+			t.Fatalf("forward(%v) = %v (bits %#x), want %v", v, y.Data[i], math.Float32bits(y.Data[i]), wantY)
+		}
+		if math.Float32bits(dx.Data[i]) != math.Float32bits(wantDx) {
+			t.Fatalf("backward at x=%v, g=%v: %v (bits %#x), want %v", v, g.Data[i], dx.Data[i], math.Float32bits(dx.Data[i]), wantDx)
+		}
+	}
+}
+
+// TestMaxPool2x2MatchesGeneric holds the 2×2 fast path to the generic
+// window loop's definition — the first strict maximum in row-major
+// window order, value and argmax — on ReLU-like inputs full of ties, on
+// the special values, and on odd heights and widths.
+func TestMaxPool2x2MatchesGeneric(t *testing.T) {
+	r := rng.New(0x9001)
+	for _, hw := range [][2]int{{2, 2}, {4, 6}, {5, 7}, {12, 12}, {24, 24}, {3, 9}} {
+		h, w := hw[0], hw[1]
+		x := tensor.New(3, 2, h, w)
+		r.FillNormal(x.Data, 0, 1)
+		for i := range x.Data {
+			switch {
+			case r.Float64() < 0.5:
+				x.Data[i] = 0 // ties, as behind a ReLU
+			case r.Float64() < 0.1:
+				x.Data[i] = specials[r.Intn(len(specials))]
+			}
+		}
+		p := NewMaxPool2D(2, 2)
+		y := p.Forward(x, true)
+		outH, outW := h/2, w/2
+		for plane := 0; plane < 3*2; plane++ {
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					bestIdx := plane*h*w + 2*oy*w + 2*ox
+					best := x.Data[bestIdx]
+					for _, d := range []int{1, w, w + 1} {
+						if v := x.Data[plane*h*w+2*oy*w+2*ox+d]; v > best {
+							best, bestIdx = v, plane*h*w+2*oy*w+2*ox+d
+						}
+					}
+					out := (plane*outH+oy)*outW + ox
+					if math.Float32bits(y.Data[out]) != math.Float32bits(best) || int(p.argmax[out]) != bestIdx {
+						t.Fatalf("%dx%d plane %d (%d,%d): got %v@%d, want %v@%d",
+							h, w, plane, oy, ox, y.Data[out], p.argmax[out], best, bestIdx)
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"fedguard/internal/tensor"
 )
@@ -15,7 +16,7 @@ type MaxPool2D struct {
 	PH, PW int
 
 	inShape []int
-	argmax  []int // flat input index of each output element
+	argmax  []int32 // flat input index of each output element
 	y       *tensor.Tensor
 	dx      *tensor.Tensor
 }
@@ -41,10 +42,17 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	m.inShape = append(m.inShape[:0], b, c, h, w)
 	m.y = tensor.Ensure(m.y, b, c, outH, outW)
+	if x.Len() > math.MaxInt32 {
+		panic(fmt.Sprintf("nn: %s input of %d elements overflows the int32 argmax", m.Name(), x.Len()))
+	}
 	if cap(m.argmax) >= m.y.Len() {
 		m.argmax = m.argmax[:m.y.Len()]
 	} else {
-		m.argmax = make([]int, m.y.Len())
+		m.argmax = make([]int32, m.y.Len())
+	}
+	if m.PH == 2 && m.PW == 2 {
+		m.forward2x2(x.Data, b*c, h, w)
+		return m.y
 	}
 	for i := 0; i < b; i++ {
 		for ch := 0; ch < c; ch++ {
@@ -65,12 +73,52 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					}
 					out := outBase + oy*outW + ox
 					m.y.Data[out] = best
-					m.argmax[out] = bestIdx
+					m.argmax[out] = int32(bestIdx)
 				}
 			}
 		}
 	}
 	return m.y
+}
+
+// forward2x2 is Forward for the 2×2 window every model in the repo
+// uses, over `planes` (batch × channel) contiguous h×w planes. It visits
+// the window in the generic loop's order with the same strict
+// comparison against the running best, so ties, -0 and NaN resolve
+// identically — but each comparison only yields a 0/1 the winner's index
+// is computed from, and the running best is re-read through that index.
+// The generic loop branches on every element, and behind a ReLU (half
+// the inputs exactly zero) those branches mispredict constantly.
+func (m *MaxPool2D) forward2x2(x []float32, planes, h, w int) {
+	outH, outW := h/2, w/2
+	out := 0
+	for p := 0; p < planes; p++ {
+		for oy := 0; oy < outH; oy++ {
+			top := p*h*w + 2*oy*w
+			win := x[top:][:2*w] // rows 2oy and 2oy+1: win[j] and win[w+j]
+			y := m.y.Data[out:][:outW]
+			arg := m.argmax[out:][:outW]
+			for ox := range y {
+				best := 2 * ox
+				best += (2*ox + 1 - best) & -greater(win[2*ox+1], win[best])
+				best += (w + 2*ox - best) & -greater(win[w+2*ox], win[best])
+				best += (w + 2*ox + 1 - best) & -greater(win[w+2*ox+1], win[best])
+				y[ox] = win[best]
+				arg[ox] = int32(top + best)
+			}
+			out += outW
+		}
+	}
+}
+
+// greater returns 1 if a > b and 0 otherwise (also for NaN), as a value
+// rather than a branch: the compiler materializes the flag with SETcc.
+func greater(a, b float32) int {
+	var g int
+	if a > b {
+		g = 1
+	}
+	return g
 }
 
 // Backward routes each output gradient to the input position that won the

@@ -49,22 +49,49 @@ func Im2ColBatch(dst, x *Tensor, kh, kw int) {
 	}
 }
 
+// im2colImage lowers one image. For each output row oy it walks the
+// (channel, kernel-row) source segments once and deals every segment's
+// kw-wide windows out to the outW matrix rows of that output row: the
+// inner loop is one sliding window over a contiguous source row, and
+// the outW·cols block it scatters into stays in L1 for all c·kh passes.
 func im2colImage(dst, src []float32, c, h, w, kh, kw int) {
 	outH, outW := h-kh+1, w-kw+1
 	cols := c * kh * kw
 	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			row := dst[(oy*outW+ox)*cols:]
-			idx := 0
-			for ch := 0; ch < c; ch++ {
-				base := ch * h * w
-				for ky := 0; ky < kh; ky++ {
-					srcRow := src[base+(oy+ky)*w+ox:]
-					copy(row[idx:idx+kw], srcRow[:kw])
-					idx += kw
+		block := dst[oy*outW*cols:][:outW*cols]
+		for ch := 0; ch < c; ch++ {
+			for ky := 0; ky < kh; ky++ {
+				seg := src[ch*h*w+(oy+ky)*w:][:w]
+				off := (ch*kh + ky) * kw
+				if kw == 5 {
+					im2colWindows5(block[off:], seg, cols, outW)
+					continue
+				}
+				for ox := 0; ox < outW; ox++ {
+					d := block[ox*cols+off:][:kw]
+					for kx := range d {
+						d[kx] = seg[ox+kx]
+					}
 				}
 			}
 		}
+	}
+}
+
+// im2colWindows5 is the inner loop of im2colImage for the 5-wide
+// kernels every conv in the repo uses: window ox of seg goes to
+// block[ox*cols:]. Five scalar moves in a function of its own: the
+// compiler turns a [5]float32 assignment into a memmove call, and
+// inlined into the five-deep loop nest it spills every index to the
+// stack (measured 265 µs inlined vs 195 µs as a call for conv1 at
+// B = 32; the copy-per-window loop it replaces took 480 µs).
+//
+//go:noinline
+func im2colWindows5(block, seg []float32, cols, outW int) {
+	for ox := 0; ox < outW; ox++ {
+		d := block[ox*cols:][:5]
+		s := seg[ox:][:5]
+		d[0], d[1], d[2], d[3], d[4] = s[0], s[1], s[2], s[3], s[4]
 	}
 }
 
@@ -86,44 +113,58 @@ func Col2Im(dst, cols *Tensor, kh, kw int) {
 	col2imImage(dst.Data, cols.Data, c, h, w, kh, kw)
 }
 
-// Col2ImBatch is the batched adjoint of Im2ColBatch: cols has shape
-// (B*outH*outW, C*kh*kw) and dst has shape (B, C, H, W). dst is zeroed
-// first.
-func Col2ImBatch(dst, cols *Tensor, kh, kw int) {
-	if dst.Rank() != 4 {
-		panic("tensor: Col2ImBatch requires a (B,C,H,W) destination")
-	}
-	b, c, h, w := dst.Dim(0), dst.Dim(1), dst.Dim(2), dst.Dim(3)
-	outH, outW := h-kh+1, w-kw+1
-	nCols := c * kh * kw
-	if cols.Dim(0) != b*outH*outW || cols.Dim(1) != nCols {
-		panic(fmt.Sprintf("tensor: Col2ImBatch cols shape %v, want (%d,%d)", cols.Shape(), b*outH*outW, nCols))
-	}
-	dst.Zero()
-	imgVol := c * h * w
-	rowVol := outH * outW * nCols
-	for i := 0; i < b; i++ {
-		col2imImage(dst.Data[i*imgVol:(i+1)*imgVol], cols.Data[i*rowVol:(i+1)*rowVol], c, h, w, kh, kw)
-	}
-}
-
+// col2imImage scatters one image's columns, in im2colImage's loop order.
+// Every destination pixel still receives its overlapping windows'
+// contributions in ascending (oy, ox) order — for a fixed output row,
+// channel and kernel row the windows are visited left to right exactly
+// as the row-major (oy, ox, ch, ky, kx) nest visited them — so the sums
+// are bit-identical to that nest's.
 func col2imImage(dst, src []float32, c, h, w, kh, kw int) {
 	outH, outW := h-kh+1, w-kw+1
 	nCols := c * kh * kw
 	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			row := src[(oy*outW+ox)*nCols:]
-			idx := 0
-			for ch := 0; ch < c; ch++ {
-				base := ch * h * w
-				for ky := 0; ky < kh; ky++ {
-					dstRow := dst[base+(oy+ky)*w+ox:]
-					for kx := 0; kx < kw; kx++ {
-						dstRow[kx] += row[idx]
-						idx++
+		block := src[oy*outW*nCols:][:outW*nCols]
+		for ch := 0; ch < c; ch++ {
+			for ky := 0; ky < kh; ky++ {
+				seg := dst[ch*h*w+(oy+ky)*w:][:w]
+				off := (ch*kh + ky) * kw
+				if kw == 5 {
+					col2imWindows5(seg, block[off:], nCols, outW)
+					continue
+				}
+				for ox := 0; ox < outW; ox++ {
+					s := block[ox*nCols+off:][:kw]
+					for kx, v := range s {
+						seg[ox+kx] += v
 					}
 				}
 			}
 		}
 	}
+}
+
+// col2imWindows5 adds window ox of block (at block[ox*cols:]) onto
+// seg[ox:ox+5] for ox ascending. The five pixels under the sliding
+// window ride in registers: a pixel is loaded once when the window
+// reaches it, takes its up-to-five additions in window order, and is
+// stored once when the window leaves it — the same additions in the
+// same order as adding each window in memory, without five
+// read-modify-writes per window chained through the store buffer.
+//
+//go:noinline
+func col2imWindows5(seg, block []float32, cols, outW int) {
+	seg = seg[:outW+4]
+	a0, a1, a2, a3 := seg[0], seg[1], seg[2], seg[3]
+	for ox := 0; ox < outW; ox++ {
+		s := block[ox*cols:][:5]
+		a4 := seg[ox+4]
+		a0 += s[0]
+		a1 += s[1]
+		a2 += s[2]
+		a3 += s[3]
+		a4 += s[4]
+		seg[ox] = a0
+		a0, a1, a2, a3 = a1, a2, a3, a4
+	}
+	seg[outW], seg[outW+1], seg[outW+2], seg[outW+3] = a0, a1, a2, a3
 }

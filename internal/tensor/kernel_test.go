@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"fedguard/internal/rng"
@@ -147,6 +148,123 @@ func TestKernelEquivalenceSparse(t *testing.T) {
 	requireBitEqual(t, "MatMul/sparse", got, want)
 }
 
+// TestTileKernelTable is the bitwise table for the register-tiled AVX
+// path: every m remainder of the 4- and 8-row tiles, k of one, the two
+// conv fan-ins, and n on both sides of the narrow/wide split plus a
+// scalar column tail (25), with dense and 90 %-zero left operands, for
+// all four a@b-shaped entry points against the naive ascending-p loop.
+// The tiles multiply zero operands where the row and scalar kernels
+// skip them; the table proves that is the same bits on finite data.
+func TestTileKernelTable(t *testing.T) {
+	defer SetWorkers(Workers())
+	r := rng.New(0x711e5)
+	for _, workers := range []int{1, 3} {
+		SetWorkers(workers)
+		for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 33} {
+			for _, k := range []int{1, 25, 200} {
+				for _, n := range []int{8, 16, 24, 32, 40, 25} {
+					for _, zeroFrac := range []float64{0, 0.9} {
+						a, at := New(m, k), New(k, m)
+						b, init := New(k, n), New(m, n)
+						r.FillNormal(a.Data, 0, 1)
+						r.FillNormal(at.Data, 0, 1)
+						r.FillNormal(b.Data, 0, 1)
+						r.FillNormal(init.Data, 0, 1)
+						for i := range a.Data {
+							if r.Float64() < zeroFrac {
+								a.Data[i] = 0
+							}
+							if r.Float64() < zeroFrac {
+								at.Data[i] = 0
+							}
+						}
+						name := fmt.Sprintf("w%d_%dx%dx%d_z%.1f", workers, m, k, n, zeroFrac)
+						got, want, sum := New(m, n), New(m, n), New(m, n)
+
+						naiveMatMul(want, a, b)
+						MatMul(got, a, b)
+						requireBitEqual(t, name+"/MatMul", got, want)
+						for i := range sum.Data {
+							sum.Data[i] = init.Data[i] + want.Data[i]
+						}
+						copy(got.Data, init.Data)
+						MatMulAcc(got, a, b)
+						requireBitEqual(t, name+"/MatMulAcc", got, sum)
+
+						naiveMatMulTA(want, at, b)
+						MatMulTA(got, at, b)
+						requireBitEqual(t, name+"/MatMulTA", got, want)
+						for i := range sum.Data {
+							sum.Data[i] = init.Data[i] + want.Data[i]
+						}
+						copy(got.Data, init.Data)
+						MatMulTAAcc(got, at, b)
+						requireBitEqual(t, name+"/MatMulTAAcc", got, sum)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelZeroOperands pins the zero cases of the summation-order
+// contract explicitly. An accumulator that starts at +0 never becomes
+// -0, so an all-zero or all-(-0) left operand must give +0 outputs
+// (sign bit clear) whether the kernel skips the terms (scalar, row) or
+// multiplies them out (tiles: 0·x = ±0, +0 + ±0 = +0), and a -0 entry
+// next to real terms must leave their sum untouched.
+func TestKernelZeroOperands(t *testing.T) {
+	negZero := math.Float32frombits(1 << 31)
+	r := rng.New(0x2e70)
+	for _, n := range []int{8, 16, 24, 25, 40} {
+		for _, m := range []int{3, 8, 9} {
+			k := 25
+			b := New(k, n)
+			r.FillNormal(b.Data, 0, 1)
+			for _, fill := range []float32{0, negZero} {
+				a, at := New(m, k), New(k, m)
+				for i := range a.Data {
+					a.Data[i], at.Data[i] = fill, fill
+				}
+				got := New(m, n)
+				for op, run := range map[string]func(){
+					"MatMul":   func() { MatMul(got, a, b) },
+					"MatMulTA": func() { MatMulTA(got, at, b) },
+				} {
+					r.FillNormal(got.Data, 0, 1)
+					run()
+					for i, v := range got.Data {
+						if math.Float32bits(v) != 0 {
+							t.Fatalf("%s m=%d n=%d fill=%v: element %d = %v (bits %#x), want +0",
+								op, m, n, fill, i, v, math.Float32bits(v))
+						}
+					}
+				}
+			}
+
+			// One real term per row, the rest -0: the sum is that term's
+			// product exactly, and an Acc onto -0 gives +0 + -0 → the
+			// product again, never a flipped sign.
+			a := New(m, k)
+			for i := range a.Data {
+				a.Data[i] = negZero
+			}
+			for i := 0; i < m; i++ {
+				a.Data[i*k+i%k] = 2
+			}
+			got, want := New(m, n), New(m, n)
+			naiveMatMul(want, a, b)
+			MatMul(got, a, b)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("MatMul m=%d n=%d: element %d bits %#x, want %#x",
+						m, n, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestMatMulTRankCheck pins the regression where MatMulT and MatMulTA
 // accepted non-rank-2 arguments and died later with a confusing
 // dimension error; they must reject them up front like MatMul does.
@@ -242,8 +360,72 @@ func TestBindView(t *testing.T) {
 	v.Bind(data[:3], 2, 2)
 }
 
+// TestIm2ColIndexing checks the lowering element by element against its
+// definition, for the 5-wide window fast path and the general loop.
+func TestIm2ColIndexing(t *testing.T) {
+	r := rng.New(0x1c01)
+	for _, k := range [][2]int{{5, 5}, {3, 5}, {5, 3}, {2, 4}} {
+		kh, kw := k[0], k[1]
+		c, h, w := 3, 9, 11
+		outH, outW := h-kh+1, w-kw+1
+		img := New(c, h, w)
+		r.FillNormal(img.Data, 0, 1)
+		dst := New(outH*outW, c*kh*kw)
+		Im2Col(dst, img, kh, kw)
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				for ch := 0; ch < c; ch++ {
+					for ky := 0; ky < kh; ky++ {
+						for kx := 0; kx < kw; kx++ {
+							got := dst.At(oy*outW+ox, (ch*kh+ky)*kw+kx)
+							if want := img.At(ch, oy+ky, ox+kx); got != want {
+								t.Fatalf("%dx%d window: (%d,%d) ch %d (%d,%d) = %v, want %v", kh, kw, oy, ox, ch, ky, kx, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCol2ImSummationOrder holds the scatter to the bits of the row-major
+// reference nest (output position, then channel, kernel row, kernel
+// column): overlapping windows must reach every pixel in that order, for
+// the 5-wide sliding-register path and the general loop.
+func TestCol2ImSummationOrder(t *testing.T) {
+	r := rng.New(0xc0121)
+	for _, k := range [][2]int{{5, 5}, {3, 5}, {5, 3}, {2, 4}} {
+		kh, kw := k[0], k[1]
+		c, h, w := 3, 9, 11
+		outH, outW := h-kh+1, w-kw+1
+		nCols := c * kh * kw
+		cols := New(outH*outW, nCols)
+		r.FillNormal(cols.Data, 0, 1)
+		want := New(c, h, w)
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				row := cols.Data[(oy*outW+ox)*nCols:]
+				idx := 0
+				for ch := 0; ch < c; ch++ {
+					for ky := 0; ky < kh; ky++ {
+						for kx := 0; kx < kw; kx++ {
+							want.Data[ch*h*w+(oy+ky)*w+ox+kx] += row[idx]
+							idx++
+						}
+					}
+				}
+			}
+		}
+		got := New(c, h, w)
+		r.FillNormal(got.Data, 0, 1) // Col2Im must zero it
+		Col2Im(got, cols, kh, kw)
+		requireBitEqual(t, fmt.Sprintf("Col2Im %dx%d", kh, kw), got, want)
+	}
+}
+
 // TestIm2ColBatchMatchesPerImage pins the batched lowering against the
-// per-image transform, and the batched scatter against per-image Col2Im.
+// per-image transform.
 func TestIm2ColBatchMatchesPerImage(t *testing.T) {
 	r := rng.New(0xba7c4)
 	bN, c, h, w, kh, kw := 3, 2, 9, 8, 3, 3
@@ -263,22 +445,6 @@ func TestIm2ColBatchMatchesPerImage(t *testing.T) {
 		for j, v := range single.Data {
 			if got := batched.Data[i*outH*outW*fanIn+j]; got != v {
 				t.Fatalf("image %d element %d: batched %v, per-image %v", i, j, got, v)
-			}
-		}
-	}
-
-	cols := New(bN*outH*outW, fanIn)
-	r.FillNormal(cols.Data, 0, 1)
-	dxBatched := New(bN, c, h, w)
-	Col2ImBatch(dxBatched, cols, kh, kw)
-	for i := 0; i < bN; i++ {
-		var sub Tensor
-		sub.Bind(cols.Data[i*outH*outW*fanIn:], outH*outW, fanIn)
-		single := New(c, h, w)
-		Col2Im(single, &sub, kh, kw)
-		for j, v := range single.Data {
-			if got := dxBatched.Data[i*imgVol+j]; got != v {
-				t.Fatalf("image %d grad element %d: batched %v, per-image %v", i, j, got, v)
 			}
 		}
 	}

@@ -3,9 +3,17 @@ package tensor
 import "fmt"
 
 // parallelThreshold is the number of multiply-accumulate operations below
-// which the matmul kernels run single-threaded; dispatching pool tasks
-// for tiny products costs more than it saves.
-const parallelThreshold = 1 << 16
+// which the matmul kernels run on the calling goroutine. Splitting a
+// product hands half of it to a pool worker that is usually parked:
+// measured on the 2-core benchmark host, a parked worker picks a chunk
+// up after 5 µs (median) to 18 µs (p90), against 0.6 µs when it is
+// already spinning, so the split only pays when half the product costs
+// more than that — about 1 M MACs at the 27 MAC/ns the tiled AVX
+// kernels sustain. Every per-image backward product of the classifiers
+// (115–205 K MACs, 4–10 µs) is therefore inline; the batch-level forward
+// products that evaluation and the audit run (≥ 3.7 M MACs at a batch of
+// 32) still split. The previous value, 1<<16, dispatched 2 µs of work.
+const parallelThreshold = 1 << 20
 
 // Summation-order contract: every kernel in this file computes each
 // output element as a single float32 accumulator updated in ascending
@@ -15,17 +23,24 @@ const parallelThreshold = 1 << 16
 // execution produce bit-identical results — the property the FedGuard
 // determinism contract (same seed → same FinalWeights) rests on.
 //
-// Zero-skip is part of the same contract: a zero operand contributes
-// ±0, and an accumulator that starts at +0 and only ever adds values
-// can never become -0 under round-to-nearest, so x + (±0) == x bitwise
-// and skipping the term is exact. This holds for finite data only
-// (0·Inf is NaN); the training pipeline never feeds non-finite values.
+// Zero operands are part of the same contract: a zero operand
+// contributes ±0, and an accumulator that starts at +0 and only ever
+// adds values can never become -0 under round-to-nearest, so
+// x + (±0) == x bitwise. Skipping the term (the scalar kernels and the
+// AVX row kernel, which test the left operand) and multiplying it out
+// (the register-tiled AVX kernels, which have no branch in the inner
+// loop) therefore give the same bits, and which rows of a product fall
+// into a tile and which into the row-kernel tail — it depends on the
+// row partition — cannot show in the result. This holds for finite data
+// only: 0·Inf is NaN where the skip leaves the sum alone, so with
+// non-finite operands the paths, and hence different worker counts, may
+// disagree. The training pipeline never feeds non-finite values.
 
-// HasVectorKernels reports whether the row kernels run on the SIMD path
-// (AVX on amd64). The vector kernels cover the a@b and aᵀ@b forms but
-// not the dot-product-shaped a@bᵀ, so layers use this to decide whether
-// maintaining a transposed-weight scratch — turning MatMulT into the
-// vector-friendly MatMul — pays for itself.
+// HasVectorKernels reports whether the a@b-shaped kernels run on the
+// SIMD path (AVX on amd64). The vector kernels cover the a@b and aᵀ@b
+// forms but not the dot-product-shaped a@bᵀ, so layers use this to
+// decide whether maintaining a transposed-weight scratch — turning
+// MatMulT into the vector-friendly MatMul — pays for itself.
 func HasVectorKernels() bool { return useAVX }
 
 // MatMul computes dst = a @ b for 2-D tensors, where a is (m,k) and b is
@@ -69,37 +84,16 @@ func matmulDispatch(dst, a, b *Tensor, acc bool) {
 
 func matmulKernel(g kernelArgs, lo, hi int) { matmulRows(g.dst, g.a, g.b, lo, hi, g.k, g.n, g.acc) }
 
-// matmulRows computes rows [lo,hi) of dst = a @ b with a register-tiled
-// 4×4 micro-kernel: four rows of a against four columns of b accumulate
-// into sixteen registers while the shared operands stay in registers,
-// with the unrolled inner loop streaming b row-by-row (cache-friendly
-// for row-major b). When acc is true each register sum is added to dst
-// instead of stored.
+// matmulRows computes rows [lo,hi) of dst = a @ b. With AVX and at least
+// 8 columns it is matmulRowsAVX (mm_amd64.go); otherwise a scalar
+// register-tiled 4×4 micro-kernel: four rows of a against four columns
+// of b accumulate into sixteen registers while the shared operands stay
+// in registers, with the unrolled inner loop streaming b row-by-row
+// (cache-friendly for row-major b). When acc is true each register sum
+// is added to dst instead of stored.
 func matmulRows(dst, a, b []float32, lo, hi, k, n int, acc bool) {
-	if useAVX && n >= 8 && hi > lo {
-		j8 := n &^ 7
-		accFlag := 0
-		if acc {
-			accFlag = 1
-		}
-		for i := lo; i < hi; i++ {
-			ai := a[i*k : i*k+k]
-			di := dst[i*n : i*n+n]
-			mmRowAVX(&di[0], &ai[0], &b[0], 1, k, n, j8, accFlag)
-			for j := j8; j < n; j++ {
-				var c float32
-				for p, av := range ai {
-					if av != 0 {
-						c += av * b[p*n+j]
-					}
-				}
-				if acc {
-					di[j] += c
-				} else {
-					di[j] = c
-				}
-			}
-		}
+	if useAVX && n >= 8 && k > 0 && hi > lo {
+		matmulRowsAVX(dst, a, b, lo, hi, k, 1, k, n, acc)
 		return
 	}
 	i := lo
@@ -384,33 +378,13 @@ func matmulTAKernel(g kernelArgs, lo, hi int) {
 }
 
 // matmulTARows computes rows [lo,hi) of aᵀ @ b (dst[i][j] = Σ_p
-// a[p*m+i]·b[p*n+j]) with a 4×4 register tile; when acc is true the tile
+// a[p*m+i]·b[p*n+j]), through matmulRowsAVX where that applies and
+// otherwise with a scalar 4×4 register tile; when acc is true the tile
 // is added to dst instead of stored. Row-parallel over i: each goroutine
 // writes only its own dst rows — race-free.
 func matmulTARows(dst, a, b []float32, lo, hi, k, n, m int, acc bool) {
-	if useAVX && n >= 8 && hi > lo {
-		j8 := n &^ 7
-		accFlag := 0
-		if acc {
-			accFlag = 1
-		}
-		for i := lo; i < hi; i++ {
-			di := dst[i*n : i*n+n]
-			mmRowAVX(&di[0], &a[i], &b[0], m, k, n, j8, accFlag)
-			for j := j8; j < n; j++ {
-				var c float32
-				for p := 0; p < k; p++ {
-					if av := a[p*m+i]; av != 0 {
-						c += av * b[p*n+j]
-					}
-				}
-				if acc {
-					di[j] += c
-				} else {
-					di[j] = c
-				}
-			}
-		}
+	if useAVX && n >= 8 && k > 0 && hi > lo {
+		matmulRowsAVX(dst, a, b, lo, hi, 1, m, k, n, acc)
 		return
 	}
 	i := lo

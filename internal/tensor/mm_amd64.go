@@ -22,5 +22,112 @@ func hasAVX() bool
 //go:noescape
 func mmRowAVX(dst, a, b *float32, astride, k, n, j8, acc int)
 
-// useAVX gates the vector row kernels; resolved once at startup.
+// mmTiles4x16AVX computes `tiles` consecutive 4-row × 16-column tiles of
+// an a@b-shaped product:
+//
+//	dst[r*n+j] (+)= Σ_p a[r*arow+p*ap] * b[p*n+j]   r in [0, 4·tiles), j in [0, 16)
+//
+// Same per-lane contract as mmRowAVX (ascending p from +0, separate
+// multiply and add), but four rows share each b vector and eight
+// accumulators are in flight, and zero a-elements are multiplied rather
+// than skipped.
+//
+//go:noescape
+func mmTiles4x16AVX(dst, a, b *float32, arow, ap, k, n, tiles, acc int)
+
+// mmTiles8x8AVX is the 8-row × 8-column shape of mmTiles4x16AVX:
+// r in [0, 8·tiles), j in [0, 8).
+//
+//go:noescape
+func mmTiles8x8AVX(dst, a, b *float32, arow, ap, k, n, tiles, acc int)
+
+// useAVX gates the vector kernels; resolved once at startup.
 var useAVX = hasAVX()
+
+// wideN is the column count from which the row kernel's 32-column
+// blocks (four accumulators, zero-skip) already keep the multiplier
+// busy; narrower products go to the register tiles.
+const wideN = 32
+
+// matmulRowsAVX computes rows [lo,hi) of an a@b-shaped product whose
+// left operand is addressed a[i*arow+p*ap] (arow=k, ap=1 for a@b;
+// arow=1, ap=m for aᵀ@b), n ≥ 8, k ≥ 1. Below wideN columns the
+// 16-column block runs in 4-row tiles and the remaining 8-column block
+// in 8-row tiles; the row kernel finishes the rows that do not fill a
+// tile and runs every row of a wide product. Columns past the last
+// multiple of 8 are scalar.
+func matmulRowsAVX(dst, a, b []float32, lo, hi, arow, ap, k, n int, acc bool) {
+	j8 := n &^ 7
+	accFlag := 0
+	if acc {
+		accFlag = 1
+	}
+	if j8 >= wideN {
+		for i := lo; i < hi; i++ {
+			mmRowAVX(&dst[i*n], &a[i*arow], &b[0], ap, k, n, j8, accFlag)
+		}
+	} else {
+		j := 0
+		if j8 >= 16 {
+			t := (hi - lo) / 4
+			if t > 0 {
+				mmTiles4x16AVX(&dst[lo*n], &a[lo*arow], &b[0], arow, ap, k, n, t, accFlag)
+			}
+			for i := lo + 4*t; i < hi; i++ {
+				mmRowAVX(&dst[i*n], &a[i*arow], &b[0], ap, k, n, 16, accFlag)
+			}
+			j = 16
+		}
+		if j < j8 {
+			t := (hi - lo) / 8
+			if t > 0 {
+				mmTiles8x8AVX(&dst[lo*n+j], &a[lo*arow], &b[j], arow, ap, k, n, t, accFlag)
+			}
+			for i := lo + 8*t; i < hi; i++ {
+				mmRowAVX(&dst[i*n+j], &a[i*arow], &b[j], ap, k, n, 8, accFlag)
+			}
+		}
+	}
+	if j8 == n {
+		return
+	}
+	// Columns past the last multiple of 8 (one for conv1's 25-wide
+	// filter gradient, two for the 10-class output layer): four rows at
+	// a time so four independent sums are in flight, then row by row.
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0, a1, a2, a3 := a[(i+0)*arow:], a[(i+1)*arow:], a[(i+2)*arow:], a[(i+3)*arow:]
+		for j := j8; j < n; j++ {
+			var c0, c1, c2, c3 float32
+			for p := 0; p < k; p++ {
+				bv := b[p*n+j]
+				c0 += a0[p*ap] * bv
+				c1 += a1[p*ap] * bv
+				c2 += a2[p*ap] * bv
+				c3 += a3[p*ap] * bv
+			}
+			if acc {
+				dst[(i+0)*n+j] += c0
+				dst[(i+1)*n+j] += c1
+				dst[(i+2)*n+j] += c2
+				dst[(i+3)*n+j] += c3
+			} else {
+				dst[(i+0)*n+j], dst[(i+1)*n+j], dst[(i+2)*n+j], dst[(i+3)*n+j] = c0, c1, c2, c3
+			}
+		}
+	}
+	for ; i < hi; i++ {
+		ai := a[i*arow:]
+		for j := j8; j < n; j++ {
+			var c float32
+			for p := 0; p < k; p++ {
+				c += ai[p*ap] * b[p*n+j]
+			}
+			if acc {
+				dst[i*n+j] += c
+			} else {
+				dst[i*n+j] = c
+			}
+		}
+	}
+}

@@ -151,3 +151,214 @@ store8:
 	VMOVUPS Y0, (AX)
 	ADDQ $32, R13
 	JMP  jloop
+
+// func mmTiles4x16AVX(dst, a, b *float32, arow, ap, k, n, tiles, acc int)
+//
+// Register-tiled a@b micro-kernel, 4 rows x 16 columns per tile, for
+// `tiles` consecutive row tiles:
+//
+//	dst[r*n+j] (+)= sum over p in [0,k) of a[r*arow + p*ap] * b[p*n+j]
+//
+// for r in [0, 4*tiles), j in [0,16). Eight YMM accumulators (4 rows x 2
+// column vectors) share the two b vectors loaded once per p, so eight
+// independent VADDPS chains are in flight where the row kernel has one
+// or two. Every lane still sums in ascending p from +0 with separate
+// VMULPS/VADDPS (no FMA) — bit-identical to the scalar kernels. Zero
+// a-elements are multiplied, not skipped (exact for finite data; see
+// matmul.go).
+//
+// Register use:
+//	DI dst tile   SI a tile      BX b base
+//	R8 arow*4     R9 ap*4        R10 k        R11 n*4
+//	R12 tiles     R13 acc flag   R14 3*arow*4
+//	DX a cursor   CX b cursor    R15 p countdown   AX dst row addr
+//	Y0-Y7 accumulators  Y8,Y9 b row  Y10,Y13 a broadcast  Y11,Y12 products
+TEXT ·mmTiles4x16AVX(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ arow+24(FP), R8
+	MOVQ ap+32(FP), R9
+	MOVQ k+40(FP), R10
+	MOVQ n+48(FP), R11
+	MOVQ tiles+56(FP), R12
+	MOVQ acc+64(FP), R13
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R11
+	LEAQ (R8)(R8*2), R14
+
+tile416:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ SI, DX
+	MOVQ BX, CX
+	MOVQ R10, R15
+
+p416:
+	VMOVUPS (CX), Y8
+	VMOVUPS 32(CX), Y9
+	VBROADCASTSS (DX), Y10
+	VMULPS  Y8, Y10, Y11
+	VADDPS  Y11, Y0, Y0
+	VMULPS  Y9, Y10, Y12
+	VADDPS  Y12, Y1, Y1
+	VBROADCASTSS (DX)(R8*1), Y13
+	VMULPS  Y8, Y13, Y11
+	VADDPS  Y11, Y2, Y2
+	VMULPS  Y9, Y13, Y12
+	VADDPS  Y12, Y3, Y3
+	VBROADCASTSS (DX)(R8*2), Y10
+	VMULPS  Y8, Y10, Y11
+	VADDPS  Y11, Y4, Y4
+	VMULPS  Y9, Y10, Y12
+	VADDPS  Y12, Y5, Y5
+	VBROADCASTSS (DX)(R14*1), Y13
+	VMULPS  Y8, Y13, Y11
+	VADDPS  Y11, Y6, Y6
+	VMULPS  Y9, Y13, Y12
+	VADDPS  Y12, Y7, Y7
+	ADDQ R9, DX
+	ADDQ R11, CX
+	DECQ R15
+	JNZ  p416
+
+	MOVQ  DI, AX
+	TESTQ R13, R13
+	JZ    store416
+	VADDPS (AX), Y0, Y0
+	VADDPS 32(AX), Y1, Y1
+	VADDPS (AX)(R11*1), Y2, Y2
+	VADDPS 32(AX)(R11*1), Y3, Y3
+	VADDPS (AX)(R11*2), Y4, Y4
+	VADDPS 32(AX)(R11*2), Y5, Y5
+	LEAQ   (AX)(R11*2), AX
+	VADDPS (AX)(R11*1), Y6, Y6
+	VADDPS 32(AX)(R11*1), Y7, Y7
+	MOVQ   DI, AX
+
+store416:
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, 32(AX)
+	VMOVUPS Y2, (AX)(R11*1)
+	VMOVUPS Y3, 32(AX)(R11*1)
+	VMOVUPS Y4, (AX)(R11*2)
+	VMOVUPS Y5, 32(AX)(R11*2)
+	LEAQ    (AX)(R11*2), AX
+	VMOVUPS Y6, (AX)(R11*1)
+	VMOVUPS Y7, 32(AX)(R11*1)
+
+	LEAQ (SI)(R8*4), SI
+	LEAQ (DI)(R11*4), DI
+	DECQ R12
+	JNZ  tile416
+	VZEROUPPER
+	RET
+
+// func mmTiles8x8AVX(dst, a, b *float32, arow, ap, k, n, tiles, acc int)
+//
+// The 8 rows x 8 columns shape of mmTiles4x16AVX, for the 8-column
+// block: eight accumulators (one per row) against one b vector per p.
+// Same contract, same argument meaning, r in [0, 8*tiles), j in [0,8).
+//
+// Register use as mmTiles4x16AVX, plus SI/DX for rows 0-3 and R14-based
+// AX for rows 4-7 of a:
+//	AX a cursor rows 4-7 (DX + 4*arow*4), reused as dst row addr
+//	Y0-Y7 accumulators  Y8 b row  Y9,Y10 a broadcast  Y11,Y12 products
+TEXT ·mmTiles8x8AVX(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ arow+24(FP), R8
+	MOVQ ap+32(FP), R9
+	MOVQ k+40(FP), R10
+	MOVQ n+48(FP), R11
+	MOVQ tiles+56(FP), R12
+	MOVQ acc+64(FP), R13
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R11
+	LEAQ (R8)(R8*2), R14
+
+tile88:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ SI, DX
+	LEAQ (SI)(R8*4), AX
+	MOVQ BX, CX
+	MOVQ R10, R15
+
+p88:
+	VMOVUPS (CX), Y8
+	VBROADCASTSS (DX), Y9
+	VMULPS  Y8, Y9, Y11
+	VADDPS  Y11, Y0, Y0
+	VBROADCASTSS (DX)(R8*1), Y10
+	VMULPS  Y8, Y10, Y12
+	VADDPS  Y12, Y1, Y1
+	VBROADCASTSS (DX)(R8*2), Y9
+	VMULPS  Y8, Y9, Y11
+	VADDPS  Y11, Y2, Y2
+	VBROADCASTSS (DX)(R14*1), Y10
+	VMULPS  Y8, Y10, Y12
+	VADDPS  Y12, Y3, Y3
+	VBROADCASTSS (AX), Y9
+	VMULPS  Y8, Y9, Y11
+	VADDPS  Y11, Y4, Y4
+	VBROADCASTSS (AX)(R8*1), Y10
+	VMULPS  Y8, Y10, Y12
+	VADDPS  Y12, Y5, Y5
+	VBROADCASTSS (AX)(R8*2), Y9
+	VMULPS  Y8, Y9, Y11
+	VADDPS  Y11, Y6, Y6
+	VBROADCASTSS (AX)(R14*1), Y10
+	VMULPS  Y8, Y10, Y12
+	VADDPS  Y12, Y7, Y7
+	ADDQ R9, DX
+	ADDQ R9, AX
+	ADDQ R11, CX
+	DECQ R15
+	JNZ  p88
+
+	MOVQ  DI, AX
+	LEAQ  (DI)(R11*4), DX
+	LEAQ  (R11)(R11*2), CX
+	TESTQ R13, R13
+	JZ    store88
+	VADDPS (AX), Y0, Y0
+	VADDPS (AX)(R11*1), Y1, Y1
+	VADDPS (AX)(R11*2), Y2, Y2
+	VADDPS (AX)(CX*1), Y3, Y3
+	VADDPS (DX), Y4, Y4
+	VADDPS (DX)(R11*1), Y5, Y5
+	VADDPS (DX)(R11*2), Y6, Y6
+	VADDPS (DX)(CX*1), Y7, Y7
+
+store88:
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, (AX)(R11*1)
+	VMOVUPS Y2, (AX)(R11*2)
+	VMOVUPS Y3, (AX)(CX*1)
+	VMOVUPS Y4, (DX)
+	VMOVUPS Y5, (DX)(R11*1)
+	VMOVUPS Y6, (DX)(R11*2)
+	VMOVUPS Y7, (DX)(CX*1)
+
+	LEAQ (SI)(R8*8), SI
+	LEAQ (DI)(R11*8), DI
+	DECQ R12
+	JNZ  tile88
+	VZEROUPPER
+	RET

@@ -5,6 +5,6 @@ package tensor
 // Non-amd64 builds (or -tags purego) use the scalar kernels everywhere.
 const useAVX = false
 
-func mmRowAVX(dst, a, b *float32, astride, k, n, j8, acc int) {
-	panic("tensor: mmRowAVX called without AVX support")
+func matmulRowsAVX(dst, a, b []float32, lo, hi, arow, ap, k, n int, acc bool) {
+	panic("tensor: matmulRowsAVX called without AVX support")
 }
