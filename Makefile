@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
-MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkDecoderGenerate$$
+MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$
 # The wire-layer microbenchmarks (raw vs codec framing and the per-round
 # byte cost), tracked in the same snapshot file.
 WIRE_BENCH = BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$|BenchmarkRoundWireBytes$$
@@ -50,11 +50,12 @@ vet:
 ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke
 
 # test-purego reruns the compute substrate with the assembly kernels
-# compiled out. The bitwise kernel tables and the golden FinalWeights in
-# internal/classifier then hold the scalar path to the same bits as the
-# AVX tiles the default build runs.
+# compiled out. The bitwise kernel tables, the golden FinalWeights in
+# internal/classifier and the golden decoder and loss in internal/cvae
+# then hold the scalar matmul and Adam loops to the same bits as the AVX
+# kernels the default build runs.
 test-purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/classifier
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/loss ./internal/cvae ./internal/classifier
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
@@ -90,15 +91,15 @@ bench-json:
 # fails if any exceed the ceilings committed in BENCH_guard.json — the
 # regression tripwire for the pooled frame writer, the codec fast paths,
 # the per-round checkpoint serialization cost, the blocked aggregation
-# kernels, and the train step (its time, and that a second proc does not
-# make it slower). Ceilings are loose (≈2-3× the snapshot numbers) so CI
+# kernels, the classifier's train step (its time, and that a second proc
+# does not make it slower) and the CVAE's. Ceilings are loose (≈2-3× the snapshot numbers) so CI
 # noise passes but a lost fast path or reintroduced per-op allocation
 # fails.
 bench-guard:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkWireWriteUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCheckpointWrite$$' -benchmem -benchtime=50x ./internal/persist/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$' -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$' -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTrainEpochTwoProcs$$' -benchtime=2x . ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json
 

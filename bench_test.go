@@ -348,9 +348,46 @@ func BenchmarkCVAEStep(b *testing.B) {
 	train := dataset.Generate(32, dataset.DefaultGenOptions(), r)
 	x, labels := train.FlatBatch(dataset.Range(32))
 	optim := opt.NewAdam(model.Params(), 1e-3)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model.Step(x, labels, optim, r)
+	}
+}
+
+// BenchmarkCVAETrainEpoch is one epoch of a default-preset client's
+// lazy CVAE training: 100 samples at batch 32, so three full steps and
+// the 4-row tail, with the loss evaluated because the only epoch is the
+// last — the same call the ledger's cvae.train_epoch_s probe times.
+func BenchmarkCVAETrainEpoch(b *testing.B) {
+	r := rng.New(11)
+	train := dataset.Generate(100, dataset.DefaultGenOptions(), r)
+	model := cvae.New(cvae.SmallConfig(), r)
+	cfg := cvae.TrainConfig{Epochs: 1, BatchSize: 32, LR: 1e-3}
+	indices := dataset.Range(train.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model.Train(train, indices, cfg, r)
+	}
+}
+
+// BenchmarkAdamStep is one Adam update of the SmallConfig CVAE's 412 K
+// parameters, alone: moments and gradients as a training step leaves
+// them, no forward or backward pass.
+func BenchmarkAdamStep(b *testing.B) {
+	r := rng.New(12)
+	params := cvae.New(cvae.SmallConfig(), r).Params()
+	n := 0
+	for _, p := range params {
+		r.FillNormal(p.Grad.Data, 0, 0.01)
+		n += p.Value.Len()
+	}
+	optim := opt.NewAdam(params, 1e-3)
+	b.SetBytes(int64(n) * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		optim.Step()
 	}
 }
 

@@ -1,13 +1,16 @@
 //go:build !race
 
-// Allocation-regression pin for the synthesis hot path. Behind !race
-// because the race detector instruments allocations and inflates counts.
+// Allocation-regression pins for the synthesis and training hot paths.
+// Behind !race because the race detector instruments allocations and
+// inflates counts.
 
 package cvae
 
 import (
 	"testing"
 
+	"fedguard/internal/dataset"
+	"fedguard/internal/opt"
 	"fedguard/internal/rng"
 	"fedguard/internal/tensor"
 )
@@ -31,5 +34,27 @@ func TestDecoderGenerateAllocsSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { dec.Generate(z, labels) })
 	if allocs > 0 {
 		t.Fatalf("steady-state Decoder.Generate allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestStepAllocsSteadyState pins the training step's scratch reuse: once
+// a full batch has grown the model's and the layers' buffers, a step
+// allocates nothing — not for a full batch, and not for the smaller tail
+// batch that follows it in every epoch and only shrinks the views.
+func TestStepAllocsSteadyState(t *testing.T) {
+	r := rng.New(0x57e9)
+	cfg := SmallConfig()
+	model := New(cfg, r)
+	optim := opt.NewAdam(model.Params(), 1e-3)
+	train := dataset.Generate(32, dataset.DefaultGenOptions(), r)
+	full, fullLabels := train.FlatBatch(dataset.Range(32))
+	tail, tailLabels := train.FlatBatch(dataset.Range(4))
+	model.Step(full, fullLabels, optim, r) // warm up scratch
+	allocs := testing.AllocsPerRun(5, func() {
+		model.Step(full, fullLabels, optim, r)
+		model.Step(tail, tailLabels, optim, r)
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state CVAE.Step allocates %.1f per full+tail pair, want 0", allocs)
 	}
 }

@@ -22,6 +22,7 @@ package cvae
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fedguard/internal/loss"
 	"fedguard/internal/nn"
@@ -65,20 +66,27 @@ type CVAE struct {
 	muHead *nn.Linear
 	lvHead *nn.Linear
 	dec    *nn.Sequential // (B, decIn) -> (B, cond)
+	params []nn.Param
+
+	// Step scratch, grown on demand and reused across steps like the
+	// layers' own; a smaller tail batch shrinks the views in place.
+	input, eps, sigma, z, decIn *tensor.Tensor
+	dOut, dMu, dLv, dh          *tensor.Tensor
 }
 
 // New constructs a CVAE with weights initialized from r.
 func New(cfg Config, r *rng.RNG) *CVAE {
-	return &CVAE{
-		Cfg: cfg,
-		trunk: nn.NewSequential(
-			nn.NewLinear(cfg.cond(), cfg.Hidden, r),
-			nn.NewReLU(),
-		),
+	enc := nn.NewLinear(cfg.cond(), cfg.Hidden, r)
+	enc.InputGradOff = true // first layer: its input gradient is never consumed
+	m := &CVAE{
+		Cfg:    cfg,
+		trunk:  nn.NewSequential(enc, nn.NewReLU()),
 		muHead: nn.NewLinear(cfg.Hidden, cfg.Latent, r),
 		lvHead: nn.NewLinear(cfg.Hidden, cfg.Latent, r),
 		dec:    newDecoderNet(cfg, r),
 	}
+	m.params = slices.Concat(m.trunk.Params(), m.muHead.Params(), m.lvHead.Params(), m.dec.Params())
+	return m
 }
 
 func newDecoderNet(cfg Config, r *rng.RNG) *nn.Sequential {
@@ -91,15 +99,9 @@ func newDecoderNet(cfg Config, r *rng.RNG) *nn.Sequential {
 }
 
 // Params returns all learnable parameters (encoder trunk, both heads,
-// decoder) in a stable order.
-func (m *CVAE) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, m.trunk.Params()...)
-	out = append(out, m.muHead.Params()...)
-	out = append(out, m.lvHead.Params()...)
-	out = append(out, m.dec.Params()...)
-	return out
-}
+// decoder) in a stable order. The slice is the model's own; callers
+// must not modify it.
+func (m *CVAE) Params() []nn.Param { return m.params }
 
 // NumParams returns the learnable scalar count.
 func (m *CVAE) NumParams() int {
@@ -116,83 +118,102 @@ func (m *CVAE) zeroGrad() {
 	}
 }
 
-// oneHotConcat builds (B, Input+Classes) rows of [x | onehot(label)].
-func (m *CVAE) oneHotConcat(x *tensor.Tensor, labels []int) *tensor.Tensor {
-	b := x.Dim(0)
+// condConcat fills dst — grown through tensor.Ensure, so nil allocates —
+// with (B, w+classes) rows of [src row | onehot(label)] for src of shape
+// (B, w). Every lane is written: reused scratch needs no clearing.
+func condConcat(dst, src *tensor.Tensor, labels []int, classes int) *tensor.Tensor {
+	b, w := src.Dim(0), src.Dim(1)
+	if len(labels) != b {
+		panic(fmt.Sprintf("cvae: %d labels for batch of %d", len(labels), b))
+	}
+	dst = tensor.Ensure(dst, b, w+classes)
+	for i := 0; i < b; i++ {
+		row := dst.Data[i*(w+classes) : (i+1)*(w+classes)]
+		copy(row[:w], src.Data[i*w:(i+1)*w])
+		for j := w; j < len(row); j++ {
+			row[j] = 0
+		}
+		l := labels[i]
+		if l < 0 || l >= classes {
+			panic(fmt.Sprintf("cvae: label %d out of range", l))
+		}
+		row[w+l] = 1
+	}
+	return dst
+}
+
+// oneHotConcat builds (B, Input+Classes) rows of [x | onehot(label)] in
+// dst (see condConcat).
+func (m *CVAE) oneHotConcat(dst, x *tensor.Tensor, labels []int) *tensor.Tensor {
 	if x.Dim(1) != m.Cfg.Input {
 		panic(fmt.Sprintf("cvae: input width %d, want %d", x.Dim(1), m.Cfg.Input))
 	}
-	out := tensor.New(b, m.Cfg.cond())
-	for i := 0; i < b; i++ {
-		row := out.Data[i*m.Cfg.cond():]
-		copy(row[:m.Cfg.Input], x.Data[i*m.Cfg.Input:(i+1)*m.Cfg.Input])
-		l := labels[i]
-		if l < 0 || l >= m.Cfg.Classes {
-			panic(fmt.Sprintf("cvae: label %d out of range", l))
-		}
-		row[m.Cfg.Input+l] = 1
-	}
-	return out
+	return condConcat(dst, x, labels, m.Cfg.Classes)
 }
 
 // Step runs one training step on a flat image batch x (B, Input) with
 // labels, updating parameters through optim. It returns the batch ELBO
 // loss (reconstruction + KL).
 func (m *CVAE) Step(x *tensor.Tensor, labels []int, optim opt.Optimizer, r *rng.RNG) float64 {
+	return m.step(x, labels, optim, r, true)
+}
+
+// step is Step with the loss value optional: the gradients never depend
+// on it, and it costs two logarithms per output element, so Train asks
+// for it only in the epoch it reports. Without wantLoss the result is 0.
+func (m *CVAE) step(x *tensor.Tensor, labels []int, optim opt.Optimizer, r *rng.RNG, wantLoss bool) float64 {
 	b := x.Dim(0)
 	cfg := m.Cfg
 	m.zeroGrad()
 
-	input := m.oneHotConcat(x, labels)
-	h := m.trunk.Forward(input, true)
+	m.input = m.oneHotConcat(m.input, x, labels)
+	h := m.trunk.Forward(m.input, true)
 	mu := m.muHead.Forward(h, true)
 	logvar := m.lvHead.Forward(h, true)
 
 	// Reparameterization: z = mu + exp(logvar/2) * eps.
-	eps := tensor.New(b, cfg.Latent)
-	r.FillNormal(eps.Data, 0, 1)
-	sigma := tensor.New(b, cfg.Latent)
-	for i := range sigma.Data {
-		sigma.Data[i] = exp32(0.5 * logvar.Data[i])
+	m.eps = tensor.Ensure(m.eps, b, cfg.Latent)
+	r.FillNormal(m.eps.Data, 0, 1)
+	m.sigma = tensor.Ensure(m.sigma, b, cfg.Latent)
+	m.z = tensor.Ensure(m.z, b, cfg.Latent)
+	eps, sigma := m.eps.Data, m.sigma.Data
+	for i := range sigma {
+		sigma[i] = exp32(0.5 * logvar.Data[i])
+		m.z.Data[i] = mu.Data[i] + sigma[i]*eps[i]
 	}
-	z := tensor.New(b, cfg.Latent)
-	for i := range z.Data {
-		z.Data[i] = mu.Data[i] + sigma.Data[i]*eps.Data[i]
+	m.decIn = condConcat(m.decIn, m.z, labels, cfg.Classes)
+	out := m.dec.Forward(m.decIn, true)
+
+	m.dOut = tensor.Ensure(m.dOut, b, cfg.cond())
+	loss.BinaryCrossEntropyGrad(m.dOut, out, m.input)
+	m.dMu = tensor.Ensure(m.dMu, b, cfg.Latent)
+	m.dLv = tensor.Ensure(m.dLv, b, cfg.Latent)
+	loss.GaussianKLGrad(m.dMu, m.dLv, mu, logvar)
+	var elbo float64
+	if wantLoss {
+		elbo = loss.BinaryCrossEntropyLoss(out, m.input) + loss.GaussianKLLoss(mu, logvar)
 	}
 
-	decIn := tensor.New(b, cfg.decIn())
-	for i := 0; i < b; i++ {
-		row := decIn.Data[i*cfg.decIn():]
-		copy(row[:cfg.Latent], z.Data[i*cfg.Latent:(i+1)*cfg.Latent])
-		row[cfg.Latent+labels[i]] = 1
-	}
-	out := m.dec.Forward(decIn, true)
-
-	recon, dOut := loss.BinaryCrossEntropy(out, input)
-	kl, dMuKL, dLvKL := loss.GaussianKL(mu, logvar)
-
-	// Backward through the decoder into z.
-	dDecIn := m.dec.Backward(dOut)
-	dMu := tensor.New(b, cfg.Latent)
-	dLv := tensor.New(b, cfg.Latent)
+	// Backward through the decoder into z, added onto the KL gradients.
+	dDecIn := m.dec.Backward(m.dOut)
 	for i := 0; i < b; i++ {
 		src := dDecIn.Data[i*cfg.decIn():]
 		for j := 0; j < cfg.Latent; j++ {
 			dz := src[j]
 			k := i*cfg.Latent + j
-			dMu.Data[k] = dz + dMuKL.Data[k]
+			m.dMu.Data[k] += dz
 			// dz/dlogvar = eps * d(sigma)/dlogvar = eps * 0.5*sigma.
-			dLv.Data[k] = dz*eps.Data[k]*0.5*sigma.Data[k] + dLvKL.Data[k]
+			m.dLv.Data[k] += dz * eps[k] * 0.5 * sigma[k]
 		}
 	}
-	dh1 := m.muHead.Backward(dMu)
-	dh2 := m.lvHead.Backward(dLv)
-	dh := tensor.New(b, cfg.Hidden)
-	tensor.Add(dh, dh1, dh2)
-	m.trunk.Backward(dh)
+	dh1 := m.muHead.Backward(m.dMu)
+	dh2 := m.lvHead.Backward(m.dLv)
+	m.dh = tensor.Ensure(m.dh, b, cfg.Hidden)
+	tensor.Add(m.dh, dh1, dh2)
+	m.trunk.Backward(m.dh)
 
 	optim.Step()
-	return recon + kl
+	return elbo
 }
 
 // TrainConfig controls CVAE local training.
@@ -213,15 +234,17 @@ type Dataset interface {
 }
 
 // Train fits the CVAE on the examples of ds selected by indices using
-// Adam, returning the mean ELBO loss of the final epoch.
+// Adam, returning the mean ELBO loss of the final epoch — the only epoch
+// in which the loss is evaluated.
 func (m *CVAE) Train(ds Dataset, indices []int, cfg TrainConfig, r *rng.RNG) float64 {
 	optim := opt.NewAdam(m.Params(), cfg.LR)
 	var epochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
+		last := e == cfg.Epochs-1
 		epochLoss = 0
 		for _, batch := range batchIndices(indices, cfg.BatchSize, r) {
 			x, labels := ds.FlatBatch(batch)
-			epochLoss += m.Step(x, labels, optim, r) * float64(len(batch))
+			epochLoss += m.step(x, labels, optim, r, last) * float64(len(batch))
 		}
 		epochLoss /= float64(len(indices))
 	}
@@ -295,22 +318,7 @@ func (d *Decoder) Generate(z *tensor.Tensor, labels []int) *tensor.Tensor {
 	if z.Dim(1) != cfg.Latent {
 		panic(fmt.Sprintf("cvae: latent width %d, want %d", z.Dim(1), cfg.Latent))
 	}
-	if len(labels) != b {
-		panic(fmt.Sprintf("cvae: %d labels for batch of %d", len(labels), b))
-	}
-	d.decIn = tensor.Ensure(d.decIn, b, cfg.decIn())
-	for i := 0; i < b; i++ {
-		row := d.decIn.Data[i*cfg.decIn() : (i+1)*cfg.decIn()]
-		copy(row[:cfg.Latent], z.Data[i*cfg.Latent:(i+1)*cfg.Latent])
-		for j := cfg.Latent; j < len(row); j++ {
-			row[j] = 0 // clear one-hot lanes left by the previous call
-		}
-		l := labels[i]
-		if l < 0 || l >= cfg.Classes {
-			panic(fmt.Sprintf("cvae: label %d out of range", l))
-		}
-		row[cfg.Latent+l] = 1
-	}
+	d.decIn = condConcat(d.decIn, z, labels, cfg.Classes)
 	out := d.net.Forward(d.decIn, false)
 	d.img = tensor.Ensure(d.img, b, cfg.Input)
 	for i := 0; i < b; i++ {
@@ -325,16 +333,10 @@ func (d *Decoder) Generate(z *tensor.Tensor, labels []int) *tensor.Tensor {
 func (m *CVAE) Reconstruct(x *tensor.Tensor, labels []int) *tensor.Tensor {
 	b := x.Dim(0)
 	cfg := m.Cfg
-	input := m.oneHotConcat(x, labels)
+	input := m.oneHotConcat(nil, x, labels)
 	h := m.trunk.Forward(input, false)
 	mu := m.muHead.Forward(h, false)
-	decIn := tensor.New(b, cfg.decIn())
-	for i := 0; i < b; i++ {
-		row := decIn.Data[i*cfg.decIn():]
-		copy(row[:cfg.Latent], mu.Data[i*cfg.Latent:(i+1)*cfg.Latent])
-		row[cfg.Latent+labels[i]] = 1
-	}
-	out := m.dec.Forward(decIn, false)
+	out := m.dec.Forward(condConcat(nil, mu, labels, cfg.Classes), false)
 	img := tensor.New(b, cfg.Input)
 	for i := 0; i < b; i++ {
 		copy(img.Data[i*cfg.Input:(i+1)*cfg.Input], out.Data[i*cfg.cond():i*cfg.cond()+cfg.Input])

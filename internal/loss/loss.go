@@ -59,28 +59,65 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 //	-Σ [t·log p + (1-t)·log(1-p)]
 //
 // It returns the loss and the gradient w.r.t. p. This is the CVAE
-// reconstruction term for pixel data.
+// reconstruction term for pixel data. A training loop that needs the
+// gradient every step but the value only now and then calls
+// BinaryCrossEntropyGrad and BinaryCrossEntropyLoss itself.
 func BinaryCrossEntropy(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
+	grad := tensor.New(pred.Shape()...)
+	BinaryCrossEntropyGrad(grad, pred, target)
+	return BinaryCrossEntropyLoss(pred, target), grad
+}
+
+// clampProb keeps a prediction away from 0 and 1 so log and the
+// gradient's 1/(p(1-p)) stay finite.
+func clampProb(p float32) float64 {
+	const eps = 1e-7
+	pc := float64(p)
+	if pc < eps {
+		pc = eps
+	} else if pc > 1-eps {
+		pc = 1 - eps
+	}
+	return pc
+}
+
+// BinaryCrossEntropyLoss returns the loss value of BinaryCrossEntropy.
+// A target of exactly 0 or 1 — the background of a digit image, every
+// one-hot lane — multiplies one of the two logarithms by zero; that
+// logarithm is not taken. The other is strictly negative, so adding the
+// skipped ±0 product could not have changed it: the value is the same
+// bits either way.
+func BinaryCrossEntropyLoss(pred, target *tensor.Tensor) float64 {
 	if !pred.SameShape(target) {
 		panic(fmt.Sprintf("loss: BCE shape mismatch %v vs %v", pred.Shape(), target.Shape()))
 	}
-	b := pred.Dim(0)
-	grad := tensor.New(pred.Shape()...)
-	const eps = 1e-7
 	var total float64
-	invB := float32(1 / float64(b))
+	for i, p := range pred.Data {
+		pc := clampProb(p)
+		switch t := target.Data[i]; t {
+		case 0:
+			total -= math.Log(1 - pc)
+		case 1:
+			total -= math.Log(pc)
+		default:
+			total -= float64(t)*math.Log(pc) + float64(1-t)*math.Log(1-pc)
+		}
+	}
+	return total / float64(pred.Dim(0))
+}
+
+// BinaryCrossEntropyGrad fills grad, which must have pred's shape, with
+// the gradient of BinaryCrossEntropy w.r.t. pred.
+func BinaryCrossEntropyGrad(grad, pred, target *tensor.Tensor) {
+	if !pred.SameShape(target) || !pred.SameShape(grad) {
+		panic(fmt.Sprintf("loss: BCE shape mismatch %v vs %v, gradient %v", pred.Shape(), target.Shape(), grad.Shape()))
+	}
+	invB := float32(1 / float64(pred.Dim(0)))
 	for i, p := range pred.Data {
 		t := target.Data[i]
-		pc := float64(p)
-		if pc < eps {
-			pc = eps
-		} else if pc > 1-eps {
-			pc = 1 - eps
-		}
-		total -= float64(t)*math.Log(pc) + float64(1-t)*math.Log(1-pc)
+		pc := clampProb(p)
 		grad.Data[i] = float32((pc-float64(t))/(pc*(1-pc))) * invB
 	}
-	return total / float64(b), grad
 }
 
 // MSE computes the mean (over batch rows) of the summed squared error and
@@ -108,25 +145,41 @@ func MSE(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 //	KL = -1/2 Σ (1 + logvar - mu² - exp(logvar))
 //
 // It returns the loss and the gradients w.r.t. mu and logvar (already
-// scaled by 1/B). This is the CVAE regularization term.
+// scaled by 1/B). This is the CVAE regularization term; like
+// BinaryCrossEntropy it is GaussianKLGrad plus GaussianKLLoss.
 func GaussianKL(mu, logvar *tensor.Tensor) (float64, *tensor.Tensor, *tensor.Tensor) {
+	dMu := tensor.New(mu.Shape()...)
+	dLogvar := tensor.New(logvar.Shape()...)
+	GaussianKLGrad(dMu, dLogvar, mu, logvar)
+	return GaussianKLLoss(mu, logvar), dMu, dLogvar
+}
+
+// GaussianKLLoss returns the loss value of GaussianKL.
+func GaussianKLLoss(mu, logvar *tensor.Tensor) float64 {
 	if !mu.SameShape(logvar) {
 		panic(fmt.Sprintf("loss: GaussianKL shape mismatch %v vs %v", mu.Shape(), logvar.Shape()))
 	}
-	b := mu.Dim(0)
-	dMu := tensor.New(mu.Shape()...)
-	dLogvar := tensor.New(logvar.Shape()...)
 	var total float64
-	invB := float32(1 / float64(b))
 	for i := range mu.Data {
 		m := float64(mu.Data[i])
 		lv := float64(logvar.Data[i])
-		ev := math.Exp(lv)
-		total += -0.5 * (1 + lv - m*m - ev)
-		dMu.Data[i] = float32(m) * invB
-		dLogvar.Data[i] = float32(-0.5*(1-ev)) * invB
+		total += -0.5 * (1 + lv - m*m - math.Exp(lv))
 	}
-	return total / float64(b), dMu, dLogvar
+	return total / float64(mu.Dim(0))
+}
+
+// GaussianKLGrad fills dMu and dLogvar, which must have mu's shape, with
+// the gradients of GaussianKL.
+func GaussianKLGrad(dMu, dLogvar, mu, logvar *tensor.Tensor) {
+	if !mu.SameShape(logvar) || !mu.SameShape(dMu) || !mu.SameShape(dLogvar) {
+		panic(fmt.Sprintf("loss: GaussianKL shape mismatch %v vs %v, gradients %v and %v",
+			mu.Shape(), logvar.Shape(), dMu.Shape(), dLogvar.Shape()))
+	}
+	invB := float32(1 / float64(mu.Dim(0)))
+	for i := range mu.Data {
+		dMu.Data[i] = mu.Data[i] * invB
+		dLogvar.Data[i] = float32(-0.5*(1-math.Exp(float64(logvar.Data[i])))) * invB
+	}
 }
 
 // Accuracy returns the fraction of rows of logits (B, C) whose argmax

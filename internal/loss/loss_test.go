@@ -102,6 +102,51 @@ func TestBCEClampsExtremes(t *testing.T) {
 	}
 }
 
+// TestBCEBitwise holds BinaryCrossEntropy to the bits of the formula
+// that takes both logarithms for every element, on targets that are
+// exactly 0 (either sign), exactly 1, and in between, and on predictions
+// across and beyond the clamp: skipping the logarithm whose coefficient
+// is zero must not show in the loss, and the gradient never depended on
+// it.
+func TestBCEBitwise(t *testing.T) {
+	r := rng.New(0xbce)
+	const b, w = 4, 97
+	pred, target := tensor.New(b, w), tensor.New(b, w)
+	targets := []float32{0, 1, 0.3, float32(math.Copysign(0, -1))}
+	preds := []float32{0, 1, 1e-9, 1 - 1e-8, 0.5}
+	for i := range pred.Data {
+		pred.Data[i] = r.Float32()
+		if i%7 == 0 {
+			pred.Data[i] = preds[(i/7)%len(preds)]
+		}
+		target.Data[i] = targets[r.Intn(len(targets))]
+	}
+	const eps = 1e-7
+	var total float64
+	want := tensor.New(b, w)
+	invB := float32(1 / float64(b))
+	for i, p := range pred.Data {
+		tv := target.Data[i]
+		pc := float64(p)
+		if pc < eps {
+			pc = eps
+		} else if pc > 1-eps {
+			pc = 1 - eps
+		}
+		total -= float64(tv)*math.Log(pc) + float64(1-tv)*math.Log(1-pc)
+		want.Data[i] = float32((pc-float64(tv))/(pc*(1-pc))) * invB
+	}
+	l, grad := BinaryCrossEntropy(pred, target)
+	if math.Float64bits(l) != math.Float64bits(total/b) {
+		t.Fatalf("BCE loss %v (%#x), want %v (%#x)", l, math.Float64bits(l), total/b, math.Float64bits(total/b))
+	}
+	for i := range want.Data {
+		if math.Float32bits(grad.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("BCE grad[%d] = %v, want %v", i, grad.Data[i], want.Data[i])
+		}
+	}
+}
+
 func TestMSEKnown(t *testing.T) {
 	pred := tensor.FromSlice([]float32{1, 2}, 1, 2)
 	target := tensor.FromSlice([]float32{0, 0}, 1, 2)

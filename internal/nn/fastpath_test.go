@@ -91,3 +91,36 @@ func TestMaxPool2x2MatchesGeneric(t *testing.T) {
 		}
 	}
 }
+
+// TestLinearInputGradOff runs the same layer twice over the same batch
+// and gradient, once returning dx and once with InputGradOff: dW and dB
+// must be the same bits — the skipped product feeds neither — and the
+// second call returns no input gradient, alone and through a Sequential.
+func TestLinearInputGradOff(t *testing.T) {
+	r := rng.New(0x1960)
+	for _, s := range [][3]int{{32, 794, 256}, {4, 794, 256}, {5, 30, 7}} {
+		b, in, out := s[0], s[1], s[2]
+		l := NewLinear(in, out, r)
+		x, g := tensor.New(b, in), tensor.New(b, out)
+		r.FillNormal(x.Data, 0, 1)
+		r.FillNormal(g.Data, 0, 1)
+
+		l.Forward(x, true)
+		if dx := l.Backward(g); dx == nil || dx.Dim(0) != b || dx.Dim(1) != in {
+			t.Fatalf("%v: Backward returned %v, want a (%d,%d) input gradient", s, dx, b, in)
+		}
+		wantDW, wantDB := l.dW.Clone(), l.dB.Clone()
+
+		l.dW.Zero()
+		l.dB.Zero()
+		l.InputGradOff = true
+		seq := NewSequential(l)
+		seq.Forward(x, true)
+		if dx := seq.Backward(g); dx != nil {
+			t.Fatalf("%v: Backward with InputGradOff returned %v, want nil", s, dx.Shape())
+		}
+		if !bitEqual(l.dW.Data, wantDW.Data) || !bitEqual(l.dB.Data, wantDB.Data) {
+			t.Fatalf("%v: InputGradOff changed the parameter gradients", s)
+		}
+	}
+}

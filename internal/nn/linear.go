@@ -17,6 +17,11 @@ type Linear struct {
 	W, B    *tensor.Tensor
 	dW, dB  *tensor.Tensor
 
+	// InputGradOff, when set, makes Backward skip dx = grad @ W and
+	// return nil — the twin of Conv2D.InputGradOff, for a network whose
+	// first layer is dense. Parameter gradients are unaffected.
+	InputGradOff bool
+
 	x  *tensor.Tensor // retained input for backward
 	y  *tensor.Tensor // forward scratch
 	dx *tensor.Tensor // backward scratch
@@ -67,7 +72,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward accumulates dW += gradᵀ @ x and dB += colsum(grad), returning
-// dx = grad @ W.
+// dx = grad @ W (nil with InputGradOff).
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	b := grad.Dim(0)
 	if grad.Dim(1) != l.Out {
@@ -81,6 +86,9 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		for j, g := range row {
 			l.dB.Data[j] += g
 		}
+	}
+	if l.InputGradOff {
+		return nil
 	}
 	l.dx = tensor.Ensure(l.dx, b, l.In)
 	tensor.MatMul(l.dx, grad, l.W)

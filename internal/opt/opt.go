@@ -106,19 +106,28 @@ func (a *Adam) Step() {
 	b1c := 1 - math.Pow(a.beta1, float64(a.step))
 	b2c := 1 - math.Pow(a.beta2, float64(a.step))
 	lr := a.lr * math.Sqrt(b2c) / b1c
-	b1 := float32(a.beta1)
-	b2 := float32(a.beta2)
 	for i, p := range a.params {
-		g := p.Grad.Data
-		val := p.Value.Data
-		m := a.m[i].Data
-		v := a.v[i].Data
-		for j := range val {
-			gj := g[j]
-			m[j] = b1*m[j] + (1-b1)*gj
-			v[j] = b2*v[j] + (1-b2)*gj*gj
-			val[j] -= float32(lr * float64(m[j]) / (math.Sqrt(float64(v[j])) + a.eps))
-		}
+		adamStep(p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data, float32(a.beta1), float32(a.beta2), lr, a.eps)
+	}
+}
+
+// adamStep advances one parameter tensor: float32 moment updates, then
+// the step lr·m/(√v+eps) in float64, rounded to float32 once. With AVX
+// the kernel takes every full group of four parameters and the loop
+// below the rest; both produce the same bits, so a tensor's length (or
+// a purego build) never shows in the weights.
+func adamStep(val, g, m, v []float32, b1, b2 float32, lr, eps float64) {
+	g, m, v = g[:len(val)], m[:len(val)], v[:len(val)]
+	j := 0
+	if n4 := len(val) &^ 3; useAVX && n4 > 0 {
+		adamStepAVX(&val[0], &g[0], &m[0], &v[0], n4, b1, 1-b1, b2, 1-b2, lr, eps)
+		j = n4
+	}
+	for ; j < len(val); j++ {
+		gj := g[j]
+		m[j] = b1*m[j] + (1-b1)*gj
+		v[j] = b2*v[j] + (1-b2)*gj*gj
+		val[j] -= float32(lr * float64(m[j]) / (math.Sqrt(float64(v[j])) + eps))
 	}
 }
 

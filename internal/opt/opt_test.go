@@ -159,3 +159,54 @@ func TestSetLR(t *testing.T) {
 		t.Fatal("Adam SetLR failed")
 	}
 }
+
+// TestAdamStepBitwise holds adamStep — the AVX kernel plus its Go tail
+// in the default build, the Go loop alone under purego — to the bits of
+// the textbook per-parameter loop, over lengths on both sides of every
+// group-of-four boundary and over three steps, with the entries a
+// correctly rounded kernel must not treat specially: gradients that are
+// exactly zero (so v stays 0 and the step is 0/(√0+eps)), denormal
+// gradients (whose square underflows), and magnitudes near the float32
+// range's ends.
+func TestAdamStepBitwise(t *testing.T) {
+	special := []float32{
+		0, float32(math.Copysign(0, -1)), 1e-42, -1e-42, 1e-30, -3e-20,
+		1e18, -1e18, 3e38, 1, -1, 1e-8,
+	}
+	const eps = 1e-8
+	b1, b2 := float32(0.9), float32(0.999)
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 31, 33, 1000} {
+		r := rng.New(uint64(n) + 17)
+		val, g := make([]float32, n), make([]float32, n)
+		m, v := make([]float32, n), make([]float32, n)
+		r.FillNormal(val, 0, 1)
+		wantVal := append([]float32(nil), val...)
+		wantM, wantV := make([]float32, n), make([]float32, n)
+		for step := 1; step <= 3; step++ {
+			r.FillNormal(g, 0, 0.1)
+			for j := range g {
+				switch {
+				case j%5 == 1: // never any gradient: m = v = 0 throughout
+					g[j] = 0
+				case j%3 == 0:
+					g[j] = special[(j/3+step)%len(special)]
+				}
+			}
+			lr := 1e-3 * math.Sqrt(1-math.Pow(0.999, float64(step))) / (1 - math.Pow(0.9, float64(step)))
+			adamStep(val, g, m, v, b1, b2, lr, eps)
+			for j, gj := range g {
+				wantM[j] = b1*wantM[j] + (1-b1)*gj
+				wantV[j] = b2*wantV[j] + (1-b2)*gj*gj
+				wantVal[j] -= float32(lr * float64(wantM[j]) / (math.Sqrt(float64(wantV[j])) + eps))
+			}
+			for j := range val {
+				if math.Float32bits(val[j]) != math.Float32bits(wantVal[j]) ||
+					math.Float32bits(m[j]) != math.Float32bits(wantM[j]) ||
+					math.Float32bits(v[j]) != math.Float32bits(wantV[j]) {
+					t.Fatalf("n=%d step %d [%d] g=%g: val %g m %g v %g, want %g %g %g",
+						n, step, j, g[j], val[j], m[j], v[j], wantVal[j], wantM[j], wantV[j])
+				}
+			}
+		}
+	}
+}

@@ -149,62 +149,85 @@ func TestKernelEquivalenceSparse(t *testing.T) {
 }
 
 // TestTileKernelTable is the bitwise table for the register-tiled AVX
-// path: every m remainder of the 4- and 8-row tiles, k of one, the two
-// conv fan-ins, and n on both sides of the narrow/wide split plus a
-// scalar column tail (25), with dense and 90 %-zero left operands, for
-// all four a@b-shaped entry points against the naive ascending-p loop.
-// The tiles multiply zero operands where the row and scalar kernels
-// skip them; the table proves that is the same bits on finite data.
+// path, for all four a@b-shaped entry points against the naive
+// ascending-p loop. The narrow block has every m remainder of the 4- and
+// 8-row tiles, k of one, the two conv fan-ins, and n up to the wide
+// split plus a scalar column tail (25). The wide block has the CVAE's
+// 256- and 794-column products (794 = 49 sixteen-column blocks, one
+// eight-column block and two scalar columns), a k that is one batch and
+// one hidden layer, and m on both sides of a tile and of the
+// 32-row batch. Left operands are dense, which the dispatcher sends to
+// the tiles at any width, or mostly zero, which from 32 columns it
+// sends to the row kernel. The tiles multiply zero operands where the
+// row and scalar kernels skip them; the table proves that is the same
+// bits on finite data, whichever path a product or a worker's row range
+// takes.
 func TestTileKernelTable(t *testing.T) {
 	defer SetWorkers(Workers())
 	r := rng.New(0x711e5)
 	for _, workers := range []int{1, 3} {
 		SetWorkers(workers)
-		for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 33} {
-			for _, k := range []int{1, 25, 200} {
-				for _, n := range []int{8, 16, 24, 32, 40, 25} {
-					for _, zeroFrac := range []float64{0, 0.9} {
-						a, at := New(m, k), New(k, m)
-						b, init := New(k, n), New(m, n)
-						r.FillNormal(a.Data, 0, 1)
-						r.FillNormal(at.Data, 0, 1)
-						r.FillNormal(b.Data, 0, 1)
-						r.FillNormal(init.Data, 0, 1)
-						for i := range a.Data {
-							if r.Float64() < zeroFrac {
-								a.Data[i] = 0
-							}
-							if r.Float64() < zeroFrac {
-								at.Data[i] = 0
-							}
+		for _, tab := range []struct {
+			ms, ks, ns []int
+			zeroFrac   float64
+		}{
+			{[]int{1, 3, 4, 5, 7, 8, 9, 33}, []int{1, 25, 200}, []int{8, 16, 24, 32, 40, 25}, 0.9},
+			{[]int{1, 3, 4, 5, 32, 33}, []int{1, 32, 256}, []int{32, 40, 64, 256, 794}, 0.8},
+		} {
+			for _, m := range tab.ms {
+				for _, k := range tab.ks {
+					for _, n := range tab.ns {
+						for _, zeroFrac := range []float64{0, tab.zeroFrac} {
+							name := fmt.Sprintf("w%d_%dx%dx%d_z%.1f", workers, m, k, n, zeroFrac)
+							checkProductForms(t, r, name, m, k, n, zeroFrac)
 						}
-						name := fmt.Sprintf("w%d_%dx%dx%d_z%.1f", workers, m, k, n, zeroFrac)
-						got, want, sum := New(m, n), New(m, n), New(m, n)
-
-						naiveMatMul(want, a, b)
-						MatMul(got, a, b)
-						requireBitEqual(t, name+"/MatMul", got, want)
-						for i := range sum.Data {
-							sum.Data[i] = init.Data[i] + want.Data[i]
-						}
-						copy(got.Data, init.Data)
-						MatMulAcc(got, a, b)
-						requireBitEqual(t, name+"/MatMulAcc", got, sum)
-
-						naiveMatMulTA(want, at, b)
-						MatMulTA(got, at, b)
-						requireBitEqual(t, name+"/MatMulTA", got, want)
-						for i := range sum.Data {
-							sum.Data[i] = init.Data[i] + want.Data[i]
-						}
-						copy(got.Data, init.Data)
-						MatMulTAAcc(got, at, b)
-						requireBitEqual(t, name+"/MatMulTAAcc", got, sum)
 					}
 				}
 			}
 		}
 	}
+}
+
+// checkProductForms compares MatMul, MatMulAcc, MatMulTA and MatMulTAAcc
+// with the naive loops on one random (m,k)@(k,n) problem whose left
+// operands have about zeroFrac of their elements zeroed.
+func checkProductForms(t *testing.T, r *rng.RNG, name string, m, k, n int, zeroFrac float64) {
+	t.Helper()
+	a, at := New(m, k), New(k, m)
+	b, init := New(k, n), New(m, n)
+	r.FillNormal(a.Data, 0, 1)
+	r.FillNormal(at.Data, 0, 1)
+	r.FillNormal(b.Data, 0, 1)
+	r.FillNormal(init.Data, 0, 1)
+	for i := range a.Data {
+		if r.Float64() < zeroFrac {
+			a.Data[i] = 0
+		}
+		if r.Float64() < zeroFrac {
+			at.Data[i] = 0
+		}
+	}
+	got, want, sum := New(m, n), New(m, n), New(m, n)
+
+	naiveMatMul(want, a, b)
+	MatMul(got, a, b)
+	requireBitEqual(t, name+"/MatMul", got, want)
+	for i := range sum.Data {
+		sum.Data[i] = init.Data[i] + want.Data[i]
+	}
+	copy(got.Data, init.Data)
+	MatMulAcc(got, a, b)
+	requireBitEqual(t, name+"/MatMulAcc", got, sum)
+
+	naiveMatMulTA(want, at, b)
+	MatMulTA(got, at, b)
+	requireBitEqual(t, name+"/MatMulTA", got, want)
+	for i := range sum.Data {
+		sum.Data[i] = init.Data[i] + want.Data[i]
+	}
+	copy(got.Data, init.Data)
+	MatMulTAAcc(got, at, b)
+	requireBitEqual(t, name+"/MatMulTAAcc", got, sum)
 }
 
 // TestKernelZeroOperands pins the zero cases of the summation-order

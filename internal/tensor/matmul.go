@@ -29,9 +29,12 @@ const parallelThreshold = 1 << 20
 // x + (±0) == x bitwise. Skipping the term (the scalar kernels and the
 // AVX row kernel, which test the left operand) and multiplying it out
 // (the register-tiled AVX kernels, which have no branch in the inner
-// loop) therefore give the same bits, and which rows of a product fall
-// into a tile and which into the row-kernel tail — it depends on the
-// row partition — cannot show in the result. This holds for finite data
+// loop) therefore give the same bits. Which rows of a product fall
+// into a tile and which into the row-kernel tail depends on the row
+// partition, and whether a product of 32 or more columns runs on the
+// tiles or, its left operand being mostly zeros, on the row kernel
+// depends on a sample of that operand (zeroHeavy, mm_amd64.go);
+// neither can show in the result. This holds for finite data
 // only: 0·Inf is NaN where the skip leaves the sum alone, so with
 // non-finite operands the paths, and hence different worker counts, may
 // disagree. The training pipeline never feeds non-finite values.
