@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
-MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$
+MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
 # The wire-layer microbenchmarks (raw vs codec framing and the per-round
 # byte cost), tracked in the same snapshot file.
 WIRE_BENCH = BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$|BenchmarkRoundWireBytes$$
@@ -53,9 +53,11 @@ ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test
 # compiled out. The bitwise kernel tables, the golden FinalWeights in
 # internal/classifier and the golden decoder and loss in internal/cvae
 # then hold the scalar matmul and Adam loops to the same bits as the AVX
-# kernels the default build runs.
+# kernels the default build runs. internal/rng and internal/dataset ride
+# along for the skip-draw walk: its bitwise tables and Generate's pinned
+# bytes must not depend on the build either.
 test-purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/loss ./internal/cvae ./internal/classifier
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/loss ./internal/cvae ./internal/classifier ./internal/rng ./internal/dataset
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
@@ -92,7 +94,9 @@ bench-json:
 # regression tripwire for the pooled frame writer, the codec fast paths,
 # the per-round checkpoint serialization cost, the blocked aggregation
 # kernels, the classifier's train step (its time, and that a second proc
-# does not make it slower) and the CVAE's. Ceilings are loose (≈2-3× the snapshot numbers) so CI
+# does not make it slower), the CVAE's, and a networked client's data
+# (the skip-draw walk's time, and that it keeps a partition and not the
+# training set). Ceilings are loose (≈2-3× the snapshot numbers) so CI
 # noise passes but a lost fast path or reintroduced per-op allocation
 # fails.
 bench-guard:
@@ -100,6 +104,7 @@ bench-guard:
 	  $(GO) test -run '^$$' -bench 'BenchmarkCheckpointWrite$$' -benchmem -benchtime=50x ./internal/persist/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$' -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTrainEpochTwoProcs$$' -benchtime=2x . ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json
 
@@ -162,13 +167,14 @@ trace-smoke:
 	$(GO) test -race -run 'TestTraceSmoke' ./cmd/fedtrace/
 	$(GO) test -race -run 'Traced' ./internal/fednet/
 
-# fuzz-smoke gives the wire-frame and codec decoders a bounded
-# randomized beating on every CI run; go test -fuzz takes over for
-# longer campaigns.
+# fuzz-smoke gives the wire-frame, codec and checkpoint decoders and the
+# skip-draw dataset walk a bounded randomized beating on every CI run;
+# go test -fuzz takes over for longer campaigns.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/persist/
+	$(GO) test -run '^$$' -fuzz FuzzGenerateSubset -fuzztime 10s ./internal/dataset/
 
 clean:
 	$(GO) clean ./...

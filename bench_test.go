@@ -506,3 +506,51 @@ func BenchmarkSynthDigitRender(b *testing.B) {
 		dataset.RenderDigit(img, i%10, opts, r)
 	}
 }
+
+// BenchmarkGenerate is the whole default-preset training set: what every
+// networked client rendered and held before it kept only its partition.
+func BenchmarkGenerate(b *testing.B) {
+	opts := dataset.DefaultGenOptions()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchData = dataset.Generate(3000, opts, rng.New(7))
+	}
+}
+
+// BenchmarkGenerateSubset is what a networked client pays for its data
+// now — the walk over the training set with one partition rendered — at
+// the default preset (100 of 3 000) and the paper's (600 of 60 000).
+func BenchmarkGenerateSubset(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		n, want int
+	}{{"3000x100", 3000, 100}, {"60000x600", 60000, 600}} {
+		b.Run(tc.name, func(b *testing.B) {
+			opts := dataset.DefaultGenOptions()
+			indices := rng.New(3).Sample(tc.n, tc.want)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := dataset.GenerateSubset(tc.n, opts, rng.New(7), indices)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchData = d
+			}
+		})
+	}
+}
+
+// BenchmarkGenerateLabels is the server's share: the labels it
+// partitions over.
+func BenchmarkGenerateLabels(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchLabels = dataset.GenerateLabels(3000, rng.New(7))
+	}
+}
+
+var (
+	benchData   *dataset.Dataset
+	benchLabels []int
+)

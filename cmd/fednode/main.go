@@ -12,7 +12,11 @@
 //	for i in $(seq 0 15); do fednode -mode client -addr host:7070 -id $i & done
 //
 // Both sides derive all randomness from the shared experiment seed, so a
-// networked run reproduces the in-process simulator bit for bit.
+// networked run reproduces the in-process simulator bit for bit. A
+// client process walks the shared training stream to do so but renders
+// and keeps only its own partition — 100 of 3 000 images at the default
+// preset (0.36 MB, 21 ms), 600 of 60 000 at the paper's (2.6 MB,
+// 0.38 s) — and the server renders none: it partitions over the labels.
 //
 // Fault tolerance is off by default (any client failure aborts the run,
 // matching the simulator's semantics). -min-clients enables graceful
@@ -59,7 +63,7 @@ func main() {
 		mode     = flag.String("mode", "server", "server or client")
 		listen   = flag.String("listen", ":7070", "server: listen address")
 		addr     = flag.String("addr", "127.0.0.1:7070", "client: server address")
-		id       = flag.Int("id", 0, "client: participant ID in [0, NumClients)")
+		id       = flag.Int("id", 0, "client: participant ID in [0, NumClients); the process renders and holds only this participant's partition of the training set")
 		preset   = flag.String("preset", "quick", "experiment scale: quick, default, paper")
 		scenario = flag.String("scenario", "no-attack", "attack scenario (see fedsim -list)")
 		strategy = flag.String("strategy", "FedGuard", "aggregation strategy")

@@ -132,20 +132,80 @@ func DefaultGenOptions() GenOptions {
 
 // Generate renders n SynthDigits examples with class-balanced labels
 // (classes cycle 0..9) shuffled into random order, drawing all
-// randomness from r.
+// randomness from r: one permutation, then the samples one after another
+// in generation order, so sample i's pixels depend on every draw before
+// it. It is the all-wanted case of the walk GenerateSubset shares.
 func Generate(n int, opts GenOptions, r *rng.RNG) *Dataset {
+	return generate(n, opts, r, nil, n)
+}
+
+// GenerateSubset returns the compact dataset whose example j is example
+// indices[j] of Generate(n, opts, r), bit for bit, without rendering the
+// rest: an unwanted sample's draws are walked over (skipDigit), not
+// transformed into pixels, and the walk stops after the last wanted
+// sample — so r is left wherever that was, not where Generate leaves it.
+// A networked client holds its partition this way, paying for the
+// samples it trains on instead of the whole training set. An index
+// outside [0, n) or listed twice is an error: with the full dataset a bad
+// index panicked at the first Batch, a compact one would otherwise hide
+// it behind a blank image labelled 0. An empty subset is legal.
+func GenerateSubset(n int, opts GenOptions, r *rng.RNG, indices []int) (*Dataset, error) {
+	// slot[idx] is where example idx lands in the compact dataset, -1 for
+	// the examples nobody asked for.
+	slot := make([]int32, n)
+	for i := range slot {
+		slot[i] = -1
+	}
+	for j, idx := range indices {
+		if idx < 0 || idx >= n {
+			return nil, fmt.Errorf("dataset: index %d outside [0, %d)", idx, n)
+		}
+		if slot[idx] >= 0 {
+			return nil, fmt.Errorf("dataset: index %d listed twice", idx)
+		}
+		slot[idx] = int32(j)
+	}
+	return generate(n, opts, r, slot, len(indices)), nil
+}
+
+// GenerateLabels returns Generate(n, opts, r).Labels for any opts — the
+// labels are the permutation alone — leaving r just past that
+// permutation. The networked server partitions over it: it deals indices
+// out by class and never looks at a pixel.
+func GenerateLabels(n int, r *rng.RNG) []int {
+	labels := make([]int, n)
+	for i, idx := range r.Perm(n) {
+		labels[idx] = i % NumClasses
+	}
+	return labels
+}
+
+// generate is the one SynthDigits walk. Generation step i makes example
+// perm[i] with class i mod 10; slot maps an example to its place in the
+// returned dataset (nil: its own index, everything wanted; negative: not
+// wanted) and wanted counts the places to fill.
+func generate(n int, opts GenOptions, r *rng.RNG, slot []int32, wanted int) *Dataset {
+	const sz = ImageH * ImageW
 	d := &Dataset{
-		X:      make([]float32, n*ImageH*ImageW),
-		Labels: make([]int, n),
+		X:      make([]float32, wanted*sz),
+		Labels: make([]int, wanted),
 		H:      ImageH,
 		W:      ImageW,
 	}
 	perm := r.Perm(n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && wanted > 0; i++ {
 		class := i % NumClasses
-		idx := perm[i]
-		d.Labels[idx] = class
-		RenderDigit(d.X[idx*ImageH*ImageW:(idx+1)*ImageH*ImageW], class, opts, r)
+		j := perm[i]
+		if slot != nil {
+			j = int(slot[j])
+		}
+		if j < 0 {
+			skipDigit(opts, r)
+			continue
+		}
+		d.Labels[j] = class
+		RenderDigit(d.X[j*sz:(j+1)*sz], class, opts, r)
+		wanted--
 	}
 	return d
 }
@@ -189,6 +249,19 @@ func RenderDigit(dst []float32, class int, opts GenOptions, r *rng.RNG) {
 			}
 			dst[y*ImageW+x] = v
 		}
+	}
+}
+
+// skipDigit advances r by exactly the draws one RenderDigit call makes
+// with the same opts (they do not depend on the class) and renders
+// nothing. Keep it in step with RenderDigit: a draw added there and not
+// here shifts every later sample of a GenerateSubset walk.
+func skipDigit(opts GenOptions, r *rng.RNG) {
+	for i := 0; i < 5; i++ { // scale, theta, tx, ty, ink
+		r.Float64()
+	}
+	if opts.NoiseStd > 0 {
+		r.SkipNormFloat64(ImageH * ImageW)
 	}
 }
 

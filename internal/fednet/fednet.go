@@ -415,8 +415,10 @@ var errProtocol = errors.New("fednet: protocol violation")
 // shut down (or, after Kill, just severed) on the way out.
 func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History, error) {
 	cfg := s.cfg.Experiment
-	train := dataset.Generate(s.cfg.TrainSize, dataset.DefaultGenOptions(), rng.New(s.cfg.DataSeed))
-	s.parts = fl.Partition(train, cfg)
+	// The partitioner deals indices out by class: the server needs the
+	// training set's labels and none of its pixels.
+	labels := dataset.GenerateLabels(s.cfg.TrainSize, rng.New(s.cfg.DataSeed))
+	s.parts = fl.Partition(&dataset.Dataset{Labels: labels}, cfg)
 	s.malicious = fl.MaliciousPlacement(cfg)
 	s.initGlobal = fl.InitialGlobal(cfg)
 	s.decoders = make(map[int]*decoderCache)
@@ -1685,7 +1687,13 @@ func serveCompressed(rw io.ReadWriter, clientID int, setup *wire.Setup, client *
 }
 
 // buildClient reconstructs the deterministic local state an in-process
-// federation would have given this client.
+// federation would have given this client, holding only what the client
+// uses of it: the training set is walked in full (every sample comes off
+// one sequential stream) but only the partition is rendered and kept, as
+// a compact dataset the client indexes 0..len-1. Nothing downstream reads
+// an index's value, only the example it points at, so the updates are the
+// in-process client's byte for byte. Indices the training set does not
+// have, or has once and the Setup lists twice, are an error.
 func buildClient(id int, setup *wire.Setup) (*fl.Client, error) {
 	arch, err := classifier.ByName(setup.ArchName)
 	if err != nil {
@@ -1695,10 +1703,13 @@ func buildClient(id int, setup *wire.Setup) (*fl.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	train := dataset.Generate(int(setup.TrainSize), dataset.DefaultGenOptions(), rng.New(setup.DataSeed))
 	indices := make([]int, len(setup.Indices))
 	for i, v := range setup.Indices {
 		indices[i] = int(v)
+	}
+	train, err := dataset.GenerateSubset(int(setup.TrainSize), dataset.DefaultGenOptions(), rng.New(setup.DataSeed), indices)
+	if err != nil {
+		return nil, fmt.Errorf("fednet: client %d setup: %w", id, err)
 	}
 	clientCfg := fl.ClientConfig{
 		Arch: arch,
@@ -1722,5 +1733,5 @@ func buildClient(id int, setup *wire.Setup) (*fl.Client, error) {
 		NumClasses: int(setup.NumClasses),
 	}
 	stream := rng.New(rng.DeriveSeed(setup.Seed, "client", uint64(id)))
-	return fl.NewClient(id, train, indices, clientCfg, att, stream), nil
+	return fl.NewClient(id, train, dataset.Range(train.Len()), clientCfg, att, stream), nil
 }

@@ -9,6 +9,8 @@ func (r *RNG) NormFloat64() float64 {
 		r.haveGauss = false
 		return r.gauss
 	}
+	// The polar method: (u, v) uniform in the unit disc, origin excluded.
+	// SkipNormFloat64 repeats this rejection loop; keep the two alike.
 	var u, v, s float64
 	for {
 		u = 2*r.Float64() - 1
@@ -22,6 +24,36 @@ func (r *RNG) NormFloat64() float64 {
 	r.gauss = v * f
 	r.haveGauss = true
 	return u * f
+}
+
+// SkipNormFloat64 leaves the generator in exactly the State that n calls
+// of NormFloat64 would, for a fraction of their cost. The rejection loop
+// is all of a Gaussian pair's effect on the uniform stream, so a cached
+// variate is consumed, every pair but the last runs only that loop (no
+// logarithm, no square root), and the last one or two draws go through
+// NormFloat64 itself so that the Box–Muller cache — the live value after
+// an odd draw, the spent one State still reports after an even draw — is
+// the one the n calls would have left. n <= 0 is a no-op.
+func (r *RNG) SkipNormFloat64(n int) {
+	if n <= 0 {
+		return
+	}
+	if r.haveGauss {
+		r.haveGauss = false
+		n--
+	}
+	for ; n > 2; n -= 2 {
+		for {
+			u := 2*r.Float64() - 1
+			v := 2*r.Float64() - 1
+			if s := u*u + v*v; s > 0 && s < 1 {
+				break
+			}
+		}
+	}
+	for ; n > 0; n-- {
+		r.NormFloat64()
+	}
 }
 
 // NormFloat32 returns a standard normal sample as float32.
