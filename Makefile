@@ -11,8 +11,10 @@ WIRE_BENCH = BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$|BenchmarkRound
 # tracked in the same snapshot file.
 CODEC_BENCH = BenchmarkCodecEncode$$|BenchmarkCodecEncodeDelta$$|BenchmarkCodecHash$$
 FANOUT_BENCH = BenchmarkServerBroadcastFanout$$
-# The checkpoint write-cost benchmarks (serialization alone, and the full
-# fsync+rename durable path), tracked in the same snapshot file.
+# The checkpoint write-cost benchmarks (round-file serialization alone,
+# and the steady-state durable path: list, fsync, rename, no decoder
+# rewritten), at the quick and default preset shapes, tracked in the same
+# snapshot file.
 CKPT_BENCH = BenchmarkCheckpointWrite$$|BenchmarkCheckpointSave$$
 # The aggregation-kernel benchmarks (robust strategy math on the blocked
 # reduction kernels at model dimension), tracked in the same snapshot
@@ -92,16 +94,18 @@ bench-json:
 # bench-guard re-measures the round-pipeline critical benchmarks and
 # fails if any exceed the ceilings committed in BENCH_guard.json — the
 # regression tripwire for the pooled frame writer, the codec fast paths,
-# the per-round checkpoint serialization cost, the blocked aggregation
-# kernels, the classifier's train step (its time, and that a second proc
-# does not make it slower), the CVAE's, and a networked client's data
+# the per-round checkpoint cost (round-file serialization, and a
+# steady-state save that must not re-serialise a decoder: ≤ 1 MB B/op
+# beside 25 MB of referenced payloads), the blocked aggregation kernels,
+# the classifier's train step (its time, and that a second proc does
+# not make it slower), the CVAE's, and a networked client's data
 # (the skip-draw walk's time, and that it keeps a partition and not the
 # training set). Ceilings are loose (≈2-3× the snapshot numbers) so CI
 # noise passes but a lost fast path or reintroduced per-op allocation
 # fails.
 bench-guard:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkWireWriteUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCheckpointWrite$$' -benchmem -benchtime=50x ./internal/persist/ ; \
+	  $(GO) test -run '^$$' -bench '$(CKPT_BENCH)' -benchmem -benchtime=50x ./internal/persist/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$' -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
@@ -167,13 +171,15 @@ trace-smoke:
 	$(GO) test -race -run 'TestTraceSmoke' ./cmd/fedtrace/
 	$(GO) test -race -run 'Traced' ./internal/fednet/
 
-# fuzz-smoke gives the wire-frame, codec and checkpoint decoders and the
-# skip-draw dataset walk a bounded randomized beating on every CI run;
+# fuzz-smoke gives the wire-frame, codec and checkpoint decoders (the
+# round file alone, and a directory with its blob), and the skip-draw
+# dataset walk a bounded randomized beating on every CI run;
 # go test -fuzz takes over for longer campaigns.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/persist/
+	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpointDir -fuzztime 10s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzGenerateSubset -fuzztime 10s ./internal/dataset/
 
 clean:

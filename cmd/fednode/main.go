@@ -92,7 +92,7 @@ func main() {
 		redial = flag.Int("redial", 0,
 			"client: reconnection attempts after a broken session (0 = fail fast)")
 		ckptDir = flag.String("checkpoint-dir", "",
-			"server: persist a crash-safe run checkpoint to this directory after each round")
+			"server: persist a crash-safe run checkpoint to this directory after each round: checkpoint.fgc rewritten per round, one write-once dec-<client>-<hash>.fgw per cached decoder; stale dec-* files there are pruned")
 		ckptEvery = flag.Int("checkpoint-every", 1,
 			"server: checkpoint cadence in rounds (with -checkpoint-dir)")
 		resume = flag.Bool("resume", false,

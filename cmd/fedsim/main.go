@@ -42,7 +42,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "concurrent client trainers (0 = GOMAXPROCS)")
 		aggWork   = flag.Int("agg-workers", 0, "aggregation-kernel parallelism (0 = tensor pool default; results identical at any value)")
 		streamAud = flag.Bool("stream-audit", false, "audit each update as it lands instead of after the round barrier (bit-identical results)")
-		ckptDir   = flag.String("checkpoint-dir", "", "persist a crash-safe run checkpoint to this directory after each round")
+		ckptDir   = flag.String("checkpoint-dir", "", "persist a crash-safe run checkpoint to this directory after each round: checkpoint.fgc rewritten per round, one write-once dec-<client>-<hash>.fgw per trained decoder; stale dec-* files there are pruned")
 		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in rounds (with -checkpoint-dir)")
 		resume    = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir (cold start if absent)")
 		csv       = flag.Bool("csv", false, "emit the per-round accuracy series as CSV on stdout")

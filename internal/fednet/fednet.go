@@ -48,6 +48,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -402,8 +403,9 @@ var errNotConnected = errors.New("fednet: client not connected")
 
 // errProtocol marks a peer that violated the negotiated protocol: a
 // codec blob that fails to decode behind a valid checksum, a decoder
-// token for a payload the server never cached, or a hash that does not
-// match its bytes. Not transient — retrying would replay the violation.
+// token for a payload the server never cached, a hash that does not
+// match its bytes, or different bytes under a hash the server already
+// holds. Not transient — retrying would replay the violation.
 var errProtocol = errors.New("fednet: protocol violation")
 
 // Run accepts client registrations on ln, configures them, drives R
@@ -525,20 +527,18 @@ func (s *Server) WireBytes([]fl.Update, int64) (up, down int64) {
 	return up, down
 }
 
-// Snapshot implements fl.Cohort: the decoder dedup cache, bytes
+// Snapshot implements fl.Cohort: the decoder dedup cache, payloads
 // included, so a resumed server can answer hash-only decoder tokens from
-// rejoining clients. Client RNG/decoder state lives in the client
+// rejoining clients. The payloads are aliased, not copied — a cache
+// entry is replaced when a client delivers a new decoder and never
+// written in place. Client RNG/decoder state lives in the client
 // processes and is deliberately NOT captured — networked resume relies
 // on the clients surviving the server crash and redialing.
 func (s *Server) Snapshot(ck *fl.Checkpoint) {
 	s.mu.Lock()
 	decs := make([]fl.DecoderState, 0, len(s.decoders))
 	for id, e := range s.decoders {
-		decs = append(decs, fl.DecoderState{
-			ID:     id,
-			Hash:   e.hash,
-			Params: append([]float32(nil), e.params...),
-		})
+		decs = append(decs, fl.DecoderState{ID: id, Hash: e.hash, Params: e.params})
 	}
 	s.mu.Unlock()
 	sort.Slice(decs, func(i, j int) bool { return decs[i].ID < decs[j].ID })
@@ -1033,6 +1033,16 @@ func (s *Server) decodeUpdateC(c *clientConn, u *wire.UpdateC, global []float32)
 				return fl.Update{}, fmt.Errorf("%w: decoder hash mismatch", errProtocol)
 			}
 			s.mu.Lock()
+			// The hash is the decoder's name in the checkpoint directory,
+			// where a payload is written once: new floats under a cached
+			// hash would leave the live cache and the store disagreeing,
+			// and a resumed run diverging from this one. Honest clients
+			// never get here — they answer a cached hash with the token.
+			if e := s.decoders[c.id]; e != nil && e.hash == u.DecoderHash && !sameBits(e.params, dec) {
+				s.mu.Unlock()
+				return fl.Update{}, fmt.Errorf("%w: decoder changed under an unchanged hash %016x",
+					errProtocol, u.DecoderHash)
+			}
 			s.decoders[c.id] = &decoderCache{hash: u.DecoderHash, params: dec}
 			s.mu.Unlock()
 		} else {
@@ -1054,6 +1064,14 @@ func (s *Server) decodeUpdateC(c *clientConn, u *wire.UpdateC, global []float32)
 		}
 	}
 	return out, nil
+}
+
+// sameBits reports whether two vectors hold the same bit patterns — the
+// equality codec.Hash and the checkpoint store are defined over.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y)
+	})
 }
 
 // opDeadline combines the per-message IOTimeout with the round deadline

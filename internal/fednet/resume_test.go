@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -118,6 +120,27 @@ func runKillResume(t *testing.T, cfg Config, test *dataset.Dataset,
 	}
 	if ck.Round != k {
 		t.Fatalf("checkpoint holds round %d, want %d", ck.Round, k)
+	}
+	if k >= 2 {
+		// A decoder is persisted once, beside a round file that holds only
+		// what a round changes: one blob per client seen (codec peers of a
+		// decoder-shipping strategy; nobody else's decoders are cached),
+		// never a second generation of one.
+		seen := map[int]bool{}
+		if copts.Compress && newStrategy().NeedsDecoders() {
+			for _, rec := range ck.Rounds {
+				for _, id := range rec.Sampled {
+					seen[id] = true
+				}
+			}
+		}
+		blobs, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "dec-*.fgw"))
+		if err != nil || len(blobs) != len(seen) {
+			t.Fatalf("checkpoint directory holds blobs %v (err %v) for %d clients seen", blobs, err, len(seen))
+		}
+		if st, err := os.Stat(persist.CheckpointPath(cfg.CheckpointDir)); err != nil || st.Size() >= 1<<20 {
+			t.Fatalf("round file: %v, err %v; want under 1 MB", st, err)
+		}
 	}
 
 	cfg2 := cfg

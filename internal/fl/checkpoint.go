@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 
+	"fedguard/internal/codec"
 	"fedguard/internal/rng"
 )
 
@@ -15,6 +16,12 @@ import (
 // client's private stream position, its trained CVAE decoder, the
 // server's dedup cache). persist.SaveCheckpoint/LoadCheckpoint give the
 // on-disk form.
+//
+// Ownership: Global and every decoder payload slice (DecoderState.Params,
+// ClientState.Decoder) alias the live run's memory. That is safe because
+// neither is ever written in place — ψ is replaced each round, a decoder
+// is replaced on retrain — and it is why a snapshot costs nothing per
+// decoder. A sink must not modify them or keep them past its return.
 type Checkpoint struct {
 	// Round is the last completed round the snapshot reflects.
 	Round int
@@ -40,10 +47,13 @@ type Checkpoint struct {
 
 // DecoderState is one client's entry in the decoder dedup cache.
 type DecoderState struct {
-	ID   int
+	ID int
+	// Hash is codec.Hash of the decoder the client last delivered.
 	Hash uint64
-	// Params is the cached decoder payload; empty for in-process
-	// checkpoints, where the client snapshot already carries it.
+	// Params is the cached decoder payload, aliased from the server's
+	// cache and never rewritten; empty for in-process checkpoints, where
+	// the entry is wire accounting only and the client snapshot carries
+	// the payload.
 	Params []float32
 }
 
@@ -56,28 +66,38 @@ type ClientState struct {
 	RNG            rng.State
 	Visible        int
 	SinceCVAETrain int
+	// Decoder is the trained decoder payload (nil before the client's
+	// first FedGuard participation), aliased from the client and never
+	// rewritten; DecoderHash is codec.Hash of it (0 = no decoder), the
+	// name the payload is persisted under.
 	Decoder        []float32
+	DecoderHash    uint64
 	DecoderClasses []int
 }
 
 // CheckpointSink persists one snapshot and reports where it landed and
-// how many bytes it occupies (for the CheckpointWritten event). The
-// canonical sink is persist.SaveCheckpoint, wired in by package
-// experiment; the indirection keeps fl free of the on-disk format.
+// how many bytes this call wrote (for the CheckpointWritten event): the
+// round file plus any decoder payload not persisted before, so the
+// figure falls to the round file's size once every client's decoder is
+// on disk. The canonical sink is persist.SaveCheckpoint, wired in by
+// package experiment; the indirection keeps fl free of the on-disk
+// format.
 type CheckpointSink func(*Checkpoint) (path string, bytes int64, err error)
 
 // CaptureState snapshots everything a resumed run must restore to keep
 // this client's stream bit-identical: the RNG position, the streaming
 // counters, and the trained CVAE decoder (losing the decoder would
 // force a retrain, advancing the RNG stream relative to the original
-// run).
+// run). The decoder is aliased, not copied: the client replaces it on
+// retrain and never writes it in place.
 func (c *Client) CaptureState() ClientState {
 	return ClientState{
 		ID:             c.ID,
 		RNG:            c.rng.State(),
 		Visible:        c.visible,
 		SinceCVAETrain: c.sinceCVAETrain,
-		Decoder:        append([]float32(nil), c.decoder...),
+		Decoder:        c.decoder,
+		DecoderHash:    c.decoderHash,
 		DecoderClasses: append([]int(nil), c.decoderClasses...),
 	}
 }
@@ -90,6 +110,10 @@ func (c *Client) RestoreState(st ClientState) {
 	c.visible = st.Visible
 	c.sinceCVAETrain = st.SinceCVAETrain
 	c.decoder = append([]float32(nil), st.Decoder...)
+	c.decoderHash = 0
+	if len(c.decoder) > 0 {
+		c.decoderHash = codec.Hash(c.decoder)
+	}
 	c.decoderClasses = append([]int(nil), st.DecoderClasses...)
 	c.viewReady = false
 	c.viewDS = nil

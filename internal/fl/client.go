@@ -3,6 +3,7 @@ package fl
 import (
 	"fedguard/internal/attack"
 	"fedguard/internal/classifier"
+	"fedguard/internal/codec"
 	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
 	"fedguard/internal/rng"
@@ -47,8 +48,12 @@ type Client struct {
 	retrainEvery   int
 	sinceCVAETrain int
 
-	// Cached CVAE decoder payload and the classes it saw.
+	// Cached CVAE decoder payload, its content hash (computed once per
+	// training, 0 = none yet) and the classes it saw. The payload is
+	// replaced on retrain and never written in place: updates and
+	// checkpoints alias it.
 	decoder        []float32
+	decoderHash    uint64
 	decoderClasses []int
 
 	// tel records client-phase spans (nil-safe; set by the federation or
@@ -182,6 +187,7 @@ func (c *Client) decoderPayload(parent *telemetry.Span) ([]float32, []int) {
 		m := cvae.New(c.cfg.CVAE, c.rng)
 		m.Train(ds, indices, c.cfg.CVAETrain, c.rng)
 		c.decoder = m.DecoderParams()
+		c.decoderHash = codec.Hash(c.decoder)
 		c.decoderClasses = classesOf(ds, indices, c.cfg.CVAE.Classes)
 		c.sinceCVAETrain = 0
 	}

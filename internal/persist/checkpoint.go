@@ -10,31 +10,54 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
+	"fedguard/internal/codec"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 )
 
-// Checkpoint file format, version 1. Everything is little-endian:
+// A checkpoint is a directory: one round file plus one write-once blob
+// per decoder payload the round file references.
+//
+//	checkpoint.fgc                  what a round changes (ψ, history, streams)
+//	dec-<clientID>-<hash:016x>.fgw  one decoder payload, FdGW weights format
+//
+// A client trains its CVAE once (paper footnote 5), so its decoder is
+// uploaded once and persisted once; every later round rewrites only the
+// round file. Round file format, version 2, everything little-endian:
 //
 //	[4B magic "FdGC"][4B version][4B payload length][4B CRC-32C(payload)]
 //	payload:
 //	  u64 seed · u32 round · str strategy · rng server stream
 //	  u32 n · n×f32 global
 //	  u32 n · n×record history rounds
-//	  u32 n · n×entry decoder cache (id, hash, params)
-//	  u32 n · n×entry client state (id, rng, counters, decoder, classes)
+//	  u32 n · n×entry decoder cache (id, ref)
+//	  u32 n · n×entry client state (id, rng, counters, ref, classes)
 //
-// where str is u32 length + bytes, rng is 4×u64 + u8 + f64, and map
-// entries are written in sorted key order — checkpoint bytes are a pure
-// function of the run state, which is what makes golden pins possible.
-// The CRC guards the whole payload: a torn or bit-flipped file is
-// rejected as corrupt rather than resumed from.
+// where str is u32 length + bytes, rng is 4×u64 + u8 + f64, ref is a
+// decoder reference — u64 content hash + u32 parameter count, never the
+// floats; count 0 means no blob (a hash-only dedup entry, or a client
+// that has no decoder yet) — and map entries are written in sorted key
+// order: checkpoint bytes are a pure function of the run state, which is
+// what makes golden pins possible. The CRC guards the whole payload: a
+// torn or bit-flipped round file is rejected as corrupt rather than
+// resumed from. A blob is guarded by the hash in its own name, which is
+// codec.Hash of its floats and must equal the referencing hash.
+//
+// Blobs are keyed per client on purpose. codec.Hash is FNV-1a over
+// 64-bit words, so a second preimage is one solved word; in a shared
+// namespace a Byzantine client could park garbage under an honest
+// client's hash for the next resume to pick up. The server's dedup cache
+// is per client for the same reason.
 const (
 	checkpointMagic   = 0x46644743 // "FdGC"
-	checkpointVersion = 1
-	// maxCheckpointBytes guards corrupt headers; real checkpoints are a
-	// few MB even at the paper's 100-client scale.
+	checkpointVersion = 2
+	headerBytes       = 16
+	// maxCheckpointBytes guards corrupt headers. Real round files are a
+	// few MB even at the paper's 100-client scale (ψ plus R round
+	// records; 6.7 MB at N = 100, R = 50) because decoder payloads live
+	// in blobs — inline, as version 1 had them, the same state was 132 MB.
 	maxCheckpointBytes = 1 << 30
 	// allocChunk bounds how far any allocation runs ahead of bytes
 	// actually read, so a hostile length prefix costs at most 1 MiB
@@ -42,115 +65,213 @@ const (
 	allocChunk = 1 << 20
 )
 
-// CheckpointFile is the name SaveCheckpoint uses inside its directory.
+// CheckpointFile is the round file's name inside a checkpoint directory.
 const CheckpointFile = "checkpoint.fgc"
+
+const (
+	blobPrefix = "dec-"
+	blobSuffix = ".fgw"
+	tmpSuffix  = ".tmp"
+)
 
 // ErrNoCheckpoint reports that the checkpoint directory holds no
 // checkpoint yet — the caller should start the run fresh.
 var ErrNoCheckpoint = errors.New("persist: no checkpoint")
 
-// ErrCorruptCheckpoint reports a checkpoint that failed structural or
-// CRC validation. A resume must not proceed from such a file.
+// ErrCorruptCheckpoint reports a checkpoint that failed structural, CRC
+// or blob-hash validation. A resume must not proceed from such a
+// directory.
 var ErrCorruptCheckpoint = errors.New("persist: corrupt checkpoint")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteCheckpoint serializes a checkpoint to w and returns the number of
-// bytes written (header included).
+// WriteCheckpoint serializes a checkpoint's round file to w and returns
+// the number of bytes written (header included). Decoder payloads are
+// written as references only; SaveCheckpoint stores the floats.
 func WriteCheckpoint(w io.Writer, ck *fl.Checkpoint) (int64, error) {
-	payload := appendCheckpoint(nil, ck)
+	// The hint covers everything but long reports and sample lists, so
+	// the buffer is allocated once for any realistic round file.
+	hint := 256 + len(ck.Strategy) + 4*len(ck.Global) + 256*len(ck.Rounds) +
+		16*len(ck.Decoders) + 128*len(ck.Clients)
+	b := appendCheckpoint(make([]byte, headerBytes, headerBytes+hint), ck)
+	payload := b[headerBytes:]
 	if len(payload) > maxCheckpointBytes {
 		return 0, fmt.Errorf("persist: checkpoint payload %d bytes exceeds %d", len(payload), maxCheckpointBytes)
 	}
-	var header [16]byte
-	binary.LittleEndian.PutUint32(header[0:], checkpointMagic)
-	binary.LittleEndian.PutUint32(header[4:], checkpointVersion)
-	binary.LittleEndian.PutUint32(header[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[12:], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(header[:]); err != nil {
-		return 0, fmt.Errorf("persist: writing checkpoint header: %w", err)
+	binary.LittleEndian.PutUint32(b[0:], checkpointMagic)
+	binary.LittleEndian.PutUint32(b[4:], checkpointVersion)
+	binary.LittleEndian.PutUint32(b[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[12:], crc32.Checksum(payload, crcTable))
+	if _, err := w.Write(b); err != nil {
+		return 0, fmt.Errorf("persist: writing checkpoint: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, fmt.Errorf("persist: writing checkpoint payload: %w", err)
-	}
-	return int64(len(header) + len(payload)), nil
+	return int64(len(b)), nil
 }
 
-// ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint,
-// verifying the CRC before decoding. Corruption of any kind — bad
-// magic, truncation, flipped bits, trailing garbage, implausible
-// lengths — returns an error wrapping ErrCorruptCheckpoint (except a
-// valid-but-newer version, which is its own error).
+// ReadCheckpoint deserializes a round file written by WriteCheckpoint,
+// verifying the CRC before decoding. Decoder payloads come back as
+// references (hash set, floats nil); LoadCheckpoint resolves them.
+// Corruption of any kind — bad magic, truncation, flipped bits, trailing
+// garbage, implausible lengths — returns an error wrapping
+// ErrCorruptCheckpoint (except a valid header of another version, which
+// is its own error).
 func ReadCheckpoint(r io.Reader) (*fl.Checkpoint, error) {
-	var header [16]byte
+	ck, _, err := readRoundFile(r)
+	return ck, err
+}
+
+// blobLens holds the parameter count of every decoder reference in a
+// round file, parallel to Checkpoint.Decoders and Checkpoint.Clients.
+type blobLens struct{ decoders, clients []int }
+
+func readRoundFile(r io.Reader) (*fl.Checkpoint, *blobLens, error) {
+	var header [headerBytes]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrCorruptCheckpoint, err)
+		return nil, nil, fmt.Errorf("%w: reading header: %v", ErrCorruptCheckpoint, err)
 	}
 	if magic := binary.LittleEndian.Uint32(header[0:]); magic != checkpointMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorruptCheckpoint, magic)
+		return nil, nil, fmt.Errorf("%w: bad magic %#x", ErrCorruptCheckpoint, magic)
 	}
 	if version := binary.LittleEndian.Uint32(header[4:]); version != checkpointVersion {
-		return nil, fmt.Errorf("persist: unsupported checkpoint version %d", version)
+		return nil, nil, fmt.Errorf("persist: unsupported checkpoint version %d", version)
 	}
 	n := binary.LittleEndian.Uint32(header[8:])
 	if n > maxCheckpointBytes {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorruptCheckpoint, n)
+		return nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorruptCheckpoint, n)
 	}
 	payload, err := readChunked(r, int(n))
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrCorruptCheckpoint, err)
+		return nil, nil, fmt.Errorf("%w: reading payload: %v", ErrCorruptCheckpoint, err)
 	}
 	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(header[12:]); got != want {
-		return nil, fmt.Errorf("%w: CRC mismatch (got %#x, want %#x)", ErrCorruptCheckpoint, got, want)
+		return nil, nil, fmt.Errorf("%w: CRC mismatch (got %#x, want %#x)", ErrCorruptCheckpoint, got, want)
 	}
 	d := &ckDecoder{b: payload}
 	ck := d.checkpoint()
 	if d.err != nil {
-		return nil, d.err
+		return nil, nil, d.err
 	}
 	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorruptCheckpoint, len(d.b)-d.off)
+		return nil, nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorruptCheckpoint, len(d.b)-d.off)
 	}
-	return ck, nil
+	return ck, &d.lens, nil
 }
 
-// CheckpointPath returns the file SaveCheckpoint writes inside dir.
+// CheckpointPath returns the round file SaveCheckpoint writes inside dir.
 func CheckpointPath(dir string) string { return filepath.Join(dir, CheckpointFile) }
 
-// SaveCheckpoint atomically persists a checkpoint into dir: the bytes go
-// to a temporary file first, are fsynced, and only then renamed over the
-// previous checkpoint. A crash at any point leaves either the old or the
-// new checkpoint fully intact — never a torn file that LoadCheckpoint
-// would accept.
+// blobName is the file a client's decoder payload with the given content
+// hash lives in.
+func blobName(clientID int, hash uint64) string {
+	return fmt.Sprintf("%s%d-%016x%s", blobPrefix, clientID, hash, blobSuffix)
+}
+
+// SaveCheckpoint persists a checkpoint into dir and returns the round
+// file's path and the bytes this call wrote. Every decoder payload whose
+// blob is not in dir yet is written first (temporary file, fsync,
+// rename; its name is codec.Hash of the floats being written, which
+// must equal the hash the checkpoint records for it), then the round
+// file the same way, then blobs and temporaries the new round file does
+// not reference are removed. A blob only ever appears by rename after
+// its fsync, so a name in the directory listing is the whole "already
+// saved" test: a steady-state round rewrites the round file and nothing
+// else. A crash at any point leaves either the old checkpoint or the
+// new one fully intact — the old round file's blobs are pruned only
+// once the new round file is in place — never a torn file or a decoder
+// other than the one its hash names that LoadCheckpoint would accept.
 func SaveCheckpoint(dir string, ck *fl.Checkpoint) (path string, bytes int64, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", 0, err
 	}
-	path = CheckpointPath(dir)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	// present maps every name in dir to whether this checkpoint
+	// references it.
+	present, err := listDir(dir)
 	if err != nil {
 		return "", 0, err
 	}
-	n, err := WriteCheckpoint(f, ck)
-	if err == nil {
-		// The fsync is the crash-safety linchpin: without it the rename
-		// can land before the data, and a power cut leaves a valid-looking
-		// name over empty blocks.
-		err = f.Sync()
+	save := func(id int, hash uint64, params []float32) error {
+		if len(params) == 0 {
+			return nil
+		}
+		name := blobName(id, hash)
+		if _, ok := present[name]; !ok {
+			if got := codec.Hash(params); got != hash {
+				return fmt.Errorf("persist: client %d decoder hashes to %016x, checkpoint records %016x", id, got, hash)
+			}
+			if err := SaveWeights(filepath.Join(dir, name), params); err != nil {
+				return err
+			}
+			bytes += weightsHeaderBytes + 4*int64(len(params))
+		}
+		present[name] = true
+		return nil
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	for i := range ck.Decoders {
+		if err := save(ck.Decoders[i].ID, ck.Decoders[i].Hash, ck.Decoders[i].Params); err != nil {
+			return "", 0, err
+		}
 	}
-	if err == nil {
-		err = os.Rename(tmp, path)
+	for i := range ck.Clients {
+		if err := save(ck.Clients[i].ID, ck.Clients[i].DecoderHash, ck.Clients[i].Decoder); err != nil {
+			return "", 0, err
+		}
 	}
-	if err != nil {
-		os.Remove(tmp)
+	if bytes > 0 {
+		// The blob renames must be durable before a round file that
+		// references them is.
+		syncDir(dir)
+	}
+	path = CheckpointPath(dir)
+	var n int64
+	// The fsync inside atomicWrite is the crash-safety linchpin: without
+	// it the rename can land before the data, and a power cut leaves a
+	// valid-looking name over empty blocks.
+	if err := atomicWrite(path, func(f *os.File) (werr error) {
+		n, werr = WriteCheckpoint(f, ck)
+		return werr
+	}); err != nil {
 		return "", 0, err
 	}
 	syncDir(dir)
-	return path, n, nil
+	// Pruning is housekeeping: a leftover file is retried by the next
+	// save and never read by a load.
+	for name, referenced := range present {
+		if !referenced && prunable(name) {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
+	return path, bytes + n, nil
+}
+
+// listDir returns dir's entry names, each mapped to false.
+func listDir(dir string) (map[string]bool, error) {
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	names, err := d.Readdirnames(-1)
+	if err != nil {
+		return nil, err
+	}
+	present := make(map[string]bool, len(names))
+	for _, name := range names {
+		present[name] = false
+	}
+	return present, nil
+}
+
+// prunable reports whether name is a file only SaveCheckpoint creates
+// and may therefore delete once unreferenced: a decoder blob (streaming-
+// mode retrains leave stale ones) or a temporary of a blob or of the
+// round file (crashed saves leave them). Anything else in the directory
+// is not ours to remove.
+func prunable(name string) bool {
+	if name == CheckpointFile+tmpSuffix {
+		return true
+	}
+	name = strings.TrimSuffix(name, tmpSuffix)
+	return strings.HasPrefix(name, blobPrefix) && strings.HasSuffix(name, blobSuffix)
 }
 
 // syncDir best-effort fsyncs a directory so a just-completed rename is
@@ -163,9 +284,14 @@ func syncDir(dir string) {
 	}
 }
 
-// LoadCheckpoint reads dir's checkpoint. A directory with no checkpoint
-// returns ErrNoCheckpoint (distinguishing "fresh start" from "broken
-// state"); anything unreadable or failing validation is an error.
+// LoadCheckpoint reads dir's round file and every decoder blob it
+// references. A directory with no round file returns ErrNoCheckpoint
+// (distinguishing "fresh start" from "broken state"); a round file that
+// fails validation, or a referenced blob that is missing, of the wrong
+// size, or whose floats do not hash to the reference, is
+// ErrCorruptCheckpoint. Files the round file does not reference —
+// temporaries and blobs of a save that crashed before its rename — are
+// ignored.
 func LoadCheckpoint(dir string) (*fl.Checkpoint, error) {
 	f, err := os.Open(CheckpointPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
@@ -174,8 +300,59 @@ func LoadCheckpoint(dir string) (*fl.Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	ck, lens, err := readRoundFile(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	for i := range ck.Decoders {
+		d := &ck.Decoders[i]
+		if d.Params, err = loadBlob(dir, d.ID, d.Hash, lens.decoders[i]); err != nil {
+			return nil, err
+		}
+	}
+	for i := range ck.Clients {
+		c := &ck.Clients[i]
+		if c.Decoder, err = loadBlob(dir, c.ID, c.DecoderHash, lens.clients[i]); err != nil {
+			return nil, err
+		}
+	}
+	return ck, nil
+}
+
+// loadBlob reads the n-parameter decoder payload a round file references
+// (nil for n == 0, a reference without a blob). n comes from a
+// CRC-checked round file but is still untrusted: the file's size must
+// agree with it before anything is read, so no allocation exceeds the
+// bytes on disk.
+func loadBlob(dir string, clientID int, hash uint64, n int) ([]float32, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	name := blobName(clientID, hash)
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		return nil, fmt.Errorf("%w: decoder blob: %v", ErrCorruptCheckpoint, err)
+	}
 	defer f.Close()
-	return ReadCheckpoint(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("%w: decoder blob: %v", ErrCorruptCheckpoint, err)
+	}
+	if want := weightsHeaderBytes + 4*int64(n); st.Size() != want {
+		return nil, fmt.Errorf("%w: decoder blob %s is %d bytes, want %d", ErrCorruptCheckpoint, name, st.Size(), want)
+	}
+	params, err := ReadWeights(f)
+	if err != nil {
+		return nil, fmt.Errorf("%w: decoder blob %s: %v", ErrCorruptCheckpoint, name, err)
+	}
+	if len(params) != n {
+		return nil, fmt.Errorf("%w: decoder blob %s holds %d params, want %d", ErrCorruptCheckpoint, name, len(params), n)
+	}
+	if got := codec.Hash(params); got != hash {
+		return nil, fmt.Errorf("%w: decoder blob %s hashes to %016x", ErrCorruptCheckpoint, name, got)
+	}
+	return params, nil
 }
 
 // readChunked reads exactly n bytes, growing the buffer at most
@@ -231,6 +408,13 @@ func appendF32s(b []byte, vs []float32) []byte {
 		b = appendU32(b, math.Float32bits(v))
 	}
 	return b
+}
+
+// appendRef writes a decoder reference: the payload's content hash and
+// its length, never its floats.
+func appendRef(b []byte, hash uint64, params []float32) []byte {
+	b = appendU64(b, hash)
+	return appendU32(b, uint32(len(params)))
 }
 
 func appendInts(b []byte, vs []int) []byte {
@@ -295,8 +479,7 @@ func appendCheckpoint(b []byte, ck *fl.Checkpoint) []byte {
 	for i := range ck.Decoders {
 		d := &ck.Decoders[i]
 		b = appendU32(b, uint32(d.ID))
-		b = appendU64(b, d.Hash)
-		b = appendF32s(b, d.Params)
+		b = appendRef(b, d.Hash, d.Params)
 	}
 	b = appendU32(b, uint32(len(ck.Clients)))
 	for i := range ck.Clients {
@@ -305,7 +488,7 @@ func appendCheckpoint(b []byte, ck *fl.Checkpoint) []byte {
 		b = appendRNG(b, c.RNG)
 		b = appendU32(b, uint32(c.Visible))
 		b = appendU32(b, uint32(c.SinceCVAETrain))
-		b = appendF32s(b, c.Decoder)
+		b = appendRef(b, c.DecoderHash, c.Decoder)
 		b = appendInts(b, c.DecoderClasses)
 	}
 	return b
@@ -318,9 +501,10 @@ func appendCheckpoint(b []byte, ck *fl.Checkpoint) []byte {
 // a payload that passes the CRC (e.g. crafted by a fuzzer) can never
 // make a slice allocation exceed the payload it arrived in.
 type ckDecoder struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	lens blobLens
 }
 
 func (d *ckDecoder) fail(format string, args ...any) {
@@ -482,27 +666,27 @@ func (d *ckDecoder) checkpoint() *fl.Checkpoint {
 			ck.Rounds = append(ck.Rounds, d.record())
 		}
 	}
-	if n := d.count(16); n > 0 { // decoder: id(4) + hash(8) + count(4)
-		ck.Decoders = make([]fl.DecoderState, 0, n)
+	if n := d.count(16); n > 0 { // decoder: id(4) + ref(12)
+		ck.Decoders = make([]fl.DecoderState, n)
+		d.lens.decoders = make([]int, n)
 		for i := 0; i < n && d.err == nil; i++ {
-			ck.Decoders = append(ck.Decoders, fl.DecoderState{
-				ID:     int(d.u32()),
-				Hash:   d.u64(),
-				Params: d.f32s(),
-			})
+			ck.Decoders[i].ID = int(d.u32())
+			ck.Decoders[i].Hash = d.u64()
+			d.lens.decoders[i] = int(d.u32())
 		}
 	}
-	if n := d.count(61); n > 0 { // client: id(4) + rng(41) + 2*4 + 2*4
-		ck.Clients = make([]fl.ClientState, 0, n)
+	if n := d.count(69); n > 0 { // client: id(4) + rng(41) + 2*4 + ref(12) + 4
+		ck.Clients = make([]fl.ClientState, n)
+		d.lens.clients = make([]int, n)
 		for i := 0; i < n && d.err == nil; i++ {
-			ck.Clients = append(ck.Clients, fl.ClientState{
-				ID:             int(d.u32()),
-				RNG:            d.rngState(),
-				Visible:        int(d.u32()),
-				SinceCVAETrain: int(d.u32()),
-				Decoder:        d.f32s(),
-				DecoderClasses: d.ints(),
-			})
+			c := &ck.Clients[i]
+			c.ID = int(d.u32())
+			c.RNG = d.rngState()
+			c.Visible = int(d.u32())
+			c.SinceCVAETrain = int(d.u32())
+			c.DecoderHash = d.u64()
+			d.lens.clients[i] = int(d.u32())
+			c.DecoderClasses = d.ints()
 		}
 	}
 	return ck

@@ -3,8 +3,11 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"fedguard/internal/codec"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 )
@@ -87,6 +90,89 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("re-encode is not a fixed point")
+		}
+	})
+}
+
+// FuzzLoadCheckpointDir hammers the directory reader: the fuzzer supplies
+// the round file's bytes and the bytes of the one blob it references.
+// LoadCheckpoint must return an error or a checkpoint — never panic,
+// never allocate far beyond the two inputs (a blob header or a
+// reference count may claim any length) — and a checkpoint it returns
+// never carries a decoder other than the one its hash names.
+func FuzzLoadCheckpointDir(f *testing.F) {
+	const owner = 3
+	params := []float32{1, 2, 3}
+	ck := &fl.Checkpoint{Strategy: "FedGuard", Round: 1,
+		Rounds:   []fl.RoundRecord{{Round: 1, Report: map[string]float64{}}},
+		Decoders: []fl.DecoderState{{ID: owner, Hash: codec.Hash(params), Params: params}}}
+	var round, blob bytes.Buffer
+	if _, err := WriteCheckpoint(&round, ck); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteWeights(&blob, params); err != nil {
+		f.Fatal(err)
+	}
+	// The hash-valid / hash-invalid pair: the same blob with one float's
+	// low bit flipped must be refused.
+	f.Add(round.Bytes(), blob.Bytes())
+	invalid := append([]byte(nil), blob.Bytes()...)
+	invalid[len(invalid)-1] ^= 0x01
+	f.Add(round.Bytes(), invalid)
+	// A header claiming 1 GiB of floats on a 12-byte file, a short blob,
+	// a missing one, and a garbage round file.
+	var hostile []byte
+	hostile = appendU32(hostile, weightsMagic)
+	hostile = appendU32(hostile, weightsVersion)
+	hostile = appendU32(hostile, 1<<28)
+	f.Add(round.Bytes(), hostile)
+	f.Add(round.Bytes(), blob.Bytes()[:blob.Len()-2])
+	f.Add(round.Bytes(), []byte{})
+	f.Add([]byte{0x43, 0x47, 0x64, 0x46}, blob.Bytes())
+
+	f.Fuzz(func(t *testing.T, roundFile, blobFile []byte) {
+		if len(roundFile) >= 16 {
+			// As in FuzzReadCheckpoint: huge claimed payloads have their
+			// own allocation-bound test.
+			n := binary.LittleEndian.Uint32(roundFile[8:12])
+			if n > uint32(len(roundFile))+64 && n <= maxCheckpointBytes {
+				t.Skip()
+			}
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(CheckpointPath(dir), roundFile, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The blob goes where the round file's first reference looks for
+		// it, so mutated round files keep reaching the blob reader.
+		name := blobName(owner, codec.Hash(params))
+		if refs, err := ReadCheckpoint(bytes.NewReader(roundFile)); err == nil && len(refs.Decoders) > 0 {
+			name = blobName(refs.Decoders[0].ID, refs.Decoders[0].Hash)
+		}
+		if len(blobFile) > 0 {
+			if err := os.WriteFile(filepath.Join(dir, name), blobFile, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := totalAllocBytes()
+		got, err := LoadCheckpoint(dir)
+		// Decoded structs are a few times larger than their encodings;
+		// a claimed length honoured up front would be ≥ 1 GiB.
+		if used, limit := totalAllocBytes()-before, int64(2*allocChunk+64*(len(roundFile)+len(blobFile))+64<<10); used > limit {
+			t.Fatalf("LoadCheckpoint allocated %d bytes on %d+%d input bytes", used, len(roundFile), len(blobFile))
+		}
+		if err != nil {
+			return
+		}
+		for _, d := range got.Decoders {
+			if len(d.Params) > 0 && codec.Hash(d.Params) != d.Hash {
+				t.Fatalf("client %d's decoder does not hash to its reference", d.ID)
+			}
+		}
+		for _, c := range got.Clients {
+			if len(c.Decoder) > 0 && codec.Hash(c.Decoder) != c.DecoderHash {
+				t.Fatalf("client %d's decoder does not hash to its reference", c.ID)
+			}
 		}
 	})
 }

@@ -5,23 +5,28 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"fedguard/internal/codec"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 )
 
 // fullCheckpoint exercises every field of the format: history with
 // drops, wire bytes and reports, decoder cache entries with and without
-// payloads, client snapshots with an armed Gaussian cache.
+// payloads, client snapshots with and without a decoder and with an
+// armed Gaussian cache.
 func fullCheckpoint() *fl.Checkpoint {
 	r := rng.New(42)
 	r.NormFloat64() // arm the Box–Muller cache
+	cached, trained := []float32{1, 2, 3}, []float32{0.125, -8}
 	return &fl.Checkpoint{
 		Round:     2,
 		Seed:      99,
@@ -48,14 +53,29 @@ func fullCheckpoint() *fl.Checkpoint {
 		},
 		Decoders: []fl.DecoderState{
 			{ID: 0, Hash: 0xdeadbeefcafef00d},
-			{ID: 3, Hash: 42, Params: []float32{1, 2, 3}},
+			{ID: 3, Hash: codec.Hash(cached), Params: cached},
 		},
 		Clients: []fl.ClientState{
 			{ID: 0, RNG: rng.New(7).State(), Visible: 30, SinceCVAETrain: 2,
-				Decoder: []float32{0.125, -8}, DecoderClasses: []int{0, 4, 9}},
+				Decoder: trained, DecoderHash: codec.Hash(trained), DecoderClasses: []int{0, 4, 9}},
 			{ID: 1, RNG: rng.New(8).State()},
 		},
 	}
+}
+
+// refsOnly returns ck as its round file alone describes it: every
+// decoder reference keeps its hash and loses its floats.
+func refsOnly(ck *fl.Checkpoint) *fl.Checkpoint {
+	out := *ck
+	out.Decoders = append([]fl.DecoderState(nil), ck.Decoders...)
+	for i := range out.Decoders {
+		out.Decoders[i].Params = nil
+	}
+	out.Clients = append([]fl.ClientState(nil), ck.Clients...)
+	for i := range out.Clients {
+		out.Clients[i].Decoder = nil
+	}
+	return &out
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -72,8 +92,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, ck) {
-		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, ck)
+	// The round file carries references; the floats are SaveCheckpoint's.
+	if want := refsOnly(ck); !reflect.DeepEqual(got, want) {
+		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -92,9 +113,10 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestCheckpointGoldenBytes pins the byte-level format. If this fails,
-// the change breaks every checkpoint on disk: either revert it or bump
-// checkpointVersion and add a migration path.
+// TestCheckpointGoldenBytes pins the round file's byte-level format. If
+// this fails, the change breaks every checkpoint on disk: either revert
+// it or bump checkpointVersion, which makes ReadCheckpoint refuse the
+// older files by name.
 func TestCheckpointGoldenBytes(t *testing.T) {
 	ck := &fl.Checkpoint{
 		Round:    1,
@@ -114,14 +136,14 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 			Sampled: []int{1, 0}, MaliciousSampled: 1, Dropped: []int{0},
 			Report: map[string]float64{"x": 1},
 		}},
-		Decoders: []fl.DecoderState{{ID: 1, Hash: 0xabc, Params: []float32{3}}},
+		Decoders: []fl.DecoderState{{ID: 1, Hash: codec.Hash([]float32{3}), Params: []float32{3}}},
 		Clients: []fl.ClientState{{
 			ID: 1, RNG: rng.State{Hi: 1, Lo: 2, IncHi: 3, IncLo: 5},
 			Visible: 4, SinceCVAETrain: 1,
-			Decoder: []float32{-1}, DecoderClasses: []int{2},
+			Decoder: []float32{-1}, DecoderHash: codec.Hash([]float32{-1}), DecoderClasses: []int{2},
 		}},
 	}
-	const want = "434764460100000025010000b92ba806" + // header: magic, version, len, crc
+	const want = "43476446020000002501000014d8179e" + // header: magic, version, len, crc
 		"0700000000000000" + // seed
 		"01000000" + // round
 		"06000000466564417667" + // strategy "FedAvg"
@@ -135,11 +157,11 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		"01000000" + // malicious sampled
 		"0100000000000000" + // dropped [0]
 		"010000000100000078000000000000f03f" + // report {"x": 1}
-		"01000000" + "01000000bc0a000000000000" + "0100000000004040" + // decoders
+		"01000000" + "01000000" + "dfb7c1b2b9bd63ef" + "01000000" + // decoders: 1 entry, id 1, hash of [3], 1 param
 		"01000000" + "01000000" + // 1 client, id 1
 		"010000000000000002000000000000000300000000000000050000000000000000" + "0000000000000000" + // client rng
 		"0400000001000000" + // visible, sinceCVAETrain
-		"01000000000080bf" + "0100000002000000" // decoder [-1], classes [2]
+		"dfb78154d1bc632f" + "01000000" + "0100000002000000" // hash of [-1], 1 param, classes [2]
 	var buf bytes.Buffer
 	if _, err := WriteCheckpoint(&buf, ck); err != nil {
 		t.Fatal(err)
@@ -153,7 +175,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden checkpoint no longer decodes: %v", err)
 	}
-	if !reflect.DeepEqual(back, ck) {
+	if !reflect.DeepEqual(back, refsOnly(ck)) {
 		t.Fatal("golden checkpoint decodes to different state")
 	}
 }
@@ -178,11 +200,16 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("wrong version", func(t *testing.T) {
-		data := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(data[4:], 99)
-		_, err := ReadCheckpoint(bytes.NewReader(data))
-		if err == nil || errors.Is(err, ErrCorruptCheckpoint) {
-			t.Fatalf("err = %v, want a distinct unsupported-version error", err)
+		// 1 is the retired inline-decoder format: refused by name, not
+		// migrated — no peer holds such a file.
+		for _, version := range []uint32{1, 99} {
+			data := append([]byte(nil), valid...)
+			binary.LittleEndian.PutUint32(data[4:], version)
+			_, err := ReadCheckpoint(bytes.NewReader(data))
+			want := fmt.Sprintf("unsupported checkpoint version %d", version)
+			if err == nil || errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("version %d: err = %v, want %q", version, err, want)
+			}
 		}
 	})
 	t.Run("truncated at every boundary", func(t *testing.T) {
@@ -330,7 +357,7 @@ func TestSaveCheckpointAtomic(t *testing.T) {
 		t.Fatal("torn temporary file disturbed the committed checkpoint")
 	}
 
-	// A completed save replaces it and cleans nothing else up.
+	// A completed save replaces it wholesale.
 	second := fullCheckpoint()
 	second.Round = 3
 	second.Rounds = append(second.Rounds, fl.RoundRecord{Round: 3, Report: map[string]float64{}})

@@ -22,6 +22,8 @@ import (
 const (
 	weightsMagic   = 0x46644757 // "FdGW"
 	weightsVersion = 1
+	// weightsHeaderBytes is magic + version + count.
+	weightsHeaderBytes = 12
 )
 
 // WriteWeights serializes a flat parameter vector to w: magic, version,
@@ -45,31 +47,33 @@ func WriteWeights(w io.Writer, weights []float32) error {
 }
 
 // ReadWeights deserializes a parameter vector written by WriteWeights.
+// The header's count is untrusted: the body is read through readChunked,
+// so a hostile count costs at most allocChunk beyond the bytes actually
+// present before truncation is noticed (a checkpoint directory's decoder
+// blobs are read through here on resume).
 func ReadWeights(r io.Reader) ([]float32, error) {
-	br := bufio.NewReader(r)
-	var magic, version, n uint32
-	for _, dst := range []*uint32{&magic, &version, &n} {
-		if err := binary.Read(br, binary.LittleEndian, dst); err != nil {
-			return nil, fmt.Errorf("persist: reading header: %w", err)
-		}
+	var header [weightsHeaderBytes]byte
+	if _, err := io.ReadFull(r, header[:]); err != nil {
+		return nil, fmt.Errorf("persist: reading header: %w", err)
 	}
-	if magic != weightsMagic {
+	if magic := binary.LittleEndian.Uint32(header[0:]); magic != weightsMagic {
 		return nil, fmt.Errorf("persist: bad magic %#x", magic)
 	}
-	if version != weightsVersion {
+	if version := binary.LittleEndian.Uint32(header[4:]); version != weightsVersion {
 		return nil, fmt.Errorf("persist: unsupported version %d", version)
 	}
+	n := binary.LittleEndian.Uint32(header[8:])
 	const maxParams = 1 << 28 // 1 GiB of float32s; guards corrupt headers
 	if n > maxParams {
 		return nil, fmt.Errorf("persist: implausible parameter count %d", n)
 	}
+	raw, err := readChunked(r, 4*int(n))
+	if err != nil {
+		return nil, fmt.Errorf("persist: reading %d weights: %w", n, err)
+	}
 	out := make([]float32, n)
-	buf := make([]byte, 4)
 	for i := range out {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("persist: reading weight %d: %w", i, err)
-		}
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return out, nil
 }

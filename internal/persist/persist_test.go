@@ -114,6 +114,26 @@ func TestReadWeightsRejectsHugeCount(t *testing.T) {
 	}
 }
 
+// TestReadWeightsAllocBound: a 12-byte header may claim 1 GiB of floats
+// over a near-empty body. The body is read in bounded chunks, so the
+// claim costs at most one chunk before truncation is noticed — decoder
+// blobs in a checkpoint directory are read through here on resume.
+func TestReadWeightsAllocBound(t *testing.T) {
+	var data []byte
+	data = appendU32(data, weightsMagic)
+	data = appendU32(data, weightsVersion)
+	data = appendU32(data, 1<<28)
+	data = append(data, make([]byte, 100)...)
+	before := totalAllocBytes()
+	if _, err := ReadWeights(bytes.NewReader(data)); err == nil {
+		t.Fatal("lying parameter count accepted")
+	}
+	// Same slack policy as TestReadCheckpointAllocBound.
+	if limit := int64(2*allocChunk + 64<<10); totalAllocBytes()-before > limit {
+		t.Fatalf("claimed-1GiB weights file allocated %d bytes; want ≤ %d", totalAllocBytes()-before, limit)
+	}
+}
+
 func TestSaveLoadWeightsFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.fgw")

@@ -125,8 +125,11 @@ type RoundDegraded struct {
 func (RoundDegraded) Kind() string { return "RoundDegraded" }
 
 // CheckpointWritten records one crash-safe checkpoint landing on disk
-// (already fsynced and atomically renamed into place). Seconds is the
-// full persistence cost and also feeds the CheckpointMetric histogram.
+// (already fsynced and atomically renamed into place). Bytes is what
+// this save wrote — the round file plus any decoder payload persisted
+// for the first time — not the size of the checkpoint directory.
+// Seconds is the full persistence cost and also feeds the
+// CheckpointMetric histogram.
 type CheckpointWritten struct {
 	Round   int     `json:"round"`
 	Path    string  `json:"path,omitempty"`
