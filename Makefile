@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
-MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
+MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
 # The wire-layer microbenchmarks (raw vs codec framing and the per-round
 # byte cost), tracked in the same snapshot file.
 WIRE_BENCH = BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$|BenchmarkRoundWireBytes$$
@@ -57,9 +57,11 @@ ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test
 # then hold the scalar matmul and Adam loops to the same bits as the AVX
 # kernels the default build runs. internal/rng and internal/dataset ride
 # along for the skip-draw walk: its bitwise tables and Generate's pinned
-# bytes must not depend on the build either.
+# bytes must not depend on the build either. internal/defense runs the
+# server's view decoders and both audit paths on the scalar forward form
+# (MatMulT against W as stored), which no default build reaches.
 test-purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/loss ./internal/cvae ./internal/classifier ./internal/rng ./internal/dataset
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/loss ./internal/cvae ./internal/classifier ./internal/defense ./internal/rng ./internal/dataset
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
@@ -98,7 +100,9 @@ bench-json:
 # steady-state save that must not re-serialise a decoder: ≤ 1 MB B/op
 # beside 25 MB of referenced payloads), the blocked aggregation kernels,
 # the classifier's train step (its time, and that a second proc does
-# not make it slower), the CVAE's, and a networked client's data
+# not make it slower), the CVAE's, the server's per-round synthesis (its
+# time, and ≤ 3 MiB B/op for sixteen decoders: a decoder copied out of
+# its payload again is 1.69 MB each), and a networked client's data
 # (the skip-draw walk's time, and that it keeps a partition and not the
 # training set). Ceilings are loose (≈2-3× the snapshot numbers) so CI
 # noise passes but a lost fast path or reintroduced per-op allocation
@@ -108,6 +112,7 @@ bench-guard:
 	  $(GO) test -run '^$$' -bench '$(CKPT_BENCH)' -benchmem -benchtime=50x ./internal/persist/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$' -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardSynthesize$$' -benchmem -benchtime=50x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTrainEpochTwoProcs$$' -benchtime=2x . ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json

@@ -23,6 +23,7 @@ import (
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
+	"fedguard/internal/defense"
 	"fedguard/internal/experiment"
 	"fedguard/internal/fl"
 	"fedguard/internal/nn"
@@ -405,6 +406,33 @@ func BenchmarkDecoderGenerate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dec.Generate(z, labels)
+	}
+}
+
+// BenchmarkFedGuardSynthesize is the server's synthesis phase of one
+// default-preset round (Alg. 1 lines 2–4): sixteen uploaded decoder
+// payloads stood up and t = 100 samples spread across them, on a fresh
+// RoundContext per op as every round gets. Its B/op is the tripwire for
+// a decoder being copied again: a view costs nothing, a rebuilt decoder
+// 1.69 MB.
+func BenchmarkFedGuardSynthesize(b *testing.B) {
+	r := rng.New(13)
+	cfg := cvae.SmallConfig()
+	ups := make([]fl.Update, 16)
+	for i := range ups {
+		dec := make([]float32, cvae.DecoderSize(cfg))
+		r.FillNormal(dec, 0, 0.05)
+		ups[i] = fl.Update{ClientID: i, NumSamples: 100, Decoder: dec}
+	}
+	g := defense.NewFedGuard(classifier.Small(), cfg)
+	g.Samples = 100
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := &fl.RoundContext{Round: 1, Updates: ups, RNG: rng.New(uint64(i)), Report: map[string]float64{}}
+		if _, _, err := g.Synthesize(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@
 package cvae
 
 import (
+	"runtime"
 	"testing"
 
 	"fedguard/internal/dataset"
@@ -56,5 +57,29 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state CVAE.Step allocates %.1f per full+tail pair, want 0", allocs)
+	}
+}
+
+// TestNewDecoderAllocatesHeadersOnly pins that standing a decoder up on
+// a payload is free — the property that lets the server build one per
+// client per round instead of caching them. At the default shape a
+// decoder with tensors of its own is 1.69 MB (parameters and gradients
+// for 207 K weights); a view allocates layer and tensor headers, which
+// 64 KB bounds with two orders of magnitude to spare, and takes no
+// generator to draw from.
+func TestNewDecoderAllocatesHeadersOnly(t *testing.T) {
+	cfg := SmallConfig()
+	payload := make([]float32, DecoderSize(cfg))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := NewDecoder(cfg, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 64<<10 {
+		t.Fatalf("NewDecoder allocates %d B, want ≤ 64 KB: is the payload being copied?", perOp)
 	}
 }

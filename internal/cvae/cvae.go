@@ -90,12 +90,13 @@ func New(cfg Config, r *rng.RNG) *CVAE {
 }
 
 func newDecoderNet(cfg Config, r *rng.RNG) *nn.Sequential {
-	return nn.NewSequential(
-		nn.NewLinear(cfg.decIn(), cfg.Hidden, r),
-		nn.NewReLU(),
-		nn.NewLinear(cfg.Hidden, cfg.cond(), r),
-		nn.NewSigmoid(),
-	)
+	return decoderNet(nn.NewLinear(cfg.decIn(), cfg.Hidden, r), nn.NewLinear(cfg.Hidden, cfg.cond(), r))
+}
+
+// decoderNet is the decoder architecture over its two dense layers:
+// (B, decIn) -> (B, cond).
+func decoderNet(hidden, out *nn.Linear) *nn.Sequential {
+	return nn.NewSequential(hidden, nn.NewReLU(), out, nn.NewSigmoid())
 }
 
 // Params returns all learnable parameters (encoder trunk, both heads,
@@ -275,8 +276,8 @@ func DecoderSize(cfg Config) int {
 	return cfg.decIn()*cfg.Hidden + cfg.Hidden + cfg.Hidden*cfg.cond() + cfg.cond()
 }
 
-// Decoder is a standalone conditional decoder, reconstructed server-side
-// from an uploaded parameter vector. It synthesizes validation images
+// Decoder is a standalone conditional decoder, stood up server-side
+// over an uploaded parameter vector. It synthesizes validation images
 // from prior samples and conditioning labels (Alg. 1 line 4).
 type Decoder struct {
 	Cfg Config
@@ -285,18 +286,28 @@ type Decoder struct {
 	decIn, img *tensor.Tensor // Generate scratch, reused across calls
 }
 
-// NewDecoder builds a decoder with the given architecture and loads the
-// flat parameter vector params into it.
+// NewDecoder returns a decoder of the given architecture that is a
+// read-only view of the flat parameter vector params (the layout
+// DecoderParams writes): its layers alias params, nothing is copied or
+// drawn, and Generate never writes it. Standing a decoder up therefore
+// costs a length check, so callers build one per use rather than keep
+// one. params must not be modified while the decoder is in use; several
+// decoders may share one vector and run concurrently.
 func NewDecoder(cfg Config, params []float32) (*Decoder, error) {
-	net := newDecoderNet(cfg, rng.New(0))
-	if err := net.LoadParams(params); err != nil {
-		return nil, fmt.Errorf("cvae: bad decoder payload: %w", err)
+	if want := DecoderSize(cfg); len(params) != want {
+		return nil, fmt.Errorf("cvae: bad decoder payload: length %d, decoder has %d parameters", len(params), want)
 	}
+	in, h, out := cfg.decIn(), cfg.Hidden, cfg.cond()
+	w1, rest := params[:h*in], params[h*in:]
+	b1, rest := rest[:h], rest[h:]
+	w2, b2 := rest[:out*h], rest[out*h:]
+	net := decoderNet(nn.NewLinearView(in, h, w1, b1), nn.NewLinearView(h, out, w2, b2))
 	return &Decoder{Cfg: cfg, net: net}, nil
 }
 
 // DecoderFromCVAE snapshots a trained CVAE's decoder (used in tests and
-// examples that skip serialization).
+// examples that skip serialization): a view of a fresh DecoderParams
+// copy, so further training of m does not show in it.
 func DecoderFromCVAE(m *CVAE) *Decoder {
 	d, err := NewDecoder(m.Cfg, m.DecoderParams())
 	if err != nil {

@@ -1,7 +1,9 @@
 package cvae
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"fedguard/internal/dataset"
@@ -133,25 +135,111 @@ func TestGenerateShapesAndRange(t *testing.T) {
 	}
 }
 
+// copyBuiltGenerate is the reference a view decoder is held to: a
+// decoder network with parameter tensors of its own, the payload copied
+// into them with LoadParams, run on the same conditioned input, image
+// lanes sliced out.
+func copyBuiltGenerate(t *testing.T, cfg Config, payload []float32, z *tensor.Tensor, labels []int) []float32 {
+	t.Helper()
+	net := newDecoderNet(cfg, rng.New(0))
+	if err := net.LoadParams(payload); err != nil {
+		t.Fatal(err)
+	}
+	out := net.Forward(condConcat(nil, z, labels, cfg.Classes), false)
+	var img []float32
+	for i := 0; i < z.Dim(0); i++ {
+		img = append(img, out.Data[i*cfg.cond():i*cfg.cond()+cfg.Input]...)
+	}
+	return img
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: value %d is %v (bits %#x), want %v (bits %#x)",
+				what, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+func latentBatch(r *rng.RNG, cfg Config, b int) (*tensor.Tensor, []int) {
+	z := tensor.New(b, cfg.Latent)
+	r.FillNormal(z.Data, 0, 1)
+	labels := make([]int, b)
+	for i := range labels {
+		labels[i] = r.Intn(cfg.Classes)
+	}
+	return z, labels
+}
+
+// TestDecoderRoundTripThroughPayload: a decoder stood up on an uploaded
+// payload is a view of it — it generates the bits of a copy-built
+// decoder at the batch sizes the server runs (one sample, a stream
+// block of six, seven, the 100-row audit set) on one decoder instance,
+// and never writes the payload.
 func TestDecoderRoundTripThroughPayload(t *testing.T) {
 	r := rng.New(5)
 	cfg := SmallConfig()
-	m := New(cfg, r)
-	payload := m.DecoderParams()
+	payload := New(cfg, r).DecoderParams()
+	before := fnv64a(payload)
 	dec, err := NewDecoder(cfg, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := DecoderFromCVAE(m)
-	z := tensor.New(3, cfg.Latent)
-	r.FillNormal(z.Data, 0, 1)
-	labels := []int{1, 2, 3}
-	a := dec.Generate(z, labels)
-	b := ref.Generate(z, labels)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("payload-reconstructed decoder disagrees with source")
+	for _, b := range []int{1, 6, 7, 100, 6} {
+		z, labels := latentBatch(r, cfg, b)
+		got := dec.Generate(z, labels)
+		if got.Dim(0) != b || got.Dim(1) != cfg.Input {
+			t.Fatalf("batch %d: Generate shape %v", b, got.Shape())
 		}
+		requireSameBits(t, fmt.Sprintf("batch %d", b), got.Data, copyBuiltGenerate(t, cfg, payload, z, labels))
+	}
+	if after := fnv64a(payload); after != before {
+		t.Fatalf("Generate wrote the payload: FNV-64a %#016x, was %#016x", after, before)
+	}
+}
+
+// TestDecodersShareOnePayload runs two decoders over the same payload
+// at once, as the barrier synthesis and a stream audit may: both only
+// read it, so each produces its serial result, and the race detector
+// (make race) has nothing to report.
+func TestDecodersShareOnePayload(t *testing.T) {
+	r := rng.New(6)
+	cfg := SmallConfig()
+	payload := New(cfg, r).DecoderParams()
+	type job struct {
+		z      *tensor.Tensor
+		labels []int
+		want   []float32
+	}
+	jobs := make([]job, 2)
+	for i := range jobs {
+		z, labels := latentBatch(r, cfg, 6+i)
+		jobs[i] = job{z, labels, copyBuiltGenerate(t, cfg, payload, z, labels)}
+	}
+	var wg sync.WaitGroup
+	got := make([][]float32, len(jobs))
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dec, err := NewDecoder(cfg, payload)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for n := 0; n < 20; n++ {
+				got[i] = append(got[i][:0], dec.Generate(j.z, j.labels).Data...)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		requireSameBits(t, fmt.Sprintf("decoder %d", i), got[i], j.want)
 	}
 }
 

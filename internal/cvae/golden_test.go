@@ -28,16 +28,21 @@ func TestGoldenTrain(t *testing.T) {
 	m := New(SmallConfig(), r)
 	loss := m.Train(train, dataset.Range(train.Len()), TrainConfig{Epochs: 3, BatchSize: 32, LR: 1e-3}, r)
 
-	h := fnv.New64a()
-	var b [4]byte
-	for _, v := range m.DecoderParams() {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		h.Write(b[:])
-	}
-	if got := h.Sum64(); got != wantDecoder {
+	if got := fnv64a(m.DecoderParams()); got != wantDecoder {
 		t.Errorf("DecoderParams FNV-64a %#016x, want %#016x", got, wantDecoder)
 	}
 	if got := math.Float64bits(loss); got != wantLoss {
 		t.Errorf("Train loss bits %#016x (%v), want %#016x", got, loss, wantLoss)
 	}
+}
+
+// fnv64a hashes the little-endian bit patterns of v.
+func fnv64a(v []float32) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, f := range v {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }

@@ -1,11 +1,13 @@
 package defense
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
+	"fedguard/internal/codec"
 	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
 	"fedguard/internal/fl"
@@ -272,7 +274,7 @@ func auditDeterminismUpdates(t *testing.T) ([]fl.Update, cvae.Config) {
 			}
 		case i > 0: // noised benign
 			noise := make([]float32, len(w))
-			rng.New(uint64(100 + i)).FillNormal(noise, 0, 0.01)
+			rng.New(uint64(100+i)).FillNormal(noise, 0, 0.01)
 			for j := range w {
 				w[j] += noise[j]
 			}
@@ -347,6 +349,47 @@ func TestFedGuardParallelSynthesizeMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: pixel %d differs: %v vs %v", workers, i, x[i], serialX[i])
 			}
 		}
+	}
+}
+
+// TestFedGuardNeverWritesDecoderPayloads: the server's decoders are
+// views of the uploaded payloads (cvae.NewDecoder), six of them over one
+// shared vector here, so a barrier round and a streamed round — synthesis
+// fanned out over three workers in both — must leave its bits alone and
+// agree with each other.
+func TestFedGuardNeverWritesDecoderPayloads(t *testing.T) {
+	updates, ccfg := auditDeterminismUpdates(t)
+	payload := updates[0].Decoder
+	before := codec.Hash(payload)
+
+	want, wantR := batchRun(t, streamGuard(ccfg, 3), updates, 45)
+	ctx := ctxWith(nil, 45)
+	stream := streamGuard(ccfg, 3).BeginRound(ctx, len(updates))
+	for slot, u := range updates {
+		stream.Submit(slot, u)
+	}
+	ctx.Updates = updates
+	got, err := stream.Finalize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSame(t, "stream vs barrier", got, want, ctx.Report, wantR)
+	if after := codec.Hash(payload); after != before {
+		t.Fatalf("a round wrote the shared decoder payload: hash %016x, was %016x", after, before)
+	}
+}
+
+// TestFedGuardSynthesizeChecksImageShapeFirst: a CVAE whose input is not
+// an ImageH×ImageW image is a configuration error, reported before any
+// decoder is looked at, any draw is made or the t×H×W set is allocated.
+func TestFedGuardSynthesizeChecksImageShapeFirst(t *testing.T) {
+	cfg := cvae.SmallConfig()
+	cfg.Input = 100
+	g := NewFedGuard(classifier.Tiny(), cfg)
+	// The update has no decoder either; the shape error must win.
+	_, _, err := g.Synthesize(ctxWith([]fl.Update{{ClientID: 0}}, 46))
+	if err == nil || !strings.Contains(err.Error(), "does not match 28x28 images") {
+		t.Fatalf("Synthesize with a 100-wide CVAE: %v", err)
 	}
 }
 

@@ -170,6 +170,11 @@ func (g *FedGuard) DetectionStats() (excluded, participated map[int]int) {
 // examples.
 func (g *FedGuard) Synthesize(ctx *fl.RoundContext) (*tensor.Tensor, []int, error) {
 	defer ctx.StartPhase("server.synthesize")()
+	imgSize := g.CVAECfg.Input
+	if imgSize != g.ImageH*g.ImageW {
+		return nil, nil, fmt.Errorf("defense: CVAE input %d does not match %dx%d images",
+			imgSize, g.ImageH, g.ImageW)
+	}
 	decoders, decoderClasses, err := g.activeDecoders(ctx)
 	if err != nil {
 		return nil, nil, err
@@ -196,12 +201,7 @@ func (g *FedGuard) Synthesize(ctx *fl.RoundContext) (*tensor.Tensor, []int, erro
 	// description of D_syn as a pool over all active decoders. Plain mode
 	// assigns round-robin; UseDecoderClasses routes each pair to a decoder
 	// trained on its conditioning class (§VI-B).
-	imgSize := g.CVAECfg.Input
 	x := tensor.New(t, 1, g.ImageH, g.ImageW)
-	if imgSize != g.ImageH*g.ImageW {
-		return nil, nil, fmt.Errorf("defense: CVAE input %d does not match %dx%d images",
-			imgSize, g.ImageH, g.ImageW)
-	}
 	nd := len(decoders)
 	assign := g.assignSamples(labels, nd, decoderClasses)
 	perDec := make([][]int, nd)
@@ -296,9 +296,12 @@ func (g *FedGuard) assignSamples(labels []int, nd int, decoderClasses [][]int) [
 	return assign
 }
 
-// activeDecoders reconstructs the decoders of the round's updates,
+// activeDecoders stands up the decoders of the round's updates,
 // optionally down-sampling to MaxDecoders of them. It returns the
-// decoders alongside each one's claimed class coverage.
+// decoders alongside each one's claimed class coverage. A decoder is a
+// view of its update's payload (cvae.NewDecoder): building one costs a
+// length check, so they are built anew every round and nothing is kept
+// between rounds.
 func (g *FedGuard) activeDecoders(ctx *fl.RoundContext) ([]*cvae.Decoder, [][]int, error) {
 	updates := ctx.Updates
 	order := make([]int, len(updates))

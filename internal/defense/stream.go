@@ -157,10 +157,11 @@ func (g *FedGuard) BeginRound(ctx *fl.RoundContext, m int) fl.RoundStream {
 	return s
 }
 
-// Submit implements fl.RoundStream. Decoder reconstruction happens here,
-// outside the lock, so receiver goroutines pay it off the critical
-// section; any validation error is recorded and later routed through the
-// batch fallback, which reproduces the identical error serially.
+// Submit implements fl.RoundStream. The decoder payload is validated and
+// bound to a view here, outside the lock (it costs a length check; the
+// payload is neither copied nor written); any validation error is
+// recorded and later routed through the batch fallback, which
+// reproduces the identical error serially.
 func (s *AuditStream) Submit(slot int, u fl.Update) {
 	var dec *cvae.Decoder
 	var decErr error

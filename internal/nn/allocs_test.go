@@ -63,3 +63,24 @@ func TestLinearAllocsSteadyState(t *testing.T) {
 		t.Fatalf("steady-state Linear step allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestLinearForwardAllocsAlternatingBatches pins that the forward
+// scratch (output, transposed batch, transposed product) is sized once
+// by the largest batch: a full batch, the epoch's 4-row tail and a full
+// batch again only reshape it.
+func TestLinearForwardAllocsAlternatingBatches(t *testing.T) {
+	r := rng.New(0xa110f)
+	lin := NewLinear(794, 256, r)
+	full, tail := tensor.New(32, 794), tensor.New(4, 794)
+	r.FillNormal(full.Data, 0, 1)
+	r.FillNormal(tail.Data, 0, 1)
+	lin.Forward(full, true)
+	allocs := testing.AllocsPerRun(20, func() {
+		lin.Forward(full, true)
+		lin.Forward(tail, true)
+		lin.Forward(full, true)
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state Linear.Forward at batches 32/4/32 allocates %.1f, want 0", allocs)
+	}
+}

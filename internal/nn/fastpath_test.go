@@ -124,3 +124,70 @@ func TestLinearInputGradOff(t *testing.T) {
 		}
 	}
 }
+
+// TestLinearForwardBitwise holds Forward to its definition — y[i][j] is
+// the sum over k ascending of x[i][k]·W[j][k], one float32 accumulator
+// from +0, plus b[j] — bit for bit, at the dense layers' shapes and every
+// batch size on both sides of a lane group, with half the activations
+// zero as behind a ReLU. The same batch through a NewLinearView over a
+// flat copy of the parameters must give the same bits without writing
+// the flat vector; alternating batch sizes on one layer checks that
+// reshaped scratch carries nothing over.
+func TestLinearForwardBitwise(t *testing.T) {
+	r := rng.New(0xf0a4d)
+	for _, s := range [][2]int{{12, 256}, {256, 794}, {794, 256}, {256, 2}, {256, 64}, {64, 10}} {
+		in, out := s[0], s[1]
+		l := NewLinear(in, out, r)
+		r.FillNormal(l.B.Data, 0, 1)
+		flat := append(append([]float32(nil), l.W.Data...), l.B.Data...)
+		view := NewLinearView(in, out, flat[:out*in], flat[out*in:])
+		for _, b := range []int{32, 1, 3, 4, 6, 7, 8, 9, 31, 33, 100, 4, 32} {
+			x := tensor.New(b, in)
+			r.FillNormal(x.Data, 0, 1)
+			for i := range x.Data {
+				if r.Float64() < 0.5 {
+					x.Data[i] = 0
+				}
+			}
+			want := make([]float32, b*out)
+			for i := 0; i < b; i++ {
+				for j := 0; j < out; j++ {
+					var acc float32
+					for k := 0; k < in; k++ {
+						acc += x.Data[i*in+k] * l.W.Data[j*in+k]
+					}
+					want[i*out+j] = acc + l.B.Data[j]
+				}
+			}
+			for name, layer := range map[string]*Linear{"owned": l, "view": view} {
+				y := layer.Forward(x, false)
+				if y.Dim(0) != b || y.Dim(1) != out {
+					t.Fatalf("%s Linear(%d->%d) batch %d: output shape %v", name, in, out, b, y.Shape())
+				}
+				for i, w := range want {
+					if math.Float32bits(y.Data[i]) != math.Float32bits(w) {
+						t.Fatalf("%s Linear(%d->%d) batch %d: y[%d][%d] = %v (bits %#x), want %v (bits %#x)",
+							name, in, out, b, i/out, i%out, y.Data[i], math.Float32bits(y.Data[i]), w, math.Float32bits(w))
+					}
+				}
+			}
+		}
+		if !bitEqual(flat[:out*in], l.W.Data) || !bitEqual(flat[out*in:], l.B.Data) {
+			t.Fatalf("Linear(%d->%d): a view's Forward wrote its parameters", in, out)
+		}
+	}
+}
+
+// TestLinearViewBackwardPanics pins that a view is inference-only:
+// Backward on it is a programming error with a message that says so,
+// not a nil dereference inside a kernel.
+func TestLinearViewBackwardPanics(t *testing.T) {
+	view := NewLinearView(3, 2, make([]float32, 6), make([]float32, 2))
+	view.Forward(tensor.New(1, 3), false)
+	defer func() {
+		if msg, _ := recover().(string); msg != "nn: Backward on the inference-only view Linear(3->2)" {
+			t.Fatalf("Backward on a view: recovered %q", msg)
+		}
+	}()
+	view.Backward(tensor.New(1, 2))
+}

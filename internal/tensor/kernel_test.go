@@ -161,7 +161,8 @@ func TestKernelEquivalenceSparse(t *testing.T) {
 // sends to the row kernel. The tiles multiply zero operands where the
 // row and scalar kernels skip them; the table proves that is the same
 // bits on finite data, whichever path a product or a worker's row range
-// takes.
+// takes. A third block holds the transposed-batch identity of the dense
+// layers (checkTransposedBatch) at their shapes and batch sizes.
 func TestTileKernelTable(t *testing.T) {
 	defer SetWorkers(Workers())
 	r := rng.New(0x711e5)
@@ -182,6 +183,81 @@ func TestTileKernelTable(t *testing.T) {
 							checkProductForms(t, r, name, m, k, n, zeroFrac)
 						}
 					}
+				}
+			}
+		}
+		// The dense layers' shapes (CVAE decoder and encoder, latent
+		// heads, classifier head) at every batch the system runs: both
+		// sides of a lane group, the 4-row training tail, the audit's
+		// 6-sample blocks and its 100-row set.
+		for _, io := range [][2]int{{12, 256}, {256, 794}, {794, 256}, {256, 2}, {256, 64}, {64, 10}} {
+			for _, fill := range []string{"dense", "sparse", "special"} {
+				w := New(io[1], io[0])
+				fillOperand(r, w.Data, fill)
+				for _, b := range []int{1, 3, 4, 6, 7, 8, 9, 31, 32, 33, 100} {
+					name := fmt.Sprintf("w%d_%d->%d_b%d_%s", workers, io[0], io[1], b, fill)
+					checkTransposedBatch(t, r, name, w, b, fill)
+				}
+			}
+		}
+	}
+}
+
+// fillOperand draws data from N(0,1) and then, by fill: "dense" leaves
+// it; "sparse" zeroes 80 % of it; "special" sprinkles −0 and denormals
+// of both signs over 2 % of it (denormal arithmetic runs on microcode
+// assists: at 30 % the table took five seconds).
+func fillOperand(r *rng.RNG, data []float32, fill string) {
+	specials := []float32{
+		math.Float32frombits(1 << 31),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff),
+	}
+	r.FillNormal(data, 0, 1)
+	for i := range data {
+		switch {
+		case fill == "sparse" && r.Float64() < 0.8:
+			data[i] = 0
+		case fill == "special" && r.Float64() < 0.02:
+			data[i] = specials[r.Intn(len(specials))]
+		}
+	}
+}
+
+// checkTransposedBatch holds the identity nn.Linear's forward pass rests
+// on: for weights w (out, in) and a batch x (b, in) filled like w (see
+// fillOperand), x@wᵀ taken as (w@xᵀ)ᵀ through MatMul — with the batch as
+// it is, and padded with zero lanes to a multiple of 8 as the layer pads
+// it — is MatMulT(x, w) bit for bit, sign of zero included. Both forms
+// sum each output over in ascending from +0; they differ in which
+// operand a kernel tests for zeros (so a sparse wide product takes the
+// row kernel in one form or the other) and in which rows share a tile,
+// which the contract says cannot show.
+func checkTransposedBatch(t *testing.T, r *rng.RNG, name string, w *Tensor, b int, fill string) {
+	t.Helper()
+	out, in := w.Dim(0), w.Dim(1)
+	x := New(b, in)
+	fillOperand(r, x.Data, fill)
+	want := New(b, out)
+	MatMulT(want, x, w)
+	lanes := []int{b}
+	if pad := (b + 7) &^ 7; pad != b {
+		lanes = append(lanes, pad)
+	}
+	for _, bp := range lanes {
+		xT, yT := New(in, bp), New(out, bp)
+		for i := 0; i < b; i++ {
+			for p := 0; p < in; p++ {
+				xT.Data[p*bp+i] = x.Data[i*in+p]
+			}
+		}
+		MatMul(yT, w, xT)
+		for i := 0; i < b; i++ {
+			for j := 0; j < out; j++ {
+				got, want := yT.Data[j*bp+i], want.Data[i*out+j]
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%s lanes=%d: (W@xᵀ)ᵀ[%d][%d] = %v (bits %#x), MatMulT gives %v (bits %#x)",
+						name, bp, i, j, got, math.Float32bits(got), want, math.Float32bits(want))
 				}
 			}
 		}

@@ -42,8 +42,9 @@ const parallelThreshold = 1 << 20
 // HasVectorKernels reports whether the a@b-shaped kernels run on the
 // SIMD path (AVX on amd64). The vector kernels cover the a@b and aᵀ@b
 // forms but not the dot-product-shaped a@bᵀ, so layers use this to
-// decide whether maintaining a transposed-weight scratch — turning
-// MatMulT into the vector-friendly MatMul — pays for itself.
+// decide whether to turn their MatMulT into the vector-friendly MatMul
+// by transposing the smaller operand into scratch: nn.Linear its batch
+// (x@Wᵀ = (W@xᵀ)ᵀ, the same ascending-p sums), nn.Conv2D its filters.
 func HasVectorKernels() bool { return useAVX }
 
 // MatMul computes dst = a @ b for 2-D tensors, where a is (m,k) and b is

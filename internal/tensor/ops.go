@@ -157,8 +157,8 @@ func Transpose(a *Tensor) *Tensor {
 
 // TransposeInto writes the transpose of the 2-D tensor a into dst, which
 // must be shaped (cols, rows). Unlike Transpose it allocates nothing —
-// layers use it to maintain transposed-weight scratch for the vector
-// matmul kernels.
+// nn.Conv2D uses it to maintain its transposed-filter scratch for the
+// vector matmul kernels.
 func TransposeInto(dst, a *Tensor) {
 	if a.Rank() != 2 || dst.Rank() != 2 {
 		panic("tensor: TransposeInto requires rank-2 tensors")
