@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
+.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
 MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
@@ -45,11 +45,12 @@ vet:
 # iteration of every substrate microbenchmark so a broken kernel fails
 # fast even when its unit tests are skipped, the adversary-suite gate,
 # the fault-injection chaos suite, the lossless-codec stack, the
-# crash-recovery kill/resume drill, the distributed-tracing smoke run,
-# bounded fuzz passes over the wire, codec, and checkpoint decoders, the
-# benchmark module's own vet and tests, and the compute substrate again
-# on its scalar kernels.
-ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke
+# crash-recovery kill/resume drill, the command-line gate (flag surfaces
+# and fednode == fedsim), the distributed-tracing smoke run, bounded fuzz
+# passes over the wire, codec, and checkpoint decoders and the server's
+# update edge, the benchmark module's own vet and tests, and the compute
+# substrate again on its scalar kernels.
+ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke
 
 # test-purego reruns the compute substrate with the assembly kernels
 # compiled out. The bitwise kernel tables, the golden FinalWeights in
@@ -167,6 +168,17 @@ test-resume:
 	$(GO) test -race -short -run 'Resume|Checkpoint' ./internal/fl/
 	$(GO) test -race -short -run 'KillResume|CrashPoint|Resume' ./internal/fednet/
 
+# test-cli is the command-line gate: fedsim's and fednode's flag names
+# and defaults are pinned (they are bound from one shared table), the
+# server fednode builds from its flags ends on experiment.Run's weights
+# over loopback, raw and compressed, and examples/networked — which
+# builds its server through the same mapping — vets and links. Race on —
+# the equivalence test drives sixteen concurrent sockets.
+test-cli:
+	$(GO) test -race ./cmd/fedsim/ ./cmd/fednode/
+	$(GO) vet ./examples/networked/
+	$(GO) build -o /dev/null ./examples/networked/
+
 # trace-smoke is the end-to-end distributed-tracing gate: a 3-round
 # 4-client fault-injected federation (one hard straggler) with per-node
 # JSONL span logs, asserting fedtrace reconstructs every round as a
@@ -177,8 +189,9 @@ trace-smoke:
 	$(GO) test -race -run 'Traced' ./internal/fednet/
 
 # fuzz-smoke gives the wire-frame, codec and checkpoint decoders (the
-# round file alone, and a directory with its blob), and the skip-draw
-# dataset walk a bounded randomized beating on every CI run;
+# round file alone, and a directory with its blob), the skip-draw
+# dataset walk, and the server's update edge (arbitrary frames of both
+# dialects into toUpdate) a bounded randomized beating on every CI run;
 # go test -fuzz takes over for longer campaigns.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/wire/
@@ -186,6 +199,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpointDir -fuzztime 10s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzGenerateSubset -fuzztime 10s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz FuzzUpdateEdge -fuzztime 10s ./internal/fednet/
 
 clean:
 	$(GO) clean ./...

@@ -58,32 +58,17 @@ func main() {
 	// (experiment.Setup.Telemetry): its registry collects the per-phase
 	// histograms and final summary gauges for -metrics-out, and its sink
 	// streams events — plus span trees under -trace — into -events.
-	tel := telemetry.New(nil)
-	if *events != "" {
-		sink, err := telemetry.NewFileSink(*events)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "fedbench: event log:", err)
-			}
-		}()
-		tel.Events = sink
+	tel, closeTel, err := (&experiment.CLI{Events: *events, Trace: *trace}).OpenTelemetry("fedbench", "bench", *metricsOut)
+	if err != nil {
+		fatal(err)
 	}
-	if *trace {
-		tel.EnableTracing("bench")
+	defer closeTel()
+	if tel == nil {
+		// RecordResults needs a registry even when nobody asked to see it.
+		tel = telemetry.New(nil)
 	}
 	setup.Telemetry = tel
 	reg := tel.Metrics
-	defer func() {
-		if *metricsOut == "" {
-			return
-		}
-		writeFile(filepath.Dir(*metricsOut), filepath.Base(*metricsOut), func(f *os.File) error {
-			return reg.WriteJSON(f)
-		})
-	}()
 
 	// --- Fig. 4 + Table IV: the scenario × strategy matrix. -------------
 	scenarios := append([]experiment.Scenario{mustScenario("no-attack")},

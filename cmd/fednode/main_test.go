@@ -1,0 +1,121 @@
+package main
+
+import (
+	"flag"
+	"net"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"fedguard/internal/experiment"
+	"fedguard/internal/fednet"
+)
+
+// TestFlagSurface pins fednode's command line: the shared binding must
+// not add, rename, drop or re-default a flag.
+func TestFlagSurface(t *testing.T) {
+	want := map[string]string{
+		"mode": "server", "listen": ":7070", "addr": "127.0.0.1:7070", "id": "0",
+		"preset": "quick", "scenario": "no-attack", "strategy": "FedGuard",
+		"events": "", "debug-addr": "", "compress": "false", "trace": "false",
+		"stream-audit": "false", "agg-workers": "0",
+		"min-clients": "0", "round-timeout": "0s", "io-timeout": "0s", "retries": "0",
+		"register-timeout": "0s", "redial": "0",
+		"checkpoint-dir": "", "checkpoint-every": "1", "resume": "false",
+	}
+	got := map[string]string{}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got[f.Name] = f.DefValue
+		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag names and defaults changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestServerEqualsFedsim holds the server this binary builds from its
+// flags to the simulator: over loopback, against ServeClientOpts clients,
+// raw and compressed, it ends on the weights — and reports the per-round
+// accuracies — experiment.Run produces for the same preset, scenario and
+// strategy. Rounds are trimmed on both sides to keep the test short: one
+// FedGuard round trains every sampled client's CVAE and audits the
+// decoders it uploads; three FedAvg rounds move the delta base off ψ₀.
+func TestServerEqualsFedsim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six quick-preset federations, half of them training CVAEs")
+	}
+	for _, tc := range []struct {
+		scenario, strategy string
+		rounds             int
+	}{
+		{"sign-flip-50", "FedGuard", 1},
+		{"no-attack", "FedAvg", 3},
+	} {
+		t.Run(tc.scenario+"/"+tc.strategy, func(t *testing.T) {
+			setup := experiment.MustSetup(experiment.PresetQuick)
+			setup.Rounds = tc.rounds
+			sc, err := experiment.ScenarioByID(tc.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := experiment.Run(setup, sc, tc.strategy, experiment.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, compress := range []string{"false", "true"} {
+				args := map[string]string{"preset": "quick", "scenario": tc.scenario, "strategy": tc.strategy, "compress": compress}
+				for name, value := range args {
+					if err := flag.Set(name, value); err != nil {
+						t.Fatal(err)
+					}
+				}
+				setup, cfg, strat, err := serverConfig()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Experiment.Rounds = tc.rounds
+				srv, err := fednet.NewServer(cfg, setup.TestData(), strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				for id := 0; id < setup.NumClients; id++ {
+					wg.Add(1)
+					go func(id int) {
+						defer wg.Done()
+						conn, err := net.Dial("tcp", ln.Addr().String())
+						if err != nil {
+							t.Errorf("client %d: %v", id, err)
+							return
+						}
+						defer conn.Close()
+						if err := fednet.ServeClientOpts(conn, id, fednet.ClientOptions{Compress: cfg.Compress}); err != nil {
+							t.Errorf("client %d: %v", id, err)
+						}
+					}(id)
+				}
+				h, err := srv.Run(ln, nil)
+				ln.Close()
+				wg.Wait()
+				if err != nil {
+					t.Fatalf("fednode %v: %v", args, err)
+				}
+				for i, rec := range h.Rounds {
+					if rec.TestAccuracy != sim.History.Rounds[i].TestAccuracy {
+						t.Fatalf("fednode %v round %d: accuracy %v, fedsim %v", args, i+1,
+							rec.TestAccuracy, sim.History.Rounds[i].TestAccuracy)
+					}
+				}
+				if !reflect.DeepEqual(h.FinalWeights, sim.History.FinalWeights) {
+					t.Fatalf("fednode %v: final weights differ from fedsim's", args)
+				}
+			}
+		})
+	}
+}

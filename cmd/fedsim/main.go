@@ -30,48 +30,33 @@ import (
 	"fedguard/internal/telemetry"
 )
 
+// The command line: cli holds the flags fedsim shares with fednode.
+var (
+	cli       = experiment.BindFlags(flag.CommandLine, experiment.PresetDefault)
+	serverLR  = flag.Float64("server-lr", 0, "override server learning rate (0 = preset value)")
+	seed      = flag.Uint64("seed", 0, "override experiment seed (0 = preset value)")
+	rounds    = flag.Int("rounds", 0, "override round count (0 = preset value)")
+	samples   = flag.Int("samples", 0, "override FedGuard synthetic sample count t (0 = preset value)")
+	workers   = flag.Int("workers", 0, "concurrent client trainers (0 = GOMAXPROCS)")
+	csv       = flag.Bool("csv", false, "emit the per-round accuracy series as CSV on stdout")
+	confusion = flag.Bool("confusion", false, "print the final model's confusion matrix on the test set")
+	save      = flag.String("save", "", "write the final global model checkpoint to this path")
+	list      = flag.Bool("list", false, "list scenarios and strategies, then exit")
+
+	matrix           = flag.Bool("matrix", false, "sweep an attack×strategy grid instead of a single run")
+	matrixWorkers    = flag.Int("matrix-workers", 1, "concurrent matrix cells (results identical at any value)")
+	matrixScenarios  = flag.String("matrix-scenarios", "", "comma-separated scenario IDs for -matrix (default: the adversary-suite grid)")
+	matrixStrategies = flag.String("matrix-strategies", "", "comma-separated strategies for -matrix (default: FedAvg,Krum,FedGuard)")
+	matrixCSV        = flag.String("matrix-csv", "", "write the -matrix results as deterministic long-form CSV to this path")
+	matrixJSON       = flag.String("matrix-json", "", "write the -matrix results as JSON to this path")
+
+	metricsOut = flag.String("metrics-out", "", "write a JSON metrics snapshot to this path on exit")
+)
+
 func main() {
-	var (
-		preset    = flag.String("preset", "default", "experiment scale: quick, default, paper")
-		scenario  = flag.String("scenario", "no-attack", "attack scenario (see -list)")
-		strategy  = flag.String("strategy", "FedGuard", "aggregation strategy (see -list)")
-		serverLR  = flag.Float64("server-lr", 0, "override server learning rate (0 = preset value)")
-		seed      = flag.Uint64("seed", 0, "override experiment seed (0 = preset value)")
-		rounds    = flag.Int("rounds", 0, "override round count (0 = preset value)")
-		samples   = flag.Int("samples", 0, "override FedGuard synthetic sample count t (0 = preset value)")
-		workers   = flag.Int("workers", 0, "concurrent client trainers (0 = GOMAXPROCS)")
-		aggWork   = flag.Int("agg-workers", 0, "aggregation-kernel parallelism (0 = tensor pool default; results identical at any value)")
-		streamAud = flag.Bool("stream-audit", false, "audit each update as it lands instead of after the round barrier (bit-identical results)")
-		ckptDir   = flag.String("checkpoint-dir", "", "persist a crash-safe run checkpoint to this directory after each round: checkpoint.fgc rewritten per round, one write-once dec-<client>-<hash>.fgw per trained decoder; stale dec-* files there are pruned")
-		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in rounds (with -checkpoint-dir)")
-		resume    = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir (cold start if absent)")
-		csv       = flag.Bool("csv", false, "emit the per-round accuracy series as CSV on stdout")
-		confusion = flag.Bool("confusion", false, "print the final model's confusion matrix on the test set")
-		save      = flag.String("save", "", "write the final global model checkpoint to this path")
-		list      = flag.Bool("list", false, "list scenarios and strategies, then exit")
-
-		matrix           = flag.Bool("matrix", false, "sweep an attack×strategy grid instead of a single run")
-		matrixWorkers    = flag.Int("matrix-workers", 1, "concurrent matrix cells (results identical at any value)")
-		matrixScenarios  = flag.String("matrix-scenarios", "", "comma-separated scenario IDs for -matrix (default: the adversary-suite grid)")
-		matrixStrategies = flag.String("matrix-strategies", "", "comma-separated strategies for -matrix (default: FedAvg,Krum,FedGuard)")
-		matrixCSV        = flag.String("matrix-csv", "", "write the -matrix results as deterministic long-form CSV to this path")
-		matrixJSON       = flag.String("matrix-json", "", "write the -matrix results as JSON to this path")
-
-		events     = flag.String("events", "", "write a structured JSONL event log to this path")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address (e.g. 127.0.0.1:6060)")
-		metricsOut = flag.String("metrics-out", "", "write a JSON metrics snapshot to this path on exit")
-		trace      = flag.Bool("trace", false, "record span trees (run → round → client/aggregate phases), exported into the -events log; analyze with fedtrace")
-	)
 	flag.Parse()
-
-	if *resume && *ckptDir == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint-dir"))
-	}
-	if *ckptEvery < 0 {
-		fatal(fmt.Errorf("-checkpoint-every = %d", *ckptEvery))
-	}
-	if *aggWork < 0 {
-		fatal(fmt.Errorf("-agg-workers = %d", *aggWork))
+	if err := cli.Validate(); err != nil {
+		fatal(err)
 	}
 
 	if *list {
@@ -84,7 +69,7 @@ func main() {
 		return
 	}
 
-	setup, err := experiment.NewSetup(experiment.Preset(*preset))
+	setup, err := experiment.NewSetup(experiment.Preset(cli.Preset))
 	if err != nil {
 		fatal(err)
 	}
@@ -101,71 +86,43 @@ func main() {
 		if *matrixWorkers < 1 {
 			fatal(fmt.Errorf("-matrix-workers = %d", *matrixWorkers))
 		}
-		tel, cleanup, err := setupTelemetry(*events, *debugAddr, *metricsOut)
+		tel, cleanup, err := cli.OpenTelemetry("fedsim", "sim", *metricsOut)
 		if err != nil {
 			fatal(err)
 		}
 		defer cleanup()
-		runMatrixCLI(setup, matrixOpts{
-			workers:     *matrixWorkers,
-			scenarios:   *matrixScenarios,
-			strategies:  *matrixStrategies,
-			csvPath:     *matrixCSV,
-			jsonPath:    *matrixJSON,
-			serverLR:    *serverLR,
-			seed:        *seed,
-			aggWorkers:  *aggWork,
-			streamAudit: *streamAud,
-			tel:         tel,
-		})
+		runMatrixCLI(setup, tel)
 		return
 	}
 
-	sc, err := experiment.ScenarioByID(*scenario)
+	sc, err := experiment.ScenarioByID(cli.Scenario)
 	if err != nil {
 		fatal(err)
 	}
 
 	fmt.Fprintf(os.Stderr, "fedsim: preset=%s scenario=%s strategy=%s clients=%d m=%d rounds=%d arch=%s\n",
-		*preset, sc.ID, *strategy, setup.NumClients, setup.PerRound, setup.Rounds, setup.ArchName)
+		cli.Preset, sc.ID, cli.Strategy, setup.NumClients, setup.PerRound, setup.Rounds, setup.ArchName)
 
-	tel, cleanup, err := setupTelemetry(*events, *debugAddr, *metricsOut)
+	tel, cleanup, err := cli.OpenTelemetry("fedsim", "sim", *metricsOut)
 	if err != nil {
 		fatal(err)
 	}
 	defer cleanup()
-	if *trace {
-		if tel == nil {
-			tel = telemetry.New(nil)
-		}
-		if *events == "" {
-			fmt.Fprintln(os.Stderr,
-				"fedsim: -trace without -events feeds the phase histograms only; add -events to export spans for fedtrace")
-		}
-		tel.EnableTracing("sim")
-	}
 
-	res, err := experiment.Run(setup, sc, *strategy, experiment.RunOptions{
-		ServerLR:        *serverLR,
-		Seed:            *seed,
-		Telemetry:       tel,
-		StreamAudit:     *streamAud,
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: *ckptEvery,
-		Resume:          *resume,
-		AggWorkers:      *aggWork,
-		OnRound: func(rec fl.RoundRecord) {
-			fmt.Fprintf(os.Stderr, "round %3d  acc=%.4f  malicious-sampled=%d/%d  %.2fs",
-				rec.Round, rec.TestAccuracy, rec.MaliciousSampled, len(rec.Sampled), rec.Seconds)
-			if v, ok := rec.Report[fl.ReportFedGuardExcluded]; ok {
-				fmt.Fprintf(os.Stderr, "  excluded=%d", int(v))
-			}
-			if v, ok := rec.Report[fl.ReportSpectralExcluded]; ok {
-				fmt.Fprintf(os.Stderr, "  excluded=%d", int(v))
-			}
-			fmt.Fprintln(os.Stderr)
-		},
-	})
+	opts := cli.Run
+	opts.ServerLR, opts.Seed, opts.Telemetry = *serverLR, *seed, tel
+	opts.OnRound = func(rec fl.RoundRecord) {
+		fmt.Fprintf(os.Stderr, "round %3d  acc=%.4f  malicious-sampled=%d/%d  %.2fs",
+			rec.Round, rec.TestAccuracy, rec.MaliciousSampled, len(rec.Sampled), rec.Seconds)
+		if v, ok := rec.Report[fl.ReportFedGuardExcluded]; ok {
+			fmt.Fprintf(os.Stderr, "  excluded=%d", int(v))
+		}
+		if v, ok := rec.Report[fl.ReportSpectralExcluded]; ok {
+			fmt.Fprintf(os.Stderr, "  excluded=%d", int(v))
+		}
+		fmt.Fprintln(os.Stderr)
+	}
+	res, err := experiment.Run(setup, sc, cli.Strategy, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -184,7 +141,7 @@ func main() {
 			func(r *experiment.Result) string { return r.Strategy })
 	}
 	if *confusion {
-		_, test, _ := setup.Data()
+		test := setup.TestData()
 		idx := make([]int, test.Len())
 		for i := range idx {
 			idx[i] = i
@@ -206,27 +163,14 @@ func main() {
 	}
 }
 
-type matrixOpts struct {
-	workers     int
-	scenarios   string
-	strategies  string
-	csvPath     string
-	jsonPath    string
-	serverLR    float64
-	seed        uint64
-	aggWorkers  int
-	streamAudit bool
-	tel         *telemetry.T
-}
-
 // runMatrixCLI resolves the grid from the flag values and executes the
 // sweep, printing the pivot table on stdout and writing the optional
 // CSV/JSON artifacts.
-func runMatrixCLI(setup experiment.Setup, o matrixOpts) {
+func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
 	scenarios := experiment.MatrixScenarios()
-	if o.scenarios != "" {
+	if *matrixScenarios != "" {
 		scenarios = scenarios[:0]
-		for _, id := range strings.Split(o.scenarios, ",") {
+		for _, id := range strings.Split(*matrixScenarios, ",") {
 			sc, err := experiment.ScenarioByID(strings.TrimSpace(id))
 			if err != nil {
 				fatal(err)
@@ -235,24 +179,24 @@ func runMatrixCLI(setup experiment.Setup, o matrixOpts) {
 		}
 	}
 	strategies := []string{"FedAvg", "Krum", "FedGuard"}
-	if o.strategies != "" {
+	if *matrixStrategies != "" {
 		strategies = strategies[:0]
-		for _, s := range strings.Split(o.strategies, ",") {
+		for _, s := range strings.Split(*matrixStrategies, ",") {
 			strategies = append(strategies, strings.TrimSpace(s))
 		}
 	}
 
 	fmt.Fprintf(os.Stderr, "fedsim: matrix %d scenarios × %d strategies, %d worker(s)\n",
-		len(scenarios), len(strategies), o.workers)
+		len(scenarios), len(strategies), *matrixWorkers)
 	cells, err := experiment.RunAttackMatrix(setup,
 		experiment.MatrixSpec{Scenarios: scenarios, Strategies: strategies},
 		experiment.MatrixOptions{
-			Workers:     o.workers,
-			ServerLR:    o.serverLR,
-			Seed:        o.seed,
-			AggWorkers:  o.aggWorkers,
-			StreamAudit: o.streamAudit,
-			Telemetry:   o.tel,
+			Workers:     *matrixWorkers,
+			ServerLR:    *serverLR,
+			Seed:        *seed,
+			AggWorkers:  cli.Run.AggWorkers,
+			StreamAudit: cli.Run.StreamAudit,
+			Telemetry:   tel,
 			Progress:    os.Stderr,
 		})
 	if err != nil {
@@ -260,21 +204,21 @@ func runMatrixCLI(setup experiment.Setup, o matrixOpts) {
 	}
 	fmt.Print(experiment.FormatMatrixTable(cells))
 
-	if o.csvPath != "" {
-		if err := writeFileWith(o.csvPath, func(w *os.File) error {
+	if *matrixCSV != "" {
+		if err := writeFileWith(*matrixCSV, func(w *os.File) error {
 			return experiment.WriteMatrixCSV(w, cells)
 		}); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "fedsim: matrix CSV written to %s\n", o.csvPath)
+		fmt.Fprintf(os.Stderr, "fedsim: matrix CSV written to %s\n", *matrixCSV)
 	}
-	if o.jsonPath != "" {
-		if err := writeFileWith(o.jsonPath, func(w *os.File) error {
+	if *matrixJSON != "" {
+		if err := writeFileWith(*matrixJSON, func(w *os.File) error {
 			return experiment.WriteMatrixJSON(w, cells)
 		}); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "fedsim: matrix JSON written to %s\n", o.jsonPath)
+		fmt.Fprintf(os.Stderr, "fedsim: matrix JSON written to %s\n", *matrixJSON)
 	}
 }
 
@@ -288,56 +232,6 @@ func writeFileWith(path string, fn func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// setupTelemetry assembles the run's observability from the three
-// flags: a JSONL event log, a debug HTTP listener, and a JSON metrics
-// snapshot written at exit. All three disabled returns a nil *T, which
-// keeps every instrumentation call in the hot path a no-op.
-func setupTelemetry(events, debugAddr, metricsOut string) (*telemetry.T, func(), error) {
-	if events == "" && debugAddr == "" && metricsOut == "" {
-		return nil, func() {}, nil
-	}
-	tel := telemetry.New(nil)
-	var closers []func()
-	if events != "" {
-		sink, err := telemetry.NewFileSink(events)
-		if err != nil {
-			return nil, nil, err
-		}
-		tel.Events = sink
-		closers = append(closers, func() {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "fedsim: event log:", err)
-			}
-		})
-	}
-	if debugAddr != "" {
-		ds, err := telemetry.ServeDebug(debugAddr, tel.Metrics)
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Fprintf(os.Stderr, "fedsim: debug endpoints on http://%s/\n", ds.Addr())
-		closers = append(closers, func() { ds.Close() })
-	}
-	if metricsOut != "" {
-		closers = append(closers, func() {
-			f, err := os.Create(metricsOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fedsim: metrics snapshot:", err)
-				return
-			}
-			defer f.Close()
-			if err := tel.Metrics.WriteJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "fedsim: metrics snapshot:", err)
-			}
-		})
-	}
-	return tel, func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}, nil
 }
 
 func fatal(err error) {

@@ -19,12 +19,9 @@ import (
 	"net"
 	"sync"
 
-	"fedguard/internal/dataset"
-	"fedguard/internal/defense"
 	"fedguard/internal/experiment"
 	"fedguard/internal/fednet"
 	"fedguard/internal/fl"
-	"fedguard/internal/rng"
 )
 
 func main() {
@@ -35,33 +32,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	guard := defense.NewFedGuard(setup.Arch, setup.CVAE)
-	guard.Samples = setup.Samples
+	guard, err := experiment.NewStrategy("FedGuard", setup)
+	if err != nil {
+		log.Fatal(err)
+	}
 
+	// The federation shape and the data seeds come from the mapping
+	// experiment.Run itself starts from, so this is fedsim's computation.
 	cfg := fednet.Config{
-		Experiment: fl.FederationConfig{
-			NumClients:        setup.NumClients,
-			PerRound:          setup.PerRound,
-			Rounds:            setup.Rounds,
-			Alpha:             setup.Alpha,
-			ServerLR:          1,
-			MaliciousFraction: sc.MaliciousFraction,
-			Client: fl.ClientConfig{
-				Arch: setup.Arch, Train: setup.Train,
-				CVAE: setup.CVAE, CVAETrain: setup.CVAETrain, NumClasses: 10,
-			},
-			TestSubset: setup.TestSubset,
-			Seed:       setup.Seed,
-		},
+		Experiment: setup.Federation(sc),
 		AttackName: sc.Attack,
 		ArchName:   setup.ArchName,
-		DataSeed:   rng.DeriveSeed(setup.Seed, "traindata", 0),
+		DataSeed:   setup.TrainDataSeed(),
 		TrainSize:  setup.TrainSize,
 	}
-	test := dataset.Generate(setup.TestSize, dataset.DefaultGenOptions(),
-		rng.New(rng.DeriveSeed(setup.Seed, "testdata", 0)))
-
-	srv, err := fednet.NewServer(cfg, test, guard)
+	srv, err := fednet.NewServer(cfg, setup.TestData(), guard)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +66,7 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if err := fednet.RunClient(ln.Addr().String(), id); err != nil {
+			if err := fednet.RunClient(ln.Addr().String(), id, fednet.ClientOptions{}); err != nil {
 				log.Printf("client %d: %v", id, err)
 			}
 		}(id)

@@ -84,39 +84,18 @@ func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Resul
 	}
 	train, test, _ := setup.Data()
 
-	serverLR := setup.ServerLR
+	cfg := setup.Federation(sc)
 	if opts.ServerLR > 0 {
-		serverLR = opts.ServerLR
+		cfg.ServerLR = opts.ServerLR
 	}
-	seed := setup.Seed
 	if opts.Seed != 0 {
-		seed = opts.Seed
+		cfg.Seed = opts.Seed
 	}
-	tel := opts.Telemetry
-	if tel == nil {
-		tel = setup.Telemetry
+	if opts.Telemetry != nil {
+		cfg.Telemetry = opts.Telemetry
 	}
-	cfg := fl.FederationConfig{
-		NumClients:        setup.NumClients,
-		PerRound:          setup.PerRound,
-		Rounds:            setup.Rounds,
-		Alpha:             setup.Alpha,
-		ServerLR:          serverLR,
-		MaliciousFraction: sc.MaliciousFraction,
-		Client: fl.ClientConfig{
-			Arch:       setup.Arch,
-			Train:      setup.Train,
-			CVAE:       setup.CVAE,
-			CVAETrain:  setup.CVAETrain,
-			NumClasses: 10,
-		},
-		Workers:     setup.Workers,
-		AggWorkers:  opts.AggWorkers,
-		TestSubset:  setup.TestSubset,
-		Seed:        seed,
-		Telemetry:   tel,
-		StreamAudit: opts.StreamAudit,
-	}
+	cfg.AggWorkers = opts.AggWorkers
+	cfg.StreamAudit = opts.StreamAudit
 	if sc.MaliciousFraction > 0 {
 		cfg.Attack = att
 	}
@@ -131,32 +110,25 @@ func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	var h *fl.History
+	// A resume-requested run with nothing written yet starts cold.
+	var ck *fl.Checkpoint
 	if opts.Resume {
 		if opts.CheckpointDir == "" {
 			return nil, fmt.Errorf("experiment: Resume requires CheckpointDir")
 		}
-		ck, err := persist.LoadCheckpoint(opts.CheckpointDir)
-		switch {
-		case errors.Is(err, persist.ErrNoCheckpoint):
-			// Nothing written yet: a resume-requested run starts cold.
-			h, err = fed.Run(strat, opts.OnRound)
-			if err != nil {
-				return nil, err
-			}
-		case err != nil:
+		ck, err = persist.LoadCheckpoint(opts.CheckpointDir)
+		if err != nil && !errors.Is(err, persist.ErrNoCheckpoint) {
 			return nil, fmt.Errorf("experiment: loading checkpoint: %w", err)
-		default:
-			h, err = fed.Resume(strat, ck, opts.OnRound)
-			if err != nil {
-				return nil, err
-			}
 		}
+	}
+	var h *fl.History
+	if ck != nil {
+		h, err = fed.Resume(strat, ck, opts.OnRound)
 	} else {
 		h, err = fed.Run(strat, opts.OnRound)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Scenario: sc, Strategy: strategyName, History: h, LastN: setup.LastN}, nil
 }

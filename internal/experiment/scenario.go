@@ -7,7 +7,6 @@ import (
 	"fedguard/internal/attack"
 	"fedguard/internal/defense"
 	"fedguard/internal/fl"
-	"fedguard/internal/rng"
 )
 
 // Scenario is one attack configuration of the paper's §IV-B or of the
@@ -15,10 +14,7 @@ import (
 type Scenario struct {
 	// ID is a stable slug ("sign-flip-50").
 	ID string
-	// Attack names the attack. The registry NewAttack resolves — the
-	// full set of valid values — is: "none", "same-value", "sign-flip",
-	// "additive-noise", "label-flip", "scaled-boost", "alie", "ipm",
-	// "min-max", "decoder-forge".
+	// Attack names the attack; AttackNames lists the valid values.
 	Attack string
 	// MaliciousFraction of the client population runs the attack.
 	MaliciousFraction float64
@@ -80,43 +76,14 @@ func TableIVScenarios() []Scenario {
 	return out
 }
 
-// NewAttack instantiates the named attack. The seed pins the colluding
-// additive-noise vector. The noise stddev (0.5) is large relative to
-// typical weight magnitudes, matching the paper's devastating effect on
-// FedAvg.
+// NewAttack instantiates the named attack from the attack registry for a
+// run with the given experiment seed.
 func NewAttack(name string, seed uint64) (attack.Attack, error) {
-	switch name {
-	case "none", "":
-		return attack.None{}, nil
-	case "same-value":
-		return attack.NewSameValue(), nil
-	case "sign-flip":
-		return attack.NewSignFlip(), nil
-	case "additive-noise":
-		return attack.NewAdditiveNoise(0.5, rng.DeriveSeed(seed, "noise", 0)), nil
-	case "label-flip":
-		return attack.NewLabelFlip(), nil
-	case "scaled-boost":
-		return attack.NewScaledBoost(attack.DefaultBoostLambda), nil
-	case "alie":
-		return attack.NewALIE(), nil
-	case "ipm":
-		return attack.NewIPM(), nil
-	case "min-max":
-		return attack.NewMinMax(""), nil
-	case "decoder-forge":
-		return attack.NewDecoderForge(), nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown attack %q", name)
-	}
+	return attack.ByName(name, attack.CollusionSeed(seed))
 }
 
 // AttackNames lists every attack NewAttack resolves, in registry order.
-func AttackNames() []string {
-	return []string{"none", "same-value", "sign-flip", "additive-noise",
-		"label-flip", "scaled-boost", "alie", "ipm", "min-max",
-		"decoder-forge"}
-}
+func AttackNames() []string { return attack.Names() }
 
 // MatrixScenarios returns the default attack×strategy sweep rows: one
 // static attack and the three adaptive/colluding attacks, the grid the

@@ -11,10 +11,10 @@ import (
 
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
+	"fedguard/internal/dataset"
+	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
-
-	"fedguard/internal/dataset"
 )
 
 // Preset selects an experiment scale.
@@ -118,13 +118,50 @@ func MustSetup(p Preset) Setup {
 	return s
 }
 
+// TrainDataSeed seeds the setup's training stream. Data draws from it
+// and a networked run hands it to its clients, so every deployment of a
+// (preset, seed) pair sees the same data.
+func (s Setup) TrainDataSeed() uint64 { return s.Seed ^ 0x7261696e } // "rain"
+
+// TestData renders the held-out set alone — all of the data a networked
+// server needs, which evaluates and leaves training to its clients.
+func (s Setup) TestData() *dataset.Dataset {
+	return dataset.Generate(s.TestSize, dataset.DefaultGenOptions(), rng.New(s.Seed^0x74657374)) // "test"
+}
+
 // Data materializes the setup's train, test and auxiliary datasets. The
 // streams are decoupled so every (preset, seed) pair always sees the same
 // data regardless of which strategies run.
 func (s Setup) Data() (train, test, aux *dataset.Dataset) {
 	opts := dataset.DefaultGenOptions()
-	train = dataset.Generate(s.TrainSize, opts, rng.New(s.Seed^0x7261696e)) // "rain"
-	test = dataset.Generate(s.TestSize, opts, rng.New(s.Seed^0x74657374))   // "test"
-	aux = dataset.Generate(s.AuxSize, opts, rng.New(s.Seed^0x617578))       // "aux"
+	train = dataset.Generate(s.TrainSize, opts, rng.New(s.TrainDataSeed()))
+	test = s.TestData()
+	aux = dataset.Generate(s.AuxSize, opts, rng.New(s.Seed^0x617578)) // "aux"
 	return train, test, aux
+}
+
+// Federation is the one mapping from a setup and a scenario onto the
+// round engine's configuration: Run starts from it in-process, and a
+// networked server puts it in fednet.Config.Experiment. The attack
+// instance and what a single run overrides are the caller's to fill in.
+func (s Setup) Federation(sc Scenario) fl.FederationConfig {
+	return fl.FederationConfig{
+		NumClients:        s.NumClients,
+		PerRound:          s.PerRound,
+		Rounds:            s.Rounds,
+		Alpha:             s.Alpha,
+		ServerLR:          s.ServerLR,
+		MaliciousFraction: sc.MaliciousFraction,
+		Client: fl.ClientConfig{
+			Arch:       s.Arch,
+			Train:      s.Train,
+			CVAE:       s.CVAE,
+			CVAETrain:  s.CVAETrain,
+			NumClasses: 10,
+		},
+		Workers:    s.Workers,
+		TestSubset: s.TestSubset,
+		Seed:       s.Seed,
+		Telemetry:  s.Telemetry,
+	}
 }

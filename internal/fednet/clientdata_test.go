@@ -8,42 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"fedguard/internal/attack"
 	"fedguard/internal/dataset"
-	"fedguard/internal/experiment"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 	"fedguard/internal/wire"
 )
-
-// quickConfig is the quick experiment preset as a networked Config.
-func quickConfig(t *testing.T) Config {
-	t.Helper()
-	setup, err := experiment.NewSetup(experiment.Preset("quick"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Config{
-		Experiment: fl.FederationConfig{
-			NumClients: setup.NumClients,
-			PerRound:   setup.PerRound,
-			Rounds:     setup.Rounds,
-			Alpha:      setup.Alpha,
-			ServerLR:   setup.ServerLR,
-			Client: fl.ClientConfig{
-				Arch:       setup.Arch,
-				Train:      setup.Train,
-				CVAE:       setup.CVAE,
-				CVAETrain:  setup.CVAETrain,
-				NumClasses: 10,
-			},
-			TestSubset: setup.TestSubset,
-			Seed:       setup.Seed,
-		},
-		ArchName:  setup.ArchName,
-		DataSeed:  rng.DeriveSeed(setup.Seed, "traindata", 0),
-		TrainSize: setup.TrainSize,
-	}
-}
 
 // TestBuildClientMatchesFullDatasetClient holds the compact-index remap
 // to the in-process client: for a benign, a label-flip and a
@@ -54,7 +24,7 @@ func quickConfig(t *testing.T) Config {
 // included, two rounds running. PoisonData, PoisonCVAEData and classesOf
 // all walk those indices.
 func TestBuildClientMatchesFullDatasetClient(t *testing.T) {
-	cfg := quickConfig(t)
+	cfg := quickConfig()
 	full := dataset.Generate(cfg.TrainSize, dataset.DefaultGenOptions(), rng.New(cfg.DataSeed))
 	parts := fl.Partition(full, cfg.Experiment)
 	global := fl.InitialGlobal(cfg.Experiment)
@@ -71,7 +41,7 @@ func TestBuildClientMatchesFullDatasetClient(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			att, err := NewAttackByName(attackName, setup.AttackSeed)
+			att, err := attack.ByName(attackName, setup.AttackSeed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,7 +44,7 @@ func runLoopbackErr(t *testing.T, cfg Config, strategy fl.Strategy, test *datase
 				return
 			}
 			defer conn.Close()
-			ServeClient(conn, id)
+			ServeClientOpts(conn, id, ClientOptions{})
 		}(id)
 	}
 	h, err := srv.Run(ln, nil)
@@ -58,7 +58,7 @@ func inProcess(t *testing.T, cfg Config, strategy fl.Strategy, test *dataset.Dat
 	t.Helper()
 	inCfg := cfg.Experiment
 	inCfg.StreamAudit = cfg.StreamAudit
-	att, err := NewAttackByName(cfg.AttackName, rng.DeriveSeed(inCfg.Seed, "noise", 0))
+	att, err := attack.ByName(cfg.AttackName, attack.CollusionSeed(inCfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,54 @@ func testConfig() Config {
 	}
 }
 
+// quickSetup is the quick experiment preset; quickConfig is the
+// networked Config cmd/fednode builds from it (through the shared
+// Setup→federation mapping and data seeds), for a benign federation.
+var quickSetup = experiment.MustSetup(experiment.PresetQuick)
+
+func quickConfig() Config {
+	return Config{
+		Experiment: quickSetup.Federation(experiment.Scenario{}),
+		ArchName:   quickSetup.ArchName,
+		DataSeed:   quickSetup.TrainDataSeed(),
+		TrainSize:  quickSetup.TrainSize,
+	}
+}
+
+func quickTestSet() *dataset.Dataset {
+	return quickSetup.TestData()
+}
+
+func quickGuard(t *testing.T) fl.Strategy {
+	t.Helper()
+	s, err := experiment.NewStrategy("FedGuard", quickSetup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// quickCompressedBarrier is the quick-preset FedGuard federation over
+// the codec dialect with the barrier audit — the run both quick-preset
+// acceptance tests compare against — made once per test binary.
+var quickBarrier struct {
+	once sync.Once
+	h    *fl.History
+}
+
+func quickCompressedBarrier(t *testing.T) *fl.History {
+	t.Helper()
+	quickBarrier.once.Do(func() {
+		cfg := quickConfig()
+		cfg.Compress = true
+		quickBarrier.h = runLoopbackOpts(t, cfg, quickGuard(t), quickTestSet(), ClientOptions{Compress: true})
+	})
+	if quickBarrier.h == nil {
+		t.Fatal("the shared compressed barrier run failed in the test that made it")
+	}
+	return quickBarrier.h
+}
+
 // runLoopback starts a server on a loopback listener, connects all
 // clients, and returns the resulting history.
 func runLoopback(t *testing.T, cfg Config, strategy fl.Strategy, test *dataset.Dataset) *fl.History {
@@ -294,53 +342,17 @@ func TestCompressedQuickPresetFedGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full quick-preset federations")
 	}
-	setup, err := experiment.NewSetup(experiment.Preset("quick"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Experiment: fl.FederationConfig{
-			NumClients: setup.NumClients,
-			PerRound:   setup.PerRound,
-			Rounds:     setup.Rounds,
-			Alpha:      setup.Alpha,
-			ServerLR:   setup.ServerLR,
-			Client: fl.ClientConfig{
-				Arch:       setup.Arch,
-				Train:      setup.Train,
-				CVAE:       setup.CVAE,
-				CVAETrain:  setup.CVAETrain,
-				NumClasses: 10,
-			},
-			TestSubset: setup.TestSubset,
-			Seed:       setup.Seed,
-		},
-		ArchName:  setup.ArchName,
-		DataSeed:  rng.DeriveSeed(setup.Seed, "traindata", 0),
-		TrainSize: setup.TrainSize,
-	}
-	test := dataset.Generate(setup.TestSize, dataset.DefaultGenOptions(),
-		rng.New(rng.DeriveSeed(setup.Seed, "testdata", 0)))
-	newGuard := func() fl.Strategy {
-		s, err := experiment.NewStrategy("FedGuard", setup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
+	cfg, test := quickConfig(), quickTestSet()
 
-	raw := runLoopback(t, cfg, newGuard(), test)
-
-	ccfg := cfg
-	ccfg.Compress = true
-	comp := runLoopbackOpts(t, ccfg, newGuard(), test, ClientOptions{Compress: true})
+	raw := runLoopback(t, cfg, quickGuard(t), test)
+	comp := quickCompressedBarrier(t)
 
 	train := dataset.Generate(cfg.TrainSize, dataset.DefaultGenOptions(), rng.New(cfg.DataSeed))
 	fed, err := fl.NewFederation(train, test, cfg.Experiment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inHist, err := fed.Run(newGuard(), nil)
+	inHist, err := fed.Run(quickGuard(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,18 +397,6 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-func TestNewAttackByName(t *testing.T) {
-	for _, name := range []string{"", "none", "same-value", "sign-flip", "additive-noise",
-		"label-flip", "scaled-boost", "alie", "ipm", "min-max", "decoder-forge"} {
-		if _, err := NewAttackByName(name, 1); err != nil {
-			t.Fatalf("%q: %v", name, err)
-		}
-	}
-	if _, err := NewAttackByName("quantum", 1); err == nil {
-		t.Fatal("unknown attack accepted")
-	}
-}
-
 func TestRegisterRejectsBadIDs(t *testing.T) {
 	cfg := testConfig()
 	test := dataset.Generate(10, dataset.DefaultGenOptions(), rng.New(1))
@@ -416,7 +416,7 @@ func TestRegisterRejectsBadIDs(t *testing.T) {
 		done <- err
 	}()
 	// A client with an out-of-range ID must abort the registration.
-	if err := RunClient(ln.Addr().String(), 999); err == nil {
+	if err := RunClient(ln.Addr().String(), 999, ClientOptions{}); err == nil {
 		// The server closes the connection; the client sees an error when
 		// reading its setup. Either side erroring is acceptable, but the
 		// server must report the bad registration.

@@ -13,7 +13,6 @@ import (
 	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
 	"fedguard/internal/defense"
-	"fedguard/internal/experiment"
 	"fedguard/internal/faultnet"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
@@ -70,47 +69,14 @@ func TestStreamAuditQuickPreset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full quick-preset federations")
 	}
-	setup, err := experiment.NewSetup(experiment.Preset("quick"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Experiment: fl.FederationConfig{
-			NumClients: setup.NumClients,
-			PerRound:   setup.PerRound,
-			Rounds:     setup.Rounds,
-			Alpha:      setup.Alpha,
-			ServerLR:   setup.ServerLR,
-			Client: fl.ClientConfig{
-				Arch:       setup.Arch,
-				Train:      setup.Train,
-				CVAE:       setup.CVAE,
-				CVAETrain:  setup.CVAETrain,
-				NumClasses: 10,
-			},
-			TestSubset: setup.TestSubset,
-			Seed:       setup.Seed,
-		},
-		ArchName:  setup.ArchName,
-		DataSeed:  rng.DeriveSeed(setup.Seed, "traindata", 0),
-		TrainSize: setup.TrainSize,
-		Compress:  true,
-	}
-	test := dataset.Generate(setup.TestSize, dataset.DefaultGenOptions(),
-		rng.New(rng.DeriveSeed(setup.Seed, "testdata", 0)))
-	newGuard := func() fl.Strategy {
-		s, err := experiment.NewStrategy("FedGuard", setup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
+	cfg, test := quickConfig(), quickTestSet()
+	cfg.Compress = true
 
-	barrier := runLoopbackOpts(t, cfg, newGuard(), test, ClientOptions{Compress: true})
+	barrier := quickCompressedBarrier(t)
 
 	scfg := cfg
 	scfg.StreamAudit = true
-	streamed := runLoopbackOpts(t, scfg, newGuard(), test, ClientOptions{Compress: true})
+	streamed := runLoopbackOpts(t, scfg, quickGuard(t), test, ClientOptions{Compress: true})
 
 	// The in-process simulator honors the same flag through the shared
 	// fl.FederationConfig.
@@ -121,7 +87,7 @@ func TestStreamAuditQuickPreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inHist, err := fed.Run(newGuard(), nil)
+	inHist, err := fed.Run(quickGuard(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

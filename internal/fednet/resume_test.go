@@ -27,7 +27,7 @@ func resilientOpts(compress bool) ClientOptions {
 	return ClientOptions{Redials: 400, RedialBackoff: 10 * time.Millisecond, Compress: compress}
 }
 
-// crashClients runs every client on RunClientResilient in its own
+// crashClients runs every client on a redialing RunClient in its own
 // goroutine, so client state (private random stream positions, trained
 // CVAE decoders, cached round responses) spans both server lifetimes —
 // exactly like client processes that survive a server crash.
@@ -42,7 +42,7 @@ func startCrashClients(addr string, n int, opts ClientOptions) *crashClients {
 		cc.wg.Add(1)
 		go func(id int) {
 			defer cc.wg.Done()
-			cc.errs[id] = RunClientResilient(addr, id, opts)
+			cc.errs[id] = RunClient(addr, id, opts)
 		}(id)
 	}
 	return cc
@@ -239,11 +239,23 @@ func (m *midRoundKiller) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 // would advance their streams and diverge the final weights, so byte
 // equality is proof the replay path engaged. Runs raw and compressed:
 // the compressed resend must first decode the fresh connection's
-// broadcast to stay delta-synchronized.
+// broadcast to stay delta-synchronized. And runs with the resumed server
+// negotiating the other dialect than the crashed one did: what the
+// session keeps of round k+1 is the update, not a frame of it, so the
+// redial is answered from it all the same.
 func TestKillResumeMidRound(t *testing.T) {
 	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	for _, compress := range []bool{false, true} {
-		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		compress, resumed bool // the crashed and the resumed server's Compress
+	}{
+		{"compress=false", false, false},
+		{"compress=true", true, true},
+		{"raw then codec", false, true},
+		{"codec then raw", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			compress := tc.compress
 			cfg := testConfig()
 			cfg.Experiment.Rounds = 3
 			cfg.AttackName = "sign-flip"
@@ -264,7 +276,7 @@ func TestKillResumeMidRound(t *testing.T) {
 				t.Fatal(err)
 			}
 			killer.srv = srv1
-			clients := startCrashClients(addr, cfg.Experiment.NumClients, resilientOpts(compress))
+			clients := startCrashClients(addr, cfg.Experiment.NumClients, resilientOpts(tc.compress || tc.resumed))
 
 			_, err = srv1.Run(ln, nil)
 			if !errors.Is(err, errMidRoundKill) {
@@ -281,6 +293,7 @@ func TestKillResumeMidRound(t *testing.T) {
 
 			cfg2 := cfg
 			cfg2.Resume = true
+			cfg2.Compress = tc.resumed
 			srv2, err := NewServer(cfg2, test, aggregate.NewFedAvg())
 			if err != nil {
 				t.Fatal(err)
