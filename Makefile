@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
-MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
+MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkFedGuardAudit$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
 # The wire-layer microbenchmarks (raw vs codec framing and the per-round
 # byte cost), tracked in the same snapshot file.
 WIRE_BENCH = BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$|BenchmarkRoundWireBytes$$
@@ -59,7 +59,8 @@ ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test
 # kernels the default build runs. internal/rng and internal/dataset ride
 # along for the skip-draw walk: its bitwise tables and Generate's pinned
 # bytes must not depend on the build either. internal/defense runs the
-# server's view decoders and both audit paths on the scalar forward form
+# server's view decoders and the audit plan, on both schedules and
+# against its straight-line reference, on the scalar forward form
 # (MatMulT against W as stored), which no default build reaches.
 test-purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/loss ./internal/cvae ./internal/classifier ./internal/defense ./internal/rng ./internal/dataset
@@ -103,7 +104,10 @@ bench-json:
 # the classifier's train step (its time, and that a second proc does
 # not make it slower), the CVAE's, the server's per-round synthesis (its
 # time, and ≤ 3 MiB B/op for sixteen decoders: a decoder copied out of
-# its payload again is 1.69 MB each), and a networked client's data
+# its payload again is 1.69 MB each), the whole barrier audit of sixteen
+# updates (sixteen synthesis jobs and sixteen full-set scoring jobs: a
+# plan back to scoring per block, or copying the set per update, shows
+# in its time or its 4.5 MiB B/op ceiling), and a networked client's data
 # (the skip-draw walk's time, and that it keeps a partition and not the
 # training set). Ceilings are loose (≈2-3× the snapshot numbers) so CI
 # noise passes but a lost fast path or reintroduced per-op allocation
@@ -114,6 +118,7 @@ bench-guard:
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$' -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardSynthesize$$' -benchmem -benchtime=50x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardAudit$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTrainEpochTwoProcs$$' -benchtime=2x . ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json

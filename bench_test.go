@@ -409,14 +409,10 @@ func BenchmarkDecoderGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkFedGuardSynthesize is the server's synthesis phase of one
-// default-preset round (Alg. 1 lines 2–4): sixteen uploaded decoder
-// payloads stood up and t = 100 samples spread across them, on a fresh
-// RoundContext per op as every round gets. Its B/op is the tripwire for
-// a decoder being copied again: a view costs nothing, a rebuilt decoder
-// 1.69 MB.
-func BenchmarkFedGuardSynthesize(b *testing.B) {
-	r := rng.New(13)
+// benchFedGuardRound is one default-preset round's server-side input:
+// sixteen uploaded SmallConfig decoder payloads (no weights yet) and a
+// FedGuard over classifier.Small with t = 100.
+func benchFedGuardRound(r *rng.RNG) (*defense.FedGuard, []fl.Update) {
 	cfg := cvae.SmallConfig()
 	ups := make([]fl.Update, 16)
 	for i := range ups {
@@ -426,11 +422,45 @@ func BenchmarkFedGuardSynthesize(b *testing.B) {
 	}
 	g := defense.NewFedGuard(classifier.Small(), cfg)
 	g.Samples = 100
+	return g, ups
+}
+
+// BenchmarkFedGuardSynthesize is the server's synthesis phase of one
+// default-preset round (Alg. 1 lines 2–4): sixteen uploaded decoder
+// payloads stood up and t = 100 samples spread across them, on a fresh
+// RoundContext per op as every round gets. Its B/op is the tripwire for
+// a decoder being copied again: a view costs nothing, a rebuilt decoder
+// 1.69 MB.
+func BenchmarkFedGuardSynthesize(b *testing.B) {
+	g, ups := benchFedGuardRound(rng.New(13))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := &fl.RoundContext{Round: 1, Updates: ups, RNG: rng.New(uint64(i)), Report: map[string]float64{}}
 		if _, _, err := g.Synthesize(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFedGuardAudit is one default-preset round of the whole barrier
+// Aggregate (Alg. 1 lines 1–7): sixteen classifier.Small updates scored on
+// t = 100 samples synthesized by their sixteen decoders, on a fresh
+// RoundContext per op. It is the tripwire for the audit plan's cost
+// model: sixteen synthesis jobs and sixteen full-set scoring jobs. A plan
+// that scores per block, rebuilds a model or copies the set per update
+// shows in ns/op or B/op.
+func BenchmarkFedGuardAudit(b *testing.B) {
+	r := rng.New(14)
+	g, ups := benchFedGuardRound(r)
+	for i := range ups {
+		ups[i].Weights = classifier.Small()(r).FlattenParams()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := &fl.RoundContext{Round: 1, Updates: ups, RNG: rng.New(uint64(i)), Report: map[string]float64{}}
+		if _, err := g.Aggregate(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

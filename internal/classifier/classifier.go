@@ -173,10 +173,11 @@ func EvaluateTensor(model *nn.Sequential, x *tensor.Tensor, labels []int) float6
 }
 
 // CountCorrectTensor returns the number of argmax-correct predictions on
-// an explicit tensor batch. FedGuard's streaming audit scores each
-// decoder's synthetic block separately and sums the integer counts; the
-// forward pass is per-sample (rows are independent), so the sum equals
-// EvaluateTensor's count on the concatenated set exactly.
+// an explicit tensor batch. FedGuard's audit scores the synthetic set a
+// slab of rows at a time, in whatever order the rows became ready, and
+// sums the integer counts; the forward pass is per-sample (rows are
+// independent), so the sum equals EvaluateTensor's count on the whole
+// set exactly.
 func CountCorrectTensor(model *nn.Sequential, x *tensor.Tensor, labels []int) int {
 	logits := model.Forward(x, false)
 	return loss.CountCorrect(logits, labels)

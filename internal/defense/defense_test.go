@@ -1,6 +1,8 @@
 package defense
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -286,67 +288,42 @@ func auditDeterminismUpdates(t *testing.T) ([]fl.Update, cvae.Config) {
 
 // TestFedGuardParallelAuditMatchesSerial pins the determinism contract
 // of the fan-out audit: for the same round context seed, Aggregate must
-// produce byte-identical weights and identical reports at any
+// produce the reference's weights, report and exclusions at any
 // AuditWorkers setting.
 func TestFedGuardParallelAuditMatchesSerial(t *testing.T) {
 	updates, ccfg := auditDeterminismUpdates(t)
-	runOnce := func(workers int) ([]float32, map[string]float64) {
-		g := NewFedGuard(classifier.Tiny(), ccfg)
-		g.Samples = 40
-		g.AuditWorkers = workers
-		ctx := ctxWith(updates, 41)
-		out, err := g.Aggregate(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, ctx.Report
-	}
-	serialOut, serialReport := runOnce(1)
-	for _, workers := range []int{2, 4, 0} {
-		out, report := runOnce(workers)
-		if len(out) != len(serialOut) {
-			t.Fatalf("workers=%d: %d weights, serial %d", workers, len(out), len(serialOut))
-		}
-		for i := range out {
-			if out[i] != serialOut[i] {
-				t.Fatalf("workers=%d: weight %d differs: %v vs serial %v",
-					workers, i, out[i], serialOut[i])
-			}
-		}
-		for k, v := range serialReport {
-			if report[k] != v {
-				t.Fatalf("workers=%d: report[%q] = %v, serial %v", workers, k, report[k], v)
-			}
-		}
+	want := referenceAggregate(t, streamGuard(ccfg, 1), updates, 41)
+	for _, workers := range []int{1, 2, 4, 0} {
+		requireSame(t, fmt.Sprintf("workers=%d", workers), barrierRun(t, streamGuard(ccfg, workers), updates, 41), want)
 	}
 }
 
 // TestFedGuardParallelSynthesizeMatchesSerial pins the same contract for
-// per-decoder synthesis fan-out: identical images and labels at any
-// worker count.
+// per-decoder synthesis fan-out: the reference's images and labels, in
+// sample order, at any worker count, plain and class-routed.
 func TestFedGuardParallelSynthesizeMatchesSerial(t *testing.T) {
-	updates, ccfg := auditDeterminismUpdates(t)
-	synth := func(workers int) ([]float32, []int) {
-		g := NewFedGuard(classifier.Tiny(), ccfg)
-		g.Samples = 50
-		g.AuditWorkers = workers
-		x, labels, err := g.Synthesize(ctxWith(updates, 42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x.Data, labels
-	}
-	serialX, serialLabels := synth(1)
-	for _, workers := range []int{3, 0} {
-		x, labels := synth(workers)
-		for i := range serialLabels {
-			if labels[i] != serialLabels[i] {
-				t.Fatalf("workers=%d: label %d differs", workers, i)
+	updates, ccfg := routedUpdates(t)
+	for _, routed := range []bool{false, true} {
+		for _, maxDecoders := range []int{0, 3} {
+			guard := func(workers int) *FedGuard {
+				g := streamGuard(ccfg, workers)
+				g.Samples = 50
+				g.MaxDecoders = maxDecoders
+				g.UseDecoderClasses = routed
+				return g
 			}
-		}
-		for i := range serialX {
-			if x[i] != serialX[i] {
-				t.Fatalf("workers=%d: pixel %d differs: %v vs %v", workers, i, x[i], serialX[i])
+			wantX, wantLabels := referenceSet(t, guard(1), updates, 42)
+			for _, workers := range []int{1, 3, 0} {
+				x, labels, err := guard(workers).Synthesize(ctxWith(updates, 42))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(labels, wantLabels) {
+					t.Fatalf("routed=%v maxDecoders=%d workers=%d: labels differ", routed, maxDecoders, workers)
+				}
+				if !slices.Equal(x.Data, wantX.Data) {
+					t.Fatalf("routed=%v maxDecoders=%d workers=%d: pixels differ", routed, maxDecoders, workers)
+				}
 			}
 		}
 	}
@@ -356,24 +333,15 @@ func TestFedGuardParallelSynthesizeMatchesSerial(t *testing.T) {
 // views of the uploaded payloads (cvae.NewDecoder), six of them over one
 // shared vector here, so a barrier round and a streamed round — synthesis
 // fanned out over three workers in both — must leave its bits alone and
-// agree with each other.
+// agree with the reference.
 func TestFedGuardNeverWritesDecoderPayloads(t *testing.T) {
 	updates, ccfg := auditDeterminismUpdates(t)
 	payload := updates[0].Decoder
 	before := codec.Hash(payload)
 
-	want, wantR := batchRun(t, streamGuard(ccfg, 3), updates, 45)
-	ctx := ctxWith(nil, 45)
-	stream := streamGuard(ccfg, 3).BeginRound(ctx, len(updates))
-	for slot, u := range updates {
-		stream.Submit(slot, u)
-	}
-	ctx.Updates = updates
-	got, err := stream.Finalize(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSame(t, "stream vs barrier", got, want, ctx.Report, wantR)
+	want := referenceAggregate(t, streamGuard(ccfg, 3), updates, 45)
+	requireSame(t, "barrier", barrierRun(t, streamGuard(ccfg, 3), updates, 45), want)
+	requireSame(t, "stream", streamRun(t, streamGuard(ccfg, 3), updates, 45, []int{0, 1, 2, 3, 4, 5}, updates), want)
 	if after := codec.Hash(payload); after != before {
 		t.Fatalf("a round wrote the shared decoder payload: hash %016x, was %016x", after, before)
 	}

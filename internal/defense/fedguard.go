@@ -5,16 +5,14 @@
 package defense
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
 	"fedguard/internal/fl"
 	"fedguard/internal/nn"
+	"fedguard/internal/rng"
 	"fedguard/internal/tensor"
 )
 
@@ -58,10 +56,11 @@ type FedGuard struct {
 	ImageH, ImageW int
 	// AuditWorkers bounds the goroutines used to score client updates and
 	// to run per-decoder synthesis. 0 means GOMAXPROCS; 1 forces the
-	// serial path. Any setting produces bit-identical results: accuracies
-	// land in an index-ordered slice and are reduced serially, every RNG
-	// draw happens before the parallel sections, and the workers write
-	// disjoint regions — parallelism changes only wall-clock time.
+	// serial path. Any setting produces bit-identical results: every RNG
+	// draw happens before the workers start, a synthetic row depends only
+	// on its own (z, y) and decoder, scores are integer hit counts kept
+	// per update and the mean is reduced serially — parallelism changes
+	// only wall-clock time.
 	AuditWorkers int
 
 	auditModels []*nn.Sequential // lazily built, one per worker, reused across rounds
@@ -84,35 +83,48 @@ func (g *FedGuard) Name() string { return "FedGuard" }
 // that requires decoder payloads.
 func (g *FedGuard) NeedsDecoders() bool { return true }
 
-// Aggregate implements fl.Strategy (Alg. 1 lines 1–7).
+// Aggregate implements fl.Strategy (Alg. 1 lines 1–7): the audit plan of
+// stream.go on the barrier schedule. Every update is submitted at once
+// with scoring held until synthesis has drained, so the plan runs one
+// synthesis job per decoder and then one scoring job per update over the
+// whole set. ctx.RNG is not advanced.
 func (g *FedGuard) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
-	updates := ctx.Updates
-	if len(updates) == 0 {
-		return nil, aggregate.ErrNoUpdates
-	}
-	x, labels, err := g.Synthesize(ctx)
+	s, err := g.synthesized(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	// Score every update on the synthetic validation set (line 5). The
-	// audits are independent, so they fan out across AuditWorkers models;
-	// accs is index-ordered and the mean is reduced serially below, so the
-	// result does not depend on the worker count.
+	// Score every update on the synthetic validation set (line 5).
 	stopAudit := ctx.StartPhase("server.audit")
-	accs := make([]float64, len(updates))
-	if err := g.auditAll(updates, x, labels, accs); err != nil {
+	accs, err := s.scores()
+	if err != nil {
 		return nil, err
 	}
 	stopAudit()
 	return g.finalizeScores(ctx, accs)
 }
 
+// synthesized runs the first half of the barrier schedule: a plan begun
+// on the delivered updates, all of them submitted, scoring held, waited
+// on until every decoder's block is in.
+func (g *FedGuard) synthesized(ctx *fl.RoundContext) (*AuditStream, error) {
+	defer ctx.StartPhase("server.synthesize")()
+	s, err := g.begin(ctx, len(ctx.Updates), true)
+	if err != nil {
+		return nil, err
+	}
+	for slot, u := range ctx.Updates {
+		s.Submit(slot, u)
+	}
+	if err := s.drain(); err != nil {
+		s.Abort()
+		return nil, err
+	}
+	return s, nil
+}
+
 // finalizeScores applies Alg. 1 lines 6–7 to the per-update audit
 // accuracies: the mean threshold, filtering with detection bookkeeping,
-// and the inner aggregation. Both the batch path (Aggregate) and the
-// streaming path (AuditStream.Finalize) funnel through here, which is
-// part of what keeps them byte-identical.
+// and the inner aggregation.
 func (g *FedGuard) finalizeScores(ctx *fl.RoundContext, accs []float64) ([]float32, error) {
 	updates := ctx.Updates
 	var mean float64
@@ -166,100 +178,60 @@ func (g *FedGuard) DetectionStats() (excluded, participated map[int]int) {
 
 // Synthesize builds the round's synthetic validation set (Alg. 1 lines
 // 2–4): a (t, 1, H, W) image tensor and the conditioning labels that act
-// as ground truth. Exposed for tests and for the data-inspection
-// examples.
+// as ground truth, both in sample order. It is the first half of
+// Aggregate — the plan keeps its rows in the order the decoders' blocks
+// completed — plus a gather. Exposed for tests and for data inspection.
 func (g *FedGuard) Synthesize(ctx *fl.RoundContext) (*tensor.Tensor, []int, error) {
-	defer ctx.StartPhase("server.synthesize")()
-	imgSize := g.CVAECfg.Input
-	if imgSize != g.ImageH*g.ImageW {
-		return nil, nil, fmt.Errorf("defense: CVAE input %d does not match %dx%d images",
-			imgSize, g.ImageH, g.ImageW)
-	}
-	decoders, decoderClasses, err := g.activeDecoders(ctx)
+	s, err := g.synthesized(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	t := g.Samples
-	if t <= 0 {
-		t = 2 * len(ctx.Updates)
+	s.Abort()
+	x := tensor.New(s.t, 1, g.ImageH, g.ImageW)
+	size := g.CVAECfg.Input
+	for row, i := range s.rowSample {
+		copy(x.Data[i*size:(i+1)*size], s.x.Data[row*size:(row+1)*size])
 	}
-
-	// z ~ N(0,1), y ~ Cat(L, α) (lines 2–3).
-	z := tensor.New(t, g.CVAECfg.Latent)
-	ctx.RNG.FillNormal(z.Data, 0, 1)
-	labels := make([]int, t)
-	for i := range labels {
-		if g.ClassProbs != nil {
-			labels[i] = ctx.RNG.Categorical(g.ClassProbs)
-		} else {
-			labels[i] = ctx.RNG.CategoricalUniform(g.CVAECfg.Classes)
-		}
-	}
-
-	// Spread the t pairs across the decoders (line 4): with t = 2m each
-	// active decoder contributes 2 samples, matching the paper's
-	// description of D_syn as a pool over all active decoders. Plain mode
-	// assigns round-robin; UseDecoderClasses routes each pair to a decoder
-	// trained on its conditioning class (§VI-B).
-	x := tensor.New(t, 1, g.ImageH, g.ImageW)
-	nd := len(decoders)
-	assign := g.assignSamples(labels, nd, decoderClasses)
-	perDec := make([][]int, nd)
-	for i, a := range assign {
-		perDec[a] = append(perDec[a], i)
-	}
-
-	// Per-decoder generation is independent: every RNG draw already
-	// happened above, each decoder instance owns its Generate scratch, and
-	// assign partitions the sample indices so the goroutines write
-	// disjoint regions of x. The result is therefore bit-identical at any
-	// worker count.
-	synthOne := func(d int) {
-		idxs := perDec[d]
-		if len(idxs) == 0 {
-			return
-		}
-		zd := tensor.New(len(idxs), g.CVAECfg.Latent)
-		ld := make([]int, len(idxs))
-		for k, i := range idxs {
-			copy(zd.Data[k*g.CVAECfg.Latent:(k+1)*g.CVAECfg.Latent],
-				z.Data[i*g.CVAECfg.Latent:(i+1)*g.CVAECfg.Latent])
-			ld[k] = labels[i]
-		}
-		imgs := decoders[d].Generate(zd, ld)
-		for k, i := range idxs {
-			copy(x.Data[i*imgSize:(i+1)*imgSize], imgs.Data[k*imgSize:(k+1)*imgSize])
-		}
-	}
-	if w := g.workers(nd); w == 1 {
-		for d := 0; d < nd; d++ {
-			synthOne(d)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for wk := 0; wk < w; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					d := int(next.Add(1)) - 1
-					if d >= nd {
-						return
-					}
-					synthOne(d)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return x, labels, nil
+	return x, s.labels, nil
 }
 
-// assignSamples maps every sample index to a decoder index. Plain mode
-// is round-robin; with UseDecoderClasses each sample goes to a decoder
-// claiming its label (cycling among claimants), falling back to the
-// global cycle when no decoder claims the class.
+// drawPlan makes every random draw of a round of m updates, in the
+// documented order: the decoder subset (the slots whose decoders
+// synthesize, all m unless MaxDecoders caps them), then the latents
+// z ~ N(0,1), then the labels y ~ Cat(L, α) (Alg. 1 lines 2–3).
+func (g *FedGuard) drawPlan(r *rng.RNG, m int) (order []int, z *tensor.Tensor, labels []int) {
+	if g.MaxDecoders > 0 && g.MaxDecoders < m {
+		order = r.Sample(m, g.MaxDecoders)
+	} else {
+		order = make([]int, m)
+		for i := range order {
+			order[i] = i
+		}
+	}
+	t := g.Samples
+	if t <= 0 {
+		t = 2 * m
+	}
+	z = tensor.New(t, g.CVAECfg.Latent)
+	r.FillNormal(z.Data, 0, 1)
+	labels = make([]int, t)
+	for i := range labels {
+		if g.ClassProbs != nil {
+			labels[i] = r.Categorical(g.ClassProbs)
+		} else {
+			labels[i] = r.CategoricalUniform(g.CVAECfg.Classes)
+		}
+	}
+	return order, z, labels
+}
+
+// assignSamples spreads the t (z, y) pairs across the decoders (Alg. 1
+// line 4), mapping every sample index to a decoder index: with t = 2m
+// each active decoder contributes 2 samples, matching the paper's
+// description of D_syn as a pool over all active decoders. Plain mode is
+// round-robin; with UseDecoderClasses each sample goes to a decoder
+// claiming its label (cycling among claimants, §VI-B), falling back to
+// the global cycle when no decoder claims the class.
 func (g *FedGuard) assignSamples(labels []int, nd int, decoderClasses [][]int) []int {
 	assign := make([]int, len(labels))
 	if !g.UseDecoderClasses {
@@ -296,41 +268,6 @@ func (g *FedGuard) assignSamples(labels []int, nd int, decoderClasses [][]int) [
 	return assign
 }
 
-// activeDecoders stands up the decoders of the round's updates,
-// optionally down-sampling to MaxDecoders of them. It returns the
-// decoders alongside each one's claimed class coverage. A decoder is a
-// view of its update's payload (cvae.NewDecoder): building one costs a
-// length check, so they are built anew every round and nothing is kept
-// between rounds.
-func (g *FedGuard) activeDecoders(ctx *fl.RoundContext) ([]*cvae.Decoder, [][]int, error) {
-	updates := ctx.Updates
-	order := make([]int, len(updates))
-	for i := range order {
-		order[i] = i
-	}
-	if g.MaxDecoders > 0 && g.MaxDecoders < len(order) {
-		order = ctx.RNG.Sample(len(updates), g.MaxDecoders)
-	}
-	decoders := make([]*cvae.Decoder, 0, len(order))
-	classes := make([][]int, 0, len(order))
-	for _, i := range order {
-		u := updates[i]
-		if u.Decoder == nil {
-			return nil, nil, fmt.Errorf("defense: client %d sent no decoder payload", u.ClientID)
-		}
-		dec, err := cvae.NewDecoder(g.CVAECfg, u.Decoder)
-		if err != nil {
-			return nil, nil, fmt.Errorf("defense: client %d: %w", u.ClientID, err)
-		}
-		decoders = append(decoders, dec)
-		classes = append(classes, u.DecoderClasses)
-	}
-	if len(decoders) == 0 {
-		return nil, nil, aggregate.ErrNoUpdates
-	}
-	return decoders, classes, nil
-}
-
 // workers resolves AuditWorkers against the machine, capped by the
 // amount of independent work available.
 func (g *FedGuard) workers(jobs int) int {
@@ -345,57 +282,4 @@ func (g *FedGuard) workers(jobs int) int {
 		w = 1
 	}
 	return w
-}
-
-// auditAll scores every update on the synthetic set, writing accs[i] for
-// update i. Workers claim indices from an atomic counter and each owns a
-// private audit model (network scratch is per-model, so concurrent
-// forward passes never share state); since every accuracy lands in its
-// own slot, the slice is identical whatever the worker count.
-func (g *FedGuard) auditAll(updates []fl.Update, x *tensor.Tensor, labels []int, accs []float64) error {
-	w := g.workers(len(updates))
-	for len(g.auditModels) < w {
-		g.auditModels = append(g.auditModels, g.Arch(newInitRNG()))
-	}
-	auditOne := func(model *nn.Sequential, i int) error {
-		if err := model.LoadParams(updates[i].Weights); err != nil {
-			return fmt.Errorf("defense: audit client %d: %w", updates[i].ClientID, err)
-		}
-		accs[i] = classifier.EvaluateTensor(model, x, labels)
-		return nil
-	}
-	if w == 1 {
-		for i := range updates {
-			if err := auditOne(g.auditModels[0], i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for wk := 0; wk < w; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(updates) {
-					return
-				}
-				if err := auditOne(g.auditModels[wk], i); err != nil {
-					errs[wk] = err
-					return
-				}
-			}
-		}(wk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

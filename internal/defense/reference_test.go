@@ -1,0 +1,109 @@
+package defense
+
+import (
+	"slices"
+	"testing"
+
+	"fedguard/internal/aggregate"
+	"fedguard/internal/classifier"
+	"fedguard/internal/cvae"
+	"fedguard/internal/fl"
+	"fedguard/internal/rng"
+	"fedguard/internal/tensor"
+)
+
+// referenceSet and referenceAggregate are Alg. 1 lines 1–7 in a straight
+// line on one goroutine: the oracle the audit plan is held to. They share
+// nothing with the plan but cvae, classifier and aggregate — the draw
+// order and the assignment are restated here, not called.
+
+// referenceSet draws and synthesizes the round's validation set (lines
+// 2–4), rows in sample order.
+func referenceSet(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64) (*tensor.Tensor, []int) {
+	t.Helper()
+	r, m, cfg := rng.New(seed), len(updates), g.CVAECfg
+	order := make([]int, m) // order[k]: the update whose decoder is the k-th
+	for i := range order {
+		order[i] = i
+	}
+	if g.MaxDecoders > 0 && g.MaxDecoders < m {
+		order = r.Sample(m, g.MaxDecoders)
+	}
+	n := g.Samples
+	if n <= 0 {
+		n = 2 * m
+	}
+	z, labels := tensor.New(n, cfg.Latent), make([]int, n)
+	r.FillNormal(z.Data, 0, 1)
+	for i := range labels {
+		if g.ClassProbs != nil {
+			labels[i] = r.Categorical(g.ClassProbs)
+		} else {
+			labels[i] = r.CategoricalUniform(cfg.Classes)
+		}
+	}
+	turn := make([]int, cfg.Classes) // per class, whose turn among its claimants
+	// Per decoder: its latents, its labels, and which samples they are.
+	zs, ys, rows := make([][]float32, len(order)), make([][]int, len(order)), make([][]int, len(order))
+	for i, y := range labels {
+		k := i % len(order)
+		var claimants []int
+		for c, j := range order {
+			classes := updates[j].DecoderClasses
+			if g.UseDecoderClasses && (classes == nil || slices.Contains(classes, y)) {
+				claimants = append(claimants, c)
+			}
+		}
+		if len(claimants) > 0 {
+			k = claimants[turn[y]%len(claimants)]
+			turn[y]++
+		}
+		zs[k], ys[k], rows[k] = append(zs[k], z.Data[i*cfg.Latent:(i+1)*cfg.Latent]...), append(ys[k], y), append(rows[k], i)
+	}
+	x := tensor.New(n, 1, g.ImageH, g.ImageW)
+	for k, idxs := range rows {
+		if len(idxs) == 0 {
+			continue
+		}
+		dec, err := cvae.NewDecoder(cfg, updates[order[k]].Decoder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs := dec.Generate(tensor.FromSlice(zs[k], len(idxs), cfg.Latent), ys[k])
+		for a, i := range idxs {
+			copy(x.Data[i*cfg.Input:(i+1)*cfg.Input], imgs.Data[a*cfg.Input:(a+1)*cfg.Input])
+		}
+	}
+	return x, labels
+}
+
+// referenceAggregate scores every update on the whole set, filters at the
+// mean and averages the survivors (lines 5–7).
+func referenceAggregate(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64) outcome {
+	t.Helper()
+	x, labels := referenceSet(t, g, updates, seed)
+	model, accs, mean := g.Arch(rng.New(1)), make([]float64, len(updates)), 0.0
+	for j, u := range updates {
+		if err := model.LoadParams(u.Weights); err != nil {
+			t.Fatal(err)
+		}
+		accs[j] = classifier.EvaluateTensor(model, x, labels)
+		mean += accs[j]
+	}
+	mean /= float64(len(updates))
+	var kept []fl.Update
+	var excluded []int
+	for j, u := range updates {
+		if accs[j] >= mean {
+			kept = append(kept, u)
+		} else {
+			excluded = append(excluded, u.ClientID)
+		}
+	}
+	out, err := aggregate.WeightedMean(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outcome{out, map[string]float64{fl.ReportFedGuardMeanAcc: mean, fl.ReportFedGuardKept: float64(len(kept)),
+		fl.ReportFedGuardExcluded: float64(len(excluded))}, excluded}
+}

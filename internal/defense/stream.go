@@ -1,12 +1,11 @@
 package defense
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
 	"fedguard/internal/fl"
@@ -14,286 +13,255 @@ import (
 	"fedguard/internal/tensor"
 )
 
-// The streaming audit runs FedGuard's per-round compute while uploads
-// are still in flight. The whole round plan is fixed the moment the
-// participant count m is known: every RNG draw (decoder subset, latents,
-// labels) happens up front in Synthesize's exact order — on a clone of
-// the round RNG, so the original stays pristine for a batch fallback —
-// and the synthetic set is partitioned into per-decoder blocks by the
-// same round-robin assignment the batch path uses. Work then unlocks
-// incrementally: a client's arrival enables its decoder's synthesis job,
-// and a scoring job (update j × block d) as soon as both j's weights and
-// block d's images exist. Because block images are bit-identical to the
-// batch path's rows and scoring sums integer argmax counts, the final
-// accuracies — and therefore the filtered aggregate — are byte-identical
-// to Aggregate at any worker count and any arrival order.
+// The audit plan is FedGuard's one implementation of Alg. 1 lines 1–5;
+// the barrier audit (Aggregate) and the streaming audit (BeginRound,
+// Submit, Finalize) are two arrival schedules of it. The whole round is
+// fixed the moment the participant count m is known: every RNG draw
+// (decoder subset, latents, labels) happens up front, on a clone of the
+// round RNG so that the original stays pristine for a plan re-begun on
+// the delivered updates. Work then unlocks as updates arrive. A slot's
+// arrival binds its decoder; once the samples are partitioned over the
+// decoders — at once when round-robin, at the last contributing arrival
+// when class-routed, which needs every chosen decoder's class list — a
+// bound decoder's block can be synthesized, and its rows join the set in
+// the order blocks complete. An arrived update is scored against every
+// row that is ready and that it has not yet seen, in one job and one
+// LoadParams, but only once a slab of rows — a quarter of the set — is
+// waiting for it or the set is complete: at most scorePasses jobs per
+// update however many decoders there are. A row's pixels depend only on
+// its own (z, y) and decoder, the forward pass is per-row, and hits are
+// summed as integers, so the accuracies — and therefore the filtered
+// aggregate — are byte-identical at any worker count, arrival order and
+// schedule.
 
-var errStreamAborted = errors.New("defense: audit stream aborted")
+// scorePasses is how many slabs the synthetic set is scored in: a slab
+// is ⌈t/scorePasses⌉ rows. It bounds both the scoring jobs one update
+// can take on the stream schedule and the batch an audit model ever
+// sees, so a model's batch-sized scratch is sized once by its first
+// slab rather than regrown for every larger backlog (tensor.Ensure
+// grows exactly). Scoring costs the same per row at any batch size, so
+// the slab is not a tuning knob.
+const scorePasses = 4
 
-// streamJob is one unit of audit work: synthesis of one decoder's block
-// (slot < 0) or scoring one arrived update on one synthesized block.
-type streamJob struct {
-	slot  int // update slot to score, or -1 for synthesis
-	block int // decoder/block index
-}
-
-// AuditStream is FedGuard's fl.RoundStream: the in-flight state of one
-// streaming round. Create it with FedGuard.BeginRound; a FedGuard
-// instance runs at most one stream at a time (it borrows the shared
+// AuditStream is one round's audit plan and FedGuard's fl.RoundStream.
+// A FedGuard instance runs at most one at a time (it borrows the shared
 // audit models).
 type AuditStream struct {
-	g *FedGuard
-	m int // expected updates
-	t int // synthetic samples
+	g    *FedGuard
+	m, t int // expected updates, synthetic samples
+	slab int // rows per forward pass
 
-	// Pre-drawn randomness and the derived static plan.
-	z       *tensor.Tensor
-	labels  []int
-	slotDec map[int]int // slot -> block index (slots contributing decoders)
-	perDec  [][]int     // block -> sample indices (round-robin)
+	// The drawn plan, read-only once begin returns.
+	z      *tensor.Tensor // latents by sample, (t, Latent)
+	labels []int          // conditioning labels by sample
+	block  []int          // slot -> block of the decoder it contributes, or -1
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []streamJob
-	inflight int
+	wg       sync.WaitGroup
+	hold     bool // barrier schedule: no scoring until scores releases it
 	closed   bool
-	err      error
+	misused  bool // a slot out of range or submitted twice
+	inflight int
+	busy     time.Duration
+	// synthJobs and scoreJobs count finished jobs. A scoring job is one
+	// LoadParams.
+	synthJobs, scoreJobs int
+	// errs holds block d's decoder error at d, in drawn order, and slot
+	// j's weights error at len(decoders)+j: the lowest index is the
+	// round's error whatever the arrival order.
+	errs []error
 
-	arrived  []bool
-	clientID []int
-	weights  [][]float32
-	decoders []*cvae.Decoder  // by block
-	synthed  []bool           // block images ready
-	blockX   []*tensor.Tensor // by block, (rows, 1, H, W)
-	blockLB  [][]int          // by block, gathered labels
-	correct  []int64          // by slot, summed argmax hits
+	// By block.
+	unbound  int // contributing slots not yet submitted
+	decoders []*cvae.Decoder
+	classes  [][]int
+	samples  [][]int // sample indices the block is yet to generate; nil until assigned
 
-	busyNanos atomic.Int64
-	jobsDone  atomic.Int64
+	// The synthetic set, rows in the order blocks completed.
+	x         *tensor.Tensor // (t, 1, H, W); rows [0, len(rowLabel)) are ready
+	rowLabel  []int
+	rowSample []int
 
-	wg sync.WaitGroup
+	// By slot.
+	arrived []bool
+	updates []fl.Update
+	scored  []int // rows claimed by the slot's scoring jobs
+	hits    []int // summed argmax hits
 }
 
 var _ fl.StreamingStrategy = (*FedGuard)(nil)
 
-// BeginRound implements fl.StreamingStrategy. It returns nil when the
-// round cannot be streamed: class-routed synthesis (§VI-B) needs every
-// update's DecoderClasses, which only exist after the barrier, and a
-// mis-shaped CVAE config is left for the batch path to surface as the
-// usual error.
+// BeginRound implements fl.StreamingStrategy. It returns nil for an
+// empty round and for a mis-shaped CVAE config, which Aggregate reports
+// as the usual error.
 func (g *FedGuard) BeginRound(ctx *fl.RoundContext, m int) fl.RoundStream {
-	if m <= 0 || g.UseDecoderClasses || g.CVAECfg.Input != g.ImageH*g.ImageW {
+	s, err := g.begin(ctx, m, false)
+	if err != nil {
 		return nil
-	}
-	// Replicate Synthesize's draw order exactly on a clone: decoder
-	// subset first, then latents, then labels. ctx.RNG itself must not
-	// advance — Finalize may fall back to Aggregate, which redraws.
-	r := ctx.RNG.Clone()
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
-	if g.MaxDecoders > 0 && g.MaxDecoders < m {
-		order = r.Sample(m, g.MaxDecoders)
-	}
-	t := g.Samples
-	if t <= 0 {
-		t = 2 * m
-	}
-	z := tensor.New(t, g.CVAECfg.Latent)
-	r.FillNormal(z.Data, 0, 1)
-	labels := make([]int, t)
-	for i := range labels {
-		if g.ClassProbs != nil {
-			labels[i] = r.Categorical(g.ClassProbs)
-		} else {
-			labels[i] = r.CategoricalUniform(g.CVAECfg.Classes)
-		}
-	}
-	nd := len(order)
-	perDec := make([][]int, nd)
-	for i := 0; i < t; i++ {
-		perDec[i%nd] = append(perDec[i%nd], i)
-	}
-	slotDec := make(map[int]int, nd)
-	for d, slot := range order {
-		slotDec[slot] = d
-	}
-
-	s := &AuditStream{
-		g:        g,
-		m:        m,
-		t:        t,
-		z:        z,
-		labels:   labels,
-		slotDec:  slotDec,
-		perDec:   perDec,
-		arrived:  make([]bool, m),
-		clientID: make([]int, m),
-		weights:  make([][]float32, m),
-		decoders: make([]*cvae.Decoder, nd),
-		synthed:  make([]bool, nd),
-		blockX:   make([]*tensor.Tensor, nd),
-		blockLB:  make([][]int, nd),
-		correct:  make([]int64, m),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	// Empty blocks (t < nd) have nothing to synthesize or score; their
-	// decoders are still validated on arrival so error behavior matches
-	// the batch path.
-	for d, idxs := range perDec {
-		if len(idxs) == 0 {
-			s.synthed[d] = true
-		}
-	}
-	w := g.workers(m)
-	for len(g.auditModels) < w {
-		g.auditModels = append(g.auditModels, g.Arch(newInitRNG()))
-	}
-	for wk := 0; wk < w; wk++ {
-		s.wg.Add(1)
-		go s.worker(g.auditModels[wk])
 	}
 	return s
 }
 
-// Submit implements fl.RoundStream. The decoder payload is validated and
-// bound to a view here, outside the lock (it costs a length check; the
-// payload is neither copied nor written); any validation error is
-// recorded and later routed through the batch fallback, which
-// reproduces the identical error serially.
+// begin draws the plan for m updates and starts its workers.
+func (g *FedGuard) begin(ctx *fl.RoundContext, m int, hold bool) (*AuditStream, error) {
+	if g.CVAECfg.Input != g.ImageH*g.ImageW {
+		return nil, fmt.Errorf("defense: CVAE input %d does not match %dx%d images",
+			g.CVAECfg.Input, g.ImageH, g.ImageW)
+	}
+	if m <= 0 {
+		return nil, aggregate.ErrNoUpdates
+	}
+	order, z, labels := g.drawPlan(ctx.RNG.Clone(), m)
+	nd, t := len(order), len(labels)
+	s := &AuditStream{
+		g: g, m: m, t: t, slab: (t + scorePasses - 1) / scorePasses,
+		z: z, labels: labels, block: make([]int, m),
+		hold:      hold,
+		errs:      make([]error, nd+m),
+		unbound:   nd,
+		decoders:  make([]*cvae.Decoder, nd),
+		classes:   make([][]int, nd),
+		x:         tensor.New(t, 1, g.ImageH, g.ImageW),
+		rowLabel:  make([]int, 0, t),
+		rowSample: make([]int, 0, t),
+		arrived:   make([]bool, m),
+		updates:   make([]fl.Update, m),
+		scored:    make([]int, m),
+		hits:      make([]int, m),
+	}
+	s.cond = sync.NewCond(&s.mu)
+	for slot := range s.block {
+		s.block[slot] = -1
+	}
+	for d, slot := range order {
+		s.block[slot] = d
+	}
+	s.assign()
+	w := g.workers(m)
+	for len(g.auditModels) < w {
+		g.auditModels = append(g.auditModels, g.Arch(newInitRNG()))
+	}
+	s.wg.Add(w)
+	for _, model := range g.auditModels[:w] {
+		go s.worker(model)
+	}
+	return s, nil
+}
+
+// assign partitions the samples over the decoders as soon as that can be
+// done: at begin when round-robin, once every contributing slot has
+// brought its class list when class-routed. Callers hold s.mu (or are
+// begin).
+func (s *AuditStream) assign() {
+	if s.samples != nil || (s.g.UseDecoderClasses && s.unbound > 0) {
+		return
+	}
+	nd := len(s.decoders)
+	s.samples = make([][]int, nd)
+	for i, d := range s.g.assignSamples(s.labels, nd, s.classes) {
+		s.samples[d] = append(s.samples[d], i)
+	}
+}
+
+// Submit implements fl.RoundStream. A contributing slot's decoder payload
+// is validated and bound to a view here, outside the lock (it costs a
+// length check; the payload is neither copied nor written).
 func (s *AuditStream) Submit(slot int, u fl.Update) {
-	var dec *cvae.Decoder
-	var decErr error
+	d := -1
 	if slot >= 0 && slot < s.m {
-		if _, hasDec := s.slotDec[slot]; hasDec {
-			if u.Decoder == nil {
-				decErr = fmt.Errorf("defense: client %d sent no decoder payload", u.ClientID)
-			} else if dec, decErr = cvae.NewDecoder(s.g.CVAECfg, u.Decoder); decErr != nil {
-				decErr = fmt.Errorf("defense: client %d: %w", u.ClientID, decErr)
-			}
+		d = s.block[slot]
+	}
+	var dec *cvae.Decoder
+	var err error
+	if d >= 0 {
+		if u.Decoder == nil {
+			err = fmt.Errorf("defense: client %d sent no decoder payload", u.ClientID)
+		} else if dec, err = cvae.NewDecoder(s.g.CVAECfg, u.Decoder); err != nil {
+			err = fmt.Errorf("defense: client %d: %w", u.ClientID, err)
 		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case s.closed:
+	if s.closed {
 		return
-	case slot < 0 || slot >= s.m:
-		s.fail(fmt.Errorf("defense: stream slot %d outside [0,%d)", slot, s.m))
-		return
-	case s.arrived[slot]:
-		s.fail(fmt.Errorf("defense: stream slot %d submitted twice", slot))
+	}
+	if slot < 0 || slot >= s.m || s.arrived[slot] {
+		s.misused = true
 		return
 	}
 	s.arrived[slot] = true
-	s.clientID[slot] = u.ClientID
-	s.weights[slot] = u.Weights
-	if decErr != nil {
-		s.fail(decErr)
-		return
-	}
-	if d, hasDec := s.slotDec[slot]; hasDec {
-		s.decoders[d] = dec
-		if len(s.perDec[d]) > 0 {
-			s.enqueueLocked(streamJob{slot: -1, block: d})
-		}
-	}
-	for d := range s.synthed {
-		if s.synthed[d] && len(s.perDec[d]) > 0 {
-			s.enqueueLocked(streamJob{slot: slot, block: d})
-		}
-	}
-}
-
-// fail records the stream's first error; the round then finishes via the
-// batch fallback. Callers hold s.mu.
-func (s *AuditStream) fail(err error) {
-	if s.err == nil {
-		s.err = err
+	s.updates[slot] = u
+	if d >= 0 {
+		s.decoders[d], s.classes[d], s.errs[d] = dec, u.DecoderClasses, err
+		s.unbound--
+		s.assign()
 	}
 	s.cond.Broadcast()
 }
 
-func (s *AuditStream) enqueueLocked(j streamJob) {
-	s.queue = append(s.queue, j)
-	s.cond.Broadcast()
+// synthesizable returns a block whose decoder is bound and whose samples
+// are assigned but not yet generated, or -1. Empty blocks (t < nd) have
+// nothing to synthesize; their decoders are validated all the same.
+func (s *AuditStream) synthesizable() int {
+	for d, idxs := range s.samples {
+		if len(idxs) > 0 && s.decoders[d] != nil {
+			return d
+		}
+	}
+	return -1
 }
 
-// worker drains jobs until the stream closes. Each worker owns one audit
-// model and remembers which update is loaded in it, preferring queued
-// scoring jobs for that update to skip redundant LoadParams calls.
+// scorable returns an arrived slot with enough ready rows it has not
+// seen — a slab, or whatever is left of a complete set — or -1.
+func (s *AuditStream) scorable() int {
+	ready := len(s.rowLabel)
+	if s.hold {
+		return -1
+	}
+	for j, n := range s.scored {
+		if s.arrived[j] && n < ready && (ready == s.t || ready-n >= s.slab) {
+			return j
+		}
+	}
+	return -1
+}
+
+// worker runs jobs until the plan closes, synthesis before scoring. Each
+// worker owns one audit model.
 func (s *AuditStream) worker(model *nn.Sequential) {
 	defer s.wg.Done()
-	loaded := -1
 	s.mu.Lock()
-	for {
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		if s.err != nil {
-			// The round is already bound for the batch fallback; drop the
-			// remaining work.
-			s.queue = s.queue[:0]
-			s.cond.Broadcast()
-			continue
-		}
-		pick := 0
-		if loaded >= 0 {
-			for i, j := range s.queue {
-				if j.slot == loaded {
-					pick = i
-					break
-				}
+	defer s.mu.Unlock()
+	for !s.closed {
+		d, j := s.synthesizable(), -1
+		if d < 0 {
+			if j = s.scorable(); j < 0 {
+				s.cond.Wait()
+				continue
 			}
 		}
-		job := s.queue[pick]
-		s.queue = append(s.queue[:pick], s.queue[pick+1:]...)
 		s.inflight++
-		s.mu.Unlock()
-
 		start := time.Now()
-		var count int
-		var err error
-		if job.slot < 0 {
-			s.runSynth(job.block)
+		if d >= 0 {
+			s.synthesize(d)
 		} else {
-			count, err = s.runScore(model, &loaded, job)
+			s.score(model, j)
 		}
-		s.busyNanos.Add(time.Since(start).Nanoseconds())
-		s.jobsDone.Add(1)
-
-		s.mu.Lock()
+		s.busy += time.Since(start)
 		s.inflight--
-		switch {
-		case err != nil:
-			s.fail(err)
-		case job.slot >= 0:
-			s.correct[job.slot] += int64(count)
-		default:
-			s.synthed[job.block] = true
-			for slot, ok := range s.arrived {
-				if ok {
-					s.enqueueLocked(streamJob{slot: slot, block: job.block})
-				}
-			}
-		}
-		if s.inflight == 0 && len(s.queue) == 0 {
-			s.cond.Broadcast() // wake a draining Finalize/Abort
-		}
+		s.cond.Broadcast()
 	}
 }
 
-// runSynth generates block d's synthetic images: the same gathered
-// latents and labels the batch Synthesize hands this decoder, so the
-// rows are bit-identical to the batch path's.
-func (s *AuditStream) runSynth(d int) {
-	idxs := s.perDec[d]
+// synthesize generates block d from its gathered latents and labels and
+// appends the rows to the set. Called with s.mu held; the lock is
+// released around the compute.
+func (s *AuditStream) synthesize(d int) {
+	idxs := s.samples[d]
+	s.samples[d] = nil // claimed
+	s.mu.Unlock()
 	lat := s.g.CVAECfg.Latent
 	zd := tensor.New(len(idxs), lat)
 	ld := make([]int, len(idxs))
@@ -301,72 +269,116 @@ func (s *AuditStream) runSynth(d int) {
 		copy(zd.Data[k*lat:(k+1)*lat], s.z.Data[i*lat:(i+1)*lat])
 		ld[k] = s.labels[i]
 	}
+	// The images are the decoder's scratch; each decoder generates once.
 	imgs := s.decoders[d].Generate(zd, ld)
-	xd := tensor.New(len(idxs), 1, s.g.ImageH, s.g.ImageW)
-	copy(xd.Data, imgs.Data)
-	s.blockX[d] = xd
-	s.blockLB[d] = ld
-}
-
-func (s *AuditStream) runScore(model *nn.Sequential, loaded *int, job streamJob) (int, error) {
-	if *loaded != job.slot {
-		if err := model.LoadParams(s.weights[job.slot]); err != nil {
-			*loaded = -1
-			return 0, fmt.Errorf("defense: audit client %d: %w", s.clientID[job.slot], err)
-		}
-		*loaded = job.slot
-	}
-	return classifier.CountCorrectTensor(model, s.blockX[job.block], s.blockLB[job.block]), nil
-}
-
-// drainAndStop waits for queued and in-flight work, then shuts the
-// worker pool down.
-func (s *AuditStream) drainAndStop() {
 	s.mu.Lock()
-	for s.err == nil && (s.inflight > 0 || len(s.queue) > 0) {
+	copy(s.x.Data[len(s.rowLabel)*s.g.CVAECfg.Input:], imgs.Data)
+	s.rowLabel = append(s.rowLabel, ld...)
+	s.rowSample = append(s.rowSample, idxs...)
+	s.synthJobs++
+}
+
+// score runs slot j's update over every ready row it has not seen, a
+// slab at a time. Called with s.mu held; the lock is released around the
+// compute. Rows below len(s.rowLabel) are never written again and
+// rowLabel never reallocates, so the job reads them unlocked.
+func (s *AuditStream) score(model *nn.Sequential, j int) {
+	lo, hi := s.scored[j], len(s.rowLabel)
+	s.scored[j] = hi
+	rowLabel := s.rowLabel[lo:hi]
+	s.mu.Unlock()
+	size := s.g.CVAECfg.Input
+	hits := 0
+	err := model.LoadParams(s.updates[j].Weights)
+	for at := lo; err == nil && at < hi; at += s.slab {
+		end := min(at+s.slab, hi)
+		rows := tensor.FromSlice(s.x.Data[at*size:end*size], end-at, 1, s.g.ImageH, s.g.ImageW)
+		hits += classifier.CountCorrectTensor(model, rows, rowLabel[at-lo:end-lo])
+	}
+	s.mu.Lock()
+	s.scoreJobs++
+	s.hits[j] += hits
+	if err != nil {
+		s.errs[len(s.decoders)+j] = fmt.Errorf("defense: audit client %d: %w", s.updates[j].ClientID, err)
+		s.scored[j] = s.t // no further job can do better
+	}
+}
+
+// drain waits until no job is running or runnable and returns the
+// round's error, if any.
+func (s *AuditStream) drain() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.closed && (s.inflight > 0 || s.synthesizable() >= 0 || s.scorable() >= 0) {
 		s.cond.Wait()
 	}
-	s.closed = true
-	s.queue = nil
+	for _, err := range s.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scores releases held scoring, waits the plan out and returns every
+// update's accuracy on the synthetic set: integer hits over the set
+// size, the division EvaluateTensor performs.
+func (s *AuditStream) scores() ([]float64, error) {
+	s.mu.Lock()
+	s.hold = false
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.wg.Wait()
+	err := s.drain()
+	s.Abort()
+	if err != nil {
+		return nil, err
+	}
+	accs := make([]float64, s.m)
+	for j, h := range s.hits {
+		accs[j] = float64(h) / float64(s.t)
+	}
+	return accs, nil
 }
 
 // Finalize implements fl.RoundStream. ctx must carry the round's
-// assembled Updates in slot order; any divergence from what was streamed
-// (drop-outs, re-ordered slots, duplicate submissions, job errors) routes
-// the round through the batch Aggregate — ctx.RNG was never advanced, so
-// that fallback is the exact serial computation.
+// assembled Updates in slot order. If they are not what was streamed
+// (drop-outs, re-ordered slots, a slot submitted twice) the round is the
+// same plan begun again on the delivered updates: ctx.RNG was never
+// advanced, so Aggregate draws what this stream drew.
 func (s *AuditStream) Finalize(ctx *fl.RoundContext) ([]float32, error) {
-	s.drainAndStop()
-	ok := s.err == nil && len(ctx.Updates) == s.m
-	if ok {
-		for i, u := range ctx.Updates {
-			if !s.arrived[i] || s.clientID[i] != u.ClientID {
-				ok = false
-				break
-			}
-		}
-	}
-	if !ok {
+	if !s.delivered(ctx.Updates) {
+		s.Abort()
 		return s.g.Aggregate(ctx)
 	}
-	accs := make([]float64, s.m)
-	for i := range accs {
-		// Same division EvaluateTensor performs: integer hits over the
-		// full synthetic-set size.
-		accs[i] = float64(s.correct[i]) / float64(s.t)
+	accs, err := s.scores()
+	if err != nil {
+		return nil, err
 	}
 	return s.g.finalizeScores(ctx, accs)
 }
 
-// Abort implements fl.RoundStream.
+// delivered reports whether updates are exactly the submitted slots.
+func (s *AuditStream) delivered(updates []fl.Update) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.misused || len(updates) != s.m {
+		return false
+	}
+	for slot, u := range updates {
+		if !s.arrived[slot] || s.updates[slot].ClientID != u.ClientID {
+			return false
+		}
+	}
+	return true
+}
+
+// Abort implements fl.RoundStream: it closes the plan and blocks until
+// the workers exit, dropping whatever was not yet run. A finished plan
+// releases its workers the same way.
 func (s *AuditStream) Abort() {
 	s.mu.Lock()
-	s.fail(errStreamAborted)
 	s.closed = true
-	s.queue = nil
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
 }
@@ -375,5 +387,7 @@ func (s *AuditStream) Abort() {
 // jobs completed so far. Sampled at barrier entry it measures how much
 // audit compute hid inside the upload phase.
 func (s *AuditStream) Overlap() (time.Duration, int) {
-	return time.Duration(s.busyNanos.Load()), int(s.jobsDone.Load())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.busy, s.synthJobs + s.scoreJobs
 }

@@ -1,12 +1,14 @@
 package defense
 
 import (
+	"slices"
 	"testing"
 
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
+	"fedguard/internal/telemetry"
 )
 
 func streamGuard(ccfg cvae.Config, workers int) *FedGuard {
@@ -16,45 +18,118 @@ func streamGuard(ccfg cvae.Config, workers int) *FedGuard {
 	return g
 }
 
-func batchRun(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64) ([]float32, map[string]float64) {
-	t.Helper()
+// outcome is what a round leaves behind: the aggregate, the report and
+// the excluded client IDs in event order.
+type outcome struct {
+	weights  []float32
+	report   map[string]float64
+	excluded []int
+}
+
+// sinkCtx is ctxWith plus a sink for the round's exclusion events.
+func sinkCtx(updates []fl.Update, seed uint64) (*fl.RoundContext, func(weights []float32) outcome) {
 	ctx := ctxWith(updates, seed)
+	sink := &telemetry.CollectSink{}
+	ctx.Telemetry = telemetry.New(sink)
+	return ctx, func(weights []float32) outcome {
+		var excluded []int
+		for _, e := range sink.ByKind("ClientExcluded") {
+			excluded = append(excluded, e.(telemetry.ClientExcluded).ClientID)
+		}
+		return outcome{weights, ctx.Report, excluded}
+	}
+}
+
+// barrierRun is one round on the barrier schedule.
+func barrierRun(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64) outcome {
+	t.Helper()
+	ctx, done := sinkCtx(updates, seed)
 	out, err := g.Aggregate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, ctx.Report
+	return done(out)
 }
 
-func requireSame(t *testing.T, label string, got, want []float32, gotR, wantR map[string]float64) {
+// streamRun is one round on the stream schedule: updates submitted in the
+// given slot order, then finalized on delivered.
+func streamRun(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64, order []int, delivered []fl.Update) outcome {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d weights, want %d", label, len(got), len(want))
+	ctx, done := sinkCtx(nil, seed)
+	stream := g.BeginRound(ctx, len(updates))
+	if stream == nil {
+		t.Fatal("BeginRound refused a streamable round")
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: weight %d differs: %v vs %v", label, i, got[i], want[i])
+	for _, slot := range order {
+		stream.Submit(slot, updates[slot])
+	}
+	if busy, jobs := stream.Overlap(); jobs > 0 && busy <= 0 {
+		t.Fatalf("%d jobs done but zero busy time", jobs)
+	}
+	ctx.Updates = delivered
+	out, err := stream.Finalize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done(out)
+}
+
+func requireSame(t *testing.T, label string, got, want outcome) {
+	t.Helper()
+	if len(got.weights) != len(want.weights) {
+		t.Fatalf("%s: %d weights, want %d", label, len(got.weights), len(want.weights))
+	}
+	for i := range got.weights {
+		if got.weights[i] != want.weights[i] {
+			t.Fatalf("%s: weight %d differs: %v vs %v", label, i, got.weights[i], want.weights[i])
 		}
 	}
-	for k, v := range wantR {
-		if gotR[k] != v {
-			t.Fatalf("%s: report[%q] = %v, want %v", label, k, gotR[k], v)
+	for k, v := range want.report {
+		if got.report[k] != v {
+			t.Fatalf("%s: report[%q] = %v, want %v", label, k, got.report[k], v)
 		}
+	}
+	if !slices.Equal(got.excluded, want.excluded) {
+		t.Fatalf("%s: excluded %v, want %v", label, got.excluded, want.excluded)
 	}
 }
 
-// TestAuditStreamMatchesBatch pins the streaming path's determinism
-// contract: for any arrival order, worker count, and decoder subsetting,
-// Submit/Finalize must produce byte-identical weights and reports to the
-// barrier-then-Aggregate path.
+// routedUpdates is auditDeterminismUpdates with a decoder of its own per
+// client (so that which decoder drew a sample shows in its pixels) and a
+// claimed class list per decoder: overlapping windows, none at all on
+// slot 2 (nil means trained on everything) and class 9 claimed only by it.
+func routedUpdates(t *testing.T) ([]fl.Update, cvae.Config) {
+	t.Helper()
+	shared, ccfg := auditDeterminismUpdates(t)
+	updates := append([]fl.Update(nil), shared...)
+	for i := range updates {
+		dec := append([]float32(nil), updates[i].Decoder...)
+		noise := make([]float32, len(dec))
+		rng.New(uint64(200+i)).FillNormal(noise, 0, 0.05)
+		for j := range dec {
+			dec[j] += noise[j]
+		}
+		updates[i].Decoder = dec
+		if i != 2 {
+			updates[i].DecoderClasses = []int{i, i + 1, i + 2, i + 3}
+		}
+	}
+	return updates, ccfg
+}
+
+// TestAuditStreamMatchesBatch pins the plan's determinism contract: for
+// any arrival order, worker count, decoder subsetting and routing, the
+// stream schedule and the barrier schedule both produce the reference's
+// weights, report and exclusions, byte for byte.
 func TestAuditStreamMatchesBatch(t *testing.T) {
-	updates, ccfg := auditDeterminismUpdates(t)
+	updates, ccfg := routedUpdates(t)
 	const seed = 41
 
 	for _, tc := range []struct {
 		name        string
 		workers     int
 		maxDecoders int
+		routed      bool
 		order       []int
 	}{
 		{name: "serial-inorder", workers: 1, order: []int{0, 1, 2, 3, 4, 5}},
@@ -62,69 +137,59 @@ func TestAuditStreamMatchesBatch(t *testing.T) {
 		{name: "parallel-shuffled", workers: 4, order: []int{3, 0, 5, 1, 4, 2}},
 		{name: "gomaxprocs-shuffled", workers: 0, order: []int{2, 5, 0, 4, 1, 3}},
 		{name: "maxdecoders", workers: 3, maxDecoders: 3, order: []int{4, 1, 5, 0, 2, 3}},
+		{name: "routed-inorder", workers: 1, routed: true, order: []int{0, 1, 2, 3, 4, 5}},
+		{name: "routed-shuffled", workers: 4, routed: true, order: []int{3, 0, 5, 1, 4, 2}},
+		{name: "routed-maxdecoders", workers: 2, maxDecoders: 3, routed: true, order: []int{4, 1, 5, 0, 2, 3}},
+		{name: "routed-maxdecoders-reversed", workers: 0, maxDecoders: 3, routed: true, order: []int{5, 4, 3, 2, 1, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gb := streamGuard(ccfg, tc.workers)
-			gb.MaxDecoders = tc.maxDecoders
-			want, wantR := batchRun(t, gb, updates, seed)
-
-			gs := streamGuard(ccfg, tc.workers)
-			gs.MaxDecoders = tc.maxDecoders
-			ctx := ctxWith(nil, seed)
-			stream := gs.BeginRound(ctx, len(updates))
-			if stream == nil {
-				t.Fatal("BeginRound refused a streamable round")
+			guard := func() *FedGuard {
+				g := streamGuard(ccfg, tc.workers)
+				g.MaxDecoders = tc.maxDecoders
+				g.UseDecoderClasses = tc.routed
+				return g
 			}
-			for _, slot := range tc.order {
-				stream.Submit(slot, updates[slot])
-			}
-			if busy, jobs := stream.Overlap(); jobs > 0 && busy <= 0 {
-				t.Fatalf("%d jobs done but zero busy time", jobs)
-			}
-			ctx.Updates = updates
-			got, err := stream.Finalize(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSame(t, tc.name, got, want, ctx.Report, wantR)
+			want := referenceAggregate(t, guard(), updates, seed)
+			requireSame(t, "barrier", barrierRun(t, guard(), updates, seed), want)
+			requireSame(t, "stream", streamRun(t, guard(), updates, seed, tc.order, updates), want)
 		})
 	}
 }
 
 // TestAuditStreamConcurrentSubmit drives Submit from one goroutine per
 // client — the shape the networked server uses — and checks the result
-// against the batch path. Run under -race this also pins the stream's
+// against the reference. Run under -race this also pins the plan's
 // synchronization.
 func TestAuditStreamConcurrentSubmit(t *testing.T) {
 	updates, ccfg := auditDeterminismUpdates(t)
 	const seed = 43
-	want, wantR := batchRun(t, streamGuard(ccfg, 2), updates, seed)
+	want := referenceAggregate(t, streamGuard(ccfg, 2), updates, seed)
 
 	g := streamGuard(ccfg, 2)
-	ctx := ctxWith(nil, seed)
+	ctx, done := sinkCtx(nil, seed)
 	stream := g.BeginRound(ctx, len(updates))
-	done := make(chan struct{})
+	submitted := make(chan struct{})
 	for slot := range updates {
 		go func(slot int) {
 			stream.Submit(slot, updates[slot])
-			done <- struct{}{}
+			submitted <- struct{}{}
 		}(slot)
 	}
 	for range updates {
-		<-done
+		<-submitted
 	}
 	ctx.Updates = updates
 	got, err := stream.Finalize(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSame(t, "concurrent", got, want, ctx.Report, wantR)
+	requireSame(t, "concurrent", done(got), want)
 }
 
 // TestAuditStreamFallback covers the degraded paths: a round that loses
-// a client mid-stream, or whose final update order disagrees with the
-// streamed slots, must fall back to the batch computation on the actual
-// updates — same bytes as never having streamed.
+// a client mid-stream, whose final update order disagrees with the
+// streamed slots, or whose stream was misused is the plan begun again on
+// the actual updates — same bytes as never having streamed.
 func TestAuditStreamFallback(t *testing.T) {
 	updates, ccfg := auditDeterminismUpdates(t)
 	const seed = 47
@@ -132,45 +197,29 @@ func TestAuditStreamFallback(t *testing.T) {
 	t.Run("dropout", func(t *testing.T) {
 		// Client in slot 2 never arrives; the round closes with 5 updates.
 		survivors := append(append([]fl.Update(nil), updates[:2]...), updates[3:]...)
-		want, wantR := batchRun(t, streamGuard(ccfg, 2), survivors, seed)
-
-		g := streamGuard(ccfg, 2)
-		ctx := ctxWith(nil, seed)
-		stream := g.BeginRound(ctx, len(updates))
-		for _, slot := range []int{0, 1, 3, 4, 5} {
-			stream.Submit(slot, updates[slot])
-		}
-		ctx.Updates = survivors
-		got, err := stream.Finalize(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSame(t, "dropout", got, want, ctx.Report, wantR)
+		want := referenceAggregate(t, streamGuard(ccfg, 2), survivors, seed)
+		got := streamRun(t, streamGuard(ccfg, 2), updates, seed, []int{0, 1, 3, 4, 5}, survivors)
+		requireSame(t, "dropout", got, want)
 	})
 
 	t.Run("slot-mismatch", func(t *testing.T) {
 		reordered := append([]fl.Update(nil), updates...)
 		reordered[0], reordered[1] = reordered[1], reordered[0]
-		want, wantR := batchRun(t, streamGuard(ccfg, 1), reordered, seed)
+		want := referenceAggregate(t, streamGuard(ccfg, 1), reordered, seed)
+		got := streamRun(t, streamGuard(ccfg, 1), updates, seed, []int{0, 1, 2, 3, 4, 5}, reordered)
+		requireSame(t, "slot-mismatch", got, want)
+	})
 
-		g := streamGuard(ccfg, 1)
-		ctx := ctxWith(nil, seed)
-		stream := g.BeginRound(ctx, len(updates))
-		for slot := range updates {
-			stream.Submit(slot, updates[slot])
-		}
-		ctx.Updates = reordered
-		got, err := stream.Finalize(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSame(t, "slot-mismatch", got, want, ctx.Report, wantR)
+	t.Run("submitted-twice", func(t *testing.T) {
+		want := referenceAggregate(t, streamGuard(ccfg, 2), updates, seed)
+		got := streamRun(t, streamGuard(ccfg, 2), updates, seed, []int{0, 1, 1, 2, 3, 4, 5}, updates)
+		requireSame(t, "submitted-twice", got, want)
 	})
 
 	t.Run("abort-then-batch", func(t *testing.T) {
-		want, wantR := batchRun(t, streamGuard(ccfg, 2), updates, seed)
+		want := referenceAggregate(t, streamGuard(ccfg, 2), updates, seed)
 		g := streamGuard(ccfg, 2)
-		ctx := ctxWith(nil, seed)
+		ctx, done := sinkCtx(nil, seed)
 		stream := g.BeginRound(ctx, len(updates))
 		stream.Submit(0, updates[0])
 		stream.Abort()
@@ -180,23 +229,23 @@ func TestAuditStreamFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSame(t, "abort", got, want, ctx.Report, wantR)
+		requireSame(t, "abort", done(got), want)
 	})
 }
 
-// TestAuditStreamUnsupported pins when BeginRound must refuse: §VI-B
-// class-routed synthesis (needs post-barrier DecoderClasses) and empty
-// rounds.
+// TestAuditStreamUnsupported pins when BeginRound must refuse: empty
+// rounds, and a CVAE config that is not an ImageH×ImageW image (which
+// Aggregate reports as an error).
 func TestAuditStreamUnsupported(t *testing.T) {
 	_, _, ccfg := buildFixture(t, rng.New(40))
-	g := streamGuard(ccfg, 1)
-	g.UseDecoderClasses = true
-	if s := g.BeginRound(ctxWith(nil, 1), 4); s != nil {
-		t.Fatal("UseDecoderClasses rounds must not stream")
+	for _, m := range []int{0, -1} {
+		if s := streamGuard(ccfg, 1).BeginRound(ctxWith(nil, 1), m); s != nil {
+			t.Fatalf("a round of %d updates must not stream", m)
+		}
 	}
-	g2 := streamGuard(ccfg, 1)
-	if s := g2.BeginRound(ctxWith(nil, 1), 0); s != nil {
-		t.Fatal("empty rounds must not stream")
+	ccfg.Input = 100
+	if s := streamGuard(ccfg, 1).BeginRound(ctxWith(nil, 1), 4); s != nil {
+		t.Fatal("a mis-shaped CVAE config must not stream")
 	}
 }
 
@@ -212,6 +261,128 @@ func TestAuditStreamDoesNotAdvanceRNG(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		if ctx.RNG.Float64() != ref.Float64() {
 			t.Fatalf("draw %d diverged: BeginRound advanced the round RNG", i)
+		}
+	}
+}
+
+// TestAuditErrorsAreDeterministic: the round's error is the lowest
+// failing decoder's in drawn order, else the lowest failing slot's
+// weights, whatever the arrival order and on either schedule.
+func TestAuditErrorsAreDeterministic(t *testing.T) {
+	good, ccfg := auditDeterminismUpdates(t)
+	const seed = 59
+	for _, tc := range []struct {
+		name        string
+		maxDecoders int
+		spoil       func(updates []fl.Update)
+	}{
+		{name: "two bad decoders", spoil: func(u []fl.Update) {
+			u[1].Decoder = u[1].Decoder[:10]
+			u[4].Decoder = nil
+		}},
+		{name: "two bad decoders, drawn order", maxDecoders: 4, spoil: func(u []fl.Update) {
+			for i := range u {
+				u[i].Decoder = u[i].Decoder[:10+i]
+			}
+		}},
+		{name: "two bad weight vectors", spoil: func(u []fl.Update) {
+			u[2].Weights = u[2].Weights[:5]
+			u[3].Weights = nil
+		}},
+		{name: "a decoder outranks weights", spoil: func(u []fl.Update) {
+			u[0].Weights = nil
+			u[5].Decoder = nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			updates := append([]fl.Update(nil), good...)
+			tc.spoil(updates)
+			guard := func() *FedGuard {
+				g := streamGuard(ccfg, 2)
+				g.MaxDecoders = tc.maxDecoders
+				return g
+			}
+			_, err := guard().Aggregate(ctxWith(updates, seed))
+			if err == nil {
+				t.Fatal("Aggregate accepted the round")
+			}
+			for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {4, 2, 0, 3, 1, 5}} {
+				ctx := ctxWith(nil, seed)
+				stream := guard().BeginRound(ctx, len(updates))
+				for _, slot := range order {
+					stream.Submit(slot, updates[slot])
+				}
+				ctx.Updates = updates
+				if _, serr := stream.Finalize(ctx); serr == nil || serr.Error() != err.Error() {
+					t.Fatalf("arrival %v: %v, Aggregate said %v", order, serr, err)
+				}
+			}
+		})
+	}
+	// The drawn-order case must really be decided by the draw: the first
+	// drawn slot is not the lowest drawn slot at this seed.
+	g := streamGuard(ccfg, 1)
+	g.MaxDecoders = 4
+	if order, _, _ := g.drawPlan(rng.New(seed), len(good)); order[0] == slices.Min(order) {
+		t.Fatalf("seed %d draws %v, which no longer tells drawn order from slot order; pick another", seed, order)
+	}
+}
+
+// TestAuditPlanJobShape pins the plan's cost model, not just its bytes.
+// On the barrier schedule nd decoders and m updates are exactly nd
+// synthesis jobs and m scoring jobs (a scoring job is one LoadParams and
+// one forward pass over every row it has not seen). On the stream
+// schedule an update waits for a quarter of the set, or its completion,
+// so it takes at most scorePasses jobs — never one per block.
+func TestAuditPlanJobShape(t *testing.T) {
+	updates, ccfg := auditDeterminismUpdates(t)
+	m := len(updates)
+	for _, nd := range []int{m, 3} {
+		for _, workers := range []int{1, 3} {
+			g := streamGuard(ccfg, workers)
+			g.MaxDecoders = nd
+			s, err := g.synthesized(ctxWith(updates, 61))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.synthJobs != nd || s.scoreJobs != 0 {
+				t.Fatalf("nd=%d: %d synthesis and %d scoring jobs before scoring was released", nd, s.synthJobs, s.scoreJobs)
+			}
+			if _, err := s.scores(); err != nil {
+				t.Fatal(err)
+			}
+			if s.synthJobs != nd || s.scoreJobs != m {
+				t.Fatalf("nd=%d workers=%d: barrier ran %d synthesis + %d scoring jobs, want %d + %d",
+					nd, workers, s.synthJobs, s.scoreJobs, nd, m)
+			}
+		}
+	}
+
+	// Streamed, one worker, each arrival drained before the next: the
+	// schedule that made the per-block plan score every (update, block)
+	// pair on its own — 21 jobs for six in-order arrivals.
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {3, 0, 5, 1, 4, 2}} {
+		g := streamGuard(ccfg, 1)
+		ctx := ctxWith(nil, 61)
+		s := g.BeginRound(ctx, m).(*AuditStream)
+		for _, slot := range order {
+			s.Submit(slot, updates[slot])
+			if err := s.drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx.Updates = updates
+		if _, err := s.Finalize(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if perBlock := m * (m + 1) / 2; s.synthJobs != m || s.scoreJobs > scorePasses*m || s.scoreJobs >= perBlock {
+			t.Fatalf("arrival %v: %d synthesis + %d scoring jobs for %d updates and blocks (one per block: %d)",
+				order, s.synthJobs, s.scoreJobs, m, perBlock)
+		}
+		for j, n := range s.scored {
+			if n != s.t {
+				t.Fatalf("arrival %v: slot %d scored %d of %d rows", order, j, n, s.t)
+			}
 		}
 	}
 }

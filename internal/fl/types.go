@@ -115,16 +115,18 @@ func (ctx *RoundContext) ExcludeClient(clientID int, score, mean float64) {
 // shadow instead of running serially after the barrier.
 //
 // The contract is strict determinism: Finalize must return exactly the
-// bytes Aggregate would have returned for the same RoundContext. To make
-// that possible BeginRound must not advance ctx.RNG — it speculates on a
-// private clone — so that a fallback to Aggregate (after drop-outs,
-// slot mismatches, or internal errors) replays the identical serial
-// computation.
+// bytes Aggregate would have returned for the same RoundContext, and the
+// same error. To make that possible BeginRound must not advance ctx.RNG —
+// it draws on a private clone — so that Aggregate on the same context
+// (after an Abort, or inside Finalize when the delivered updates are not
+// the submitted ones) draws what the stream drew.
 type StreamingStrategy interface {
 	Strategy
 	// BeginRound opens a streaming round expecting m updates. ctx carries
 	// the round's Global/RNG/Telemetry but no Updates yet. A nil return
-	// means this round cannot be streamed; the caller uses Aggregate.
+	// means only that there is nothing to stream — an empty round, or a
+	// configuration Aggregate will report as an error; the caller uses
+	// Aggregate.
 	BeginRound(ctx *RoundContext, m int) RoundStream
 }
 
@@ -137,9 +139,11 @@ type RoundStream interface {
 	// Safe for concurrent use.
 	Submit(slot int, u Update)
 	// Finalize blocks until in-flight work drains and returns the round's
-	// aggregate. ctx must hold the assembled Updates in slot order; on any
-	// inconsistency with what was submitted the stream falls back to the
-	// batch path internally, so the result is identical either way.
+	// aggregate. ctx must hold the assembled Updates in slot order; if
+	// they are not what was submitted (drop-outs, re-ordered slots, a slot
+	// submitted twice) the stream answers with Aggregate on ctx, so the
+	// result is identical either way. An invalid update is an error, the
+	// same one whatever the arrival order.
 	Finalize(ctx *RoundContext) ([]float32, error)
 	// Abort discards the stream (round failed); it blocks until workers
 	// exit.
