@@ -34,8 +34,11 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# race also runs the classifier worker set's own test ten times over:
+# many goroutines borrowing from one set, one of them panicking mid-hold.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=10 -run 'TestSetBoundsBorrowers' ./internal/classifier/
 
 vet:
 	$(GO) vet ./...
@@ -107,9 +110,11 @@ bench-json:
 # its payload again is 1.69 MB each), the whole barrier audit of sixteen
 # updates (sixteen synthesis jobs and sixteen full-set scoring jobs: a
 # plan back to scoring per block, or copying the set per update, shows
-# in its time or its 4.5 MiB B/op ceiling), and a networked client's data
+# in its time or its 4.5 MiB B/op ceiling), a networked client's data
 # (the skip-draw walk's time, and that it keeps a partition and not the
-# training set). Ceilings are loose (≈2-3× the snapshot numbers) so CI
+# training set), and a client's round after its first (≤ 1 MiB B/op: it
+# trains on the worker it borrowed before; a model built per round is
+# 9.8 MB). Ceilings are loose (≈2-3× the snapshot numbers) so CI
 # noise passes but a lost fast path or reintroduced per-op allocation
 # fails.
 bench-guard:
@@ -120,6 +125,7 @@ bench-guard:
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardSynthesize$$' -benchmem -benchtime=50x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardAudit$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClientRoundWarm$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTrainEpochTwoProcs$$' -benchtime=2x . ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json
 

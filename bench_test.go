@@ -342,6 +342,26 @@ func BenchmarkTrainEpochTwoProcs(b *testing.B) {
 	b.ReportMetric(ratio, "procs2/procs1")
 }
 
+// BenchmarkClientRoundWarm is one client's round after its first: a bare
+// fl.NewClient on the small classifier with a 100-sample partition, the
+// default five local epochs. The client borrows the same long-lived
+// worker every round, so a round allocates its update and its shuffled
+// batches; a round that builds its model again allocates ≈ 8.9 MB. The
+// B/op ceiling in BENCH_guard.json is what catches that.
+func BenchmarkClientRoundWarm(b *testing.B) {
+	r := rng.New(5)
+	train := dataset.Generate(100, dataset.DefaultGenOptions(), r)
+	cfg := fl.ClientConfig{Arch: classifier.Small(), Train: classifier.DefaultTrainConfig()}
+	global := fl.InitialGlobalFrom(cfg.Arch, 5)
+	c := fl.NewClient(0, train, dataset.Range(train.Len()), cfg, nil, r)
+	c.RunRound(global, false) // builds the worker and grows its scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.RunRound(global, false)
+	}
+}
+
 func BenchmarkCVAEStep(b *testing.B) {
 	r := rng.New(5)
 	cfg := cvae.SmallConfig()

@@ -16,9 +16,10 @@ import (
 )
 
 // Arch selects a classifier architecture. It is a function so every
-// client can build an independent instance with its own RNG while
-// guaranteeing identical shapes (and therefore an identical flat
-// parameter layout).
+// Set can build independent instances while guaranteeing identical
+// shapes (and therefore an identical flat parameter layout). It must
+// construct its layers in the order it stacks them: that is what makes
+// Reset(r) on a built model draw r as Arch(r) does.
 type Arch func(r *rng.RNG) *nn.Sequential
 
 // Paper returns the exact architecture of Table II: two ReLU-activated
@@ -99,9 +100,20 @@ func DefaultTrainConfig() TrainConfig {
 
 // Train runs local SGD on the examples of ds selected by indices and
 // returns the mean loss of the final epoch. The model is updated in
-// place.
+// place. It is Worker.Train on a worker made for the call.
 func Train(model *nn.Sequential, ds *dataset.Dataset, indices []int, cfg TrainConfig, r *rng.RNG) float64 {
-	optim := opt.NewSGD(model.Params(), cfg.LR, cfg.Momentum, 0)
+	return (&Worker{Model: model}).Train(ds, indices, cfg, r)
+}
+
+// Train is local SGD on the worker's model: zero velocity at the start,
+// every batch gathered into the worker's one buffer.
+func (w *Worker) Train(ds *dataset.Dataset, indices []int, cfg TrainConfig, r *rng.RNG) float64 {
+	model := w.Model
+	if w.sgd == nil {
+		w.sgd = opt.NewSGD(model.Params(), cfg.LR, cfg.Momentum, 0)
+	} else {
+		w.sgd.Reset(cfg.LR, cfg.Momentum, 0)
+	}
 	var anchor []float32
 	if cfg.ProxMu > 0 {
 		anchor = model.FlattenParams() // w₀ for the proximal term
@@ -111,15 +123,15 @@ func Train(model *nn.Sequential, ds *dataset.Dataset, indices []int, cfg TrainCo
 		epochLoss = 0
 		batches := dataset.Batches(indices, cfg.BatchSize, r)
 		for _, b := range batches {
-			x, labels := ds.Batch(b)
+			w.x, w.labels = ds.BatchInto(w.x, w.labels, b)
 			model.ZeroGrad()
-			logits := model.Forward(x, true)
-			l, grad := loss.SoftmaxCrossEntropy(logits, labels)
+			logits := model.Forward(w.x, true)
+			l, grad := loss.SoftmaxCrossEntropy(logits, w.labels)
 			model.Backward(grad)
 			if anchor != nil {
 				addProxGrad(model, anchor, float32(cfg.ProxMu))
 			}
-			optim.Step()
+			w.sgd.Step()
 			epochLoss += l * float64(len(b))
 		}
 		epochLoss /= float64(len(indices))
@@ -141,12 +153,13 @@ func addProxGrad(model *nn.Sequential, anchor []float32, mu float32) {
 }
 
 // evalBatch is Evaluate's batch size: the training batch size, because
-// the model keeps its conv scratch (im2col matrix, products, activations)
-// sized for the largest batch it has seen, and a server's evaluation
-// model lives as long as the run. At 128 that scratch was ≈ 25 MB for
-// the small classifier, the largest live object of a FedAvg run; at 32
-// it is ≈ 6 MB, and the pass is no slower (rows are independent, and the
-// 7 MB im2col matrix no longer falls out of L2).
+// a model keeps its conv scratch (im2col matrix, products, activations)
+// sized for the largest batch it has seen, and the models that evaluate
+// are the run's long-lived training workers. At 128 that scratch was
+// ≈ 25 MB for the small classifier, the largest live object of a FedAvg
+// run; at 32 it is the ≈ 6 MB training already grew, and the pass is no
+// slower (rows are independent, and the 7 MB im2col matrix no longer
+// falls out of L2).
 const evalBatch = 32
 
 // Evaluate returns the model's accuracy on the examples of ds selected by
@@ -155,13 +168,8 @@ func Evaluate(model *nn.Sequential, ds *dataset.Dataset, indices []int) float64 
 	if len(indices) == 0 {
 		return 0
 	}
-	correct := 0
-	for off := 0; off < len(indices); off += evalBatch {
-		end := min(off+evalBatch, len(indices))
-		x, labels := ds.Batch(indices[off:end])
-		correct += CountCorrectTensor(model, x, labels)
-	}
-	return float64(correct) / float64(len(indices))
+	w := Worker{Model: model}
+	return float64(w.countCorrect(ds, indices)) / float64(len(indices))
 }
 
 // EvaluateTensor returns accuracy on an explicit (B, 1, H, W) tensor and

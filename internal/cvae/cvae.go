@@ -231,20 +231,25 @@ func DefaultTrainConfig() TrainConfig { return TrainConfig{Epochs: 30, BatchSize
 // satisfied by *dataset.Dataset.
 type Dataset interface {
 	Len() int
-	FlatBatch(indices []int) (*tensor.Tensor, []int)
+	// FlatBatchInto gathers the indexed examples as (B, Input) rows into
+	// the caller's scratch, grown on demand, and returns it.
+	FlatBatchInto(x *tensor.Tensor, labels []int, indices []int) (*tensor.Tensor, []int)
 }
 
 // Train fits the CVAE on the examples of ds selected by indices using
 // Adam, returning the mean ELBO loss of the final epoch — the only epoch
-// in which the loss is evaluated.
+// in which the loss is evaluated. Every batch is gathered into one
+// buffer the call owns.
 func (m *CVAE) Train(ds Dataset, indices []int, cfg TrainConfig, r *rng.RNG) float64 {
 	optim := opt.NewAdam(m.Params(), cfg.LR)
+	var x *tensor.Tensor
+	var labels []int
 	var epochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
 		last := e == cfg.Epochs-1
 		epochLoss = 0
 		for _, batch := range batchIndices(indices, cfg.BatchSize, r) {
-			x, labels := ds.FlatBatch(batch)
+			x, labels = ds.FlatBatchInto(x, labels, batch)
 			epochLoss += m.step(x, labels, optim, r, last) * float64(len(batch))
 		}
 		epochLoss /= float64(len(indices))

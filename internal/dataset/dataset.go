@@ -51,21 +51,39 @@ func (d *Dataset) Image(i int) *tensor.Tensor {
 // Batch gathers the examples at the given indices into a fresh
 // (B, 1, H, W) tensor plus a label slice.
 func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
-	sz := d.ImageSize()
-	x := tensor.New(len(indices), 1, d.H, d.W)
-	labels := make([]int, len(indices))
-	for bi, i := range indices {
-		copy(x.Data[bi*sz:(bi+1)*sz], d.X[i*sz:(i+1)*sz])
-		labels[bi] = d.Labels[i]
-	}
-	return x, labels
+	return d.BatchInto(nil, nil, indices)
+}
+
+// BatchInto is Batch into caller-owned scratch: x is grown through
+// tensor.Ensure and labels through append, every element of both is
+// overwritten, and both are returned for the caller to keep for its next
+// call. A loop over same-sized batches (and a smaller tail) therefore
+// allocates on its first step only. nil for either allocates.
+func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, indices []int) (*tensor.Tensor, []int) {
+	return d.gather(tensor.Ensure(x, len(indices), 1, d.H, d.W), labels, indices)
 }
 
 // FlatBatch gathers examples into a (B, H*W) tensor — the dense layout
 // the CVAE consumes.
 func (d *Dataset) FlatBatch(indices []int) (*tensor.Tensor, []int) {
-	x, labels := d.Batch(indices)
-	return x.Reshape(len(indices), d.H*d.W), labels
+	return d.FlatBatchInto(nil, nil, indices)
+}
+
+// FlatBatchInto is FlatBatch into caller-owned scratch (see BatchInto).
+func (d *Dataset) FlatBatchInto(x *tensor.Tensor, labels []int, indices []int) (*tensor.Tensor, []int) {
+	return d.gather(tensor.Ensure(x, len(indices), d.H*d.W), labels, indices)
+}
+
+// gather copies the indexed examples into x, already shaped to hold
+// them, and their labels into labels[:0].
+func (d *Dataset) gather(x *tensor.Tensor, labels []int, indices []int) (*tensor.Tensor, []int) {
+	sz := d.ImageSize()
+	labels = labels[:0]
+	for bi, i := range indices {
+		copy(x.Data[bi*sz:(bi+1)*sz], d.X[i*sz:(i+1)*sz])
+		labels = append(labels, d.Labels[i])
+	}
+	return x, labels
 }
 
 // Subset returns a new Dataset containing copies of the selected

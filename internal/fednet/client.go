@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"strconv"
+	"sync"
 	"time"
 
 	"fedguard/internal/attack"
@@ -171,10 +172,11 @@ type dialect interface {
 	update(req roundRequest, t *trainedRound, sp *telemetry.Span) (any, error)
 }
 
-// serveRound answers one round request: decode it, train, frame the
-// update, upload it. A duplicate request (the server retrying after a
-// timeout or a corrupt frame, or a resumed server re-asking for a round
-// trained before a redial) is answered from the round the session kept:
+// serveRound answers one round request: decode it, check it against the
+// architecture, train, frame the update, upload it. A duplicate request
+// (the server retrying after a timeout or a corrupt frame, or a resumed
+// server re-asking for a round trained before a redial) is answered from
+// the round the session kept:
 // retraining would advance the client's private random stream and break
 // the run's determinism. It is still decoded — on a new connection that
 // is what moves the codec's delta base — and re-framed from the kept
@@ -198,6 +200,13 @@ func serveRound(rw io.ReadWriter, count *wire.CountingConn, msg any, clientID in
 	sp := tel.StartRemote(spanCtx(trace), "client.round", clientRoundLabels(clientID, round, resend)...)
 	defer sp.End()
 	req, err := d.request(msg, sp)
+	if err == nil {
+		// Checked before anything is borrowed: the vector is the peer's,
+		// the architecture is what its Setup named.
+		if want := sess.client.NumParams(); len(req.global) != want {
+			err = fmt.Errorf("global of %d parameters, the architecture has %d", len(req.global), want)
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("fednet: client %d broadcast: %w", clientID, err)
 	}
@@ -360,6 +369,10 @@ func buildClient(id int, setup *wire.Setup) (*fl.Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	workers, err := sharedWorkers(setup.ArchName)
+	if err != nil {
+		return nil, err
+	}
 	att, err := attack.ByName(setup.Attack, setup.AttackSeed)
 	if err != nil {
 		return nil, err
@@ -391,5 +404,36 @@ func buildClient(id int, setup *wire.Setup) (*fl.Client, error) {
 		NumClasses: int(setup.NumClasses),
 	}
 	stream := rng.New(fl.ClientRNGSeed(setup.Seed, id))
-	return fl.NewClient(id, train, dataset.Range(train.Len()), clientCfg, att, stream), nil
+	client := fl.NewClient(id, train, dataset.Range(train.Len()), clientCfg, att, stream)
+	client.UseWorkers(workers)
+	return client, nil
+}
+
+// workerSets holds this process's classifier workers, one set of
+// GOMAXPROCS per architecture name: however many clients (and a server
+// beside them) a process runs, they train and evaluate on these models,
+// at most that many at a time. A process with one client builds one.
+var workerSets struct {
+	sync.Mutex
+	byArch map[string]*classifier.Set
+}
+
+// sharedWorkers returns the process's worker set for the named
+// architecture, created (empty) on first use.
+func sharedWorkers(archName string) (*classifier.Set, error) {
+	workerSets.Lock()
+	defer workerSets.Unlock()
+	if set := workerSets.byArch[archName]; set != nil {
+		return set, nil
+	}
+	arch, err := classifier.ByName(archName)
+	if err != nil {
+		return nil, err
+	}
+	if workerSets.byArch == nil {
+		workerSets.byArch = map[string]*classifier.Set{}
+	}
+	set := classifier.NewSet(arch, 0)
+	workerSets.byArch[archName] = set
+	return set, nil
 }

@@ -353,3 +353,105 @@ func FuzzUpdateEdge(f *testing.F) {
 		checkEdgeInvariants(t, s, c, u, needDecoder, modelSize)
 	})
 }
+
+// handServed serves client id over a pipe and plays its server by hand:
+// Hello in, setup out, then each request frame out and — when the client
+// answers it — the update frame in. It returns the answers and what
+// ServeClientOpts returned (nil after a Shutdown, sent when every frame
+// was answered).
+func handServed(t *testing.T, id int, enc bool, setup *wire.Setup, requests ...any) ([]any, error) {
+	t.Helper()
+	near, far := net.Pipe()
+	defer near.Close()
+	defer far.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeClientOpts(near, id, ClientOptions{Compress: enc})
+		near.Close()
+	}()
+	if _, err := wire.ReadMessage(far); err != nil {
+		t.Fatalf("reading hello: %v", err)
+	}
+	s := *setup
+	if enc {
+		s.Encodings |= wire.CapCodec
+	}
+	if err := wire.WriteMessage(far, &s); err != nil {
+		t.Fatalf("sending setup: %v", err)
+	}
+	var answers []any
+	for _, req := range requests {
+		if err := wire.WriteMessage(far, req); err != nil {
+			return answers, <-served
+		}
+		msg, err := wire.ReadMessage(far)
+		if err != nil {
+			return answers, <-served
+		}
+		answers = append(answers, msg)
+	}
+	wire.WriteMessage(far, &wire.Shutdown{})
+	return answers, <-served
+}
+
+// TestWrongLengthGlobalIsAnErrorNotAPanic is the client's side of the
+// trust boundary: a server whose Setup names one architecture and whose
+// broadcast carries another's vector gets an error naming the client and
+// both lengths — not a panic that takes the process, and every client
+// co-located in it, down. Nothing was borrowed for the refused round,
+// and a second client served by the same process trains its round on the
+// process's workers afterwards. Both dialects.
+func TestWrongLengthGlobalIsAnErrorNotAPanic(t *testing.T) {
+	cfg := testConfig()
+	srv := &Server{cfg: cfg}
+	indices := dataset.Range(20)
+	right := fl.InitialGlobal(cfg.Experiment)
+	wrong := right[:len(right)-3]
+	request := func(enc bool, global []float32) any {
+		if !enc {
+			return &wire.TrainRequest{Round: 1, Global: global}
+		}
+		return &wire.TrainRequestC{Round: 1, Encoding: wire.EncCodec,
+			NumParams: uint32(len(global)), Payload: codec.Encode(global)}
+	}
+	for _, enc := range []bool{false, true} {
+		t.Run(encName(enc), func(t *testing.T) {
+			forgetWorkerSets()
+			defer forgetWorkerSets()
+
+			answers, err := handServed(t, 0, enc, srv.setupFor(0, indices, false), request(enc, wrong))
+			want := fmt.Sprintf("fednet: client 0 broadcast: global of %d parameters, the architecture has %d", len(wrong), len(right))
+			if err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			if len(answers) != 0 {
+				t.Fatalf("the refused round was answered with %T", answers[0])
+			}
+			set, serr := sharedWorkers(cfg.ArchName)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			if set.Idle() != set.Built() {
+				t.Fatalf("after the refused round %d of %d workers are back in the set", set.Idle(), set.Built())
+			}
+
+			answers, err = handServed(t, 1, enc, srv.setupFor(1, indices, false), request(enc, right))
+			if err != nil || len(answers) != 1 {
+				t.Fatalf("the next client in the process: %d answers, err %v", len(answers), err)
+			}
+			trained := 0
+			switch m := answers[0].(type) {
+			case *wire.Update:
+				trained = len(m.Weights)
+			case *wire.UpdateC:
+				trained = int(m.NumParams)
+			}
+			if trained != len(right) {
+				t.Fatalf("the next client answered %T with %d weights, want %d", answers[0], trained, len(right))
+			}
+			if set.Built() != 1 || set.Idle() != 1 {
+				t.Fatalf("two clients in turn: %d workers built, %d idle; want one, back in the set", set.Built(), set.Idle())
+			}
+		})
+	}
+}

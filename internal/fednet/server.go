@@ -168,6 +168,9 @@ type Server struct {
 	cfg      Config
 	test     *dataset.Dataset
 	strategy fl.Strategy
+	// workers is the process's classifier set for cfg.ArchName (see
+	// sharedWorkers): what the round engine evaluates ψ on.
+	workers *classifier.Set
 
 	// Run-time connection state (guarded by mu). Rejoining clients swap
 	// entries while rounds are in flight.
@@ -235,6 +238,10 @@ func NewServer(cfg Config, test *dataset.Dataset, strategy fl.Strategy) (*Server
 	if err != nil {
 		return nil, err
 	}
+	workers, err := sharedWorkers(cfg.ArchName)
+	if err != nil {
+		return nil, err
+	}
 	exp := &cfg.Experiment
 	att, err := attack.ByName(cfg.AttackName, attack.CollusionSeed(exp.Seed))
 	if err != nil {
@@ -274,7 +281,7 @@ func NewServer(cfg Config, test *dataset.Dataset, strategy fl.Strategy) (*Server
 	if err := exp.Validate(); err != nil {
 		return nil, err
 	}
-	return &Server{cfg: cfg, test: test, strategy: strategy, kill: make(chan struct{})}, nil
+	return &Server{cfg: cfg, test: test, strategy: strategy, workers: workers, kill: make(chan struct{})}, nil
 }
 
 // ErrKilled is returned by Run when Kill interrupts the round loop — a
@@ -462,6 +469,11 @@ func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History
 	s.lastRead, s.lastWritten = s.totalBytes()
 	return fl.RunRounds(cfg, s.test, s.strategy, s, s.runSpan, resume, onRound)
 }
+
+// Workers is the set fl.RunRounds evaluates ψ on: the process's set for
+// the run's architecture, which clients served from this process train
+// on too.
+func (s *Server) Workers() *classifier.Set { return s.workers }
 
 // WireBytes implements fl.Cohort with the bytes *measured* on the
 // sockets since the previous round — framing, retries, and every

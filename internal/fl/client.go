@@ -22,10 +22,10 @@ type ClientConfig struct {
 
 // Client is one federated participant: it owns a private partition of
 // the dataset, trains the shared classifier architecture locally each
-// round, and — when the strategy requires it — trains a CVAE once on its
-// (possibly poisoned) local data and re-uploads the decoder every round
-// (paper footnote 5: the partition is static, so the CVAE is trained a
-// single time).
+// round on a worker borrowed from its process's set, and — when the
+// strategy requires it — trains a CVAE once on its (possibly poisoned)
+// local data and re-uploads the decoder every round (paper footnote 5:
+// the partition is static, so the CVAE is trained a single time).
 type Client struct {
 	ID int
 
@@ -34,6 +34,9 @@ type Client struct {
 	cfg     ClientConfig
 	att     attack.Attack
 	rng     *rng.RNG
+	// workers is where the client borrows its classifier each round: the
+	// federation's or the process's shared set, or a private set of one.
+	workers *classifier.Set
 
 	// Poisoned training view, materialized lazily.
 	viewReady   bool
@@ -62,14 +65,22 @@ type Client struct {
 }
 
 // NewClient builds a client over the partition ds[indices]. att may be
-// attack.None{} for benign clients; r must be a private stream.
+// attack.None{} for benign clients; r must be a private stream. The
+// client trains on a worker set of one, its own, until UseWorkers gives
+// it a shared one.
 func NewClient(id int, ds *dataset.Dataset, indices []int, cfg ClientConfig, att attack.Attack, r *rng.RNG) *Client {
 	if att == nil {
 		att = attack.None{}
 	}
 	return &Client{ID: id, ds: ds, indices: indices, cfg: cfg, att: att, rng: r,
-		visible: len(indices)}
+		workers: classifier.NewSet(cfg.Arch, 1), visible: len(indices)}
 }
+
+// UseWorkers makes the client borrow its classifier from set — of the
+// client's architecture — instead of its private one, so every client
+// sharing set shares its models, and at most set.Size() of them train at
+// once. Call before the first round.
+func (c *Client) UseWorkers(set *classifier.Set) { c.workers = set }
 
 // EnableStream switches the client to the paper's §VI-C dynamic-dataset
 // mode: only ⌈initialFraction·len(partition)⌉ samples are visible at
@@ -91,6 +102,10 @@ func (c *Client) EnableStream(initialFraction float64, grow, retrainEvery int) {
 	c.retrainEvery = retrainEvery
 	c.viewReady = false
 }
+
+// NumParams returns the parameter count of the client's architecture:
+// the length a global handed to RunRound must have.
+func (c *Client) NumParams() int { return c.workers.NumParams() }
 
 // SetTelemetry attaches the run's telemetry bundle (nil disables
 // client-phase spans). Concurrent RunRound calls on *different* clients
@@ -153,14 +168,7 @@ func (c *Client) RunRoundSpan(global []float32, needDecoder bool, parent *teleme
 	}
 	ds, indices := c.view()
 
-	_, stopTrain := c.tel.StartPhase(parent, "client.train")
-	model := c.cfg.Arch(c.rng)
-	if err := model.LoadParams(global); err != nil {
-		panic(err) // architecture mismatch is a programming error
-	}
-	classifier.Train(model, ds, indices, c.cfg.Train, c.rng)
-	weights := model.FlattenParams()
-	stopTrain()
+	weights := c.train(ds, indices, global, parent)
 	if ga, ok := c.att.(attack.GlobalAware); ok {
 		ga.PoisonModelWithGlobal(weights, global, c.rng)
 	} else {
@@ -172,6 +180,24 @@ func (c *Client) RunRoundSpan(global []float32, needDecoder bool, parent *teleme
 		u.Decoder, u.DecoderClasses = c.decoderPayload(parent)
 	}
 	return u
+}
+
+// train is the round's local training on a borrowed worker: reset from
+// the client's stream and loaded with global it is the model this round
+// would otherwise build, and the stream ends where building would leave
+// it. The train phase starts once a worker is free — waiting for one is
+// not training — and the worker goes back on every path.
+func (c *Client) train(ds *dataset.Dataset, indices []int, global []float32, parent *telemetry.Span) []float32 {
+	w := c.workers.Get()
+	defer c.workers.Put(w)
+	_, stopTrain := c.tel.StartPhase(parent, "client.train")
+	defer stopTrain()
+	w.Model.Reset(c.rng)
+	if err := w.Model.LoadParams(global); err != nil {
+		panic(err) // architecture mismatch is a programming error
+	}
+	w.Train(ds, indices, c.cfg.Train, c.rng)
+	return w.Model.FlattenParams()
 }
 
 // decoderPayload trains the client's CVAE on first use — and, in

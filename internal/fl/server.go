@@ -43,7 +43,9 @@ type FederationConfig struct {
 	// samples before every participation, and retrain their CVAEs
 	// periodically instead of once.
 	Stream *StreamConfig
-	// Workers bounds concurrent client training (default GOMAXPROCS).
+	// Workers bounds concurrent client training, and is how many
+	// classifier models a run keeps: clients borrow one to train, ψ is
+	// evaluated on all of them (default GOMAXPROCS).
 	Workers int
 	// AggWorkers bounds the parallelism of the aggregation kernels
 	// (tensor.SetAggWorkers); 0 follows the tensor pool's setting. The
@@ -202,7 +204,9 @@ func (f *Federation) run(strategy Strategy, onRound func(RoundRecord), resume *C
 // a bounded goroutine pool, with the wire modeled rather than measured.
 type pool struct {
 	clients []*Client
-	workers int
+	// workers is the run's classifier set, one model per pool goroutine:
+	// the clients train on it and RunRounds evaluates on it.
+	workers *classifier.Set
 	// decoderHashes tracks the decoder payload each client most recently
 	// delivered, so wire-byte accounting charges a decoder only when it
 	// would actually cross the network — the dedup semantics the
@@ -217,7 +221,7 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 	parts := Partition(f.train, cfg)
 	p := &pool{
 		clients:       make([]*Client, cfg.NumClients),
-		workers:       cfg.Workers,
+		workers:       classifier.NewSet(cfg.Client.Arch, cfg.Workers),
 		decoderHashes: make(map[int]uint64, cfg.NumClients),
 	}
 	for i := range p.clients {
@@ -228,6 +232,7 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 		p.clients[i] = NewClient(i, f.train, parts[i], cfg.Client, att,
 			rng.New(rng.DeriveSeed(cfg.Seed, "client", uint64(i))))
 		p.clients[i].SetTelemetry(cfg.Telemetry)
+		p.clients[i].UseWorkers(p.workers)
 		if cfg.Stream != nil {
 			p.clients[i].EnableStream(cfg.Stream.InitialFraction,
 				cfg.Stream.PerRound, cfg.Stream.CVAERetrainEvery)
@@ -253,7 +258,7 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 // remaining clients' training. Local clients never drop.
 func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bool, stream RoundStream, roundSpan *telemetry.Span) ([]Update, []int, error) {
 	out := make([]Update, len(sampled))
-	sem := make(chan struct{}, p.workers)
+	sem := make(chan struct{}, p.workers.Size())
 	var wg sync.WaitGroup
 	for i, id := range sampled {
 		wg.Add(1)
@@ -268,24 +273,27 @@ func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bo
 			if stream != nil {
 				stream.Submit(i, out[i])
 			}
-			// The client's model died with RunRoundSpan, and its layer
-			// scratch (≈ 8 MB for the small classifier at batch 32) is by
-			// far the round's largest garbage: 16 sampled clients leave
-			// more dead scratch per round than the whole run keeps alive.
-			// Left to the pacer, the heap doubles before it is collected,
-			// so the process peaks at twice everything live in it — the
-			// embedding program's data included. Collecting here, where
-			// the scratch dies, holds the peak at live + one model per
-			// worker. A cycle costs ≈ 0.5 ms against ≥ 100 ms of training
-			// (the live heap is pointer-free float slices), and the run is
-			// not slower for it: the next client's scratch lands on pages
-			// that are still warm.
+			// The classifier outlives the round — it is the worker's — but
+			// a first participation under FedGuard leaves a CVAE behind,
+			// with its Adam moments and layer scratch (≈ 10 MB at the
+			// default shapes), and every round last round's updates die.
+			// Left to the pacer, the heap doubles before that is
+			// collected, so the process peaks at twice everything live in
+			// it — the embedding program's data included; collecting once
+			// per round instead measured +33 % peak RSS on a FedGuard run.
+			// Collecting here, where the CVAE dies, holds the peak at live
+			// + one CVAE per worker. A cycle costs ≈ 0.5 ms against
+			// ≥ 100 ms of training (the live heap is pointer-free float
+			// slices).
 			runtime.GC()
 		}(i, id)
 	}
 	wg.Wait()
 	return out, nil, nil
 }
+
+// Workers is the run's classifier set (see RunRounds).
+func (p *pool) Workers() *classifier.Set { return p.workers }
 
 // WireBytes implements Cohort with the logical sizes under dedup
 // semantics: a decoder costs bytes only when its content changed since

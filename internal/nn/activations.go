@@ -224,6 +224,13 @@ func NewDropout(p float64, r *rng.RNG) *Dropout {
 	return &Dropout{P: p, rng: r}
 }
 
+// Reset implements Resetter: the layer draws its masks from r from now
+// on, as a NewDropout(p, r) layer would, and holds no mask.
+func (d *Dropout) Reset(r *rng.RNG) {
+	d.rng = r
+	d.mask = nil
+}
+
 // Forward applies the dropout mask in training mode.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.P == 0 {

@@ -61,9 +61,18 @@ func NewConv2D(inC, outC, kh, kw int, r *rng.RNG) *Conv2D {
 		dW: tensor.New(outC, fanIn),
 		dB: tensor.New(outC),
 	}
-	bound := math.Sqrt(6.0 / float64(fanIn))
-	r.FillUniform(c.W.Data, -bound, bound)
+	c.Reset(r)
 	return c
+}
+
+// Reset implements Resetter: filters redrawn He-uniform from r, the bias
+// and both gradients zero — what NewConv2D leaves, which is this.
+func (c *Conv2D) Reset(r *rng.RNG) {
+	bound := math.Sqrt(6.0 / float64(c.InC*c.KH*c.KW))
+	r.FillUniform(c.W.Data, -bound, bound)
+	c.B.Zero()
+	c.dW.Zero()
+	c.dB.Zero()
 }
 
 func (c *Conv2D) outDims(h, w int) (int, int) { return h - c.KH + 1, w - c.KW + 1 }

@@ -48,9 +48,21 @@ func NewLinear(in, out int, r *rng.RNG) *Linear {
 		dW:  tensor.New(out, in),
 		dB:  tensor.New(out),
 	}
-	bound := math.Sqrt(6.0 / float64(in))
-	r.FillUniform(l.W.Data, -bound, bound)
+	l.Reset(r)
 	return l
+}
+
+// Reset implements Resetter: W redrawn He-uniform from r, the bias and
+// both gradients zero — what NewLinear leaves, which is this.
+func (l *Linear) Reset(r *rng.RNG) {
+	if l.dW == nil {
+		panic(fmt.Sprintf("nn: Reset on the inference-only view Linear(%d->%d)", l.In, l.Out))
+	}
+	bound := math.Sqrt(6.0 / float64(l.In))
+	r.FillUniform(l.W.Data, -bound, bound)
+	l.B.Zero()
+	l.dW.Zero()
+	l.dB.Zero()
 }
 
 // NewLinearView builds an inference-only layer over parameters stored

@@ -7,8 +7,9 @@
 // All layers operate on batched tensors: (B, features) for dense layers
 // and (B, C, H, W) for spatial layers. Layers retain whatever forward
 // activations their backward pass needs, so a single layer instance must
-// not be shared between concurrent training loops; federated clients each
-// build their own model from a shared architecture function.
+// not be shared between concurrent training loops; federated clients
+// take turns on long-lived models, one holder at a time, each starting
+// from Reset (see Resetter).
 //
 // Buffer-reuse contract: layers own their output, gradient, and work
 // tensors as scratch that is grown on demand and reused across steps, so
@@ -22,6 +23,7 @@ package nn
 import (
 	"fmt"
 
+	"fedguard/internal/rng"
 	"fedguard/internal/tensor"
 )
 
@@ -44,6 +46,17 @@ type Layer interface {
 	Params() []Param
 	// Name identifies the layer for debugging and serialization.
 	Name() string
+}
+
+// Resetter is a layer whose constructor takes an RNG — to draw initial
+// parameters from, or to keep. Reset(r) leaves the layer as that
+// constructor would on r: the same parameters, the same r.State()
+// afterwards, and nothing else that outlives a step. Work tensors keep
+// their capacity and stale contents; every layer overwrites what it
+// reads of them. So a long-lived model reset from r stands in for a
+// model built from r, bit for bit, whatever it ran before.
+type Resetter interface {
+	Reset(r *rng.RNG)
 }
 
 // Sequential chains layers, feeding each layer's output to the next.
@@ -71,6 +84,21 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// Reset implements Resetter over the stack, in layer order — the order
+// an architecture function constructs its layers in, so Reset(r) on a
+// model of that architecture draws r exactly as building it anew would.
+// A layer that has parameters and no Reset cannot be reproduced from r:
+// that is a programming error.
+func (s *Sequential) Reset(r *rng.RNG) {
+	for _, l := range s.Layers {
+		if rs, ok := l.(Resetter); ok {
+			rs.Reset(r)
+		} else if len(l.Params()) > 0 {
+			panic(fmt.Sprintf("nn: layer %s has parameters and no Reset", l.Name()))
+		}
+	}
 }
 
 // Params returns every learnable parameter in layer order.

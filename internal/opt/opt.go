@@ -37,14 +37,30 @@ type SGD struct {
 // NewSGD builds an SGD optimizer over params. momentum 0 disables the
 // velocity buffers; decay 0 disables weight decay.
 func NewSGD(params []nn.Param, lr, momentum, decay float64) *SGD {
-	s := &SGD{params: params, lr: lr, momentum: momentum, decay: decay}
-	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
+	s := &SGD{params: params}
+	s.Reset(lr, momentum, decay)
+	return s
+}
+
+// Reset leaves the optimizer as NewSGD over the same parameters would
+// build it — these hyperparameters, zero velocity — and keeps the
+// velocity buffers it already has.
+func (s *SGD) Reset(lr, momentum, decay float64) {
+	s.lr, s.momentum, s.decay = lr, momentum, decay
+	if momentum == 0 {
+		s.velocity = nil
+		return
+	}
+	if s.velocity == nil {
+		s.velocity = make([]*tensor.Tensor, len(s.params))
+		for i, p := range s.params {
 			s.velocity[i] = tensor.New(p.Value.Shape()...)
 		}
+		return
 	}
-	return s
+	for _, v := range s.velocity {
+		v.Zero()
+	}
 }
 
 // Step applies one SGD update.
