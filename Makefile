@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke clean
+.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
 MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkFedGuardAudit$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
@@ -51,9 +51,15 @@ vet:
 # crash-recovery kill/resume drill, the command-line gate (flag surfaces
 # and fednode == fedsim), the distributed-tracing smoke run, bounded fuzz
 # passes over the wire, codec, and checkpoint decoders and the server's
-# update edge, the benchmark module's own vet and tests, and the compute
-# substrate again on its scalar kernels.
-ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke
+# update edge, the benchmark module's own vet and tests, the compute
+# substrate again on its scalar kernels, and the docs' path and make
+# target references.
+ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check
+
+# docs-check fails when README.md, DESIGN.md or EXPERIMENTS.md names a
+# repo path or a make target that does not exist.
+docs-check:
+	$(GO) test -run 'TestDocsReferencesExist' .
 
 # test-purego reruns the compute substrate with the assembly kernels
 # compiled out. The bitwise kernel tables, the golden FinalWeights in
@@ -140,8 +146,8 @@ bench-harness:
 # test-attacks is the adversary-suite gate: the attack unit tests, the
 # fl-layer hook-dispatch and cohort-rewrite tests, the loopback proof
 # that colluding attacks over TCP equal the in-process ones, and the
-# matrix smoke (a 2×2 grid asserting byte-identical CSV at
-# -matrix-workers 1 vs 4). Race on — the cohort hook and the matrix
+# matrix smoke (a 2×3 grid asserting the pinned CSV byte for byte at
+# -matrix-workers 1 and 3). Race on — the cohort hook and the matrix
 # worker pool are concurrent.
 test-attacks:
 	$(GO) test -race ./internal/attack/
@@ -167,7 +173,8 @@ test-codec:
 
 # test-resume is the crash-recovery gate: checkpoint format pins and
 # fuzz-adjacent rejection tests in persist, the in-process kill/resume
-# suite in fl, and the networked drill in fednet — a server killed at
+# suite in fl (a history-driven sampler's resume included), and the
+# networked drill in fednet — a server killed at
 # each interior round boundary (and once mid-round, after uploads but
 # before aggregation) resumes on the same address against surviving
 # resilient clients with bit-identical results. Race on — the drill
@@ -182,13 +189,10 @@ test-resume:
 # test-cli is the command-line gate: fedsim's and fednode's flag names
 # and defaults are pinned (they are bound from one shared table), the
 # server fednode builds from its flags ends on experiment.Run's weights
-# over loopback, raw and compressed, and examples/networked — which
-# builds its server through the same mapping — vets and links. Race on —
-# the equivalence test drives sixteen concurrent sockets.
+# over loopback, raw and compressed. Race on — the equivalence test
+# drives sixteen concurrent sockets.
 test-cli:
 	$(GO) test -race ./cmd/fedsim/ ./cmd/fednode/
-	$(GO) vet ./examples/networked/
-	$(GO) build -o /dev/null ./examples/networked/
 
 # trace-smoke is the end-to-end distributed-tracing gate: a 3-round
 # 4-client fault-injected federation (one hard straggler) with per-node

@@ -114,11 +114,8 @@ func main() {
 	opts.OnRound = func(rec fl.RoundRecord) {
 		fmt.Fprintf(os.Stderr, "round %3d  acc=%.4f  malicious-sampled=%d/%d  %.2fs",
 			rec.Round, rec.TestAccuracy, rec.MaliciousSampled, len(rec.Sampled), rec.Seconds)
-		if v, ok := rec.Report[fl.ReportFedGuardExcluded]; ok {
-			fmt.Fprintf(os.Stderr, "  excluded=%d", int(v))
-		}
-		if v, ok := rec.Report[fl.ReportSpectralExcluded]; ok {
-			fmt.Fprintf(os.Stderr, "  excluded=%d", int(v))
+		if len(rec.Decisions) > 0 {
+			fmt.Fprintf(os.Stderr, "  excluded=%d", rec.Excluded())
 		}
 		fmt.Fprintln(os.Stderr)
 	}

@@ -60,8 +60,7 @@ func main() {
 	fmt.Println()
 	h, err := fed.Run(guard, func(rec fl.RoundRecord) {
 		fmt.Printf("round %2d  acc %.3f  excluded %d/%d\n",
-			rec.Round, rec.TestAccuracy,
-			int(rec.Report["fedguard_excluded"]), len(rec.Sampled))
+			rec.Round, rec.TestAccuracy, rec.Excluded(), len(rec.Sampled))
 	})
 	if err != nil {
 		log.Fatal(err)

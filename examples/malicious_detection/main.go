@@ -1,14 +1,11 @@
 // Malicious peer detection: FedGuard's audit scores as a client-quality
-// signal.
+// signal — the paper conclusion's "detection of defective sensors".
 //
-// The paper's conclusion notes that FedGuard's mechanism "could further
-// be used in many other applications including detection of defective
-// sensors ... or enabling a better sampling of quality candidates". This
-// example demonstrates that: it runs a federation with 40% label-flipping
-// attackers, accumulates each client's exclusion rate over the run, ranks
-// the clients by it, and compares the ranking against the ground-truth
-// malicious set (precision / recall of flagging clients excluded in the
-// majority of their appearances).
+// Runs a federation with 40% label-flipping attackers and reads everything
+// off the run's own records: each client's audit score round by round, its
+// exclusion rate, and — since every decision carries its ground truth —
+// the precision and recall of flagging clients excluded in most of their
+// appearances.
 //
 //	go run ./examples/malicious_detection
 package main
@@ -18,7 +15,6 @@ import (
 	"log"
 	"sort"
 
-	"fedguard/internal/defense"
 	"fedguard/internal/experiment"
 	"fedguard/internal/fl"
 )
@@ -26,88 +22,48 @@ import (
 func main() {
 	setup := experiment.MustSetup(experiment.PresetQuick)
 	setup.Rounds = 10
-
-	att, err := experiment.NewAttack("label-flip", setup.Seed)
+	sc, err := experiment.ScenarioByID("label-flip-40")
 	if err != nil {
 		log.Fatal(err)
 	}
-	guard := defense.NewFedGuard(setup.Arch, setup.CVAE)
-	guard.Samples = setup.Samples
-
-	train, test, _ := setup.Data()
-	cfg := fl.FederationConfig{
-		NumClients: setup.NumClients, PerRound: setup.PerRound, Rounds: setup.Rounds,
-		Alpha: setup.Alpha, ServerLR: 1,
-		MaliciousFraction: 0.4, Attack: att,
-		Client: fl.ClientConfig{
-			Arch: setup.Arch, Train: setup.Train,
-			CVAE: setup.CVAE, CVAETrain: setup.CVAETrain, NumClasses: 10,
-		},
-		TestSubset: setup.TestSubset,
-		Seed:       setup.Seed,
-	}
-	fed, err := fl.NewFederation(train, test, cfg)
+	res, err := experiment.Run(setup, sc, "FedGuard", experiment.RunOptions{OnRound: func(rec fl.RoundRecord) {
+		fmt.Printf("round %2d  acc %.3f  threshold %.3f  excluded %d/%d\n",
+			rec.Round, rec.TestAccuracy, rec.Threshold, rec.Excluded(), len(rec.Decisions))
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	rounds := res.History.Rounds
 
-	fmt.Printf("federation: %d clients, %d malicious label flippers, %d rounds\n\n",
-		cfg.NumClients, len(fed.MaliciousIDs), cfg.Rounds)
-	h, err := fed.Run(guard, func(rec fl.RoundRecord) {
-		fmt.Printf("round %2d  acc %.3f  excluded %d/%d\n",
-			rec.Round, rec.TestAccuracy, int(rec.Report["fedguard_excluded"]), len(rec.Sampled))
+	excluded, seen := fl.ExclusionCounts(rounds)
+	rate := func(id int) float64 { return float64(excluded[id]) / float64(seen[id]) }
+	var ids []int
+	for id := range seen {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		return rate(ids[i]) > rate(ids[j]) || rate(ids[i]) == rate(ids[j]) && ids[i] < ids[j]
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nfinal accuracy: %.3f\n\n", h.FinalAccuracy())
 
-	excluded, seen := guard.DetectionStats()
-	type row struct {
-		id        int
-		rate      float64
-		seen      int
-		malicious bool
-	}
-	var rows []row
-	for id, n := range seen {
-		rows = append(rows, row{
-			id:        id,
-			rate:      float64(excluded[id]) / float64(n),
-			seen:      n,
-			malicious: fed.MaliciousIDs[id],
-		})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].rate > rows[j].rate })
-
-	fmt.Println("client exclusion ranking (truth in last column):")
-	fmt.Println("  id  excl-rate  rounds  actually-malicious")
-	var tp, fp, fn int
-	for _, r := range rows {
-		flagged := r.rate > 0.5
-		mark := ""
-		if flagged {
-			mark = "  <- flagged"
+	fmt.Println("\naudit score by round (* = excluded, blank = not sampled), ranked by exclusion rate:")
+	confusion := map[[2]bool]int{} // [flagged, malicious] -> clients
+	for _, id := range ids {
+		malicious := false
+		fmt.Printf("  %2d ", id)
+		for _, rec := range rounds {
+			cell := "      "
+			for _, d := range rec.Decisions {
+				if d.ClientID == id {
+					mark := map[bool]string{true: " ", false: "*"}[d.Kept]
+					cell, malicious = fmt.Sprintf(" %.2f%s", d.Score, mark), d.Malicious
+				}
+			}
+			fmt.Print(cell)
 		}
-		fmt.Printf("  %2d  %8.0f%%  %6d  %17v%s\n", r.id, 100*r.rate, r.seen, r.malicious, mark)
-		switch {
-		case flagged && r.malicious:
-			tp++
-		case flagged && !r.malicious:
-			fp++
-		case !flagged && r.malicious:
-			fn++
-		}
+		fmt.Printf("  excl %3.0f%%  malicious %v\n", 100*rate(id), malicious)
+		confusion[[2]bool{rate(id) > 0.5, malicious}]++
 	}
-	precision := safeDiv(tp, tp+fp)
-	recall := safeDiv(tp, tp+fn)
+	tp, fp, fn := confusion[[2]bool{true, true}], confusion[[2]bool{true, false}], confusion[[2]bool{false, true}]
 	fmt.Printf("\nflagging clients excluded in >50%% of appearances: precision %.2f, recall %.2f\n",
-		precision, recall)
-}
-
-func safeDiv(a, b int) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
+		float64(tp)/float64(max(tp+fp, 1)), float64(tp)/float64(max(tp+fn, 1)))
 }

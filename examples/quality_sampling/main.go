@@ -3,7 +3,8 @@
 //
 // Runs the same 50%-sign-flip federation twice under FedGuard: once with
 // the standard uniform client sampler and once with a QualitySampler
-// that biases selection away from clients FedGuard has been excluding.
+// that biases selection away from clients the run's records show
+// FedGuard has been excluding.
 // Over the rounds, the malicious share of each sampled cohort drops well
 // below 50% — the defense stops merely filtering attackers and starts
 // avoiding them.
@@ -45,7 +46,7 @@ func main() {
 			Seed:       setup.Seed,
 		}
 		if useQuality {
-			cfg.Sampler = defense.NewQualitySampler(guard)
+			cfg.Sampler = defense.NewQualitySampler()
 		}
 		fed, err := fl.NewFederation(train, test, cfg)
 		if err != nil {

@@ -116,14 +116,10 @@ func TestFedGuardExcludesGarbageUpdates(t *testing.T) {
 	g := NewFedGuard(classifier.Tiny(), ccfg)
 	g.Samples = 60
 	ctx := ctxWith(updates, 4)
-	sink := &telemetry.CollectSink{}
-	ctx.Telemetry = telemetry.New(sink)
+	ctx.Telemetry = telemetry.New(nil)
 	out, err := g.Aggregate(ctx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ctx.Report["fedguard_excluded"] < 2 {
-		t.Fatalf("excluded %v updates, want the 2 poison ones", ctx.Report["fedguard_excluded"])
 	}
 	// Aggregation of the surviving benign (identical) updates must equal
 	// them exactly.
@@ -132,27 +128,29 @@ func TestFedGuardExcludesGarbageUpdates(t *testing.T) {
 			t.Fatal("aggregate polluted by excluded updates")
 		}
 	}
-	// The structured event log must mirror the selection decisions
-	// one-to-one: one ClientExcluded per rejected update, scored below the
-	// round mean.
-	events := sink.ByKind("ClientExcluded")
-	if len(events) != int(ctx.Report["fedguard_excluded"]) {
-		t.Fatalf("%d ClientExcluded events for %v exclusions",
-			len(events), ctx.Report["fedguard_excluded"])
+	// The round's decision must cover every update in order, hold each
+	// score to the mean it reports, and reject the poison clients.
+	if len(ctx.Decisions) != len(updates) {
+		t.Fatalf("%d decisions for %d updates", len(ctx.Decisions), len(updates))
 	}
-	excludedIDs := map[int]bool{}
-	for _, e := range events {
-		ce := e.(telemetry.ClientExcluded)
-		if ce.Round != ctx.Round {
-			t.Fatalf("event round %d, want %d", ce.Round, ctx.Round)
+	var mean float64
+	for i, d := range ctx.Decisions {
+		if d.ClientID != updates[i].ClientID {
+			t.Fatalf("decision %d is client %d, want %d", i, d.ClientID, updates[i].ClientID)
 		}
-		if ce.Acc >= ce.Mean {
-			t.Fatalf("excluded client %d scored %v >= mean %v", ce.ClientID, ce.Acc, ce.Mean)
+		if d.Kept != (d.Score >= ctx.Threshold) {
+			t.Fatalf("client %d scored %v against %v but kept = %v", d.ClientID, d.Score, ctx.Threshold, d.Kept)
 		}
-		excludedIDs[ce.ClientID] = true
+		if d.Malicious {
+			t.Fatal("a strategy must not stamp ground truth")
+		}
+		mean += d.Score
 	}
-	if !excludedIDs[3] || !excludedIDs[4] {
-		t.Fatalf("excluded IDs %v, want the poison clients 3 and 4", excludedIDs)
+	if mean /= float64(len(updates)); mean != ctx.Threshold {
+		t.Fatalf("threshold %v is not the mean score %v", ctx.Threshold, mean)
+	}
+	if ctx.Decisions[3].Kept || ctx.Decisions[4].Kept {
+		t.Fatalf("poison clients 3 and 4 survived: %+v", ctx.Decisions)
 	}
 	// Phase spans must have fired for synthesis and auditing.
 	for _, phase := range []string{"server.synthesize", "server.audit"} {
@@ -175,8 +173,8 @@ func TestFedGuardKeepsAllWhenEqual(t *testing.T) {
 	if _, err := g.Aggregate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Report["fedguard_kept"] != 2 {
-		t.Fatalf("kept %v of 2 identical updates", ctx.Report["fedguard_kept"])
+	if len(ctx.Decisions) != 2 || !ctx.Decisions[0].Kept || !ctx.Decisions[1].Kept {
+		t.Fatalf("identical updates not all kept: %+v", ctx.Decisions)
 	}
 }
 
@@ -398,8 +396,13 @@ func TestSpectralExcludesOutliers(t *testing.T) {
 	if _, err := s.Aggregate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Report["spectral_excluded"] < 1 {
-		t.Fatalf("Spectral excluded %v, want >= 1 (the same-value poison)", ctx.Report["spectral_excluded"])
+	if len(ctx.Decisions) != len(updates) || ctx.Decisions[3].Kept {
+		t.Fatalf("Spectral kept the same-value poison: %+v", ctx.Decisions)
+	}
+	for _, d := range ctx.Decisions {
+		if d.Kept != (d.Score <= ctx.Threshold) {
+			t.Fatalf("client %d erred %v against %v but kept = %v", d.ClientID, d.Score, ctx.Threshold, d.Kept)
+		}
 	}
 }
 
@@ -440,6 +443,9 @@ func TestProjectionDeterministicAndDiscriminative(t *testing.T) {
 	}
 }
 
+// TestFedGuardDetectionStats: the per-client exclusion and participation
+// counts are a function of the rounds' records alone — the strategy keeps
+// none of its own.
 func TestFedGuardDetectionStats(t *testing.T) {
 	r := rng.New(21)
 	benign, dec, ccfg := buildFixture(t, r)
@@ -454,13 +460,18 @@ func TestFedGuardDetectionStats(t *testing.T) {
 		{ClientID: 11, Weights: benign, NumSamples: 1, Decoder: dec},
 		{ClientID: 12, Weights: sameValue, NumSamples: 1, Decoder: dec},
 	}
+	var rounds []fl.RoundRecord
 	for round := 0; round < 3; round++ {
-		if _, err := g.Aggregate(ctxWith(updates, uint64(30+round))); err != nil {
+		ctx := ctxWith(updates, uint64(30+round))
+		if _, err := g.Aggregate(ctx); err != nil {
 			t.Fatal(err)
 		}
+		rounds = append(rounds, fl.RoundRecord{Threshold: ctx.Threshold, Decisions: ctx.Decisions})
 	}
-	excluded, seen := g.DetectionStats()
-	if seen[10] != 3 || seen[11] != 3 || seen[12] != 3 {
+	// A round that audited nothing (FedAvg's) counts for nobody.
+	rounds = append(rounds, fl.RoundRecord{Sampled: []int{10, 12}})
+	excluded, seen := fl.ExclusionCounts(rounds)
+	if seen[10] != 3 || seen[11] != 3 || seen[12] != 3 || len(seen) != 3 {
 		t.Fatalf("participation counts wrong: %v", seen)
 	}
 	if excluded[12] != 3 {
@@ -469,11 +480,12 @@ func TestFedGuardDetectionStats(t *testing.T) {
 	if excluded[10] != 0 || excluded[11] != 0 {
 		t.Fatalf("benign clients excluded: %v", excluded)
 	}
-	// Returned maps are copies: mutating them must not corrupt state.
-	excluded[12] = 0
-	e2, _ := g.DetectionStats()
-	if e2[12] != 3 {
-		t.Fatal("DetectionStats returned internal state, not a copy")
+	if got := rounds[0].Excluded() + rounds[3].Excluded(); got != 1 {
+		t.Fatalf("Excluded() over an audited and an unaudited round = %d, want 1", got)
+	}
+	// Only a prefix of the history: what a sampler sees mid-run.
+	if e, s := fl.ExclusionCounts(rounds[:1]); e[12] != 1 || s[10] != 1 {
+		t.Fatalf("one-round prefix counts %v / %v", e, s)
 	}
 }
 
@@ -546,18 +558,19 @@ func TestFedGuardSynthesizeWithDecoderClasses(t *testing.T) {
 }
 
 func TestQualitySamplerBiasesAwayFromExcluded(t *testing.T) {
-	g := NewFedGuard(classifier.Tiny(), cvae.SmallConfig())
-	// Fabricate detection history: client 0 always excluded, client 1
-	// never, clients 2..4 unseen.
-	g.excludedCount = map[int]int{0: 10}
-	g.seenCount = map[int]int{0: 10, 1: 10}
+	// Fabricate a history: client 0 always excluded, client 1 never,
+	// clients 2..4 unseen.
+	history := make([]fl.RoundRecord, 10)
+	for i := range history {
+		history[i].Decisions = []fl.Decision{{ClientID: 0}, {ClientID: 1, Kept: true}}
+	}
 
-	q := NewQualitySampler(g)
+	q := NewQualitySampler()
 	r := rng.New(1)
 	counts := make([]int, 5)
 	const trials = 3000
 	for i := 0; i < trials; i++ {
-		for _, id := range q.SampleClients(i, 5, 2, r) {
+		for _, id := range q.SampleClients(history, 5, 2, r) {
 			counts[id]++
 		}
 	}
@@ -572,11 +585,10 @@ func TestQualitySamplerBiasesAwayFromExcluded(t *testing.T) {
 }
 
 func TestQualitySamplerDistinctAndComplete(t *testing.T) {
-	g := NewFedGuard(classifier.Tiny(), cvae.SmallConfig())
-	q := NewQualitySampler(g)
+	q := NewQualitySampler()
 	r := rng.New(2)
 	for i := 0; i < 50; i++ {
-		out := q.SampleClients(i, 10, 10, r)
+		out := q.SampleClients(nil, 10, 10, r)
 		seen := map[int]bool{}
 		for _, id := range out {
 			if id < 0 || id >= 10 || seen[id] {

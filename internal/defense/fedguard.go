@@ -63,11 +63,10 @@ type FedGuard struct {
 	// only wall-clock time.
 	AuditWorkers int
 
-	auditModels []*nn.Sequential // lazily built, one per worker, reused across rounds
-
-	// Per-client detection bookkeeping, accumulated across rounds.
-	excludedCount map[int]int
-	seenCount     map[int]int
+	// auditModels is the only state kept across rounds: one model per
+	// worker, built lazily. What the strategy decided is in the round's
+	// record, not here.
+	auditModels []*nn.Sequential
 }
 
 // NewFedGuard returns a FedGuard strategy with the paper's defaults for
@@ -123,57 +122,23 @@ func (g *FedGuard) synthesized(ctx *fl.RoundContext) (*AuditStream, error) {
 }
 
 // finalizeScores applies Alg. 1 lines 6–7 to the per-update audit
-// accuracies: the mean threshold, filtering with detection bookkeeping,
-// and the inner aggregation.
+// accuracies: the mean threshold, the filter — recorded as the round's
+// decision — and the inner aggregation.
 func (g *FedGuard) finalizeScores(ctx *fl.RoundContext, accs []float64) ([]float32, error) {
-	updates := ctx.Updates
 	var mean float64
 	for _, acc := range accs {
 		mean += acc
 	}
-	mean /= float64(len(updates)) // line 6
+	mean /= float64(len(accs)) // line 6
 
 	// filter(ψ, ACC_j >= mean) (line 7).
-	if g.excludedCount == nil {
-		g.excludedCount = map[int]int{}
-		g.seenCount = map[int]int{}
-	}
-	var kept []fl.Update
-	for i, u := range updates {
-		g.seenCount[u.ClientID]++
-		if accs[i] >= mean {
-			kept = append(kept, u)
-		} else {
-			g.excludedCount[u.ClientID]++
-			ctx.ExcludeClient(u.ClientID, accs[i], mean)
-		}
-	}
-	ctx.Report[fl.ReportFedGuardMeanAcc] = mean
-	ctx.Report[fl.ReportFedGuardKept] = float64(len(kept))
-	ctx.Report[fl.ReportFedGuardExcluded] = float64(len(updates) - len(kept))
+	kept := ctx.Decide(mean, accs, func(acc float64) bool { return acc >= mean })
 
 	inner := g.Inner
 	if inner == nil {
 		inner = aggregate.WeightedMean
 	}
 	return inner(kept)
-}
-
-// DetectionStats returns, per client ID, how many times the client's
-// update was excluded and how many times it participated, accumulated
-// over every round this strategy instance aggregated. The ratio is a
-// malicious-peer score — the paper's conclusion suggests exactly this use
-// (flagging defective or adversarial participants).
-func (g *FedGuard) DetectionStats() (excluded, participated map[int]int) {
-	excluded = make(map[int]int, len(g.excludedCount))
-	participated = make(map[int]int, len(g.seenCount))
-	for id, n := range g.excludedCount {
-		excluded[id] = n
-	}
-	for id, n := range g.seenCount {
-		participated[id] = n
-	}
-	return excluded, participated
 }
 
 // Synthesize builds the round's synthetic validation set (Alg. 1 lines

@@ -92,18 +92,16 @@ func referenceAggregate(t *testing.T, g *FedGuard, updates []fl.Update, seed uin
 	}
 	mean /= float64(len(updates))
 	var kept []fl.Update
-	var excluded []int
+	decisions := make([]fl.Decision, len(updates))
 	for j, u := range updates {
+		decisions[j] = fl.Decision{ClientID: u.ClientID, Score: accs[j], Kept: accs[j] >= mean}
 		if accs[j] >= mean {
 			kept = append(kept, u)
-		} else {
-			excluded = append(excluded, u.ClientID)
 		}
 	}
 	out, err := aggregate.WeightedMean(kept)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return outcome{out, map[string]float64{fl.ReportFedGuardMeanAcc: mean, fl.ReportFedGuardKept: float64(len(kept)),
-		fl.ReportFedGuardExcluded: float64(len(excluded))}, excluded}
+	return outcome{out, mean, decisions}
 }

@@ -150,24 +150,11 @@ func (s *Spectral) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 	}
 	mean /= float64(len(errs))
 
-	var kept []fl.Update
-	for i, u := range updates {
-		if errs[i] <= mean {
-			kept = append(kept, u)
-		}
-	}
+	kept := ctx.Decide(mean, errs, func(e float64) bool { return e <= mean })
 	if len(kept) == 0 {
-		kept = updates // degenerate round: fall back to everything
-	} else {
-		for i, u := range updates {
-			if errs[i] > mean {
-				ctx.ExcludeClient(u.ClientID, errs[i], mean)
-			}
-		}
+		// Degenerate round: fall back to everything.
+		kept = ctx.Decide(mean, errs, func(float64) bool { return true })
 	}
-	ctx.Report[fl.ReportSpectralMeanErr] = mean
-	ctx.Report[fl.ReportSpectralKept] = float64(len(kept))
-	ctx.Report[fl.ReportSpectralExcluded] = float64(len(updates) - len(kept))
 	return aggregate.WeightedMean(kept)
 }
 

@@ -8,7 +8,6 @@ import (
 	"fedguard/internal/cvae"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
-	"fedguard/internal/telemetry"
 )
 
 func streamGuard(ccfg cvae.Config, workers int) *FedGuard {
@@ -18,44 +17,36 @@ func streamGuard(ccfg cvae.Config, workers int) *FedGuard {
 	return g
 }
 
-// outcome is what a round leaves behind: the aggregate, the report and
-// the excluded client IDs in event order.
+// outcome is what a round leaves behind: the aggregate and the whole
+// decision — the threshold and every update's score and verdict, in slot
+// order.
 type outcome struct {
-	weights  []float32
-	report   map[string]float64
-	excluded []int
+	weights   []float32
+	threshold float64
+	decisions []fl.Decision
 }
 
-// sinkCtx is ctxWith plus a sink for the round's exclusion events.
-func sinkCtx(updates []fl.Update, seed uint64) (*fl.RoundContext, func(weights []float32) outcome) {
-	ctx := ctxWith(updates, seed)
-	sink := &telemetry.CollectSink{}
-	ctx.Telemetry = telemetry.New(sink)
-	return ctx, func(weights []float32) outcome {
-		var excluded []int
-		for _, e := range sink.ByKind("ClientExcluded") {
-			excluded = append(excluded, e.(telemetry.ClientExcluded).ClientID)
-		}
-		return outcome{weights, ctx.Report, excluded}
-	}
+// outcomeOf reads the decision a finished round left on its context.
+func outcomeOf(ctx *fl.RoundContext, weights []float32) outcome {
+	return outcome{weights, ctx.Threshold, ctx.Decisions}
 }
 
 // barrierRun is one round on the barrier schedule.
 func barrierRun(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64) outcome {
 	t.Helper()
-	ctx, done := sinkCtx(updates, seed)
+	ctx := ctxWith(updates, seed)
 	out, err := g.Aggregate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return done(out)
+	return outcomeOf(ctx, out)
 }
 
 // streamRun is one round on the stream schedule: updates submitted in the
 // given slot order, then finalized on delivered.
 func streamRun(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64, order []int, delivered []fl.Update) outcome {
 	t.Helper()
-	ctx, done := sinkCtx(nil, seed)
+	ctx := ctxWith(nil, seed)
 	stream := g.BeginRound(ctx, len(updates))
 	if stream == nil {
 		t.Fatal("BeginRound refused a streamable round")
@@ -71,7 +62,7 @@ func streamRun(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64, orde
 	if err != nil {
 		t.Fatal(err)
 	}
-	return done(out)
+	return outcomeOf(ctx, out)
 }
 
 func requireSame(t *testing.T, label string, got, want outcome) {
@@ -84,13 +75,10 @@ func requireSame(t *testing.T, label string, got, want outcome) {
 			t.Fatalf("%s: weight %d differs: %v vs %v", label, i, got.weights[i], want.weights[i])
 		}
 	}
-	for k, v := range want.report {
-		if got.report[k] != v {
-			t.Fatalf("%s: report[%q] = %v, want %v", label, k, got.report[k], v)
-		}
-	}
-	if !slices.Equal(got.excluded, want.excluded) {
-		t.Fatalf("%s: excluded %v, want %v", label, got.excluded, want.excluded)
+	// Scores are bit-equal: Decision is comparable, so == on it is == on
+	// the float.
+	if got.threshold != want.threshold || !slices.Equal(got.decisions, want.decisions) {
+		t.Fatalf("%s: decided %v at %v, want %v at %v", label, got.decisions, got.threshold, want.decisions, want.threshold)
 	}
 }
 
@@ -120,7 +108,7 @@ func routedUpdates(t *testing.T) ([]fl.Update, cvae.Config) {
 // TestAuditStreamMatchesBatch pins the plan's determinism contract: for
 // any arrival order, worker count, decoder subsetting and routing, the
 // stream schedule and the barrier schedule both produce the reference's
-// weights, report and exclusions, byte for byte.
+// weights, threshold and per-update decisions, bit for bit.
 func TestAuditStreamMatchesBatch(t *testing.T) {
 	updates, ccfg := routedUpdates(t)
 	const seed = 41
@@ -166,7 +154,7 @@ func TestAuditStreamConcurrentSubmit(t *testing.T) {
 	want := referenceAggregate(t, streamGuard(ccfg, 2), updates, seed)
 
 	g := streamGuard(ccfg, 2)
-	ctx, done := sinkCtx(nil, seed)
+	ctx := ctxWith(nil, seed)
 	stream := g.BeginRound(ctx, len(updates))
 	submitted := make(chan struct{})
 	for slot := range updates {
@@ -183,7 +171,7 @@ func TestAuditStreamConcurrentSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSame(t, "concurrent", done(got), want)
+	requireSame(t, "concurrent", outcomeOf(ctx, got), want)
 }
 
 // TestAuditStreamFallback covers the degraded paths: a round that loses
@@ -219,7 +207,7 @@ func TestAuditStreamFallback(t *testing.T) {
 	t.Run("abort-then-batch", func(t *testing.T) {
 		want := referenceAggregate(t, streamGuard(ccfg, 2), updates, seed)
 		g := streamGuard(ccfg, 2)
-		ctx, done := sinkCtx(nil, seed)
+		ctx := ctxWith(nil, seed)
 		stream := g.BeginRound(ctx, len(updates))
 		stream.Submit(0, updates[0])
 		stream.Abort()
@@ -229,7 +217,7 @@ func TestAuditStreamFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSame(t, "abort", done(got), want)
+		requireSame(t, "abort", outcomeOf(ctx, got), want)
 	})
 }
 

@@ -143,9 +143,10 @@ func TestIntegrationFedGuardDefendsSignFlip(t *testing.T) {
 		t.Fatalf("FedGuard under 50%% sign-flip reached only %v", res.History.FinalAccuracy())
 	}
 	// FedGuard must actually be excluding updates, not just surviving.
-	excluded := 0.0
+	excluded := 0
 	for _, rec := range res.History.Rounds {
-		excluded += rec.Report["fedguard_excluded"]
+		requireWholeRecord(t, "FedGuard", rec)
+		excluded += rec.Excluded()
 	}
 	if excluded == 0 {
 		t.Fatal("FedGuard never excluded any update under a 50% attack")

@@ -146,19 +146,19 @@ func RunAttackMatrix(setup Setup, spec MatrixSpec, opts MatrixOptions) ([]Matrix
 	return cells, nil
 }
 
-// runMatrixCell executes one independent cell. It attaches a private
-// CollectSink so the cell's exclusion events can be audited against its
-// AttackSampled ground truth without cross-talk from concurrent cells.
+// runMatrixCell executes one independent cell and reads its exclusion
+// rates off the run's own records (every decision carries its ground
+// truth). The run itself is silent: concurrent cells share no event log
+// or registry, and the sweep reports one MatrixCellCompleted per cell.
 func runMatrixCell(setup Setup, sc Scenario, strategy string, opts MatrixOptions) MatrixCell {
 	cell := MatrixCell{Scenario: sc, Strategy: strategy}
-	sink := &telemetry.CollectSink{}
+	setup.Telemetry = nil
 	start := time.Now()
 	res, err := Run(setup, sc, strategy, RunOptions{
 		ServerLR:    opts.ServerLR,
 		Seed:        opts.Seed,
 		AggWorkers:  opts.AggWorkers,
 		StreamAudit: opts.StreamAudit,
-		Telemetry:   telemetry.New(sink),
 	})
 	cell.Seconds = time.Since(start).Seconds()
 	if err != nil {
@@ -167,42 +167,24 @@ func runMatrixCell(setup Setup, sc Scenario, strategy string, opts MatrixOptions
 	}
 	cell.Mean, cell.Std = res.Mean(), res.Std()
 	cell.Final = res.History.FinalAccuracy()
-	fillExclusionStats(&cell, sink, setup.PerRound)
+	var malExcluded, benignSampled int
+	for _, rec := range res.History.Rounds {
+		cell.MaliciousSampled += rec.MaliciousSampled
+		benignSampled += len(rec.Sampled) - rec.MaliciousSampled
+		cell.Excluded += rec.Excluded()
+		for _, d := range rec.Decisions {
+			if d.Malicious && !d.Kept {
+				malExcluded++
+			}
+		}
+	}
+	if cell.MaliciousSampled > 0 {
+		cell.MaliciousExclusionRate = float64(malExcluded) / float64(cell.MaliciousSampled)
+	}
+	if benignSampled > 0 {
+		cell.BenignExclusionRate = float64(cell.Excluded-malExcluded) / float64(benignSampled)
+	}
 	return cell
-}
-
-// fillExclusionStats derives the cell's exclusion rates by joining the
-// run's ClientExcluded events against its AttackSampled ground truth.
-func fillExclusionStats(cell *MatrixCell, sink *telemetry.CollectSink, perRound int) {
-	maliciousByRound := make(map[int]map[int]bool)
-	maliciousSampled := 0
-	for _, e := range sink.ByKind("AttackSampled") {
-		as := e.(telemetry.AttackSampled)
-		set := make(map[int]bool, len(as.ClientIDs))
-		for _, id := range as.ClientIDs {
-			set[id] = true
-		}
-		maliciousByRound[as.Round] = set
-		maliciousSampled += len(as.ClientIDs)
-	}
-	rounds := len(sink.ByKind("RoundCompleted"))
-	var malExcluded, benExcluded int
-	for _, e := range sink.ByKind("ClientExcluded") {
-		ce := e.(telemetry.ClientExcluded)
-		if maliciousByRound[ce.Round][ce.ClientID] {
-			malExcluded++
-		} else {
-			benExcluded++
-		}
-	}
-	cell.Excluded = malExcluded + benExcluded
-	cell.MaliciousSampled = maliciousSampled
-	if maliciousSampled > 0 {
-		cell.MaliciousExclusionRate = float64(malExcluded) / float64(maliciousSampled)
-	}
-	if benignSampled := rounds*perRound - maliciousSampled; benignSampled > 0 {
-		cell.BenignExclusionRate = float64(benExcluded) / float64(benignSampled)
-	}
 }
 
 func cellEvent(c MatrixCell) telemetry.MatrixCellCompleted {

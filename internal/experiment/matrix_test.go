@@ -9,7 +9,7 @@ import (
 )
 
 // matrixTestSetup shrinks the quick preset to the smallest federation
-// that still exercises FedGuard's audit path, so a 2×2 matrix stays
+// that still exercises FedGuard's audit path, so a 2×3 matrix stays
 // affordable under -race.
 func matrixTestSetup() Setup {
 	s := MustSetup(PresetQuick)
@@ -29,7 +29,7 @@ func matrixTestSpec() MatrixSpec {
 	df := mustScenario("decoder-forge-30")
 	return MatrixSpec{
 		Scenarios:  []Scenario{sf, df},
-		Strategies: []string{"FedAvg", "FedGuard"},
+		Strategies: []string{"FedAvg", "FedGuard", "Spectral"},
 	}
 }
 
@@ -41,27 +41,42 @@ func mustScenario(id string) Scenario {
 	return sc
 }
 
+// matrixGolden is WriteMatrixCSV of matrixTestSpec over matrixTestSetup.
+// The exclusion columns were pinned while they still came from an event
+// join, so they hold the records' Decisions to that earlier instrument.
+const matrixGolden = `scenario,attack,malicious_fraction,strategy,mean_accuracy,std_accuracy,final_accuracy,malicious_exclusion_rate,benign_exclusion_rate,excluded,malicious_sampled,err
+sign-flip-50,sign-flip,0.50,FedAvg,0.100000,0.000000,0.100000,0.000000,0.000000,0,4,
+sign-flip-50,sign-flip,0.50,FedGuard,0.140000,0.020000,0.160000,0.250000,0.500000,3,4,
+sign-flip-50,sign-flip,0.50,Spectral,0.200000,0.080000,0.280000,0.500000,0.500000,4,4,
+decoder-forge-30,decoder-forge,0.30,FedAvg,0.255000,0.035000,0.290000,0.000000,0.000000,0,4,
+decoder-forge-30,decoder-forge,0.30,FedGuard,0.140000,0.020000,0.160000,0.750000,0.250000,4,4,
+decoder-forge-30,decoder-forge,0.30,Spectral,0.215000,0.045000,0.260000,0.750000,0.250000,4,4,
+`
+
 // TestMatrixDeterministicAcrossWorkers is the CI smoke the adversary
-// suite ships with: the same 2×2 grid at 1 and at 4 workers must render
-// byte-identical CSV — cell results land at their grid index and contain
-// no schedule-dependent numbers.
+// suite ships with: the same 2×3 grid at 1 and at 3 workers must render
+// the pinned CSV byte for byte — cell results land at their grid index
+// and contain no schedule-dependent numbers.
 func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 	setup := matrixTestSetup()
 	spec := matrixTestSpec()
 
+	// The setup's own telemetry is the sweep's too: cells must not write
+	// their rounds into it.
 	sink := &telemetry.CollectSink{}
-	run := func(workers int, tel *telemetry.T) string {
-		cells, err := RunAttackMatrix(setup, spec, MatrixOptions{Workers: workers, Telemetry: tel})
+	setup.Telemetry = telemetry.New(sink)
+	run := func(workers int) string {
+		cells, err := RunAttackMatrix(setup, spec, MatrixOptions{Workers: workers, Telemetry: setup.Telemetry})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(cells) != 4 {
-			t.Fatalf("workers=%d: %d cells, want 4", workers, len(cells))
+		if len(cells) != 6 {
+			t.Fatalf("workers=%d: %d cells, want 6", workers, len(cells))
 		}
 		// Grid order: scenario-major, strategies inner.
 		wantOrder := []string{
-			"sign-flip-50/FedAvg", "sign-flip-50/FedGuard",
-			"decoder-forge-30/FedAvg", "decoder-forge-30/FedGuard",
+			"sign-flip-50/FedAvg", "sign-flip-50/FedGuard", "sign-flip-50/Spectral",
+			"decoder-forge-30/FedAvg", "decoder-forge-30/FedGuard", "decoder-forge-30/Spectral",
 		}
 		for i, c := range cells {
 			if got := c.Scenario.ID + "/" + c.Strategy; got != wantOrder[i] {
@@ -85,19 +100,17 @@ func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 		return buf.String()
 	}
 
-	csv1 := run(1, nil)
-	csv4 := run(4, telemetry.New(sink))
-	if csv1 != csv4 {
-		t.Fatalf("CSV differs across worker counts:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", csv1, csv4)
+	for _, workers := range []int{1, 3} {
+		if csv := run(workers); csv != matrixGolden {
+			t.Fatalf("workers=%d: CSV moved:\n--- got ---\n%s--- want ---\n%s", workers, csv, matrixGolden)
+		}
 	}
-	if got := len(sink.ByKind("MatrixCellCompleted")); got != 4 {
-		t.Fatalf("%d MatrixCellCompleted events, want 4", got)
+	if got := len(sink.ByKind("MatrixCellCompleted")); got != 12 {
+		t.Fatalf("%d MatrixCellCompleted events, want 6 per sweep", got)
 	}
-	if strings.Count(csv1, "\n") != 5 {
-		t.Fatalf("CSV has %d lines, want header + 4 rows:\n%s", strings.Count(csv1, "\n"), csv1)
-	}
-	if !strings.HasPrefix(csv1, "scenario,attack,malicious_fraction,strategy,") {
-		t.Fatalf("unexpected CSV header:\n%s", csv1)
+	// The sweep's sink hears about cells, never about a cell's rounds.
+	if got := len(sink.Events()); got != 12 {
+		t.Fatalf("%d events on the sweep's sink, want only the 12 cell events", got)
 	}
 }
 

@@ -137,10 +137,10 @@ func TestLoopbackCohortAttackMatchesInProcess(t *testing.T) {
 // without touching the RNG.
 type rotatingSampler struct{}
 
-func (rotatingSampler) SampleClients(round, n, m int, r *rng.RNG) []int {
+func (rotatingSampler) SampleClients(history []fl.RoundRecord, n, m int, r *rng.RNG) []int {
 	ids := make([]int, m)
 	for i := range ids {
-		ids[i] = (round + i) % n
+		ids[i] = (len(history) + 1 + i) % n
 	}
 	return ids
 }

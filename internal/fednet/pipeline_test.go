@@ -28,7 +28,7 @@ func newTestGuard() *defense.FedGuard {
 
 // TestStreamAuditLoopbackMatchesBarrier is the round-pipeline
 // determinism pin: a streaming-audit FedGuard federation must finish
-// with byte-identical weights and reports to the barrier ordering, for
+// with byte-identical weights and decisions to the barrier ordering, for
 // several experiment seeds, over the compressed wire path (so
 // encode-once broadcast sharing is in the loop too).
 func TestStreamAuditLoopbackMatchesBarrier(t *testing.T) {
@@ -52,9 +52,10 @@ func TestStreamAuditLoopbackMatchesBarrier(t *testing.T) {
 				t.Fatal("streaming audit diverged from barrier final weights")
 			}
 			for i := range barrier.Rounds {
-				if !reflect.DeepEqual(barrier.Rounds[i].Report, streamed.Rounds[i].Report) {
-					t.Fatalf("round %d reports differ: %v vs %v",
-						i+1, barrier.Rounds[i].Report, streamed.Rounds[i].Report)
+				b, s := barrier.Rounds[i], streamed.Rounds[i]
+				if len(b.Decisions) == 0 || b.Threshold != s.Threshold || !reflect.DeepEqual(b.Decisions, s.Decisions) {
+					t.Fatalf("round %d decisions differ: %v at %v vs %v at %v",
+						i+1, b.Decisions, b.Threshold, s.Decisions, s.Threshold)
 				}
 			}
 		})

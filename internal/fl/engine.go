@@ -131,15 +131,12 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		roundSpan := runSpan.Child("round", telemetry.L("round", strconv.Itoa(round)))
 
 		// J ← sample(range(1,N), m) (Alg. 1 line 17).
-		sampled := sampler.SampleClients(round, cfg.NumClients, cfg.PerRound, serverRNG)
-		var attackIDs []int
+		sampled := sampler.SampleClients(history.Rounds, cfg.NumClients, cfg.PerRound, serverRNG)
+		maliciousSampled := 0
 		for _, id := range sampled {
 			if malicious[id] {
-				attackIDs = append(attackIDs, id)
+				maliciousSampled++
 			}
-		}
-		if len(attackIDs) > 0 {
-			tel.Emit(telemetry.AttackSampled{Round: round, ClientIDs: attackIDs})
 		}
 		// The round RNG is split off before training so a streaming
 		// strategy can pre-draw its plan; nothing draws from serverRNG in
@@ -155,7 +152,7 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		// round barrier, so updates streamed as they land would be
 		// pre-rewrite; rounds with such a cohort fall back to the batch
 		// audit path (benign rounds still stream).
-		rewrite := cohortAttack != nil && len(attackIDs) > 0
+		rewrite := cohortAttack != nil && maliciousSampled > 0
 		var stream RoundStream
 		if cfg.StreamAudit && !rewrite {
 			if ss, ok := strategy.(StreamingStrategy); ok {
@@ -210,7 +207,11 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		global = next
 		stopAgg()
 		aggSecs := time.Since(aggStart).Seconds()
-		tel.Observe(telemetry.AggregateMetric, aggSecs, telemetry.L("strategy", strategy.Name()))
+		// The strategy scored and filtered; the ground truth is the
+		// engine's to add, so no strategy ever sees it.
+		for i := range ctx.Decisions {
+			ctx.Decisions[i].Malicious = malicious[ctx.Decisions[i].ClientID]
+		}
 
 		// Byte accounting per Table V: uploads are the global broadcast to
 		// the m sampled clients; downloads are their returned updates plus
@@ -232,8 +233,10 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 			WireUploadBytes:   wireUp,
 			WireDownloadBytes: wireDown,
 			Sampled:           sampled,
-			MaliciousSampled:  len(attackIDs),
+			MaliciousSampled:  maliciousSampled,
 			Dropped:           dropped,
+			Threshold:         ctx.Threshold,
+			Decisions:         ctx.Decisions,
 			Report:            ctx.Report,
 		}
 
@@ -331,15 +334,17 @@ func recordRound(tel *telemetry.T, rec RoundRecord) {
 		Sampled:           rec.Sampled,
 		MaliciousSampled:  rec.MaliciousSampled,
 		Dropped:           rec.Dropped,
+		Threshold:         rec.Threshold,
+		Decisions:         rec.Decisions,
 		Report:            rec.Report,
 	})
 	tel.AddCounter("fedguard_rounds_total", 1)
+	tel.AddCounter("fedguard_clients_excluded_total", float64(rec.Excluded()))
 	tel.AddCounter("fedguard_upload_bytes_total", float64(rec.UploadBytes))
 	tel.AddCounter("fedguard_download_bytes_total", float64(rec.DownloadBytes))
 	tel.AddCounter("fedguard_wire_upload_bytes_total", float64(rec.WireUploadBytes))
 	tel.AddCounter("fedguard_wire_download_bytes_total", float64(rec.WireDownloadBytes))
 	tel.SetGauge("fedguard_round", float64(rec.Round))
 	tel.SetGauge("fedguard_test_accuracy", rec.TestAccuracy)
-	tel.SetGauge("fedguard_excluded", float64(rec.Excluded()))
 	tel.Observe("fedguard_round_seconds", rec.Seconds)
 }

@@ -1,7 +1,9 @@
 package fl
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"fedguard/internal/attack"
@@ -663,22 +665,26 @@ func TestCustomSamplerUsed(t *testing.T) {
 
 type fixedSampler struct{ ids []int }
 
-func (f fixedSampler) SampleClients(round, n, m int, r *rng.RNG) []int { return f.ids }
+func (f fixedSampler) SampleClients(_ []RoundRecord, n, m int, r *rng.RNG) []int { return f.ids }
 
-// excludingStrategy rejects the first update every round through the
-// typed ExcludeClient path, recording what it did for comparison with
-// the event log.
+// excludingStrategy rejects the first update every round through
+// ctx.Decide, scoring each update by its slot, and keeps what it decided
+// for comparison with the record and the event log.
 type excludingStrategy struct {
-	excluded [][]int
+	decided [][]Decision
 }
 
 func (e *excludingStrategy) Name() string        { return "excluding" }
 func (e *excludingStrategy) NeedsDecoders() bool { return false }
 func (e *excludingStrategy) Aggregate(ctx *RoundContext) ([]float32, error) {
-	id := ctx.Updates[0].ClientID
-	ctx.ExcludeClient(id, 0.1, 0.5)
-	e.excluded = append(e.excluded, []int{id})
-	ctx.Report[ReportFedGuardExcluded] = 1
+	scores := make([]float64, len(ctx.Updates))
+	for i := range scores {
+		scores[i] = float64(i)
+	}
+	if kept := ctx.Decide(0.5, scores, func(s float64) bool { return s >= 0.5 }); len(kept) != len(scores)-1 {
+		return nil, fmt.Errorf("Decide kept %d of %d", len(kept), len(scores))
+	}
+	e.decided = append(e.decided, append([]Decision(nil), ctx.Decisions...))
 	out := make([]float32, len(ctx.Global))
 	copy(out, ctx.Global)
 	return out, nil
@@ -731,33 +737,42 @@ func TestFederationEmitsTelemetry(t *testing.T) {
 		}
 	}
 
-	// ClientExcluded events must exactly mirror the strategy's decisions.
-	excl := sink.ByKind("ClientExcluded")
-	var want []int
-	for _, ids := range strat.excluded {
-		want = append(want, ids...)
-	}
-	if len(excl) != len(want) {
-		t.Fatalf("%d ClientExcluded events, want %d", len(excl), len(want))
-	}
-	for i, e := range excl {
-		ce := e.(telemetry.ClientExcluded)
-		if ce.ClientID != want[i] || ce.Round != i+1 {
-			t.Fatalf("event %d = %+v, want client %d round %d", i, ce, want[i], i+1)
+	// The record and the event must carry exactly what the strategy
+	// decided — in update order, kept clients' scores included — plus the
+	// ground truth it never saw, which must match the placement.
+	var excluded, attacked int
+	for i, e := range rounds {
+		rc, rec := e.(telemetry.RoundCompleted), h.Rounds[i]
+		if rc.Threshold != 0.5 || rec.Threshold != 0.5 {
+			t.Fatalf("round %d threshold: event %v, record %v", i+1, rc.Threshold, rec.Threshold)
 		}
+		if !slices.Equal(rc.Decisions, rec.Decisions) || len(rec.Decisions) != len(strat.decided[i]) {
+			t.Fatalf("round %d: event carries %+v, record %+v, strategy decided %+v", i+1, rc.Decisions, rec.Decisions, strat.decided[i])
+		}
+		malicious := 0
+		for j, d := range rec.Decisions {
+			want := strat.decided[i][j]
+			if want.Malicious {
+				t.Fatal("the strategy saw ground truth")
+			}
+			if want.Malicious = fed.MaliciousIDs[d.ClientID]; d != want || d.ClientID != rec.Sampled[j] || d.Kept != (j > 0) {
+				t.Fatalf("round %d decision %d = %+v, want %+v", i+1, j, d, want)
+			}
+			if d.Malicious {
+				malicious++
+			}
+		}
+		if malicious != rec.MaliciousSampled || rec.Excluded() != 1 {
+			t.Fatalf("round %d: %d malicious decisions for %d sampled, %d excluded", i+1, malicious, rec.MaliciousSampled, rec.Excluded())
+		}
+		excluded += rec.Excluded()
+		attacked += malicious
 	}
-
-	// AttackSampled ground truth must agree with the per-round counts.
-	var attacked int
-	for _, e := range sink.ByKind("AttackSampled") {
-		attacked += len(e.(telemetry.AttackSampled).ClientIDs)
+	if attacked == 0 {
+		t.Fatal("no malicious client was ever sampled; the ground-truth check is vacuous")
 	}
-	var wantAttacked int
-	for _, rec := range h.Rounds {
-		wantAttacked += rec.MaliciousSampled
-	}
-	if attacked != wantAttacked {
-		t.Fatalf("AttackSampled covers %d clients, history says %d", attacked, wantAttacked)
+	if got := cfg.Telemetry.Metrics.Counter("fedguard_clients_excluded_total").Value(); got != float64(excluded) {
+		t.Fatalf("clients_excluded_total = %v, want %d", got, excluded)
 	}
 
 	// Metrics side: round counter and client.train spans.

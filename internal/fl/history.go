@@ -40,21 +40,45 @@ type RoundRecord struct {
 	// aggregation because they failed to deliver an update (networked
 	// deployments only; nil for in-process runs and healthy rounds).
 	Dropped []int
-	// Report carries strategy-specific diagnostics (e.g. "excluded").
+	// Threshold is the bar the round's defense held its scores to (their
+	// mean) and Decisions its verdict on every delivered update, in
+	// aggregation order: score, kept or dropped, and whether the client
+	// was in fact malicious. Zero and nil under strategies that audit
+	// nothing (FedAvg, GeoMed, Krum).
+	Threshold float64
+	Decisions []Decision
+	// Report carries strategy-specific diagnostics (e.g. Krum's pick).
 	Report map[string]float64
 }
 
-// Excluded returns the number of updates the round's defense rejected,
-// reading the typed report keys regardless of which defense produced
-// them (0 when no defense reported).
+// Excluded returns the number of updates the round's defense rejected
+// (0 when no defense decided anything).
 func (r RoundRecord) Excluded() int {
-	if v, ok := r.Report[ReportFedGuardExcluded]; ok {
-		return int(v)
+	n := 0
+	for _, d := range r.Decisions {
+		if !d.Kept {
+			n++
+		}
 	}
-	if v, ok := r.Report[ReportSpectralExcluded]; ok {
-		return int(v)
+	return n
+}
+
+// ExclusionCounts returns, per client ID, how many of its updates the
+// defense rejected and how many it audited over the given rounds. The
+// ratio is a malicious-peer score (the paper's conclusion suggests
+// flagging defective or adversarial participants this way) and what
+// defense.QualitySampler biases selection by.
+func ExclusionCounts(rounds []RoundRecord) (excluded, seen map[int]int) {
+	excluded, seen = map[int]int{}, map[int]int{}
+	for _, r := range rounds {
+		for _, d := range r.Decisions {
+			seen[d.ClientID]++
+			if !d.Kept {
+				excluded[d.ClientID]++
+			}
+		}
 	}
-	return 0
+	return excluded, seen
 }
 
 // History is the full record of one federation run.

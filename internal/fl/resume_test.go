@@ -180,6 +180,62 @@ func TestResumeFedGuardCrashPoints(t *testing.T) {
 	}
 }
 
+// TestResumeQualitySamplerFromHistory: a sampler that biases selection
+// by past exclusions is a function of the checkpointed records, so a
+// fresh federation, strategy and sampler resumed from the round-2
+// snapshot sample the same cohorts, decide the same way and end on the
+// same bits as the uninterrupted run. (With the counts kept inside the
+// strategy instead, the resumed sampler starts from empty statistics.)
+func TestResumeQualitySamplerFromHistory(t *testing.T) {
+	train, test := resumeData(t)
+	cfg := resumeConfig()
+	cfg.Rounds = 4
+	cfg.Attack = attack.NewLabelFlip()
+	newStrategy := func() fl.Strategy {
+		g := defense.NewFedGuard(cfg.Client.Arch, cfg.Client.CVAE)
+		g.Samples = 8
+		return g
+	}
+	var snapshot *fl.Checkpoint
+	cfg.Sampler = defense.NewQualitySampler()
+	cfg.CheckpointSink = func(ck *fl.Checkpoint) (string, int64, error) {
+		if ck.Round == 2 {
+			// The sink may not keep ck's history past its return.
+			snap := *ck
+			snap.Rounds = append([]fl.RoundRecord(nil), ck.Rounds...)
+			snapshot = &snap
+		}
+		return "mem", 0, nil
+	}
+	baseline := mustRun(t, cfg, train, test, newStrategy())
+	if snapshot == nil {
+		t.Fatal("no round-2 snapshot")
+	}
+	if baseline.Rounds[0].Excluded()+baseline.Rounds[1].Excluded() == 0 {
+		t.Fatal("nothing excluded before the snapshot: the sampler has nothing to remember")
+	}
+
+	cfg.Sampler, cfg.CheckpointSink = defense.NewQualitySampler(), nil
+	fed, err := fl.NewFederation(train, test, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := fed.Resume(newStrategy(), snapshot, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range baseline.Rounds {
+		got := resumed.Rounds[i]
+		if !reflect.DeepEqual(got.Sampled, want.Sampled) {
+			t.Fatalf("round %d sampled %v, uninterrupted run sampled %v", i+1, got.Sampled, want.Sampled)
+		}
+		if got.Threshold != want.Threshold || !reflect.DeepEqual(got.Decisions, want.Decisions) {
+			t.Fatalf("round %d decided %+v, uninterrupted run decided %+v", i+1, got.Decisions, want.Decisions)
+		}
+	}
+	expectIdentical(t, 2, baseline, resumed)
+}
+
 // TestResumeAcrossSeeds re-proves the guarantee under different seeds —
 // resumability must not be an artifact of one lucky sampling sequence.
 func TestResumeAcrossSeeds(t *testing.T) {

@@ -15,30 +15,15 @@ import (
 	"fedguard/internal/telemetry"
 )
 
-// Typed keys for the RoundContext.Report map. Strategies historically
-// invented string keys ad hoc; these constants pin the vocabulary so
-// reports, commands, and the event log agree on spelling. The map itself
-// stays for backward compatibility — RoundRecord.Excluded reads through
-// it via these keys.
-const (
-	// ReportFedGuardMeanAcc is FedGuard's per-round mean synthetic-set
-	// accuracy (Alg. 1 line 6's threshold).
-	ReportFedGuardMeanAcc = "fedguard_mean_acc"
-	// ReportFedGuardKept / ReportFedGuardExcluded count FedGuard's
-	// per-round aggregation decisions.
-	ReportFedGuardKept     = "fedguard_kept"
-	ReportFedGuardExcluded = "fedguard_excluded"
-	// ReportSpectralMeanErr is Spectral's mean surrogate reconstruction
-	// error threshold.
-	ReportSpectralMeanErr = "spectral_mean_err"
-	// ReportSpectralKept / ReportSpectralExcluded count Spectral's
-	// per-round decisions.
-	ReportSpectralKept     = "spectral_kept"
-	ReportSpectralExcluded = "spectral_excluded"
-	// ReportKrumSelected is the client ID Krum chose as the round's
-	// representative update.
-	ReportKrumSelected = "krum_selected"
-)
+// ReportKrumSelected is the one typed key of the RoundContext.Report
+// map: the client ID Krum chose as the round's representative update.
+// A defense's keep-or-drop decisions are not diagnostics: see Decide.
+const ReportKrumSelected = "krum_selected"
+
+// Decision is one delivered update's audit outcome. The type lives in
+// telemetry because RoundCompleted carries it and telemetry cannot
+// import fl.
+type Decision = telemetry.Decision
 
 // Update is one client's per-round submission: classifier parameters in
 // the flat wire format, the sample count used for FedAvg weighting, and
@@ -70,13 +55,16 @@ type RoundContext struct {
 	// RNG is the server-side randomness for this round (used e.g. for
 	// FedGuard's latent and label sampling).
 	RNG *rng.RNG
-	// Report lets strategies expose per-round diagnostics (e.g. how many
-	// updates were excluded); the Federation copies it into History.
-	// Prefer the typed Report* key constants over ad-hoc strings.
+	// Report lets strategies expose per-round diagnostics (e.g. which
+	// update Krum selected); RunRounds copies it into the RoundRecord.
 	Report map[string]float64
+	// Threshold and Decisions are what Decide recorded: the bar the
+	// round's scores were held to and one Decision per update, in Updates
+	// order. A strategy that audits nothing leaves them zero.
+	Threshold float64
+	Decisions []Decision
 	// Telemetry is the run's observability bundle. It is nil-safe: a
-	// strategy may call its methods (and ExcludeClient below)
-	// unconditionally.
+	// strategy may call its methods unconditionally.
 	Telemetry *telemetry.T
 	// Span is the aggregation span of this round's trace, when tracing is
 	// enabled (nil otherwise — and nil is safe). Strategies open their
@@ -93,18 +81,22 @@ func (ctx *RoundContext) StartPhase(name string, labels ...telemetry.Label) func
 	return stop
 }
 
-// ExcludeClient records that a defense rejected the given client's
-// update this round, scoring score against the round's mean threshold.
-// It emits a structured ClientExcluded event; updating the Report map
-// remains the strategy's responsibility.
-func (ctx *RoundContext) ExcludeClient(clientID int, score, mean float64) {
-	ctx.Telemetry.Emit(telemetry.ClientExcluded{
-		Round:    ctx.Round,
-		ClientID: clientID,
-		Acc:      score,
-		Mean:     mean,
-	})
-	ctx.Telemetry.AddCounter("fedguard_clients_excluded_total", 1)
+// Decide records the round's defense decision (Alg. 1 lines 6–7) and
+// returns the surviving updates: scores[i] is ctx.Updates[i]'s score,
+// threshold the bar they are held to, and keep says which side of it
+// survives. Calling it again replaces the round's decision.
+func (ctx *RoundContext) Decide(threshold float64, scores []float64, keep func(score float64) bool) []Update {
+	ctx.Threshold = threshold
+	ctx.Decisions = make([]Decision, len(ctx.Updates))
+	var kept []Update
+	for i, u := range ctx.Updates {
+		d := Decision{ClientID: u.ClientID, Score: scores[i], Kept: keep(scores[i])}
+		if d.Kept {
+			kept = append(kept, u)
+		}
+		ctx.Decisions[i] = d
+	}
+	return kept
 }
 
 // StreamingStrategy is an optional Strategy extension. A strategy that
@@ -159,9 +151,11 @@ type RoundStream interface {
 // conclusion suggests biasing selection toward high-quality candidates,
 // implemented by defense.QualitySampler.
 type Sampler interface {
-	// SampleClients returns m distinct client IDs from [0, n) for the
-	// given round, drawing randomness from r only.
-	SampleClients(round, n, m int, r *rng.RNG) []int
+	// SampleClients returns m distinct client IDs from [0, n) for round
+	// len(history)+1, drawing randomness from r only. history is the
+	// run's records so far — the checkpointed state, so a sampler that is
+	// a function of it samples the same cohort after a resume.
+	SampleClients(history []RoundRecord, n, m int, r *rng.RNG) []int
 }
 
 // UniformSampler is the default sampler: m clients uniformly without
@@ -169,7 +163,7 @@ type Sampler interface {
 type UniformSampler struct{}
 
 // SampleClients implements Sampler.
-func (UniformSampler) SampleClients(round, n, m int, r *rng.RNG) []int {
+func (UniformSampler) SampleClients(_ []RoundRecord, n, m int, r *rng.RNG) []int {
 	return r.Sample(n, m)
 }
 

@@ -25,7 +25,7 @@ import (
 //
 // A client trains its CVAE once (paper footnote 5), so its decoder is
 // uploaded once and persisted once; every later round rewrites only the
-// round file. Round file format, version 2, everything little-endian:
+// round file. Round file format, version 3, everything little-endian:
 //
 //	[4B magic "FdGC"][4B version][4B payload length][4B CRC-32C(payload)]
 //	payload:
@@ -45,6 +45,11 @@ import (
 // resumed from. A blob is guarded by the hash in its own name, which is
 // codec.Hash of its floats and must equal the referencing hash.
 //
+// Version 3 added the round's defense decisions to a record, ahead of
+// its report — f64 threshold, u32 n, n × (u32 client, f64 score, u8 kept,
+// u8 malicious) — because a sampler that reads the history must find
+// them after a resume.
+//
 // Blobs are keyed per client on purpose. codec.Hash is FNV-1a over
 // 64-bit words, so a second preimage is one solved word; in a shared
 // namespace a Byzantine client could park garbage under an honest
@@ -52,7 +57,7 @@ import (
 // is per client for the same reason.
 const (
 	checkpointMagic   = 0x46644743 // "FdGC"
-	checkpointVersion = 2
+	checkpointVersion = 3
 	headerBytes       = 16
 	// maxCheckpointBytes guards corrupt headers. Real round files are a
 	// few MB even at the paper's 100-client scale (ψ plus R round
@@ -93,6 +98,9 @@ func WriteCheckpoint(w io.Writer, ck *fl.Checkpoint) (int64, error) {
 	// the buffer is allocated once for any realistic round file.
 	hint := 256 + len(ck.Strategy) + 4*len(ck.Global) + 256*len(ck.Rounds) +
 		16*len(ck.Decoders) + 128*len(ck.Clients)
+	for i := range ck.Rounds {
+		hint += 14 * len(ck.Rounds[i].Decisions)
+	}
 	b := appendCheckpoint(make([]byte, headerBytes, headerBytes+hint), ck)
 	payload := b[headerBytes:]
 	if len(payload) > maxCheckpointBytes {
@@ -383,7 +391,12 @@ func readChunked(r io.Reader, n int) ([]byte, error) {
 
 // --- payload encoding ---
 
-func appendU8(b []byte, v uint8) []byte { return append(b, v) }
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
@@ -430,11 +443,7 @@ func appendRNG(b []byte, s rng.State) []byte {
 	b = appendU64(b, s.Lo)
 	b = appendU64(b, s.IncHi)
 	b = appendU64(b, s.IncLo)
-	var g uint8
-	if s.HaveGauss {
-		g = 1
-	}
-	b = appendU8(b, g)
+	b = appendBool(b, s.HaveGauss)
 	return appendF64(b, s.Gauss)
 }
 
@@ -452,6 +461,14 @@ func appendRecord(b []byte, rec *fl.RoundRecord) []byte {
 	b = appendInts(b, rec.Sampled)
 	b = appendU32(b, uint32(rec.MaliciousSampled))
 	b = appendInts(b, rec.Dropped)
+	b = appendF64(b, rec.Threshold)
+	b = appendU32(b, uint32(len(rec.Decisions)))
+	for _, d := range rec.Decisions {
+		b = appendU32(b, uint32(d.ClientID))
+		b = appendF64(b, d.Score)
+		b = appendBool(b, d.Kept)
+		b = appendBool(b, d.Malicious)
+	}
 	keys := make([]string, 0, len(rec.Report))
 	for k := range rec.Report {
 		keys = append(keys, k)
@@ -639,6 +656,13 @@ func (d *ckDecoder) record() fl.RoundRecord {
 	}
 	rec.MaliciousSampled = int(d.u32())
 	rec.Dropped = d.ints()
+	rec.Threshold = d.f64()
+	if n := d.count(14); n > 0 { // decision: client(4) + score(8) + kept(1) + malicious(1)
+		rec.Decisions = make([]fl.Decision, n)
+		for i := range rec.Decisions {
+			rec.Decisions[i] = fl.Decision{ClientID: int(int32(d.u32())), Score: d.f64(), Kept: d.u8() != 0, Malicious: d.u8() != 0}
+		}
+	}
 	n := d.count(12) // min per entry: empty key (4) + f64 (8)
 	// Always non-nil: live records carry the round context's (possibly
 	// empty) report map, and restored history must compare equal to it.
@@ -660,7 +684,7 @@ func (d *ckDecoder) checkpoint() *fl.Checkpoint {
 	}
 	// Min sizes below are the smallest legal encodings of each element
 	// (all variable-length parts empty).
-	if n := d.count(92); n > 0 { // record: 4 + 5*8 + 4*8 + 4*4 = 92
+	if n := d.count(104); n > 0 { // record: 4 + 6*8 + 4*8 + 5*4 = 104
 		ck.Rounds = make([]fl.RoundRecord, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			ck.Rounds = append(ck.Rounds, d.record())

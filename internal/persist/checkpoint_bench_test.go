@@ -42,14 +42,20 @@ func benchCheckpoint(networked bool, clients, globalLen, decoderLen int) *fl.Che
 		Global:    global,
 		ServerRNG: r.State(),
 	}
+	sampled := []int{0, 3, 7, 9, 11, 2, 5, 14}
+	decisions := make([]fl.Decision, len(sampled))
+	for i, id := range sampled {
+		decisions[i] = fl.Decision{ClientID: id, Score: 0.1 * float64(i), Kept: i >= 2, Malicious: i < 2}
+	}
 	for round := 1; round <= 12; round++ {
 		ck.Rounds = append(ck.Rounds, fl.RoundRecord{
 			Round: round, TestAccuracy: 0.7, Seconds: 2,
 			TrainSeconds: 1.5, AggregateSeconds: 0.3, EvalSeconds: 0.2,
 			UploadBytes: 814400, DownloadBytes: 1629000,
 			WireUploadBytes: 290000, WireDownloadBytes: 410000,
-			Sampled: []int{0, 3, 7, 9, 11, 2, 5, 14}, MaliciousSampled: 2,
-			Report: map[string]float64{fl.ReportFedGuardExcluded: 2},
+			Sampled: sampled, MaliciousSampled: 2,
+			Threshold: 0.35, Decisions: decisions,
+			Report: map[string]float64{},
 		})
 	}
 	for id := 0; id < clients; id++ {

@@ -20,7 +20,8 @@ import (
 )
 
 // fullCheckpoint exercises every field of the format: history with
-// drops, wire bytes and reports, decoder cache entries with and without
+// drops, wire bytes, reports and defense decisions (a kept and an
+// excluded client, malicious both ways), decoder cache entries with and without
 // payloads, client snapshots with and without a decoder and with an
 // armed Gaussian cache.
 func fullCheckpoint() *fl.Checkpoint {
@@ -40,8 +41,13 @@ func fullCheckpoint() *fl.Checkpoint {
 				UploadBytes: 4096, DownloadBytes: 8192,
 				WireUploadBytes: 1024, WireDownloadBytes: 2048,
 				Sampled: []int{0, 2, 4}, MaliciousSampled: 1,
-				Dropped: []int{2},
-				Report:  map[string]float64{fl.ReportFedGuardExcluded: 1, "scored": 3},
+				Dropped:   []int{2},
+				Threshold: 0.375,
+				Decisions: []fl.Decision{
+					{ClientID: 0, Score: 0.5, Kept: true, Malicious: true},
+					{ClientID: 4, Score: 0.25},
+				},
+				Report: map[string]float64{fl.ReportKrumSelected: 1, "scored": 3},
 			},
 			{
 				Round: 2, TestAccuracy: 0.625, Seconds: 1.25,
@@ -134,7 +140,9 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 			UploadBytes: 16, DownloadBytes: 32,
 			WireUploadBytes: 8, WireDownloadBytes: 16,
 			Sampled: []int{1, 0}, MaliciousSampled: 1, Dropped: []int{0},
-			Report: map[string]float64{"x": 1},
+			Threshold: 0.5,
+			Decisions: []fl.Decision{{ClientID: 1, Score: 0.25, Malicious: true}, {ClientID: 2, Score: 0.75, Kept: true}},
+			Report:    map[string]float64{"x": 1},
 		}},
 		Decoders: []fl.DecoderState{{ID: 1, Hash: codec.Hash([]float32{3}), Params: []float32{3}}},
 		Clients: []fl.ClientState{{
@@ -143,7 +151,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 			Decoder: []float32{-1}, DecoderHash: codec.Hash([]float32{-1}), DecoderClasses: []int{2},
 		}},
 	}
-	const want = "43476446020000002501000014d8179e" + // header: magic, version, len, crc
+	const want = "43476446030000004d01000021110426" + // header: magic, version 3, len, crc
 		"0700000000000000" + // seed
 		"01000000" + // round
 		"06000000466564417667" + // strategy "FedAvg"
@@ -156,6 +164,9 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		"020000000100000000000000" + // sampled [1 0]
 		"01000000" + // malicious sampled
 		"0100000000000000" + // dropped [0]
+		"000000000000e03f" + "02000000" + // threshold 0.5, 2 decisions
+		"01000000" + "000000000000d03f" + "00" + "01" + // client 1 scored 0.25: excluded, malicious
+		"02000000" + "000000000000e83f" + "01" + "00" + // client 2 scored 0.75: kept, benign
 		"010000000100000078000000000000f03f" + // report {"x": 1}
 		"01000000" + "01000000" + "dfb7c1b2b9bd63ef" + "01000000" + // decoders: 1 entry, id 1, hash of [3], 1 param
 		"01000000" + "01000000" + // 1 client, id 1
@@ -200,9 +211,10 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("wrong version", func(t *testing.T) {
-		// 1 is the retired inline-decoder format: refused by name, not
-		// migrated — no peer holds such a file.
-		for _, version := range []uint32{1, 99} {
+		// 1 is the retired inline-decoder format and 2 the one whose
+		// records carry no decisions: refused by name, not migrated — no
+		// peer holds such a file.
+		for _, version := range []uint32{1, 2, 99} {
 			data := append([]byte(nil), valid...)
 			binary.LittleEndian.PutUint32(data[4:], version)
 			_, err := ReadCheckpoint(bytes.NewReader(data))

@@ -164,7 +164,8 @@ func TestSaveLoadHistory(t *testing.T) {
 			{Round: 1, TestAccuracy: 0.5, Seconds: 1.25,
 				UploadBytes: 100, DownloadBytes: 120,
 				Sampled: []int{1, 3}, MaliciousSampled: 1,
-				Report: map[string]float64{"fedguard_excluded": 2}},
+				Threshold: 0.4, Decisions: []fl.Decision{{ClientID: 1, Score: 0.3, Malicious: true}, {ClientID: 3, Score: 0.5, Kept: true}},
+				Report: map[string]float64{"krum_selected": 2}},
 		},
 	}
 	if err := SaveHistory(path, h); err != nil {
@@ -178,7 +179,8 @@ func TestSaveLoadHistory(t *testing.T) {
 		t.Fatalf("history round trip lost data: %+v", got)
 	}
 	r := got.Rounds[0]
-	if r.TestAccuracy != 0.5 || r.Report["fedguard_excluded"] != 2 || r.Sampled[1] != 3 {
+	if r.TestAccuracy != 0.5 || r.Report["krum_selected"] != 2 || r.Sampled[1] != 3 ||
+		r.Threshold != 0.4 || r.Excluded() != 1 || r.Decisions[0] != h.Rounds[0].Decisions[0] || r.Decisions[1] != h.Rounds[0].Decisions[1] {
 		t.Fatalf("round record corrupted: %+v", r)
 	}
 }

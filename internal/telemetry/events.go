@@ -30,8 +30,24 @@ type RunStarted struct {
 // Kind implements Event.
 func (RunStarted) Kind() string { return "RunStarted" }
 
+// Decision is a defense's verdict on one delivered update (Alg. 1 lines
+// 5–7): the client's score on the round's validation signal
+// (synthetic-set accuracy for FedGuard, reconstruction error for
+// Spectral), whether the update entered the aggregate, and the ground
+// truth to audit the verdict against. fl.RoundRecord holds the same
+// values (as fl.Decision), kept clients' included.
+type Decision struct {
+	ClientID int     `json:"client_id"`
+	Score    float64 `json:"score"`
+	Kept     bool    `json:"kept"`
+	// Malicious is stamped by the round engine from the experiment's
+	// placement; a strategy never sees it.
+	Malicious bool `json:"malicious"`
+}
+
 // RoundCompleted records one federated round's full outcome: quality,
-// phase-split wall-clock cost, and wire traffic (Table V columns).
+// phase-split wall-clock cost, wire traffic (Table V columns) and the
+// defense's per-client decisions.
 type RoundCompleted struct {
 	Round            int     `json:"round"`
 	TestAccuracy     float64 `json:"test_accuracy"`
@@ -51,37 +67,17 @@ type RoundCompleted struct {
 	// Dropped lists sampled clients that failed to deliver an update
 	// (networked runs only; empty when the full cohort responded).
 	Dropped []int `json:"dropped,omitempty"`
+	// Threshold is the bar the round's scores were held to (their mean)
+	// and Decisions one entry per delivered update, in aggregation order;
+	// both are absent under strategies that audit nothing.
+	Threshold float64    `json:"threshold,omitempty"`
+	Decisions []Decision `json:"decisions,omitempty"`
 	// Report is the strategy's per-round diagnostic map, carried verbatim.
 	Report map[string]float64 `json:"report,omitempty"`
 }
 
 // Kind implements Event.
 func (RoundCompleted) Kind() string { return "RoundCompleted" }
-
-// ClientExcluded records one update being rejected by a defense: the
-// client's score on the round's validation signal (synthetic-set
-// accuracy for FedGuard, reconstruction error for Spectral) against the
-// round mean that set the bar.
-type ClientExcluded struct {
-	Round    int     `json:"round"`
-	ClientID int     `json:"client_id"`
-	Acc      float64 `json:"acc"`
-	Mean     float64 `json:"mean"`
-}
-
-// Kind implements Event.
-func (ClientExcluded) Kind() string { return "ClientExcluded" }
-
-// AttackSampled records that malicious clients were drawn into a round's
-// participant set — the ground truth a defense's ClientExcluded events
-// can be audited against.
-type AttackSampled struct {
-	Round     int   `json:"round"`
-	ClientIDs []int `json:"client_ids"`
-}
-
-// Kind implements Event.
-func (AttackSampled) Kind() string { return "AttackSampled" }
 
 // ClientDropped records the networked server abandoning one client for
 // the rest of a round: the client missed its deadline, exhausted its

@@ -193,7 +193,8 @@ func TestJSONLSink(t *testing.T) {
 	s := NewJSONLSink(&buf)
 	s.now = func() time.Time { return time.Unix(1700000000, 0) }
 	s.Emit(RunStarted{Strategy: "FedGuard", NumClients: 16, PerRound: 8, Rounds: 2, Seed: 7})
-	s.Emit(ClientExcluded{Round: 1, ClientID: 3, Acc: 0.1, Mean: 0.5})
+	s.Emit(RoundCompleted{Round: 1, Threshold: 0.5, Decisions: []Decision{
+		{ClientID: 3, Score: 0.1, Malicious: true}, {ClientID: 5, Score: 0.75, Kept: true}}})
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,22 +210,28 @@ func TestJSONLSink(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Event != "ClientExcluded" || env.Time == "" {
+	if env.Event != "RoundCompleted" || env.Time == "" {
 		t.Fatalf("envelope = %+v", env)
 	}
-	var ce ClientExcluded
-	if err := json.Unmarshal(env.Data, &ce); err != nil {
+	// The line carries every decision, kept clients' scores included.
+	var rc RoundCompleted
+	if err := json.Unmarshal(env.Data, &rc); err != nil {
 		t.Fatal(err)
 	}
-	if ce.ClientID != 3 || ce.Round != 1 || ce.Mean != 0.5 {
-		t.Fatalf("payload = %+v", ce)
+	if rc.Round != 1 || rc.Threshold != 0.5 || len(rc.Decisions) != 2 ||
+		rc.Decisions[0] != (Decision{ClientID: 3, Score: 0.1, Malicious: true}) ||
+		rc.Decisions[1] != (Decision{ClientID: 5, Score: 0.75, Kept: true}) {
+		t.Fatalf("payload = %+v", rc)
+	}
+	if !strings.Contains(lines[1], `"decisions":[{"client_id":3,"score":0.1,"kept":false,"malicious":true}`) {
+		t.Fatalf("decision keys changed: %s", lines[1])
 	}
 }
 
 func TestCollectSinkByKind(t *testing.T) {
 	var s CollectSink
 	s.Emit(RoundCompleted{Round: 1})
-	s.Emit(ClientExcluded{Round: 1, ClientID: 2})
+	s.Emit(ClientDropped{Round: 1, ClientID: 2})
 	s.Emit(RoundCompleted{Round: 2})
 	if got := len(s.ByKind("RoundCompleted")); got != 2 {
 		t.Fatalf("RoundCompleted events = %d", got)

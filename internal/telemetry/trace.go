@@ -262,14 +262,6 @@ const BroadcastEncodeMetric = "fedguard_broadcast_encode_seconds"
 // network shadow instead of serialized after the round barrier.
 const AuditOverlapMetric = "fedguard_audit_overlap_seconds"
 
-// AggregateMetric is the per-strategy histogram of server aggregation
-// cost: one observation per round, labeled strategy=<name>, covering
-// the full server.aggregate phase (defense scoring + robust reduction +
-// the ψ update). Together with the workers label on the
-// server.aggregate span it lets fedtrace attribute aggregation time to
-// strategy × parallelism.
-const AggregateMetric = "fedguard_aggregate_seconds"
-
 // CheckpointMetric is the histogram of checkpoint persistence cost: one
 // observation per crash-safe snapshot (serialize + fsync + atomic
 // rename), so the Table V overhead of running with -checkpoint-dir is
