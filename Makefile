@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
-MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkFedGuardAudit$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
+MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkClassifierInfer$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkFedGuardAudit$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
 # The wire-layer microbenchmarks (raw vs codec framing and the per-round
 # byte cost), tracked in the same snapshot file.
 WIRE_BENCH = BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$|BenchmarkRoundWireBytes$$
@@ -113,10 +113,12 @@ bench-json:
 # the classifier's train step (its time, and that a second proc does
 # not make it slower), the CVAE's, the server's per-round synthesis (its
 # time, and ≤ 3 MiB B/op for sixteen decoders: a decoder copied out of
-# its payload again is 1.69 MB each), the whole barrier audit of sixteen
-# updates (sixteen synthesis jobs and sixteen full-set scoring jobs: a
-# plan back to scoring per block, or copying the set per update, shows
-# in its time or its 4.5 MiB B/op ceiling), a networked client's data
+# its payload again is 1.69 MB each), one audit scoring job (a
+# LoadParams and four 25-row evaluation forwards: 0 allocs/op, and twice
+# its time is the im2col forward back), the whole barrier audit of
+# sixteen updates (sixteen synthesis jobs and sixteen full-set scoring
+# jobs: a plan back to scoring per block, or copying the set per update,
+# shows in its time or its 4.5 MiB B/op ceiling), a networked client's data
 # (the skip-draw walk's time, and that it keeps a partition and not the
 # training set), and a client's round after its first (≤ 1 MiB B/op: it
 # trains on the worker it borrowed before; a model built per round is
@@ -129,6 +131,7 @@ bench-guard:
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$' -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardSynthesize$$' -benchmem -benchtime=50x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierInfer$$' -benchmem -benchtime=100x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardAudit$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClientRoundWarm$$' -benchmem -benchtime=20x . ; \

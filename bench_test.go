@@ -235,19 +235,28 @@ var convShapes = []struct {
 	{"small-8to16-b32", 8, 16, 32, 12},
 }
 
+// BenchmarkConvForward runs each shape as training does (the batched
+// im2col product Backward reads) and, as <shape>-eval, as evaluation
+// does (per image, the direct product, nothing retained).
 func BenchmarkConvForward(b *testing.B) {
 	for _, s := range convShapes {
-		b.Run(s.name, func(b *testing.B) {
-			r := rng.New(2)
-			conv := nn.NewConv2D(s.inC, s.outC, 5, 5, r)
-			x := tensor.New(s.b, s.inC, s.h, s.h)
-			r.FillNormal(x.Data, 0, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				conv.Forward(x, true)
+		for _, train := range []bool{true, false} {
+			name := s.name
+			if !train {
+				name += "-eval"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				r := rng.New(2)
+				conv := nn.NewConv2D(s.inC, s.outC, 5, 5, r)
+				x := tensor.New(s.b, s.inC, s.h, s.h)
+				r.FillNormal(x.Data, 0, 1)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					conv.Forward(x, train)
+				}
+			})
+		}
 	}
 }
 
@@ -302,6 +311,40 @@ func BenchmarkClassifierTrainEpoch(b *testing.B) {
 		epoch()
 	}
 	b.ReportMetric(trainEpochSamples*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+}
+
+// BenchmarkClassifierInfer is one audit scoring job: an update loaded
+// into a long-lived small classifier and t = 100 rows scored in four
+// 25-row slabs. Inference allocates nothing once the model's scratch has
+// seen a slab.
+func BenchmarkClassifierInfer(b *testing.B) {
+	r := rng.New(6)
+	set := dataset.Generate(100, dataset.DefaultGenOptions(), r)
+	model := classifier.Small()(r)
+	params := model.FlattenParams()
+	const slab = 25
+	var slabs []*tensor.Tensor
+	for rows := dataset.Range(set.Len()); len(rows) > 0; rows = rows[slab:] {
+		x, _ := set.Batch(rows[:slab])
+		slabs = append(slabs, x)
+	}
+	infer := func() int {
+		if err := model.LoadParams(params); err != nil {
+			b.Fatal(err)
+		}
+		correct := 0
+		for i, x := range slabs {
+			correct += classifier.CountCorrectTensor(model, x, set.Labels[i*slab:(i+1)*slab])
+		}
+		return correct
+	}
+	infer()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		infer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*set.Len())/1e3, "µs/row")
 }
 
 // BenchmarkTrainEpochTwoProcs guards the kernel pool's dispatch

@@ -152,14 +152,12 @@ func addProxGrad(model *nn.Sequential, anchor []float32, mu float32) {
 	}
 }
 
-// evalBatch is Evaluate's batch size: the training batch size, because
-// a model keeps its conv scratch (im2col matrix, products, activations)
-// sized for the largest batch it has seen, and the models that evaluate
-// are the run's long-lived training workers. At 128 that scratch was
-// ≈ 25 MB for the small classifier, the largest live object of a FedAvg
-// run; at 32 it is the ≈ 6 MB training already grew, and the pass is no
-// slower (rows are independent, and the 7 MB im2col matrix no longer
-// falls out of L2).
+// evalBatch is Evaluate's batch size: the training batch size. An
+// evaluation forward goes image by image through the conv blocks, so
+// what grows with the batch is the pooled activations and the dense
+// layers' scratch (≈ 0.2 MB for the small classifier at 32), which the
+// long-lived workers that evaluate have already grown larger by
+// training; rows are independent, so a larger batch would be no faster.
 const evalBatch = 32
 
 // Evaluate returns the model's accuracy on the examples of ds selected by

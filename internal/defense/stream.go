@@ -37,7 +37,8 @@ import (
 // scorePasses is how many slabs the synthetic set is scored in: a slab
 // is ⌈t/scorePasses⌉ rows. It bounds both the scoring jobs one update
 // can take on the stream schedule and the batch an audit model ever
-// sees, so a model's batch-sized scratch is sized once by its first
+// sees, so a model's pooled-activation and dense-layer buffers — all of
+// its scratch that grows with the batch — are sized once by its first
 // slab rather than regrown for every larger backlog (tensor.Ensure
 // grows exactly). Scoring costs the same per row at any batch size, so
 // the slab is not a tuning knob.

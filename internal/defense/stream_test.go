@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -372,5 +373,44 @@ func TestAuditPlanJobShape(t *testing.T) {
 				t.Fatalf("arrival %v: slot %d scored %d of %d rows", order, j, n, s.t)
 			}
 		}
+	}
+}
+
+// TestAuditModelsHoldNoBatchScratch pins what a FedGuard server keeps
+// per audit model. The models only ever evaluate, so beyond their
+// parameters each holds one image's conv products and a slab's pooled
+// activations (≈ 0.2 MB for classifier.Small at a 25-row slab) — not
+// the slab's im2col matrices, products and unpooled activations a
+// training forward grows (≈ 4.5 MB). What a first round allocates over
+// a later one is the models and that scratch.
+func TestAuditModelsHoldNoBatchScratch(t *testing.T) {
+	const workers = 2
+	ccfg := cvae.Config{Input: 784, Hidden: 32, Latent: 2, Classes: 10}
+	r := rng.New(70)
+	updates := make([]fl.Update, 4)
+	for i := range updates {
+		dec := make([]float32, cvae.DecoderSize(ccfg))
+		r.FillNormal(dec, 0, 0.05)
+		updates[i] = fl.Update{ClientID: i, NumSamples: 1, Decoder: dec, Weights: classifier.Small()(r).FlattenParams()}
+	}
+	g := NewFedGuard(classifier.Small(), ccfg)
+	g.Samples = 100
+	g.AuditWorkers = workers
+	round := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := g.Aggregate(ctxWith(updates, 71)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := round()
+	round()
+	steady := round()
+	model := 2 * 4 * uint64(len(updates[0].Weights)) // values and gradients
+	if kept := first - steady; kept > workers*(model+512<<10) {
+		t.Fatalf("the first round allocated %d B more than a later one: over %d B of parameters and 512 KiB of scratch for each of %d audit models",
+			kept, model, workers)
 	}
 }

@@ -36,14 +36,18 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.y = tensor.Ensure(r.y, x.Shape()...)
 	y := r.y.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		// v > 0 ⇔ bits ∈ [1, 0x7f800000] (positive finite or +Inf) ⇔
-		// bits-1 < 0x7f800000 unsigned; the 64-bit difference's sign,
-		// smeared, is the all-ones/all-zeros select mask.
-		bits := math.Float32bits(v)
-		keep := uint32((int64(bits-1) - 0x7f800000) >> 63)
-		y[i] = math.Float32frombits(bits & keep)
+		y[i] = math.Float32frombits(reluBits(v))
 	}
 	return r.y
+}
+
+// reluBits returns the bit pattern of max(0, v) as ReLU.Forward defines
+// it. v > 0 ⇔ bits ∈ [1, 0x7f800000] (positive finite or +Inf) ⇔
+// bits-1 < 0x7f800000 unsigned; the 64-bit difference's sign, smeared,
+// is the all-ones/all-zeros select mask.
+func reluBits(v float32) uint32 {
+	bits := math.Float32bits(v)
+	return bits & uint32((int64(bits-1)-0x7f800000)>>63)
 }
 
 // Backward zeroes gradients where the forward input was non-positive,

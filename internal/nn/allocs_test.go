@@ -84,3 +84,89 @@ func TestLinearForwardAllocsAlternatingBatches(t *testing.T) {
 		t.Fatalf("steady-state Linear.Forward at batches 32/4/32 allocates %.1f, want 0", allocs)
 	}
 }
+
+// evalStack is the small classifier's topology: two conv blocks and two
+// dense layers.
+func evalStack(r *rng.RNG) (*Sequential, *Conv2D, *Conv2D) {
+	c1, c2 := NewConv2D(1, 8, 5, 5, r), NewConv2D(8, 16, 5, 5, r)
+	return NewSequential(
+		c1, NewReLU(), NewMaxPool2D(2, 2),
+		c2, NewReLU(), NewMaxPool2D(2, 2),
+		NewFlatten(), NewLinear(16*4*4, 64, r), NewReLU(), NewLinear(64, 10, r),
+	), c1, c2
+}
+
+// TestEvalForwardAllocsSteadyState pins that evaluation allocates
+// nothing once the model has seen its largest slab — also when a
+// parameter load and smaller slabs come in between, as in an audit
+// scoring job.
+func TestEvalForwardAllocsSteadyState(t *testing.T) {
+	r := rng.New(0xa1110)
+	model, _, _ := evalStack(r)
+	params := model.FlattenParams()
+	slab, tail := tensor.New(25, 1, 28, 28), tensor.New(7, 1, 28, 28)
+	r.FillNormal(slab.Data, 0, 1)
+	r.FillNormal(tail.Data, 0, 1)
+	model.Forward(slab, false)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := model.LoadParams(params); err != nil {
+			t.Fatal(err)
+		}
+		model.Forward(slab, false)
+		model.Forward(tail, false)
+		model.Forward(slab, false)
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state evaluation at slabs 25/7/25 allocates %.1f, want 0", allocs)
+	}
+}
+
+// TestEvalOnlyModelScratchFootprint pins what a model that has only ever
+// evaluated holds per conv layer after a 100-row slab: one image's
+// product, the pooled batch and the transposed filters — no im2col
+// matrix (on the vector kernels not even one image's), no batch-sized
+// product, no unpooled activation. At the parent the first layer alone
+// held 100·576·(25+8+8) floats, 9.4 MB.
+func TestEvalOnlyModelScratchFootprint(t *testing.T) {
+	r := rng.New(0xa1111)
+	model, c1, c2 := evalStack(r)
+	const b = 100
+	x := tensor.New(b, 1, 28, 28)
+	r.FillNormal(x.Data, 0, 1)
+	model.Forward(x, false)
+	for _, tc := range []struct {
+		c                *Conv2D
+		oHW, pooled, fan int
+	}{{c1, 24 * 24, 12 * 12, 25}, {c2, 8 * 8, 4 * 4, 200}} {
+		c := tc.c
+		if got, want := cap(c.prod.Data), tc.oHW*c.OutC; got != want {
+			t.Errorf("%s: product scratch holds %d floats, want one image's %d", c.Name(), got, want)
+		}
+		if got, want := cap(c.y.Data), b*c.OutC*tc.pooled; got != want {
+			t.Errorf("%s: output scratch holds %d floats, want the pooled batch's %d", c.Name(), got, want)
+		}
+		if got, want := cap(c.wT.Data), tc.fan*c.OutC; got != want {
+			t.Errorf("%s: transposed filters hold %d floats, want %d", c.Name(), got, want)
+		}
+		if tensor.HasVectorKernels() && c.cols != nil {
+			t.Errorf("%s: an im2col scratch of %d floats was allocated on the vector kernels", c.Name(), cap(c.cols.Data))
+		} else if c.cols != nil && cap(c.cols.Data) != tc.oHW*tc.fan {
+			t.Errorf("%s: im2col scratch holds %d floats, want one image's %d", c.Name(), cap(c.cols.Data), tc.oHW*tc.fan)
+		}
+		if c.x != nil || c.dCols != nil || c.dx != nil {
+			t.Errorf("%s: evaluation left backward state behind", c.Name())
+		}
+	}
+	for _, l := range model.Layers[:6] {
+		switch l := l.(type) {
+		case *ReLU:
+			if l.y != nil {
+				t.Errorf("a fused ReLU holds an activation of %d floats", cap(l.y.Data))
+			}
+		case *MaxPool2D:
+			if l.y != nil || l.argmax != nil {
+				t.Errorf("a fused %s holds an output or an argmax", l.Name())
+			}
+		}
+	}
+}

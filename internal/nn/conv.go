@@ -12,19 +12,26 @@ import (
 // used by the paper's MNIST classifier, Table II). Filters have shape
 // (outC, inC*kh*kw); inputs have shape (B, inC, H, W).
 //
-// The forward pass lowers the whole batch into one im2col matrix and
-// multiplies by the filter matrix in a single large matmul; the backward
-// pass computes the input gradient per image straight from the
-// channel-major gradient blocks and scatters each image's columns with
-// col2im while they are still in cache.
+// The training forward pass lowers the whole batch into one im2col
+// matrix and multiplies by the filter matrix in a single large matmul;
+// the backward pass computes the input gradient per image straight from
+// the channel-major gradient blocks and scatters each image's columns
+// with col2im while they are still in cache.
 // Filter gradients are accumulated per image (dW += gradᵢ @ colsᵢ) so
 // the partial-sum association — and therefore every bit of the gradient
 // — matches the original per-image path exactly.
 //
+// An evaluation forward (train == false) gives the same bits and keeps
+// nothing for Backward: it goes image by image through
+// tensor.ConvProduct into one image's product, retains no input and no
+// im2col matrix, and inside a Sequential takes the ReLU and 2×2 pool
+// that follow it in the same pass (forwardEval). A layer that has only
+// evaluated holds that product, its output and the transposed filters.
+//
 // All work tensors are layer-owned scratch, grown on demand and reused
-// across steps: steady-state training allocates nothing here. The
-// tensors returned by Forward and Backward are part of that scratch and
-// remain valid only until the next call on this layer.
+// across steps: steady-state training and evaluation allocate nothing
+// here. The tensors returned by Forward and Backward are part of that
+// scratch and remain valid only until the next call on this layer.
 type Conv2D struct {
 	InC, OutC, KH, KW int
 	W                 *tensor.Tensor // (outC, inC*kh*kw)
@@ -38,16 +45,16 @@ type Conv2D struct {
 	// are bit-identical with the flag on or off.
 	InputGradOff bool
 
-	x *tensor.Tensor // retained input
+	x *tensor.Tensor // input retained by a training forward; nil after an evaluation
 
 	cols  *tensor.Tensor // (B*outH*outW, inC*kh*kw) batched im2col
-	prod  *tensor.Tensor // (B*outH*outW, outC) cols @ Wᵀ
+	prod  *tensor.Tensor // (B*outH*outW, outC) cols @ Wᵀ; one image's rows in evaluation
 	wT    *tensor.Tensor // (inC*kh*kw, outC) transposed-filter scratch
-	y     *tensor.Tensor // (B, outC, outH, outW)
+	y     *tensor.Tensor // (B, outC, outH, outW); the pooled (B, outC, outH/2, outW/2) from a fused evaluation
 	dCols *tensor.Tensor // (outH*outW, inC*kh*kw) one image's column gradient
 	dx    *tensor.Tensor // (B, inC, H, W)
 
-	gView, colsView, dxView tensor.Tensor // reusable per-image view headers
+	xView, gView, colsView, dxView tensor.Tensor // reusable per-image view headers
 }
 
 // NewConv2D constructs a convolution layer with He-uniform weight
@@ -77,18 +84,28 @@ func (c *Conv2D) Reset(r *rng.RNG) {
 
 func (c *Conv2D) outDims(h, w int) (int, int) { return h - c.KH + 1, w - c.KW + 1 }
 
+// outShape checks a (B, inC, H, W) batch and returns its output height
+// and width.
+func (c *Conv2D) outShape(x *tensor.Tensor) (int, int) {
+	if x.Rank() != 4 || x.Dim(1) != c.InC {
+		panic(fmt.Sprintf("nn: %s got input shape %v", c.Name(), x.Shape()))
+	}
+	outH, outW := c.outDims(x.Dim(2), x.Dim(3))
+	if outH <= 0 || outW <= 0 {
+		panic(fmt.Sprintf("nn: %s kernel larger than input (%d,%d)", c.Name(), x.Dim(2), x.Dim(3)))
+	}
+	return outH, outW
+}
+
 // Forward computes the convolution of a (B, inC, H, W) batch, producing
 // (B, outC, outH, outW). The returned tensor is layer scratch, valid
 // until the next Forward call.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(1) != c.InC {
-		panic(fmt.Sprintf("nn: %s got input shape %v", c.Name(), x.Shape()))
+	if !train {
+		return c.forwardEval(x, nil)
 	}
-	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	outH, outW := c.outDims(h, w)
-	if outH <= 0 || outW <= 0 {
-		panic(fmt.Sprintf("nn: %s kernel larger than input (%d,%d)", c.Name(), h, w))
-	}
+	outH, outW := c.outShape(x)
+	b := x.Dim(0)
 	c.x = x
 	fanIn := c.InC * c.KH * c.KW
 	oHW := outH * outW
@@ -110,27 +127,102 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		tensor.MatMulT(c.prod, c.cols, c.W)
 	}
 
-	// Transpose each image's (oHW, outC) block into channel-major layout
-	// and add the bias.
 	c.y = tensor.Ensure(c.y, b, c.OutC, outH, outW)
 	outVol := c.OutC * oHW
 	for i := 0; i < b; i++ {
-		dst := c.y.Data[i*outVol : (i+1)*outVol]
-		src := c.prod.Data[i*oHW*c.OutC:]
-		for p := 0; p < oHW; p++ {
-			row := src[p*c.OutC : (p+1)*c.OutC]
-			for ch, v := range row {
-				dst[ch*oHW+p] = v + c.B.Data[ch]
-			}
+		addBiasChannelMajor(c.y.Data[i*outVol:(i+1)*outVol], c.prod.Data[i*outVol:], c.B.Data, oHW)
+	}
+	return c.y
+}
+
+// addBiasChannelMajor transposes one image's (oHW, outC) product into
+// channel-major layout and adds the bias.
+func addBiasChannelMajor(dst, prod, bias []float32, oHW int) {
+	outC := len(bias)
+	for p := 0; p < oHW; p++ {
+		row := prod[p*outC : (p+1)*outC]
+		for ch, v := range row {
+			dst[ch*oHW+p] = v + bias[ch]
+		}
+	}
+}
+
+// forwardEval is Forward(x, false) when pool is nil. With pool, a 2×2
+// MaxPool2D, it returns what pool would after this layer and a ReLU —
+// how Sequential evaluates the three in a row. Every element is the sum
+// the training forward forms, the same bias add, ReLU.Forward's mask
+// and the window's maximum, so the bits are those of the training
+// forwards; what differs is what exists afterwards: one image's
+// position-major product at a time (18 KB for the small classifier's
+// first layer, so the epilogue reads it from L1), the output written
+// channel-major straight from it, and no retained input, im2col matrix,
+// unpooled activation or argmax. The filters are transposed once per
+// call rather than cached: that is 1–2 % of a forward, and a cached
+// transpose goes stale under every in-place optimizer step.
+func (c *Conv2D) forwardEval(x *tensor.Tensor, pool *MaxPool2D) *tensor.Tensor {
+	outH, outW := c.outShape(x)
+	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	c.x = nil
+	fanIn := c.InC * c.KH * c.KW
+	oHW := outH * outW
+
+	yH, yW := outH, outW
+	if pool != nil {
+		if yH, yW = outH/2, outW/2; yH == 0 || yW == 0 {
+			panic(fmt.Sprintf("nn: %s window larger than input (%d,%d)", pool.Name(), outH, outW))
+		}
+	}
+	c.wT = tensor.Ensure(c.wT, fanIn, c.OutC)
+	tensor.TransposeInto(c.wT, c.W)
+	c.prod = tensor.Ensure(c.prod, oHW, c.OutC)
+	c.y = tensor.Ensure(c.y, b, c.OutC, yH, yW)
+	inVol, yVol := c.InC*h*w, c.OutC*yH*yW
+	for i := 0; i < b; i++ {
+		c.xView.Bind(x.Data[i*inVol:], c.InC, h, w)
+		c.cols = tensor.ConvProduct(c.prod, &c.xView, c.wT, c.KH, c.KW, c.cols)
+		dst := c.y.Data[i*yVol : (i+1)*yVol]
+		if pool != nil {
+			biasReLUPool2x2(dst, c.prod.Data, c.B.Data, outH, outW)
+		} else {
+			addBiasChannelMajor(dst, c.prod.Data, c.B.Data, oHW)
 		}
 	}
 	return c.y
+}
+
+// biasReLUPool2x2 writes, channel-major, the 2×2 max pool of
+// ReLU(prod + bias) for one image's position-major (outH*outW, outC)
+// product; rows and columns that do not fill a window are dropped.
+// Behind reluBits every value is +0, positive or +Inf, and on those bit
+// patterns unsigned order is float order and equal values are equal
+// bits, so the integer maximum is the value MaxPool2D's strict
+// comparison keeps.
+func biasReLUPool2x2(dst, prod, bias []float32, outH, outW int) {
+	outC := len(bias)
+	pH, pW := outH/2, outW/2
+	for py := 0; py < pH; py++ {
+		for px := 0; px < pW; px++ {
+			// The window's four positions, each outC channels long.
+			top := prod[(2*py*outW+2*px)*outC:]
+			bot := prod[((2*py+1)*outW+2*px)*outC:]
+			w00, w01 := top[:outC], top[outC:2*outC]
+			w10, w11 := bot[:outC], bot[outC:2*outC]
+			out := dst[py*pW+px:]
+			for ch, bv := range bias {
+				m := max(reluBits(w00[ch]+bv), reluBits(w01[ch]+bv), reluBits(w10[ch]+bv), reluBits(w11[ch]+bv))
+				out[ch*pH*pW] = math.Float32frombits(m)
+			}
+		}
+	}
 }
 
 // Backward accumulates filter/bias gradients and returns the gradient
 // w.r.t. the input batch. The returned tensor is layer scratch, valid
 // until the next Backward call.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if c.x == nil {
+		panic(fmt.Sprintf("nn: %s Backward without a training Forward", c.Name()))
+	}
 	b := grad.Dim(0)
 	h, w := c.x.Dim(2), c.x.Dim(3)
 	outH, outW := c.outDims(h, w)

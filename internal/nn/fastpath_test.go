@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"fedguard/internal/rng"
@@ -190,4 +191,118 @@ func TestLinearViewBackwardPanics(t *testing.T) {
 		}
 	}()
 	view.Backward(tensor.New(1, 2))
+}
+
+// firstBitDiff returns the first index at which a and b differ as bit
+// patterns (NaN payloads and the sign of zero included), or -1.
+func firstBitDiff(a, b []float32) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestEvalConvBlockMatchesTraining holds an evaluation forward through
+// Conv2D → ReLU → MaxPool2D(2,2) — one fused pass per image — to the
+// bits of the three training forwards, and a lone Conv2D's evaluation
+// forward to its training forward: at both classifiers' layer shapes,
+// at shapes the tile kernels do not cover, and at odd output heights
+// and widths (the pool drops the last row and column). The inputs have
+// a blank band wide enough that whole pool windows see one value four
+// times, and special values; one channel's bias is so negative that its whole
+// pooled plane is +0, one is +Inf, one is NaN.
+func TestEvalConvBlockMatchesTraining(t *testing.T) {
+	r := rng.New(0xe7a1)
+	for _, s := range []struct{ inC, outC, h, w, k int }{
+		{1, 8, 28, 28, 5}, {8, 16, 12, 12, 5}, // small
+		{1, 32, 28, 28, 5}, {32, 64, 12, 12, 5}, // paper
+		{2, 10, 9, 11, 3},  // portable product: outC 10, outH 7, outW 9
+		{3, 16, 11, 13, 5}, // outH 7, outW 9: portable, odd both ways
+		{1, 8, 13, 12, 5},  // tiles (outW 8), outH 9 odd
+		{2, 16, 13, 12, 5}, // the same on the 4x16 tiles
+		{1, 8, 6, 6, 5},    // a single pool window
+	} {
+		for _, b := range []int{1, 3, 8} {
+			conv := NewConv2D(s.inC, s.outC, s.k, s.k, r)
+			r.FillNormal(conv.B.Data, 0, 0.5)
+			conv.B.Data[0] = -1e6
+			conv.B.Data[1] = float32(math.Inf(1))
+			conv.B.Data[2] = float32(math.NaN())
+			block := NewSequential(conv, NewReLU(), NewMaxPool2D(2, 2))
+
+			x := tensor.New(b, s.inC, s.h, s.w)
+			r.FillNormal(x.Data, 0, 1)
+			for i := range x.Data {
+				switch {
+				case i/s.w%s.h < s.k+3 || i%s.w < 2: // a blank top band and margin
+					x.Data[i] = 0
+				case r.Float64() < 0.02:
+					x.Data[i] = specials[r.Intn(6)] // ±0, ±1, ±denormal
+				}
+			}
+
+			want := block.Forward(x, true).Clone()
+			wantConv := conv.y.Clone()
+			got := block.Forward(x, false)
+			if !reflect.DeepEqual(got.Shape(), want.Shape()) {
+				t.Fatalf("%+v batch %d: eval block shape %v, want %v", s, b, got.Shape(), want.Shape())
+			}
+			if i := firstBitDiff(got.Data, want.Data); i >= 0 {
+				t.Fatalf("%+v batch %d: eval block output %d = %v (bits %#x), training gives %v (bits %#x)",
+					s, b, i, got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+			}
+			plane := want.Dim(2) * want.Dim(3)
+			for i := 0; i < plane; i++ {
+				if math.Float32bits(want.Data[i]) != 0 || want.Data[plane+i] != float32(math.Inf(1)) || math.Float32bits(want.Data[2*plane+i]) != 0 {
+					t.Fatalf("%+v: the -1e6, +Inf and NaN bias channels pooled to %v, %v, %v", s, want.Data[i], want.Data[plane+i], want.Data[2*plane+i])
+				}
+			}
+			got = conv.Forward(x, false)
+			if i := firstBitDiff(got.Data, wantConv.Data); i >= 0 || !reflect.DeepEqual(got.Shape(), wantConv.Shape()) {
+				t.Fatalf("%+v batch %d: lone eval conv differs from training at %d (shape %v, want %v)", s, b, i, got.Shape(), wantConv.Shape())
+			}
+		}
+	}
+}
+
+// TestEvalForwardRetainsNothing pins what an evaluation forward leaves
+// behind: no input (an audit model must not pin the round's synthetic
+// set), no ReLU output or argmax, and a Backward that says which layer
+// was never given a training forward instead of reading stale scratch —
+// also right after a training forward whose Backward would have worked.
+func TestEvalForwardRetainsNothing(t *testing.T) {
+	r := rng.New(0xe7a2)
+	conv, relu, pool := NewConv2D(1, 8, 5, 5, r), NewReLU(), NewMaxPool2D(2, 2)
+	block := NewSequential(conv, relu, pool)
+	x := tensor.New(4, 1, 28, 28)
+	r.FillNormal(x.Data, 0, 1)
+
+	y := block.Forward(x, false)
+	if conv.x != nil || conv.cols != nil && tensor.HasVectorKernels() || relu.y != nil || pool.y != nil || pool.argmax != nil {
+		t.Fatalf("an evaluation-only block holds x=%v cols=%v relu.y=%v pool.y=%v argmax=%d", conv.x, conv.cols, relu.y, pool.y, len(pool.argmax))
+	}
+	if y.Dim(2) != 12 || y.Dim(3) != 12 {
+		t.Fatalf("eval block output shape %v", y.Shape())
+	}
+	for _, prepare := range []func(){
+		func() {},
+		func() { block.Forward(x, true); block.Forward(x, false) },
+		func() { conv.Forward(x, true); conv.Forward(x, false) },
+	} {
+		prepare()
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != "nn: Conv2D(1->8, 5x5) Backward without a training Forward" {
+					t.Fatalf("Backward after an evaluation forward: recovered %q", msg)
+				}
+			}()
+			conv.Backward(tensor.New(4, 8, 24, 24))
+			t.Fatal("Backward after an evaluation forward returned")
+		}()
+	}
 }

@@ -9,7 +9,9 @@
 // activations their backward pass needs, so a single layer instance must
 // not be shared between concurrent training loops; federated clients
 // take turns on long-lived models, one holder at a time, each starting
-// from Reset (see Resetter).
+// from Reset (see Resetter). An evaluation forward (train == false)
+// computes the same bits and, through the conv blocks, keeps nothing
+// for a backward pass (Conv2D, Sequential.Forward).
 //
 // Buffer-reuse contract: layers own their output, gradient, and work
 // tensors as scratch that is grown on demand and reused across steps, so
@@ -62,6 +64,8 @@ type Resetter interface {
 // Sequential chains layers, feeding each layer's output to the next.
 type Sequential struct {
 	Layers []Layer
+
+	params []Param // what Params returns, built on its first call
 }
 
 // NewSequential builds a container over the given layers.
@@ -69,12 +73,37 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward runs the full stack.
+// Forward runs the full stack. An evaluation forward (train == false)
+// takes each Conv2D → ReLU → MaxPool2D(2,2) run as one pass over the
+// convolution's products (Conv2D.forwardEval): the same output bits with
+// no unpooled activation written and nothing kept for Backward.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	for i := 0; i < len(s.Layers); i++ {
+		if !train {
+			if c, pool := s.convBlock(i); c != nil {
+				x = c.forwardEval(x, pool)
+				i += 2
+				continue
+			}
+		}
+		x = s.Layers[i].Forward(x, train)
 	}
 	return x
+}
+
+// convBlock returns layers i and i+2 when layers i, i+1, i+2 are a
+// Conv2D, a ReLU and a 2×2 MaxPool2D, and nils otherwise.
+func (s *Sequential) convBlock(i int) (*Conv2D, *MaxPool2D) {
+	if i+2 >= len(s.Layers) {
+		return nil, nil
+	}
+	c, isConv := s.Layers[i].(*Conv2D)
+	_, isReLU := s.Layers[i+1].(*ReLU)
+	pool, isPool := s.Layers[i+2].(*MaxPool2D)
+	if !isConv || !isReLU || !isPool || pool.PH != 2 || pool.PW != 2 {
+		return nil, nil
+	}
+	return c, pool
 }
 
 // Backward runs the stack in reverse, returning the gradient w.r.t. the
@@ -101,13 +130,19 @@ func (s *Sequential) Reset(r *rng.RNG) {
 	}
 }
 
-// Params returns every learnable parameter in layer order.
+// Params returns every learnable parameter in layer order. The list is
+// built once — LoadParams, ZeroGrad and the like walk it on every call,
+// and an audit scoring job is a LoadParams and four forwards — so Layers
+// must not change after the first call, and the returned slice is shared:
+// read it, do not write it.
 func (s *Sequential) Params() []Param {
-	var out []Param
-	for _, l := range s.Layers {
-		out = append(out, l.Params()...)
+	if s.params == nil {
+		for _, l := range s.Layers {
+			s.params = append(s.params, l.Params()...)
+		}
+		s.params = s.params[:len(s.params):len(s.params)]
 	}
-	return out
+	return s.params
 }
 
 // Name implements Layer so Sequentials nest.

@@ -49,6 +49,44 @@ func Im2ColBatch(dst, x *Tensor, kh, kw int) {
 	}
 }
 
+// ConvProduct computes dst = Im2Col(img) @ wT — one (C, H, W) image's
+// stride-1 convolution with the transposed filter matrix wT
+// (C*kh*kw, outC), position-major: dst is (outH*outW, outC). With AVX,
+// outC a multiple of 8 and outW a multiple of the tile height it reads
+// the windows in place (convProductAVX, mm_amd64.go); otherwise it is
+// literally Im2Col into cols and MatMul. Either way every element is one
+// sum over p = (channel, kernel row, kernel column) ascending from +0,
+// the summation-order contract of matmul.go, so the two give the same
+// bits. Like the matmul tiles the direct kernels multiply zeros through,
+// so that contract's caveat about non-finite operands applies unchanged.
+//
+// cols is scratch only the second form touches: it is grown on demand
+// (Ensure) and returned, and stays nil for a caller that never needs it.
+func ConvProduct(dst, img, wT *Tensor, kh, kw int, cols *Tensor) *Tensor {
+	if img.Rank() != 3 || wT.Rank() != 2 || dst.Rank() != 2 {
+		panic("tensor: ConvProduct requires a (C,H,W) image and rank-2 filters and product")
+	}
+	c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
+	outH, outW := h-kh+1, w-kw+1
+	if outH <= 0 || outW <= 0 {
+		panic(fmt.Sprintf("tensor: ConvProduct kernel (%d,%d) larger than image (%d,%d)", kh, kw, h, w))
+	}
+	fanIn, outC := c*kh*kw, wT.Dim(1)
+	if wT.Dim(0) != fanIn {
+		panic(fmt.Sprintf("tensor: ConvProduct filter shape %v, want (%d,outC)", wT.shape, fanIn))
+	}
+	if dst.Dim(0) != outH*outW || dst.Dim(1) != outC {
+		panic(fmt.Sprintf("tensor: ConvProduct dst shape %v, want (%d,%d)", dst.shape, outH*outW, outC))
+	}
+	if convProductAVX(dst.Data, img.Data, wT.Data, c, h, w, kh, kw, outC) {
+		return cols
+	}
+	cols = Ensure(cols, outH*outW, fanIn)
+	im2colImage(cols.Data, img.Data, c, h, w, kh, kw)
+	MatMul(dst, cols, wT)
+	return cols
+}
+
 // im2colImage lowers one image. For each output row oy it walks the
 // (channel, kernel-row) source segments once and deals every segment's
 // kw-wide windows out to the outW matrix rows of that output row: the

@@ -548,3 +548,69 @@ func TestIm2ColBatchMatchesPerImage(t *testing.T) {
 		}
 	}
 }
+
+// TestConvProductMatchesIm2ColMatMul holds ConvProduct to its
+// definition — Im2Col, then each element one ascending-p sum from +0 —
+// bit for bit: at both classifiers' layers, at shapes on every side of
+// the tile kernels' cover (outC not a multiple of 8, output rows that
+// are not whole tiles, an 8-channel block left over after the 16s, a
+// 3-wide kernel, H ≠ W), with exact zeros, −0 and denormals in both
+// operands. tiled says which shapes the AVX build computes without the
+// im2col scratch, which must then stay unallocated.
+func TestConvProductMatchesIm2ColMatMul(t *testing.T) {
+	r := rng.New(0xc0de)
+	for _, s := range []struct {
+		inC, outC, h, w, kh, kw int
+		tiled                   bool
+	}{
+		{1, 8, 28, 28, 5, 5, true},    // small, layer 1: 8x8 tiles
+		{8, 16, 12, 12, 5, 5, true},   // small, layer 2: 4x16 tiles
+		{1, 32, 28, 28, 5, 5, true},   // paper, layer 1
+		{32, 64, 12, 12, 5, 5, true},  // paper, layer 2
+		{3, 24, 10, 10, 3, 3, true},   // a 16 block and an 8 block, outW 8
+		{2, 16, 9, 8, 3, 5, true},     // outW 4, outH 7
+		{2, 24, 6, 6, 3, 3, false},    // outW 4 is no 8-row tile
+		{2, 10, 7, 5, 5, 5, false},    // outW 1
+		{3, 12, 6, 7, 5, 5, false},    // outW 3
+		{2, 24, 9, 9, 5, 5, false},    // outW 5
+		{1, 8, 11, 11, 3, 3, false},   // outW 9
+		{2, 16, 11, 11, 3, 3, false},  // outW 9
+		{1, 10, 12, 12, 5, 5, false},  // outC 10
+		{2, 12, 10, 12, 3, 5, false},  // outC 12
+		{1, 8, 5, 5, 5, 5, false},     // a single window
+		{1, 16, 5, 8, 5, 5, true},     // a single output row
+		{5, 8, 12, 12, 5, 5, true},    // 8x8 tiles over several channels
+		{2, 32, 7, 14, 3, 3, true},    // two 16 blocks, three tiles a row
+		{1, 16, 16, 16, 1, 1, true},   // a 1x1 kernel
+		{1, 16, 16, 19, 16, 16, true}, // a kernel as tall as the image
+	} {
+		for _, fill := range []string{"dense", "sparse", "special"} {
+			name := fmt.Sprintf("%d->%d @%dx%d k%dx%d %s", s.inC, s.outC, s.h, s.w, s.kh, s.kw, fill)
+			outH, outW := s.h-s.kh+1, s.w-s.kw+1
+			fanIn := s.inC * s.kh * s.kw
+			img, wT := New(s.inC, s.h, s.w), New(fanIn, s.outC)
+			fillOperand(r, img.Data, fill)
+			fillOperand(r, wT.Data, fill)
+
+			windows, want := New(outH*outW, fanIn), New(outH*outW, s.outC)
+			Im2Col(windows, img, s.kh, s.kw)
+			naiveMatMul(want, windows, wT)
+
+			got := New(outH*outW, s.outC)
+			r.FillNormal(got.Data, 0, 1) // ConvProduct must overwrite it
+			cols := ConvProduct(got, img, wT, s.kh, s.kw, nil)
+			for i, v := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+					t.Fatalf("%s: position %d channel %d = %v (bits %#x), want %v (bits %#x)", name,
+						i/s.outC, i%s.outC, got.Data[i], math.Float32bits(got.Data[i]), v, math.Float32bits(v))
+				}
+			}
+			if tiled := HasVectorKernels() && s.tiled; tiled != (cols == nil) {
+				t.Fatalf("%s: im2col scratch allocated = %v, want %v", name, cols != nil, !tiled)
+			}
+			if cols != nil && ConvProduct(got, img, wT, s.kh, s.kw, cols) != cols {
+				t.Fatalf("%s: a second call did not reuse its im2col scratch", name)
+			}
+		}
+	}
+}

@@ -10,9 +10,10 @@ import "fmt"
 // already spinning, so the split only pays when half the product costs
 // more than that — about 1 M MACs at the 27 MAC/ns the tiled AVX
 // kernels sustain. Every per-image backward product of the classifiers
-// (115–205 K MACs, 4–10 µs) is therefore inline; the batch-level forward
-// products that evaluation and the audit run (≥ 3.7 M MACs at a batch of
-// 32) still split. The previous value, 1<<16, dispatched 2 µs of work.
+// (115–205 K MACs, 4–10 µs) is therefore inline, and so is evaluation,
+// which goes image by image (ConvProduct); the batch-level forward
+// products of training (≥ 3.7 M MACs at a batch of 32) still split. The
+// previous value, 1<<16, dispatched 2 µs of work.
 const parallelThreshold = 1 << 20
 
 // Summation-order contract: every kernel in this file computes each

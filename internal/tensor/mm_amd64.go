@@ -43,6 +43,51 @@ func mmTiles4x16AVX(dst, a, b *float32, arow, ap, k, n, tiles, acc int)
 //go:noescape
 func mmTiles8x8AVX(dst, a, b *float32, arow, ap, k, n, tiles, acc int)
 
+// convTiles4x16AVX is mmTiles4x16AVX reading its left operand out of an
+// image: `tiles` consecutive 4-position × 16-channel tiles of one output
+// row of a stride-1 convolution product,
+//
+//	dst[r*n+j] = Σ_(ci,ky,kx) img[ci*cstride + ky*rstride + r + kx] * w[p*n+j]   r in [0, 4·tiles), j in [0, 16)
+//
+// with p = (ci*kh+ky)*kw+kx ascending over ci in [0, c), ky in [0, kh),
+// kx in [0, kw). Row r of the im2col matrix is the image shifted by r,
+// so the four rows of a tile are four consecutive floats at the cursor.
+// Same per-lane contract as the matmul tiles: ascending p from +0,
+// separate multiply and add, zeros multiplied through.
+//
+//go:noescape
+func convTiles4x16AVX(dst, img, w *float32, c, kh, kw, cstride, rstride, n, tiles int)
+
+// convTiles8x8AVX is the 8-position × 8-channel shape of
+// convTiles4x16AVX: r in [0, 8·tiles), j in [0, 8).
+//
+//go:noescape
+func convTiles8x8AVX(dst, img, w *float32, c, kh, kw, cstride, rstride, n, tiles int)
+
+// convProductAVX computes ConvProduct on the tile kernels and reports
+// whether it did: it needs AVX, whole 8-channel blocks and output rows
+// that are whole tiles (4 positions under a 16-channel block, 8 under
+// the remaining 8-channel one). Each channel block runs over every
+// output row before the next so its strip of wT stays in cache.
+func convProductAVX(dst, img, wT []float32, c, h, w, kh, kw, outC int) bool {
+	outH, outW := h-kh+1, w-kw+1
+	if !useAVX || outC%8 != 0 || outW%4 != 0 || (outC%16 != 0 && outW%8 != 0) {
+		return false
+	}
+	j := 0
+	for ; j+16 <= outC; j += 16 {
+		for oy := 0; oy < outH; oy++ {
+			convTiles4x16AVX(&dst[oy*outW*outC+j], &img[oy*w], &wT[j], c, kh, kw, h*w, w, outC, outW/4)
+		}
+	}
+	if j < outC {
+		for oy := 0; oy < outH; oy++ {
+			convTiles8x8AVX(&dst[oy*outW*outC+j], &img[oy*w], &wT[j], c, kh, kw, h*w, w, outC, outW/8)
+		}
+	}
+	return true
+}
+
 // useAVX gates the vector kernels; resolved once at startup.
 var useAVX = hasAVX()
 

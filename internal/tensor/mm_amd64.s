@@ -362,3 +362,213 @@ store88:
 	JNZ  tile88
 	VZEROUPPER
 	RET
+
+// func convTiles4x16AVX(dst, img, w *float32, c, kh, kw, cstride, rstride, n, tiles int)
+//
+// mmTiles4x16AVX with the a operand read out of an image: `tiles`
+// consecutive 4-position x 16-channel tiles of one output row of a
+// stride-1 convolution product,
+//
+//	dst[r*n+j] = sum over (ci,ky,kx) of img[ci*cstride + ky*rstride + r + kx] * w[p*n+j]
+//
+// for r in [0, 4*tiles), j in [0,16), p = (ci*kh+ky)*kw+kx ascending.
+// The p loop is three nested counts: a kw-long run along an image row
+// (the cursor steps 4 bytes; the tile's four rows are 0, 4, 8, 12(DX)),
+// then a step to the next kernel row, then to the next channel. Every
+// lane sums in ascending p from +0 with separate VMULPS/VADDPS (no FMA)
+// and zeros are multiplied through, exactly as mmTiles4x16AVX.
+//
+// Register use:
+//	DI dst tile   SI img tile    BX w base
+//	R8 (cstride-kh*rstride)*4    R9 (rstride-kw)*4   R10 kw   R11 n*4
+//	R12 tiles     R13 ci countdown   R14 ky countdown   R15 kx countdown
+//	DX a cursor   CX b cursor    AX dst row addr
+//	Y0-Y7 accumulators  Y8,Y9 b row  Y10,Y13 a broadcast  Y11,Y12 products
+TEXT ·convTiles4x16AVX(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ img+8(FP), SI
+	MOVQ w+16(FP), BX
+	MOVQ kh+32(FP), R14
+	MOVQ kw+40(FP), R10
+	MOVQ cstride+48(FP), R8
+	MOVQ rstride+56(FP), R9
+	MOVQ n+64(FP), R11
+	MOVQ tiles+72(FP), R12
+	IMULQ R9, R14
+	SUBQ R14, R8
+	SUBQ R10, R9
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R11
+
+ctile416:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ SI, DX
+	MOVQ BX, CX
+	MOVQ c+24(FP), R13
+
+cchan416:
+	MOVQ kh+32(FP), R14
+
+crow416:
+	MOVQ R10, R15
+
+cp416:
+	VMOVUPS (CX), Y8
+	VMOVUPS 32(CX), Y9
+	VBROADCASTSS (DX), Y10
+	VMULPS  Y8, Y10, Y11
+	VADDPS  Y11, Y0, Y0
+	VMULPS  Y9, Y10, Y12
+	VADDPS  Y12, Y1, Y1
+	VBROADCASTSS 4(DX), Y13
+	VMULPS  Y8, Y13, Y11
+	VADDPS  Y11, Y2, Y2
+	VMULPS  Y9, Y13, Y12
+	VADDPS  Y12, Y3, Y3
+	VBROADCASTSS 8(DX), Y10
+	VMULPS  Y8, Y10, Y11
+	VADDPS  Y11, Y4, Y4
+	VMULPS  Y9, Y10, Y12
+	VADDPS  Y12, Y5, Y5
+	VBROADCASTSS 12(DX), Y13
+	VMULPS  Y8, Y13, Y11
+	VADDPS  Y11, Y6, Y6
+	VMULPS  Y9, Y13, Y12
+	VADDPS  Y12, Y7, Y7
+	ADDQ $4, DX
+	ADDQ R11, CX
+	DECQ R15
+	JNZ  cp416
+	ADDQ R9, DX
+	DECQ R14
+	JNZ  crow416
+	ADDQ R8, DX
+	DECQ R13
+	JNZ  cchan416
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R11*1)
+	VMOVUPS Y3, 32(DI)(R11*1)
+	VMOVUPS Y4, (DI)(R11*2)
+	VMOVUPS Y5, 32(DI)(R11*2)
+	LEAQ    (DI)(R11*2), AX
+	VMOVUPS Y6, (AX)(R11*1)
+	VMOVUPS Y7, 32(AX)(R11*1)
+
+	ADDQ $16, SI
+	LEAQ (DI)(R11*4), DI
+	DECQ R12
+	JNZ  ctile416
+	VZEROUPPER
+	RET
+
+// func convTiles8x8AVX(dst, img, w *float32, c, kh, kw, cstride, rstride, n, tiles int)
+//
+// The 8 positions x 8 channels shape of convTiles4x16AVX: eight
+// accumulators (one per position, rows 0, 4, ... 28(DX)) against one w
+// vector per p. Same contract, same argument meaning, r in [0, 8*tiles),
+// j in [0,8).
+//
+// Register use as convTiles4x16AVX, except
+//	Y0-Y7 accumulators  Y8 b row  Y9,Y10 a broadcast  Y11,Y12 products
+//	AX, DX dst rows 0-3, 4-7 and CX 3*n*4 while storing
+TEXT ·convTiles8x8AVX(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ img+8(FP), SI
+	MOVQ w+16(FP), BX
+	MOVQ kh+32(FP), R14
+	MOVQ kw+40(FP), R10
+	MOVQ cstride+48(FP), R8
+	MOVQ rstride+56(FP), R9
+	MOVQ n+64(FP), R11
+	MOVQ tiles+72(FP), R12
+	IMULQ R9, R14
+	SUBQ R14, R8
+	SUBQ R10, R9
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R11
+
+ctile88:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ SI, DX
+	MOVQ BX, CX
+	MOVQ c+24(FP), R13
+
+cchan88:
+	MOVQ kh+32(FP), R14
+
+crow88:
+	MOVQ R10, R15
+
+cp88:
+	VMOVUPS (CX), Y8
+	VBROADCASTSS (DX), Y9
+	VMULPS  Y8, Y9, Y11
+	VADDPS  Y11, Y0, Y0
+	VBROADCASTSS 4(DX), Y10
+	VMULPS  Y8, Y10, Y12
+	VADDPS  Y12, Y1, Y1
+	VBROADCASTSS 8(DX), Y9
+	VMULPS  Y8, Y9, Y11
+	VADDPS  Y11, Y2, Y2
+	VBROADCASTSS 12(DX), Y10
+	VMULPS  Y8, Y10, Y12
+	VADDPS  Y12, Y3, Y3
+	VBROADCASTSS 16(DX), Y9
+	VMULPS  Y8, Y9, Y11
+	VADDPS  Y11, Y4, Y4
+	VBROADCASTSS 20(DX), Y10
+	VMULPS  Y8, Y10, Y12
+	VADDPS  Y12, Y5, Y5
+	VBROADCASTSS 24(DX), Y9
+	VMULPS  Y8, Y9, Y11
+	VADDPS  Y11, Y6, Y6
+	VBROADCASTSS 28(DX), Y10
+	VMULPS  Y8, Y10, Y12
+	VADDPS  Y12, Y7, Y7
+	ADDQ $4, DX
+	ADDQ R11, CX
+	DECQ R15
+	JNZ  cp88
+	ADDQ R9, DX
+	DECQ R14
+	JNZ  crow88
+	ADDQ R8, DX
+	DECQ R13
+	JNZ  cchan88
+
+	MOVQ DI, AX
+	LEAQ (DI)(R11*4), DX
+	LEAQ (R11)(R11*2), CX
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, (AX)(R11*1)
+	VMOVUPS Y2, (AX)(R11*2)
+	VMOVUPS Y3, (AX)(CX*1)
+	VMOVUPS Y4, (DX)
+	VMOVUPS Y5, (DX)(R11*1)
+	VMOVUPS Y6, (DX)(R11*2)
+	VMOVUPS Y7, (DX)(CX*1)
+
+	ADDQ $32, SI
+	LEAQ (DI)(R11*8), DI
+	DECQ R12
+	JNZ  ctile88
+	VZEROUPPER
+	RET
