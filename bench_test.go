@@ -221,6 +221,43 @@ func BenchmarkMatMul128(b *testing.B) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
+// BenchmarkMatMul runs the three kinds of dense product in a CVAE
+// training step (SmallConfig, batch 32), each at its largest layer: the
+// encoder's forward W@xᵀ (256×794)@(794×32), the encoder's weight
+// gradient dW += gradᵀ@x (32×256)ᵀ@(32×794), and the decoder output
+// layer's input gradient grad@W (32×794)@(794×256). Each reports MAC/ns.
+func BenchmarkMatMul(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+		ta      bool // a is (k,m) and the product is MatMulTAAcc
+	}{
+		{"fwd-256x794x32", 256, 794, 32, false},
+		{"dW-256x32x794", 256, 32, 794, true},
+		{"dx-32x794x256", 32, 794, 256, false},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.New(1)
+			x, y, dst := tensor.New(s.m, s.k), tensor.New(s.k, s.n), tensor.New(s.m, s.n)
+			if s.ta {
+				x = tensor.New(s.k, s.m)
+			}
+			r.FillNormal(x.Data, 0, 1)
+			r.FillNormal(y.Data, 0, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s.ta {
+					tensor.MatMulTAAcc(dst, x, y)
+				} else {
+					tensor.MatMul(dst, x, y)
+				}
+			}
+			b.ReportMetric(float64(s.m*s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+		})
+	}
+}
+
 // convShapes are the convolution benchmarks' layers: the paper's first
 // layer at the historical batch of 8 (N = 32 output channels, the wide
 // row-kernel path) and both layers of the `small` classifier every
@@ -412,6 +449,9 @@ func BenchmarkCVAEStep(b *testing.B) {
 	train := dataset.Generate(32, dataset.DefaultGenOptions(), r)
 	x, labels := train.FlatBatch(dataset.Range(32))
 	optim := opt.NewAdam(model.Params(), 1e-3)
+	// One untimed step grows the layers' scratch, so allocs/op reads the
+	// steady state at any -benchtime.
+	model.Step(x, labels, optim, r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -153,15 +153,16 @@ func TestKernelEquivalenceSparse(t *testing.T) {
 // ascending-p loop. The narrow block has every m remainder of the 4- and
 // 8-row tiles, k of one, the two conv fan-ins, and n up to the wide
 // split plus a scalar column tail (25). The wide block has the CVAE's
-// 256- and 794-column products (794 = 49 sixteen-column blocks, one
+// 256- and 794-column products (794 = 49 sixteen-column blocks, or 24
+// thirty-two- and one sixteen-column block with AVX-512, then one
 // eight-column block and two scalar columns), a k that is one batch and
 // one hidden layer, and m on both sides of a tile and of the
 // 32-row batch. Left operands are dense, which the dispatcher sends to
-// the tiles at any width, or mostly zero, which from 32 columns it
-// sends to the row kernel. The tiles multiply zero operands where the
-// row and scalar kernels skip them; the table proves that is the same
-// bits on finite data, whichever path a product or a worker's row range
-// takes. A third block holds the transposed-batch identity of the dense
+// the tiles at any width, or mostly zero, which from 32 columns and
+// without AVX-512 it sends to the row kernel. The tiles multiply zero
+// operands where the row and scalar kernels skip them; the table proves
+// that is the same bits on finite data, whichever path a product or a
+// worker's row range takes. A third block holds the transposed-batch identity of the dense
 // layers (checkTransposedBatch) at their shapes and batch sizes.
 func TestTileKernelTable(t *testing.T) {
 	defer SetWorkers(Workers())
@@ -197,6 +198,92 @@ func TestTileKernelTable(t *testing.T) {
 				for _, b := range []int{1, 3, 4, 6, 7, 8, 9, 31, 32, 33, 100} {
 					name := fmt.Sprintf("w%d_%d->%d_b%d_%s", workers, io[0], io[1], b, fill)
 					checkTransposedBatch(t, r, name, w, b, fill)
+				}
+			}
+		}
+	}
+}
+
+// TestWideTileKernel holds the 4×32 ZMM tile to the 4×16 YMM tile and to
+// the scalar reference loops, bit for bit, in both addressings (a@b and
+// the strided aᵀ@b) with acc off and on. The row counts 1–9 and 32 put
+// rows into 4-row tiles, 8×8 tiles and the row kernel's tail; the column
+// counts leave 16-, 8- and scalar-column remainders after the 32-column
+// blocks. Operands carry exact zeros, −0 and denormals, and a zero-heavy
+// left operand sends wide products to the row kernel on the YMM side,
+// so the ZMM tile is held to the row kernel's bits there as well.
+func TestWideTileKernel(t *testing.T) {
+	if useAVX512 && !useAVX {
+		t.Fatal("useAVX512 is set without useAVX")
+	}
+	if !useAVX512 {
+		t.Skip("no 512-bit tile to compare: the CPU lacks AVX512F or the build is purego")
+	}
+	defer func() { useAVX512 = true }()
+	r := rng.New(0x2a512)
+	type form struct {
+		name string
+		run  func(dst, a, at, b *Tensor)
+	}
+	forms := []form{
+		{"MatMul", func(dst, a, _, b *Tensor) { MatMul(dst, a, b) }},
+		{"MatMulAcc", func(dst, a, _, b *Tensor) { MatMulAcc(dst, a, b) }},
+		{"MatMulTA", func(dst, _, at, b *Tensor) { MatMulTA(dst, at, b) }},
+		{"MatMulTAAcc", func(dst, _, at, b *Tensor) { MatMulTAAcc(dst, at, b) }},
+	}
+	bits := func(x *Tensor) []uint32 {
+		out := make([]uint32, x.Len())
+		for i, v := range x.Data {
+			out[i] = math.Float32bits(v)
+		}
+		return out
+	}
+	for _, n := range []int{8, 16, 24, 32, 40, 48, 64, 96, 256, 792, 794} {
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 32} {
+			for _, k := range []int{1, 25, 256} {
+				for _, fill := range []string{"special", "sparse"} {
+					a, at, b, init := New(m, k), New(k, m), New(k, n), New(m, n)
+					fillOperand(r, a.Data, fill)
+					fillOperand(r, b.Data, "special")
+					fillOperand(r, init.Data, "special")
+					if fill == "special" {
+						for i := range a.Data {
+							if r.Float64() < 0.3 {
+								a.Data[i] = 0
+							}
+						}
+					}
+					for i := 0; i < m; i++ {
+						for p := 0; p < k; p++ {
+							at.Data[p*m+i] = a.Data[i*k+p]
+						}
+					}
+					want := New(m, n)
+					naiveMatMul(want, a, b)
+					sum := New(m, n)
+					for i := range sum.Data {
+						sum.Data[i] = init.Data[i] + want.Data[i]
+					}
+					for _, f := range forms {
+						ref := want
+						if f.name == "MatMulAcc" || f.name == "MatMulTAAcc" {
+							ref = sum
+						}
+						var got [2][]uint32
+						for w, wide := range []bool{true, false} {
+							useAVX512 = wide
+							dst := init.Clone()
+							f.run(dst, a, at, b)
+							got[w] = bits(dst)
+						}
+						useAVX512 = true
+						for i, v := range bits(ref) {
+							if got[0][i] != v || got[1][i] != v {
+								t.Fatalf("%s %dx%dx%d %s: element %d bits ZMM %#x, YMM %#x, scalar %#x",
+									f.name, m, k, n, fill, i, got[0][i], got[1][i], v)
+							}
+						}
+					}
 				}
 			}
 		}

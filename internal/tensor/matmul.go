@@ -8,12 +8,14 @@ import "fmt"
 // measured on the 2-core benchmark host, a parked worker picks a chunk
 // up after 5 µs (median) to 18 µs (p90), against 0.6 µs when it is
 // already spinning, so the split only pays when half the product costs
-// more than that — about 1 M MACs at the 27 MAC/ns the tiled AVX
-// kernels sustain. Every per-image backward product of the classifiers
-// (115–205 K MACs, 4–10 µs) is therefore inline, and so is evaluation,
-// which goes image by image (ConvProduct); the batch-level forward
-// products of training (≥ 3.7 M MACs at a batch of 32) still split. The
-// previous value, 1<<16, dispatched 2 µs of work.
+// more than that. Half of 1 M MACs is 19 µs on the YMM tiles (27 MAC/ns)
+// and 12 µs on the ZMM tile (43 MAC/ns), both above the median pickup,
+// so the wider tile does not move the split point. Every per-image
+// backward product of the classifiers (115–205 K MACs, 3–10 µs) is
+// therefore inline, and so is evaluation, which goes image by image
+// (ConvProduct); the batch-level forward products of training (≥ 3.7 M
+// MACs at a batch of 32) still split. The previous value, 1<<16,
+// dispatched 2 µs of work.
 const parallelThreshold = 1 << 20
 
 // Summation-order contract: every kernel in this file computes each

@@ -8,6 +8,11 @@ import "math"
 // plus XGETBV confirmation that the OS preserves YMM state).
 func hasAVX() bool
 
+// hasAVX512 reports whether the CPU and OS support AVX512F (CPUID leaf 7
+// plus XGETBV confirmation that the OS preserves the opmask and full
+// ZMM state).
+func hasAVX512() bool
+
 // mmRowAVX computes one output row of an a@b-shaped product with 8-wide
 // AVX lanes over the columns:
 //
@@ -36,6 +41,13 @@ func mmRowAVX(dst, a, b *float32, astride, k, n, j8, acc int)
 //
 //go:noescape
 func mmTiles4x16AVX(dst, a, b *float32, arow, ap, k, n, tiles, acc int)
+
+// mmTiles4x32AVX512 is the 4-row × 32-column shape of mmTiles4x16AVX on
+// 512-bit registers: r in [0, 4·tiles), j in [0, 32), the same per-lane
+// contract and so the same bits. Requires AVX512F.
+//
+//go:noescape
+func mmTiles4x32AVX512(dst, a, b *float32, arow, ap, k, n, tiles, acc int)
 
 // mmTiles8x8AVX is the 8-row × 8-column shape of mmTiles4x16AVX:
 // r in [0, 8·tiles), j in [0, 8).
@@ -88,17 +100,28 @@ func convProductAVX(dst, img, wT []float32, c, h, w, kh, kw, outC int) bool {
 	return true
 }
 
-// useAVX gates the vector kernels; resolved once at startup.
-var useAVX = hasAVX()
+// useAVX gates the vector kernels and useAVX512, which implies it, the
+// 32-column tile; both resolved once at startup. The kernel tests toggle
+// useAVX512 to hold the two tile widths to the same bits.
+var (
+	useAVX    = hasAVX()
+	useAVX512 = useAVX && hasAVX512()
+)
 
 // wideN is the column count from which a mostly-zero left operand is
-// better served by the row kernel: its 32-column blocks amortise one
-// load-test-broadcast of an a-element over four accumulators and skip
-// the whole rank-1 update when the element is zero, which the tiles
-// cannot. Measured on the benchmark host, MAC/ns row vs tiles:
-// (32×256)@(256×794) 16 vs 23 dense, 21 vs 23 at 50 % zeros, 29 vs 23
-// at 70 %, 34 vs 22 at 87.5 % (the density behind ReLU and a 2×2 pool);
-// below 32 columns the tiles win at every density.
+// better served by the row kernel than by the YMM tiles: its 32-column
+// blocks amortise one load-test-broadcast of an a-element over four
+// accumulators and skip the whole rank-1 update when the element is
+// zero, which the tiles cannot. The ZMM tile outruns the row kernel at
+// every density, so the switch is off wherever useAVX512 is set.
+// MAC/ns on one core of the benchmark host (Xeon, AVX-512), row / YMM
+// tiles / ZMM tile, for (32×256)@(256×794) with uniformly scattered
+// zeros: 10 / 21 / 26 dense, 15–17 / 23–27 / 39 at 50 %, 15–21 / 18–27
+// / 32–36 at 70 %, 23–26 / 18–28 / 26–39 at 87.5 % (the density behind
+// ReLU and a 2×2 pool), 21–28 / 22–28 / 32–38 at 97 %. With the switch
+// kept on the ZMM build, ConvBackward/small-8to16-b32 reads 1.2 ms
+// against 0.74 ms without it, and a classifier train epoch 36 against
+// 28 ms.
 const wideN = 32
 
 // zeroProbe is the number of rows, and of inner indices, zeroHeavy
@@ -127,13 +150,14 @@ func zeroHeavy(a []float32, lo, hi, arow, ap, k int) bool {
 
 // matmulRowsAVX computes rows [lo,hi) of an a@b-shaped product whose
 // left operand is addressed a[i*arow+p*ap] (arow=k, ap=1 for a@b;
-// arow=1, ap=m for aᵀ@b), n ≥ 8, k ≥ 1. The 16-column blocks run in
-// 4-row tiles and a remaining 8-column block in 8-row tiles, each block
-// over all its row tiles before the next so its strip of b stays in
-// cache; the row kernel finishes the rows that do not fill a tile, and
-// runs every row when the product is wide and zeroHeavy says most of
-// its rank-1 updates can be skipped. Columns past the last multiple of
-// 8 are scalar.
+// arow=1, ap=m for aᵀ@b), n ≥ 8, k ≥ 1. The 32-column blocks run in
+// 4-row ZMM tiles where the CPU has AVX-512, the remaining 16-column
+// blocks in 4-row YMM tiles and a remaining 8-column block in 8-row
+// tiles, each block over all its row tiles before the next so its strip
+// of b stays in cache; the row kernel finishes the rows that do not fill
+// a tile and, without AVX-512, runs every row when the product is wide
+// and zeroHeavy says most of its rank-1 updates can be skipped. Columns
+// past the last multiple of 8 are scalar.
 func matmulRowsAVX(dst, a, b []float32, lo, hi, arow, ap, k, n int, acc bool) {
 	j8 := n &^ 7
 	accFlag := 0
@@ -141,11 +165,16 @@ func matmulRowsAVX(dst, a, b []float32, lo, hi, arow, ap, k, n int, acc bool) {
 		accFlag = 1
 	}
 	t4, t8 := (hi-lo)/4, (hi-lo)/8
-	if t4 > 0 && j8 >= wideN && zeroHeavy(a, lo, hi, arow, ap, k) {
+	if t4 > 0 && !useAVX512 && j8 >= wideN && zeroHeavy(a, lo, hi, arow, ap, k) {
 		t4 = 0
 	}
 	if t4 > 0 {
 		j := 0
+		if useAVX512 {
+			for ; j+32 <= j8; j += 32 {
+				mmTiles4x32AVX512(&dst[lo*n+j], &a[lo*arow], &b[j], arow, ap, k, n, t4, accFlag)
+			}
+		}
 		for ; j+16 <= j8; j += 16 {
 			mmTiles4x16AVX(&dst[lo*n+j], &a[lo*arow], &b[j], arow, ap, k, n, t4, accFlag)
 		}

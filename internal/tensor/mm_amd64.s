@@ -25,6 +25,40 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func hasAVX512() bool
+//
+// CPUID max leaf >= 7, CPUID.1:ECX bit 27 (OSXSAVE), CPUID.(7,0):EBX
+// bit 16 (AVX512F), then XGETBV to confirm the OS context-switches
+// XMM, YMM, the opmask registers and both halves of the ZMM state
+// (XCR0 bits 1, 2, 5, 6 and 7).
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JB   no512
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x08000000, CX
+	JZ    no512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x00010000, BX
+	JZ    no512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no512
+	MOVB $1, ret+0(FP)
+	RET
+
+no512:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func mmRowAVX(dst, a, b *float32, astride, k, n, j8, acc int)
 //
 // dst[j] (+)= sum over p in [0,k) of a[p*astride] * b[p*n+j], for
@@ -258,6 +292,115 @@ store416:
 	LEAQ (DI)(R11*4), DI
 	DECQ R12
 	JNZ  tile416
+	VZEROUPPER
+	RET
+
+// func mmTiles4x32AVX512(dst, a, b *float32, arow, ap, k, n, tiles, acc int)
+//
+// mmTiles4x16AVX on 512-bit registers: 4 rows x 32 columns per tile,
+// eight ZMM accumulators against two 64-byte b vectors and four
+// VBROADCASTSS per p, for r in [0, 4*tiles), j in [0,32). Same contract,
+// same argument meaning: every lane sums in ascending p from +0 with
+// separate VMULPS/VADDPS (no FMA) and zeros are multiplied through, so
+// the bits are the YMM tile's. AVX512F instructions only.
+//
+// Register state. The kernel keeps to Z0-Z13. Z16-Z21 would be free as
+// well — VZEROUPPER does not clear Z16-Z31, and ABI0 assembly may use
+// them because Go code never does — but fourteen registers suffice, and
+// in Z0-Z15 the closing VZEROUPPER clears every upper half the kernel
+// dirtied. Async preemption never stops inside an assembly function,
+// so no signal handler sees the ZMM state mid-tile. The VZEROUPPER
+// still matters for the code that follows — the YMM tiles of the same
+// product and Go's SSE scalar arithmetic — which would otherwise run
+// with the upper state dirty.
+//
+// Register use as mmTiles4x16AVX, with
+//	Z0-Z7 accumulators  Z8,Z9 b row  Z10,Z13 a broadcast  Z11,Z12 products
+TEXT ·mmTiles4x32AVX512(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ arow+24(FP), R8
+	MOVQ ap+32(FP), R9
+	MOVQ k+40(FP), R10
+	MOVQ n+48(FP), R11
+	MOVQ tiles+56(FP), R12
+	MOVQ acc+64(FP), R13
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R11
+	LEAQ (R8)(R8*2), R14
+
+tile432:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ SI, DX
+	MOVQ BX, CX
+	MOVQ R10, R15
+
+p432:
+	VMOVUPS (CX), Z8
+	VMOVUPS 64(CX), Z9
+	VBROADCASTSS (DX), Z10
+	VMULPS  Z8, Z10, Z11
+	VADDPS  Z11, Z0, Z0
+	VMULPS  Z9, Z10, Z12
+	VADDPS  Z12, Z1, Z1
+	VBROADCASTSS (DX)(R8*1), Z13
+	VMULPS  Z8, Z13, Z11
+	VADDPS  Z11, Z2, Z2
+	VMULPS  Z9, Z13, Z12
+	VADDPS  Z12, Z3, Z3
+	VBROADCASTSS (DX)(R8*2), Z10
+	VMULPS  Z8, Z10, Z11
+	VADDPS  Z11, Z4, Z4
+	VMULPS  Z9, Z10, Z12
+	VADDPS  Z12, Z5, Z5
+	VBROADCASTSS (DX)(R14*1), Z13
+	VMULPS  Z8, Z13, Z11
+	VADDPS  Z11, Z6, Z6
+	VMULPS  Z9, Z13, Z12
+	VADDPS  Z12, Z7, Z7
+	ADDQ R9, DX
+	ADDQ R11, CX
+	DECQ R15
+	JNZ  p432
+
+	MOVQ  DI, AX
+	TESTQ R13, R13
+	JZ    store432
+	VADDPS (AX), Z0, Z0
+	VADDPS 64(AX), Z1, Z1
+	VADDPS (AX)(R11*1), Z2, Z2
+	VADDPS 64(AX)(R11*1), Z3, Z3
+	VADDPS (AX)(R11*2), Z4, Z4
+	VADDPS 64(AX)(R11*2), Z5, Z5
+	LEAQ   (AX)(R11*2), AX
+	VADDPS (AX)(R11*1), Z6, Z6
+	VADDPS 64(AX)(R11*1), Z7, Z7
+	MOVQ   DI, AX
+
+store432:
+	VMOVUPS Z0, (AX)
+	VMOVUPS Z1, 64(AX)
+	VMOVUPS Z2, (AX)(R11*1)
+	VMOVUPS Z3, 64(AX)(R11*1)
+	VMOVUPS Z4, (AX)(R11*2)
+	VMOVUPS Z5, 64(AX)(R11*2)
+	LEAQ    (AX)(R11*2), AX
+	VMOVUPS Z6, (AX)(R11*1)
+	VMOVUPS Z7, 64(AX)(R11*1)
+
+	LEAQ (SI)(R8*4), SI
+	LEAQ (DI)(R11*4), DI
+	DECQ R12
+	JNZ  tile432
 	VZEROUPPER
 	RET
 
