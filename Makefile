@@ -110,8 +110,8 @@ bench-json:
 # the per-round checkpoint cost (round-file serialization, and a
 # steady-state save that must not re-serialise a decoder: ≤ 1 MB B/op
 # beside 25 MB of referenced payloads), the blocked aggregation kernels,
-# the classifier's train step (its time, and that a second proc does
-# not make it slower), the CVAE's, the server's per-round synthesis (its
+# the classifier's train epoch (its time: ≈ 2× a reading on the fused
+# conv blocks), the CVAE's step, the server's per-round synthesis (its
 # time, and ≤ 3 MiB B/op for sixteen decoders: a decoder copied out of
 # its payload again is 1.69 MB each), one audit scoring job (a
 # LoadParams and four 25-row evaluation forwards: 0 allocs/op, and twice
@@ -134,8 +134,7 @@ bench-guard:
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierInfer$$' -benchmem -benchtime=100x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardAudit$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClientRoundWarm$$' -benchmem -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkTrainEpochTwoProcs$$' -benchtime=2x . ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClientRoundWarm$$' -benchmem -benchtime=20x . ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json
 
 # bench-harness vets and tests benchmark/, the ledger's program. It is

@@ -15,9 +15,7 @@ package fedguard
 //	go test -bench=BenchmarkTableIV_SignFlip -benchtime=1x
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
@@ -258,23 +256,37 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// convShape is one convolution benchmark's layer and batch.
+type convShape struct {
+	name            string
+	inC, outC, b, h int
+}
+
 // convShapes are the convolution benchmarks' layers: the paper's first
 // layer at the historical batch of 8 (N = 32 output channels, the wide
 // row-kernel path) and both layers of the `small` classifier every
 // preset trains, at the training batch of 32 (N = 8 and 16, the
 // register-tiled path; the second layer also returns an input gradient).
-var convShapes = []struct {
-	name            string
-	inC, outC, b, h int
-}{
+var convShapes = []convShape{
 	{"paper-1to32-b8", 1, 32, 8, 28},
 	{"small-1to8-b32", 1, 8, 32, 28},
 	{"small-8to16-b32", 8, 16, 32, 12},
 }
 
-// BenchmarkConvForward runs each shape as training does (the batched
-// im2col product Backward reads) and, as <shape>-eval, as evaluation
-// does (per image, the direct product, nothing retained).
+// convBlock builds shape s's Conv2D → ReLU → MaxPool2D(2,2) block, the
+// unit a Sequential runs in both directions, and a batch for it.
+func convBlock(s convShape, seed uint64) (*nn.Sequential, *tensor.Tensor, *rng.RNG) {
+	r := rng.New(seed)
+	conv := nn.NewConv2D(s.inC, s.outC, 5, 5, r)
+	conv.InputGradOff = s.inC == 1
+	x := tensor.New(s.b, s.inC, s.h, s.h)
+	r.FillNormal(x.Data, 0, 1)
+	return nn.NewSequential(conv, nn.NewReLU(), nn.NewMaxPool2D(2, 2)), x, r
+}
+
+// BenchmarkConvForward runs each shape's block as training does (the
+// pooled output and the pool's winners, the input retained) and, as
+// <shape>-eval, as evaluation does (the pooled output, nothing retained).
 func BenchmarkConvForward(b *testing.B) {
 	for _, s := range convShapes {
 		for _, train := range []bool{true, false} {
@@ -283,44 +295,32 @@ func BenchmarkConvForward(b *testing.B) {
 				name += "-eval"
 			}
 			b.Run(name, func(b *testing.B) {
-				r := rng.New(2)
-				conv := nn.NewConv2D(s.inC, s.outC, 5, 5, r)
-				x := tensor.New(s.b, s.inC, s.h, s.h)
-				r.FillNormal(x.Data, 0, 1)
+				block, x, _ := convBlock(s, 2)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					conv.Forward(x, train)
+					block.Forward(x, train)
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkConvBackward feeds a gradient with the sparsity training
-// produces behind ReLU and a 2×2 max pool (about one live element in
-// eight): the row kernel's zero-skip and the tiles' multiply-through
-// are only comparable on that input.
+// BenchmarkConvBackward times each shape's block backward — the masked
+// scatter through the pool and the ReLU, then the per-image im2col and
+// gradient products — for a dense gradient w.r.t. the pooled output, as
+// the layer after the block sends it; the scatter leaves the products
+// the sparsity training gives them (about one live element in eight).
 func BenchmarkConvBackward(b *testing.B) {
 	for _, s := range convShapes {
 		b.Run(s.name, func(b *testing.B) {
-			r := rng.New(3)
-			conv := nn.NewConv2D(s.inC, s.outC, 5, 5, r)
-			conv.InputGradOff = s.inC == 1
-			x := tensor.New(s.b, s.inC, s.h, s.h)
-			r.FillNormal(x.Data, 0, 1)
-			y := conv.Forward(x, true)
-			g := tensor.New(y.Shape()...)
+			block, x, r := convBlock(s, 3)
+			g := tensor.New(block.Forward(x, true).Shape()...)
 			r.FillNormal(g.Data, 0, 1)
-			for i := range g.Data {
-				if r.Float64() < 0.875 {
-					g.Data[i] = 0
-				}
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				conv.Backward(g)
+				block.Backward(g)
 			}
 		})
 	}
@@ -382,44 +382,6 @@ func BenchmarkClassifierInfer(b *testing.B) {
 		infer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*set.Len())/1e3, "µs/row")
-}
-
-// BenchmarkTrainEpochTwoProcs guards the kernel pool's dispatch
-// threshold. With two procs the only products a train epoch may hand to
-// the pool are the batch-level forward ones, so an epoch must not cost
-// more than on one proc — it did (82 vs 76 ms) while every 15 µs
-// per-image backward product was dispatched too. Each iteration takes
-// the best of five interleaved epochs per side; the reported
-// procs2/procs1 ratio has a ceiling in BENCH_guard.json.
-func BenchmarkTrainEpochTwoProcs(b *testing.B) {
-	if runtime.NumCPU() < 2 {
-		b.Skip("needs two CPUs")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	defer tensor.SetWorkers(tensor.Workers())
-	train := trainEpoch()
-	epoch := func(procs int) time.Duration {
-		runtime.GOMAXPROCS(procs)
-		tensor.SetWorkers(procs)
-		start := time.Now()
-		train()
-		return time.Since(start)
-	}
-	epoch(2) // grow the model's scratch and start the pool
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		best := [3]time.Duration{}
-		for rep := 0; rep < 5; rep++ {
-			for procs := 1; procs <= 2; procs++ {
-				if d := epoch(procs); best[procs] == 0 || d < best[procs] {
-					best[procs] = d
-				}
-			}
-		}
-		ratio = float64(best[2]) / float64(best[1])
-	}
-	b.ReportMetric(ratio, "procs2/procs1")
 }
 
 // BenchmarkClientRoundWarm is one client's round after its first: a bare

@@ -12,6 +12,14 @@
 // With -guard <file> the tool instead checks the piped benchmark output
 // against the ceilings committed in that file (see GuardFile) and exits
 // nonzero on any regression — the `make bench-guard` CI gate.
+//
+// With -pairs <dir> it reads a directory of benchmark reports taken in
+// alternating parent/change pairs (results/runs/pr-NN, see pairs.go) and
+// prints, per workload, seed and metric, both sides' medians with their
+// quartiles, the change in percent and the pairs the change won; it
+// exits nonzero when the final weights differ between runs of a group.
+//
+//	go run ./cmd/benchjson -pairs results/runs/pr-30
 package main
 
 import (
@@ -52,7 +60,12 @@ func main() {
 	out := flag.String("out", "BENCH_micro.json", "snapshot file to create or update")
 	date := flag.String("date", "", "optional date string recorded verbatim in the snapshot")
 	guardPath := flag.String("guard", "", "threshold file: check stdin against its ceilings instead of snapshotting; exit 1 on regression")
+	pairsDir := flag.String("pairs", "", "directory of parent/change benchmark reports: print medians, quartiles and wins per workload, seed and metric; exit 1 if final weights differ")
 	flag.Parse()
+	if *pairsDir != "" {
+		runPairs(*pairsDir)
+		return
+	}
 	if *guardPath != "" {
 		runGuard(*guardPath)
 		return

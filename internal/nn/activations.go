@@ -53,6 +53,9 @@ func reluBits(v float32) uint32 {
 // Backward zeroes gradients where the forward input was non-positive,
 // i.e. where the retained output is +0.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if r.y == nil {
+		panic("nn: ReLU Backward without a Forward of its own (a conv block's ReLU keeps no output)")
+	}
 	r.dx = tensor.Ensure(r.dx, grad.Shape()...)
 	dx := r.dx.Data[:len(grad.Data)]
 	y := r.y.Data[:len(grad.Data)]

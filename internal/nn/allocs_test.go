@@ -96,6 +96,31 @@ func evalStack(r *rng.RNG) (*Sequential, *Conv2D, *Conv2D) {
 	), c1, c2
 }
 
+// TestTrainStepAllocsSteadyState pins the same property for a training
+// step through the fused conv blocks — forward, the masked scatter and
+// the per-image im2col of Backward — at a full batch and the epoch's
+// 4-row tail.
+func TestTrainStepAllocsSteadyState(t *testing.T) {
+	r := rng.New(0xa1112)
+	model, _, _ := evalStack(r)
+	full, tail := tensor.New(32, 1, 28, 28), tensor.New(4, 1, 28, 28)
+	r.FillNormal(full.Data, 0, 1)
+	r.FillNormal(tail.Data, 0, 1)
+	gFull, gTail := tensor.New(32, 10), tensor.New(4, 10)
+	r.FillNormal(gFull.Data, 0, 1)
+	r.FillNormal(gTail.Data, 0, 1)
+	step := func() {
+		model.Forward(full, true)
+		model.Backward(gFull)
+		model.Forward(tail, true)
+		model.Backward(gTail)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(20, step); allocs > 0 {
+		t.Fatalf("steady-state training at batches 32/4 allocates %.1f, want 0", allocs)
+	}
+}
+
 // TestEvalForwardAllocsSteadyState pins that evaluation allocates
 // nothing once the model has seen its largest slab — also when a
 // parameter load and smaller slabs come in between, as in an audit

@@ -12,21 +12,13 @@ import (
 // used by the paper's MNIST classifier, Table II). Filters have shape
 // (outC, inC*kh*kw); inputs have shape (B, inC, H, W).
 //
-// The training forward pass lowers the whole batch into one im2col
-// matrix and multiplies by the filter matrix in a single large matmul;
-// the backward pass computes the input gradient per image straight from
-// the channel-major gradient blocks and scatters each image's columns
-// with col2im while they are still in cache.
-// Filter gradients are accumulated per image (dW += gradᵢ @ colsᵢ) so
-// the partial-sum association — and therefore every bit of the gradient
-// — matches the original per-image path exactly.
-//
-// An evaluation forward (train == false) gives the same bits and keeps
-// nothing for Backward: it goes image by image through
-// tensor.ConvProduct into one image's product, retains no input and no
-// im2col matrix, and inside a Sequential takes the ReLU and 2×2 pool
-// that follow it in the same pass (forwardEval). A layer that has only
-// evaluated holds that product, its output and the transposed filters.
+// Both passes go image by image. Forward writes one image's product
+// through tensor.ConvProduct and an epilogue writes it channel-major with
+// the bias added (inside a Sequential, with the ReLU and 2×2 pool that
+// follow: forward). A training forward retains the input; an evaluation
+// forward (train == false) gives the same bits, retains nothing, and
+// Backward after it panics. Backward accumulates dW += gradᵢ @ colsᵢ per
+// image, so every bit of the gradient is the original per-image path's.
 //
 // All work tensors are layer-owned scratch, grown on demand and reused
 // across steps: steady-state training and evaluation allocate nothing
@@ -47,14 +39,14 @@ type Conv2D struct {
 
 	x *tensor.Tensor // input retained by a training forward; nil after an evaluation
 
-	cols  *tensor.Tensor // (B*outH*outW, inC*kh*kw) batched im2col
-	prod  *tensor.Tensor // (B*outH*outW, outC) cols @ Wᵀ; one image's rows in evaluation
 	wT    *tensor.Tensor // (inC*kh*kw, outC) transposed-filter scratch
-	y     *tensor.Tensor // (B, outC, outH, outW); the pooled (B, outC, outH/2, outW/2) from a fused evaluation
+	prod  *tensor.Tensor // (outH*outW, outC) one image's product
+	cols  *tensor.Tensor // (outH*outW, inC*kh*kw) one image's im2col: Backward's, and ConvProduct's off the tile kernels
+	y     *tensor.Tensor // (B, outC, outH, outW); the pooled (B, outC, outH/2, outW/2) of a block
 	dCols *tensor.Tensor // (outH*outW, inC*kh*kw) one image's column gradient
 	dx    *tensor.Tensor // (B, inC, H, W)
 
-	xView, gView, colsView, dxView tensor.Tensor // reusable per-image view headers
+	xView, gView, dxView tensor.Tensor // reusable per-image view headers
 }
 
 // NewConv2D constructs a convolution layer with He-uniform weight
@@ -101,36 +93,51 @@ func (c *Conv2D) outShape(x *tensor.Tensor) (int, int) {
 // (B, outC, outH, outW). The returned tensor is layer scratch, valid
 // until the next Forward call.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		return c.forwardEval(x, nil)
-	}
+	return c.forward(x, train, nil)
+}
+
+// forward is Forward when pool is nil. With pool, a 2×2 MaxPool2D, it
+// returns what pool would after this layer and a ReLU, with the same
+// bits: the same sums, bias add, ReLU mask and window maximum, read from
+// one image's product (18 KB for the small classifier's first layer, in
+// L1). No unpooled activation or ReLU output is written; a training
+// forward leaves the pool its argmax. The filters are transposed per call
+// (1–2 % of a forward): a cached transpose goes stale under every
+// in-place optimizer step.
+func (c *Conv2D) forward(x *tensor.Tensor, train bool, pool *MaxPool2D) *tensor.Tensor {
 	outH, outW := c.outShape(x)
-	b := x.Dim(0)
-	c.x = x
+	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	c.x = nil
+	if train {
+		c.x = x
+	}
 	fanIn := c.InC * c.KH * c.KW
 	oHW := outH * outW
 
-	c.cols = tensor.Ensure(c.cols, b*oHW, fanIn)
-	tensor.Im2ColBatch(c.cols, x, c.KH, c.KW)
-
-	// prod (B*oHW, outC) = cols @ Wᵀ — one large matmul for the whole
-	// batch. Each output element is the same fanIn-term dot product the
-	// per-image path computed, so the result is bit-identical; on the
-	// SIMD path a transposed-filter scratch turns it into the
-	// vector-friendly plain product (same ascending-fanIn sums).
-	c.prod = tensor.Ensure(c.prod, b*oHW, c.OutC)
-	if tensor.HasVectorKernels() {
-		c.wT = tensor.Ensure(c.wT, fanIn, c.OutC)
-		tensor.TransposeInto(c.wT, c.W)
-		tensor.MatMul(c.prod, c.cols, c.wT)
-	} else {
-		tensor.MatMulT(c.prod, c.cols, c.W)
+	yH, yW := outH, outW
+	if pool != nil {
+		yH, yW = pool.outDims(outH, outW)
+		if train {
+			pool.expect(b, c.OutC, outH, outW)
+		}
 	}
-
-	c.y = tensor.Ensure(c.y, b, c.OutC, outH, outW)
-	outVol := c.OutC * oHW
+	c.wT = tensor.Ensure(c.wT, fanIn, c.OutC)
+	tensor.TransposeInto(c.wT, c.W)
+	c.prod = tensor.Ensure(c.prod, oHW, c.OutC)
+	c.y = tensor.Ensure(c.y, b, c.OutC, yH, yW)
+	inVol, yVol := c.InC*h*w, c.OutC*yH*yW
 	for i := 0; i < b; i++ {
-		addBiasChannelMajor(c.y.Data[i*outVol:(i+1)*outVol], c.prod.Data[i*outVol:], c.B.Data, oHW)
+		c.xView.Bind(x.Data[i*inVol:], c.InC, h, w)
+		c.cols = tensor.ConvProduct(c.prod, &c.xView, c.wT, c.KH, c.KW, c.cols)
+		dst := c.y.Data[i*yVol : (i+1)*yVol]
+		switch {
+		case pool == nil:
+			addBiasChannelMajor(dst, c.prod.Data, c.B.Data, oHW)
+		case train:
+			biasReLUPool2x2Winners(dst, pool.argmax[i*yVol:(i+1)*yVol], c.prod.Data, c.B.Data, outH, outW, i*c.OutC*oHW)
+		default:
+			biasReLUPool2x2(dst, c.prod.Data, c.B.Data, outH, outW)
+		}
 	}
 	return c.y
 }
@@ -145,49 +152,6 @@ func addBiasChannelMajor(dst, prod, bias []float32, oHW int) {
 			dst[ch*oHW+p] = v + bias[ch]
 		}
 	}
-}
-
-// forwardEval is Forward(x, false) when pool is nil. With pool, a 2×2
-// MaxPool2D, it returns what pool would after this layer and a ReLU —
-// how Sequential evaluates the three in a row. Every element is the sum
-// the training forward forms, the same bias add, ReLU.Forward's mask
-// and the window's maximum, so the bits are those of the training
-// forwards; what differs is what exists afterwards: one image's
-// position-major product at a time (18 KB for the small classifier's
-// first layer, so the epilogue reads it from L1), the output written
-// channel-major straight from it, and no retained input, im2col matrix,
-// unpooled activation or argmax. The filters are transposed once per
-// call rather than cached: that is 1–2 % of a forward, and a cached
-// transpose goes stale under every in-place optimizer step.
-func (c *Conv2D) forwardEval(x *tensor.Tensor, pool *MaxPool2D) *tensor.Tensor {
-	outH, outW := c.outShape(x)
-	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	c.x = nil
-	fanIn := c.InC * c.KH * c.KW
-	oHW := outH * outW
-
-	yH, yW := outH, outW
-	if pool != nil {
-		if yH, yW = outH/2, outW/2; yH == 0 || yW == 0 {
-			panic(fmt.Sprintf("nn: %s window larger than input (%d,%d)", pool.Name(), outH, outW))
-		}
-	}
-	c.wT = tensor.Ensure(c.wT, fanIn, c.OutC)
-	tensor.TransposeInto(c.wT, c.W)
-	c.prod = tensor.Ensure(c.prod, oHW, c.OutC)
-	c.y = tensor.Ensure(c.y, b, c.OutC, yH, yW)
-	inVol, yVol := c.InC*h*w, c.OutC*yH*yW
-	for i := 0; i < b; i++ {
-		c.xView.Bind(x.Data[i*inVol:], c.InC, h, w)
-		c.cols = tensor.ConvProduct(c.prod, &c.xView, c.wT, c.KH, c.KW, c.cols)
-		dst := c.y.Data[i*yVol : (i+1)*yVol]
-		if pool != nil {
-			biasReLUPool2x2(dst, c.prod.Data, c.B.Data, outH, outW)
-		} else {
-			addBiasChannelMajor(dst, c.prod.Data, c.B.Data, oHW)
-		}
-	}
-	return c.y
 }
 
 // biasReLUPool2x2 writes, channel-major, the 2×2 max pool of
@@ -216,12 +180,53 @@ func biasReLUPool2x2(dst, prod, bias []float32, outH, outW int) {
 	}
 }
 
+// biasReLUPool2x2Winners is biasReLUPool2x2 for a training forward: it
+// also writes to arg, for each output, where the pool's argmax points —
+// base plus the flat (channel, row, column) index of the window's first
+// strict maximum in MaxPool2D.Forward's order 00, 01, 10, 11, which is
+// the first of the four patterns equal to their maximum. That index k is
+// computed from 0/1 flags rather than branched on: behind a ReLU half the
+// values are +0, and branches on them mispredict about every other time.
+func biasReLUPool2x2Winners(dst []float32, arg []int32, prod, bias []float32, outH, outW, base int) {
+	outC := len(bias)
+	pH, pW := outH/2, outW/2
+	for py := 0; py < pH; py++ {
+		for px := 0; px < pW; px++ {
+			p := 2*py*outW + 2*px // the window's first position
+			top, bot := prod[p*outC:], prod[(p+outW)*outC:]
+			w00, w01 := top[:outC], top[outC:2*outC]
+			w10, w11 := bot[:outC], bot[outC:2*outC]
+			o := py*pW + px
+			for ch, bv := range bias {
+				v0, v1 := reluBits(w00[ch]+bv), reluBits(w01[ch]+bv)
+				v2, v3 := reluBits(w10[ch]+bv), reluBits(w11[ch]+bv)
+				m := max(v0, v1, v2, v3)
+				k := differs(v0, m) * (1 + differs(v1, m)*(1+differs(v2, m)))
+				dst[ch*pH*pW+o] = math.Float32frombits(m)
+				arg[ch*pH*pW+o] = int32(base + ch*outH*outW + p + (k>>1)*outW + k&1)
+			}
+		}
+	}
+}
+
+// differs returns 1 if a != b and 0 otherwise: a^b + 2³²−1 carries into
+// bit 32 exactly when a^b is nonzero.
+func differs(a, b uint32) int { return int((uint64(a^b) + 0xffffffff) >> 32) }
+
 // Backward accumulates filter/bias gradients and returns the gradient
 // w.r.t. the input batch. The returned tensor is layer scratch, valid
 // until the next Backward call.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, nil) }
+
+// backward is Backward when pool is nil. With the pool of a block that
+// forward ran, grad is w.r.t. the pooled output, and the pool first
+// routes it back through itself and the ReLU (MaxPool2D.backward).
+func (c *Conv2D) backward(grad *tensor.Tensor, pool *MaxPool2D) *tensor.Tensor {
 	if c.x == nil {
 		panic(fmt.Sprintf("nn: %s Backward without a training Forward", c.Name()))
+	}
+	if pool != nil {
+		grad = pool.backward(grad, c.y)
 	}
 	b := grad.Dim(0)
 	h, w := c.x.Dim(2), c.x.Dim(3)
@@ -233,17 +238,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	oHW := outH * outW
 	outVol := c.OutC * oHW
 
-	// Per image, the incoming gradient block is already channel-major
-	// (outC, oHW) — exactly the left operand both gradient products
-	// need, so no transpose buffer is built. dB sums each contiguous
-	// channel row; dW += gradᵢ @ colsᵢ accumulates per image so the
-	// partial-sum association (and therefore every bit of the gradient)
-	// matches the original per-image path; dColsᵢ = gradᵢᵀ @ W sums over
-	// channels in the same ascending order the batched product would.
-	// The Bind views avoid any per-image allocation. dColsᵢ is scattered
-	// into dxᵢ straight away: one image's columns (51 KB for the small
-	// classifier's second layer) stay in L1/L2 between the product and
-	// the scatter, and the layer holds one image of them, not a batch.
+	// Per image, the gradient block is already channel-major (outC, oHW),
+	// the left operand of both products. colsᵢ (51 KB for the small
+	// classifier's second layer) is built right before dW += gradᵢ @ colsᵢ
+	// and dColsᵢ = gradᵢᵀ @ W scattered into dxᵢ right after, both still
+	// in cache; the layer holds one image of each, never a batch.
+	c.cols = tensor.Ensure(c.cols, oHW, fanIn)
 	if !c.InputGradOff {
 		c.dCols = tensor.Ensure(c.dCols, oHW, fanIn)
 		c.dx = tensor.Ensure(c.dx, b, c.InC, h, w)
@@ -259,9 +259,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 			c.dB.Data[ch] += chSum
 		}
+		c.xView.Bind(c.x.Data[i*inVol:], c.InC, h, w)
+		tensor.Im2Col(c.cols, &c.xView, c.KH, c.KW)
 		c.gView.Bind(g, c.OutC, oHW)
-		c.colsView.Bind(c.cols.Data[i*oHW*fanIn:], oHW, fanIn)
-		tensor.MatMulAcc(c.dW, &c.gView, &c.colsView)
+		tensor.MatMulAcc(c.dW, &c.gView, c.cols)
 		if !c.InputGradOff {
 			tensor.MatMulTA(c.dCols, &c.gView, c.W)
 			c.dxView.Bind(c.dx.Data[i*inVol:], c.InC, h, w)

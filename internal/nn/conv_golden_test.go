@@ -9,7 +9,7 @@ import (
 
 // perImageConvForward is the seed implementation of Conv2D.Forward: each
 // image lowered and multiplied on its own, fresh tensors throughout. It
-// is the golden reference the batched path must reproduce bit-for-bit.
+// is the golden reference the layer must reproduce bit-for-bit.
 func perImageConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := h-c.KH+1, w-c.KW+1
@@ -71,10 +71,10 @@ func perImageConvBackward(c *Conv2D, x, grad *tensor.Tensor, dW, dB *tensor.Tens
 	return dx
 }
 
-// TestConvBatchedMatchesPerImageGolden pins the batched conv lowering to
-// the seed per-image path: forward output, input gradient, and both
-// parameter gradients must be bit-identical, at serial and multi-worker
-// kernel settings.
+// TestConvBatchedMatchesPerImageGolden pins the layer to the seed
+// per-image path: forward output, input gradient, and both parameter
+// gradients must be bit-identical, at serial and multi-worker kernel
+// settings.
 func TestConvBatchedMatchesPerImageGolden(t *testing.T) {
 	defer tensor.SetWorkers(tensor.Workers())
 	for _, workers := range []int{1, 4} {
@@ -89,7 +89,7 @@ func TestConvBatchedMatchesPerImageGolden(t *testing.T) {
 		wantY := perImageConvForward(conv, x)
 		gotY := conv.Forward(x, true)
 		if !bitEqual(gotY.Data, wantY.Data) {
-			t.Fatalf("workers=%d: batched forward differs from per-image path", workers)
+			t.Fatalf("workers=%d: forward differs from the seed per-image path", workers)
 		}
 
 		wantDW := tensor.New(conv.OutC, conv.InC*conv.KH*conv.KW)
@@ -97,13 +97,13 @@ func TestConvBatchedMatchesPerImageGolden(t *testing.T) {
 		wantDX := perImageConvBackward(conv, x, g, wantDW, wantDB)
 		gotDX := conv.Backward(g)
 		if !bitEqual(gotDX.Data, wantDX.Data) {
-			t.Fatalf("workers=%d: batched input gradient differs from per-image path", workers)
+			t.Fatalf("workers=%d: input gradient differs from the seed per-image path", workers)
 		}
 		if !bitEqual(conv.dW.Data, wantDW.Data) {
-			t.Fatalf("workers=%d: batched dW differs from per-image path", workers)
+			t.Fatalf("workers=%d: dW differs from the seed per-image path", workers)
 		}
 		if !bitEqual(conv.dB.Data, wantDB.Data) {
-			t.Fatalf("workers=%d: batched dB differs from per-image path", workers)
+			t.Fatalf("workers=%d: dB differs from the seed per-image path", workers)
 		}
 	}
 }

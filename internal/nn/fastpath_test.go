@@ -51,10 +51,11 @@ func TestReLUMatchesComparison(t *testing.T) {
 	}
 }
 
-// TestMaxPool2x2MatchesGeneric holds the 2×2 fast path to the generic
-// window loop's definition — the first strict maximum in row-major
-// window order, value and argmax — on ReLU-like inputs full of ties, on
-// the special values, and on odd heights and widths.
+// TestMaxPool2x2MatchesGeneric holds Forward on the 2×2 window to its
+// definition — the first strict maximum in row-major window order, value
+// and argmax — on ReLU-like inputs full of ties, on the special values,
+// and on odd heights and widths. (The fused conv block's epilogue is
+// held to Forward by TestTrainConvBlockMatchesLayers.)
 func TestMaxPool2x2MatchesGeneric(t *testing.T) {
 	r := rng.New(0x9001)
 	for _, hw := range [][2]int{{2, 2}, {4, 6}, {5, 7}, {12, 12}, {24, 24}, {3, 9}} {
@@ -207,47 +208,64 @@ func firstBitDiff(a, b []float32) int {
 	return -1
 }
 
+// blockShape is one conv layer of the conv-block tests.
+type blockShape struct{ inC, outC, h, w, k int }
+
+// blockShapes are both classifiers' layer shapes, shapes the tile
+// kernels do not cover, and odd output heights and widths (the pool
+// drops the last row and column).
+var blockShapes = []blockShape{
+	{1, 8, 28, 28, 5}, {8, 16, 12, 12, 5}, // small
+	{1, 32, 28, 28, 5}, {32, 64, 12, 12, 5}, // paper
+	{2, 10, 9, 11, 3},  // portable product: outC 10, outH 7, outW 9
+	{3, 16, 11, 13, 5}, // outH 7, outW 9: portable, odd both ways
+	{1, 8, 13, 12, 5},  // tiles (outW 8), outH 9 odd
+	{2, 16, 13, 12, 5}, // the same on the 4x16 tiles
+	{1, 8, 6, 6, 5},    // a single pool window
+}
+
+// blockConv returns a conv layer of shape s whose first three channels
+// have the bias −1e6 (its whole pooled plane is +0), +Inf and NaN.
+func blockConv(r *rng.RNG, s blockShape) *Conv2D {
+	conv := NewConv2D(s.inC, s.outC, s.k, s.k, r)
+	r.FillNormal(conv.B.Data, 0, 0.5)
+	conv.B.Data[0] = -1e6
+	conv.B.Data[1] = float32(math.Inf(1))
+	conv.B.Data[2] = float32(math.NaN())
+	return conv
+}
+
+// blockBatch returns b inputs of shape s with a blank band wide enough
+// that whole pool windows see one value four times, and ±0, ±1 and
+// ±denormal values scattered over the rest.
+func blockBatch(r *rng.RNG, s blockShape, b int) *tensor.Tensor {
+	x := tensor.New(b, s.inC, s.h, s.w)
+	r.FillNormal(x.Data, 0, 1)
+	for i := range x.Data {
+		switch {
+		case i/s.w%s.h < s.k+3 || i%s.w < 2: // a blank top band and margin
+			x.Data[i] = 0
+		case r.Float64() < 0.02:
+			x.Data[i] = specials[r.Intn(6)]
+		}
+	}
+	return x
+}
+
 // TestEvalConvBlockMatchesTraining holds an evaluation forward through
 // Conv2D → ReLU → MaxPool2D(2,2) — one fused pass per image — to the
-// bits of the three training forwards, and a lone Conv2D's evaluation
-// forward to its training forward: at both classifiers' layer shapes,
-// at shapes the tile kernels do not cover, and at odd output heights
-// and widths (the pool drops the last row and column). The inputs have
-// a blank band wide enough that whole pool windows see one value four
-// times, and special values; one channel's bias is so negative that its whole
-// pooled plane is +0, one is +Inf, one is NaN.
+// bits of the block's training forward, and a lone Conv2D's evaluation
+// forward to its training forward, at every blockShape.
 func TestEvalConvBlockMatchesTraining(t *testing.T) {
 	r := rng.New(0xe7a1)
-	for _, s := range []struct{ inC, outC, h, w, k int }{
-		{1, 8, 28, 28, 5}, {8, 16, 12, 12, 5}, // small
-		{1, 32, 28, 28, 5}, {32, 64, 12, 12, 5}, // paper
-		{2, 10, 9, 11, 3},  // portable product: outC 10, outH 7, outW 9
-		{3, 16, 11, 13, 5}, // outH 7, outW 9: portable, odd both ways
-		{1, 8, 13, 12, 5},  // tiles (outW 8), outH 9 odd
-		{2, 16, 13, 12, 5}, // the same on the 4x16 tiles
-		{1, 8, 6, 6, 5},    // a single pool window
-	} {
+	for _, s := range blockShapes {
 		for _, b := range []int{1, 3, 8} {
-			conv := NewConv2D(s.inC, s.outC, s.k, s.k, r)
-			r.FillNormal(conv.B.Data, 0, 0.5)
-			conv.B.Data[0] = -1e6
-			conv.B.Data[1] = float32(math.Inf(1))
-			conv.B.Data[2] = float32(math.NaN())
+			conv := blockConv(r, s)
 			block := NewSequential(conv, NewReLU(), NewMaxPool2D(2, 2))
+			x := blockBatch(r, s, b)
 
-			x := tensor.New(b, s.inC, s.h, s.w)
-			r.FillNormal(x.Data, 0, 1)
-			for i := range x.Data {
-				switch {
-				case i/s.w%s.h < s.k+3 || i%s.w < 2: // a blank top band and margin
-					x.Data[i] = 0
-				case r.Float64() < 0.02:
-					x.Data[i] = specials[r.Intn(6)] // ±0, ±1, ±denormal
-				}
-			}
-
+			wantConv := conv.Forward(x, true).Clone()
 			want := block.Forward(x, true).Clone()
-			wantConv := conv.y.Clone()
 			got := block.Forward(x, false)
 			if !reflect.DeepEqual(got.Shape(), want.Shape()) {
 				t.Fatalf("%+v batch %d: eval block shape %v, want %v", s, b, got.Shape(), want.Shape())
@@ -268,6 +286,82 @@ func TestEvalConvBlockMatchesTraining(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTrainConvBlockMatchesLayers holds the fused training block — one
+// epilogue that pools and records the winners, one masked scatter back —
+// to the three layers run one by one on a copy of the convolution, bit
+// for bit: the pooled output, the argmax, the gradient that reaches the
+// convolution, and dW, dB and dx, at every blockShape. The incoming
+// gradient has −0 and +0 elements (the scatter must leave +0 + g, as the
+// pool's += into a zeroed buffer does). Each shape runs the batch sizes
+// 8, 3, 1 on the same layers, so the gradients accumulate over three
+// steps and every scratch tensor is reused at a smaller size.
+func TestTrainConvBlockMatchesLayers(t *testing.T) {
+	r := rng.New(0xb10c)
+	for _, s := range blockShapes {
+		conv := blockConv(r, s)
+		ref := NewConv2D(s.inC, s.outC, s.k, s.k, r)
+		copy(ref.W.Data, conv.W.Data)
+		copy(ref.B.Data, conv.B.Data)
+		relu, pool, fusedPool := NewReLU(), NewMaxPool2D(2, 2), NewMaxPool2D(2, 2)
+		block := NewSequential(conv, NewReLU(), fusedPool)
+		for _, b := range []int{8, 3, 1} {
+			x := blockBatch(r, s, b)
+			want := pool.Forward(relu.Forward(ref.Forward(x, true), true), true)
+			got := block.Forward(x, true)
+			if i := firstBitDiff(got.Data, want.Data); i >= 0 || !reflect.DeepEqual(got.Shape(), want.Shape()) {
+				t.Fatalf("%+v batch %d: block output differs from the layers' at %d (shape %v, want %v)", s, b, i, got.Shape(), want.Shape())
+			}
+			if !reflect.DeepEqual(fusedPool.argmax, pool.argmax) {
+				t.Fatalf("%+v batch %d: block argmax differs from the pool's", s, b)
+			}
+
+			g := tensor.New(want.Shape()...)
+			r.FillNormal(g.Data, 0, 1)
+			for i := 0; i < len(g.Data); i += 3 {
+				g.Data[i] = specials[i%2] // +0, −0
+			}
+			wantGrad := relu.Backward(pool.Backward(g))
+			wantDx := ref.Backward(wantGrad)
+			gotDx := block.Backward(g)
+			for _, c := range []struct {
+				name      string
+				got, want *tensor.Tensor
+			}{
+				{"conv-output gradient", fusedPool.dx, wantGrad},
+				{"dW", conv.dW, ref.dW}, {"dB", conv.dB, ref.dB}, {"dx", gotDx, wantDx},
+			} {
+				if i := firstBitDiff(c.got.Data, c.want.Data); i >= 0 {
+					t.Fatalf("%+v batch %d: %s[%d] = %v (bits %#x), the layers give %v (bits %#x)", s, b, c.name,
+						i, c.got.Data[i], math.Float32bits(c.got.Data[i]), c.want.Data[i], math.Float32bits(c.want.Data[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestBlockKeepsNoReLUMask pins that a training forward through a block
+// leaves its ReLU no mask: the pool's own Backward still routes (the
+// argmax is the block's), and the ReLU's Backward then panics by name
+// instead of reading the output of an earlier Forward of its own.
+func TestBlockKeepsNoReLUMask(t *testing.T) {
+	r := rng.New(0xe7a3)
+	conv, relu, pool := NewConv2D(1, 8, 5, 5, r), NewReLU(), NewMaxPool2D(2, 2)
+	block := NewSequential(conv, relu, pool)
+	x := tensor.New(4, 1, 28, 28)
+	r.FillNormal(x.Data, 0, 1)
+	relu.Forward(conv.Forward(x, true), true) // the mask that would go stale
+	g := tensor.New(block.Forward(x, true).Shape()...)
+	r.FillNormal(g.Data, 0, 1)
+	dy := pool.Backward(g)
+	defer func() {
+		if msg, _ := recover().(string); msg != "nn: ReLU Backward without a Forward of its own (a conv block's ReLU keeps no output)" {
+			t.Fatalf("layer-by-layer Backward after a block forward: recovered %q", msg)
+		}
+	}()
+	relu.Backward(dy)
+	t.Fatal("ReLU Backward after a block forward returned")
 }
 
 // TestEvalForwardRetainsNothing pins what an evaluation forward leaves

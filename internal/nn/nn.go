@@ -5,13 +5,15 @@
 // attacks manipulate.
 //
 // All layers operate on batched tensors: (B, features) for dense layers
-// and (B, C, H, W) for spatial layers. Layers retain whatever forward
-// activations their backward pass needs, so a single layer instance must
-// not be shared between concurrent training loops; federated clients
-// take turns on long-lived models, one holder at a time, each starting
-// from Reset (see Resetter). An evaluation forward (train == false)
-// computes the same bits and, through the conv blocks, keeps nothing
-// for a backward pass (Conv2D, Sequential.Forward).
+// and (B, C, H, W) for spatial layers. A training forward leaves in the
+// model what the model's Backward reads — for a Conv2D → ReLU →
+// MaxPool2D(2,2) block, which Sequential runs as one, the conv's input,
+// the pooled output and the pool's winners, and no ReLU output (the
+// ReLU's own Backward panics) — so a layer instance must not be shared
+// between concurrent training loops; federated clients take turns on
+// long-lived models, one holder at a time, each starting from Reset (see
+// Resetter). An evaluation forward (train == false) computes the same
+// bits and, through the conv blocks, keeps nothing for a backward pass.
 //
 // Buffer-reuse contract: layers own their output, gradient, and work
 // tensors as scratch that is grown on demand and reused across steps, so
@@ -73,43 +75,46 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward runs the full stack. An evaluation forward (train == false)
-// takes each Conv2D → ReLU → MaxPool2D(2,2) run as one pass over the
-// convolution's products (Conv2D.forwardEval): the same output bits with
-// no unpooled activation written and nothing kept for Backward.
+// Forward runs the full stack, each Conv2D → ReLU → MaxPool2D(2,2) as one
+// pass over the convolution's products (Conv2D.forward): the same bits,
+// no unpooled activation, and no ReLU output for a stale Backward to read.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i := 0; i < len(s.Layers); i++ {
-		if !train {
-			if c, pool := s.convBlock(i); c != nil {
-				x = c.forwardEval(x, pool)
-				i += 2
-				continue
-			}
+		if c, relu, pool := s.convBlock(i); c != nil {
+			relu.y = nil
+			x = c.forward(x, train, pool)
+			i += 2
+			continue
 		}
 		x = s.Layers[i].Forward(x, train)
 	}
 	return x
 }
 
-// convBlock returns layers i and i+2 when layers i, i+1, i+2 are a
-// Conv2D, a ReLU and a 2×2 MaxPool2D, and nils otherwise.
-func (s *Sequential) convBlock(i int) (*Conv2D, *MaxPool2D) {
-	if i+2 >= len(s.Layers) {
-		return nil, nil
+// convBlock returns layers i, i+1 and i+2 when they are a Conv2D, a ReLU
+// and a 2×2 MaxPool2D, and nils otherwise.
+func (s *Sequential) convBlock(i int) (*Conv2D, *ReLU, *MaxPool2D) {
+	if i < 0 || i+2 >= len(s.Layers) {
+		return nil, nil, nil
 	}
 	c, isConv := s.Layers[i].(*Conv2D)
-	_, isReLU := s.Layers[i+1].(*ReLU)
+	relu, isReLU := s.Layers[i+1].(*ReLU)
 	pool, isPool := s.Layers[i+2].(*MaxPool2D)
 	if !isConv || !isReLU || !isPool || pool.PH != 2 || pool.PW != 2 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	return c, pool
+	return c, relu, pool
 }
 
 // Backward runs the stack in reverse, returning the gradient w.r.t. the
-// original input.
+// original input; a conv block is one pass too (Conv2D.backward).
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
+		if c, _, pool := s.convBlock(i - 2); c != nil {
+			grad = c.backward(grad, pool)
+			i -= 2
+			continue
+		}
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad

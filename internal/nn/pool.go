@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fedguard/internal/tensor"
 )
@@ -29,6 +30,29 @@ func NewMaxPool2D(ph, pw int) *MaxPool2D {
 	return &MaxPool2D{PH: ph, PW: pw}
 }
 
+// outDims returns the pooled height and width of an h×w plane.
+func (m *MaxPool2D) outDims(h, w int) (int, int) {
+	outH, outW := h/m.PH, w/m.PW
+	if outH == 0 || outW == 0 {
+		panic(fmt.Sprintf("nn: %s window larger than input (%d,%d)", m.Name(), h, w))
+	}
+	return outH, outW
+}
+
+// expect records a (b, c, h, w) input for Backward, sizes argmax for its
+// output — for Forward or a fused conv block to fill — and returns the
+// output's height and width.
+func (m *MaxPool2D) expect(b, c, h, w int) (int, int) {
+	outH, outW := m.outDims(h, w)
+	if b*c*h*w > math.MaxInt32 {
+		panic(fmt.Sprintf("nn: %s input of %d elements overflows the int32 argmax", m.Name(), b*c*h*w))
+	}
+	m.inShape = append(m.inShape[:0], b, c, h, w)
+	n := b * c * outH * outW
+	m.argmax = slices.Grow(m.argmax[:0], n)[:n]
+	return outH, outW
+}
+
 // Forward computes the pooled output and records argmax indices for the
 // backward pass.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -36,24 +60,8 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s got input shape %v", m.Name(), x.Shape()))
 	}
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	outH, outW := h/m.PH, w/m.PW
-	if outH == 0 || outW == 0 {
-		panic(fmt.Sprintf("nn: %s window larger than input (%d,%d)", m.Name(), h, w))
-	}
-	m.inShape = append(m.inShape[:0], b, c, h, w)
+	outH, outW := m.expect(b, c, h, w)
 	m.y = tensor.Ensure(m.y, b, c, outH, outW)
-	if x.Len() > math.MaxInt32 {
-		panic(fmt.Sprintf("nn: %s input of %d elements overflows the int32 argmax", m.Name(), x.Len()))
-	}
-	if cap(m.argmax) >= m.y.Len() {
-		m.argmax = m.argmax[:m.y.Len()]
-	} else {
-		m.argmax = make([]int32, m.y.Len())
-	}
-	if m.PH == 2 && m.PW == 2 {
-		m.forward2x2(x.Data, b*c, h, w)
-		return m.y
-	}
 	for i := 0; i < b; i++ {
 		for ch := 0; ch < c; ch++ {
 			base := (i*c + ch) * h * w
@@ -81,56 +89,28 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.y
 }
 
-// forward2x2 is Forward for the 2×2 window every model in the repo
-// uses, over `planes` (batch × channel) contiguous h×w planes. It visits
-// the window in the generic loop's order with the same strict
-// comparison against the running best, so ties, -0 and NaN resolve
-// identically — but each comparison only yields a 0/1 the winner's index
-// is computed from, and the running best is re-read through that index.
-// The generic loop branches on every element, and behind a ReLU (half
-// the inputs exactly zero) those branches mispredict constantly.
-func (m *MaxPool2D) forward2x2(x []float32, planes, h, w int) {
-	outH, outW := h/2, w/2
-	out := 0
-	for p := 0; p < planes; p++ {
-		for oy := 0; oy < outH; oy++ {
-			top := p*h*w + 2*oy*w
-			win := x[top:][:2*w] // rows 2oy and 2oy+1: win[j] and win[w+j]
-			y := m.y.Data[out:][:outW]
-			arg := m.argmax[out:][:outW]
-			for ox := range y {
-				best := 2 * ox
-				best += (2*ox + 1 - best) & -greater(win[2*ox+1], win[best])
-				best += (w + 2*ox - best) & -greater(win[w+2*ox], win[best])
-				best += (w + 2*ox + 1 - best) & -greater(win[w+2*ox+1], win[best])
-				y[ox] = win[best]
-				arg[ox] = int32(top + best)
-			}
-			out += outW
-		}
-	}
-}
-
-// greater returns 1 if a > b and 0 otherwise (also for NaN), as a value
-// rather than a branch: the compiler materializes the flag with SETcc.
-func greater(a, b float32) int {
-	var g int
-	if a > b {
-		g = 1
-	}
-	return g
-}
-
 // Backward routes each output gradient to the input position that won the
 // max.
-func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor { return m.backward(grad, nil) }
+
+// backward is Backward when y is nil. With y, the pooled output of a
+// fused conv block, it is also the Backward of the ReLU in front of the
+// pool: a gradient reaches its winner only where y is nonzero, where the
+// ReLU fired. Each winner gets +0 + g, the bits of a += into the zeroed
+// dx (a −0 gradient becomes +0).
+func (m *MaxPool2D) backward(grad, y *tensor.Tensor) *tensor.Tensor {
 	if grad.Len() != len(m.argmax) {
 		panic(fmt.Sprintf("nn: %s gradient length %d, want %d", m.Name(), grad.Len(), len(m.argmax)))
 	}
 	m.dx = tensor.Ensure(m.dx, m.inShape...)
 	m.dx.Zero()
 	for i, g := range grad.Data {
-		m.dx.Data[m.argmax[i]] += g
+		fired := ^uint32(0)
+		if y != nil {
+			yb := math.Float32bits(y.Data[i])
+			fired = uint32(int32(yb|-yb) >> 31)
+		}
+		m.dx.Data[m.argmax[i]] = math.Float32frombits(math.Float32bits(0+g) & fired)
 	}
 	return m.dx
 }

@@ -25,30 +25,6 @@ func Im2Col(dst, img *Tensor, kh, kw int) {
 	im2colImage(dst.Data, img.Data, c, h, w, kh, kw)
 }
 
-// Im2ColBatch lowers an entire (B, C, H, W) batch into one
-// (B*outH*outW, C*kh*kw) matrix: rows [i·outH·outW, (i+1)·outH·outW)
-// hold image i's im2col rows. Convolving the whole batch then costs one
-// large matrix multiply instead of B small ones.
-func Im2ColBatch(dst, x *Tensor, kh, kw int) {
-	if x.Rank() != 4 {
-		panic("tensor: Im2ColBatch requires a (B,C,H,W) batch")
-	}
-	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	outH, outW := h-kh+1, w-kw+1
-	if outH <= 0 || outW <= 0 {
-		panic(fmt.Sprintf("tensor: Im2ColBatch kernel (%d,%d) larger than image (%d,%d)", kh, kw, h, w))
-	}
-	cols := c * kh * kw
-	if dst.Dim(0) != b*outH*outW || dst.Dim(1) != cols {
-		panic(fmt.Sprintf("tensor: Im2ColBatch dst shape %v, want (%d,%d)", dst.Shape(), b*outH*outW, cols))
-	}
-	imgVol := c * h * w
-	rowVol := outH * outW * cols
-	for i := 0; i < b; i++ {
-		im2colImage(dst.Data[i*rowVol:(i+1)*rowVol], x.Data[i*imgVol:(i+1)*imgVol], c, h, w, kh, kw)
-	}
-}
-
 // ConvProduct computes dst = Im2Col(img) @ wT — one (C, H, W) image's
 // stride-1 convolution with the transposed filter matrix wT
 // (C*kh*kw, outC), position-major: dst is (outH*outW, outC). With AVX,

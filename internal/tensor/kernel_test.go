@@ -610,32 +610,6 @@ func TestCol2ImSummationOrder(t *testing.T) {
 	}
 }
 
-// TestIm2ColBatchMatchesPerImage pins the batched lowering against the
-// per-image transform.
-func TestIm2ColBatchMatchesPerImage(t *testing.T) {
-	r := rng.New(0xba7c4)
-	bN, c, h, w, kh, kw := 3, 2, 9, 8, 3, 3
-	outH, outW := h-kh+1, w-kw+1
-	fanIn := c * kh * kw
-	x := New(bN, c, h, w)
-	r.FillNormal(x.Data, 0, 1)
-
-	batched := New(bN*outH*outW, fanIn)
-	Im2ColBatch(batched, x, kh, kw)
-	imgVol := c * h * w
-	for i := 0; i < bN; i++ {
-		var img Tensor
-		img.Bind(x.Data[i*imgVol:], c, h, w)
-		single := New(outH*outW, fanIn)
-		Im2Col(single, &img, kh, kw)
-		for j, v := range single.Data {
-			if got := batched.Data[i*outH*outW*fanIn+j]; got != v {
-				t.Fatalf("image %d element %d: batched %v, per-image %v", i, j, got, v)
-			}
-		}
-	}
-}
-
 // TestConvProductMatchesIm2ColMatMul holds ConvProduct to its
 // definition — Im2Col, then each element one ascending-p sum from +0 —
 // bit for bit: at both classifiers' layers, at shapes on every side of

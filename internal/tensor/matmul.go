@@ -10,12 +10,13 @@ import "fmt"
 // already spinning, so the split only pays when half the product costs
 // more than that. Half of 1 M MACs is 19 µs on the YMM tiles (27 MAC/ns)
 // and 12 µs on the ZMM tile (43 MAC/ns), both above the median pickup,
-// so the wider tile does not move the split point. Every per-image
-// backward product of the classifiers (115–205 K MACs, 3–10 µs) is
-// therefore inline, and so is evaluation, which goes image by image
-// (ConvProduct); the batch-level forward products of training (≥ 3.7 M
-// MACs at a batch of 32) still split. The previous value, 1<<16,
-// dispatched 2 µs of work.
+// so the wider tile does not move the split point. The conv layers go
+// image by image in both directions (115–205 K MACs a product, 3–10 µs
+// for the small classifier), and its dense products at a batch of 32
+// are ≤ 0.5 M MACs, so a small-classifier train step runs on the calling
+// goroutine; what splits are the CVAE's products (≥ 6.5 M MACs at a
+// batch of 32) and the paper classifier's dense layers. The previous
+// value, 1<<16, dispatched 2 µs of work.
 const parallelThreshold = 1 << 20
 
 // Summation-order contract: every kernel in this file computes each
@@ -47,7 +48,7 @@ const parallelThreshold = 1 << 20
 // forms but not the dot-product-shaped a@bᵀ, so layers use this to
 // decide whether to turn their MatMulT into the vector-friendly MatMul
 // by transposing the smaller operand into scratch: nn.Linear its batch
-// (x@Wᵀ = (W@xᵀ)ᵀ, the same ascending-p sums), nn.Conv2D its filters.
+// (x@Wᵀ = (W@xᵀ)ᵀ, the same ascending-p sums).
 func HasVectorKernels() bool { return useAVX }
 
 // MatMul computes dst = a @ b for 2-D tensors, where a is (m,k) and b is
