@@ -57,7 +57,8 @@ vet:
 ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check
 
 # docs-check fails when README.md, DESIGN.md or EXPERIMENTS.md names a
-# repo path or a make target that does not exist.
+# repo path or a make target that does not exist, or an invocation of a
+# repo command names a flag that command does not define.
 docs-check:
 	$(GO) test -run 'TestDocsReferencesExist' .
 
@@ -155,7 +156,7 @@ test-attacks:
 	$(GO) test -race ./internal/attack/
 	$(GO) test -race -run 'Attack|Cohort|StreamAuditGated' ./internal/fl/
 	$(GO) test -race -run 'CohortAttack' ./internal/fednet/
-	$(GO) test -race -run 'Matrix' ./internal/experiment/
+	$(GO) test -race -run 'Matrix|Fig5Runner|AblationRunners|OverheadRunner' ./internal/experiment/
 
 # test-chaos runs the deterministic fault-injection suite — the faultnet
 # wrappers plus the fednet chaos/rejoin/quorum tests (skipped under

@@ -1,18 +1,12 @@
 package fedguard
 
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation section, plus microbenchmarks of the substrate kernels.
+// Benchmark harness: microbenchmarks of the substrate kernels, the
+// server's defense and aggregation paths, and a client's round. The
+// paper's tables and figures are not benchmarks here: cmd/fedbench runs
+// them as sweeps on experiment.RunMatrix.
 //
-// The experiment benchmarks run complete federations at the quick preset
-// (16 clients, 8 per round) with a reduced round count, and report the
-// resulting accuracy statistics as custom metrics (acc_mean, acc_std,
-// acc_final) alongside the usual ns/op. They are slow by nature
-// (seconds per op); the Go benchmark runner keeps N=1 for them.
-// EXPERIMENTS.md reports the full default-preset numbers produced by
-// cmd/fedbench.
-//
-//	go test -bench=. -benchmem
-//	go test -bench=BenchmarkTableIV_SignFlip -benchtime=1x
+//	go test -run '^$' -bench=. -benchmem
+//	go test -run '^$' -bench=BenchmarkClassifierTrainEpoch -benchtime=20x
 
 import (
 	"testing"
@@ -22,184 +16,12 @@ import (
 	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
 	"fedguard/internal/defense"
-	"fedguard/internal/experiment"
 	"fedguard/internal/fl"
 	"fedguard/internal/nn"
 	"fedguard/internal/opt"
 	"fedguard/internal/rng"
 	"fedguard/internal/tensor"
 )
-
-// benchSetup is the quick preset trimmed for benchmarking.
-func benchSetup() experiment.Setup {
-	s := experiment.MustSetup(experiment.PresetQuick)
-	s.Rounds = 3
-	s.LastN = 2
-	return s
-}
-
-func runCell(b *testing.B, scenarioID, strategy string) {
-	b.Helper()
-	setup := benchSetup()
-	sc, err := experiment.ScenarioByID(scenarioID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var res *experiment.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err = experiment.Run(setup, sc, strategy, experiment.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	mean, std := res.History.LastNStats(setup.LastN)
-	b.ReportMetric(mean, "acc_mean")
-	b.ReportMetric(std, "acc_std")
-	b.ReportMetric(res.History.FinalAccuracy(), "acc_final")
-}
-
-// --- Table IV / Fig. 4: one benchmark per attack column, sub-benchmarks
-// per strategy (E1–E5 in DESIGN.md). ---------------------------------
-
-func benchScenario(b *testing.B, scenarioID string) {
-	for _, strategy := range experiment.StrategyNames() {
-		b.Run(strategy, func(b *testing.B) { runCell(b, scenarioID, strategy) })
-	}
-}
-
-func BenchmarkTableIV_NoAttack(b *testing.B)      { benchScenario(b, "no-attack") }
-func BenchmarkTableIV_AdditiveNoise(b *testing.B) { benchScenario(b, "additive-noise-50") }
-func BenchmarkTableIV_LabelFlip30(b *testing.B)   { benchScenario(b, "label-flip-30") }
-func BenchmarkTableIV_SignFlip(b *testing.B)      { benchScenario(b, "sign-flip-50") }
-func BenchmarkTableIV_SameValue(b *testing.B)     { benchScenario(b, "same-value-50") }
-
-// --- Fig. 5: server learning rate under 40% label flipping (E6). -----
-
-func BenchmarkFig5_ServerLR(b *testing.B) {
-	for _, lr := range []float64{1.0, 0.3} {
-		lr := lr
-		b.Run(lrName(lr), func(b *testing.B) {
-			setup := benchSetup()
-			sc, err := experiment.ScenarioByID("label-flip-40")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var res *experiment.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err = experiment.Run(setup, sc, "FedGuard", experiment.RunOptions{ServerLR: lr})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			mean, std := res.History.LastNStats(setup.LastN)
-			b.ReportMetric(mean, "acc_mean")
-			b.ReportMetric(std*std, "acc_var")
-		})
-	}
-}
-
-func lrName(lr float64) string {
-	if lr == 1.0 {
-		return "lr-1.0"
-	}
-	return "lr-0.3"
-}
-
-// --- Table V: per-round communication and time overhead (E7). --------
-
-func BenchmarkTableV_Overhead(b *testing.B) {
-	for _, strategy := range experiment.StrategyNames() {
-		b.Run(strategy, func(b *testing.B) {
-			setup := benchSetup()
-			setup.Rounds = 2
-			sc, err := experiment.ScenarioByID("no-attack")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var res *experiment.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err = experiment.Run(setup, sc, strategy, experiment.RunOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			up, down := res.History.MeanBytes()
-			b.ReportMetric(float64(up)/(1<<20), "upMB/round")
-			b.ReportMetric(float64(down)/(1<<20), "downMB/round")
-			b.ReportMetric(res.History.MeanSeconds(), "s/round")
-		})
-	}
-}
-
-// --- Ablations (A1–A3 in DESIGN.md). ----------------------------------
-
-func BenchmarkAblation_SampleCount(b *testing.B) {
-	for _, t := range []int{20, 100, 400} {
-		t := t
-		b.Run(sampleName(t), func(b *testing.B) {
-			setup := benchSetup()
-			setup.Samples = t
-			sc, _ := experiment.ScenarioByID("sign-flip-50")
-			var res *experiment.Result
-			var err error
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err = experiment.Run(setup, sc, "FedGuard", experiment.RunOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(res.History.FinalAccuracy(), "acc_final")
-			b.ReportMetric(res.History.MeanSeconds(), "s/round")
-		})
-	}
-}
-
-func sampleName(t int) string {
-	switch t {
-	case 20:
-		return "t-20"
-	case 100:
-		return "t-100"
-	default:
-		return "t-400"
-	}
-}
-
-func BenchmarkAblation_InnerAggregator(b *testing.B) {
-	for _, strategy := range []string{"FedGuard", "FedGuard-GeoMed", "FedGuard-Median"} {
-		b.Run(strategy, func(b *testing.B) { runCell(b, "sign-flip-50", strategy) })
-	}
-}
-
-func BenchmarkAblation_Dirichlet(b *testing.B) {
-	for _, name := range []string{"alpha-100", "alpha-10", "alpha-0.5"} {
-		alpha := map[string]float64{"alpha-100": 100, "alpha-10": 10, "alpha-0.5": 0.5}[name]
-		b.Run(name, func(b *testing.B) {
-			setup := benchSetup()
-			setup.Alpha = alpha
-			sc, _ := experiment.ScenarioByID("label-flip-30")
-			var res *experiment.Result
-			var err error
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err = experiment.Run(setup, sc, "FedGuard", experiment.RunOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(res.History.FinalAccuracy(), "acc_final")
-		})
-	}
-}
 
 // --- Substrate microbenchmarks. ----------------------------------------
 

@@ -2,12 +2,17 @@
 // evaluation section at a chosen scale, writing Markdown, CSV and SVG
 // artifacts into an output directory:
 //
-//	table4.md / table4.csv   — Table IV (mean ± std accuracy per cell)
-//	table5.md                — Table V (communication and time overhead)
+//	table4.md / table4.csv   — Table IV (mean ± std accuracy per cell;
+//	                           the CSV long-form, one row per cell)
+//	table5.md                — Table V (communication and time overhead),
+//	                           from Table IV's no-attack row
 //	fig4_<scenario>.csv/.svg — Fig. 4 accuracy-over-rounds series
 //	fig5.csv                 — Fig. 5 server-learning-rate study
 //	ablation_*.csv           — §VI ablations (t sweep, inner operator,
-//	                           Dirichlet α) when -ablations is set
+//	                           Dirichlet α, long-form) when -ablations is set
+//
+// Every study is a list of experiment cells run by experiment.RunMatrix
+// on one worker.
 //
 // Example:
 //
@@ -22,20 +27,18 @@ import (
 	"strings"
 
 	"fedguard/internal/experiment"
-	"fedguard/internal/telemetry"
+)
+
+// The command line.
+var (
+	preset    = flag.String("preset", "default", "experiment scale: quick, default, paper")
+	out       = flag.String("out", "results", "output directory")
+	ablations = flag.Bool("ablations", false, "also run the §VI ablation sweeps")
+	fig4Only  = flag.Bool("fig4-only", false, "run only the Fig. 4 / Table IV matrix (and Table V, its no-attack row)")
+	svgFrom   = flag.String("svg-from-csv", "", "re-render an archived series CSV as SVG and exit")
 )
 
 func main() {
-	var (
-		preset     = flag.String("preset", "default", "experiment scale: quick, default, paper")
-		out        = flag.String("out", "results", "output directory")
-		ablations  = flag.Bool("ablations", false, "also run the §VI ablation sweeps")
-		fig4Only   = flag.Bool("fig4-only", false, "run only the Fig. 4 / Table IV matrix")
-		svgFrom    = flag.String("svg-from-csv", "", "re-render an archived series CSV as SVG and exit")
-		metricsOut = flag.String("metrics-out", "", "write every run's summary statistics as a JSON metrics snapshot")
-		events     = flag.String("events", "", "write every run's structured JSONL event log (and spans with -trace) to this path")
-		trace      = flag.Bool("trace", false, "record span trees for every run (exported into the -events log; analyze with fedtrace)")
-	)
 	flag.Parse()
 
 	if *svgFrom != "" {
@@ -52,44 +55,23 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	log := os.Stderr
 
-	// One telemetry bundle is threaded through every run of the bench
-	// (experiment.Setup.Telemetry): its registry collects the per-phase
-	// histograms and final summary gauges for -metrics-out, and its sink
-	// streams events — plus span trees under -trace — into -events.
-	tel, closeTel, err := (&experiment.CLI{Events: *events, Trace: *trace}).OpenTelemetry("fedbench", "bench", *metricsOut)
-	if err != nil {
-		fatal(err)
-	}
-	defer closeTel()
-	if tel == nil {
-		// RecordResults needs a registry even when nobody asked to see it.
-		tel = telemetry.New(nil)
-	}
-	setup.Telemetry = tel
-	reg := tel.Metrics
-
-	// --- Fig. 4 + Table IV: the scenario × strategy matrix. -------------
+	// --- Fig. 4 + Table IV: the scenario × strategy matrix. Its no-attack
+	// row is Table V. ------------------------------------------------------
 	scenarios := append([]experiment.Scenario{mustScenario("no-attack")},
 		experiment.TableIVScenarios()...)
-	results, err := experiment.RunMatrix(setup, scenarios, experiment.StrategyNames(), log)
-	if err != nil {
-		fatal(err)
-	}
-	experiment.RecordResults(reg, results)
+	results := sweep(experiment.Grid(setup, scenarios, experiment.StrategyNames()))
 	writeFile(*out, "table4.md", func(f *os.File) error {
 		return experiment.WriteTableIV(f, results)
 	})
 	writeFile(*out, "table4.csv", func(f *os.File) error {
-		return experiment.WriteTableIVCSV(f, results)
+		return experiment.WriteMatrixCSV(f, results)
 	})
 	bySc := map[string][]*experiment.Result{}
 	for _, r := range results {
 		bySc[r.Scenario.ID] = append(bySc[r.Scenario.ID], r)
 	}
 	for id, rs := range bySc {
-		rs := rs
 		writeFile(*out, "fig4_"+id+".csv", func(f *os.File) error {
 			return experiment.WriteSeriesCSV(f, rs, func(r *experiment.Result) string { return r.Strategy })
 		})
@@ -97,17 +79,23 @@ func main() {
 			return experiment.WriteSVGChart(f, rs, "Fig. 4 — "+id)
 		})
 	}
-	experiment.WriteASCIIChart(log, results)
+	experiment.WriteASCIIChart(os.Stderr, results)
+	writeFile(*out, "table5.md", func(f *os.File) error {
+		return experiment.WriteTableV(f, bySc["no-attack"])
+	})
 	if *fig4Only {
 		return
 	}
 
 	// --- Fig. 5: server learning rate under 40% label flipping. ---------
-	fig5, err := experiment.Fig5(setup, []float64{1.0, 0.3}, log)
-	if err != nil {
-		fatal(err)
+	var lrCells []experiment.Cell
+	for _, lr := range []float64{1.0, 0.3} {
+		s := setup
+		s.ServerLR = lr
+		lrCells = append(lrCells, experiment.Cell{Setup: s, Scenario: mustScenario("label-flip-40"),
+			Strategy: "FedGuard", Label: fmt.Sprintf("FedGuard-lr-%.1f", lr)})
 	}
-	experiment.RecordResults(reg, fig5)
+	fig5 := sweep(lrCells)
 	writeFile(*out, "fig5.csv", func(f *os.File) error {
 		return experiment.WriteSeriesCSV(f, fig5, func(r *experiment.Result) string { return r.Strategy })
 	})
@@ -115,47 +103,49 @@ func main() {
 		return experiment.WriteSVGChart(f, fig5, "Fig. 5 — FedGuard server LR, 40% label flip")
 	})
 
-	// --- Table V: per-round traffic and time. ----------------------------
-	rows, overheadResults, err := experiment.Overhead(setup, experiment.StrategyNames(), log)
-	if err != nil {
-		fatal(err)
-	}
-	experiment.RecordResults(reg, overheadResults)
-	writeFile(*out, "table5.md", func(f *os.File) error {
-		return experiment.WriteTableV(f, rows)
-	})
-
 	if !*ablations {
 		return
 	}
 
 	// --- §VI ablations. ---------------------------------------------------
-	tRes, err := experiment.AblationSamples(setup, "sign-flip-50",
-		[]int{setup.PerRound / 2, setup.PerRound, 2 * setup.PerRound, 4 * setup.PerRound}, log)
+	signFlip := mustScenario("sign-flip-50")
+	var tCells, alphaCells []experiment.Cell
+	for _, t := range []int{setup.PerRound / 2, setup.PerRound, 2 * setup.PerRound, 4 * setup.PerRound} {
+		s := setup
+		s.Samples = t
+		tCells = append(tCells, experiment.Cell{Setup: s, Scenario: signFlip,
+			Strategy: "FedGuard", Label: fmt.Sprintf("FedGuard-t-%d", t)})
+	}
+	for _, a := range []float64{100, 10, 1, 0.5} {
+		s := setup
+		s.Alpha = a
+		alphaCells = append(alphaCells, experiment.Cell{Setup: s, Scenario: mustScenario("label-flip-30"),
+			Strategy: "FedGuard", Label: fmt.Sprintf("FedGuard-alpha-%g", a)})
+	}
+	for _, study := range []struct {
+		file  string
+		cells []experiment.Cell
+	}{
+		{"ablation_samples.csv", tCells},
+		{"ablation_inner.csv", experiment.Grid(setup, []experiment.Scenario{signFlip},
+			[]string{"FedGuard", "FedGuard-GeoMed", "FedGuard-Median"})},
+		{"ablation_dirichlet.csv", alphaCells},
+	} {
+		rs := sweep(study.cells)
+		writeFile(*out, study.file, func(f *os.File) error {
+			return experiment.WriteMatrixCSV(f, rs)
+		})
+	}
+}
+
+// sweep runs one study's cells on one worker — each run already saturates
+// the client pool — with per-cell progress on stderr.
+func sweep(cells []experiment.Cell) []*experiment.Result {
+	results, err := experiment.RunMatrix(cells, experiment.MatrixOptions{Workers: 1, Progress: os.Stderr})
 	if err != nil {
 		fatal(err)
 	}
-	experiment.RecordResults(reg, tRes)
-	writeFile(*out, "ablation_samples.csv", func(f *os.File) error {
-		return experiment.WriteTableIVCSV(f, tRes)
-	})
-	innerRes, err := experiment.AblationInner(setup, "sign-flip-50", log)
-	if err != nil {
-		fatal(err)
-	}
-	experiment.RecordResults(reg, innerRes)
-	writeFile(*out, "ablation_inner.csv", func(f *os.File) error {
-		return experiment.WriteTableIVCSV(f, innerRes)
-	})
-	alphaRes, err := experiment.AblationDirichlet(setup, "label-flip-30",
-		[]float64{100, 10, 1, 0.5}, log)
-	if err != nil {
-		fatal(err)
-	}
-	experiment.RecordResults(reg, alphaRes)
-	writeFile(*out, "ablation_dirichlet.csv", func(f *os.File) error {
-		return experiment.WriteTableIVCSV(f, alphaRes)
-	})
+	return results
 }
 
 // svgFromCSV re-renders an archived WriteSeriesCSV file as an SVG chart

@@ -42,16 +42,20 @@ func TestFlagSurface(t *testing.T) {
 // strategy. Rounds are trimmed on both sides to keep the test short: one
 // FedGuard round trains every sampled client's CVAE and audits the
 // decoders it uploads; three FedAvg rounds move the delta base off ψ₀.
+// The additive-noise case runs at a seed that is not the preset's, set on
+// both sides, so the colluders' shared noise must follow the run's seed.
 func TestServerEqualsFedsim(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six quick-preset federations, half of them training CVAEs")
+		t.Skip("nine quick-preset federations, three of them training CVAEs")
 	}
 	for _, tc := range []struct {
 		scenario, strategy string
 		rounds             int
+		seed               uint64
 	}{
-		{"sign-flip-50", "FedGuard", 1},
-		{"no-attack", "FedAvg", 3},
+		{"sign-flip-50", "FedGuard", 1, 0},
+		{"no-attack", "FedAvg", 3, 0},
+		{"additive-noise-50", "FedAvg", 2, 11},
 	} {
 		t.Run(tc.scenario+"/"+tc.strategy, func(t *testing.T) {
 			setup := experiment.MustSetup(experiment.PresetQuick)
@@ -60,7 +64,7 @@ func TestServerEqualsFedsim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := experiment.Run(setup, sc, tc.strategy, experiment.RunOptions{})
+			sim, err := experiment.Run(setup, sc, tc.strategy, experiment.RunOptions{Seed: tc.seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,6 +80,9 @@ func TestServerEqualsFedsim(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.Experiment.Rounds = tc.rounds
+				if tc.seed != 0 {
+					cfg.Experiment.Seed = tc.seed
+				}
 				srv, err := fednet.NewServer(cfg, setup.TestData(), strat)
 				if err != nil {
 					t.Fatal(err)

@@ -10,17 +10,22 @@
 //	fedsim -list
 //
 // With -matrix, fedsim instead sweeps an attack×strategy grid (the
-// adversary-suite evaluation) and prints a Table-IV-style pivot:
+// adversary-suite evaluation) on experiment.RunMatrix and prints it as
+// Table IV, strategies as rows:
 //
 //	fedsim -preset quick -matrix -matrix-workers 4
 //	fedsim -matrix -matrix-scenarios sign-flip-50,alie-30,decoder-forge-30 \
 //	       -matrix-strategies FedAvg,Krum,FedGuard -matrix-csv matrix.csv
+//
+// The flags that shape or report a single run (-scenario, -strategy,
+// -csv, -checkpoint-dir, …) are refused with -matrix.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"fedguard/internal/experiment"
@@ -29,6 +34,12 @@ import (
 	"fedguard/internal/persist"
 	"fedguard/internal/telemetry"
 )
+
+// matrixRefuses lists the flags a -matrix sweep has no use for: its cells
+// come from -matrix-scenarios and -matrix-strategies, and run silent,
+// without per-run output, telemetry or checkpoints.
+var matrixRefuses = []string{"scenario", "strategy", "csv", "confusion", "save",
+	"checkpoint-dir", "checkpoint-every", "resume", "trace", "metrics-out"}
 
 // The command line: cli holds the flags fedsim shares with fednode.
 var (
@@ -76,6 +87,9 @@ func main() {
 	if *rounds > 0 {
 		setup.Rounds = *rounds
 	}
+	if *serverLR > 0 {
+		setup.ServerLR = *serverLR
+	}
 	if *samples > 0 {
 		setup.Samples = *samples
 	}
@@ -83,10 +97,13 @@ func main() {
 		setup.Workers = *workers
 	}
 	if *matrix {
+		if err := checkMatrixFlags(flag.CommandLine); err != nil {
+			fatal(err)
+		}
 		if *matrixWorkers < 1 {
 			fatal(fmt.Errorf("-matrix-workers = %d", *matrixWorkers))
 		}
-		tel, cleanup, err := cli.OpenTelemetry("fedsim", "sim", *metricsOut)
+		tel, cleanup, err := cli.OpenTelemetry("fedsim", "sim", "")
 		if err != nil {
 			fatal(err)
 		}
@@ -110,7 +127,7 @@ func main() {
 	defer cleanup()
 
 	opts := cli.Run
-	opts.ServerLR, opts.Seed, opts.Telemetry = *serverLR, *seed, tel
+	opts.Seed, opts.Telemetry = *seed, tel
 	opts.OnRound = func(rec fl.RoundRecord) {
 		fmt.Fprintf(os.Stderr, "round %3d  acc=%.4f  malicious-sampled=%d/%d  %.2fs",
 			rec.Round, rec.TestAccuracy, rec.MaliciousSampled, len(rec.Sampled), rec.Seconds)
@@ -160,9 +177,21 @@ func main() {
 	}
 }
 
+// checkMatrixFlags fails on the first of matrixRefuses set explicitly on
+// fs.
+func checkMatrixFlags(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(matrixRefuses, f.Name) {
+			err = fmt.Errorf("-%s does not apply to -matrix", f.Name)
+		}
+	})
+	return err
+}
+
 // runMatrixCLI resolves the grid from the flag values and executes the
-// sweep, printing the pivot table on stdout and writing the optional
-// CSV/JSON artifacts.
+// sweep, printing Table IV on stdout and writing the optional CSV/JSON
+// artifacts.
 func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
 	scenarios := experiment.MatrixScenarios()
 	if *matrixScenarios != "" {
@@ -185,11 +214,9 @@ func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
 
 	fmt.Fprintf(os.Stderr, "fedsim: matrix %d scenarios × %d strategies, %d worker(s)\n",
 		len(scenarios), len(strategies), *matrixWorkers)
-	cells, err := experiment.RunAttackMatrix(setup,
-		experiment.MatrixSpec{Scenarios: scenarios, Strategies: strategies},
+	results, err := experiment.RunMatrix(experiment.Grid(setup, scenarios, strategies),
 		experiment.MatrixOptions{
 			Workers:     *matrixWorkers,
-			ServerLR:    *serverLR,
 			Seed:        *seed,
 			AggWorkers:  cli.Run.AggWorkers,
 			StreamAudit: cli.Run.StreamAudit,
@@ -199,11 +226,11 @@ func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Print(experiment.FormatMatrixTable(cells))
+	experiment.WriteTableIV(os.Stdout, results)
 
 	if *matrixCSV != "" {
 		if err := writeFileWith(*matrixCSV, func(w *os.File) error {
-			return experiment.WriteMatrixCSV(w, cells)
+			return experiment.WriteMatrixCSV(w, results)
 		}); err != nil {
 			fatal(err)
 		}
@@ -211,7 +238,7 @@ func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
 	}
 	if *matrixJSON != "" {
 		if err := writeFileWith(*matrixJSON, func(w *os.File) error {
-			return experiment.WriteMatrixJSON(w, cells)
+			return experiment.WriteMatrixJSON(w, results)
 		}); err != nil {
 			fatal(err)
 		}

@@ -2,6 +2,7 @@ package fedguard
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -10,8 +11,9 @@ import (
 // TestDocsReferencesExist keeps the prose honest about the tree: every
 // back-ticked examples/, cmd/, internal/ or benchmark/ path and every
 // `make <target>` that README.md, DESIGN.md or EXPERIMENTS.md names must
-// exist. Output paths (results/…) and patterns (*, {a,b}, <id>, …) are
-// not references and are skipped.
+// exist, and every flag an invocation of one of the repo's commands
+// names must be one that command defines. Output paths (results/…) and
+// patterns (*, {a,b}, <id>, …) are not references and are skipped.
 func TestDocsReferencesExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -24,10 +26,17 @@ func TestDocsReferencesExist(t *testing.T) {
 	ticked := regexp.MustCompile("`([^`\n]+)`")
 	path := regexp.MustCompile(`^\.?/?((?:examples|cmd|internal|benchmark)/[A-Za-z0-9_./-]+)`)
 	target := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
+	flags := commandFlags(t)
+	if errs := undefinedFlags("planted", []byte("run `fedsim -preset quick -no-such-flag`"), flags); len(errs) != 1 {
+		t.Fatalf("a planted bad flag is not caught: %v", errs)
+	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, e := range undefinedFlags(doc, text, flags) {
+			t.Error(e)
 		}
 		for _, m := range ticked.FindAllSubmatch(text, -1) {
 			tok := string(m[1])
@@ -47,4 +56,80 @@ func TestDocsReferencesExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// commandFlags reads, from each command's source, the flags it defines:
+// its own flag declarations plus, for fedsim and fednode, the ones
+// experiment.BindFlags declares for both.
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decl := regexp.MustCompile(`\b(?:flag|fs)\.(?:Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Func)(?:Var)?\((?:&[\w.]+,\s*)?"([\w-]+)"`)
+	names := func(paths ...string) map[string]bool {
+		set := map[string]bool{"h": true, "help": true}
+		for _, p := range paths {
+			src, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range decl.FindAllSubmatch(src, -1) {
+				set[string(m[1])] = true
+			}
+		}
+		return set
+	}
+	out := map[string]map[string]bool{}
+	for _, cmd := range []string{"fedsim", "fednode", "fedbench", "fedtrace", "benchjson"} {
+		srcs, err := filepath.Glob(filepath.Join("cmd", cmd, "*.go"))
+		if err != nil || len(srcs) == 0 {
+			t.Fatalf("cmd/%s: no sources (%v)", cmd, err)
+		}
+		var paths []string
+		for _, p := range srcs {
+			if strings.HasSuffix(p, "_test.go") {
+				continue
+			}
+			paths = append(paths, p)
+			if src, _ := os.ReadFile(p); strings.Contains(string(src), "experiment.BindFlags(") {
+				paths = append(paths, filepath.Join("internal", "experiment", "cli.go"))
+			}
+		}
+		out[cmd] = names(paths...)
+	}
+	return out
+}
+
+// undefinedFlags returns one message per flag that an invocation in
+// text's code — inline code spans and fenced blocks, a command continued
+// over trailing backslashes read as one line — names and its command
+// does not define.
+func undefinedFlags(doc string, text []byte, flags map[string]map[string]bool) []string {
+	var code []string
+	fenced := false
+	var prose strings.Builder
+	for _, line := range strings.Split(strings.ReplaceAll(string(text), "\\\n", " "), "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+		case fenced:
+			code = append(code, line)
+		default:
+			prose.WriteString(line + "\n")
+		}
+	}
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(prose.String(), -1) {
+		code = append(code, strings.ReplaceAll(m[1], "\n", " "))
+	}
+	invocation := regexp.MustCompile(`(?:^|[\s/(])(fedsim|fednode|fedbench|fedtrace|benchjson)((?:[ \t]+[^\s|;&<>()` + "`" + `]+)*)`)
+	flag := regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+	var errs []string
+	for _, snippet := range code {
+		for _, m := range invocation.FindAllStringSubmatch(snippet, -1) {
+			for _, arg := range strings.Fields(m[2]) {
+				if f := flag.FindStringSubmatch(arg); f != nil && !flags[m[1]][f[1]] {
+					errs = append(errs, doc+": `"+strings.TrimSpace(m[0])+"` names -"+f[1]+", which "+m[1]+" does not define")
+				}
+			}
+		}
+	}
+	return errs
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/xml"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -161,7 +162,8 @@ func TestRunServerLROverride(t *testing.T) {
 	setup := MustSetup(PresetQuick)
 	setup.Rounds = 2
 	sc, _ := ScenarioByID("no-attack")
-	res, err := Run(setup, sc, "FedAvg", RunOptions{ServerLR: 0.3})
+	setup.ServerLR = 0.3
+	res, err := Run(setup, sc, "FedAvg", RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,52 +175,92 @@ func TestRunServerLROverride(t *testing.T) {
 }
 
 func TestWriteTableIV(t *testing.T) {
+	guarded := fakeResult("sign-flip-50", "FedGuard", []float64{0.8, 0.9})
+	guarded.History.Rounds[0].Decisions = []fl.Decision{{ClientID: 3, Kept: false}}
 	res := []*Result{
 		fakeResult("no-attack", "FedAvg", []float64{0.9, 0.95}),
 		fakeResult("sign-flip-50", "FedAvg", []float64{0.1, 0.1}),
 		fakeResult("no-attack", "FedGuard", []float64{0.9, 0.9}),
+		guarded,
+		{Scenario: Scenario{ID: "no-attack"}, Strategy: "Krum", History: &fl.History{}, Err: errors.New("boom")},
 	}
 	var buf bytes.Buffer
 	if err := WriteTableIV(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"| Strategy |", "no-attack", "sign-flip-50", "FedAvg", "FedGuard", "—"} {
+	for _, want := range []string{"| Strategy | no-attack | sign-flip-50 |", "| FedAvg |",
+		"| FedGuard | 90.00% ± 0.00% | 85.00% ± 5.00%* |", "| Krum | ERROR | — |", "\n* excluded updates"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table IV missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func TestWriteTableIVCSV(t *testing.T) {
-	res := []*Result{fakeResult("no-attack", "FedAvg", []float64{0.5, 0.7})}
+// TestFormatMatrixTablePivot checks the markers the Table IV pivot puts
+// on sweep cells: ERROR for a failed run, * only on a run that excluded
+// updates.
+func TestFormatMatrixTablePivot(t *testing.T) {
+	guarded := fakeResult("b", "FedGuard", []float64{0.8})
+	guarded.History.Rounds[0].Decisions = []fl.Decision{{ClientID: 3, Kept: false}}
+	res := []*Result{
+		fakeResult("a", "FedAvg", []float64{0.5}),
+		fakeResult("a", "FedGuard", []float64{0.8}),
+		fakeResult("b", "FedAvg", []float64{0.4}),
+		guarded,
+		{Scenario: Scenario{ID: "b"}, Strategy: "Krum", History: &fl.History{}, Err: errors.New("boom")},
+	}
 	var buf bytes.Buffer
-	if err := WriteTableIVCSV(&buf, res); err != nil {
+	if err := WriteTableIV(&buf, res); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), "scenario,strategy,mean,std,final\n") {
-		t.Fatalf("CSV header wrong: %q", buf.String())
+	out := buf.String()
+	for _, want := range []string{"| Strategy | a | b |", "| FedAvg | 50.00% ± 0.00% | 40.00% ± 0.00% |",
+		"| FedGuard | 80.00% ± 0.00% | 80.00% ± 0.00%* |", "| Krum | — | ERROR |"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("Table IV missing %q:\n%s", want, out)
+		}
 	}
-	if !strings.Contains(buf.String(), "no-attack,FedAvg,0.6") {
-		t.Fatalf("CSV row wrong: %q", buf.String())
+}
+
+// TestOverheadRows checks Table V's per-round MB columns: bytes to MiB,
+// and the total as uploads plus downloads.
+func TestOverheadRows(t *testing.T) {
+	r := fakeResult("no-attack", "FedAvg", []float64{0.9})
+	r.History.Rounds[0].UploadBytes = 2 << 20
+	r.History.Rounds[0].DownloadBytes = 1 << 20
+	r.History.Rounds[0].Seconds = 1.5
+	var buf bytes.Buffer
+	if err := WriteTableV(&buf, []*Result{r}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "| FedAvg | 2.0 MB | 1.0 MB | 3.0 MB | 1.50 s |"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("Table V missing %q:\n%s", want, buf.String())
 	}
 }
 
 func TestWriteTableV(t *testing.T) {
-	rows := []OverheadRow{
-		{Strategy: "FedAvg", UploadMB: 100, DownloadMB: 100, Seconds: 2},
-		{Strategy: "FedGuard", UploadMB: 100, DownloadMB: 120, Seconds: 3.6},
+	perRound := func(strategy string, up, down int64, seconds float64) *Result {
+		r := fakeResult("no-attack", strategy, []float64{0.9})
+		r.History.Rounds[0].UploadBytes, r.History.Rounds[0].DownloadBytes = up, down
+		r.History.Rounds[0].Seconds = seconds
+		return r
 	}
 	var buf bytes.Buffer
-	if err := WriteTableV(&buf, rows); err != nil {
+	if err := WriteTableV(&buf, []*Result{
+		perRound("FedAvg", 100<<20, 100<<20, 2),
+		perRound("FedGuard", 100<<20, 120<<20, 3.6),
+	}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "(+20%)") {
-		t.Fatalf("Table V missing download overhead: %s", out)
-	}
-	if !strings.Contains(out, "(+80%)") {
-		t.Fatalf("Table V missing time overhead: %s", out)
+	for _, want := range []string{
+		"| FedAvg | 100.0 MB | 100.0 MB | 200.0 MB | 2.00 s |",
+		"| FedGuard | 100.0 MB | 120.0 MB (+20%) | 220.0 MB (+10%) | 3.60 s (+80%) |",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("Table V missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -252,32 +294,6 @@ func TestWriteASCIIChart(t *testing.T) {
 	}
 }
 
-func TestOverheadRows(t *testing.T) {
-	r := fakeResult("no-attack", "FedAvg", []float64{0.9})
-	r.History.Rounds[0].UploadBytes = 2 << 20
-	r.History.Rounds[0].DownloadBytes = 1 << 20
-	r.History.Rounds[0].Seconds = 1.5
-	rows := OverheadRows([]*Result{r})
-	if rows[0].UploadMB != 2 || rows[0].DownloadMB != 1 {
-		t.Fatalf("OverheadRows = %+v", rows[0])
-	}
-	if rows[0].TotalMB() != 3 {
-		t.Fatalf("TotalMB = %v", rows[0].TotalMB())
-	}
-}
-
-func TestSortResults(t *testing.T) {
-	res := []*Result{
-		fakeResult("b", "Z", []float64{1}),
-		fakeResult("a", "Z", []float64{1}),
-		fakeResult("a", "A", []float64{1}),
-	}
-	SortResults(res)
-	if res[0].Scenario.ID != "a" || res[0].Strategy != "A" || res[2].Scenario.ID != "b" {
-		t.Fatal("SortResults order wrong")
-	}
-}
-
 func fakeResult(scenario, strategy string, accs []float64) *Result {
 	h := &fl.History{Strategy: strategy}
 	for i, a := range accs {
@@ -288,94 +304,6 @@ func fakeResult(scenario, strategy string, accs []float64) *Result {
 		Strategy: strategy,
 		History:  h,
 		LastN:    len(accs),
-	}
-}
-
-// microSetup strips the quick preset down to near-nothing so the
-// ablation/figure runners can be exercised in seconds.
-func microSetup() Setup {
-	s := MustSetup(PresetQuick)
-	s.Rounds = 1
-	s.LastN = 1
-	s.Samples = 20
-	s.CVAETrain.Epochs = 2
-	s.Train.Epochs = 1
-	return s
-}
-
-func TestFig5Runner(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs federations")
-	}
-	res, err := Fig5(microSetup(), []float64{1.0, 0.3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("%d results", len(res))
-	}
-	if res[0].Strategy != "FedGuard-lr-1.0" || res[1].Strategy != "FedGuard-lr-0.3" {
-		t.Fatalf("labels %q, %q", res[0].Strategy, res[1].Strategy)
-	}
-	if res[0].Scenario.ID != "label-flip-40" {
-		t.Fatalf("Fig5 ran scenario %s", res[0].Scenario.ID)
-	}
-}
-
-func TestAblationRunners(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs federations")
-	}
-	s := microSetup()
-
-	ts, err := AblationSamples(s, "sign-flip-50", []int{10, 20}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 2 || ts[0].Strategy != "FedGuard-t-10" {
-		t.Fatalf("AblationSamples = %v", ts[0].Strategy)
-	}
-
-	alphas, err := AblationDirichlet(s, "label-flip-30", []float64{10}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(alphas) != 1 || alphas[0].Strategy != "FedGuard-alpha-10" {
-		t.Fatalf("AblationDirichlet = %v", alphas[0].Strategy)
-	}
-
-	if _, err := AblationSamples(s, "not-a-scenario", []int{1}, nil); err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-}
-
-func TestOverheadRunner(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs federations")
-	}
-	s := microSetup()
-	rows, results, err := Overhead(s, []string{"FedAvg", "FedGuard"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || len(results) != 2 {
-		t.Fatalf("%d rows, %d results", len(rows), len(results))
-	}
-	var avg, guard OverheadRow
-	for _, r := range rows {
-		switch r.Strategy {
-		case "FedAvg":
-			avg = r
-		case "FedGuard":
-			guard = r
-		}
-	}
-	if guard.DownloadMB <= avg.DownloadMB {
-		t.Fatalf("FedGuard downloads %.2f not above FedAvg %.2f (decoder payloads missing)",
-			guard.DownloadMB, avg.DownloadMB)
-	}
-	if guard.UploadMB != avg.UploadMB {
-		t.Fatal("uploads should be strategy-independent")
 	}
 }
 

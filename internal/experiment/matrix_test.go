@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"fedguard/internal/telemetry"
@@ -24,13 +25,10 @@ func matrixTestSetup() Setup {
 	return s
 }
 
-func matrixTestSpec() MatrixSpec {
-	sf := mustScenario("sign-flip-50")
-	df := mustScenario("decoder-forge-30")
-	return MatrixSpec{
-		Scenarios:  []Scenario{sf, df},
-		Strategies: []string{"FedAvg", "FedGuard", "Spectral"},
-	}
+func matrixTestCells() []Cell {
+	return Grid(matrixTestSetup(),
+		[]Scenario{mustScenario("sign-flip-50"), mustScenario("decoder-forge-30")},
+		[]string{"FedAvg", "FedGuard", "Spectral"})
 }
 
 func mustScenario(id string) Scenario {
@@ -41,7 +39,7 @@ func mustScenario(id string) Scenario {
 	return sc
 }
 
-// matrixGolden is WriteMatrixCSV of matrixTestSpec over matrixTestSetup.
+// matrixGolden is WriteMatrixCSV of matrixTestCells.
 // The exclusion columns were pinned while they still came from an event
 // join, so they hold the records' Decisions to that earlier instrument.
 const matrixGolden = `scenario,attack,malicious_fraction,strategy,mean_accuracy,std_accuracy,final_accuracy,malicious_exclusion_rate,benign_exclusion_rate,excluded,malicious_sampled,err
@@ -58,43 +56,40 @@ decoder-forge-30,decoder-forge,0.30,Spectral,0.215000,0.045000,0.260000,0.750000
 // the pinned CSV byte for byte — cell results land at their grid index
 // and contain no schedule-dependent numbers.
 func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
-	setup := matrixTestSetup()
-	spec := matrixTestSpec()
+	cells := matrixTestCells()
 
-	// The setup's own telemetry is the sweep's too: cells must not write
-	// their rounds into it.
+	// The sweep's sink hears one event per cell, never a cell's rounds.
 	sink := &telemetry.CollectSink{}
-	setup.Telemetry = telemetry.New(sink)
+	tel := telemetry.New(sink)
 	run := func(workers int) string {
-		cells, err := RunAttackMatrix(setup, spec, MatrixOptions{Workers: workers, Telemetry: setup.Telemetry})
+		results, err := RunMatrix(cells, MatrixOptions{Workers: workers, Telemetry: tel})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(cells) != 6 {
-			t.Fatalf("workers=%d: %d cells, want 6", workers, len(cells))
+		if len(results) != 6 {
+			t.Fatalf("workers=%d: %d results, want 6", workers, len(results))
 		}
 		// Grid order: scenario-major, strategies inner.
 		wantOrder := []string{
 			"sign-flip-50/FedAvg", "sign-flip-50/FedGuard", "sign-flip-50/Spectral",
 			"decoder-forge-30/FedAvg", "decoder-forge-30/FedGuard", "decoder-forge-30/Spectral",
 		}
-		for i, c := range cells {
-			if got := c.Scenario.ID + "/" + c.Strategy; got != wantOrder[i] {
+		for i, r := range results {
+			if got := r.Scenario.ID + "/" + r.Strategy; got != wantOrder[i] {
 				t.Fatalf("workers=%d: cell %d is %s, want %s", workers, i, got, wantOrder[i])
 			}
-			if c.MaliciousExclusionRate < 0 || c.MaliciousExclusionRate > 1 ||
-				c.BenignExclusionRate < 0 || c.BenignExclusionRate > 1 {
-				t.Fatalf("workers=%d: cell %d has out-of-range exclusion rates: %+v", workers, i, c)
+			if mal, ben := r.MaliciousExclusionRate(), r.BenignExclusionRate(); mal < 0 || mal > 1 || ben < 0 || ben > 1 {
+				t.Fatalf("workers=%d: cell %d has out-of-range exclusion rates %v, %v", workers, i, mal, ben)
 			}
-			if c.Strategy == "FedAvg" && c.Excluded != 0 {
-				t.Fatalf("workers=%d: FedAvg excluded %d updates", workers, c.Excluded)
+			if r.Strategy == "FedAvg" && r.Excluded() != 0 {
+				t.Fatalf("workers=%d: FedAvg excluded %d updates", workers, r.Excluded())
 			}
-			if c.MaliciousSampled == 0 {
+			if r.MaliciousSampled() == 0 {
 				t.Fatalf("workers=%d: cell %d sampled no malicious clients", workers, i)
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteMatrixCSV(&buf, cells); err != nil {
+		if err := WriteMatrixCSV(&buf, results); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -108,7 +103,6 @@ func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 	if got := len(sink.ByKind("MatrixCellCompleted")); got != 12 {
 		t.Fatalf("%d MatrixCellCompleted events, want 6 per sweep", got)
 	}
-	// The sweep's sink hears about cells, never about a cell's rounds.
 	if got := len(sink.Events()); got != 12 {
 		t.Fatalf("%d events on the sweep's sink, want only the 12 cell events", got)
 	}
@@ -116,42 +110,123 @@ func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 
 func TestMatrixValidation(t *testing.T) {
 	setup := matrixTestSetup()
-	ok := matrixTestSpec()
+	sf := []Scenario{mustScenario("sign-flip-50")}
 
-	if _, err := RunAttackMatrix(setup, MatrixSpec{}, MatrixOptions{}); err == nil {
-		t.Fatal("empty grid accepted")
+	if _, err := RunMatrix(nil, MatrixOptions{}); err == nil {
+		t.Fatal("empty sweep accepted")
 	}
-	bad := ok
-	bad.Strategies = []string{"FedAvg", "Quantum"}
-	if _, err := RunAttackMatrix(setup, bad, MatrixOptions{}); err == nil {
+	if _, err := RunMatrix(Grid(setup, sf, []string{"FedAvg", "Quantum"}), MatrixOptions{}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	bad = ok
-	bad.Scenarios = []Scenario{{ID: "x", Attack: "quantum"}}
-	if _, err := RunAttackMatrix(setup, bad, MatrixOptions{}); err == nil {
+	if _, err := RunMatrix(Grid(setup, []Scenario{{ID: "x", Attack: "quantum"}}, []string{"FedAvg"}), MatrixOptions{}); err == nil {
 		t.Fatal("unknown attack accepted")
 	}
 }
 
-func TestFormatMatrixTablePivot(t *testing.T) {
-	cells := []MatrixCell{
-		{Scenario: Scenario{ID: "a"}, Strategy: "FedAvg", Mean: 0.5},
-		{Scenario: Scenario{ID: "a"}, Strategy: "FedGuard", Mean: 0.8, Excluded: 3},
-		{Scenario: Scenario{ID: "b"}, Strategy: "FedAvg", Mean: 0.4},
-		{Scenario: Scenario{ID: "b"}, Strategy: "FedGuard", Err: "boom"},
+// studySweep is one mixed cell list — a cell from each study fedbench
+// sweeps — run once at two workers and shared by the study tests: a
+// server-LR cell (Fig. 5), a t cell and an α cell (§VI ablations), an
+// inner-operator cell, and the no-attack FedAvg/FedGuard pair Table V is
+// rendered from.
+var studySweep struct {
+	once    sync.Once
+	cells   []Cell
+	results []*Result
+	err     error
+}
+
+func studyResults(t *testing.T) ([]Cell, []*Result) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("runs six federations")
 	}
-	out := FormatMatrixTable(cells)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("pivot too short:\n%s", out)
+	studySweep.once.Do(func() {
+		s := MustSetup(PresetQuick)
+		s.Rounds, s.LastN = 1, 1
+		s.Samples = 20
+		s.CVAETrain.Epochs = 2
+		s.Train.Epochs = 1
+		lr, few, skewed := s, s, s
+		lr.ServerLR, few.Samples, skewed.Alpha = 0.3, 10, 0.5
+
+		studySweep.cells = append([]Cell{
+			{Setup: lr, Scenario: mustScenario("label-flip-40"), Strategy: "FedGuard", Label: "FedGuard-lr-0.3"},
+			{Setup: few, Scenario: mustScenario("sign-flip-50"), Strategy: "FedGuard", Label: "FedGuard-t-10"},
+			{Setup: skewed, Scenario: mustScenario("label-flip-30"), Strategy: "FedGuard", Label: "FedGuard-alpha-0.5"},
+			{Setup: s, Scenario: mustScenario("sign-flip-50"), Strategy: "FedGuard-Median"},
+		}, Grid(s, []Scenario{mustScenario("no-attack")}, []string{"FedAvg", "FedGuard"})...)
+		studySweep.results, studySweep.err = RunMatrix(studySweep.cells, MatrixOptions{Workers: 2})
+	})
+	if studySweep.err != nil {
+		t.Fatal(studySweep.err)
 	}
-	if !strings.Contains(lines[0], "FedAvg") || !strings.Contains(lines[0], "FedGuard") {
-		t.Fatalf("header missing strategies:\n%s", out)
+	return studySweep.cells, studySweep.results
+}
+
+// TestMatrixStudies checks the mixed sweep returns one completed result
+// per cell, in cell order, labelled by the cell.
+func TestMatrixStudies(t *testing.T) {
+	cells, results := studyResults(t)
+	want := []string{"FedGuard-lr-0.3", "FedGuard-t-10", "FedGuard-alpha-0.5", "FedGuard-Median", "FedAvg", "FedGuard"}
+	if len(results) != len(want) {
+		t.Fatalf("%d results, want %d", len(results), len(want))
 	}
-	if !strings.Contains(out, "ERROR") {
-		t.Fatalf("failed cell not marked:\n%s", out)
+	for i, r := range results {
+		if r.Strategy != want[i] || r.Scenario != cells[i].Scenario {
+			t.Fatalf("result %d is %s/%s, want %s/%s", i, r.Scenario.ID, r.Strategy, cells[i].Scenario.ID, want[i])
+		}
+		if len(r.History.Rounds) != 1 || r.Seconds <= 0 {
+			t.Fatalf("%s: %d rounds in %vs", r.Strategy, len(r.History.Rounds), r.Seconds)
+		}
 	}
-	if !strings.Contains(out, "*") {
-		t.Fatalf("excluding cell not starred:\n%s", out)
+}
+
+// TestFig5Runner checks the Fig. 5 server-LR cell on the sweep runner.
+func TestFig5Runner(t *testing.T) {
+	cells, results := studyResults(t)
+	if cells[0].Setup.ServerLR != 0.3 {
+		t.Fatalf("Fig. 5 cell runs at server LR %v", cells[0].Setup.ServerLR)
+	}
+	if r := results[0]; r.Strategy != "FedGuard-lr-0.3" || r.Scenario.ID != "label-flip-40" {
+		t.Fatalf("Fig. 5 cell is %s/%s", r.Scenario.ID, r.Strategy)
+	}
+}
+
+// TestAblationRunners checks the §VI ablation cells — t, α and the inner
+// operator — on the sweep runner.
+func TestAblationRunners(t *testing.T) {
+	_, results := studyResults(t)
+	for i, want := range []string{"sign-flip-50/FedGuard-t-10", "label-flip-30/FedGuard-alpha-0.5", "sign-flip-50/FedGuard-Median"} {
+		if got := results[i+1].Scenario.ID + "/" + results[i+1].Strategy; got != want {
+			t.Fatalf("ablation cell %d is %s, want %s", i, got, want)
+		}
+	}
+	if _, err := ScenarioByID("not-a-scenario"); err == nil {
+		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestOverheadRunner checks Table V as fedbench renders it: from the
+// sweep's no-attack FedAvg/FedGuard pair.
+func TestOverheadRunner(t *testing.T) {
+	_, results := studyResults(t)
+	// FedGuard's downloads carry the decoder payloads, uploads are
+	// strategy-independent.
+	avg, guard := results[4].History, results[5].History
+	avgUp, avgDown := avg.MeanBytes()
+	guardUp, guardDown := guard.MeanBytes()
+	if guardDown <= avgDown {
+		t.Fatalf("FedGuard downloads %d not above FedAvg %d (decoder payloads missing)", guardDown, avgDown)
+	}
+	if guardUp != avgUp {
+		t.Fatalf("uploads differ: %d vs %d", guardUp, avgUp)
+	}
+	var buf bytes.Buffer
+	if err := WriteTableV(&buf, results[4:]); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(buf.String()), "\n"); len(lines) != 4 ||
+		!strings.HasPrefix(lines[3], "| FedGuard |") || !strings.Contains(lines[3], "%)") {
+		t.Fatalf("Table V:\n%s", buf.String())
 	}
 }

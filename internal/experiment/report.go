@@ -3,13 +3,13 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
 // WriteTableIV renders the paper's Table IV from a result matrix:
 // strategies as rows, attack scenarios as columns, cells showing the mean
-// ± std test accuracy over the last LastN rounds.
+// ± std test accuracy over the last LastN rounds — starred when the
+// defense excluded updates, ERROR when the run failed.
 func WriteTableIV(w io.Writer, results []*Result) error {
 	type key struct{ scenario, strategy string }
 	cells := map[key]*Result{}
@@ -35,97 +35,69 @@ func WriteTableIV(w io.Writer, results []*Result) error {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "|---|%s\n", strings.Repeat("---|", len(scenarios)))
+	starred := false
 	for _, st := range strategies {
 		fmt.Fprintf(w, "| %s |", st)
 		for _, sc := range scenarios {
-			if r, ok := cells[key{sc, st}]; ok {
-				fmt.Fprintf(w, " %.2f%% ± %.2f%% |", 100*r.Mean(), 100*r.Std())
-			} else {
+			r, ok := cells[key{sc, st}]
+			switch {
+			case !ok:
 				fmt.Fprintf(w, " — |")
+			case r.Err != nil:
+				fmt.Fprintf(w, " ERROR |")
+			default:
+				mark := ""
+				if r.Excluded() > 0 {
+					mark, starred = "*", true
+				}
+				fmt.Fprintf(w, " %.2f%% ± %.2f%%%s |", 100*r.Mean(), 100*r.Std(), mark)
 			}
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
-}
-
-// WriteTableIVCSV emits the same matrix as CSV
-// (scenario,strategy,mean,std,final).
-func WriteTableIVCSV(w io.Writer, results []*Result) error {
-	fmt.Fprintln(w, "scenario,strategy,mean,std,final")
-	for _, r := range results {
-		fmt.Fprintf(w, "%s,%s,%.6f,%.6f,%.6f\n",
-			r.Scenario.ID, r.Strategy, r.Mean(), r.Std(), r.History.FinalAccuracy())
+	if starred {
+		fmt.Fprintln(w, "\n* excluded updates; see malicious_exclusion_rate in the CSV/JSON output")
 	}
 	return nil
 }
 
-// OverheadRow is one strategy's Table V entry.
-type OverheadRow struct {
-	Strategy string
-	// UploadMB and DownloadMB are the mean per-round server traffic.
-	UploadMB, DownloadMB float64
-	// Seconds is the mean per-round wall-clock duration; TrainSeconds /
-	// AggregateSeconds / EvalSeconds split it into client compute, server
-	// defense cost, and global evaluation.
-	Seconds          float64
-	TrainSeconds     float64
-	AggregateSeconds float64
-	EvalSeconds      float64
-}
-
-// TotalMB returns the round-trip traffic.
-func (o OverheadRow) TotalMB() float64 { return o.UploadMB + o.DownloadMB }
-
-// OverheadRows extracts Table V rows from results (typically the
-// no-attack scenario, one result per strategy).
-func OverheadRows(results []*Result) []OverheadRow {
-	rows := make([]OverheadRow, 0, len(results))
-	for _, r := range results {
-		up, down := r.History.MeanBytes()
-		train, agg, eval := r.History.MeanPhaseSeconds()
-		rows = append(rows, OverheadRow{
-			Strategy:         r.Strategy,
-			UploadMB:         float64(up) / (1 << 20),
-			DownloadMB:       float64(down) / (1 << 20),
-			Seconds:          r.History.MeanSeconds(),
-			TrainSeconds:     train,
-			AggregateSeconds: agg,
-			EvalSeconds:      eval,
-		})
-	}
-	return rows
-}
-
-// WriteTableV renders the paper's Table V: per-round server traffic and
+// WriteTableV renders the paper's Table V from one result per strategy
+// (the no-attack row of a Table IV sweep): per-round server traffic and
 // training time with percentage overheads relative to the FedAvg row,
 // plus the client-compute / server-defense split of the round time.
-func WriteTableV(w io.Writer, rows []OverheadRow) error {
-	var base *OverheadRow
-	for i := range rows {
-		if rows[i].Strategy == "FedAvg" {
+func WriteTableV(w io.Writer, results []*Result) error {
+	type row struct{ up, down, total, secs, train, agg, eval float64 }
+	rows := make([]row, len(results))
+	var base *row
+	for i, r := range results {
+		up, down := r.History.MeanBytes()
+		train, agg, eval := r.History.MeanPhaseSeconds()
+		rows[i] = row{
+			up: float64(up) / (1 << 20), down: float64(down) / (1 << 20),
+			secs: r.History.MeanSeconds(), train: train, agg: agg, eval: eval,
+		}
+		rows[i].total = rows[i].up + rows[i].down
+		if r.Strategy == "FedAvg" {
 			base = &rows[i]
 		}
 	}
 	pct := func(v, b float64) string {
-		if base == nil || b == 0 || v == b {
+		if b == 0 || v == b {
 			return ""
 		}
 		return fmt.Sprintf(" (%+.0f%%)", 100*(v-b)/b)
 	}
 	fmt.Fprintln(w, "| Strategy | Server uploads / round | Server downloads / round | Server total / round | Round time | Client train | Server aggregate | Eval |")
 	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|")
-	for _, r := range rows {
+	for i, r := range rows {
 		var upP, downP, totP, secP string
 		if base != nil {
-			upP = pct(r.UploadMB, base.UploadMB)
-			downP = pct(r.DownloadMB, base.DownloadMB)
-			totP = pct(r.TotalMB(), base.TotalMB())
-			secP = pct(r.Seconds, base.Seconds)
+			upP, downP = pct(r.up, base.up), pct(r.down, base.down)
+			totP, secP = pct(r.total, base.total), pct(r.secs, base.secs)
 		}
 		fmt.Fprintf(w, "| %s | %.1f MB%s | %.1f MB%s | %.1f MB%s | %.2f s%s | %.2f s | %.2f s | %.2f s |\n",
-			r.Strategy, r.UploadMB, upP, r.DownloadMB, downP, r.TotalMB(), totP,
-			r.Seconds, secP, r.TrainSeconds, r.AggregateSeconds, r.EvalSeconds)
+			results[i].Strategy, r.up, upP, r.down, downP, r.total, totP,
+			r.secs, secP, r.train, r.agg, r.eval)
 	}
 	return nil
 }
@@ -187,14 +159,4 @@ func sparkChar(v float64) string {
 		idx = 0
 	}
 	return ramp[idx]
-}
-
-// SortResults orders results by (scenario, strategy) for stable output.
-func SortResults(results []*Result) {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Scenario.ID != results[j].Scenario.ID {
-			return results[i].Scenario.ID < results[j].Scenario.ID
-		}
-		return results[i].Strategy < results[j].Strategy
-	})
 }

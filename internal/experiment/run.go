@@ -3,7 +3,6 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"fedguard/internal/attack"
 	"fedguard/internal/fl"
@@ -14,10 +13,16 @@ import (
 // Result couples a finished run with its identity.
 type Result struct {
 	Scenario Scenario
+	// Strategy labels the result's row: the strategy name, or the sweep
+	// cell's Label.
 	Strategy string
 	History  *fl.History
 	// LastN is the averaging window used for summary statistics.
 	LastN int
+	// Seconds is the run's wall-clock cost and Err its failure, both set
+	// by RunMatrix. A failed run's History is empty.
+	Seconds float64
+	Err     error
 }
 
 // Mean and Std return the Table IV statistic of the run.
@@ -26,14 +31,57 @@ func (r *Result) Mean() float64 { m, _ := r.History.LastNStats(r.LastN); return 
 // Std returns the standard deviation over the averaging window.
 func (r *Result) Std() float64 { _, s := r.History.LastNStats(r.LastN); return s }
 
+// Excluded returns how many updates the run's defense rejected.
+func (r *Result) Excluded() int { n, _, _, _ := r.exclusions(); return n }
+
+// MaliciousSampled returns how many sampled update slots were malicious.
+func (r *Result) MaliciousSampled() int { _, _, n, _ := r.exclusions(); return n }
+
+// MaliciousExclusionRate is the fraction of sampled malicious update
+// slots the defense rejected (0 for strategies that never exclude).
+func (r *Result) MaliciousExclusionRate() float64 {
+	_, malExcluded, malSampled, _ := r.exclusions()
+	return ratio(malExcluded, malSampled)
+}
+
+// BenignExclusionRate is the fraction of sampled benign update slots the
+// defense rejected: its false-positive rate.
+func (r *Result) BenignExclusionRate() float64 {
+	excluded, malExcluded, _, benignSampled := r.exclusions()
+	return ratio(excluded-malExcluded, benignSampled)
+}
+
+// exclusions reads the run's decision record: every decision carries its
+// ground truth.
+func (r *Result) exclusions() (excluded, malExcluded, malSampled, benignSampled int) {
+	for _, rec := range r.History.Rounds {
+		malSampled += rec.MaliciousSampled
+		benignSampled += len(rec.Sampled) - rec.MaliciousSampled
+		for _, d := range rec.Decisions {
+			if !d.Kept {
+				excluded++
+				if d.Malicious {
+					malExcluded++
+				}
+			}
+		}
+	}
+	return excluded, malExcluded, malSampled, benignSampled
+}
+
+func ratio(n, d int) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
+}
+
 // RunOptions tweaks a single run.
 type RunOptions struct {
-	// ServerLR overrides the setup's server learning rate when non-zero
-	// (Fig. 5).
-	ServerLR float64
 	// OnRound, if non-nil, receives every round record as it completes.
 	OnRound func(fl.RoundRecord)
-	// Seed overrides the setup seed when non-zero (for repeat runs).
+	// Seed overrides the setup seed when non-zero (for repeat runs); the
+	// attack's collusion seed follows it.
 	Seed uint64
 	// Telemetry, when non-nil, receives the run's structured events and
 	// phase-level metrics (threaded into fl.FederationConfig).
@@ -68,7 +116,11 @@ type RunOptions struct {
 // Run executes one (setup, scenario, strategy) cell and returns its
 // result.
 func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Result, error) {
-	att, err := NewAttack(sc.Attack, setup.Seed)
+	cfg := setup.Federation(sc)
+	if opts.Seed != 0 {
+		cfg.Seed = opts.Seed
+	}
+	att, err := NewAttack(sc.Attack, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -84,16 +136,7 @@ func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Resul
 	}
 	train, test, _ := setup.Data()
 
-	cfg := setup.Federation(sc)
-	if opts.ServerLR > 0 {
-		cfg.ServerLR = opts.ServerLR
-	}
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
-	if opts.Telemetry != nil {
-		cfg.Telemetry = opts.Telemetry
-	}
+	cfg.Telemetry = opts.Telemetry
 	cfg.AggWorkers = opts.AggWorkers
 	cfg.StreamAudit = opts.StreamAudit
 	if sc.MaliciousFraction > 0 {
@@ -131,53 +174,4 @@ func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Resul
 		return nil, err
 	}
 	return &Result{Scenario: sc, Strategy: strategyName, History: h, LastN: setup.LastN}, nil
-}
-
-// RecordResults publishes a finished result set into a telemetry
-// registry: per-cell summary gauges keyed by scenario and strategy.
-// fedbench uses this to emit its run as a JSON metrics snapshot, giving
-// future perf work a machine-readable trajectory to compare against.
-func RecordResults(reg *telemetry.Registry, results []*Result) {
-	for _, r := range results {
-		labels := []telemetry.Label{
-			telemetry.L("scenario", r.Scenario.ID),
-			telemetry.L("strategy", r.Strategy),
-		}
-		reg.Gauge("bench_mean_accuracy", labels...).Set(r.Mean())
-		reg.Gauge("bench_std_accuracy", labels...).Set(r.Std())
-		reg.Gauge("bench_final_accuracy", labels...).Set(r.History.FinalAccuracy())
-		reg.Gauge("bench_round_seconds", labels...).Set(r.History.MeanSeconds())
-		train, agg, eval := r.History.MeanPhaseSeconds()
-		reg.Gauge("bench_train_seconds", labels...).Set(train)
-		reg.Gauge("bench_aggregate_seconds", labels...).Set(agg)
-		reg.Gauge("bench_eval_seconds", labels...).Set(eval)
-		up, down := r.History.MeanBytes()
-		reg.Gauge("bench_upload_bytes", labels...).Set(float64(up))
-		reg.Gauge("bench_download_bytes", labels...).Set(float64(down))
-		reg.Gauge("bench_rounds", labels...).Set(float64(len(r.History.Rounds)))
-	}
-}
-
-// RunMatrix runs every scenario × strategy cell, reporting progress to
-// progress (may be nil). Cells run sequentially — each run already
-// saturates the worker pool internally.
-func RunMatrix(setup Setup, scenarios []Scenario, strategies []string, progress io.Writer) ([]*Result, error) {
-	var out []*Result
-	for _, sc := range scenarios {
-		for _, name := range strategies {
-			if progress != nil {
-				fmt.Fprintf(progress, "running %s / %s...\n", sc.ID, name)
-			}
-			res, err := Run(setup, sc, name, RunOptions{})
-			if err != nil {
-				return out, fmt.Errorf("%s/%s: %w", sc.ID, name, err)
-			}
-			if progress != nil {
-				fmt.Fprintf(progress, "  %s / %s: mean %.4f ± %.4f (final %.4f)\n",
-					sc.ID, name, res.Mean(), res.Std(), res.History.FinalAccuracy())
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
 }

@@ -1,9 +1,10 @@
 // Package experiment turns the paper's evaluation section into runnable
 // specifications: the five attack scenarios of Fig. 4 / Table IV, the
 // server-learning-rate study of Fig. 5, the system-overhead study of
-// Table V, and the ablations suggested by §VI. Each experiment is
-// expressed as (Setup, Scenario, strategy name) and produces an
-// fl.History that the table/figure emitters render.
+// Table V, and the ablations suggested by §VI. Each study is a list of
+// Cells — (Setup, Scenario, strategy name), the study's override already
+// in the Setup — that RunMatrix runs into Results the table/figure
+// emitters render.
 package experiment
 
 import (
@@ -14,7 +15,6 @@ import (
 	"fedguard/internal/dataset"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
-	"fedguard/internal/telemetry"
 )
 
 // Preset selects an experiment scale.
@@ -56,13 +56,6 @@ type Setup struct {
 	TestSubset int
 	Seed       uint64
 	Workers    int
-
-	// Telemetry, when non-nil, is the default observability bundle for
-	// every run of this setup (events, metrics, and — when tracing is
-	// enabled on it — span trees). RunOptions.Telemetry overrides it per
-	// run. fedbench uses this to thread one -events sink through the whole
-	// matrix.
-	Telemetry *telemetry.T
 }
 
 // NewSetup returns the named preset.
@@ -162,6 +155,5 @@ func (s Setup) Federation(sc Scenario) fl.FederationConfig {
 		Workers:    s.Workers,
 		TestSubset: s.TestSubset,
 		Seed:       s.Seed,
-		Telemetry:  s.Telemetry,
 	}
 }
