@@ -1,27 +1,22 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check clean
+.PHONY: all build test test-short race vet ci bench bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check clean
 
-# The substrate microbenchmarks tracked in BENCH_micro.json.
+# The substrate microbenchmarks bench-smoke runs once each.
 MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkClassifierInfer$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkFedGuardAudit$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
 # The wire-layer microbenchmarks (raw vs codec framing and the per-round
-# byte cost), tracked in the same snapshot file.
+# byte cost).
 WIRE_BENCH = BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$|BenchmarkRoundWireBytes$$
-# The codec kernels and the server's encode-once broadcast fan-out,
-# tracked in the same snapshot file.
+# The codec kernels and the server's encode-once broadcast fan-out.
 CODEC_BENCH = BenchmarkCodecEncode$$|BenchmarkCodecEncodeDelta$$|BenchmarkCodecHash$$
 FANOUT_BENCH = BenchmarkServerBroadcastFanout$$
 # The checkpoint write-cost benchmarks (round-file serialization alone,
 # and the steady-state durable path: list, fsync, rename, no decoder
-# rewritten), at the quick and default preset shapes, tracked in the same
-# snapshot file.
+# rewritten), at the quick and default preset shapes.
 CKPT_BENCH = BenchmarkCheckpointWrite$$|BenchmarkCheckpointSave$$
 # The aggregation-kernel benchmarks (robust strategy math on the blocked
-# reduction kernels at model dimension), tracked in the same snapshot
-# file.
+# reduction kernels at model dimension).
 AGG_BENCH = BenchmarkAggregateFedAvg$$|BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$
-# Label for the snapshot written by bench-json.
-BENCH_LABEL ?= current
 
 all: build
 
@@ -93,18 +88,6 @@ bench-smoke:
 bench-agg:
 	$(GO) test -run '^$$' -bench '$(AGG_BENCH)' -benchmem -benchtime=1x .
 
-# bench-json measures the tracked microbenchmarks and records them as a
-# labelled snapshot in BENCH_micro.json (BENCH_LABEL=<label> to name it;
-# re-using a label replaces that snapshot).
-bench-json:
-	{ $(GO) test -run '^$$' -bench '$(MICRO_BENCH)' -benchmem -benchtime=3s . ; \
-	  $(GO) test -run '^$$' -bench '$(WIRE_BENCH)' -benchmem -benchtime=3s ./internal/wire/ ; \
-	  $(GO) test -run '^$$' -bench '$(CODEC_BENCH)' -benchmem -benchtime=3s ./internal/codec/ ; \
-	  $(GO) test -run '^$$' -bench '$(FANOUT_BENCH)' -benchmem -benchtime=20x ./internal/fednet/ ; \
-	  $(GO) test -run '^$$' -bench '$(CKPT_BENCH)' -benchmem -benchtime=3s ./internal/persist/ ; \
-	  $(GO) test -run '^$$' -bench '$(AGG_BENCH)' -benchmem -benchtime=3s . ; } \
-		| $(GO) run ./cmd/benchjson -label '$(BENCH_LABEL)' -out BENCH_micro.json
-
 # bench-guard re-measures the round-pipeline critical benchmarks and
 # fails if any exceed the ceilings committed in BENCH_guard.json — the
 # regression tripwire for the pooled frame writer, the codec fast paths,
@@ -123,7 +106,7 @@ bench-json:
 # (the skip-draw walk's time, and that it keeps a partition and not the
 # training set), and a client's round after its first (≤ 1 MiB B/op: it
 # trains on the worker it borrowed before; a model built per round is
-# 9.8 MB). Ceilings are loose (≈2-3× the snapshot numbers) so CI
+# 9.8 MB). Ceilings are loose (≈2-3× the measured numbers) so CI
 # noise passes but a lost fast path or reintroduced per-op allocation
 # fails.
 bench-guard:

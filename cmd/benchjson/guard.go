@@ -8,7 +8,7 @@ import (
 
 // Threshold is one guarded benchmark: the measured ns/op and any extra
 // metrics (allocs/op, B/op, ...) must stay at or under the recorded
-// ceilings. Ceilings are deliberately loose versus the snapshot numbers
+// ceilings. Ceilings are deliberately loose versus the measured numbers
 // — they catch order-of-magnitude regressions (a lost fast path, a
 // pooling bug reintroducing per-op allocation), not CI jitter.
 type Threshold struct {

@@ -1,17 +1,11 @@
-// Command benchjson converts `go test -bench` output into a committed
-// JSON snapshot file, so performance numbers live in the repository with
-// a label per measurement point and regressions show up as diffs.
+// Command benchjson reads `go test -bench` output and benchmark reports.
 //
-//	go test -run '^$' -bench 'BenchmarkMatMul128$' -benchmem . |
-//	    go run ./cmd/benchjson -label post-overhaul -out BENCH_micro.json
+// With -guard <file> it checks the piped benchmark output against the
+// ceilings committed in that file (see GuardFile) and exits nonzero on
+// any regression — the `make bench-guard` CI gate.
 //
-// The output file holds a list of snapshots; re-running with an existing
-// label replaces that snapshot in place, so iterating on a change keeps
-// exactly one entry per label.
-//
-// With -guard <file> the tool instead checks the piped benchmark output
-// against the ceilings committed in that file (see GuardFile) and exits
-// nonzero on any regression — the `make bench-guard` CI gate.
+//	go test -run '^$' -bench 'BenchmarkCVAEStep$' -benchtime=20x . |
+//	    go run ./cmd/benchjson -guard BENCH_guard.json
 //
 // With -pairs <dir> it reads a directory of benchmark reports taken in
 // alternating parent/change pairs (results/runs/pr-NN, see pairs.go) and
@@ -24,7 +18,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,90 +29,32 @@ import (
 // Result is one benchmark line: the canonical ns/op plus every extra
 // metric the benchmark reported (GFLOPS, samples/s, B/op, allocs/op...).
 type Result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Name       string
+	Iterations int64
+	NsPerOp    float64
+	Metrics    map[string]float64
 }
 
-// Snapshot is one labelled measurement run.
+// Snapshot is one parsed benchmark run.
 type Snapshot struct {
-	Label   string   `json:"label"`
-	Date    string   `json:"date,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []Result `json:"results"`
-}
-
-// File is the committed snapshot collection.
-type File struct {
-	Snapshots []Snapshot `json:"snapshots"`
+	CPU     string
+	Results []Result
 }
 
 func main() {
-	label := flag.String("label", "", "snapshot label (required); an existing snapshot with the same label is replaced")
-	out := flag.String("out", "BENCH_micro.json", "snapshot file to create or update")
-	date := flag.String("date", "", "optional date string recorded verbatim in the snapshot")
-	guardPath := flag.String("guard", "", "threshold file: check stdin against its ceilings instead of snapshotting; exit 1 on regression")
+	guardPath := flag.String("guard", "", "threshold file: check stdin against its ceilings; exit 1 on regression")
 	pairsDir := flag.String("pairs", "", "directory of parent/change benchmark reports: print medians, quartiles and wins per workload, seed and metric; exit 1 if final weights differ")
 	flag.Parse()
-	if *pairsDir != "" {
+	switch {
+	case *pairsDir != "":
 		runPairs(*pairsDir)
-		return
-	}
-	if *guardPath != "" {
+	case *guardPath != "":
 		runGuard(*guardPath)
-		return
-	}
-	if *label == "" {
-		fmt.Fprintln(os.Stderr, "benchjson: -label is required")
+	default:
+		fmt.Fprintln(os.Stderr, "benchjson: one of -guard or -pairs is required")
+		flag.Usage()
 		os.Exit(2)
 	}
-
-	snap, err := parse(os.Stdin)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	if len(snap.Results) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
-	}
-	snap.Label = *label
-	snap.Date = *date
-
-	var file File
-	if raw, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(raw, &file); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: existing %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-	}
-	replaced := false
-	for i := range file.Snapshots {
-		if file.Snapshots[i].Label == snap.Label {
-			file.Snapshots[i] = snap
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		file.Snapshots = append(file.Snapshots, snap)
-	}
-
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(*out, append(enc, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	verb := "added"
-	if replaced {
-		verb = "replaced"
-	}
-	fmt.Printf("benchjson: %s snapshot %q (%d results) in %s\n", verb, snap.Label, len(snap.Results), *out)
 }
 
 // parse reads `go test -bench` output: it keeps the cpu: header and every

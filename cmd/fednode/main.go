@@ -140,7 +140,6 @@ func serverConfig() (experiment.Setup, fednet.Config, fl.Strategy, error) {
 	}
 	cfg := server
 	cfg.Experiment = setup.Federation(sc)
-	cfg.Experiment.AggWorkers = cli.Run.AggWorkers
 	cfg.AttackName = sc.Attack
 	cfg.ArchName = setup.ArchName
 	cfg.DataSeed = setup.TrainDataSeed()

@@ -18,8 +18,7 @@ func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
 		"mode": "server", "listen": ":7070", "addr": "127.0.0.1:7070", "id": "0",
 		"preset": "quick", "scenario": "no-attack", "strategy": "FedGuard",
-		"events": "", "debug-addr": "", "compress": "false", "trace": "false",
-		"stream-audit": "false", "agg-workers": "0",
+		"events": "", "debug-addr": "", "compress": "false", "trace": "false", "stream-audit": "false",
 		"min-clients": "0", "round-timeout": "0s", "io-timeout": "0s", "retries": "0",
 		"register-timeout": "0s", "redial": "0",
 		"checkpoint-dir": "", "checkpoint-every": "1", "resume": "false",

@@ -218,7 +218,6 @@ func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
 		experiment.MatrixOptions{
 			Workers:     *matrixWorkers,
 			Seed:        *seed,
-			AggWorkers:  cli.Run.AggWorkers,
 			StreamAudit: cli.Run.StreamAudit,
 			Telemetry:   tel,
 			Progress:    os.Stderr,

@@ -1,6 +1,7 @@
 package fedguard
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,9 +12,10 @@ import (
 // TestDocsReferencesExist keeps the prose honest about the tree: every
 // back-ticked examples/, cmd/, internal/ or benchmark/ path and every
 // `make <target>` that README.md, DESIGN.md or EXPERIMENTS.md names must
-// exist, and every flag an invocation of one of the repo's commands
-// names must be one that command defines. Output paths (results/…) and
-// patterns (*, {a,b}, <id>, …) are not references and are skipped.
+// exist, every flag an invocation of one of the repo's commands names
+// must be one that command defines, and every `ROADMAP item N` must be a
+// numbered item of ROADMAP.md. Output paths (results/…) and patterns (*,
+// {a,b}, <id>, …) are not references and are skipped.
 func TestDocsReferencesExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -30,12 +32,19 @@ func TestDocsReferencesExist(t *testing.T) {
 	if errs := undefinedFlags("planted", []byte("run `fedsim -preset quick -no-such-flag`"), flags); len(errs) != 1 {
 		t.Fatalf("a planted bad flag is not caught: %v", errs)
 	}
+	items := roadmapItems(t)
+	if errs := unknownItems("planted", []byte("see ROADMAP\nitem 999"), items); len(errs) != 1 {
+		t.Fatalf("a planted bad ROADMAP item is not caught: %v", errs)
+	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range undefinedFlags(doc, text, flags) {
+			t.Error(e)
+		}
+		for _, e := range unknownItems(doc, text, items) {
 			t.Error(e)
 		}
 		for _, m := range ticked.FindAllSubmatch(text, -1) {
@@ -129,6 +138,35 @@ func undefinedFlags(doc string, text []byte, flags map[string]map[string]bool) [
 					errs = append(errs, doc+": `"+strings.TrimSpace(m[0])+"` names -"+f[1]+", which "+m[1]+" does not define")
 				}
 			}
+		}
+	}
+	return errs
+}
+
+// roadmapItems returns the numbers of ROADMAP.md's numbered items.
+func roadmapItems(t *testing.T) map[string]bool {
+	t.Helper()
+	src, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^(\d+)\. `).FindAllSubmatch(src, -1) {
+		items[string(m[1])] = true
+	}
+	if len(items) == 0 {
+		t.Fatal("ROADMAP.md numbers no items")
+	}
+	return items
+}
+
+// unknownItems returns one message per `ROADMAP item N`, wrapped or not,
+// in text whose N is not one of items.
+func unknownItems(doc string, text []byte, items map[string]bool) []string {
+	var errs []string
+	for _, m := range regexp.MustCompile(`ROADMAP\s+items?\s+(\d+)`).FindAllSubmatch(text, -1) {
+		if !items[string(m[1])] {
+			errs = append(errs, fmt.Sprintf("%s: names ROADMAP item %s, which ROADMAP.md does not number", doc, m[1]))
 		}
 	}
 	return errs

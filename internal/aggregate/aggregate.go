@@ -11,7 +11,7 @@
 // internal/tensor: distances and weighted sums accumulate over fixed
 // coordinate blocks in a fixed lane order, and parallelism only splits
 // independently owned outputs across workers, so results are
-// bit-identical at any tensor.SetAggWorkers setting.
+// bit-identical at any tensor.SetWorkers setting.
 package aggregate
 
 import (

@@ -113,7 +113,7 @@ func TestGeometricMedianLargeMagnitude(t *testing.T) {
 // outputs across worker counts, including dimensions that exercise
 // partial blocks and partial 16-lanes.
 func TestOperatorsDeterministicAcrossWorkers(t *testing.T) {
-	defer tensor.SetAggWorkers(0)
+	defer tensor.SetWorkers(tensor.Workers())
 	ups := kernelUpdates(13, 12, tensor.ReduceBlock+37)
 	type result struct {
 		name string
@@ -153,10 +153,10 @@ func TestOperatorsDeterministicAcrossWorkers(t *testing.T) {
 		rs = append(rs, result{"MultiKrum", mk})
 		return rs
 	}
-	tensor.SetAggWorkers(1)
+	tensor.SetWorkers(1)
 	ref := runAll()
 	for _, workers := range []int{4, 64} {
-		tensor.SetAggWorkers(workers)
+		tensor.SetWorkers(workers)
 		got := runAll()
 		for i, r := range got {
 			for j, v := range r.out {

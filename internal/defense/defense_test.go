@@ -2,6 +2,7 @@ package defense
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -286,13 +287,13 @@ func auditDeterminismUpdates(t *testing.T) ([]fl.Update, cvae.Config) {
 
 // TestFedGuardParallelAuditMatchesSerial pins the determinism contract
 // of the fan-out audit: for the same round context seed, Aggregate must
-// produce the reference's weights, report and exclusions at any
-// AuditWorkers setting.
+// produce the reference's weights, report and exclusions at any pool
+// width.
 func TestFedGuardParallelAuditMatchesSerial(t *testing.T) {
 	updates, ccfg := auditDeterminismUpdates(t)
-	want := referenceAggregate(t, streamGuard(ccfg, 1), updates, 41)
-	for _, workers := range []int{1, 2, 4, 0} {
-		requireSame(t, fmt.Sprintf("workers=%d", workers), barrierRun(t, streamGuard(ccfg, workers), updates, 41), want)
+	want := referenceAggregate(t, streamGuard(t, ccfg, 1), updates, 41)
+	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+		requireSame(t, fmt.Sprintf("workers=%d", workers), barrierRun(t, streamGuard(t, ccfg, workers), updates, 41), want)
 	}
 }
 
@@ -304,14 +305,14 @@ func TestFedGuardParallelSynthesizeMatchesSerial(t *testing.T) {
 	for _, routed := range []bool{false, true} {
 		for _, maxDecoders := range []int{0, 3} {
 			guard := func(workers int) *FedGuard {
-				g := streamGuard(ccfg, workers)
+				g := streamGuard(t, ccfg, workers)
 				g.Samples = 50
 				g.MaxDecoders = maxDecoders
 				g.UseDecoderClasses = routed
 				return g
 			}
 			wantX, wantLabels := referenceSet(t, guard(1), updates, 42)
-			for _, workers := range []int{1, 3, 0} {
+			for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 				x, labels, err := guard(workers).Synthesize(ctxWith(updates, 42))
 				if err != nil {
 					t.Fatal(err)
@@ -337,9 +338,9 @@ func TestFedGuardNeverWritesDecoderPayloads(t *testing.T) {
 	payload := updates[0].Decoder
 	before := codec.Hash(payload)
 
-	want := referenceAggregate(t, streamGuard(ccfg, 3), updates, 45)
-	requireSame(t, "barrier", barrierRun(t, streamGuard(ccfg, 3), updates, 45), want)
-	requireSame(t, "stream", streamRun(t, streamGuard(ccfg, 3), updates, 45, []int{0, 1, 2, 3, 4, 5}, updates), want)
+	want := referenceAggregate(t, streamGuard(t, ccfg, 3), updates, 45)
+	requireSame(t, "barrier", barrierRun(t, streamGuard(t, ccfg, 3), updates, 45), want)
+	requireSame(t, "stream", streamRun(t, streamGuard(t, ccfg, 3), updates, 45, []int{0, 1, 2, 3, 4, 5}, updates), want)
 	if after := codec.Hash(payload); after != before {
 		t.Fatalf("a round wrote the shared decoder payload: hash %016x, was %016x", after, before)
 	}

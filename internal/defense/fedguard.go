@@ -5,8 +5,6 @@
 package defense
 
 import (
-	"runtime"
-
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
@@ -54,14 +52,6 @@ type FedGuard struct {
 	UseDecoderClasses bool
 	// ImageH and ImageW shape the synthetic images for the classifier.
 	ImageH, ImageW int
-	// AuditWorkers bounds the goroutines used to score client updates and
-	// to run per-decoder synthesis. 0 means GOMAXPROCS; 1 forces the
-	// serial path. Any setting produces bit-identical results: every RNG
-	// draw happens before the workers start, a synthetic row depends only
-	// on its own (z, y) and decoder, scores are integer hit counts kept
-	// per update and the mean is reduced serially — parallelism changes
-	// only wall-clock time.
-	AuditWorkers int
 
 	// auditModels is the only state kept across rounds: one model per
 	// worker, built lazily. What the strategy decided is in the round's
@@ -233,18 +223,12 @@ func (g *FedGuard) assignSamples(labels []int, nd int, decoderClasses [][]int) [
 	return assign
 }
 
-// workers resolves AuditWorkers against the machine, capped by the
-// amount of independent work available.
+// workers bounds the goroutines that synthesize and score: the tensor
+// pool's width, capped by the independent work available. Any width
+// produces bit-identical results: every RNG draw happens before the
+// workers start, a synthetic row depends only on its own (z, y) and
+// decoder, scores are integer hit counts kept per update and the mean is
+// reduced serially — parallelism changes only wall-clock time.
 func (g *FedGuard) workers(jobs int) int {
-	w := g.AuditWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(min(tensor.Workers(), jobs), 1)
 }

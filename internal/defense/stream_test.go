@@ -9,12 +9,21 @@ import (
 	"fedguard/internal/cvae"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
+	"fedguard/internal/tensor"
 )
 
-func streamGuard(ccfg cvae.Config, workers int) *FedGuard {
+// poolWidth sets the tensor pool's width, which also bounds the audit's
+// goroutines, until the test ends.
+func poolWidth(t testing.TB, n int) {
+	prev := tensor.Workers()
+	tensor.SetWorkers(n)
+	t.Cleanup(func() { tensor.SetWorkers(prev) })
+}
+
+func streamGuard(t testing.TB, ccfg cvae.Config, workers int) *FedGuard {
+	poolWidth(t, workers)
 	g := NewFedGuard(classifier.Tiny(), ccfg)
 	g.Samples = 40
-	g.AuditWorkers = workers
 	return g
 }
 
@@ -124,16 +133,16 @@ func TestAuditStreamMatchesBatch(t *testing.T) {
 		{name: "serial-inorder", workers: 1, order: []int{0, 1, 2, 3, 4, 5}},
 		{name: "serial-reversed", workers: 1, order: []int{5, 4, 3, 2, 1, 0}},
 		{name: "parallel-shuffled", workers: 4, order: []int{3, 0, 5, 1, 4, 2}},
-		{name: "gomaxprocs-shuffled", workers: 0, order: []int{2, 5, 0, 4, 1, 3}},
+		{name: "gomaxprocs-shuffled", workers: runtime.GOMAXPROCS(0), order: []int{2, 5, 0, 4, 1, 3}},
 		{name: "maxdecoders", workers: 3, maxDecoders: 3, order: []int{4, 1, 5, 0, 2, 3}},
 		{name: "routed-inorder", workers: 1, routed: true, order: []int{0, 1, 2, 3, 4, 5}},
 		{name: "routed-shuffled", workers: 4, routed: true, order: []int{3, 0, 5, 1, 4, 2}},
 		{name: "routed-maxdecoders", workers: 2, maxDecoders: 3, routed: true, order: []int{4, 1, 5, 0, 2, 3}},
-		{name: "routed-maxdecoders-reversed", workers: 0, maxDecoders: 3, routed: true, order: []int{5, 4, 3, 2, 1, 0}},
+		{name: "routed-maxdecoders-reversed", workers: runtime.GOMAXPROCS(0), maxDecoders: 3, routed: true, order: []int{5, 4, 3, 2, 1, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			guard := func() *FedGuard {
-				g := streamGuard(ccfg, tc.workers)
+				g := streamGuard(t, ccfg, tc.workers)
 				g.MaxDecoders = tc.maxDecoders
 				g.UseDecoderClasses = tc.routed
 				return g
@@ -152,9 +161,9 @@ func TestAuditStreamMatchesBatch(t *testing.T) {
 func TestAuditStreamConcurrentSubmit(t *testing.T) {
 	updates, ccfg := auditDeterminismUpdates(t)
 	const seed = 43
-	want := referenceAggregate(t, streamGuard(ccfg, 2), updates, seed)
+	want := referenceAggregate(t, streamGuard(t, ccfg, 2), updates, seed)
 
-	g := streamGuard(ccfg, 2)
+	g := streamGuard(t, ccfg, 2)
 	ctx := ctxWith(nil, seed)
 	stream := g.BeginRound(ctx, len(updates))
 	submitted := make(chan struct{})
@@ -186,28 +195,28 @@ func TestAuditStreamFallback(t *testing.T) {
 	t.Run("dropout", func(t *testing.T) {
 		// Client in slot 2 never arrives; the round closes with 5 updates.
 		survivors := append(append([]fl.Update(nil), updates[:2]...), updates[3:]...)
-		want := referenceAggregate(t, streamGuard(ccfg, 2), survivors, seed)
-		got := streamRun(t, streamGuard(ccfg, 2), updates, seed, []int{0, 1, 3, 4, 5}, survivors)
+		want := referenceAggregate(t, streamGuard(t, ccfg, 2), survivors, seed)
+		got := streamRun(t, streamGuard(t, ccfg, 2), updates, seed, []int{0, 1, 3, 4, 5}, survivors)
 		requireSame(t, "dropout", got, want)
 	})
 
 	t.Run("slot-mismatch", func(t *testing.T) {
 		reordered := append([]fl.Update(nil), updates...)
 		reordered[0], reordered[1] = reordered[1], reordered[0]
-		want := referenceAggregate(t, streamGuard(ccfg, 1), reordered, seed)
-		got := streamRun(t, streamGuard(ccfg, 1), updates, seed, []int{0, 1, 2, 3, 4, 5}, reordered)
+		want := referenceAggregate(t, streamGuard(t, ccfg, 1), reordered, seed)
+		got := streamRun(t, streamGuard(t, ccfg, 1), updates, seed, []int{0, 1, 2, 3, 4, 5}, reordered)
 		requireSame(t, "slot-mismatch", got, want)
 	})
 
 	t.Run("submitted-twice", func(t *testing.T) {
-		want := referenceAggregate(t, streamGuard(ccfg, 2), updates, seed)
-		got := streamRun(t, streamGuard(ccfg, 2), updates, seed, []int{0, 1, 1, 2, 3, 4, 5}, updates)
+		want := referenceAggregate(t, streamGuard(t, ccfg, 2), updates, seed)
+		got := streamRun(t, streamGuard(t, ccfg, 2), updates, seed, []int{0, 1, 1, 2, 3, 4, 5}, updates)
 		requireSame(t, "submitted-twice", got, want)
 	})
 
 	t.Run("abort-then-batch", func(t *testing.T) {
-		want := referenceAggregate(t, streamGuard(ccfg, 2), updates, seed)
-		g := streamGuard(ccfg, 2)
+		want := referenceAggregate(t, streamGuard(t, ccfg, 2), updates, seed)
+		g := streamGuard(t, ccfg, 2)
 		ctx := ctxWith(nil, seed)
 		stream := g.BeginRound(ctx, len(updates))
 		stream.Submit(0, updates[0])
@@ -228,12 +237,12 @@ func TestAuditStreamFallback(t *testing.T) {
 func TestAuditStreamUnsupported(t *testing.T) {
 	_, _, ccfg := buildFixture(t, rng.New(40))
 	for _, m := range []int{0, -1} {
-		if s := streamGuard(ccfg, 1).BeginRound(ctxWith(nil, 1), m); s != nil {
+		if s := streamGuard(t, ccfg, 1).BeginRound(ctxWith(nil, 1), m); s != nil {
 			t.Fatalf("a round of %d updates must not stream", m)
 		}
 	}
 	ccfg.Input = 100
-	if s := streamGuard(ccfg, 1).BeginRound(ctxWith(nil, 1), 4); s != nil {
+	if s := streamGuard(t, ccfg, 1).BeginRound(ctxWith(nil, 1), 4); s != nil {
 		t.Fatal("a mis-shaped CVAE config must not stream")
 	}
 }
@@ -242,7 +251,7 @@ func TestAuditStreamUnsupported(t *testing.T) {
 // BeginRound speculates on a clone, leaving ctx.RNG's stream untouched.
 func TestAuditStreamDoesNotAdvanceRNG(t *testing.T) {
 	updates, ccfg := auditDeterminismUpdates(t)
-	g := streamGuard(ccfg, 1)
+	g := streamGuard(t, ccfg, 1)
 	ctx := ctxWith(nil, 53)
 	ref := ctx.RNG.Clone()
 	stream := g.BeginRound(ctx, len(updates))
@@ -287,7 +296,7 @@ func TestAuditErrorsAreDeterministic(t *testing.T) {
 			updates := append([]fl.Update(nil), good...)
 			tc.spoil(updates)
 			guard := func() *FedGuard {
-				g := streamGuard(ccfg, 2)
+				g := streamGuard(t, ccfg, 2)
 				g.MaxDecoders = tc.maxDecoders
 				return g
 			}
@@ -310,7 +319,7 @@ func TestAuditErrorsAreDeterministic(t *testing.T) {
 	}
 	// The drawn-order case must really be decided by the draw: the first
 	// drawn slot is not the lowest drawn slot at this seed.
-	g := streamGuard(ccfg, 1)
+	g := streamGuard(t, ccfg, 1)
 	g.MaxDecoders = 4
 	if order, _, _ := g.drawPlan(rng.New(seed), len(good)); order[0] == slices.Min(order) {
 		t.Fatalf("seed %d draws %v, which no longer tells drawn order from slot order; pick another", seed, order)
@@ -328,7 +337,7 @@ func TestAuditPlanJobShape(t *testing.T) {
 	m := len(updates)
 	for _, nd := range []int{m, 3} {
 		for _, workers := range []int{1, 3} {
-			g := streamGuard(ccfg, workers)
+			g := streamGuard(t, ccfg, workers)
 			g.MaxDecoders = nd
 			s, err := g.synthesized(ctxWith(updates, 61))
 			if err != nil {
@@ -351,7 +360,7 @@ func TestAuditPlanJobShape(t *testing.T) {
 	// schedule that made the per-block plan score every (update, block)
 	// pair on its own — 21 jobs for six in-order arrivals.
 	for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {3, 0, 5, 1, 4, 2}} {
-		g := streamGuard(ccfg, 1)
+		g := streamGuard(t, ccfg, 1)
 		ctx := ctxWith(nil, 61)
 		s := g.BeginRound(ctx, m).(*AuditStream)
 		for _, slot := range order {
@@ -395,7 +404,7 @@ func TestAuditModelsHoldNoBatchScratch(t *testing.T) {
 	}
 	g := NewFedGuard(classifier.Small(), ccfg)
 	g.Samples = 100
-	g.AuditWorkers = workers
+	poolWidth(t, workers)
 	round := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -16,8 +16,8 @@ type CLI struct {
 	Preset, Scenario, Strategy string
 	Events, DebugAddr          string
 	Trace                      bool
-	// Run receives -stream-audit, -agg-workers, -checkpoint-dir,
-	// -checkpoint-every and -resume.
+	// Run receives -stream-audit, -checkpoint-dir, -checkpoint-every and
+	// -resume.
 	Run RunOptions
 }
 
@@ -34,8 +34,6 @@ func BindFlags(fs *flag.FlagSet, defaultPreset Preset) *CLI {
 		"record span trees, exported into the -events log (analyze with fedtrace); over the network trace context propagates (CapTrace) when both endpoints pass it")
 	fs.BoolVar(&c.Run.StreamAudit, "stream-audit", false,
 		"audit each update as it lands instead of after the round barrier (bit-identical results; server-side only, no negotiation)")
-	fs.IntVar(&c.Run.AggWorkers, "agg-workers", 0,
-		"aggregation-kernel parallelism (0 = tensor pool default; results identical at any value)")
 	fs.StringVar(&c.Run.CheckpointDir, "checkpoint-dir", "",
 		"persist a crash-safe run checkpoint to this directory after each round: checkpoint.fgc rewritten per round, one write-once dec-<client>-<hash>.fgw per decoder; stale dec-* files there are pruned")
 	fs.IntVar(&c.Run.CheckpointEvery, "checkpoint-every", 1, "checkpoint cadence in rounds (with -checkpoint-dir)")
@@ -51,8 +49,6 @@ func (c *CLI) Validate() error {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	case c.Run.CheckpointEvery < 0:
 		return fmt.Errorf("-checkpoint-every = %d", c.Run.CheckpointEvery)
-	case c.Run.AggWorkers < 0:
-		return fmt.Errorf("-agg-workers = %d", c.Run.AggWorkers)
 	}
 	return nil
 }

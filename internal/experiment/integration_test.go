@@ -1,66 +1,36 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"fedguard/internal/tensor"
 )
 
-// TestIntegrationFedGuardAuditWorkersDeterminism pins the end-to-end
-// determinism contract of the parallel audit: a fixed-seed quick-preset
-// FedGuard federation must produce byte-identical FinalWeights whether
-// the server audits updates serially or across a worker pool.
-func TestIntegrationFedGuardAuditWorkersDeterminism(t *testing.T) {
+// TestIntegrationPoolWidthDeterminism pins the contract of the one
+// parallelism bound, tensor.Workers(), which sizes the matmul kernels,
+// the blocked aggregation kernels and the FedGuard audit alike: a
+// fixed-seed quick-preset federation produces byte-identical
+// FinalWeights at every width — serial, a fixed pool, and GOMAXPROCS —
+// for each kernel-backed strategy and for FedGuard on both audit
+// schedules, for the barrier audit over the preset's full round count,
+// and for a run resumed from a mid-run checkpoint at a different width
+// than the run that wrote it.
+func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	setup := MustSetup(PresetQuick)
-	sc, _ := ScenarioByID("sign-flip-50")
-	run := func(workers int) []float32 {
-		g := newFedGuard(setup, nil)
-		g.AuditWorkers = workers
-		res, err := Run(setup, sc, "FedGuard", RunOptions{Strategy: g})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.History.FinalWeights) == 0 {
-			t.Fatal("no final weights recorded")
-		}
-		return res.History.FinalWeights
-	}
-	serial := run(1)
-	parallel := run(4)
-	if len(serial) != len(parallel) {
-		t.Fatalf("weight counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("FinalWeights[%d] differs: serial %v, parallel %v", i, serial[i], parallel[i])
-		}
-	}
-}
-
-// TestIntegrationAggWorkersDeterminism pins the acceptance contract of
-// the blocked aggregation kernels: a fixed-seed quick-preset federation
-// produces byte-identical FinalWeights at every aggregation-kernel
-// width — serial, a fixed pool, and the GOMAXPROCS default — for each
-// kernel-backed strategy, including a run resumed from a mid-run
-// checkpoint at a different width than the run that wrote it.
-func TestIntegrationAggWorkersDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	defer tensor.SetAggWorkers(0)
-	setup := MustSetup(PresetQuick)
-	setup.Rounds = 3 // enough rounds to exercise every kernel; keeps 14 runs affordable
+	defer tensor.SetWorkers(tensor.Workers())
+	full := MustSetup(PresetQuick)
+	setup := full
+	setup.Rounds = 3 // enough rounds to exercise every kernel; keeps the kernel legs affordable
 	sc, _ := ScenarioByID("sign-flip-50")
 
-	run := func(t *testing.T, strategy string, opts RunOptions) []float32 {
+	runSetup := func(t *testing.T, setup Setup, width int, strategy string, opts RunOptions) []float32 {
 		t.Helper()
-		// Reset the pool-wide width so an AggWorkers=0 leg genuinely
-		// follows the tensor pool instead of inheriting the prior leg's.
-		tensor.SetAggWorkers(0)
+		tensor.SetWorkers(width)
 		res, err := Run(setup, sc, strategy, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -69,6 +39,10 @@ func TestIntegrationAggWorkersDeterminism(t *testing.T) {
 			t.Fatal("no final weights recorded")
 		}
 		return res.History.FinalWeights
+	}
+	run := func(t *testing.T, width int, strategy string, opts RunOptions) []float32 {
+		t.Helper()
+		return runSetup(t, setup, width, strategy, opts)
 	}
 	sameBits := func(t *testing.T, want, got []float32, leg string) {
 		t.Helper()
@@ -82,29 +56,46 @@ func TestIntegrationAggWorkersDeterminism(t *testing.T) {
 		}
 	}
 
-	for _, strategy := range []string{"FedAvg", "GeoMed", "Krum", "FedGuard"} {
-		t.Run(strategy, func(t *testing.T) {
-			serial := run(t, strategy, RunOptions{AggWorkers: 1})
-			for _, w := range []int{4, 0} { // 0 = tensor pool default (GOMAXPROCS)
-				got := run(t, strategy, RunOptions{AggWorkers: w})
-				sameBits(t, serial, got, strategy)
+	for _, leg := range []struct {
+		name, strategy string
+		opts           RunOptions
+	}{
+		{"FedAvg", "FedAvg", RunOptions{}},
+		{"GeoMed", "GeoMed", RunOptions{}},
+		{"Krum", "Krum", RunOptions{}},
+		{"FedGuard", "FedGuard", RunOptions{}},
+		{"FedGuard-stream", "FedGuard", RunOptions{StreamAudit: true}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			serial := run(t, 1, leg.strategy, leg.opts)
+			for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
+				got := run(t, w, leg.strategy, leg.opts)
+				sameBits(t, serial, got, fmt.Sprintf("%s at width %d", leg.name, w))
 			}
 		})
 	}
 
+	// The barrier audit over all of the preset's rounds, so the audit
+	// scores late-round updates, not only the first three rounds'.
+	t.Run("Audit", func(t *testing.T) {
+		serial := runSetup(t, full, 1, "FedGuard", RunOptions{})
+		got := runSetup(t, full, 4, "FedGuard", RunOptions{})
+		sameBits(t, serial, got, "Audit at width 4")
+	})
+
 	t.Run("Resume", func(t *testing.T) {
-		uninterrupted := run(t, "FedGuard", RunOptions{AggWorkers: 1})
-		// Checkpoint every round but stop after round 2, then resume the
-		// final round at a wider kernel; the spliced run must reproduce
-		// the uninterrupted serial one bit for bit.
+		uninterrupted := run(t, 1, "FedGuard", RunOptions{})
+		// Checkpoint every round but stop after round 2 at a wide pool,
+		// then resume the final round serially; the spliced run must
+		// reproduce the uninterrupted serial one bit for bit.
 		dir := t.TempDir()
 		short := setup
 		short.Rounds = 2
-		tensor.SetAggWorkers(0)
-		if _, err := Run(short, sc, "FedGuard", RunOptions{AggWorkers: 4, CheckpointDir: dir}); err != nil {
+		tensor.SetWorkers(4)
+		if _, err := Run(short, sc, "FedGuard", RunOptions{CheckpointDir: dir}); err != nil {
 			t.Fatal(err)
 		}
-		resumed := run(t, "FedGuard", RunOptions{AggWorkers: 4, CheckpointDir: dir, Resume: true})
+		resumed := run(t, 1, "FedGuard", RunOptions{CheckpointDir: dir, Resume: true})
 		sameBits(t, uninterrupted, resumed, "resumed")
 	})
 }

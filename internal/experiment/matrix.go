@@ -45,10 +45,8 @@ type MatrixOptions struct {
 	// sequentially). Results are identical at any setting: every cell is
 	// an independent seeded run and lands at its index.
 	Workers int
-	// Seed, AggWorkers and StreamAudit forward into each cell's
-	// RunOptions.
+	// Seed and StreamAudit forward into each cell's RunOptions.
 	Seed        uint64
-	AggWorkers  int
 	StreamAudit bool
 	// Telemetry, when non-nil, receives one MatrixCellCompleted event per
 	// cell as it finishes. With Workers > 1 the emission order follows
@@ -124,7 +122,6 @@ func runCell(c Cell, opts MatrixOptions) *Result {
 	start := time.Now()
 	r, err := Run(c.Setup, c.Scenario, c.Strategy, RunOptions{
 		Seed:        opts.Seed,
-		AggWorkers:  opts.AggWorkers,
 		StreamAudit: opts.StreamAudit,
 	})
 	if err != nil {

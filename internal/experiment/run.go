@@ -107,10 +107,6 @@ type RunOptions struct {
 	// Resume loads CheckpointDir's checkpoint and continues the run from
 	// the round after it. A missing checkpoint means a cold start.
 	Resume bool
-	// AggWorkers bounds the aggregation-kernel parallelism
-	// (fl.FederationConfig.AggWorkers); 0 keeps the tensor pool default.
-	// Results are byte-identical at any setting.
-	AggWorkers int
 }
 
 // Run executes one (setup, scenario, strategy) cell and returns its
@@ -137,7 +133,6 @@ func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Resul
 	train, test, _ := setup.Data()
 
 	cfg.Telemetry = opts.Telemetry
-	cfg.AggWorkers = opts.AggWorkers
 	cfg.StreamAudit = opts.StreamAudit
 	if sc.MaliciousFraction > 0 {
 		cfg.Attack = att

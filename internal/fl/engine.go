@@ -63,9 +63,6 @@ type workerOwner interface {
 // completed so far.
 func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, cohort Cohort,
 	runSpan *telemetry.Span, resume *Checkpoint, onRound func(RoundRecord)) (*History, error) {
-	if cfg.AggWorkers > 0 {
-		tensor.SetAggWorkers(cfg.AggWorkers)
-	}
 	// All streams are derived from the experiment seed by domain tag, so
 	// every deployment — and a remote client on its own — reconstructs the
 	// identical stream and produces bit-identical results.
@@ -174,7 +171,7 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		aggStart := time.Now()
 		aggSpan, stopAgg := tel.StartPhase(roundSpan, "server.aggregate",
 			telemetry.L("strategy", strategy.Name()),
-			telemetry.L("workers", strconv.Itoa(tensor.EffectiveAggWorkers())))
+			telemetry.L("workers", strconv.Itoa(tensor.Workers())))
 		ctx.Updates = updates
 		ctx.Span = aggSpan
 		var agg []float32

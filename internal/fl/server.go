@@ -47,11 +47,6 @@ type FederationConfig struct {
 	// classifier models a run keeps: clients borrow one to train, ψ is
 	// evaluated on all of them (default GOMAXPROCS).
 	Workers int
-	// AggWorkers bounds the parallelism of the aggregation kernels
-	// (tensor.SetAggWorkers); 0 follows the tensor pool's setting. The
-	// blocked kernels make results byte-identical at any value — the
-	// knob trades wall-clock only.
-	AggWorkers int
 	// StreamAudit overlaps the strategy's per-update audit work with
 	// client training when the strategy implements StreamingStrategy
 	// (FedGuard): each update is submitted to the round's stream as its
@@ -111,8 +106,6 @@ func (c *FederationConfig) Validate() error {
 		return fmt.Errorf("fl: MaliciousFraction %v with nil Attack", c.MaliciousFraction)
 	case c.Client.Arch == nil:
 		return fmt.Errorf("fl: Client.Arch is nil")
-	case c.AggWorkers < 0:
-		return fmt.Errorf("fl: AggWorkers = %d", c.AggWorkers)
 	}
 	if s := c.Stream; s != nil {
 		if s.InitialFraction <= 0 || s.InitialFraction > 1 {

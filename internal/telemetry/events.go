@@ -316,15 +316,3 @@ func (s *CollectSink) ByKind(kind string) []Event {
 	}
 	return out
 }
-
-// MultiSink fans events out to several sinks.
-type MultiSink []Sink
-
-// Emit implements Sink.
-func (m MultiSink) Emit(e Event) {
-	for _, s := range m {
-		if s != nil {
-			s.Emit(e)
-		}
-	}
-}

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // T bundles the two halves of a run's telemetry: a metrics registry for
 // numeric series and a sink for structured events. Every method is safe
@@ -120,32 +117,4 @@ func (t *T) Observe(name string, v float64, labels ...Label) {
 		return
 	}
 	t.Metrics.Histogram(name, labels...).Observe(v)
-}
-
-// ctxKey is the context key type for a *T.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying t.
-func NewContext(ctx context.Context, t *T) context.Context {
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext extracts the *T carried by ctx, or nil (which is itself a
-// valid, disabled T).
-func FromContext(ctx context.Context) *T {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(ctxKey{}).(*T)
-	return t
-}
-
-// Phase opens a phase timer against the telemetry carried by ctx:
-//
-//	defer telemetry.Phase(ctx, "client.train")()
-//
-// With no telemetry in ctx the call is a no-op. (Formerly named Span;
-// renamed when Span became the span-tree node type.)
-func Phase(ctx context.Context, phase string, labels ...Label) func() {
-	return FromContext(ctx).StartSpan(phase, labels...)
 }

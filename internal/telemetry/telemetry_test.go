@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -177,17 +176,6 @@ func TestSpanObservesPhaseHistogram(t *testing.T) {
 	}
 }
 
-func TestSpanFromContext(t *testing.T) {
-	tel := New(nil)
-	ctx := NewContext(context.Background(), tel)
-	Phase(ctx, "server.aggregate")()
-	if got := tel.Metrics.Histogram(PhaseMetric, L("phase", "server.aggregate")).Count(); got != 1 {
-		t.Fatalf("context span recorded %d observations", got)
-	}
-	// A bare context is a no-op, not a panic.
-	Phase(context.Background(), "nothing")()
-}
-
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONLSink(&buf)
@@ -238,15 +226,6 @@ func TestCollectSinkByKind(t *testing.T) {
 	}
 	if got := len(s.Events()); got != 3 {
 		t.Fatalf("total events = %d", got)
-	}
-}
-
-func TestMultiSink(t *testing.T) {
-	var a, b CollectSink
-	m := MultiSink{&a, nil, &b}
-	m.Emit(RunCompleted{Rounds: 2})
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Fatal("multi sink did not fan out")
 	}
 }
 

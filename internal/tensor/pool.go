@@ -105,13 +105,43 @@ func ensureWorkers(n int) {
 
 func poolWorker() {
 	for t := range poolTasks {
-		if t.run != nil {
-			t.run(t.args, t.lo, t.hi)
-		} else {
-			t.rr.RunRange(t.lo, t.hi)
-		}
+		t.exec(t.lo, t.hi)
 		t.wg.Done()
 	}
+}
+
+// exec runs the task's kernel or range runner over [lo, hi).
+func (t *poolTask) exec(lo, hi int) {
+	if t.run != nil {
+		t.run(t.args, lo, hi)
+	} else {
+		t.rr.RunRange(lo, hi)
+	}
+}
+
+// dispatch splits [0, n) into at most Workers() contiguous chunks, sends
+// a copy of t for every chunk but the first to the pool, runs the first
+// on the calling goroutine and waits for completion. t travels by value,
+// so a dispatch allocates nothing.
+func dispatch(n int, t poolTask) {
+	workers := min(Workers(), n)
+	if workers <= 1 {
+		if n > 0 {
+			t.exec(0, n)
+		}
+		return
+	}
+	ensureWorkers(workers - 1)
+	chunk := (n + workers - 1) / workers
+	t.wg = wgPool.Get().(*sync.WaitGroup)
+	for lo := chunk; lo < n; lo += chunk {
+		t.lo, t.hi = lo, min(lo+chunk, n)
+		t.wg.Add(1)
+		poolTasks <- t
+	}
+	t.exec(0, chunk)
+	t.wg.Wait()
+	wgPool.Put(t.wg)
 }
 
 // ParallelRanges splits [0, n) into at most Workers() contiguous chunks,
@@ -121,94 +151,11 @@ func poolWorker() {
 // depend on the partitioning; the codec's per-plane encoder satisfies
 // this because each plane is encoded independently and concatenated in
 // index order afterwards.
-func ParallelRanges(rr RangeRunner, n int) {
-	workers := Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			rr.RunRange(0, n)
-		}
-		return
-	}
-	ensureWorkers(workers - 1)
-	chunk := (n + workers - 1) / workers
-	wg := wgPool.Get().(*sync.WaitGroup)
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		poolTasks <- poolTask{rr: rr, lo: lo, hi: hi, wg: wg}
-	}
-	rr.RunRange(0, chunk)
-	wg.Wait()
-	wgPool.Put(wg)
-}
+func ParallelRanges(rr RangeRunner, n int) { dispatch(n, poolTask{rr: rr}) }
 
-// ParallelRangesN is ParallelRanges with an explicit parallelism bound
-// instead of the pool-wide Workers() setting. The aggregation kernels
-// use it so their worker count (AggWorkers) can be tuned independently
-// of the training matmul pool. workers <= 0 falls back to Workers().
-func ParallelRangesN(rr RangeRunner, n, workers int) {
-	if workers <= 0 {
-		workers = Workers()
-	} else {
-		workers = clampWorkers(workers)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			rr.RunRange(0, n)
-		}
-		return
-	}
-	ensureWorkers(workers - 1)
-	chunk := (n + workers - 1) / workers
-	wg := wgPool.Get().(*sync.WaitGroup)
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		poolTasks <- poolTask{rr: rr, lo: lo, hi: hi, wg: wg}
-	}
-	rr.RunRange(0, chunk)
-	wg.Wait()
-	wgPool.Put(wg)
-}
-
-// parallelRows splits the row range [0, m) into Workers() contiguous
-// chunks, runs the first chunk on the calling goroutine and the rest on
-// the pool, and waits for completion. run must be safe to execute
-// concurrently on disjoint row ranges (the kernels are: each row of dst
-// is written by exactly one chunk).
+// parallelRows is ParallelRanges for a row kernel: run must be safe to
+// execute concurrently on disjoint row ranges (the kernels are: each row
+// of dst is written by exactly one chunk).
 func parallelRows(m int, run kernelFunc, args kernelArgs) {
-	workers := Workers()
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 {
-		run(args, 0, m)
-		return
-	}
-	ensureWorkers(workers - 1)
-	chunk := (m + workers - 1) / workers
-	wg := wgPool.Get().(*sync.WaitGroup)
-	for lo := chunk; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		poolTasks <- poolTask{run: run, args: args, lo: lo, hi: hi, wg: wg}
-	}
-	run(args, 0, chunk)
-	wg.Wait()
-	wgPool.Put(wg)
+	dispatch(m, poolTask{run: run, args: args})
 }

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Deterministic blocked-reduction kernels for robust aggregation.
 //
@@ -38,37 +35,6 @@ const ReduceBlock = 2048
 // block, matching the four 4-wide YMM accumulators of the AVX kernel.
 const reduceLanes = 16
 
-// aggWorkers bounds the parallelism of the aggregation kernels,
-// independently of the matmul pool's Workers() setting. 0 (the default)
-// follows Workers().
-var aggWorkers atomic.Int32
-
-// SetAggWorkers bounds the parallelism of the aggregation kernels.
-// n <= 0 restores the default of following Workers(). Results never
-// depend on the setting — that is the point of the blocked kernels.
-func SetAggWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > maxPoolWorkers {
-		n = maxPoolWorkers
-	}
-	aggWorkers.Store(int32(n))
-}
-
-// AggWorkers returns the current aggregation parallelism bound; 0 means
-// "follow Workers()".
-func AggWorkers() int { return int(aggWorkers.Load()) }
-
-// EffectiveAggWorkers resolves the aggregation parallelism actually in
-// force: the AggWorkers override if set, else Workers().
-func EffectiveAggWorkers() int {
-	if w := AggWorkers(); w > 0 {
-		return w
-	}
-	return Workers()
-}
-
 // rangeFunc adapts a closure to RangeRunner for the blocked kernels.
 // The func value escapes once per kernel call (a handful per round),
 // not per element.
@@ -76,13 +42,11 @@ type rangeFunc func(lo, hi int)
 
 func (f rangeFunc) RunRange(lo, hi int) { f(lo, hi) }
 
-// ParallelBlocks splits [0, n) into at most AggWorkers() contiguous
-// chunks and runs f on each, waiting for completion. f must own its
-// output range exclusively; see the package comment for the determinism
+// ParallelBlocks splits [0, n) into at most Workers() contiguous chunks
+// and runs f on each, waiting for completion. f must own its output
+// range exclusively; see the package comment for the determinism
 // contract.
-func ParallelBlocks(n int, f func(lo, hi int)) {
-	ParallelRangesN(rangeFunc(f), n, AggWorkers())
-}
+func ParallelBlocks(n int, f func(lo, hi int)) { ParallelRanges(rangeFunc(f), n) }
 
 // distSqBlock returns Σ (a[i]-b[i])² over one coordinate block
 // (len(a) <= ReduceBlock) in the canonical 16-lane order.
@@ -277,7 +241,7 @@ func PairwiseDistSq(dst []float64, vecs [][]float32) {
 	pr := &pairRunner{dst: dst, vecs: vecs, pairs: pairs, n: n}
 	for lo := 0; lo < dim; lo += ReduceBlock {
 		pr.lo, pr.hi = lo, min(lo+ReduceBlock, dim)
-		ParallelRangesN(pr, len(pairs), AggWorkers())
+		ParallelRanges(pr, len(pairs))
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

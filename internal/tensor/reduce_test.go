@@ -73,9 +73,9 @@ func TestPairwiseDistSqSymmetricAndDeterministic(t *testing.T) {
 		vecs[i] = randVec32(r, dim)
 	}
 	ref := make([]float64, n*n)
-	defer SetAggWorkers(0)
+	defer SetWorkers(Workers())
 	for _, w := range []int{1, 4, 64} {
-		SetAggWorkers(w)
+		SetWorkers(w)
 		dst := make([]float64, n*n)
 		PairwiseDistSq(dst, vecs)
 		for i := 0; i < n; i++ {
@@ -116,9 +116,9 @@ func TestWeightedSumIntoDeterministic(t *testing.T) {
 	}
 	w[2] = 0 // zero weights must not be skipped
 	ref := make([]float64, dim)
-	defer SetAggWorkers(0)
+	defer SetWorkers(Workers())
 	for _, workers := range []int{1, 4, 64} {
-		SetAggWorkers(workers)
+		SetWorkers(workers)
 		dst := make([]float64, dim)
 		WeightedSumInto(dst, rows, w)
 		if workers == 1 {
