@@ -29,11 +29,14 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# race also runs the classifier worker set's own test ten times over:
-# many goroutines borrowing from one set, one of them panicking mid-hold.
+# race also runs the classifier worker set's own test ten times over —
+# many goroutines borrowing from one set, one of them panicking mid-hold —
+# and the bound it puts on client work: at width two, no more than two
+# clients between classifier and CVAE training at once, co-located over
+# TCP and in process.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=10 -run 'TestSetBoundsBorrowers' ./internal/classifier/
+	$(GO) test -race -count=10 -run 'TestSetBoundsBorrowers|TestClientRoundsHoldTheirWorker' ./internal/classifier/ ./internal/fednet/
 
 vet:
 	$(GO) vet ./...

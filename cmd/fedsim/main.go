@@ -48,7 +48,6 @@ var (
 	seed      = flag.Uint64("seed", 0, "override experiment seed (0 = preset value)")
 	rounds    = flag.Int("rounds", 0, "override round count (0 = preset value)")
 	samples   = flag.Int("samples", 0, "override FedGuard synthetic sample count t (0 = preset value)")
-	workers   = flag.Int("workers", 0, "concurrent client trainers (0 = GOMAXPROCS)")
 	csv       = flag.Bool("csv", false, "emit the per-round accuracy series as CSV on stdout")
 	confusion = flag.Bool("confusion", false, "print the final model's confusion matrix on the test set")
 	save      = flag.String("save", "", "write the final global model checkpoint to this path")
@@ -92,9 +91,6 @@ func main() {
 	}
 	if *samples > 0 {
 		setup.Samples = *samples
-	}
-	if *workers > 0 {
-		setup.Workers = *workers
 	}
 	if *matrix {
 		if err := checkMatrixFlags(flag.CommandLine); err != nil {

@@ -13,6 +13,9 @@
 // Logs can be analyzed partially (server-only still yields the per-round
 // table; client-side phases then show as incomplete rounds and orphan
 // counts). -format json emits the Report structure for scripting.
+//
+// On both transports a client.round span includes the client's wait for
+// a classifier worker of its process; client.train starts once it has one.
 package main
 
 import (

@@ -1,7 +1,6 @@
 package classifier
 
 import (
-	"runtime"
 	"sync"
 
 	"fedguard/internal/dataset"
@@ -43,9 +42,9 @@ func (w *Worker) countCorrect(ds *dataset.Dataset, indices []int) int {
 
 // Set is a bounded set of workers of one architecture. It is a process's
 // (or one in-process run's) whole supply of classifiers: whoever needs
-// one — a client for its local training, the server to evaluate ψ —
-// borrows it with Get and hands it back with Put, so at most Size models
-// exist and at most Size borrowers compute at once. Workers are built on
+// one — a client for its whole round, the server to evaluate ψ — borrows
+// it with Get and hands it back with Put, so at most Size models exist
+// and at most Size borrowers compute at once. Workers are built on
 // demand: a set nobody borrows from costs nothing, and one client alone
 // in its process builds one model however large the set.
 type Set struct {
@@ -59,13 +58,11 @@ type Set struct {
 	numParams int
 }
 
-// NewSet returns an empty set of at most size workers of architecture
-// arch; size <= 0 means GOMAXPROCS.
-func NewSet(arch Arch, size int) *Set {
-	if size <= 0 {
-		size = runtime.GOMAXPROCS(0)
-	}
-	s := &Set{arch: arch, size: size}
+// NewSet returns an empty set of workers of architecture arch, bounded
+// by the tensor pool's width when it is built: tensor.Workers(), the one
+// parallelism bound every parallel layer shares.
+func NewSet(arch Arch) *Set {
+	s := &Set{arch: arch, size: tensor.Workers()}
 	s.freed.L = &s.mu
 	return s
 }

@@ -8,22 +8,16 @@ import (
 	"testing"
 
 	"fedguard/internal/dataset"
-	"fedguard/internal/nn"
 	"fedguard/internal/rng"
+	"fedguard/internal/tensor"
 )
 
-// withDropout is an architecture whose layer keeps the constructor's
-// RNG: the case Reset has to rebind rather than redraw.
-func withDropout() Arch {
-	return func(r *rng.RNG) *nn.Sequential {
-		return nn.NewSequential(
-			nn.NewFlatten(),
-			nn.NewLinear(dataset.ImageH*dataset.ImageW, 24, r),
-			nn.NewReLU(),
-			nn.NewDropout(0.25, r),
-			nn.NewLinear(24, 10, r),
-		)
-	}
+// poolWidth sets the tensor pool's width — what a set built afterwards is
+// sized by — for the rest of the test.
+func poolWidth(t *testing.T, n int) {
+	prev := tensor.Workers()
+	tensor.SetWorkers(n)
+	t.Cleanup(func() { tensor.SetWorkers(prev) })
 }
 
 // borrower is one client's round as the two implementations see it: a
@@ -50,7 +44,7 @@ func TestBorrowedEqualsFresh(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		arch Arch
-	}{{"tiny", Tiny()}, {"small", Small()}, {"dropout", withDropout()}} {
+	}{{"tiny", Tiny()}, {"small", Small()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			global := tc.arch(rng.New(0x610ba1)).FlattenParams()
 			// 36 = two full batches and a 4-row tail; 20 = one and a tail.
@@ -72,8 +66,9 @@ func TestBorrowedEqualsFresh(t *testing.T) {
 				t.Fatal("the two clients trained to the same weights: the comparison below would be vacuous")
 			}
 
+			poolWidth(t, 1)
 			for _, order := range [][]int{{0, 1}, {1, 0}} {
-				set := NewSet(tc.arch, 1)
+				set := NewSet(tc.arch)
 				for k, i := range order {
 					c := clients[i]
 					r := rng.New(c.seed)
@@ -120,7 +115,8 @@ func TestSetEvaluateEqualsEvaluate(t *testing.T) {
 		want := Evaluate(model, ds, indices)
 		batches := (n + evalBatch - 1) / evalBatch
 		for _, w := range []int{1, 2, 3, 5} {
-			set := NewSet(Tiny(), w)
+			poolWidth(t, w)
+			set := NewSet(Tiny())
 			got, err := set.Evaluate(params, ds, indices)
 			if err != nil {
 				t.Fatal(err)
@@ -139,7 +135,8 @@ func TestSetEvaluateEqualsEvaluate(t *testing.T) {
 	if want := Evaluate(model, ds, dataset.Range(600)); want < 0.2 {
 		t.Fatalf("reference accuracy %v: the model scores nothing, equal floats would prove little", want)
 	}
-	set := NewSet(Tiny(), 2)
+	poolWidth(t, 2)
+	set := NewSet(Tiny())
 	if acc, err := set.Evaluate(params, ds, nil); acc != 0 || err != nil {
 		t.Fatalf("empty evaluation = %v, %v; want 0, nil", acc, err)
 	}
@@ -158,7 +155,8 @@ func TestSetEvaluateEqualsEvaluate(t *testing.T) {
 // -count=10 (make race does).
 func TestSetBoundsBorrowers(t *testing.T) {
 	const size, goroutines, turns = 3, 16, 40
-	set := NewSet(Tiny(), size)
+	poolWidth(t, size)
+	set := NewSet(Tiny())
 	if set.NumParams() != Tiny()(rng.New(0)).NumParams() || set.Built() != 1 {
 		t.Fatalf("NumParams = %d with %d built", set.NumParams(), set.Built())
 	}
@@ -217,14 +215,20 @@ func TestSetBoundsBorrowers(t *testing.T) {
 	}
 }
 
-// TestNewSetDefaultsToGOMAXPROCS pins what a size of zero means.
+// TestNewSetDefaultsToGOMAXPROCS pins where a set's bound comes from:
+// the tensor pool's width when the set is built, read once — GOMAXPROCS
+// (capped at the pool's 256) unless something set the width.
 func TestNewSetDefaultsToGOMAXPROCS(t *testing.T) {
-	for _, size := range []int{0, -1} {
-		if got := NewSet(Tiny(), size).Size(); got != runtime.GOMAXPROCS(0) {
-			t.Fatalf("NewSet(%d).Size() = %d, want GOMAXPROCS = %d", size, got, runtime.GOMAXPROCS(0))
-		}
+	if got, want := NewSet(Tiny()).Size(), min(runtime.GOMAXPROCS(0), 256); got != want {
+		t.Fatalf("a set built at the default width has size %d, want GOMAXPROCS = %d", got, want)
 	}
-	if set := NewSet(Tiny(), 4); set.Size() != 4 || set.Built() != 0 {
-		t.Fatalf("a new set of 4: size %d, built %d", set.Size(), set.Built())
+	poolWidth(t, 4)
+	set := NewSet(Tiny())
+	tensor.SetWorkers(7)
+	if set.Size() != 4 || set.Built() != 0 {
+		t.Fatalf("a set built at width 4: size %d, built %d", set.Size(), set.Built())
+	}
+	if got := NewSet(Tiny()).Size(); got != 7 {
+		t.Fatalf("a set built at width 7 has size %d", got)
 	}
 }

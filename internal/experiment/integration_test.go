@@ -11,7 +11,8 @@ import (
 
 // TestIntegrationPoolWidthDeterminism pins the contract of the one
 // parallelism bound, tensor.Workers(), which sizes the matmul kernels,
-// the blocked aggregation kernels and the FedGuard audit alike: a
+// the blocked aggregation kernels, the FedGuard audit and the run's
+// classifier set — how many clients run their rounds at once — alike: a
 // fixed-seed quick-preset federation produces byte-identical
 // FinalWeights at every width — serial, a fixed pool, and GOMAXPROCS —
 // for each kernel-backed strategy and for FedGuard on both audit

@@ -55,7 +55,6 @@ type Setup struct {
 	// TestSubset caps per-round evaluation (0 = whole test set).
 	TestSubset int
 	Seed       uint64
-	Workers    int
 }
 
 // NewSetup returns the named preset.
@@ -152,7 +151,6 @@ func (s Setup) Federation(sc Scenario) fl.FederationConfig {
 			CVAETrain:  s.CVAETrain,
 			NumClasses: 10,
 		},
-		Workers:    s.Workers,
 		TestSubset: s.TestSubset,
 		Seed:       s.Seed,
 	}

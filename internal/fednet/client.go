@@ -409,10 +409,11 @@ func buildClient(id int, setup *wire.Setup) (*fl.Client, error) {
 	return client, nil
 }
 
-// workerSets holds this process's classifier workers, one set of
-// GOMAXPROCS per architecture name: however many clients (and a server
-// beside them) a process runs, they train and evaluate on these models,
-// at most that many at a time. A process with one client builds one.
+// workerSets holds this process's classifier workers, one set per
+// architecture name, sized by the tensor pool's width: however many
+// clients (and a server beside them) a process runs, they run their
+// rounds and evaluate on these models, at most that many at a time. A
+// process with one client builds one.
 var workerSets struct {
 	sync.Mutex
 	byArch map[string]*classifier.Set
@@ -433,7 +434,7 @@ func sharedWorkers(archName string) (*classifier.Set, error) {
 	if workerSets.byArch == nil {
 		workerSets.byArch = map[string]*classifier.Set{}
 	}
-	set := classifier.NewSet(arch, 0)
+	set := classifier.NewSet(arch)
 	workerSets.byArch[archName] = set
 	return set, nil
 }

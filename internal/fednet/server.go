@@ -470,8 +470,8 @@ func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History
 	return fl.RunRounds(cfg, s.test, s.strategy, s, s.runSpan, resume, onRound)
 }
 
-// Workers is the set fl.RunRounds evaluates ψ on: the process's set for
-// the run's architecture, which clients served from this process train
+// Workers implements fl.Cohort: the process's set for the run's
+// architecture, which clients served from this process run their rounds
 // on too.
 func (s *Server) Workers() *classifier.Set { return s.workers }
 

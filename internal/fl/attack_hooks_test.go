@@ -263,11 +263,11 @@ func TestStreamAuditGatedByCohortAttack(t *testing.T) {
 func TestFederationCohortDeterministicAcrossWorkers(t *testing.T) {
 	train := dataset.Generate(120, dataset.DefaultGenOptions(), rng.New(54))
 	test := dataset.Generate(30, dataset.DefaultGenOptions(), rng.New(55))
-	run := func(workers int) []float32 {
+	run := func(width int) []float32 {
+		poolWidth(t, width)
 		cfg := tinyFederationConfig()
 		cfg.MaliciousFraction = 0.5
 		cfg.Attack = attack.NewALIE()
-		cfg.Workers = workers
 		fed, err := NewFederation(train, test, cfg)
 		if err != nil {
 			t.Fatal(err)

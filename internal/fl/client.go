@@ -22,10 +22,11 @@ type ClientConfig struct {
 
 // Client is one federated participant: it owns a private partition of
 // the dataset, trains the shared classifier architecture locally each
-// round on a worker borrowed from its process's set, and — when the
-// strategy requires it — trains a CVAE once on its (possibly poisoned)
-// local data and re-uploads the decoder every round (paper footnote 5:
-// the partition is static, so the CVAE is trained a single time).
+// round on a worker borrowed from its process's set for the whole round,
+// and — when the strategy requires it — trains a CVAE once on its
+// (possibly poisoned) local data and re-uploads the decoder every round
+// (paper footnote 5: the partition is static, so the CVAE is trained a
+// single time).
 type Client struct {
 	ID int
 
@@ -35,7 +36,7 @@ type Client struct {
 	att     attack.Attack
 	rng     *rng.RNG
 	// workers is where the client borrows its classifier each round: the
-	// federation's or the process's shared set, or a private set of one.
+	// federation's or the process's shared set, or a private one.
 	workers *classifier.Set
 
 	// Poisoned training view, materialized lazily.
@@ -66,20 +67,20 @@ type Client struct {
 
 // NewClient builds a client over the partition ds[indices]. att may be
 // attack.None{} for benign clients; r must be a private stream. The
-// client trains on a worker set of one, its own, until UseWorkers gives
-// it a shared one.
+// client trains on a worker set of its own, which builds one model, until
+// UseWorkers gives it a shared one.
 func NewClient(id int, ds *dataset.Dataset, indices []int, cfg ClientConfig, att attack.Attack, r *rng.RNG) *Client {
 	if att == nil {
 		att = attack.None{}
 	}
 	return &Client{ID: id, ds: ds, indices: indices, cfg: cfg, att: att, rng: r,
-		workers: classifier.NewSet(cfg.Arch, 1), visible: len(indices)}
+		workers: classifier.NewSet(cfg.Arch), visible: len(indices)}
 }
 
 // UseWorkers makes the client borrow its classifier from set — of the
 // client's architecture — instead of its private one, so every client
-// sharing set shares its models, and at most set.Size() of them train at
-// once. Call before the first round.
+// sharing set shares its models, and at most set.Size() of them run a
+// round at once. Call before the first round.
 func (c *Client) UseWorkers(set *classifier.Set) { c.workers = set }
 
 // EnableStream switches the client to the paper's §VI-C dynamic-dataset
@@ -158,7 +159,14 @@ func (c *Client) RunRound(global []float32, needDecoder bool) Update {
 // traced (in-process runs hand in the per-client round span; the
 // networked client parents onto the span received over the wire). A nil
 // parent degrades to the flat phase timers.
+//
+// The client borrows its worker first and returns it last: training,
+// the model-poisoning hook and a first participation's CVAE training all
+// run under one borrow, so the set's size bounds whole client rounds in
+// any process, however many clients it serves.
 func (c *Client) RunRoundSpan(global []float32, needDecoder bool, parent *telemetry.Span) Update {
+	w := c.workers.Get()
+	defer c.workers.Put(w)
 	if c.grow > 0 && c.visible < len(c.indices) {
 		c.visible += c.grow
 		if c.visible > len(c.indices) {
@@ -168,7 +176,7 @@ func (c *Client) RunRoundSpan(global []float32, needDecoder bool, parent *teleme
 	}
 	ds, indices := c.view()
 
-	weights := c.train(ds, indices, global, parent)
+	weights := c.train(w, ds, indices, global, parent)
 	if ga, ok := c.att.(attack.GlobalAware); ok {
 		ga.PoisonModelWithGlobal(weights, global, c.rng)
 	} else {
@@ -182,14 +190,12 @@ func (c *Client) RunRoundSpan(global []float32, needDecoder bool, parent *teleme
 	return u
 }
 
-// train is the round's local training on a borrowed worker: reset from
-// the client's stream and loaded with global it is the model this round
-// would otherwise build, and the stream ends where building would leave
-// it. The train phase starts once a worker is free — waiting for one is
-// not training — and the worker goes back on every path.
-func (c *Client) train(ds *dataset.Dataset, indices []int, global []float32, parent *telemetry.Span) []float32 {
-	w := c.workers.Get()
-	defer c.workers.Put(w)
+// train is the round's local training on the borrowed worker w: reset
+// from the client's stream and loaded with global it is the model this
+// round would otherwise build, and the stream ends where building would
+// leave it. The train phase starts once the worker is borrowed — waiting
+// for one is not training.
+func (c *Client) train(w *classifier.Worker, ds *dataset.Dataset, indices []int, global []float32, parent *telemetry.Span) []float32 {
 	_, stopTrain := c.tel.StartPhase(parent, "client.train")
 	defer stopTrain()
 	w.Model.Reset(c.rng)

@@ -39,22 +39,17 @@ type Cohort interface {
 	// Snapshot fills the transport-owned fields of a checkpoint: Decoders,
 	// and Clients when client state lives in this process.
 	Snapshot(ck *Checkpoint)
-}
-
-// workerOwner is a Cohort in whose process a classifier set already
-// exists — the in-process pool's, or the one a networked server shares
-// with any clients beside it. RunRounds evaluates on that set instead of
-// keeping models of its own.
-type workerOwner interface {
+	// Workers is the classifier set of the cohort's process — the
+	// in-process pool's, or the one a networked server shares with any
+	// clients beside it. RunRounds evaluates ψ on it.
 	Workers() *classifier.Set
 }
 
 // RunRounds is the server loop of Algorithm 1: R rounds of sample →
 // train → aggregate → ψ-update → evaluate over the given cohort,
 // recording history, telemetry and checkpoints. ψ is evaluated on every
-// worker of the cohort's classifier set at once (a set of cfg.Workers of
-// its own when the cohort has none); between the barrier and the next
-// broadcast nobody else is borrowing them. runSpan is the root of
+// worker of the cohort's classifier set at once; between the barrier and
+// the next broadcast nobody else is borrowing them. runSpan is the root of
 // the run's trace (nil when untraced); the caller opens it, because a
 // networked cohort parents spans onto it before the first round, and
 // RunRounds ends it. A non-nil resume continues after resume.Round; the
@@ -70,12 +65,6 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 	serverRNG := rng.New(rng.DeriveSeed(cfg.Seed, "server", 0))
 	// ψ₀ ← init() (Alg. 1 line 15).
 	global := InitialGlobal(cfg)
-	var workers *classifier.Set
-	if wo, ok := cohort.(workerOwner); ok {
-		workers = wo.Workers()
-	} else {
-		workers = classifier.NewSet(cfg.Client.Arch, cfg.Workers)
-	}
 	testIdx := dataset.Range(test.Len())
 	if cfg.TestSubset > 0 && cfg.TestSubset < len(testIdx) {
 		testIdx = testIdx[:cfg.TestSubset]
@@ -239,7 +228,7 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 
 		evalStart := time.Now()
 		_, stopEval := tel.StartPhase(roundSpan, "server.eval")
-		rec.TestAccuracy, err = workers.Evaluate(global, test, testIdx)
+		rec.TestAccuracy, err = cohort.Workers().Evaluate(global, test, testIdx)
 		stopEval()
 		if err != nil {
 			return history, err

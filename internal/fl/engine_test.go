@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fedguard/internal/classifier"
 	"fedguard/internal/dataset"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
@@ -20,6 +21,7 @@ type fakeCohort struct {
 	failAt  int   // Train fails in this round (0 = never)
 	drop    []int // client IDs that never deliver
 	sampled [][]int
+	workers *classifier.Set
 }
 
 var errFakeTrain = errors.New("fake cohort: train failed")
@@ -47,6 +49,13 @@ func (c *fakeCohort) WireBytes(updates []Update, broadcast int64) (up, down int6
 
 func (c *fakeCohort) Snapshot(ck *Checkpoint) {
 	ck.Decoders = []DecoderState{{ID: 3, Hash: 9}}
+}
+
+func (c *fakeCohort) Workers() *classifier.Set {
+	if c.workers == nil {
+		c.workers = classifier.NewSet(tinyFederationConfig().Client.Arch)
+	}
+	return c.workers
 }
 
 // countingStreams is a StreamingStrategy whose streams only count how

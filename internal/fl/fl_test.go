@@ -12,6 +12,7 @@ import (
 	"fedguard/internal/dataset"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
+	"fedguard/internal/tensor"
 )
 
 func tinyClientConfig() ClientConfig {
@@ -194,12 +195,20 @@ func TestFederationRunsAllRounds(t *testing.T) {
 	}
 }
 
+// poolWidth sets the tensor pool's width — what a run's worker set, and
+// so its client concurrency, is sized by — for the rest of the test.
+func poolWidth(t *testing.T, n int) {
+	prev := tensor.Workers()
+	tensor.SetWorkers(n)
+	t.Cleanup(func() { tensor.SetWorkers(prev) })
+}
+
 func TestFederationDeterministic(t *testing.T) {
 	r := rng.New(6)
 	train := dataset.Generate(120, dataset.DefaultGenOptions(), r)
 	test := dataset.Generate(40, dataset.DefaultGenOptions(), r)
 	cfg := tinyFederationConfig()
-	cfg.Workers = 4 // exercise the pool: scheduling must not leak into results
+	poolWidth(t, 4) // exercise the pool: scheduling must not leak into results
 
 	run := func() []float64 {
 		fed, err := NewFederation(train, test, cfg)

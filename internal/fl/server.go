@@ -43,10 +43,6 @@ type FederationConfig struct {
 	// samples before every participation, and retrain their CVAEs
 	// periodically instead of once.
 	Stream *StreamConfig
-	// Workers bounds concurrent client training, and is how many
-	// classifier models a run keeps: clients borrow one to train, ψ is
-	// evaluated on all of them (default GOMAXPROCS).
-	Workers int
 	// StreamAudit overlaps the strategy's per-update audit work with
 	// client training when the strategy implements StreamingStrategy
 	// (FedGuard): each update is submitted to the round's stream as its
@@ -137,9 +133,6 @@ func NewFederation(train, test *dataset.Dataset, cfg FederationConfig) (*Federat
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	f := &Federation{cfg: cfg, train: train, test: test}
 	f.MaliciousIDs = MaliciousPlacement(cfg)
 	return f, nil
@@ -193,12 +186,12 @@ func (f *Federation) run(strategy Strategy, onRound func(RoundRecord), resume *C
 	return RunRounds(f.cfg, f.test, strategy, p, runSpan, resume, onRound)
 }
 
-// pool is the in-process Cohort: the federation's N clients, trained on
-// a bounded goroutine pool, with the wire modeled rather than measured.
+// pool is the in-process Cohort: the federation's N clients, bounded by
+// the run's classifier set, with the wire modeled rather than measured.
 type pool struct {
 	clients []*Client
-	// workers is the run's classifier set, one model per pool goroutine:
-	// the clients train on it and RunRounds evaluates on it.
+	// workers is the run's classifier set: a client holds one of its
+	// workers for its whole round, and RunRounds evaluates on it.
 	workers *classifier.Set
 	// decoderHashes tracks the decoder payload each client most recently
 	// delivered, so wire-byte accounting charges a decoder only when it
@@ -214,7 +207,7 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 	parts := Partition(f.train, cfg)
 	p := &pool{
 		clients:       make([]*Client, cfg.NumClients),
-		workers:       classifier.NewSet(cfg.Client.Arch, cfg.Workers),
+		workers:       classifier.NewSet(cfg.Client.Arch),
 		decoderHashes: make(map[int]uint64, cfg.NumClients),
 	}
 	for i := range p.clients {
@@ -245,20 +238,18 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 	return p, nil
 }
 
-// Train implements Cohort: the sampled clients train on a bounded worker
-// pool, each under its own "client.round" span, and each finished update
-// goes to the stream immediately so the strategy's audit overlaps the
-// remaining clients' training. Local clients never drop.
+// Train implements Cohort: every sampled client runs its round on its
+// own goroutine, under its own "client.round" span, and waits there for a
+// worker of the run's set — the one bound on how many train at once. Each
+// finished update goes to the stream immediately so the strategy's audit
+// overlaps the remaining clients' training. Local clients never drop.
 func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bool, stream RoundStream, roundSpan *telemetry.Span) ([]Update, []int, error) {
 	out := make([]Update, len(sampled))
-	sem := make(chan struct{}, p.workers.Size())
 	var wg sync.WaitGroup
 	for i, id := range sampled {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func(i, id int) {
 			defer wg.Done()
-			defer func() { <-sem }()
 			sp := roundSpan.Child("client.round", telemetry.L("client", strconv.Itoa(id)))
 			out[i] = p.clients[id].RunRoundSpan(global, needDecoders, sp)
 			sp.SetInt("num_samples", int64(out[i].NumSamples))
@@ -285,7 +276,7 @@ func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bo
 	return out, nil, nil
 }
 
-// Workers is the run's classifier set (see RunRounds).
+// Workers implements Cohort: the run's classifier set.
 func (p *pool) Workers() *classifier.Set { return p.workers }
 
 // WireBytes implements Cohort with the logical sizes under dedup

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"fedguard/internal/rng"
 	"fedguard/internal/tensor"
 )
 
@@ -109,62 +108,6 @@ func (s *Sigmoid) Params() []Param { return nil }
 // Name implements Layer.
 func (s *Sigmoid) Name() string { return "Sigmoid" }
 
-// Tanh is the hyperbolic tangent activation.
-type Tanh struct {
-	y  *tensor.Tensor
-	dx *tensor.Tensor
-}
-
-// NewTanh constructs a tanh activation.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward applies tanh element-wise.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t.y = tensor.Ensure(t.y, x.Shape()...)
-	for i, v := range x.Data {
-		t.y.Data[i] = float32(math.Tanh(float64(v)))
-	}
-	return t.y
-}
-
-// Backward uses dy/dx = 1 - y².
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	t.dx = tensor.Ensure(t.dx, grad.Shape()...)
-	for i, g := range grad.Data {
-		y := t.y.Data[i]
-		t.dx.Data[i] = g * (1 - y*y)
-	}
-	return t.dx
-}
-
-// Params returns nil.
-func (t *Tanh) Params() []Param { return nil }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "Tanh" }
-
-// Softmax normalizes each row of a (B, classes) tensor into a probability
-// distribution. Training uses the fused softmax-cross-entropy in package
-// loss; this layer exists for inference-time probability output and for
-// architectures that genuinely need an in-network softmax.
-type Softmax struct {
-	y  *tensor.Tensor
-	dx *tensor.Tensor
-}
-
-// NewSoftmax constructs a softmax layer.
-func NewSoftmax() *Softmax { return &Softmax{} }
-
-// Forward computes a numerically stable row-wise softmax.
-func (s *Softmax) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	b, n := x.Dim(0), x.Dim(1)
-	s.y = tensor.Ensure(s.y, b, n)
-	for i := 0; i < b; i++ {
-		SoftmaxRow(s.y.Data[i*n:(i+1)*n], x.Data[i*n:(i+1)*n])
-	}
-	return s.y
-}
-
 // SoftmaxRow writes softmax(src) into dst with max-subtraction for
 // stability. dst and src must have equal length.
 func SoftmaxRow(dst, src []float32) {
@@ -185,98 +128,3 @@ func SoftmaxRow(dst, src []float32) {
 		dst[i] *= inv
 	}
 }
-
-// Backward applies the softmax Jacobian: dx = y ⊙ (g - <g, y>) row-wise.
-func (s *Softmax) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	b, n := grad.Dim(0), grad.Dim(1)
-	s.dx = tensor.Ensure(s.dx, b, n)
-	for i := 0; i < b; i++ {
-		g := grad.Data[i*n : (i+1)*n]
-		y := s.y.Data[i*n : (i+1)*n]
-		var dot float64
-		for j := range g {
-			dot += float64(g[j]) * float64(y[j])
-		}
-		for j := range g {
-			s.dx.Data[i*n+j] = y[j] * (g[j] - float32(dot))
-		}
-	}
-	return s.dx
-}
-
-// Params returns nil.
-func (s *Softmax) Params() []Param { return nil }
-
-// Name implements Layer.
-func (s *Softmax) Name() string { return "Softmax" }
-
-// Dropout randomly zeroes a fraction p of activations during training and
-// rescales survivors by 1/(1-p) (inverted dropout). At inference it is
-// the identity.
-type Dropout struct {
-	P   float64
-	rng *rng.RNG
-
-	mask []float32
-	y    *tensor.Tensor
-	dx   *tensor.Tensor
-}
-
-// NewDropout constructs a dropout layer with drop probability p using
-// randomness from r.
-func NewDropout(p float64, r *rng.RNG) *Dropout {
-	if p < 0 || p >= 1 {
-		panic("nn: Dropout probability must be in [0,1)")
-	}
-	return &Dropout{P: p, rng: r}
-}
-
-// Reset implements Resetter: the layer draws its masks from r from now
-// on, as a NewDropout(p, r) layer would, and holds no mask.
-func (d *Dropout) Reset(r *rng.RNG) {
-	d.rng = r
-	d.mask = nil
-}
-
-// Forward applies the dropout mask in training mode.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P == 0 {
-		d.mask = nil
-		return x
-	}
-	d.y = tensor.Ensure(d.y, x.Shape()...)
-	if cap(d.mask) >= x.Len() {
-		d.mask = d.mask[:x.Len()]
-	} else {
-		d.mask = make([]float32, x.Len())
-	}
-	scale := float32(1 / (1 - d.P))
-	for i, v := range x.Data {
-		if d.rng.Float64() >= d.P {
-			d.mask[i] = scale
-			d.y.Data[i] = v * scale
-		} else {
-			d.mask[i] = 0
-			d.y.Data[i] = 0
-		}
-	}
-	return d.y
-}
-
-// Backward applies the same mask to the gradient.
-func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
-		return grad
-	}
-	d.dx = tensor.Ensure(d.dx, grad.Shape()...)
-	for i, g := range grad.Data {
-		d.dx.Data[i] = g * d.mask[i]
-	}
-	return d.dx
-}
-
-// Params returns nil.
-func (d *Dropout) Params() []Param { return nil }
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return "Dropout" }

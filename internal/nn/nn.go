@@ -41,7 +41,8 @@ type Param struct {
 // Layer is a differentiable network stage.
 type Layer interface {
 	// Forward consumes a batched input and returns the batched output.
-	// train toggles training-only behaviour (e.g. dropout).
+	// train toggles training-only behaviour (e.g. retaining what
+	// Backward reads).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient w.r.t. the layer output, accumulates
 	// parameter gradients, and returns the gradient w.r.t. the input.
@@ -52,13 +53,13 @@ type Layer interface {
 	Name() string
 }
 
-// Resetter is a layer whose constructor takes an RNG — to draw initial
-// parameters from, or to keep. Reset(r) leaves the layer as that
-// constructor would on r: the same parameters, the same r.State()
-// afterwards, and nothing else that outlives a step. Work tensors keep
-// their capacity and stale contents; every layer overwrites what it
-// reads of them. So a long-lived model reset from r stands in for a
-// model built from r, bit for bit, whatever it ran before.
+// Resetter is a layer whose constructor draws its initial parameters
+// from an RNG. Reset(r) leaves the layer as that constructor would on r:
+// the same parameters, the same r.State() afterwards, and nothing else
+// that outlives a step. Work tensors keep their capacity and stale
+// contents; every layer overwrites what it reads of them. So a
+// long-lived model reset from r stands in for a model built from r, bit
+// for bit, whatever it ran before.
 type Resetter interface {
 	Reset(r *rng.RNG)
 }
@@ -194,14 +195,4 @@ func (s *Sequential) LoadParams(flat []float32) error {
 		off += n
 	}
 	return nil
-}
-
-// FlattenGrads serializes all parameter gradients into one flat vector in
-// layer order (same layout as FlattenParams).
-func (s *Sequential) FlattenGrads() []float32 {
-	out := make([]float32, 0, s.NumParams())
-	for _, p := range s.Params() {
-		out = append(out, p.Grad.Data...)
-	}
-	return out
 }

@@ -10,15 +10,13 @@ import (
 )
 
 // resetStack is a stack with every kind of layer Reset has to handle:
-// drawn parameters (conv, dense), a captured RNG (dropout), and layers
-// with scratch only.
+// drawn parameters (conv, dense) and layers with scratch only.
 func resetStack(r *rng.RNG) *Sequential {
 	return NewSequential(
 		NewConv2D(1, 2, 3, 3, r),
 		NewReLU(),
 		NewMaxPool2D(2, 2),
 		NewFlatten(),
-		NewDropout(0.5, r),
 		NewLinear(2*3*3, 4, r),
 	)
 }
@@ -44,7 +42,7 @@ func step(m *Sequential, batch int, r *rng.RNG) *tensor.Tensor {
 
 // TestResetEqualsConstruct states Resetter's contract on a whole stack:
 // Reset(r) on a model that has trained (other batch sizes, other
-// parameters, another stream in its dropout) leaves the parameters, the
+// parameters, another stream) leaves the parameters, the
 // gradients and r where constructing from r leaves them, and the next
 // training step computes the same bits.
 func TestResetEqualsConstruct(t *testing.T) {
@@ -69,8 +67,8 @@ func TestResetEqualsConstruct(t *testing.T) {
 			t.Fatalf("gradient %d (%s) is not what construction leaves", i, p.Name)
 		}
 	}
-	// One more step on each, drawing dropout masks and inputs from the two
-	// (equal) streams: outputs, parameters and streams stay equal.
+	// One more step on each, drawing inputs from the two (equal) streams:
+	// outputs, parameters and streams stay equal.
 	a, b := step(want, 3, fresh), step(got, 3, dirty)
 	if !reflect.DeepEqual(a.Data, b.Data) {
 		t.Fatal("the step after Reset computed a different output")
@@ -79,7 +77,7 @@ func TestResetEqualsConstruct(t *testing.T) {
 		t.Fatal("the step after Reset moved the parameters differently")
 	}
 	if fresh.State() != dirty.State() {
-		t.Fatal("the step after Reset drew the stream differently: dropout did not rebind")
+		t.Fatal("the step after Reset drew the stream differently")
 	}
 }
 

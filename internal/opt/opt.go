@@ -152,24 +152,3 @@ func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
 // LR implements Optimizer.
 func (a *Adam) LR() float64 { return a.lr }
-
-// ClipGradNorm scales all gradients down so their global L2 norm does not
-// exceed maxNorm. It returns the pre-clip norm.
-func ClipGradNorm(params []nn.Param, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range params {
-		for _, g := range p.Grad.Data {
-			sq += float64(g) * float64(g)
-		}
-	}
-	norm := math.Sqrt(sq)
-	if norm > maxNorm && norm > 0 {
-		scale := float32(maxNorm / norm)
-		for _, p := range params {
-			for j := range p.Grad.Data {
-				p.Grad.Data[j] *= scale
-			}
-		}
-	}
-	return norm
-}

@@ -65,28 +65,6 @@ func TestAdamFirstStepIsLR(t *testing.T) {
 	}
 }
 
-func TestClipGradNorm(t *testing.T) {
-	p := nn.Param{
-		Name:  "w",
-		Value: tensor.New(2),
-		Grad:  tensor.FromSlice([]float32{3, 4}, 2),
-	}
-	norm := ClipGradNorm([]nn.Param{p}, 1)
-	if math.Abs(norm-5) > 1e-6 {
-		t.Fatalf("pre-clip norm = %v, want 5", norm)
-	}
-	after := math.Hypot(float64(p.Grad.Data[0]), float64(p.Grad.Data[1]))
-	if math.Abs(after-1) > 1e-5 {
-		t.Fatalf("post-clip norm = %v, want 1", after)
-	}
-	// Below threshold: untouched.
-	ClipGradNorm([]nn.Param{p}, 10)
-	after2 := math.Hypot(float64(p.Grad.Data[0]), float64(p.Grad.Data[1]))
-	if math.Abs(after2-1) > 1e-5 {
-		t.Fatal("clip modified a gradient under the threshold")
-	}
-}
-
 // Training an XOR-ish toy problem end-to-end proves the substrate learns.
 func TestTrainingConverges(t *testing.T) {
 	r := rng.New(42)

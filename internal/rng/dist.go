@@ -155,26 +155,6 @@ func (r *RNG) Dirichlet(alpha float64, k int) []float64 {
 	return out
 }
 
-// DirichletVec returns one sample from the Dirichlet distribution with
-// per-category concentrations alphas.
-func (r *RNG) DirichletVec(alphas []float64) []float64 {
-	out := make([]float64, len(alphas))
-	var sum float64
-	for i, a := range alphas {
-		g := r.Gamma(a)
-		out[i] = g
-		sum += g
-	}
-	if sum == 0 {
-		out[r.Intn(len(alphas))] = 1
-		return out
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
 // FillNormal fills dst with i.i.d. Gaussian samples of the given mean and
 // stddev.
 func (r *RNG) FillNormal(dst []float32, mean, stddev float64) {

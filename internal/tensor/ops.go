@@ -102,21 +102,6 @@ func DotSlice(a, b []float32) float32 {
 	return float32(acc)
 }
 
-// Norm2 returns the Euclidean norm of the tensor viewed as a flat vector.
-func (t *Tensor) Norm2() float32 {
-	return Norm2Slice(t.Data)
-}
-
-// Norm2Slice returns the Euclidean norm of a slice with float64
-// accumulation.
-func Norm2Slice(a []float32) float32 {
-	var acc float64
-	for _, v := range a {
-		acc += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(acc))
-}
-
 // DistSlice returns the Euclidean distance between two equal-length
 // slices.
 func DistSlice(a, b []float32) float32 {

@@ -145,9 +145,6 @@ func TestSumMaxDotNorm(t *testing.T) {
 	if Dot(a, b) != 6 {
 		t.Fatalf("Dot = %v", Dot(a, b))
 	}
-	if !almostEq(a.Norm2(), float32(math.Sqrt(26)), 1e-5) {
-		t.Fatalf("Norm2 = %v", a.Norm2())
-	}
 	if !almostEq(DistSlice(a.Data, b.Data), float32(math.Sqrt(4+4+9)), 1e-5) {
 		t.Fatalf("DistSlice = %v", DistSlice(a.Data, b.Data))
 	}
