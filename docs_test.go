@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,10 @@ import (
 // exist, every flag an invocation of one of the repo's commands names
 // must be one that command defines, and every `ROADMAP item N` must be a
 // numbered item of ROADMAP.md. Output paths (results/…) and patterns (*,
-// {a,b}, <id>, …) are not references and are skipped.
+// {a,b}, <id>, …) are not references and are skipped. The Makefile is
+// held to the tree too: every -run pattern on a line must select a test
+// in each package that line names, so a renamed test cannot silently
+// empty a gate.
 func TestDocsReferencesExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -31,6 +35,13 @@ func TestDocsReferencesExist(t *testing.T) {
 	flags := commandFlags(t)
 	if errs := undefinedFlags("planted", []byte("run `fedsim -preset quick -no-such-flag`"), flags); len(errs) != 1 {
 		t.Fatalf("a planted bad flag is not caught: %v", errs)
+	}
+	tests := testNames(t)
+	if errs := emptyRunPatterns([]byte("\tgo test -run 'NoSuchTest' ./internal/fednet/\n"), tests); len(errs) != 1 {
+		t.Fatalf("a planted -run pattern that selects nothing is not caught: %v", errs)
+	}
+	for _, e := range emptyRunPatterns(makefile, tests) {
+		t.Error(e)
 	}
 	items := roadmapItems(t)
 	if errs := unknownItems("planted", []byte("see ROADMAP\nitem 999"), items); len(errs) != 1 {
@@ -137,6 +148,68 @@ func undefinedFlags(doc string, text []byte, flags map[string]map[string]bool) [
 				if f := flag.FindStringSubmatch(arg); f != nil && !flags[m[1]][f[1]] {
 					errs = append(errs, doc+": `"+strings.TrimSpace(m[0])+"` names -"+f[1]+", which "+m[1]+" does not define")
 				}
+			}
+		}
+	}
+	return errs
+}
+
+// testNames returns a lookup of the func Test… names declared in a
+// package directory's _test.go files.
+func testNames(t *testing.T) func(dir string) []string {
+	decl := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	return func(dir string) []string {
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no test files (%v)", dir, err)
+		}
+		var names []string
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range decl.FindAllSubmatch(src, -1) {
+				names = append(names, string(m[1]))
+			}
+		}
+		return names
+	}
+}
+
+// emptyRunPatterns returns one message per package a Makefile line names
+// in which the line's -run pattern selects no test: go test runs such a
+// line green while it tests nothing. A pattern is matched as go test
+// matches it, its part before the first / against the top-level test
+// names; '^$', which selects nothing on purpose beside -bench and
+// -fuzz, is skipped.
+func emptyRunPatterns(makefile []byte, testsIn func(dir string) []string) []string {
+	run := regexp.MustCompile(`-run '([^']*)'`)
+	var errs []string
+	for _, line := range strings.Split(string(makefile), "\n") {
+		m := run.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		pattern := strings.ReplaceAll(m[1], "$$", "$")
+		if pattern == "^$" {
+			continue
+		}
+		top, err := regexp.Compile(strings.SplitN(pattern, "/", 2)[0])
+		if err != nil {
+			errs = append(errs, fmt.Sprintf("Makefile: -run '%s': %v", m[1], err))
+			continue
+		}
+		for _, arg := range strings.Fields(line) {
+			if arg != "." && !strings.HasPrefix(arg, "./") {
+				continue
+			}
+			dir := strings.Trim(strings.TrimPrefix(arg, "./"), "/")
+			if dir == "" {
+				dir = "."
+			}
+			if !slices.ContainsFunc(testsIn(dir), top.MatchString) {
+				errs = append(errs, fmt.Sprintf("Makefile: -run '%s' selects no test in %s", m[1], arg))
 			}
 		}
 	}

@@ -142,19 +142,16 @@ func TestNewStrategyRegistry(t *testing.T) {
 	}
 }
 
+// TestRunQuickFedAvgBenign reads the shared benign FedAvg run: OnRound
+// heard every round, and the run learned.
 func TestRunQuickFedAvgBenign(t *testing.T) {
-	setup := MustSetup(PresetQuick)
-	sc, _ := ScenarioByID("no-attack")
-	rounds := 0
-	res, err := Run(setup, sc, "FedAvg", RunOptions{OnRound: func(fl.RoundRecord) { rounds++ }})
-	if err != nil {
-		t.Fatal(err)
+	rounds := MustSetup(PresetQuick).Rounds
+	run := canonical(t, "FedAvg", "no-attack", rounds)
+	if run.onRounds != rounds {
+		t.Fatalf("saw %d rounds, want %d", run.onRounds, rounds)
 	}
-	if rounds != setup.Rounds {
-		t.Fatalf("saw %d rounds, want %d", rounds, setup.Rounds)
-	}
-	if res.Mean() < 0.5 {
-		t.Fatalf("benign FedAvg reached only %v mean accuracy", res.Mean())
+	if run.res.Mean() < 0.5 {
+		t.Fatalf("benign FedAvg reached only %v mean accuracy", run.res.Mean())
 	}
 }
 

@@ -4,32 +4,80 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
+	"fedguard/internal/fl"
 	"fedguard/internal/tensor"
 )
+
+// canonicalKey names one canonical run: the quick preset, one strategy,
+// one scenario, a number of rounds.
+type canonicalKey struct {
+	strategy, scenario string
+	rounds             int
+}
+
+// canonicalRun is one entry of the canonical-run cache.
+type canonicalRun struct {
+	once     sync.Once
+	res      *Result
+	onRounds int // how many records the run handed to OnRound
+	err      error
+}
+
+var canonicals sync.Map // canonicalKey → *canonicalRun
+
+// canonical returns the quick-preset run of strategy under scenario for
+// rounds rounds. Each key is computed once per test binary, at pool
+// width runtime.GOMAXPROCS(0) — pinned here and restored after, so a
+// width leg running before it cannot skew it — and every test that
+// compares against that federation reads the same entry. The result is
+// shared: callers must not modify it. The run holds nothing of the
+// calling test, so a failure is reported to each caller alike.
+func canonical(t *testing.T, strategy, scenario string, rounds int) *canonicalRun {
+	t.Helper()
+	v, _ := canonicals.LoadOrStore(canonicalKey{strategy, scenario, rounds}, &canonicalRun{})
+	c := v.(*canonicalRun)
+	c.once.Do(func() {
+		defer tensor.SetWorkers(tensor.Workers())
+		tensor.SetWorkers(runtime.GOMAXPROCS(0))
+		setup := MustSetup(PresetQuick)
+		setup.Rounds = rounds
+		sc, err := ScenarioByID(scenario)
+		if err != nil {
+			c.err = err
+			return
+		}
+		c.res, c.err = Run(setup, sc, strategy, RunOptions{OnRound: func(fl.RoundRecord) { c.onRounds++ }})
+	})
+	if c.err != nil {
+		t.Fatalf("canonical %s/%s/%d: %v", strategy, scenario, rounds, c.err)
+	}
+	return c
+}
 
 // TestIntegrationPoolWidthDeterminism pins the contract of the one
 // parallelism bound, tensor.Workers(), which sizes the matmul kernels,
 // the blocked aggregation kernels, the FedGuard audit and the run's
 // classifier set — how many clients run their rounds at once — alike: a
 // fixed-seed quick-preset federation produces byte-identical
-// FinalWeights at every width — serial, a fixed pool, and GOMAXPROCS —
-// for each kernel-backed strategy and for FedGuard on both audit
-// schedules, for the barrier audit over the preset's full round count,
-// and for a run resumed from a mid-run checkpoint at a different width
-// than the run that wrote it.
+// FinalWeights at every width. Each kernel-backed strategy runs three
+// rounds serially, at a fixed pool and at GOMAXPROCS. FedGuard runs the
+// preset's full eight rounds, so the audit scores late-round updates
+// too: at widths 1 and 4 on both audit schedules, and resumed serially
+// from a checkpoint a width-4 run wrote after round 2, each against the
+// one canonical run at GOMAXPROCS that every FedGuard sign-flip test in
+// this package reads.
 func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	defer tensor.SetWorkers(tensor.Workers())
 	full := MustSetup(PresetQuick)
-	setup := full
-	setup.Rounds = 3 // enough rounds to exercise every kernel; keeps the kernel legs affordable
 	sc, _ := ScenarioByID("sign-flip-50")
 
-	runSetup := func(t *testing.T, setup Setup, width int, strategy string, opts RunOptions) []float32 {
+	run := func(t *testing.T, setup Setup, width int, strategy string, opts RunOptions) []float32 {
 		t.Helper()
 		tensor.SetWorkers(width)
 		res, err := Run(setup, sc, strategy, opts)
@@ -40,10 +88,6 @@ func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 			t.Fatal("no final weights recorded")
 		}
 		return res.History.FinalWeights
-	}
-	run := func(t *testing.T, width int, strategy string, opts RunOptions) []float32 {
-		t.Helper()
-		return runSetup(t, setup, width, strategy, opts)
 	}
 	sameBits := func(t *testing.T, want, got []float32, leg string) {
 		t.Helper()
@@ -57,47 +101,52 @@ func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 		}
 	}
 
-	for _, leg := range []struct {
-		name, strategy string
-		opts           RunOptions
-	}{
-		{"FedAvg", "FedAvg", RunOptions{}},
-		{"GeoMed", "GeoMed", RunOptions{}},
-		{"Krum", "Krum", RunOptions{}},
-		{"FedGuard", "FedGuard", RunOptions{}},
-		{"FedGuard-stream", "FedGuard", RunOptions{StreamAudit: true}},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			serial := run(t, 1, leg.strategy, leg.opts)
+	kernels := full
+	kernels.Rounds = 3 // enough rounds to exercise every kernel; keeps the kernel legs affordable
+	for _, strategy := range []string{"FedAvg", "GeoMed", "Krum"} {
+		t.Run(strategy, func(t *testing.T) {
+			serial := run(t, kernels, 1, strategy, RunOptions{})
 			for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
-				got := run(t, w, leg.strategy, leg.opts)
-				sameBits(t, serial, got, fmt.Sprintf("%s at width %d", leg.name, w))
+				got := run(t, kernels, w, strategy, RunOptions{})
+				sameBits(t, serial, got, fmt.Sprintf("%s at width %d", strategy, w))
 			}
 		})
 	}
 
-	// The barrier audit over all of the preset's rounds, so the audit
-	// scores late-round updates, not only the first three rounds'.
-	t.Run("Audit", func(t *testing.T) {
-		serial := runSetup(t, full, 1, "FedGuard", RunOptions{})
-		got := runSetup(t, full, 4, "FedGuard", RunOptions{})
-		sameBits(t, serial, got, "Audit at width 4")
-	})
+	// FedGuard is the barrier audit serially, Audit the barrier audit at a
+	// fixed pool, FedGuard-stream the stream audit at both widths.
+	for _, leg := range []struct {
+		name   string
+		widths []int
+		opts   RunOptions
+	}{
+		{"FedGuard", []int{1}, RunOptions{}},
+		{"Audit", []int{4}, RunOptions{}},
+		{"FedGuard-stream", []int{1, 4}, RunOptions{StreamAudit: true}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			want := canonical(t, "FedGuard", "sign-flip-50", full.Rounds).res.History.FinalWeights
+			for _, w := range leg.widths {
+				got := run(t, full, w, "FedGuard", leg.opts)
+				sameBits(t, want, got, fmt.Sprintf("%s at width %d", leg.name, w))
+			}
+		})
+	}
 
 	t.Run("Resume", func(t *testing.T) {
-		uninterrupted := run(t, 1, "FedGuard", RunOptions{})
+		want := canonical(t, "FedGuard", "sign-flip-50", full.Rounds).res.History.FinalWeights
 		// Checkpoint every round but stop after round 2 at a wide pool,
-		// then resume the final round serially; the spliced run must
-		// reproduce the uninterrupted serial one bit for bit.
+		// then resume the remaining rounds serially; the spliced run must
+		// reproduce the uninterrupted one bit for bit.
 		dir := t.TempDir()
-		short := setup
+		short := full
 		short.Rounds = 2
 		tensor.SetWorkers(4)
 		if _, err := Run(short, sc, "FedGuard", RunOptions{CheckpointDir: dir}); err != nil {
 			t.Fatal(err)
 		}
-		resumed := run(t, 1, "FedGuard", RunOptions{CheckpointDir: dir, Resume: true})
-		sameBits(t, uninterrupted, resumed, "resumed")
+		resumed := run(t, full, 1, "FedGuard", RunOptions{CheckpointDir: dir, Resume: true})
+		sameBits(t, want, resumed, "resumed")
 	})
 }
 
@@ -125,12 +174,7 @@ func TestIntegrationFedGuardDefendsSignFlip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	setup := MustSetup(PresetQuick)
-	sc, _ := ScenarioByID("sign-flip-50")
-	res, err := Run(setup, sc, "FedGuard", RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := canonical(t, "FedGuard", "sign-flip-50", MustSetup(PresetQuick).Rounds).res
 	if res.History.FinalAccuracy() < 0.6 {
 		t.Fatalf("FedGuard under 50%% sign-flip reached only %v", res.History.FinalAccuracy())
 	}
@@ -166,16 +210,9 @@ func TestIntegrationBenignParity(t *testing.T) {
 	}
 	// Without attackers, FedGuard should track FedAvg closely: its filter
 	// may drop below-average updates but must not prevent convergence.
-	setup := MustSetup(PresetQuick)
-	sc, _ := ScenarioByID("no-attack")
-	avg, err := Run(setup, sc, "FedAvg", RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	guard, err := Run(setup, sc, "FedGuard", RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rounds := MustSetup(PresetQuick).Rounds
+	avg := canonical(t, "FedAvg", "no-attack", rounds).res
+	guard := canonical(t, "FedGuard", "no-attack", rounds).res
 	if guard.History.FinalAccuracy() < avg.History.FinalAccuracy()-0.15 {
 		t.Fatalf("benign FedGuard (%v) lags FedAvg (%v) too much",
 			guard.History.FinalAccuracy(), avg.History.FinalAccuracy())
@@ -204,26 +241,15 @@ func TestIntegrationFedGuardByteOverhead(t *testing.T) {
 		t.Skip("integration test")
 	}
 	// FedGuard's downloads must exceed FedAvg's by exactly the decoder
-	// payload share (Table V mechanism).
-	setup := MustSetup(PresetQuick)
-	setup.Rounds = 1
-	sc, _ := ScenarioByID("no-attack")
-	avg, err := Run(setup, sc, "FedAvg", RunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// payload share (Table V mechanism). Round 1 of the shared benign runs
+	// is the first round either strategy pays for.
+	rounds := MustSetup(PresetQuick).Rounds
+	avg := canonical(t, "FedAvg", "no-attack", rounds).res.History.Rounds[0]
+	guard := canonical(t, "FedGuard", "no-attack", rounds).res.History.Rounds[0]
+	if avg.UploadBytes != guard.UploadBytes {
+		t.Fatalf("uploads differ: %d vs %d (broadcast is strategy-independent)", avg.UploadBytes, guard.UploadBytes)
 	}
-	guard, err := Run(setup, sc, "FedGuard", RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, avgDown := avg.History.MeanBytes()
-	_, guardDown := guard.History.MeanBytes()
-	upA, _ := avg.History.MeanBytes()
-	upG, _ := guard.History.MeanBytes()
-	if upA != upG {
-		t.Fatalf("uploads differ: %d vs %d (broadcast is strategy-independent)", upA, upG)
-	}
-	if guardDown <= avgDown {
-		t.Fatalf("FedGuard downloads %d not above FedAvg %d", guardDown, avgDown)
+	if guard.DownloadBytes <= avg.DownloadBytes {
+		t.Fatalf("FedGuard downloads %d not above FedAvg %d", guard.DownloadBytes, avg.DownloadBytes)
 	}
 }

@@ -10,11 +10,8 @@ import (
 	"time"
 
 	"fedguard/internal/aggregate"
-	"fedguard/internal/attack"
-	"fedguard/internal/dataset"
 	"fedguard/internal/faultnet"
 	"fedguard/internal/fl"
-	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
 )
 
@@ -34,60 +31,44 @@ func chaosConfig() Config {
 	return cfg
 }
 
-// chaosClients connects n clients through plan-wrapped connections and
-// serves them until the federation ends. Clients listed in redial
-// reconnect once (with a clean connection) after their faulty session
-// breaks, exercising the server's rejoin path. The returned wait
-// function force-closes every connection — aborting injected straggler
-// delays — and then joins the client goroutines.
-func chaosClients(t *testing.T, addr string, plan *faultnet.Plan, n int, redial map[int]bool) (wait func()) {
-	t.Helper()
-	return chaosClientsOpts(t, addr, plan, n, redial, ClientOptions{})
-}
-
-// chaosClientsOpts is chaosClients with client-side options, so fault
-// runs can also exercise the compressed encodings.
-func chaosClientsOpts(t *testing.T, addr string, plan *faultnet.Plan, n int, redial map[int]bool, opts ClientOptions) (wait func()) {
-	t.Helper()
-	var wg sync.WaitGroup
+// chaosClient is the client of a fault-injected run: it dials through
+// plan's wrapper for its id, and a client listed in redial reconnects
+// once (with a clean connection) after its faulty session breaks,
+// exercising the server's rejoin path. closeAll force-closes every
+// connection it opened, aborting injected straggler delays; it is the
+// run's then.
+func chaosClient(plan *faultnet.Plan, redial map[int]bool, opts ClientOptions) (client func(addr string, id int) error, closeAll func(string)) {
 	var mu sync.Mutex
 	var conns []net.Conn
-	track := func(c net.Conn) {
+	serve := func(c net.Conn, id int) error {
 		mu.Lock()
 		conns = append(conns, c)
 		mu.Unlock()
+		defer c.Close()
+		return ServeClientOpts(c, id, opts)
 	}
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := plan.Dial("tcp", addr, id)
-			if err != nil {
-				return
-			}
-			track(c)
-			err = ServeClientOpts(c, id, opts)
-			c.Close()
-			if err == nil || !redial[id] {
-				return
-			}
-			c2, err := net.Dial("tcp", addr)
-			if err != nil {
-				return
-			}
-			track(c2)
-			ServeClientOpts(c2, id, opts)
-			c2.Close()
-		}(id)
+	client = func(addr string, id int) error {
+		c, err := plan.Dial("tcp", addr, id)
+		if err != nil {
+			return err
+		}
+		if err = serve(c, id); err == nil || !redial[id] {
+			return err
+		}
+		clean, err := net.Dial("tcp", addr)
+		if err != nil {
+			return err
+		}
+		return serve(clean, id)
 	}
-	return func() {
+	closeAll = func(string) {
 		mu.Lock()
 		for _, c := range conns {
 			c.Close()
 		}
 		mu.Unlock()
-		wg.Wait()
 	}
+	return client, closeAll
 }
 
 // chaosPlan wires the adversarial cast of the issue: client 0 crashes
@@ -109,30 +90,12 @@ func chaosPlan(seed uint64) *faultnet.Plan {
 
 // runChaos executes one fault-injected federation and returns its
 // history and collected events.
-func runChaos(t *testing.T, cfg Config, plan *faultnet.Plan, redial map[int]bool) (*fl.History, *telemetry.CollectSink) {
-	t.Helper()
-	return runChaosOpts(t, cfg, plan, redial, ClientOptions{})
-}
-
-// runChaosOpts is runChaos with client-side options (compression and
-// redial behavior).
-func runChaosOpts(t *testing.T, cfg Config, plan *faultnet.Plan, redial map[int]bool, opts ClientOptions) (*fl.History, *telemetry.CollectSink) {
+func runChaos(t *testing.T, cfg Config, strategy fl.Strategy, plan *faultnet.Plan, opts ClientOptions) (*fl.History, *telemetry.CollectSink) {
 	t.Helper()
 	sink := &telemetry.CollectSink{}
 	cfg.Telemetry = telemetry.New(sink)
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	srv, err := NewServer(cfg, test, aggregate.NewFedAvg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	wait := chaosClientsOpts(t, ln.Addr().String(), plan, cfg.Experiment.NumClients, redial, opts)
-	h, err := srv.Run(ln, nil)
-	wait()
+	client, closeAll := chaosClient(plan, nil, opts)
+	h, _, err := loopback{client: client, then: closeAll}.run(t, newServer(t, cfg, testSet(), strategy))
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -147,9 +110,11 @@ func TestChaosFederationSurvivesFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fault-injection run")
 	}
+	t.Parallel()
 	for _, seed := range []uint64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			h, sink := runChaos(t, chaosConfig(), chaosPlan(seed), nil)
+			t.Parallel()
+			h, sink := runChaos(t, chaosConfig(), aggregate.NewFedAvg(), chaosPlan(seed), ClientOptions{})
 
 			if got, want := len(h.Rounds), chaosConfig().Experiment.Rounds; got != want {
 				t.Fatalf("completed %d rounds, want %d", got, want)
@@ -187,8 +152,9 @@ func TestChaosExclusionSequenceDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fault-injection run")
 	}
+	t.Parallel()
 	run := func() *fl.History {
-		h, _ := runChaos(t, chaosConfig(), chaosPlan(7), nil)
+		h, _ := runChaos(t, chaosConfig(), aggregate.NewFedAvg(), chaosPlan(7), ClientOptions{})
 		return h
 	}
 	a, b := run(), run()
@@ -207,43 +173,19 @@ func TestChaosExclusionSequenceDeterministic(t *testing.T) {
 // no-op case: a tolerant-mode networked run through zero-fault faultnet
 // wrappers is still byte-identical to the in-process simulator.
 func TestZeroFaultPlanMatchesInProcess(t *testing.T) {
-	cfg := testConfig()
-	cfg.AttackName = "sign-flip"
-	cfg.Experiment.MaliciousFraction = 0.4
+	cfg := signFlipConfig()
 	cfg.MinClientsPerRound = 1
 	cfg.IOTimeout = 20 * time.Second
 	cfg.RoundTimeout = time.Minute
 	cfg.MaxRetries = 2
 
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	netHist, _ := runChaos(t, cfg, &faultnet.Plan{Seed: 1}, nil)
-
-	inCfg := cfg.Experiment
-	inCfg.Attack = attack.NewSignFlip()
-	train := dataset.Generate(cfg.TrainSize, dataset.DefaultGenOptions(), rng.New(cfg.DataSeed))
-	fed, err := fl.NewFederation(train, test, inCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inHist, err := fed.Run(aggregate.NewFedAvg(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(netHist.Rounds) != len(inHist.Rounds) {
-		t.Fatalf("round counts differ: %d vs %d", len(netHist.Rounds), len(inHist.Rounds))
-	}
-	for i := range netHist.Rounds {
-		if len(netHist.Rounds[i].Dropped) != 0 {
-			t.Fatalf("zero-fault run dropped clients in round %d: %v", i+1, netHist.Rounds[i].Dropped)
-		}
-		if netHist.Rounds[i].TestAccuracy != inHist.Rounds[i].TestAccuracy {
-			t.Fatalf("round %d accuracy: networked %v, in-process %v",
-				i+1, netHist.Rounds[i].TestAccuracy, inHist.Rounds[i].TestAccuracy)
+	netHist, _ := runChaos(t, cfg, aggregate.NewFedAvg(), &faultnet.Plan{Seed: 1}, ClientOptions{})
+	for i, rec := range netHist.Rounds {
+		if len(rec.Dropped) != 0 {
+			t.Fatalf("zero-fault run dropped clients in round %d: %v", i+1, rec.Dropped)
 		}
 	}
-	if !reflect.DeepEqual(netHist.FinalWeights, inHist.FinalWeights) {
-		t.Fatal("final weights diverge from the in-process federation")
-	}
+	expectSameRun(t, netHist, signFlipRun.get(t))
 }
 
 // TestCrashedClientRejoins drives the reconnect path: a client that dies
@@ -264,23 +206,13 @@ func TestCrashedClientRejoins(t *testing.T) {
 
 	sink := &telemetry.CollectSink{}
 	cfg.Telemetry = telemetry.New(sink)
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	srv, err := NewServer(cfg, test, aggregate.NewFedAvg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
 
 	// Client 0 completes its round-1 upload, crashes mid-frame in round
 	// 2, then redials cleanly.
 	plan := &faultnet.Plan{Seed: 11, Peers: map[int]faultnet.PeerPlan{
 		0: {SkipWrites: 1, DropAfterWrites: 2},
 	}}
-	wait := chaosClients(t, ln.Addr().String(), plan, cfg.Experiment.NumClients, map[int]bool{0: true})
+	client, closeAll := chaosClient(plan, map[int]bool{0: true}, ClientOptions{})
 
 	// Hold the round loop after the crash round until the rejoin lands,
 	// so the remaining rounds deterministically include client 0 again.
@@ -297,8 +229,8 @@ func TestCrashedClientRejoins(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	h, err := srv.Run(ln, onRound)
-	wait()
+	fed := loopback{client: client, onRound: onRound, then: closeAll}
+	h, _, err := fed.run(t, newServer(t, cfg, testSet(), aggregate.NewFedAvg()))
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -358,20 +290,9 @@ func TestPartialRegistrationQuorum(t *testing.T) {
 
 	sink := &telemetry.CollectSink{}
 	cfg.Telemetry = telemetry.New(sink)
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	srv, err := NewServer(cfg, test, aggregate.NewFedAvg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	wait := chaosClients(t, ln.Addr().String(), &faultnet.Plan{Seed: 1}, 2, nil)
-	h, err := srv.Run(ln, nil)
-	wait()
+	client, closeAll := chaosClient(&faultnet.Plan{Seed: 1}, nil, ClientOptions{})
+	fed := loopback{clients: 2, client: client, then: closeAll}
+	h, _, err := fed.run(t, newServer(t, cfg, testSet(), aggregate.NewFedAvg()))
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -403,6 +324,7 @@ func TestChaosCompressedMatchesRaw(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fault-injection run")
 	}
+	t.Parallel()
 	plan := func(seed uint64) *faultnet.Plan {
 		return &faultnet.Plan{
 			Seed: seed,
@@ -412,11 +334,11 @@ func TestChaosCompressedMatchesRaw(t *testing.T) {
 			},
 		}
 	}
-	raw, _ := runChaos(t, chaosConfig(), plan(7), nil)
+	raw, _ := runChaos(t, chaosConfig(), aggregate.NewFedAvg(), plan(7), ClientOptions{})
 
 	ccfg := chaosConfig()
 	ccfg.Compress = true
-	comp, sink := runChaosOpts(t, ccfg, plan(7), nil, ClientOptions{Compress: true})
+	comp, sink := runChaos(t, ccfg, aggregate.NewFedAvg(), plan(7), ClientOptions{Compress: true})
 
 	if len(raw.Rounds) != len(comp.Rounds) {
 		t.Fatalf("round counts differ: %d vs %d", len(raw.Rounds), len(comp.Rounds))

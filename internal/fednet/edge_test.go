@@ -8,7 +8,6 @@ import (
 	"net"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"fedguard/internal/aggregate"
@@ -16,7 +15,6 @@ import (
 	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
 	"fedguard/internal/fl"
-	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
 	"fedguard/internal/wire"
 )
@@ -136,23 +134,23 @@ func TestUpdateEdgeRefusesHostileFrames(t *testing.T) {
 // edgePeer registers as id by hand and answers every round request with
 // what answer makes of it; a nil answer hangs up instead — the client
 // that "simply dropped".
-func edgePeer(addr string, id int, enc bool, answer func(round uint32) any) {
+func edgePeer(addr string, id int, enc bool, answer func(round uint32) any) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return
+		return err
 	}
 	defer conn.Close()
 	hello := &wire.Hello{ClientID: uint32(id)}
 	if enc {
 		hello.Encodings = wire.CapCodec
 	}
-	if wire.WriteMessage(conn, hello) != nil {
-		return
+	if err := wire.WriteMessage(conn, hello); err != nil {
+		return err
 	}
 	for {
 		msg, err := wire.ReadMessage(conn)
 		if err != nil {
-			return
+			return err
 		}
 		if _, isSetup := msg.(*wire.Setup); isSetup {
 			continue
@@ -164,10 +162,13 @@ func edgePeer(addr string, id int, enc bool, answer func(round uint32) any) {
 		case *wire.TrainRequestC:
 			round = m.Round
 		default:
-			return
+			return nil
 		}
-		if answer == nil || wire.WriteMessage(conn, answer(round)) != nil {
-			return
+		if answer == nil {
+			return nil
+		}
+		if err := wire.WriteMessage(conn, answer(round)); err != nil {
+			return err
 		}
 	}
 }
@@ -178,34 +179,13 @@ func runWithPeer(t *testing.T, cfg Config, strategy fl.Strategy, bad int, answer
 	t.Helper()
 	sink := &telemetry.CollectSink{}
 	cfg.Telemetry = telemetry.New(sink)
-	srv, err := NewServer(cfg, dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5)), strategy)
-	if err != nil {
-		t.Fatal(err)
+	client := func(addr string, id int) error {
+		if id == bad {
+			return edgePeer(addr, id, cfg.Compress, answer)
+		}
+		return RunClient(addr, id, ClientOptions{Compress: cfg.Compress})
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var wg sync.WaitGroup
-	for id := 0; id < cfg.Experiment.NumClients; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if id == bad {
-				edgePeer(ln.Addr().String(), id, cfg.Compress, answer)
-				return
-			}
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			ServeClientOpts(conn, id, ClientOptions{Compress: cfg.Compress})
-		}(id)
-	}
-	h, err := srv.Run(ln, nil)
-	wg.Wait()
+	h, _, err := loopback{client: client}.run(t, newServer(t, cfg, testSet(), strategy))
 	return h, sink, err
 }
 
@@ -215,6 +195,7 @@ func runWithPeer(t *testing.T, cfg Config, strategy fl.Strategy, bad int, answer
 // ends on the weights of a run in which that client hung up instead.
 // Strict: the run fails with an error naming the client.
 func TestHostileFramesOverLoopback(t *testing.T) {
+	t.Parallel()
 	for _, needDecoder := range []bool{false, true} {
 		newStrategy := func() fl.Strategy {
 			if needDecoder {

@@ -2,10 +2,8 @@ package fednet
 
 import (
 	"fmt"
-	"net"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"fedguard/internal/aggregate"
@@ -20,47 +18,24 @@ import (
 // custom samplers and the aggregate length check behave over loopback
 // exactly as they do in-process.
 
-// runLoopbackErr is runLoopback for runs expected to fail: it returns
-// the server's error instead of failing the test, and only waits for the
-// clients (the server's teardown sends them Shutdown either way).
-func runLoopbackErr(t *testing.T, cfg Config, strategy fl.Strategy, test *dataset.Dataset) (*fl.History, error) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	srv, err := NewServer(cfg, test, strategy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for id := 0; id < cfg.Experiment.NumClients; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			ServeClientOpts(conn, id, ClientOptions{})
-		}(id)
-	}
-	h, err := srv.Run(ln, nil)
-	wg.Wait()
-	return h, err
-}
-
 // inProcess runs cfg's experiment on fl.Federation with the attack
 // instance the networked server would build for it.
 func inProcess(t *testing.T, cfg Config, strategy fl.Strategy, test *dataset.Dataset) *fl.History {
 	t.Helper()
+	h, err := runInProcess(cfg, strategy, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// runInProcess is inProcess for runs that may fail.
+func runInProcess(cfg Config, strategy fl.Strategy, test *dataset.Dataset) (*fl.History, error) {
 	inCfg := cfg.Experiment
 	inCfg.StreamAudit = cfg.StreamAudit
 	att, err := attack.ByName(cfg.AttackName, attack.CollusionSeed(inCfg.Seed))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if tt, ok := att.(attack.AGRTailored); ok {
 		tt.TailorTo(strategy.Name())
@@ -69,31 +44,37 @@ func inProcess(t *testing.T, cfg Config, strategy fl.Strategy, test *dataset.Dat
 	train := dataset.Generate(cfg.TrainSize, dataset.DefaultGenOptions(), rng.New(cfg.DataSeed))
 	fed, err := fl.NewFederation(train, test, inCfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	h, err := fed.Run(strategy, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return fed.Run(strategy, nil)
 }
 
-func expectSameRun(t *testing.T, netHist, inHist *fl.History) {
+// comparableRecord strips the columns a transport or a restart
+// legitimately changes: wall-clock timings, and the measured wire bytes
+// (a resumed run pays re-registration traffic and re-sends reference
+// state the crashed connections already carried). Everything
+// deterministic — sampling, drops, exclusion reports, accuracies,
+// logical byte columns — must match exactly.
+func comparableRecord(r fl.RoundRecord) fl.RoundRecord {
+	r.Seconds, r.TrainSeconds, r.AggregateSeconds, r.EvalSeconds = 0, 0, 0, 0
+	r.WireUploadBytes, r.WireDownloadBytes = 0, 0
+	return r
+}
+
+// expectSameRun holds a run to the one it must reproduce: every round's
+// comparable record and the final weights.
+func expectSameRun(t *testing.T, got, want *fl.History) {
 	t.Helper()
-	if len(netHist.Rounds) != len(inHist.Rounds) {
-		t.Fatalf("round counts differ: %d vs %d", len(netHist.Rounds), len(inHist.Rounds))
+	if len(got.Rounds) != len(want.Rounds) {
+		t.Fatalf("%d rounds, want %d", len(got.Rounds), len(want.Rounds))
 	}
-	for i := range netHist.Rounds {
-		n, p := netHist.Rounds[i], inHist.Rounds[i]
-		if !reflect.DeepEqual(n.Sampled, p.Sampled) || n.MaliciousSampled != p.MaliciousSampled {
-			t.Fatalf("round %d sampling: networked %v (%d malicious), in-process %v (%d)",
-				i+1, n.Sampled, n.MaliciousSampled, p.Sampled, p.MaliciousSampled)
-		}
-		if n.TestAccuracy != p.TestAccuracy {
-			t.Fatalf("round %d accuracy: networked %v, in-process %v", i+1, n.TestAccuracy, p.TestAccuracy)
+	for i := range want.Rounds {
+		w, g := comparableRecord(want.Rounds[i]), comparableRecord(got.Rounds[i])
+		if !reflect.DeepEqual(w, g) {
+			t.Fatalf("round %d diverged:\nwant %+v\ngot  %+v", i+1, w, g)
 		}
 	}
-	if !reflect.DeepEqual(netHist.FinalWeights, inHist.FinalWeights) {
+	if !reflect.DeepEqual(got.FinalWeights, want.FinalWeights) {
 		t.Fatal("final weights diverge")
 	}
 }
@@ -104,7 +85,7 @@ func expectSameRun(t *testing.T, netHist, inHist *fl.History) {
 // so the final weights are byte-equal, under a mean and under a
 // selecting aggregator, with stream audit requested.
 func TestLoopbackCohortAttackMatchesInProcess(t *testing.T) {
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
+	test := testSet()
 	for _, attackName := range []string{"alie", "min-max"} {
 		for _, newStrategy := range []func() fl.Strategy{
 			func() fl.Strategy { return aggregate.NewFedAvg() },
@@ -117,7 +98,7 @@ func TestLoopbackCohortAttackMatchesInProcess(t *testing.T) {
 				cfg.Experiment.MaliciousFraction = 0.3
 				cfg.AttackName = attackName
 				cfg.StreamAudit = true
-				netHist := runLoopback(t, cfg, newStrategy(), test)
+				netHist := runLoopback(t, cfg, newStrategy(), test, ClientOptions{})
 				inHist := inProcess(t, cfg, newStrategy(), test)
 				expectSameRun(t, netHist, inHist)
 
@@ -150,8 +131,8 @@ func (rotatingSampler) SampleClients(history []fl.RoundRecord, n, m int, r *rng.
 func TestLoopbackCustomSamplerMatchesInProcess(t *testing.T) {
 	cfg := testConfig()
 	cfg.Experiment.Sampler = rotatingSampler{}
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	netHist := runLoopback(t, cfg, aggregate.NewFedAvg(), test)
+	test := testSet()
+	netHist := runLoopback(t, cfg, aggregate.NewFedAvg(), test, ClientOptions{})
 	if want := []int{1, 2, 3}; !reflect.DeepEqual(netHist.Rounds[0].Sampled, want) {
 		t.Fatalf("round 1 sampled %v, want the sampler's %v", netHist.Rounds[0].Sampled, want)
 	}
@@ -171,16 +152,8 @@ func (shortStrategy) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 // same error on both transports, never a panic inside the ψ-update.
 func TestStrategyLengthMismatchIsError(t *testing.T) {
 	cfg := testConfig()
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	_, netErr := runLoopbackErr(t, cfg, shortStrategy{}, test)
-
-	train := dataset.Generate(cfg.TrainSize, dataset.DefaultGenOptions(), rng.New(cfg.DataSeed))
-	fed, err := fl.NewFederation(train, test, cfg.Experiment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, inErr := fed.Run(shortStrategy{}, nil)
-
+	_, _, netErr := loopback{}.run(t, newServer(t, cfg, testSet(), shortStrategy{}))
+	_, inErr := runInProcess(cfg, shortStrategy{}, testSet())
 	if netErr == nil || inErr == nil {
 		t.Fatalf("short aggregate accepted: networked %v, in-process %v", netErr, inErr)
 	}

@@ -2,16 +2,13 @@ package fednet
 
 import (
 	"fmt"
-	"net"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
-	"fedguard/internal/dataset"
 	"fedguard/internal/defense"
 	"fedguard/internal/faultnet"
 	"fedguard/internal/fl"
@@ -35,18 +32,17 @@ func TestStreamAuditLoopbackMatchesBarrier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains CVAEs over the network, twice per seed")
 	}
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
+	test := testSet()
 	for _, seed := range []uint64{99, 7, 21} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := testConfig()
 			cfg.Experiment.Seed = seed
 			cfg.Compress = true
 
-			barrier := runLoopbackOpts(t, cfg, newTestGuard(), test, ClientOptions{Compress: true})
+			barrier := runLoopback(t, cfg, newTestGuard(), test, ClientOptions{Compress: true})
 
-			scfg := cfg
-			scfg.StreamAudit = true
-			streamed := runLoopbackOpts(t, scfg, newTestGuard(), test, ClientOptions{Compress: true})
+			cfg.StreamAudit = true
+			streamed := runLoopback(t, cfg, newTestGuard(), test, ClientOptions{Compress: true})
 
 			if !reflect.DeepEqual(barrier.FinalWeights, streamed.FinalWeights) {
 				t.Fatal("streaming audit diverged from barrier final weights")
@@ -64,40 +60,22 @@ func TestStreamAuditLoopbackMatchesBarrier(t *testing.T) {
 
 // TestStreamAuditQuickPreset is the pipeline acceptance run: the quick
 // experiment preset with streaming audit plus encode-once broadcasts
-// lands on the same bytes as the barrier run, and the in-process
-// simulator with StreamAudit agrees too.
+// over the codec lands on the bytes of the in-process barrier run, and
+// so does the in-process simulator with StreamAudit.
 func TestStreamAuditQuickPreset(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full quick-preset federations")
+		t.Skip("two quick-preset federations beside the shared in-process one")
 	}
-	cfg, test := quickConfig(), quickTestSet()
+	cfg := quickConfig()
 	cfg.Compress = true
-
-	barrier := quickCompressedBarrier(t)
-
-	scfg := cfg
-	scfg.StreamAudit = true
-	streamed := runLoopbackOpts(t, scfg, quickGuard(t), test, ClientOptions{Compress: true})
-
+	cfg.StreamAudit = true
+	streamed := runLoopback(t, cfg, quickGuard(t), quickTestSet(), ClientOptions{Compress: true})
 	// The in-process simulator honors the same flag through the shared
 	// fl.FederationConfig.
-	icfg := cfg.Experiment
-	icfg.StreamAudit = true
-	train := dataset.Generate(cfg.TrainSize, dataset.DefaultGenOptions(), rng.New(cfg.DataSeed))
-	fed, err := fl.NewFederation(train, test, icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inHist, err := fed.Run(quickGuard(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inHist := inProcess(t, cfg, quickGuard(t), quickTestSet())
 
-	if !reflect.DeepEqual(barrier.FinalWeights, streamed.FinalWeights) {
-		t.Fatal("streamed quick-preset run diverged from barrier run")
-	}
-	if !reflect.DeepEqual(streamed.FinalWeights, inHist.FinalWeights) {
-		t.Fatal("streamed networked run diverged from the streaming in-process simulator")
+	for _, h := range []*fl.History{streamed, inHist} {
+		expectSameRun(t, h, quickGuardRun.get(t))
 	}
 }
 
@@ -109,48 +87,14 @@ func TestStreamAuditMixedPeersMatchesBarrier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains CVAEs over the network, twice")
 	}
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
 	run := func(streamAudit bool, tel *telemetry.T) *fl.History {
 		cfg := testConfig()
 		cfg.Compress = true
 		cfg.StreamAudit = streamAudit
 		cfg.Telemetry = tel
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		srv, err := NewServer(cfg, test, newTestGuard())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, cfg.Experiment.NumClients)
-		for id := 0; id < cfg.Experiment.NumClients; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", ln.Addr().String())
-				if err != nil {
-					errs[id] = err
-					return
-				}
-				defer conn.Close()
-				// Even IDs advertise the codec, odd IDs stay raw.
-				errs[id] = ServeClientOpts(conn, id, ClientOptions{Compress: id%2 == 0})
-			}(id)
-		}
-		h, err := srv.Run(ln, nil)
-		if err != nil {
-			t.Fatalf("server: %v", err)
-		}
-		wg.Wait()
-		for id, err := range errs {
-			if err != nil {
-				t.Fatalf("client %d: %v", id, err)
-			}
-		}
-		return h
+		// Even IDs advertise the codec, odd IDs stay raw.
+		mixed := func(addr string, id int) error { return RunClient(addr, id, ClientOptions{Compress: id%2 == 0}) }
+		return loopback{client: mixed}.mustRun(t, newServer(t, cfg, testSet(), newTestGuard()))
 	}
 	barrier := run(false, nil)
 	tel := telemetry.New(nil)
@@ -178,6 +122,7 @@ func TestStreamAuditChaosMatchesBarrier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fault-injection run with CVAE training")
 	}
+	t.Parallel()
 	// Write-count-dependent faults would diverge between runs only if the
 	// two runs wrote different frame sequences; stream vs barrier changes
 	// server-side compute order, not frames, so the crasher stays.
@@ -193,22 +138,7 @@ func TestStreamAuditChaosMatchesBarrier(t *testing.T) {
 	run := func(streamAudit bool) *fl.History {
 		cfg := chaosConfig()
 		cfg.StreamAudit = streamAudit
-		test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-		srv, err := NewServer(cfg, test, newTestGuard())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		wait := chaosClients(t, ln.Addr().String(), plan(), cfg.Experiment.NumClients, nil)
-		h, err := srv.Run(ln, nil)
-		wait()
-		if err != nil {
-			t.Fatalf("server: %v", err)
-		}
+		h, _ := runChaos(t, cfg, newTestGuard(), plan(), ClientOptions{})
 		return h
 	}
 	barrier := run(false)
@@ -235,34 +165,8 @@ func TestBroadcastEncodeOnce(t *testing.T) {
 	cfg := testConfig()
 	cfg.Experiment.PerRound = cfg.Experiment.NumClients // all share one base per round
 	cfg.Compress = true
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	srv, err := NewServer(cfg, test, aggregate.NewFedAvg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for id := 0; id < cfg.Experiment.NumClients; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			ServeClientOpts(conn, id, ClientOptions{Compress: true})
-		}(id)
-	}
-	if _, err := srv.Run(ln, nil); err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	wg.Wait()
+	srv := newServer(t, cfg, testSet(), aggregate.NewFedAvg())
+	loopback{client: withOpts(ClientOptions{Compress: true})}.mustRun(t, srv)
 	want := int64(cfg.Experiment.Rounds)
 	if got := srv.bcastEncodes.Load(); got != want {
 		t.Fatalf("%d broadcast encodes for %d rounds × %d clients, want %d (one per round)",

@@ -6,8 +6,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,37 +23,6 @@ import (
 // without giving up.
 func resilientOpts(compress bool) ClientOptions {
 	return ClientOptions{Redials: 400, RedialBackoff: 10 * time.Millisecond, Compress: compress}
-}
-
-// crashClients runs every client on a redialing RunClient in its own
-// goroutine, so client state (private random stream positions, trained
-// CVAE decoders, cached round responses) spans both server lifetimes —
-// exactly like client processes that survive a server crash.
-type crashClients struct {
-	wg   sync.WaitGroup
-	errs []error
-}
-
-func startCrashClients(addr string, n int, opts ClientOptions) *crashClients {
-	cc := &crashClients{errs: make([]error, n)}
-	for id := 0; id < n; id++ {
-		cc.wg.Add(1)
-		go func(id int) {
-			defer cc.wg.Done()
-			cc.errs[id] = RunClient(addr, id, opts)
-		}(id)
-	}
-	return cc
-}
-
-func (cc *crashClients) check(t *testing.T) {
-	t.Helper()
-	cc.wg.Wait()
-	for id, err := range cc.errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", id, err)
-		}
-	}
 }
 
 // rebind reclaims the crashed server's address for the resumed server.
@@ -80,131 +47,96 @@ func rebind(t *testing.T, addr string) net.Listener {
 // checkpoints every round and is killed from the onRound callback right
 // after round k (connections severed without Shutdown frames), then a
 // second server — fresh strategy instance, same checkpoint directory,
-// Resume on — rebinds the same address while the resilient clients
-// redial, and finishes the schedule. Returns the resumed history.
+// Resume on — rebinds the same address while the clients redial, and
+// finishes the schedule. Every client runs one redialing RunClient
+// across both server lifetimes, so its state (private random stream
+// positions, trained CVAE decoders, cached round responses) survives the
+// crash exactly like a client process would. Returns the resumed history.
 func runKillResume(t *testing.T, cfg Config, test *dataset.Dataset,
 	newStrategy func() fl.Strategy, copts ClientOptions, k int) *fl.History {
 	t.Helper()
 	cfg.CheckpointDir = t.TempDir()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	srv1 := newServer(t, cfg, test, newStrategy())
+	var h2 *fl.History
+	drill := loopback{
+		client: withOpts(copts),
+		onRound: func(rec fl.RoundRecord) {
+			if rec.Round == k {
+				srv1.Kill()
+			}
+		},
+		then: func(addr string) {
+			// The checkpoint for round k must already be durable: it is
+			// written before onRound fires, so a crash inside the callback
+			// never loses the round the caller just observed.
+			ck, err := persist.LoadCheckpoint(cfg.CheckpointDir)
+			if err != nil {
+				t.Fatalf("checkpoint after kill at round %d: %v", k, err)
+			}
+			if ck.Round != k {
+				t.Fatalf("checkpoint holds round %d, want %d", ck.Round, k)
+			}
+			if k >= 2 {
+				// A decoder is persisted once, beside a round file that holds
+				// only what a round changes: one blob per client seen (codec
+				// peers of a decoder-shipping strategy; nobody else's
+				// decoders are cached), never a second generation of one.
+				seen := map[int]bool{}
+				if copts.Compress && newStrategy().NeedsDecoders() {
+					for _, rec := range ck.Rounds {
+						for _, id := range rec.Sampled {
+							seen[id] = true
+						}
+					}
+				}
+				blobs, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "dec-*.fgw"))
+				if err != nil || len(blobs) != len(seen) {
+					t.Fatalf("checkpoint directory holds blobs %v (err %v) for %d clients seen", blobs, err, len(seen))
+				}
+				if st, err := os.Stat(persist.CheckpointPath(cfg.CheckpointDir)); err != nil || st.Size() >= 1<<20 {
+					t.Fatalf("round file: %v, err %v; want under 1 MB", st, err)
+				}
+			}
+			cfg2 := cfg
+			cfg2.Resume = true
+			h2 = resumeOn(t, addr, cfg2, test, newStrategy())
+		},
 	}
-	addr := ln.Addr().String()
-	srv1, err := NewServer(cfg, test, newStrategy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := startCrashClients(addr, cfg.Experiment.NumClients, copts)
-
-	h1, err := srv1.Run(ln, func(rec fl.RoundRecord) {
-		if rec.Round == k {
-			srv1.Kill()
-		}
-	})
+	h1, clientErrs, err := drill.run(t, srv1)
 	if !errors.Is(err, ErrKilled) {
 		t.Fatalf("killed server returned %v, want ErrKilled", err)
 	}
 	if len(h1.Rounds) != k {
 		t.Fatalf("killed server completed %d rounds, want %d", len(h1.Rounds), k)
 	}
-	ln.Close()
-
-	// The checkpoint for round k must already be durable: it is written
-	// before onRound fires, so a crash inside the callback never loses
-	// the round the caller just observed.
-	ck, err := persist.LoadCheckpoint(cfg.CheckpointDir)
-	if err != nil {
-		t.Fatalf("checkpoint after kill at round %d: %v", k, err)
-	}
-	if ck.Round != k {
-		t.Fatalf("checkpoint holds round %d, want %d", ck.Round, k)
-	}
-	if k >= 2 {
-		// A decoder is persisted once, beside a round file that holds only
-		// what a round changes: one blob per client seen (codec peers of a
-		// decoder-shipping strategy; nobody else's decoders are cached),
-		// never a second generation of one.
-		seen := map[int]bool{}
-		if copts.Compress && newStrategy().NeedsDecoders() {
-			for _, rec := range ck.Rounds {
-				for _, id := range rec.Sampled {
-					seen[id] = true
-				}
-			}
-		}
-		blobs, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "dec-*.fgw"))
-		if err != nil || len(blobs) != len(seen) {
-			t.Fatalf("checkpoint directory holds blobs %v (err %v) for %d clients seen", blobs, err, len(seen))
-		}
-		if st, err := os.Stat(persist.CheckpointPath(cfg.CheckpointDir)); err != nil || st.Size() >= 1<<20 {
-			t.Fatalf("round file: %v, err %v; want under 1 MB", st, err)
-		}
-	}
-
-	cfg2 := cfg
-	cfg2.Resume = true
-	srv2, err := NewServer(cfg2, test, newStrategy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln2 := rebind(t, addr)
-	defer ln2.Close()
-	h2, err := srv2.Run(ln2, nil)
-	if err != nil {
-		t.Fatalf("resumed server: %v", err)
-	}
-	clients.check(t)
+	requireNoErrors(t, clientErrs)
 	return h2
 }
 
-// comparableRecord strips the columns a restart legitimately changes:
-// wall-clock timings, and the measured wire bytes (a resumed run pays
-// re-registration traffic and re-sends reference state the crashed
-// connections already carried). Everything deterministic — sampling,
-// drops, exclusion reports, accuracies, logical byte columns — must
-// match exactly.
-func comparableRecord(r fl.RoundRecord) fl.RoundRecord {
-	r.Seconds, r.TrainSeconds, r.AggregateSeconds, r.EvalSeconds = 0, 0, 0, 0
-	r.WireUploadBytes, r.WireDownloadBytes = 0, 0
-	return r
-}
-
-// expectResumedIdentical asserts the headline guarantee against an
-// uninterrupted baseline run of the same experiment.
-func expectResumedIdentical(t *testing.T, baseline, resumed *fl.History) {
+// resumeOn runs the resumed server of a crash drill on the crashed one's
+// address, returning its history.
+func resumeOn(t *testing.T, addr string, cfg Config, test *dataset.Dataset, strategy fl.Strategy) *fl.History {
 	t.Helper()
-	if len(resumed.Rounds) != len(baseline.Rounds) {
-		t.Fatalf("resumed run has %d rounds, want %d", len(resumed.Rounds), len(baseline.Rounds))
+	srv := newServer(t, cfg, test, strategy)
+	ln := rebind(t, addr)
+	defer ln.Close()
+	h, err := srv.Run(ln, nil)
+	if err != nil {
+		t.Fatalf("resumed server: %v", err)
 	}
-	for i := range baseline.Rounds {
-		want, got := comparableRecord(baseline.Rounds[i]), comparableRecord(resumed.Rounds[i])
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("round %d diverged:\nbaseline %+v\nresumed  %+v", i+1, want, got)
-		}
-	}
-	if !reflect.DeepEqual(baseline.FinalWeights, resumed.FinalWeights) {
-		t.Fatal("final weights diverged from the uninterrupted run")
-	}
+	return h
 }
 
 // TestKillResumeLoopback is the quick networked crash drill: a FedAvg
 // federation under sign-flip attack is killed after each interior round
 // and resumed, landing on the uninterrupted run's exact history.
 func TestKillResumeLoopback(t *testing.T) {
-	cfg := testConfig()
-	cfg.Experiment.Rounds = 3
-	cfg.AttackName = "sign-flip"
-	cfg.Experiment.MaliciousFraction = 0.4
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	baseline := runLoopback(t, cfg, aggregate.NewFedAvg(), test)
-
+	cfg := signFlipConfig()
 	for k := 1; k < cfg.Experiment.Rounds; k++ {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			newStrategy := func() fl.Strategy { return aggregate.NewFedAvg() }
-			resumed := runKillResume(t, cfg, test, newStrategy, resilientOpts(false), k)
-			expectResumedIdentical(t, baseline, resumed)
+			resumed := runKillResume(t, cfg, testSet(), newStrategy, resilientOpts(false), k)
+			expectSameRun(t, resumed, signFlipRun.get(t))
 		})
 	}
 }
@@ -244,7 +176,6 @@ func (m *midRoundKiller) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 // session keeps of round k+1 is the update, not a frame of it, so the
 // redial is answered from it all the same.
 func TestKillResumeMidRound(t *testing.T) {
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
 	for _, tc := range []struct {
 		name              string
 		compress, resumed bool // the crashed and the resumed server's Compress
@@ -255,57 +186,35 @@ func TestKillResumeMidRound(t *testing.T) {
 		{"codec then raw", true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			compress := tc.compress
-			cfg := testConfig()
-			cfg.Experiment.Rounds = 3
-			cfg.AttackName = "sign-flip"
-			cfg.Experiment.MaliciousFraction = 0.4
-			baseline := runLoopback(t, cfg, aggregate.NewFedAvg(), test)
-
 			const k = 1 // checkpointed round; the crash hits round k+1
-			cfg.Compress = compress
+			cfg := signFlipConfig()
+			cfg.Compress = tc.compress
 			cfg.CheckpointDir = t.TempDir()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			addr := ln.Addr().String()
 			killer := &midRoundKiller{inner: aggregate.NewFedAvg(), at: k + 1}
-			srv1, err := NewServer(cfg, test, killer)
-			if err != nil {
-				t.Fatal(err)
+			killer.srv = newServer(t, cfg, testSet(), killer)
+			var h *fl.History
+			drill := loopback{
+				client: withOpts(resilientOpts(tc.compress || tc.resumed)),
+				then: func(addr string) {
+					ck, err := persist.LoadCheckpoint(cfg.CheckpointDir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ck.Round != k {
+						t.Fatalf("checkpoint holds round %d, want %d (round %d died mid-flight)", ck.Round, k, k+1)
+					}
+					cfg2 := cfg
+					cfg2.Resume = true
+					cfg2.Compress = tc.resumed
+					h = resumeOn(t, addr, cfg2, testSet(), aggregate.NewFedAvg())
+				},
 			}
-			killer.srv = srv1
-			clients := startCrashClients(addr, cfg.Experiment.NumClients, resilientOpts(tc.compress || tc.resumed))
-
-			_, err = srv1.Run(ln, nil)
+			_, clientErrs, err := drill.run(t, killer.srv)
 			if !errors.Is(err, errMidRoundKill) {
 				t.Fatalf("crashed server returned %v, want errMidRoundKill", err)
 			}
-			ln.Close()
-			ck, err := persist.LoadCheckpoint(cfg.CheckpointDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ck.Round != k {
-				t.Fatalf("checkpoint holds round %d, want %d (round %d died mid-flight)", ck.Round, k, k+1)
-			}
-
-			cfg2 := cfg
-			cfg2.Resume = true
-			cfg2.Compress = tc.resumed
-			srv2, err := NewServer(cfg2, test, aggregate.NewFedAvg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ln2 := rebind(t, addr)
-			defer ln2.Close()
-			h, err := srv2.Run(ln2, nil)
-			if err != nil {
-				t.Fatalf("resumed server: %v", err)
-			}
-			clients.check(t)
-			expectResumedIdentical(t, baseline, h)
+			requireNoErrors(t, clientErrs)
+			expectSameRun(t, h, signFlipRun.get(t))
 		})
 	}
 }
@@ -321,13 +230,11 @@ func TestCrashPointMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many full networked FedGuard federations")
 	}
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
+	t.Parallel()
+	test := testSet()
 	for _, seed := range []uint64{99, 7, 21} {
-		base := testConfig()
-		base.Experiment.Rounds = 3
+		base := signFlipConfig()
 		base.Experiment.Seed = seed
-		base.AttackName = "sign-flip"
-		base.Experiment.MaliciousFraction = 0.4
 		newGuard := func() fl.Strategy {
 			g := defense.NewFedGuard(base.Experiment.Client.Arch, cvae.Config{
 				Input: 784, Hidden: 16, Latent: 2, Classes: 10,
@@ -335,7 +242,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			g.Samples = 8
 			return g
 		}
-		baseline := runLoopback(t, base, newGuard(), test)
+		baseline := runLoopback(t, base, newGuard(), test, ClientOptions{})
 		for _, compress := range []bool{false, true} {
 			for _, streamAudit := range []bool{false, true} {
 				for k := 1; k < base.Experiment.Rounds; k++ {
@@ -345,7 +252,7 @@ func TestCrashPointMatrix(t *testing.T) {
 						cfg.Compress = compress
 						cfg.StreamAudit = streamAudit
 						resumed := runKillResume(t, cfg, test, newGuard, resilientOpts(compress), k)
-						expectResumedIdentical(t, baseline, resumed)
+						expectSameRun(t, resumed, baseline)
 					})
 				}
 			}
@@ -358,18 +265,12 @@ func TestCrashPointMatrix(t *testing.T) {
 // error, and the run both matches a plain run and leaves a final-round
 // checkpoint behind.
 func TestResumeWithoutCheckpointColdStarts(t *testing.T) {
-	cfg := testConfig()
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	baseline := runLoopback(t, cfg, aggregate.NewFedAvg(), test)
-
-	cfg2 := cfg
-	cfg2.CheckpointDir = t.TempDir()
-	cfg2.Resume = true
-	h := runLoopback(t, cfg2, aggregate.NewFedAvg(), test)
-	if !reflect.DeepEqual(baseline.FinalWeights, h.FinalWeights) {
-		t.Fatal("cold-started resume run diverged from a plain run")
-	}
-	ck, err := persist.LoadCheckpoint(cfg2.CheckpointDir)
+	cfg := signFlipConfig()
+	cfg.CheckpointDir = t.TempDir()
+	cfg.Resume = true
+	h := runLoopback(t, cfg, aggregate.NewFedAvg(), testSet(), ClientOptions{})
+	expectSameRun(t, h, signFlipRun.get(t))
+	ck, err := persist.LoadCheckpoint(cfg.CheckpointDir)
 	if err != nil {
 		t.Fatalf("no checkpoint after checkpointed run: %v", err)
 	}
@@ -382,7 +283,7 @@ func TestResumeWithoutCheckpointColdStarts(t *testing.T) {
 // construction; a checkpoint from a different run (wrong seed) is
 // rejected before any client is accepted.
 func TestServerResumeValidation(t *testing.T) {
-	test := dataset.Generate(10, dataset.DefaultGenOptions(), rng.New(1))
+	test := testSet()
 
 	cfg := testConfig()
 	cfg.Resume = true
@@ -403,16 +304,7 @@ func TestServerResumeValidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(cfg, test, aggregate.NewFedAvg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if _, err := srv.Run(ln, nil); err == nil {
+	if _, _, err := (loopback{}).run(t, newServer(t, cfg, test, aggregate.NewFedAvg())); err == nil {
 		t.Fatal("checkpoint from a different seed accepted")
 	}
 }

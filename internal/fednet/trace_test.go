@@ -1,15 +1,10 @@
 package fednet
 
 import (
-	"net"
-	"reflect"
 	"strconv"
-	"sync"
 	"testing"
 
 	"fedguard/internal/aggregate"
-	"fedguard/internal/dataset"
-	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
 )
 
@@ -23,45 +18,19 @@ func runTracedLoopback(t *testing.T, cfg Config, opts ClientOptions) (*telemetry
 	cfg.Telemetry.EnableTracing("server")
 	cfg.Trace = true
 
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	srv, err := NewServer(cfg, test, aggregate.NewFedAvg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
 	clientSinks := make([]*telemetry.CollectSink, cfg.Experiment.NumClients)
-	var wg sync.WaitGroup
-	for id := 0; id < cfg.Experiment.NumClients; id++ {
-		sink := &telemetry.CollectSink{}
-		clientSinks[id] = sink
+	for id := range clientSinks {
+		clientSinks[id] = &telemetry.CollectSink{}
+	}
+	traced := func(addr string, id int) error {
 		o := opts
 		if o.Trace {
-			o.Telemetry = telemetry.New(sink)
+			o.Telemetry = telemetry.New(clientSinks[id])
 			o.Telemetry.EnableTracing("client-" + strconv.Itoa(id))
 		}
-		wg.Add(1)
-		go func(id int, o ClientOptions) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				t.Errorf("client %d: %v", id, err)
-				return
-			}
-			defer conn.Close()
-			if err := ServeClientOpts(conn, id, o); err != nil {
-				t.Errorf("client %d: %v", id, err)
-			}
-		}(id, o)
+		return RunClient(addr, id, o)
 	}
-	if _, err := srv.Run(ln, nil); err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	wg.Wait()
+	loopback{client: traced}.mustRun(t, newServer(t, cfg, testSet(), aggregate.NewFedAvg()))
 	return serverSink, clientSinks
 }
 
@@ -171,20 +140,15 @@ func TestTracedLegacyClientInterop(t *testing.T) {
 // bit-identical final weights (the trailing trace block never perturbs
 // the model payload or the round schedule).
 func TestTracedMatchesUntracedWeights(t *testing.T) {
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	plain := runLoopback(t, testConfig(), aggregate.NewFedAvg(), test)
-
 	serverSink := &telemetry.CollectSink{}
-	cfg := testConfig()
+	cfg := signFlipConfig()
 	cfg.Telemetry = telemetry.New(serverSink)
 	cfg.Telemetry.EnableTracing("server")
 	cfg.Trace = true
-	traced := runLoopbackOpts(t, cfg, aggregate.NewFedAvg(), test,
+	traced := runLoopback(t, cfg, aggregate.NewFedAvg(), testSet(),
 		ClientOptions{Trace: true, Telemetry: telemetry.New(&telemetry.CollectSink{})})
 
-	if !reflect.DeepEqual(plain.FinalWeights, traced.FinalWeights) {
-		t.Fatal("tracing changed the final weights")
-	}
+	expectSameRun(t, traced, signFlipRun.get(t))
 	if len(serverSink.ByKind("Span")) == 0 {
 		t.Fatal("traced run exported no spans")
 	}

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"fedguard/internal/aggregate"
-	"fedguard/internal/dataset"
-	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
 	"fedguard/internal/tensor"
 )
@@ -40,8 +38,8 @@ func TestCoLocatedClientsShareWorkers(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.Experiment.NumClients, cfg.Experiment.PerRound, cfg.Experiment.Rounds = 8, 8, 3
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
-	netHist := runLoopback(t, cfg, aggregate.NewFedAvg(), test)
+	test := testSet()
+	netHist := runLoopback(t, cfg, aggregate.NewFedAvg(), test, ClientOptions{})
 
 	set, err := sharedWorkers(cfg.ArchName)
 	if err != nil {
@@ -71,7 +69,7 @@ func TestClientRoundsHoldTheirWorker(t *testing.T) {
 	poolWidth(t, width)
 	cfg := testConfig()
 	cfg.Experiment.NumClients, cfg.Experiment.PerRound, cfg.Experiment.Rounds = clients, clients, 1
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), rng.New(5))
+	test := testSet()
 
 	check := func(t *testing.T, sink *telemetry.CollectSink) {
 		most, rounds := clientWorkPeak(t, spansOf(sink))
@@ -89,7 +87,7 @@ func TestClientRoundsHoldTheirWorker(t *testing.T) {
 		sink := &telemetry.CollectSink{}
 		opts := ClientOptions{Telemetry: telemetry.New(sink)}
 		opts.Telemetry.EnableTracing("clients")
-		runLoopbackOpts(t, cfg, newTestGuard(), test, opts)
+		runLoopback(t, cfg, newTestGuard(), test, opts)
 		check(t, sink)
 	})
 
