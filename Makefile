@@ -98,14 +98,16 @@ bench-agg:
 # steady-state save that must not re-serialise a decoder: ≤ 1 MB B/op
 # beside 25 MB of referenced payloads), the blocked aggregation kernels,
 # the classifier's train epoch (its time: ≈ 2× a reading on the fused
-# conv blocks), the CVAE's step, the server's per-round synthesis (its
-# time, and ≤ 3 MiB B/op for sixteen decoders: a decoder copied out of
-# its payload again is 1.69 MB each), one audit scoring job (a
-# LoadParams and four 25-row evaluation forwards: 0 allocs/op, and twice
-# its time is the im2col forward back), the whole barrier audit of
-# sixteen updates (sixteen synthesis jobs and sixteen full-set scoring
-# jobs: a plan back to scoring per block, or copying the set per update,
-# shows in its time or its 4.5 MiB B/op ceiling), a networked client's data
+# conv blocks), the CVAE's step, a CVAE train epoch on a kept model
+# (≤ 64 KiB B/op: an Adam built per Train is 3.3 MB), the server's
+# per-round synthesis (its time, and ≤ 3 MiB B/op for sixteen decoders:
+# a decoder copied out of its payload again is 1.69 MB each), one audit
+# scoring job (a LoadParams and four 25-row evaluation forwards:
+# 0 allocs/op, and twice its time is the im2col forward back), the
+# whole barrier audit of sixteen updates (sixteen synthesis jobs and
+# sixteen full-set scoring jobs: a plan back to scoring per block, or
+# copying the set per update, shows in its time or its 4.5 MiB B/op
+# ceiling), a networked client's data
 # (the skip-draw walk's time, and that it keeps a partition and not the
 # training set), and a client's round after its first (≤ 1 MiB B/op: it
 # trains on the worker it borrowed before; a model built per round is
@@ -116,7 +118,7 @@ bench-guard:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkWireWriteUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench '$(CKPT_BENCH)' -benchmem -benchtime=50x ./internal/persist/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$' -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$' -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardSynthesize$$' -benchmem -benchtime=50x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierInfer$$' -benchmem -benchtime=100x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardAudit$$' -benchmem -benchtime=20x . ; \

@@ -3,6 +3,7 @@ package classifier
 import (
 	"sync"
 
+	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
 	"fedguard/internal/nn"
 	"fedguard/internal/opt"
@@ -10,22 +11,40 @@ import (
 	"fedguard/internal/tensor"
 )
 
-// Worker is a long-lived classifier: a model of one architecture with
-// what training and scoring it reallocate beside a fresh one — the batch
-// buffer and the SGD velocity. The model's layer scratch (≈ 8 MB for the
-// small classifier at batch 32) is grown once and stays with it.
+// Worker is everything a client round computes on: a classifier of one
+// architecture with what training and scoring it reallocate beside a
+// fresh one — the batch buffer and the SGD velocity — and, once a
+// FedGuard client has borrowed it, a CVAE with its Adam. The models'
+// layer scratch (≈ 8 MB for the small classifier at batch 32) is grown
+// once and stays with them.
 //
 // A worker carries nothing from one use to the next that a result can
 // depend on. A client that would build Arch(r) and load the global calls
 // Model.Reset(r) and loads the global: by nn.Resetter's contract that is
 // the same model and the same r afterwards, whoever held the worker
 // before and whatever batch sizes they ran (TestBorrowedEqualsFresh).
+// CVAE(cfg, r) stands in for cvae.New(cfg, r) the same way.
 type Worker struct {
 	Model *nn.Sequential
 
 	sgd    *opt.SGD
 	x      *tensor.Tensor // batch scratch, see dataset.BatchInto
 	labels []int
+	gen    *cvae.CVAE // built by the first CVAE call
+}
+
+// CVAE returns the worker's CVAE as cvae.New(cfg, r) would build it: the
+// same weights, and r left where New leaves it. The first call builds
+// it, and so does a call with another cfg — a process's set serves every
+// federation of its architecture — while a later one resets it from r,
+// keeping its Adam moments and scratch (TestBorrowedCVAEEqualsFresh).
+func (w *Worker) CVAE(cfg cvae.Config, r *rng.RNG) *cvae.CVAE {
+	if w.gen == nil || w.gen.Cfg != cfg {
+		w.gen = cvae.New(cfg, r)
+	} else {
+		w.gen.Reset(r)
+	}
+	return w.gen
 }
 
 // countCorrect returns how many of ds[indices] the model classifies
@@ -106,7 +125,7 @@ func (s *Set) build() *Worker {
 }
 
 // Get borrows a worker, blocking while all Size of them are out. The
-// caller owns it — model, scratch and all — until Put, and must Put it
+// caller owns it — models, scratch and all — until Put, and must Put it
 // back on every path (defer): a worker that does not return is a
 // borrower the set can no longer serve.
 func (s *Set) Get() *Worker {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
 	"fedguard/internal/rng"
 	"fedguard/internal/tensor"
@@ -97,6 +98,49 @@ func TestBorrowedEqualsFresh(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBorrowedCVAEEqualsFresh is TestBorrowedEqualsFresh for the
+// worker's CVAE: each client's decoder and stream, trained on the CVAE
+// the worker hands out, equal what cvae.New from the client's stream
+// would train — after another client trained on it, and across a change
+// of cvae.Config, which rebuilds it.
+func TestBorrowedCVAEEqualsFresh(t *testing.T) {
+	ds := dataset.Generate(96, dataset.DefaultGenOptions(), rng.New(0xc7a))
+	tc := cvae.TrainConfig{Epochs: 1, BatchSize: 16, LR: 1e-3}
+	narrow := cvae.Config{Input: 784, Hidden: 32, Latent: 2, Classes: 10}
+	clients := []struct {
+		cfg     cvae.Config
+		indices []int
+		seed    uint64
+	}{
+		{cvae.SmallConfig(), dataset.Range(96)[:36], 1},   // builds
+		{cvae.SmallConfig(), dataset.Range(96)[40:60], 2}, // resets
+		{narrow, dataset.Range(96)[60:], 3},               // rebuilds
+		{narrow, dataset.Range(96)[:20], 4},               // resets
+	}
+	w := &Worker{}
+	var gens []*cvae.CVAE
+	for i, c := range clients {
+		r := rng.New(c.seed)
+		fresh := cvae.New(c.cfg, r)
+		fresh.Train(ds, c.indices, tc, r)
+		want, wantState := fresh.DecoderParams(), r.State()
+
+		r = rng.New(c.seed)
+		gen := w.CVAE(c.cfg, r)
+		gen.Train(ds, c.indices, tc, r)
+		if !reflect.DeepEqual(gen.DecoderParams(), want) {
+			t.Fatalf("client %d trained a different decoder on the worker's CVAE", i)
+		}
+		if r.State() != wantState {
+			t.Fatalf("client %d's stream ended at %+v, building leaves it at %+v", i, r.State(), wantState)
+		}
+		gens = append(gens, gen)
+	}
+	if gens[0] != gens[1] || gens[2] != gens[3] || gens[1] == gens[2] {
+		t.Fatal("the worker should keep its CVAE while the config holds and rebuild it when it changes")
 	}
 }
 

@@ -72,6 +72,13 @@ type CVAE struct {
 	// layers' own; a smaller tail batch shrinks the views in place.
 	input, eps, sigma, z, decIn *tensor.Tensor
 	dOut, dMu, dLv, dh          *tensor.Tensor
+
+	// Train's optimizer, batch buffer and shuffled order, built by the
+	// first Train and reset by every later one.
+	adam   *opt.Adam
+	x      *tensor.Tensor
+	labels []int
+	order  []int
 }
 
 // New constructs a CVAE with weights initialized from r.
@@ -87,6 +94,18 @@ func New(cfg Config, r *rng.RNG) *CVAE {
 	}
 	m.params = slices.Concat(m.trunk.Params(), m.muHead.Params(), m.lvHead.Params(), m.dec.Params())
 	return m
+}
+
+// Reset implements nn.Resetter: it draws the weights New(m.Cfg, r)
+// would, in New's layer order — trunk, µ head, log σ² head, decoder — and
+// leaves r where New would. A CVAE reset from r and then trained is the
+// CVAE New(m.Cfg, r) would train, bit for bit, whatever it trained on
+// before (TestCVAEResetEqualsNew).
+func (m *CVAE) Reset(r *rng.RNG) {
+	m.trunk.Reset(r)
+	m.muHead.Reset(r)
+	m.lvHead.Reset(r)
+	m.dec.Reset(r)
 }
 
 func newDecoderNet(cfg Config, r *rng.RNG) *nn.Sequential {
@@ -238,37 +257,30 @@ type Dataset interface {
 
 // Train fits the CVAE on the examples of ds selected by indices using
 // Adam, returning the mean ELBO loss of the final epoch — the only epoch
-// in which the loss is evaluated. Every batch is gathered into one
-// buffer the call owns.
+// in which the loss is evaluated. The optimizer starts fresh on every
+// call, as NewAdam would build it, but its moment buffers, the batch
+// buffer every batch is gathered into and the shuffled order are the
+// model's, kept from one call to the next.
 func (m *CVAE) Train(ds Dataset, indices []int, cfg TrainConfig, r *rng.RNG) float64 {
-	optim := opt.NewAdam(m.Params(), cfg.LR)
-	var x *tensor.Tensor
-	var labels []int
+	if m.adam == nil {
+		m.adam = opt.NewAdam(m.Params(), cfg.LR)
+	} else {
+		m.adam.Reset(cfg.LR)
+	}
 	var epochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
 		last := e == cfg.Epochs-1
 		epochLoss = 0
-		for _, batch := range batchIndices(indices, cfg.BatchSize, r) {
-			x, labels = ds.FlatBatchInto(x, labels, batch)
-			epochLoss += m.step(x, labels, optim, r, last) * float64(len(batch))
+		m.order = append(m.order[:0], indices...)
+		r.Shuffle(len(m.order), func(i, j int) { m.order[i], m.order[j] = m.order[j], m.order[i] })
+		for off := 0; off < len(m.order); off += cfg.BatchSize {
+			batch := m.order[off:min(off+cfg.BatchSize, len(m.order))]
+			m.x, m.labels = ds.FlatBatchInto(m.x, m.labels, batch)
+			epochLoss += m.step(m.x, m.labels, m.adam, r, last) * float64(len(batch))
 		}
 		epochLoss /= float64(len(indices))
 	}
 	return epochLoss
-}
-
-func batchIndices(indices []int, size int, r *rng.RNG) [][]int {
-	shuffled := append([]int(nil), indices...)
-	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	var out [][]int
-	for off := 0; off < len(shuffled); off += size {
-		end := off + size
-		if end > len(shuffled) {
-			end = len(shuffled)
-		}
-		out = append(out, shuffled[off:end])
-	}
-	return out
 }
 
 // DecoderParams exports the decoder weights as a flat vector — the
@@ -341,23 +353,6 @@ func (d *Decoder) Generate(z *tensor.Tensor, labels []int) *tensor.Tensor {
 		copy(d.img.Data[i*cfg.Input:(i+1)*cfg.Input], out.Data[i*cfg.cond():i*cfg.cond()+cfg.Input])
 	}
 	return d.img
-}
-
-// Reconstruct runs a full encode-decode pass at the posterior mean (no
-// sampling) and returns the reconstructed images (B, Input). Used by
-// tests to measure reconstruction quality.
-func (m *CVAE) Reconstruct(x *tensor.Tensor, labels []int) *tensor.Tensor {
-	b := x.Dim(0)
-	cfg := m.Cfg
-	input := m.oneHotConcat(nil, x, labels)
-	h := m.trunk.Forward(input, false)
-	mu := m.muHead.Forward(h, false)
-	out := m.dec.Forward(condConcat(nil, mu, labels, cfg.Classes), false)
-	img := tensor.New(b, cfg.Input)
-	for i := 0; i < b; i++ {
-		copy(img.Data[i*cfg.Input:(i+1)*cfg.Input], out.Data[i*cfg.cond():i*cfg.cond()+cfg.Input])
-	}
-	return img
 }
 
 func exp32(x float32) float32 {

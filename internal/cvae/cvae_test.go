@@ -243,6 +243,42 @@ func TestDecodersShareOnePayload(t *testing.T) {
 	}
 }
 
+// TestCVAEResetEqualsNew is the property a long-lived CVAE rests on: a
+// model reset from a client's stream and then trained is the model New
+// would have built from that stream and trained — the same decoder
+// bits, the same loss, and the stream left where New and Train leave it
+// — whatever the model trained on before, at whatever learning rate,
+// and with its scratch last shrunk to a 4-row tail batch.
+func TestCVAEResetEqualsNew(t *testing.T) {
+	cfg := SmallConfig()
+	ds := dataset.Generate(200, dataset.DefaultGenOptions(), rng.New(0x5e7))
+	own := dataset.Range(200)[:68]    // two batches of 32 and a 4-row tail
+	other := dataset.Range(200)[100:] // three batches of 32 and a 4-row tail
+	tc := TrainConfig{Epochs: 2, BatchSize: 32, LR: 1e-3}
+
+	r := rng.New(9)
+	fresh := New(cfg, r)
+	wantLoss := fresh.Train(ds, own, tc, r)
+	want, wantState := fresh.DecoderParams(), r.State()
+
+	reused := New(cfg, rng.New(77))
+	prior := rng.New(78)
+	reused.Train(ds, other, TrainConfig{Epochs: 1, BatchSize: 32, LR: 5e-3}, prior)
+	if fnv64a(reused.DecoderParams()) == fnv64a(want) {
+		t.Fatal("the prior training ended on the fresh model's decoder: the comparison below would be vacuous")
+	}
+	r = rng.New(9)
+	reused.Reset(r)
+	loss := reused.Train(ds, own, tc, r)
+	requireSameBits(t, "decoder after Reset + Train", reused.DecoderParams(), want)
+	if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+		t.Fatalf("loss after Reset + Train %v, New + Train %v", loss, wantLoss)
+	}
+	if r.State() != wantState {
+		t.Fatalf("stream after Reset + Train at %+v, New + Train leaves it at %+v", r.State(), wantState)
+	}
+}
+
 func TestNewDecoderRejectsBadPayload(t *testing.T) {
 	if _, err := NewDecoder(SmallConfig(), make([]float32, 7)); err == nil {
 		t.Fatal("NewDecoder accepted a short payload")
@@ -261,7 +297,7 @@ func TestReconstructionBetterThanChance(t *testing.T) {
 	m.Train(train, dataset.Range(train.Len()), tc, r)
 
 	x, labels := train.FlatBatch(dataset.Range(32))
-	rec := m.Reconstruct(x, labels)
+	rec := reconstruct(m, x, labels)
 	var mse, base float64
 	for i, v := range rec.Data {
 		d := float64(v) - float64(x.Data[i])
@@ -272,6 +308,22 @@ func TestReconstructionBetterThanChance(t *testing.T) {
 	if mse >= base {
 		t.Fatalf("reconstruction MSE %v not better than constant baseline %v", mse, base)
 	}
+}
+
+// reconstruct runs a full encode-decode pass at the posterior mean (no
+// sampling) and returns the reconstructed images (B, Input).
+func reconstruct(m *CVAE, x *tensor.Tensor, labels []int) *tensor.Tensor {
+	b := x.Dim(0)
+	cfg := m.Cfg
+	input := m.oneHotConcat(nil, x, labels)
+	h := m.trunk.Forward(input, false)
+	mu := m.muHead.Forward(h, false)
+	out := m.dec.Forward(condConcat(nil, mu, labels, cfg.Classes), false)
+	img := tensor.New(b, cfg.Input)
+	for i := 0; i < b; i++ {
+		copy(img.Data[i*cfg.Input:(i+1)*cfg.Input], out.Data[i*cfg.cond():i*cfg.cond()+cfg.Input])
+	}
+	return img
 }
 
 func TestVAELearnsToReconstruct(t *testing.T) {

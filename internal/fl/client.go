@@ -185,7 +185,7 @@ func (c *Client) RunRoundSpan(global []float32, needDecoder bool, parent *teleme
 
 	u := Update{ClientID: c.ID, Weights: weights, NumSamples: len(indices)}
 	if needDecoder {
-		u.Decoder, u.DecoderClasses = c.decoderPayload(parent)
+		u.Decoder, u.DecoderClasses = c.decoderPayload(w, parent)
 	}
 	return u
 }
@@ -209,14 +209,16 @@ func (c *Client) train(w *classifier.Worker, ds *dataset.Dataset, indices []int,
 // decoderPayload trains the client's CVAE on first use — and, in
 // streaming mode, retrains it every retrainEvery participations so the
 // decoder tracks the evolving local distribution — returning the cached
-// flat decoder vector and the classes it was trained on.
-func (c *Client) decoderPayload(parent *telemetry.Span) ([]float32, []int) {
+// flat decoder vector and the classes it was trained on. The CVAE is the
+// borrowed worker's, drawn from the client's stream as cvae.New would
+// draw it; the client keeps only the decoder copy.
+func (c *Client) decoderPayload(w *classifier.Worker, parent *telemetry.Span) ([]float32, []int) {
 	stale := c.retrainEvery > 0 && c.sinceCVAETrain >= c.retrainEvery
 	if c.decoder == nil || stale {
 		_, stop := c.tel.StartPhase(parent, "client.cvae_train")
 		defer stop()
 		ds, indices := c.cvaeView()
-		m := cvae.New(c.cfg.CVAE, c.rng)
+		m := w.CVAE(c.cfg.CVAE, c.rng)
 		m.Train(ds, indices, c.cfg.CVAETrain, c.rng)
 		c.decoder = m.DecoderParams()
 		c.decoderHash = codec.Hash(c.decoder)

@@ -1,6 +1,7 @@
 // Package opt implements the first-order optimizers used to train the
 // federated classifier and the CVAE: plain SGD, SGD with momentum, and
-// Adam, plus global-norm gradient clipping.
+// Adam. Both reset in place, so a long-lived model keeps its optimizer's
+// buffers across trainings.
 //
 // An Optimizer binds to a parameter set once and then advances it each
 // Step using the gradients accumulated by the layers' backward passes.
@@ -114,6 +115,17 @@ func NewAdam(params []nn.Param, lr float64) *Adam {
 		a.v[i] = tensor.New(p.Value.Shape()...)
 	}
 	return a
+}
+
+// Reset leaves the optimizer as NewAdam over the same parameters would
+// build it — this learning rate, zero moments, step 0 — and keeps the
+// moment buffers it already has.
+func (a *Adam) Reset(lr float64) {
+	a.lr, a.step = lr, 0
+	for i := range a.m {
+		a.m[i].Zero()
+		a.v[i].Zero()
+	}
 }
 
 // Step applies one Adam update.

@@ -65,6 +65,51 @@ func TestAdamFirstStepIsLR(t *testing.T) {
 	}
 }
 
+// TestAdamResetEqualsNew: an Adam that has stepped, then Reset to a new
+// learning rate, steps its parameters exactly as a fresh NewAdam would —
+// no moment, step count or learning rate survives the reset.
+func TestAdamResetEqualsNew(t *testing.T) {
+	newParams := func() []nn.Param {
+		r := rng.New(3)
+		var ps []nn.Param
+		for _, n := range []int{7, 13} { // a vector remainder in each
+			p := nn.Param{Name: "w", Value: tensor.New(n), Grad: tensor.New(n)}
+			r.FillNormal(p.Value.Data, 0, 1)
+			ps = append(ps, p)
+		}
+		return ps
+	}
+	steps := func(a *Adam, ps []nn.Param, seed uint64) {
+		r := rng.New(seed)
+		for range 3 {
+			for _, p := range ps {
+				r.FillNormal(p.Grad.Data, 0, 0.1)
+			}
+			a.Step()
+		}
+	}
+
+	reused, fresh := newParams(), newParams()
+	a := NewAdam(reused, 0.05)
+	steps(a, reused, 1)
+	for i, p := range newParams() {
+		copy(reused[i].Value.Data, p.Value.Data)
+	}
+	a.Reset(0.01)
+	steps(a, reused, 2)
+	steps(NewAdam(fresh, 0.01), fresh, 2)
+	for i := range fresh {
+		for j, want := range fresh[i].Value.Data {
+			if got := reused[i].Value.Data[j]; math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("param %d [%d]: reset Adam gave %g, fresh %g", i, j, got, want)
+			}
+		}
+	}
+	if a.LR() != 0.01 {
+		t.Fatalf("LR after Reset(0.01) = %g", a.LR())
+	}
+}
+
 // Training an XOR-ish toy problem end-to-end proves the substrate learns.
 func TestTrainingConverges(t *testing.T) {
 	r := rng.New(42)
