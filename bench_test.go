@@ -231,7 +231,7 @@ func BenchmarkCVAEStep(b *testing.B) {
 	cfg := cvae.SmallConfig()
 	model := cvae.New(cfg, r)
 	train := dataset.Generate(32, dataset.DefaultGenOptions(), r)
-	x, labels := train.FlatBatch(dataset.Range(32))
+	x, labels := train.FlatBatchInto(nil, nil, dataset.Range(32))
 	optim := opt.NewAdam(model.Params(), 1e-3)
 	// One untimed step grows the layers' scratch, so allocs/op reads the
 	// steady state at any -benchtime.

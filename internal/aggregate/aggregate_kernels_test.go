@@ -32,7 +32,6 @@ func TestAllOpsRejectMismatchedDims(t *testing.T) {
 		"NormClip":         func() error { _, err := NormClip(ragged, 1); return err },
 		"KrumScores":       func() error { _, err := KrumScores(ragged, 0); return err },
 		"Krum":             func() error { _, err := Krum(ragged, 0); return err },
-		"MultiKrum":        func() error { _, err := MultiKrum(ragged, 0, 1); return err },
 	}
 	for name, op := range ops {
 		if err := op(); err == nil {
@@ -146,11 +145,6 @@ func TestOperatorsDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		rs = append(rs, result{"TrimmedMean", tm})
-		mk, err := MultiKrum(ups, 3, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, result{"MultiKrum", mk})
 		return rs
 	}
 	tensor.SetWorkers(1)

@@ -242,7 +242,7 @@ func TestStrategiesAggregateViaContext(t *testing.T) {
 	}
 	for _, s := range []fl.Strategy{
 		NewFedAvg(), NewGeoMed(), NewKrum(), NewMedian(),
-		&TrimmedMeanStrategy{Trim: 1}, NewNormClip(),
+		NewTrimmedMean(), NewNormClip(),
 	} {
 		ctx := &fl.RoundContext{Round: 1, Updates: ups, RNG: rng.New(1), Report: map[string]float64{}}
 		out, err := s.Aggregate(ctx)
@@ -295,44 +295,52 @@ func TestQuickMedianInEnvelope(t *testing.T) {
 	}
 }
 
-func TestMultiKrumAveragesBenignCluster(t *testing.T) {
-	r := rng.New(5)
-	var ups []fl.Update
-	for i := 0; i < 6; i++ {
-		w := make([]float32, 8)
-		r.FillNormal(w, 1, 0.01)
-		ups = append(ups, fl.Update{ClientID: i, NumSamples: 1, Weights: w})
-	}
-	for i := 6; i < 9; i++ {
-		w := make([]float32, 8)
-		r.FillNormal(w, -50, 1)
-		ups = append(ups, fl.Update{ClientID: i, NumSamples: 1, Weights: w})
-	}
-	out, err := MultiKrum(ups, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range out {
-		if math.Abs(float64(v)-1) > 0.1 {
-			t.Fatalf("MultiKrum polluted by outliers: %v", out)
+// TestStrategyDerivedParameters pins the parameter each robust strategy
+// derives from the round's m updates: Krum assumes f = (m−1)/2,
+// TrimmedMean trims m/4 at each end, NormClip clips to the median norm.
+// Each fixture's expectation is worked out by hand, and the Krum one
+// would select another update at any other f.
+func TestStrategyDerivedParameters(t *testing.T) {
+	aggregate := func(s fl.Strategy, ups []fl.Update) ([]float32, *fl.RoundContext) {
+		t.Helper()
+		ctx := &fl.RoundContext{Round: 1, Updates: ups, RNG: rng.New(1), Report: map[string]float64{}}
+		out, err := s.Aggregate(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
 		}
+		return out, ctx
 	}
-}
 
-func TestMultiKrumParamValidation(t *testing.T) {
-	ups := []fl.Update{upd(0, 1, 1)}
-	if _, err := MultiKrum(nil, 0, 1); err == nil {
-		t.Fatal("empty updates accepted")
+	// m = 7, so f = 3 and a score sums the k = m−f−2 = 2 nearest squared
+	// distances: 0.1's is 0.02, the lowest. At f = 0 (k = 5) the spread
+	// cluster's 6 would win with 74.45 against 0.1's 106.45.
+	var ups []fl.Update
+	for i, v := range []float32{0, 0.1, 0.2, 5, 6, 7, 8} {
+		ups = append(ups, upd(i, 1, v))
 	}
-	if _, err := MultiKrum(ups, 0, 0); err == nil {
-		t.Fatal("k=0 accepted")
+	if out, ctx := aggregate(NewKrum(), ups); out[0] != 0.1 || ctx.Report[fl.ReportKrumSelected] != 1 {
+		t.Errorf("Krum selected client %v (%v), want client 1 (0.1)", ctx.Report[fl.ReportKrumSelected], out)
 	}
-	if _, err := MultiKrum(ups, 0, 2); err == nil {
-		t.Fatal("k>n accepted")
+
+	// m = 8 trims two at each end: the mean of 1, 2, 3, 4.
+	ups = ups[:0]
+	for i, v := range []float32{1000, -100, 1, 2, 3, 4, 50, -50} {
+		ups = append(ups, upd(i, 1, v))
 	}
-	out, err := MultiKrum(ups, 0, 1)
-	if err != nil || out[0] != 1 {
-		t.Fatalf("MultiKrum single = %v, %v", out, err)
+	if out, _ := aggregate(NewTrimmedMean(), ups); out[0] != 2.5 {
+		t.Errorf("TrimmedMean over 8 = %v, want 2.5", out[0])
+	}
+	// m = 3 trims none: the plain mean.
+	if out, _ := aggregate(NewTrimmedMean(), []fl.Update{upd(0, 1, 1), upd(1, 1, 2), upd(2, 1, 30)}); out[0] != 11 {
+		t.Errorf("TrimmedMean over 3 = %v, want 11", out[0])
+	}
+
+	// Norms 5, 1, 2, 10: the median (upper middle) is 5, so only (10, 0)
+	// is clipped, to (5, 0), before the mean.
+	ups = []fl.Update{upd(0, 1, 3, 4), upd(1, 1, 0.6, 0.8), upd(2, 1, 0, 2), upd(3, 1, 10, 0)}
+	out, _ := aggregate(NewNormClip(), ups)
+	if math.Abs(float64(out[0])-(3+0.6+0+5)/4) > 1e-6 || math.Abs(float64(out[1])-(4+0.8+2+0)/4) > 1e-6 {
+		t.Errorf("NormClip = %v, want [2.15 1.7]", out)
 	}
 }
 

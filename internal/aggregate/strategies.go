@@ -42,14 +42,11 @@ func (s *GeoMed) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 }
 
 // KrumStrategy selects the single update closest to its neighbours
-// (Blanchard et al.). F is the assumed Byzantine count per round; if
-// zero, it defaults to (m−1)/2, the largest tolerable count.
-type KrumStrategy struct {
-	F int
-}
+// (Blanchard et al.), assuming f = (m−1)/2 Byzantine updates among a
+// round's m, the largest count Krum tolerates.
+type KrumStrategy struct{}
 
-// NewKrum returns the Krum strategy with the default Byzantine
-// assumption.
+// NewKrum returns the Krum strategy.
 func NewKrum() *KrumStrategy { return &KrumStrategy{} }
 
 // Name implements fl.Strategy.
@@ -60,11 +57,7 @@ func (s *KrumStrategy) NeedsDecoders() bool { return false }
 
 // Aggregate implements fl.Strategy.
 func (s *KrumStrategy) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
-	f := s.F
-	if f == 0 {
-		f = (len(ctx.Updates) - 1) / 2
-	}
-	idx, err := KrumSelect(ctx.Updates, f)
+	idx, err := KrumSelect(ctx.Updates, (len(ctx.Updates)-1)/2)
 	if err != nil {
 		return nil, err
 	}
@@ -92,12 +85,10 @@ func (s *MedianStrategy) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 }
 
 // TrimmedMeanStrategy aggregates with the coordinate-wise trimmed mean,
-// trimming Trim values at each extreme (default: 25% of the updates).
-type TrimmedMeanStrategy struct {
-	Trim int
-}
+// trimming m/4 of a round's m values at each extreme.
+type TrimmedMeanStrategy struct{}
 
-// NewTrimmedMean returns the trimmed-mean strategy with the default trim.
+// NewTrimmedMean returns the trimmed-mean strategy.
 func NewTrimmedMean() *TrimmedMeanStrategy { return &TrimmedMeanStrategy{} }
 
 // Name implements fl.Strategy.
@@ -108,25 +99,14 @@ func (s *TrimmedMeanStrategy) NeedsDecoders() bool { return false }
 
 // Aggregate implements fl.Strategy.
 func (s *TrimmedMeanStrategy) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
-	trim := s.Trim
-	if trim == 0 {
-		trim = len(ctx.Updates) / 4
-	}
-	if 2*trim >= len(ctx.Updates) {
-		trim = (len(ctx.Updates) - 1) / 2
-	}
-	return TrimmedMean(ctx.Updates, trim)
+	return TrimmedMean(ctx.Updates, len(ctx.Updates)/4)
 }
 
-// NormClipStrategy clips update norms to Bound before FedAvg (Sun et
-// al.). A Bound of 0 auto-calibrates to the median update norm of the
-// round.
-type NormClipStrategy struct {
-	Bound float64
-}
+// NormClipStrategy clips update norms to the round's median update norm
+// before FedAvg (Sun et al.).
+type NormClipStrategy struct{}
 
-// NewNormClip returns the norm-thresholding strategy with
-// auto-calibration.
+// NewNormClip returns the norm-thresholding strategy.
 func NewNormClip() *NormClipStrategy { return &NormClipStrategy{} }
 
 // Name implements fl.Strategy.
@@ -137,13 +117,9 @@ func (s *NormClipStrategy) NeedsDecoders() bool { return false }
 
 // Aggregate implements fl.Strategy.
 func (s *NormClipStrategy) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
-	bound := s.Bound
-	if bound == 0 {
-		med, err := medianNorm(ctx.Updates)
-		if err != nil {
-			return nil, err
-		}
-		bound = med
+	bound, err := medianNorm(ctx.Updates)
+	if err != nil {
+		return nil, err
 	}
 	clipped, err := NormClip(ctx.Updates, bound)
 	if err != nil {

@@ -92,14 +92,10 @@ func cohortMean(drafts [][]float32) []float64 {
 // honestly trained drafts and all submit the same vector μ − z·σ — a
 // deviation small enough to sit inside the empirical spread (defeating
 // distance- and norm-based defenses) yet consistently biased, so it
-// accumulates across rounds.
-type ALIE struct {
-	// Z is the deviation in per-coordinate standard deviations; 0 uses
-	// DefaultALIEZ.
-	Z float64
-}
+// accumulates across rounds. z is DefaultALIEZ.
+type ALIE struct{}
 
-// NewALIE returns the attack with the default deviation.
+// NewALIE returns the attack.
 func NewALIE() *ALIE { return &ALIE{} }
 
 // Name implements Attack.
@@ -120,10 +116,6 @@ func (a *ALIE) PoisonCohort(drafts [][]float32, ids []int, r *rng.RNG) {
 	if len(drafts) == 0 {
 		return
 	}
-	z := a.Z
-	if z <= 0 {
-		z = DefaultALIEZ
-	}
 	mu := cohortMean(drafts)
 	m := make([]float32, len(mu))
 	inv := 1 / float64(len(drafts))
@@ -133,7 +125,7 @@ func (a *ALIE) PoisonCohort(drafts [][]float32, ids []int, r *rng.RNG) {
 			diff := float64(d[i]) - mu[i]
 			varSum += diff * diff
 		}
-		m[i] = float32(mu[i] - z*math.Sqrt(varSum*inv))
+		m[i] = float32(mu[i] - DefaultALIEZ*math.Sqrt(varSum*inv))
 	}
 	for _, d := range drafts {
 		copy(d, m)
@@ -143,13 +135,11 @@ func (a *ALIE) PoisonCohort(drafts [][]float32, ids []int, r *rng.RNG) {
 // IPM is the inner-product manipulation attack (Xie et al., UAI 2019):
 // the colluders submit −ε times their estimate of the benign mean, so
 // the aggregate's inner product with the true gradient direction turns
-// negative and the global model walks backwards.
-type IPM struct {
-	// Epsilon scales the negated mean; 0 uses DefaultIPMEpsilon.
-	Epsilon float64
-}
+// negative and the global model walks backwards. ε is
+// DefaultIPMEpsilon.
+type IPM struct{}
 
-// NewIPM returns the attack with the default scale.
+// NewIPM returns the attack.
 func NewIPM() *IPM { return &IPM{} }
 
 // Name implements Attack.
@@ -160,19 +150,11 @@ func (a *IPM) PoisonData(ds *dataset.Dataset, indices []int) (*dataset.Dataset, 
 	return ds, indices
 }
 
-func (a *IPM) epsilon() float64 {
-	if a.Epsilon <= 0 {
-		return DefaultIPMEpsilon
-	}
-	return a.Epsilon
-}
-
 // PoisonModel is the solo fallback: the cohort-of-one mean is the
 // client's own draft, so the formula reduces to w ← −ε·w.
 func (a *IPM) PoisonModel(w []float32, r *rng.RNG) {
-	eps := float32(a.epsilon())
 	for i := range w {
-		w[i] = -eps * w[i]
+		w[i] = -DefaultIPMEpsilon * w[i]
 	}
 }
 
@@ -182,11 +164,10 @@ func (a *IPM) PoisonCohort(drafts [][]float32, ids []int, r *rng.RNG) {
 	if len(drafts) == 0 {
 		return
 	}
-	eps := a.epsilon()
 	mu := cohortMean(drafts)
 	m := make([]float32, len(mu))
 	for i := range mu {
-		m[i] = float32(-eps * mu[i])
+		m[i] = float32(-DefaultIPMEpsilon * mu[i])
 	}
 	for _, d := range drafts {
 		copy(d, m)
@@ -206,12 +187,10 @@ type MinMax struct {
 	// ("Krum" engages the Krum-score oracle; anything else, including
 	// empty, uses the distance criterion). Set directly or via TailorTo.
 	Strategy string
-	// Iters bounds the binary search; 0 uses 20.
-	Iters int
-	// GammaInit is the search's initial deviation; 0 derives it from the
-	// drafts' spread.
-	GammaInit float64
 }
+
+// minMaxIters bounds MinMax's binary search for γ.
+const minMaxIters = 20
 
 // NewMinMax returns the attack tailored to the named aggregation rule.
 func NewMinMax(strategy string) *MinMax { return &MinMax{Strategy: strategy} }
@@ -259,14 +238,9 @@ func (a *MinMax) PoisonCohort(drafts [][]float32, ids []int, r *rng.RNG) {
 	}
 
 	maxPair := maxPairwiseDistSq(drafts)
-	iters := a.Iters
-	if iters <= 0 {
-		iters = 20
-	}
-	gammaInit := a.GammaInit
-	if gammaInit <= 0 {
-		gammaInit = 4*math.Sqrt(maxPair) + 1
-	}
+	// The search starts well beyond any surviving deviation: four times
+	// the drafts' largest pairwise distance, plus one.
+	gammaInit := 4*math.Sqrt(maxPair) + 1
 
 	m := make([]float32, len(mu))
 	craft := func(gamma float64) []float32 {
@@ -277,7 +251,7 @@ func (a *MinMax) PoisonCohort(drafts [][]float32, ids []int, r *rng.RNG) {
 	}
 	var best float64
 	gamma, step := gammaInit, gammaInit/2
-	for it := 0; it < iters; it++ {
+	for it := 0; it < minMaxIters; it++ {
 		if a.survives(craft(gamma), drafts, maxPair) {
 			if gamma > best {
 				best = gamma

@@ -17,7 +17,6 @@ var (
 	_ AGRTailored   = (*MinMax)(nil)
 	_ CVAEDataAware = (*DecoderForge)(nil)
 	_ GlobalAware   = (*ScaledBoost)(nil)
-	_ Resettable    = (*AdditiveNoise)(nil)
 )
 
 func cloneDrafts(drafts [][]float32) [][]float32 {
@@ -41,7 +40,7 @@ func TestALIECohort(t *testing.T) {
 	a.PoisonCohort(drafts, []int{1, 2, 3}, rng.New(1))
 	for k, d := range drafts {
 		for i := range d {
-			want := mu[i] - DefaultALIEZ*sd[i]
+			want := mu[i] - 1.5*sd[i] // z = 1.5
 			if diff := math.Abs(float64(d[i]) - want); diff > 1e-6 {
 				t.Fatalf("draft %d coord %d = %v, want %v", k, i, d[i], want)
 			}
@@ -73,33 +72,27 @@ func TestALIESoloFallbackIsNoop(t *testing.T) {
 }
 
 func TestIPMCohort(t *testing.T) {
-	a := &IPM{Epsilon: 2}
+	a := NewIPM()
 	drafts := [][]float32{
 		{1, -2},
 		{3, -4},
 	}
 	a.PoisonCohort(drafts, []int{0, 1}, rng.New(1))
-	// μ = (2, -3); every draft becomes −2·μ = (−4, 6).
+	// μ = (2, -3); every draft becomes −ε·μ = −5·μ = (−10, 15).
 	for k, d := range drafts {
-		if d[0] != -4 || d[1] != 6 {
-			t.Fatalf("draft %d = %v, want [-4 6]", k, d)
+		if d[0] != -10 || d[1] != 15 {
+			t.Fatalf("draft %d = %v, want [-10 15]", k, d)
 		}
 	}
 }
 
 func TestIPMSoloFallback(t *testing.T) {
-	a := &IPM{Epsilon: 2}
+	a := NewIPM()
 	w := []float32{1, -2}
 	a.PoisonModel(w, rng.New(1))
-	if w[0] != -2 || w[1] != 4 {
-		t.Fatalf("solo IPM gave %v, want [-2 4]", w)
-	}
-	// Default epsilon engages when unset.
-	d := NewIPM()
-	w2 := []float32{1}
-	d.PoisonModel(w2, rng.New(1))
-	if w2[0] != -DefaultIPMEpsilon {
-		t.Fatalf("default epsilon gave %v", w2[0])
+	// The cohort of one is the draft itself: −5·w.
+	if w[0] != -5 || w[1] != 10 {
+		t.Fatalf("solo IPM gave %v, want [-5 10]", w)
 	}
 }
 
@@ -144,6 +137,22 @@ func TestMinMaxDistanceCriterion(t *testing.T) {
 	}
 	if dev == 0 {
 		t.Fatal("min-max found no surviving deviation on a spread cohort")
+	}
+}
+
+// TestMinMaxSearchResolution pins the search's start and length. The
+// drafts (1.5, 0.5) and (0.5, 1.5) have mean μ = (1, 1), and each sits
+// 1/√2 from μ, at right angles to p, so μ + γ·p survives the distance
+// criterion (largest pairwise distance² 2) exactly while γ² + ½ ≤ 2,
+// that is γ ≤ √1.5. Halving steps from 4·√2 + 1 over twenty iterations
+// land within 2·(4·√2 + 1)/2²⁰ below that bound.
+func TestMinMaxSearchResolution(t *testing.T) {
+	drafts := [][]float32{{1.5, 0.5}, {0.5, 1.5}}
+	NewMinMax("").PoisonCohort(drafts, []int{0, 1}, rng.New(1))
+	gamma := math.Hypot(float64(drafts[0][0])-1, float64(drafts[0][1])-1)
+	limit := math.Sqrt(1.5)
+	if slack := 2 * (4*math.Sqrt(2) + 1) / (1 << 20); gamma > limit*(1+1e-6) || gamma < limit-slack {
+		t.Fatalf("γ = %.9f, want within %.2g below %.9f", gamma, slack, limit)
 	}
 }
 
@@ -255,47 +264,5 @@ func TestDecoderForgeSplitViews(t *testing.T) {
 	a.PoisonModel(w, rng.New(1))
 	if w[0] != 1 || w[1] != 2 {
 		t.Fatalf("decoder-forge modified weights: %v", w)
-	}
-}
-
-func TestAdditiveNoiseReset(t *testing.T) {
-	a := NewAdditiveNoise(1.0, 42)
-	w1 := make([]float32, 10)
-	a.PoisonModel(w1, rng.New(1))
-
-	// Without Reset, a different model dimension must panic loudly
-	// rather than replay a mismatched vector.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("dimension change without Reset did not panic")
-			}
-		}()
-		a.PoisonModel(make([]float32, 20), rng.New(1))
-	}()
-
-	// Reset clears the latch: the next call redraws at the new dimension.
-	a.Reset()
-	w2 := make([]float32, 20)
-	a.PoisonModel(w2, rng.New(1))
-	var nonzero int
-	for _, v := range w2 {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	if nonzero < 15 {
-		t.Fatalf("post-Reset noise looks degenerate: %d nonzero of 20", nonzero)
-	}
-
-	// Reset + same dimension replays the same seeded vector (the latch is
-	// state, not entropy).
-	a.Reset()
-	w3 := make([]float32, 10)
-	a.PoisonModel(w3, rng.New(1))
-	for i := range w1 {
-		if w1[i] != w3[i] {
-			t.Fatal("Reset changed the seeded noise vector")
-		}
 	}
 }

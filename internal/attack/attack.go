@@ -106,8 +106,8 @@ func (a *SignFlip) PoisonModel(w []float32, r *rng.RNG) {
 // The latched vector makes an instance single-run: reusing it for a
 // second run silently replays the first run's noise, and panics if the
 // model dimension changed. Runners executing many runs (the experiment
-// matrix) must construct a fresh instance per run — experiment.NewAttack
-// does — or call Reset between runs.
+// matrix) must construct a fresh instance per run, as experiment.NewAttack
+// does.
 type AdditiveNoise struct {
 	Std float64
 
@@ -147,26 +147,6 @@ func (a *AdditiveNoise) PoisonModel(w []float32, r *rng.RNG) {
 	for i := range w {
 		w[i] += noise[i]
 	}
-}
-
-// Reset implements Resettable: it discards the latched noise vector so
-// the next PoisonModel redraws it (from the same seed) at the then
-// current model dimension. Call between runs when reusing an instance;
-// constructing a fresh instance per run is equivalent.
-func (a *AdditiveNoise) Reset() {
-	a.mu.Lock()
-	a.noise = nil
-	a.mu.Unlock()
-}
-
-// Resettable is implemented by attacks that latch per-run state (the
-// colluding AdditiveNoise vector). An instance reused across runs must
-// be Reset between them; per-run construction — what experiment.NewAttack
-// and the matrix runner do — satisfies the contract without it.
-type Resettable interface {
-	Attack
-	// Reset discards all state latched since construction.
-	Reset()
 }
 
 // LabelFlip is the targeted data-poisoning attack: training labels are

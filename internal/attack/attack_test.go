@@ -93,6 +93,14 @@ func TestAdditiveNoiseCollusion(t *testing.T) {
 	if nonzero < 90 {
 		t.Fatalf("noise looks degenerate: %d nonzero of 100", nonzero)
 	}
+	// The vector is latched at the first model's dimension: an instance
+	// reused for a model of another size panics instead of replaying it.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("dimension change did not panic")
+		}
+	}()
+	a.PoisonModel(make([]float32, 20), rng.New(3))
 }
 
 func TestAdditiveNoiseDeterministicInSeed(t *testing.T) {
@@ -191,6 +199,19 @@ func TestAttackNames(t *testing.T) {
 		if a.Name() != want {
 			t.Fatalf("Name() = %q, want %q", a.Name(), want)
 		}
+	}
+	// ByName builds every one of them under its name, and the registry
+	// lists no other.
+	for _, e := range registry {
+		if _, ok := cases[e.name]; !ok {
+			t.Errorf("the registry lists %q, which this table does not", e.name)
+		}
+		if a, err := ByName(e.name, 1); err != nil || a.Name() != e.name {
+			t.Errorf("ByName(%q) = %v, %v", e.name, a, err)
+		}
+	}
+	if len(registry) != len(cases) {
+		t.Errorf("the registry lists %d attacks, this table %d", len(registry), len(cases))
 	}
 }
 

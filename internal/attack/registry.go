@@ -49,12 +49,3 @@ func ByName(name string, seed uint64) (Attack, error) {
 func CollusionSeed(experimentSeed uint64) uint64 {
 	return rng.DeriveSeed(experimentSeed, "noise", 0)
 }
-
-// Names lists every attack ByName resolves, in registry order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.name
-	}
-	return out
-}

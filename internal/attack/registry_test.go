@@ -9,30 +9,17 @@ import (
 	"fedguard/internal/rng"
 )
 
-// TestRegistry pins the one attack table from every side that reads it:
-// each name builds an attack that reports that name, "" is "none", an
-// unknown name is an error, the experiment layer lists the same names,
-// every scenario's attack resolves, and two additive-noise instances
-// built from one seed — as separate networked clients do — collude on
-// the same noise vector.
+// TestRegistry pins the one attack table from every side that reads it
+// (TestAttackNames holds each entry to the name it builds): "" is
+// "none", an unknown name is an error, every scenario's attack resolves,
+// and two additive-noise instances built from one seed — as separate
+// networked clients do — collude on the same noise vector.
 func TestRegistry(t *testing.T) {
-	for _, name := range attack.Names() {
-		a, err := attack.ByName(name, 1)
-		if err != nil {
-			t.Fatalf("%q: %v", name, err)
-		}
-		if a.Name() != name {
-			t.Fatalf("ByName(%q) built %q", name, a.Name())
-		}
-	}
 	if a, err := attack.ByName("", 1); err != nil || a.Name() != "none" {
 		t.Fatalf(`ByName("") = %v, %v; want the benign attack`, a, err)
 	}
 	if _, err := attack.ByName("quantum", 1); err == nil {
 		t.Fatal("unknown attack accepted")
-	}
-	if got := experiment.AttackNames(); !reflect.DeepEqual(got, attack.Names()) {
-		t.Fatalf("experiment lists %v, the registry %v", got, attack.Names())
 	}
 	for _, sc := range experiment.Scenarios() {
 		if _, err := experiment.NewAttack(sc.Attack, 7); err != nil {

@@ -86,11 +86,6 @@ type TrainConfig struct {
 	BatchSize int
 	LR        float64
 	Momentum  float64
-	// ProxMu, when positive, adds the FedProx proximal term
-	// (μ/2)·‖w − w₀‖² to the local objective, with w₀ the parameters the
-	// client started the round from (Sahu et al., reference [32]; the
-	// paper's §VI-C names FedProx as an alternative inner operator).
-	ProxMu float64
 }
 
 // DefaultTrainConfig mirrors the paper's client setup: 5 local epochs.
@@ -114,10 +109,6 @@ func (w *Worker) Train(ds *dataset.Dataset, indices []int, cfg TrainConfig, r *r
 	} else {
 		w.sgd.Reset(cfg.LR, cfg.Momentum, 0)
 	}
-	var anchor []float32
-	if cfg.ProxMu > 0 {
-		anchor = model.FlattenParams() // w₀ for the proximal term
-	}
 	var epochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
 		epochLoss = 0
@@ -128,28 +119,12 @@ func (w *Worker) Train(ds *dataset.Dataset, indices []int, cfg TrainConfig, r *r
 			logits := model.Forward(w.x, true)
 			l, grad := loss.SoftmaxCrossEntropy(logits, w.labels)
 			model.Backward(grad)
-			if anchor != nil {
-				addProxGrad(model, anchor, float32(cfg.ProxMu))
-			}
 			w.sgd.Step()
 			epochLoss += l * float64(len(b))
 		}
 		epochLoss /= float64(len(indices))
 	}
 	return epochLoss
-}
-
-// addProxGrad accumulates μ·(w − w₀) into the gradients (the derivative
-// of the FedProx proximal term).
-func addProxGrad(model *nn.Sequential, anchor []float32, mu float32) {
-	off := 0
-	for _, p := range model.Params() {
-		n := p.Value.Len()
-		for i := 0; i < n; i++ {
-			p.Grad.Data[i] += mu * (p.Value.Data[i] - anchor[off+i])
-		}
-		off += n
-	}
 }
 
 // evalBatch is Evaluate's batch size: the training batch size. An
@@ -170,20 +145,11 @@ func Evaluate(model *nn.Sequential, ds *dataset.Dataset, indices []int) float64 
 	return float64(w.countCorrect(ds, indices)) / float64(len(indices))
 }
 
-// EvaluateTensor returns accuracy on an explicit (B, 1, H, W) tensor and
-// label slice — the entry point FedGuard's server uses to audit client
-// updates on synthetic validation data.
-func EvaluateTensor(model *nn.Sequential, x *tensor.Tensor, labels []int) float64 {
-	logits := model.Forward(x, false)
-	return loss.Accuracy(logits, labels)
-}
-
 // CountCorrectTensor returns the number of argmax-correct predictions on
 // an explicit tensor batch. FedGuard's audit scores the synthetic set a
 // slab of rows at a time, in whatever order the rows became ready, and
 // sums the integer counts; the forward pass is per-sample (rows are
-// independent), so the sum equals EvaluateTensor's count on the whole
-// set exactly.
+// independent), so the sum equals the count on the whole set exactly.
 func CountCorrectTensor(model *nn.Sequential, x *tensor.Tensor, labels []int) int {
 	logits := model.Forward(x, false)
 	return loss.CountCorrect(logits, labels)

@@ -60,12 +60,6 @@ func Encode(vals []float32) []byte {
 	return appendEncode(nil, vals, nil)
 }
 
-// AppendEncode appends the encoding of vals to dst and returns the
-// extended slice.
-func AppendEncode(dst []byte, vals []float32) []byte {
-	return appendEncode(dst, vals, nil)
-}
-
 // encScratch holds the plane encoder's working set: the four transposed
 // byte planes and the four per-plane token streams. Instances are
 // pooled, so steady-state encoding allocates only the final blob, and

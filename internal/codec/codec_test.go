@@ -166,7 +166,7 @@ func TestHash(t *testing.T) {
 
 func TestAppendEncodePreservesPrefix(t *testing.T) {
 	prefix := []byte{9, 9, 9}
-	blob := AppendEncode(append([]byte{}, prefix...), hardValues())
+	blob := appendEncode(append([]byte{}, prefix...), hardValues(), nil)
 	if !bytes.Equal(blob[:3], prefix) {
 		t.Fatal("prefix clobbered")
 	}

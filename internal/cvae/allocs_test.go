@@ -48,8 +48,8 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	model := New(cfg, r)
 	optim := opt.NewAdam(model.Params(), 1e-3)
 	train := dataset.Generate(32, dataset.DefaultGenOptions(), r)
-	full, fullLabels := train.FlatBatch(dataset.Range(32))
-	tail, tailLabels := train.FlatBatch(dataset.Range(4))
+	full, fullLabels := train.FlatBatchInto(nil, nil, dataset.Range(32))
+	tail, tailLabels := train.FlatBatchInto(nil, nil, dataset.Range(4))
 	model.Step(full, fullLabels, optim, r) // warm up scratch
 	allocs := testing.AllocsPerRun(5, func() {
 		model.Step(full, fullLabels, optim, r)

@@ -33,7 +33,7 @@ func TestStepReducesLoss(t *testing.T) {
 	cfg := Config{Input: 784, Hidden: 64, Latent: 8, Classes: 10}
 	m := New(cfg, r)
 	d := dataset.Generate(64, dataset.DefaultGenOptions(), r)
-	x, labels := d.FlatBatch(dataset.Range(64))
+	x, labels := d.FlatBatchInto(nil, nil, dataset.Range(64))
 	optim := opt.NewAdam(m.Params(), 1e-3)
 	first := m.Step(x, labels, optim, r)
 	var last float64
@@ -296,7 +296,7 @@ func TestReconstructionBetterThanChance(t *testing.T) {
 	tc := TrainConfig{Epochs: 10, BatchSize: 32, LR: 2e-3}
 	m.Train(train, dataset.Range(train.Len()), tc, r)
 
-	x, labels := train.FlatBatch(dataset.Range(32))
+	x, labels := train.FlatBatchInto(nil, nil, dataset.Range(32))
 	rec := reconstruct(m, x, labels)
 	var mse, base float64
 	for i, v := range rec.Data {
@@ -332,8 +332,8 @@ func TestVAELearnsToReconstruct(t *testing.T) {
 	const n, dim = 200, 16
 	x := tensor.New(n, dim)
 	for i := 0; i < n; i++ {
-		a := r.NormFloat32()
-		b := r.NormFloat32()
+		a := float32(r.NormFloat64())
+		b := float32(r.NormFloat64())
 		for j := 0; j < dim; j++ {
 			x.Data[i*dim+j] = a*float32(j%3) + b*float32((j+1)%2)
 		}
@@ -357,7 +357,7 @@ func TestVAEFlagsOutliers(t *testing.T) {
 	const n, dim = 300, 12
 	x := tensor.New(n, dim)
 	for i := 0; i < n; i++ {
-		a := r.NormFloat32()
+		a := float32(r.NormFloat64())
 		for j := 0; j < dim; j++ {
 			x.Data[i*dim+j] = a * float32(1+j%4)
 		}

@@ -41,13 +41,6 @@ func (d *Dataset) Len() int { return len(d.Labels) }
 // ImageSize returns the per-image element count (1*H*W).
 func (d *Dataset) ImageSize() int { return d.H * d.W }
 
-// Image returns example i as a (1, H, W) tensor aliasing the dataset
-// storage.
-func (d *Dataset) Image(i int) *tensor.Tensor {
-	sz := d.ImageSize()
-	return tensor.FromSlice(d.X[i*sz:(i+1)*sz], 1, d.H, d.W)
-}
-
 // Batch gathers the examples at the given indices into a fresh
 // (B, 1, H, W) tensor plus a label slice.
 func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
@@ -63,13 +56,8 @@ func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, indices []int) (*ten
 	return d.gather(tensor.Ensure(x, len(indices), 1, d.H, d.W), labels, indices)
 }
 
-// FlatBatch gathers examples into a (B, H*W) tensor — the dense layout
-// the CVAE consumes.
-func (d *Dataset) FlatBatch(indices []int) (*tensor.Tensor, []int) {
-	return d.FlatBatchInto(nil, nil, indices)
-}
-
-// FlatBatchInto is FlatBatch into caller-owned scratch (see BatchInto).
+// FlatBatchInto gathers examples into a (B, H*W) tensor — the dense
+// layout the CVAE consumes — through caller-owned scratch (see BatchInto).
 func (d *Dataset) FlatBatchInto(x *tensor.Tensor, labels []int, indices []int) (*tensor.Tensor, []int) {
 	return d.gather(tensor.Ensure(x, len(indices), d.H*d.W), labels, indices)
 }
@@ -86,23 +74,6 @@ func (d *Dataset) gather(x *tensor.Tensor, labels []int, indices []int) (*tensor
 	return x, labels
 }
 
-// Subset returns a new Dataset containing copies of the selected
-// examples.
-func (d *Dataset) Subset(indices []int) *Dataset {
-	sz := d.ImageSize()
-	out := &Dataset{
-		X:      make([]float32, len(indices)*sz),
-		Labels: make([]int, len(indices)),
-		H:      d.H,
-		W:      d.W,
-	}
-	for bi, i := range indices {
-		copy(out.X[bi*sz:(bi+1)*sz], d.X[i*sz:(i+1)*sz])
-		out.Labels[bi] = d.Labels[i]
-	}
-	return out
-}
-
 // Clone deep-copies the dataset (used by data-poisoning attacks so the
 // benign copy survives).
 func (d *Dataset) Clone() *Dataset {
@@ -112,15 +83,6 @@ func (d *Dataset) Clone() *Dataset {
 		H:      d.H,
 		W:      d.W,
 	}
-}
-
-// ClassCounts returns a histogram of labels over NumClasses classes.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, NumClasses)
-	for _, l := range d.Labels {
-		counts[l]++
-	}
-	return counts
 }
 
 // GenOptions controls SynthDigits rendering.

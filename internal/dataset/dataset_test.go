@@ -32,7 +32,10 @@ func TestGenerateShapeAndRange(t *testing.T) {
 func TestGenerateClassBalance(t *testing.T) {
 	r := rng.New(2)
 	d := Generate(1000, DefaultGenOptions(), r)
-	counts := d.ClassCounts()
+	counts := make([]int, NumClasses)
+	for _, l := range d.Labels {
+		counts[l]++
+	}
 	for c, n := range counts {
 		if n != 100 {
 			t.Fatalf("class %d has %d samples, want 100", c, n)
@@ -130,7 +133,7 @@ func TestBatchGather(t *testing.T) {
 func TestFlatBatch(t *testing.T) {
 	r := rng.New(7)
 	d := Generate(10, DefaultGenOptions(), r)
-	x, _ := d.FlatBatch([]int{0, 1, 2})
+	x, _ := d.FlatBatchInto(nil, nil, []int{0, 1, 2})
 	if x.Dim(0) != 3 || x.Dim(1) != 784 {
 		t.Fatalf("flat batch shape %v", x.Shape())
 	}
@@ -139,7 +142,7 @@ func TestFlatBatch(t *testing.T) {
 func TestSubsetAndClone(t *testing.T) {
 	r := rng.New(8)
 	d := Generate(10, DefaultGenOptions(), r)
-	s := d.Subset([]int{1, 3})
+	s := subset(d, []int{1, 3})
 	if s.Len() != 2 || s.Labels[0] != d.Labels[1] {
 		t.Fatal("Subset wrong")
 	}

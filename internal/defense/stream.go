@@ -323,7 +323,7 @@ func (s *AuditStream) drain() error {
 
 // scores releases held scoring, waits the plan out and returns every
 // update's accuracy on the synthetic set: integer hits over the set
-// size, the division EvaluateTensor performs.
+// size, the division classifier.Evaluate performs.
 func (s *AuditStream) scores() ([]float64, error) {
 	s.mu.Lock()
 	s.hold = false

@@ -99,10 +99,10 @@ func TestScenarioRegistry(t *testing.T) {
 	if got := len(MatrixScenarios()); got != 4 {
 		t.Fatalf("MatrixScenarios = %d, want 4", got)
 	}
-	// Every registry name resolves, and every scenario uses a registry name.
-	for _, name := range AttackNames() {
-		if _, err := NewAttack(name, 1); err != nil {
-			t.Fatalf("AttackNames lists unresolvable %q: %v", name, err)
+	// Every scenario uses a registry name.
+	for _, sc := range Scenarios() {
+		if _, err := NewAttack(sc.Attack, 1); err != nil {
+			t.Fatalf("scenario %s: %v", sc.ID, err)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 type Scenario struct {
 	// ID is a stable slug ("sign-flip-50").
 	ID string
-	// Attack names the attack; AttackNames lists the valid values.
+	// Attack names the attack, as attack.ByName resolves it.
 	Attack string
 	// MaliciousFraction of the client population runs the attack.
 	MaliciousFraction float64
@@ -81,9 +81,6 @@ func TableIVScenarios() []Scenario {
 func NewAttack(name string, seed uint64) (attack.Attack, error) {
 	return attack.ByName(name, attack.CollusionSeed(seed))
 }
-
-// AttackNames lists every attack NewAttack resolves, in registry order.
-func AttackNames() []string { return attack.Names() }
 
 // MatrixScenarios returns the default attack×strategy sweep rows: one
 // static attack and the three adaptive/colluding attacks, the grid the

@@ -84,10 +84,11 @@ func NewClient(id int, ds *dataset.Dataset, indices []int, cfg ClientConfig, att
 func (c *Client) UseWorkers(set *classifier.Set) { c.workers = set }
 
 // EnableStream switches the client to the paper's §VI-C dynamic-dataset
-// mode: only ⌈initialFraction·len(partition)⌉ samples are visible at
-// first, grow more arrive before each participation, and the CVAE is
-// retrained every retrainEvery participations (0 keeps the train-once
-// behaviour). Call before the first round.
+// mode: ⌊initialFraction·len(partition)⌋ samples, and at least one, are
+// visible at first, grow more arrive before each participation (the
+// first one included, so it trains on the initial share plus grow), and
+// the CVAE is retrained every retrainEvery participations (0 keeps the
+// train-once behaviour). Call before the first round.
 func (c *Client) EnableStream(initialFraction float64, grow, retrainEvery int) {
 	if initialFraction < 0 {
 		initialFraction = 0

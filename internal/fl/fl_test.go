@@ -422,6 +422,7 @@ func TestHistoryStats(t *testing.T) {
 		h.Rounds = append(h.Rounds, RoundRecord{
 			Round: i + 1, TestAccuracy: acc, Seconds: 2,
 			UploadBytes: 100, DownloadBytes: 200,
+			WireUploadBytes: int64(10 * (i + 1)), WireDownloadBytes: 40,
 		})
 	}
 	mean, std := h.LastNStats(3)
@@ -441,6 +442,9 @@ func TestHistoryStats(t *testing.T) {
 	up, down := h.MeanBytes()
 	if up != 100 || down != 200 {
 		t.Fatalf("MeanBytes = %d, %d", up, down)
+	}
+	if up, down := h.MeanWireBytes(); up != 30 || down != 40 {
+		t.Fatalf("MeanWireBytes = %d, %d", up, down)
 	}
 	empty := &History{}
 	if empty.FinalAccuracy() != 0 || empty.MeanSeconds() != 0 {

@@ -74,9 +74,12 @@ type FederationConfig struct {
 // StreamConfig parameterizes dynamic client datasets (§VI-C future
 // work).
 type StreamConfig struct {
-	// InitialFraction of each partition visible at round one, in (0, 1].
+	// InitialFraction of each partition visible before a client's first
+	// participation, in (0, 1]: ⌊InitialFraction·n⌋ of its n samples,
+	// and at least one.
 	InitialFraction float64
-	// PerRound samples revealed before each participation.
+	// PerRound samples revealed before each participation, the first
+	// one included.
 	PerRound int
 	// CVAERetrainEvery participations between CVAE retrainings
 	// (0 = train once, the paper's static behaviour).
@@ -151,9 +154,6 @@ func MaliciousPlacement(cfg FederationConfig) map[int]bool {
 	}
 	return ids
 }
-
-// Config returns the federation configuration.
-func (f *Federation) Config() FederationConfig { return f.cfg }
 
 // Run executes R federated rounds under the given strategy and returns
 // the full history. onRound, if non-nil, is invoked after every round

@@ -53,21 +53,6 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	return total / float64(b), grad
 }
 
-// BinaryCrossEntropy computes the mean (over batch rows) of the summed
-// element-wise BCE between predictions p in (0,1) and targets t in [0,1]:
-//
-//	-Σ [t·log p + (1-t)·log(1-p)]
-//
-// It returns the loss and the gradient w.r.t. p. This is the CVAE
-// reconstruction term for pixel data. A training loop that needs the
-// gradient every step but the value only now and then calls
-// BinaryCrossEntropyGrad and BinaryCrossEntropyLoss itself.
-func BinaryCrossEntropy(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	grad := tensor.New(pred.Shape()...)
-	BinaryCrossEntropyGrad(grad, pred, target)
-	return BinaryCrossEntropyLoss(pred, target), grad
-}
-
 // clampProb keeps a prediction away from 0 and 1 so log and the
 // gradient's 1/(p(1-p)) stay finite.
 func clampProb(p float32) float64 {
@@ -81,8 +66,13 @@ func clampProb(p float32) float64 {
 	return pc
 }
 
-// BinaryCrossEntropyLoss returns the loss value of BinaryCrossEntropy.
-// A target of exactly 0 or 1 — the background of a digit image, every
+// BinaryCrossEntropyLoss returns the mean (over batch rows) of the
+// summed element-wise BCE between predictions p in (0,1) and targets t
+// in [0,1]:
+//
+//	-Σ [t·log p + (1-t)·log(1-p)]
+//
+// This is the CVAE reconstruction term for pixel data. A target of exactly 0 or 1 — the background of a digit image, every
 // one-hot lane — multiplies one of the two logarithms by zero; that
 // logarithm is not taken. The other is strictly negative, so adding the
 // skipped ±0 product could not have changed it: the value is the same
@@ -107,7 +97,9 @@ func BinaryCrossEntropyLoss(pred, target *tensor.Tensor) float64 {
 }
 
 // BinaryCrossEntropyGrad fills grad, which must have pred's shape, with
-// the gradient of BinaryCrossEntropy w.r.t. pred.
+// the gradient of BinaryCrossEntropyLoss w.r.t. pred. A training loop
+// needs the gradient every step but the value only now and then, so the
+// two are separate calls.
 func BinaryCrossEntropyGrad(grad, pred, target *tensor.Tensor) {
 	if !pred.SameShape(target) || !pred.SameShape(grad) {
 		panic(fmt.Sprintf("loss: BCE shape mismatch %v vs %v, gradient %v", pred.Shape(), target.Shape(), grad.Shape()))
@@ -182,16 +174,10 @@ func GaussianKLGrad(dMu, dLogvar, mu, logvar *tensor.Tensor) {
 	}
 }
 
-// Accuracy returns the fraction of rows of logits (B, C) whose argmax
-// equals the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	return float64(CountCorrect(logits, labels)) / float64(logits.Dim(0))
-}
-
 // CountCorrect returns how many rows of logits argmax to their label.
-// Exposing the integer count lets callers score a set in blocks and sum:
-// the total is exactly the count a single full-batch Accuracy call would
-// produce, so block-wise evaluation stays bit-identical.
+// An integer count lets callers score a set in blocks and sum: the total
+// is exactly the full-batch count, so block-wise evaluation stays
+// bit-identical.
 func CountCorrect(logits *tensor.Tensor, labels []int) int {
 	b, c := logits.Dim(0), logits.Dim(1)
 	if len(labels) != b {

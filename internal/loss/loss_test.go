@@ -16,11 +16,11 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 		t.Fatalf("loss = %v, want ln4 = %v", l, math.Log(4))
 	}
 	// grad = (p - onehot)/B: p = 0.25 everywhere.
-	if math.Abs(float64(grad.At(0, 0))-(0.25-1)/2) > 1e-6 {
-		t.Fatalf("grad[0][0] = %v", grad.At(0, 0))
+	if math.Abs(float64(grad.Data[0])-(0.25-1)/2) > 1e-6 {
+		t.Fatalf("grad[0][0] = %v", grad.Data[0])
 	}
-	if math.Abs(float64(grad.At(0, 1))-0.25/2) > 1e-6 {
-		t.Fatalf("grad[0][1] = %v", grad.At(0, 1))
+	if math.Abs(float64(grad.Data[1])-0.25/2) > 1e-6 {
+		t.Fatalf("grad[0][1] = %v", grad.Data[1])
 	}
 }
 
@@ -55,10 +55,18 @@ func TestSoftmaxCrossEntropyDecreasesWithCorrectLogit(t *testing.T) {
 	}
 }
 
+// bce returns the BCE loss and its gradient, as the CVAE's step computes
+// them.
+func bce(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
+	grad := tensor.New(pred.Shape()...)
+	BinaryCrossEntropyGrad(grad, pred, target)
+	return BinaryCrossEntropyLoss(pred, target), grad
+}
+
 func TestBCEKnown(t *testing.T) {
 	pred := tensor.FromSlice([]float32{0.5, 0.5}, 1, 2)
 	target := tensor.FromSlice([]float32{1, 0}, 1, 2)
-	l, _ := BinaryCrossEntropy(pred, target)
+	l, _ := bce(pred, target)
 	if math.Abs(l-2*math.Log(2)) > 1e-5 {
 		t.Fatalf("BCE = %v, want 2 ln2 = %v", l, 2*math.Log(2))
 	}
@@ -69,17 +77,17 @@ func TestBCEGradNumeric(t *testing.T) {
 	pred := tensor.New(2, 6)
 	target := tensor.New(2, 6)
 	for i := range pred.Data {
-		pred.Data[i] = 0.2 + 0.6*r.Float32()
-		target.Data[i] = r.Float32()
+		pred.Data[i] = 0.2 + 0.6*float32(r.Float64())
+		target.Data[i] = float32(r.Float64())
 	}
-	_, grad := BinaryCrossEntropy(pred, target)
+	_, grad := bce(pred, target)
 	const eps = 1e-3
 	for i := 0; i < pred.Len(); i++ {
 		orig := pred.Data[i]
 		pred.Data[i] = orig + eps
-		lp, _ := BinaryCrossEntropy(pred, target)
+		lp, _ := bce(pred, target)
 		pred.Data[i] = orig - eps
-		lm, _ := BinaryCrossEntropy(pred, target)
+		lm, _ := bce(pred, target)
 		pred.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-float64(grad.Data[i])) > 1e-2*(1+math.Abs(num)) {
@@ -91,7 +99,7 @@ func TestBCEGradNumeric(t *testing.T) {
 func TestBCEClampsExtremes(t *testing.T) {
 	pred := tensor.FromSlice([]float32{0, 1}, 1, 2)
 	target := tensor.FromSlice([]float32{1, 0}, 1, 2)
-	l, grad := BinaryCrossEntropy(pred, target)
+	l, grad := bce(pred, target)
 	if math.IsInf(l, 0) || math.IsNaN(l) {
 		t.Fatalf("BCE at extremes = %v", l)
 	}
@@ -102,7 +110,7 @@ func TestBCEClampsExtremes(t *testing.T) {
 	}
 }
 
-// TestBCEBitwise holds BinaryCrossEntropy to the bits of the formula
+// TestBCEBitwise holds BinaryCrossEntropyLoss and its gradient to the bits of the formula
 // that takes both logarithms for every element, on targets that are
 // exactly 0 (either sign), exactly 1, and in between, and on predictions
 // across and beyond the clamp: skipping the logarithm whose coefficient
@@ -115,7 +123,7 @@ func TestBCEBitwise(t *testing.T) {
 	targets := []float32{0, 1, 0.3, float32(math.Copysign(0, -1))}
 	preds := []float32{0, 1, 1e-9, 1 - 1e-8, 0.5}
 	for i := range pred.Data {
-		pred.Data[i] = r.Float32()
+		pred.Data[i] = float32(r.Float64())
 		if i%7 == 0 {
 			pred.Data[i] = preds[(i/7)%len(preds)]
 		}
@@ -136,7 +144,7 @@ func TestBCEBitwise(t *testing.T) {
 		total -= float64(tv)*math.Log(pc) + float64(1-tv)*math.Log(1-pc)
 		want.Data[i] = float32((pc-float64(tv))/(pc*(1-pc))) * invB
 	}
-	l, grad := BinaryCrossEntropy(pred, target)
+	l, grad := bce(pred, target)
 	if math.Float64bits(l) != math.Float64bits(total/b) {
 		t.Fatalf("BCE loss %v (%#x), want %v (%#x)", l, math.Float64bits(l), total/b, math.Float64bits(total/b))
 	}
@@ -224,21 +232,19 @@ func TestAccuracy(t *testing.T) {
 		5, 1, 1,
 		0, 0, 3,
 	}, 3, 3)
-	acc := Accuracy(logits, []int{1, 0, 2})
-	if acc != 1 {
-		t.Fatalf("Accuracy = %v, want 1", acc)
+	if n := CountCorrect(logits, []int{1, 0, 2}); n != 3 {
+		t.Fatalf("CountCorrect = %d, want 3", n)
 	}
-	acc = Accuracy(logits, []int{0, 0, 2})
-	if math.Abs(acc-2.0/3) > 1e-9 {
-		t.Fatalf("Accuracy = %v, want 2/3", acc)
+	if n := CountCorrect(logits, []int{0, 0, 2}); n != 2 {
+		t.Fatalf("CountCorrect = %d, want 2", n)
 	}
 }
 
 func TestAccuracyPanicsOnLabelMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Accuracy with wrong label count did not panic")
+			t.Fatal("CountCorrect with wrong label count did not panic")
 		}
 	}()
-	Accuracy(tensor.New(2, 3), []int{0})
+	CountCorrect(tensor.New(2, 3), []int{0})
 }

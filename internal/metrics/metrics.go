@@ -39,31 +39,6 @@ func (c *Confusion) Add(actual, predicted int) {
 	c.Counts[actual][predicted]++
 }
 
-// Total returns the number of recorded observations.
-func (c *Confusion) Total() int {
-	n := 0
-	for _, row := range c.Counts {
-		for _, v := range row {
-			n += v
-		}
-	}
-	return n
-}
-
-// Accuracy returns the overall fraction of correct predictions (0 when
-// empty).
-func (c *Confusion) Accuracy() float64 {
-	total := c.Total()
-	if total == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < c.Classes; i++ {
-		correct += c.Counts[i][i]
-	}
-	return float64(correct) / float64(total)
-}
-
 // Recall returns the per-class recall (diagonal / row sum); classes with
 // no observations report NaN-free 0.
 func (c *Confusion) Recall() []float64 {

@@ -35,7 +35,7 @@ func perImageConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // perImageConvBackward is the seed implementation of Conv2D.Backward:
-// per-image gm build, dW scratch + AXPY, per-image dCols and col2im.
+// per-image gm build, dW scratch added in, per-image dCols and col2im.
 // It consumes the per-image cols matrices of the forward reference.
 func perImageConvBackward(c *Conv2D, x, grad *tensor.Tensor, dW, dB *tensor.Tensor) *tensor.Tensor {
 	b := grad.Dim(0)
@@ -62,7 +62,7 @@ func perImageConvBackward(c *Conv2D, x, grad *tensor.Tensor, dW, dB *tensor.Tens
 		}
 		dWi := tensor.New(c.OutC, fanIn)
 		tensor.MatMulTA(dWi, gm, cols)
-		tensor.AXPY(dW, 1, dWi)
+		tensor.Add(dW, dW, dWi)
 		dCols := tensor.New(outH*outW, fanIn)
 		tensor.MatMul(dCols, gm, c.W)
 		dImg := tensor.FromSlice(dx.Data[i*imgVol:(i+1)*imgVol], c.InC, h, w)

@@ -215,7 +215,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		var sum float64
 		for j := 0; j < 10; j++ {
-			v := y.At(i, j)
+			v := y.Data[i*10+j]
 			if v < 0 || v > 1 {
 				t.Fatalf("softmax output %v outside [0,1]", v)
 			}
@@ -309,7 +309,9 @@ func TestZeroGrad(t *testing.T) {
 	r.FillNormal(x.Data, 0, 1)
 	y := m.Forward(x, true)
 	g := tensor.New(y.Shape()...)
-	g.Fill(1)
+	for i := range g.Data {
+		g.Data[i] = 1
+	}
 	m.Backward(g)
 	nonzero := false
 	for _, p := range m.Params() {

@@ -30,7 +30,9 @@ func step(m *Sequential, batch int, r *rng.RNG) *tensor.Tensor {
 	out := tensor.New(y.Shape()...)
 	copy(out.Data, y.Data)
 	g := tensor.New(y.Shape()...)
-	g.Fill(1)
+	for i := range g.Data {
+		g.Data[i] = 1
+	}
 	m.Backward(g)
 	for _, p := range m.Params() {
 		for i := range p.Value.Data {

@@ -116,22 +116,17 @@ func WriteCheckpoint(w io.Writer, ck *fl.Checkpoint) (int64, error) {
 	return int64(len(b)), nil
 }
 
-// ReadCheckpoint deserializes a round file written by WriteCheckpoint,
-// verifying the CRC before decoding. Decoder payloads come back as
-// references (hash set, floats nil); LoadCheckpoint resolves them.
-// Corruption of any kind — bad magic, truncation, flipped bits, trailing
-// garbage, implausible lengths — returns an error wrapping
-// ErrCorruptCheckpoint (except a valid header of another version, which
-// is its own error).
-func ReadCheckpoint(r io.Reader) (*fl.Checkpoint, error) {
-	ck, _, err := readRoundFile(r)
-	return ck, err
-}
-
 // blobLens holds the parameter count of every decoder reference in a
 // round file, parallel to Checkpoint.Decoders and Checkpoint.Clients.
 type blobLens struct{ decoders, clients []int }
 
+// readRoundFile deserializes a round file written by WriteCheckpoint,
+// verifying the CRC before decoding. Decoder payloads come back as
+// references (hash set, floats nil), their parameter counts in the
+// blobLens; LoadCheckpoint resolves them. Corruption of any kind — bad magic, truncation, flipped bits, trailing
+// garbage, implausible lengths — returns an error wrapping
+// ErrCorruptCheckpoint (except a valid header of another version, which
+// is its own error).
 func readRoundFile(r io.Reader) (*fl.Checkpoint, *blobLens, error) {
 	var header [headerBytes]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {

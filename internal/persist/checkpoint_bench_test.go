@@ -29,11 +29,11 @@ func benchCheckpoint(networked bool, clients, globalLen, decoderLen int) *fl.Che
 	r := rng.New(3)
 	global := make([]float32, globalLen)
 	for i := range global {
-		global[i] = r.NormFloat32()
+		global[i] = float32(r.NormFloat64())
 	}
 	base := make([]float32, decoderLen)
 	for i := range base {
-		base[i] = r.NormFloat32()
+		base[i] = float32(r.NormFloat64())
 	}
 	ck := &fl.Checkpoint{
 		Round:     12,

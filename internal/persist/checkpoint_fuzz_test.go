@@ -12,10 +12,11 @@ import (
 	"fedguard/internal/rng"
 )
 
-// FuzzReadCheckpoint hammers the checkpoint reader with arbitrary
-// bytes: it must return an error or a checkpoint — never panic, and
-// never allocate far beyond the bytes supplied (lying length prefixes
-// and lying element counts are the classic traps). Anything that
+// FuzzReadCheckpoint hammers readRoundFile, the round-file reader
+// LoadCheckpoint runs first, with arbitrary bytes: it must return an
+// error or a checkpoint — never panic, and never allocate far beyond the
+// bytes supplied (lying length prefixes and lying element counts are the
+// classic traps). Anything that
 // decodes must survive a re-encode/re-decode round trip byte-exactly.
 func FuzzReadCheckpoint(f *testing.F) {
 	// Seed corpus: well-formed checkpoints of increasing shape…
@@ -70,7 +71,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 				t.Skip()
 			}
 		}
-		ck, err := ReadCheckpoint(bytes.NewReader(data))
+		ck, _, err := readRoundFile(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -80,7 +81,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if _, err := WriteCheckpoint(&first, ck); err != nil {
 			t.Fatalf("decoded checkpoint does not re-encode: %v", err)
 		}
-		again, err := ReadCheckpoint(bytes.NewReader(first.Bytes()))
+		again, _, err := readRoundFile(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
 		}
@@ -146,7 +147,7 @@ func FuzzLoadCheckpointDir(f *testing.F) {
 		// The blob goes where the round file's first reference looks for
 		// it, so mutated round files keep reaching the blob reader.
 		name := blobName(owner, codec.Hash(params))
-		if refs, err := ReadCheckpoint(bytes.NewReader(roundFile)); err == nil && len(refs.Decoders) > 0 {
+		if refs, _, err := readRoundFile(bytes.NewReader(roundFile)); err == nil && len(refs.Decoders) > 0 {
 			name = blobName(refs.Decoders[0].ID, refs.Decoders[0].Hash)
 		}
 		if len(blobFile) > 0 {

@@ -94,7 +94,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteCheckpoint reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	got, _, err := readRoundFile(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 
 // TestCheckpointGoldenBytes pins the round file's byte-level format. If
 // this fails, the change breaks every checkpoint on disk: either revert
-// it or bump checkpointVersion, which makes ReadCheckpoint refuse the
+// it or bump checkpointVersion, which makes readRoundFile refuse the
 // older files by name.
 func TestCheckpointGoldenBytes(t *testing.T) {
 	ck := &fl.Checkpoint{
@@ -182,7 +182,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		t.Fatalf("checkpoint bytes changed:\n got %s\nwant %s", got, want)
 	}
 	// The pinned bytes must keep decoding to the same state.
-	back, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	back, _, err := readRoundFile(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("golden checkpoint no longer decodes: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		data := append([]byte(nil), valid...)
 		data[0] ^= 0xff
-		if _, err := ReadCheckpoint(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
+		if _, _, err := readRoundFile(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 		}
 	})
@@ -217,7 +217,7 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		for _, version := range []uint32{1, 2, 99} {
 			data := append([]byte(nil), valid...)
 			binary.LittleEndian.PutUint32(data[4:], version)
-			_, err := ReadCheckpoint(bytes.NewReader(data))
+			_, _, err := readRoundFile(bytes.NewReader(data))
 			want := fmt.Sprintf("unsupported checkpoint version %d", version)
 			if err == nil || errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), want) {
 				t.Fatalf("version %d: err = %v, want %q", version, err, want)
@@ -226,7 +226,7 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 	})
 	t.Run("truncated at every boundary", func(t *testing.T) {
 		for _, cut := range []int{0, 3, 15, 16, 20, len(valid) / 2, len(valid) - 1} {
-			if _, err := ReadCheckpoint(bytes.NewReader(valid[:cut])); !errors.Is(err, ErrCorruptCheckpoint) {
+			if _, _, err := readRoundFile(bytes.NewReader(valid[:cut])); !errors.Is(err, ErrCorruptCheckpoint) {
 				t.Fatalf("cut at %d: err = %v, want ErrCorruptCheckpoint", cut, err)
 			}
 		}
@@ -235,7 +235,7 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		for _, off := range []int{16, 30, len(valid) - 1} {
 			data := append([]byte(nil), valid...)
 			data[off] ^= 0x01
-			if _, err := ReadCheckpoint(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
+			if _, _, err := readRoundFile(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
 				t.Fatalf("flip at %d: err = %v, want ErrCorruptCheckpoint", off, err)
 			}
 		}
@@ -247,7 +247,7 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		payload := data[16:]
 		binary.LittleEndian.PutUint32(data[8:], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(data[12:], crc32Of(payload))
-		if _, err := ReadCheckpoint(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
+		if _, _, err := readRoundFile(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 		}
 	})
@@ -267,7 +267,7 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		data = appendU32(data, crc32Of(payload))
 		data = append(data, payload...)
 		before := totalAllocBytes()
-		if _, err := ReadCheckpoint(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
+		if _, _, err := readRoundFile(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 		}
 		if used := totalAllocBytes() - before; used > 1<<20 {
@@ -287,7 +287,7 @@ func TestReadCheckpointAllocBound(t *testing.T) {
 	data = appendU32(data, 0)
 	data = append(data, make([]byte, 100)...)
 	before := totalAllocBytes()
-	if _, err := ReadCheckpoint(bytes.NewReader(data)); err == nil {
+	if _, _, err := readRoundFile(bytes.NewReader(data)); err == nil {
 		t.Fatal("lying length prefix accepted")
 	}
 	// Same slack policy as the wire framing's alloc-bound test.

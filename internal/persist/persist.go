@@ -1,21 +1,16 @@
 // Package persist provides durable storage for the artifacts a federated
 // run produces: flat parameter vectors (global model checkpoints, CVAE
-// decoder payloads) in a versioned little-endian binary format, and run
-// histories as JSON. A downstream deployment checkpoints the global model
-// between rounds and replays histories for analysis; the fedbench tool
-// uses the same format for its result artifacts.
+// decoder payloads) in a versioned little-endian binary format, and the
+// federation checkpoint a run resumes from (checkpoint.go).
 package persist
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
-
-	"fedguard/internal/fl"
 )
 
 // Magic and version identify the weight-vector file format.
@@ -111,40 +106,4 @@ func atomicWrite(path string, write func(*os.File) error) error {
 		return err
 	}
 	return nil
-}
-
-// LoadWeights reads a parameter vector from path.
-func LoadWeights(path string) ([]float32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadWeights(f)
-}
-
-// SaveHistory writes a run history to path as indented JSON, with the
-// same atomic fsync+rename discipline as the binary artifacts.
-func SaveHistory(path string, h *fl.History) error {
-	data, err := json.MarshalIndent(h, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicWrite(path, func(f *os.File) error {
-		_, werr := f.Write(data)
-		return werr
-	})
-}
-
-// LoadHistory reads a run history written by SaveHistory.
-func LoadHistory(path string) (*fl.History, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var h fl.History
-	if err := json.Unmarshal(data, &h); err != nil {
-		return nil, fmt.Errorf("persist: decoding history: %w", err)
-	}
-	return &h, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 )
 
@@ -141,7 +140,11 @@ func TestSaveLoadWeightsFile(t *testing.T) {
 	if err := SaveWeights(path, w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadWeights(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadWeights(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,107 +153,4 @@ func TestSaveLoadWeightsFile(t *testing.T) {
 			t.Fatal("file round trip corrupted weights")
 		}
 	}
-	if _, err := LoadWeights(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestSaveLoadHistory(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "history.json")
-	h := &fl.History{
-		Strategy: "FedGuard",
-		Rounds: []fl.RoundRecord{
-			{Round: 1, TestAccuracy: 0.5, Seconds: 1.25,
-				UploadBytes: 100, DownloadBytes: 120,
-				Sampled: []int{1, 3}, MaliciousSampled: 1,
-				Threshold: 0.4, Decisions: []fl.Decision{{ClientID: 1, Score: 0.3, Malicious: true}, {ClientID: 3, Score: 0.5, Kept: true}},
-				Report: map[string]float64{"krum_selected": 2}},
-		},
-	}
-	if err := SaveHistory(path, h); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadHistory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Strategy != "FedGuard" || len(got.Rounds) != 1 {
-		t.Fatalf("history round trip lost data: %+v", got)
-	}
-	r := got.Rounds[0]
-	if r.TestAccuracy != 0.5 || r.Report["krum_selected"] != 2 || r.Sampled[1] != 3 ||
-		r.Threshold != 0.4 || r.Excluded() != 1 || r.Decisions[0] != h.Rounds[0].Decisions[0] || r.Decisions[1] != h.Rounds[0].Decisions[1] {
-		t.Fatalf("round record corrupted: %+v", r)
-	}
-}
-
-// TestSaveLoadHistoryWireFields pins the round-trip of the
-// fault-tolerance and wire-accounting columns — Dropped,
-// WireUploadBytes/WireDownloadBytes and the MeanWireBytes derived from
-// them — which the original round-trip test predates.
-func TestSaveLoadHistoryWireFields(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "history.json")
-	h := &fl.History{
-		Strategy: "FedGuard",
-		Rounds: []fl.RoundRecord{
-			{Round: 1, Seconds: 1,
-				UploadBytes: 1000, DownloadBytes: 2000,
-				WireUploadBytes: 300, WireDownloadBytes: 400,
-				Sampled: []int{0, 2, 4}, Dropped: []int{2},
-				Report: map[string]float64{}},
-			{Round: 2, Seconds: 1,
-				UploadBytes: 1000, DownloadBytes: 2000,
-				WireUploadBytes: 500, WireDownloadBytes: 800,
-				Sampled: []int{1, 3, 0},
-				Report:  map[string]float64{}},
-		},
-		FinalWeights: []float32{1, 2},
-	}
-	if err := SaveHistory(path, h); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadHistory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range h.Rounds {
-		r := got.Rounds[i]
-		if r.WireUploadBytes != want.WireUploadBytes || r.WireDownloadBytes != want.WireDownloadBytes {
-			t.Fatalf("round %d wire bytes: got %d/%d, want %d/%d",
-				want.Round, r.WireUploadBytes, r.WireDownloadBytes, want.WireUploadBytes, want.WireDownloadBytes)
-		}
-		if len(r.Dropped) != len(want.Dropped) {
-			t.Fatalf("round %d dropped list: got %v, want %v", want.Round, r.Dropped, want.Dropped)
-		}
-		for j := range want.Dropped {
-			if r.Dropped[j] != want.Dropped[j] {
-				t.Fatalf("round %d dropped list: got %v, want %v", want.Round, r.Dropped, want.Dropped)
-			}
-		}
-	}
-	wantUp, wantDown := h.MeanWireBytes()
-	gotUp, gotDown := got.MeanWireBytes()
-	if gotUp != wantUp || gotDown != wantDown {
-		t.Fatalf("MeanWireBytes: got %d/%d, want %d/%d", gotUp, gotDown, wantUp, wantDown)
-	}
-	if len(got.FinalWeights) != 2 {
-		t.Fatalf("FinalWeights lost: %v", got.FinalWeights)
-	}
-}
-
-func TestLoadHistoryRejectsBadJSON(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.json")
-	if err := writeFile(path, "{nope"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadHistory(path); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

@@ -21,7 +21,7 @@ func testDecoder(seed uint64, n int) []float32 {
 	r := rng.New(seed)
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = r.NormFloat32()
+		out[i] = float32(r.NormFloat64())
 	}
 	return out
 }

@@ -56,14 +56,6 @@ func (r *RNG) SkipNormFloat64(n int) {
 	}
 }
 
-// NormFloat32 returns a standard normal sample as float32.
-func (r *RNG) NormFloat32() float32 { return float32(r.NormFloat64()) }
-
-// Gaussian returns a normal sample with the given mean and stddev.
-func (r *RNG) Gaussian(mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
-}
-
 // Categorical draws an index from the discrete distribution given by
 // probs. Probabilities need not be normalized; they must be non-negative
 // and not all zero.

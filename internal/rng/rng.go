@@ -123,14 +123,6 @@ func (r *RNG) SetState(s State) {
 	r.haveGauss, r.gauss = s.HaveGauss, s.Gauss
 }
 
-// FromState reconstructs a generator that continues the exact stream the
-// snapshotted generator would have produced.
-func FromState(s State) *RNG {
-	r := &RNG{}
-	r.SetState(s)
-	return r
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -151,11 +143,6 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
-
-// Float32 returns a uniform float32 in [0, 1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
 }
 
 // Perm returns a pseudo-random permutation of [0, n) as a slice.

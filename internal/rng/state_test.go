@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// fromState builds a generator that continues the stream snapshotted
+// in s.
+func fromState(s State) *RNG {
+	r := &RNG{}
+	r.SetState(s)
+	return r
+}
+
 // drainMixed exercises every consumer of generator state: raw words,
 // bounded ints, floats, Gaussians (which toggle the Box–Muller cache),
 // permutations, and a split.
@@ -30,7 +38,7 @@ func TestStateRoundTrip(t *testing.T) {
 	drainMixed(src)
 
 	snap := src.State()
-	restored := FromState(snap)
+	restored := fromState(snap)
 	want := drainMixed(src)
 	got := drainMixed(restored)
 	for i := range want {
@@ -50,7 +58,7 @@ func TestStateCapturesGaussCache(t *testing.T) {
 	if !snap.HaveGauss {
 		t.Fatal("snapshot after an odd Gaussian draw should carry the cached variate")
 	}
-	restored := FromState(snap)
+	restored := fromState(snap)
 	for i := 0; i < 10; i++ {
 		a, b := src.NormFloat64(), restored.NormFloat64()
 		if a != b || math.IsNaN(a) {
@@ -76,7 +84,7 @@ func TestSetStateOverwrites(t *testing.T) {
 func TestSetStateForcesOddIncrement(t *testing.T) {
 	// A hostile checkpoint may carry an even stream selector; the PCG
 	// increment must stay odd or the generator degenerates.
-	r := FromState(State{Hi: 1, Lo: 2, IncHi: 3, IncLo: 4})
+	r := fromState(State{Hi: 1, Lo: 2, IncHi: 3, IncLo: 4})
 	if r.incLo&1 != 1 {
 		t.Fatalf("incLo = %d, want odd", r.incLo)
 	}
@@ -89,7 +97,7 @@ func TestStateMatchesClone(t *testing.T) {
 	r := New(99)
 	r.NormFloat64() // arm the cache
 	viaClone := r.Clone()
-	viaState := FromState(r.State())
+	viaState := fromState(r.State())
 	for i := 0; i < 100; i++ {
 		if x, y := viaClone.Uint64(), viaState.Uint64(); x != y {
 			t.Fatalf("State and Clone disagree at draw %d", i)

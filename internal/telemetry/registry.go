@@ -61,9 +61,6 @@ func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load
 // Counter is a monotonically increasing series.
 type Counter struct{ v atomicFloat }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds d (negative deltas are ignored to keep the series monotone).
 func (c *Counter) Add(d float64) {
 	if d > 0 {

@@ -15,7 +15,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("rounds_total")
-	c.Inc()
+	c.Add(1)
 	c.Add(2)
 	c.Add(-5) // ignored: counters are monotone
 	if got := c.Value(); got != 3 {
@@ -47,7 +47,7 @@ func TestLabelOrderCanonical(t *testing.T) {
 
 func TestKindMismatchIsNoop(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("clash").Inc()
+	r.Counter("clash").Add(1)
 	g := r.Gauge("clash") // wrong kind: must not panic, must be inert
 	g.Set(99)
 	if got := r.Counter("clash").Value(); got != 1 {
@@ -90,7 +90,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				r.Counter("n").Inc()
+				r.Counter("n").Add(1)
 				r.Histogram("h").Observe(0.01)
 			}
 		}()
@@ -134,7 +134,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestWriteJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a").Inc()
+	r.Counter("a").Add(1)
 	r.Histogram("b").Observe(2)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {

@@ -531,8 +531,8 @@ func TestBindView(t *testing.T) {
 	}
 	var v Tensor
 	v.Bind(data[6:], 3, 4)
-	if v.Len() != 12 || v.At(0, 0) != 6 {
-		t.Fatalf("Bind view wrong: len %d, first %v", v.Len(), v.At(0, 0))
+	if v.Len() != 12 || at(&v, 0, 0) != 6 {
+		t.Fatalf("Bind view wrong: len %d, first %v", v.Len(), at(&v, 0, 0))
 	}
 	v.Data[0] = -1
 	if data[6] != -1 {
@@ -563,8 +563,8 @@ func TestIm2ColIndexing(t *testing.T) {
 				for ch := 0; ch < c; ch++ {
 					for ky := 0; ky < kh; ky++ {
 						for kx := 0; kx < kw; kx++ {
-							got := dst.At(oy*outW+ox, (ch*kh+ky)*kw+kx)
-							if want := img.At(ch, oy+ky, ox+kx); got != want {
+							got := at(dst, oy*outW+ox, (ch*kh+ky)*kw+kx)
+							if want := at(img, ch, oy+ky, ox+kx); got != want {
 								t.Fatalf("%dx%d window: (%d,%d) ch %d (%d,%d) = %v, want %v", kh, kw, oy, ox, ch, ky, kx, got, want)
 							}
 						}

@@ -147,23 +147,10 @@ func distSqMixed16Go(a []float64, b []float32) float64 {
 	return combine16(&lane)
 }
 
-// DistSqBlocked returns the squared Euclidean distance between two
-// equal-length vectors in the canonical blocked order: coordinate blocks
-// of ReduceBlock elements summed in ascending order, sixteen lanes per
-// block. This is the same value PairwiseDistSq produces for the pair.
-func DistSqBlocked(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: DistSqBlocked length mismatch %d vs %d", len(a), len(b)))
-	}
-	var total float64
-	for lo := 0; lo < len(a); lo += ReduceBlock {
-		hi := min(lo+ReduceBlock, len(a))
-		total += distSqBlock(a[lo:hi], b[lo:hi])
-	}
-	return total
-}
-
-// DistSqMixedBlocked is DistSqBlocked with a float64 left operand.
+// DistSqMixedBlocked returns the squared Euclidean distance between a
+// float64 and a float32 vector of equal length in the canonical blocked
+// order: coordinate blocks of ReduceBlock elements summed in ascending
+// order, sixteen lanes per block.
 func DistSqMixedBlocked(a []float64, b []float32) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: DistSqMixedBlocked length mismatch %d vs %d", len(a), len(b)))

@@ -26,14 +26,27 @@ func naiveDistSq(a, b []float32) float64 {
 	return s
 }
 
+// distSqBlocked returns the squared Euclidean distance between a and b in
+// the canonical blocked order: distSqBlock over each coordinate block of
+// ReduceBlock elements, summed in ascending order. It is the value
+// PairwiseDistSq produces for the pair.
+func distSqBlocked(a, b []float32) float64 {
+	var total float64
+	for lo := 0; lo < len(a); lo += ReduceBlock {
+		hi := min(lo+ReduceBlock, len(a))
+		total += distSqBlock(a[lo:hi], b[lo:hi])
+	}
+	return total
+}
+
 func TestDistSqBlockedMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 15, 16, 17, 100, ReduceBlock - 1, ReduceBlock, ReduceBlock + 5, 3*ReduceBlock + 7} {
 		a, b := randVec32(r, n), randVec32(r, n)
-		got := DistSqBlocked(a, b)
+		got := distSqBlocked(a, b)
 		want := naiveDistSq(a, b)
 		if math.Abs(got-want) > 1e-9*(1+want) {
-			t.Errorf("n=%d: DistSqBlocked=%g, naive=%g", n, got, want)
+			t.Errorf("n=%d: distSqBlocked=%g, naive=%g", n, got, want)
 		}
 	}
 }
@@ -86,8 +99,8 @@ func TestPairwiseDistSqSymmetricAndDeterministic(t *testing.T) {
 				if dst[i*n+j] != dst[j*n+i] {
 					t.Fatalf("workers=%d: asymmetry at (%d,%d)", w, i, j)
 				}
-				if want := DistSqBlocked(vecs[i], vecs[j]); i != j && dst[i*n+j] != want {
-					t.Fatalf("workers=%d: (%d,%d) = %x, DistSqBlocked = %x", w, i, j, dst[i*n+j], want)
+				if want := distSqBlocked(vecs[i], vecs[j]); i != j && dst[i*n+j] != want {
+					t.Fatalf("workers=%d: (%d,%d) = %x, distSqBlocked = %x", w, i, j, dst[i*n+j], want)
 				}
 			}
 		}
@@ -158,8 +171,8 @@ func TestSumSqAndMixedBlocked(t *testing.T) {
 	for i, v := range a {
 		a64[i] = float64(v)
 	}
-	if got, want := DistSqMixedBlocked(a64, b), DistSqBlocked(a, b); math.Abs(got-want) > 1e-9*(1+want) {
-		t.Errorf("DistSqMixedBlocked=%g, DistSqBlocked=%g", got, want)
+	if got, want := DistSqMixedBlocked(a64, b), distSqBlocked(a, b); math.Abs(got-want) > 1e-9*(1+want) {
+		t.Errorf("DistSqMixedBlocked=%g, distSqBlocked=%g", got, want)
 	}
 }
 
@@ -222,6 +235,6 @@ func BenchmarkDistSqBlocked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = DistSqBlocked(x, y)
+		_ = distSqBlocked(x, y)
 	}
 }

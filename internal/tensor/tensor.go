@@ -140,44 +140,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view with a new shape sharing the same backing data.
-// The shape volume must match. One dimension may be -1, in which case it
-// is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
-	infer := -1
-	vol := 1
-	for i, d := range shape {
-		switch {
-		case d == -1:
-			if infer >= 0 {
-				panic("tensor: Reshape with multiple -1 dimensions")
-			}
-			infer = i
-		case d <= 0:
-			panic(fmt.Sprintf("tensor: Reshape to invalid shape %v", shape))
-		default:
-			vol *= d
-		}
-	}
-	if infer >= 0 {
-		if len(t.Data)%vol != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
-		}
-		shape[infer] = len(t.Data) / vol
-		vol *= shape[infer]
-	}
-	if vol != len(t.Data) {
-		panic(fmt.Sprintf("tensor: Reshape volume mismatch: %v -> %v", t.shape, shape))
-	}
-	return &Tensor{Data: t.Data, shape: shape}
-}
-
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
-}
-
 // Set assigns the element at the given multi-index.
 func (t *Tensor) Set(v float32, idx ...int) {
 	t.Data[t.offset(idx)] = v
@@ -201,13 +163,6 @@ func (t *Tensor) offset(idx []int) int {
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
 	}
 }
 

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +13,25 @@ func almostEq(a, b, eps float32) bool {
 		d = -d
 	}
 	return d <= eps
+}
+
+// at reads the element at a multi-index.
+func at(t *Tensor, idx ...int) float32 { return t.Data[t.offset(idx)] }
+
+// transpose returns a new tensor holding the transpose of the 2-D a.
+func transpose(a *Tensor) *Tensor {
+	out := New(a.Dim(1), a.Dim(0))
+	TransposeInto(out, a)
+	return out
+}
+
+// dot returns the inner product of a and b viewed as flat vectors.
+func dot(a, b *Tensor) float32 {
+	var acc float64
+	for i := range a.Data {
+		acc += float64(a.Data[i]) * float64(b.Data[i])
+	}
+	return float32(acc)
 }
 
 func TestNewZeroFilled(t *testing.T) {
@@ -32,7 +50,7 @@ func TestFromSliceAliases(t *testing.T) {
 	data := []float32{1, 2, 3, 4}
 	x := FromSlice(data, 2, 2)
 	data[0] = 9
-	if x.At(0, 0) != 9 {
+	if at(x, 0, 0) != 9 {
 		t.Fatal("FromSlice must alias the input slice")
 	}
 }
@@ -49,38 +67,12 @@ func TestFromSlicePanicsOnMismatch(t *testing.T) {
 func TestAtSet(t *testing.T) {
 	x := New(2, 3, 4)
 	x.Set(7.5, 1, 2, 3)
-	if x.At(1, 2, 3) != 7.5 {
-		t.Fatal("At/Set round trip failed")
+	if at(x, 1, 2, 3) != 7.5 {
+		t.Fatal("Set/offset round trip failed")
 	}
 	if x.Data[1*12+2*4+3] != 7.5 {
 		t.Fatal("row-major layout violated")
 	}
-}
-
-func TestReshapeView(t *testing.T) {
-	x := New(2, 6)
-	x.Data[5] = 3
-	y := x.Reshape(3, 4)
-	if y.At(1, 1) != 3 {
-		t.Fatal("Reshape must preserve flat layout")
-	}
-	y.Set(8, 0, 0)
-	if x.At(0, 0) != 8 {
-		t.Fatal("Reshape must alias storage")
-	}
-	z := x.Reshape(4, -1)
-	if z.Dim(1) != 3 {
-		t.Fatalf("inferred dimension = %d, want 3", z.Dim(1))
-	}
-}
-
-func TestReshapePanicsOnVolumeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad Reshape did not panic")
-		}
-	}()
-	New(2, 3).Reshape(4, 2)
 }
 
 func TestCloneIndependent(t *testing.T) {
@@ -100,36 +92,6 @@ func TestElementwiseOps(t *testing.T) {
 	if dst.Data[2] != 9 {
 		t.Fatalf("Add = %v", dst.Data)
 	}
-	Sub(dst, b, a)
-	if dst.Data[0] != 3 {
-		t.Fatalf("Sub = %v", dst.Data)
-	}
-	Mul(dst, a, b)
-	if dst.Data[1] != 10 {
-		t.Fatalf("Mul = %v", dst.Data)
-	}
-	Scale(dst, a, 2)
-	if dst.Data[2] != 6 {
-		t.Fatalf("Scale = %v", dst.Data)
-	}
-	AXPY(dst, 10, a) // dst = 2a + 10a = 12a
-	if dst.Data[0] != 12 {
-		t.Fatalf("AXPY = %v", dst.Data)
-	}
-}
-
-func TestApply(t *testing.T) {
-	a := FromSlice([]float32{-1, 2}, 2)
-	dst := New(2)
-	Apply(dst, a, func(v float32) float32 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	})
-	if dst.Data[0] != 0 || dst.Data[1] != 2 {
-		t.Fatalf("Apply = %v", dst.Data)
-	}
 }
 
 func TestSumMaxDotNorm(t *testing.T) {
@@ -141,12 +103,8 @@ func TestSumMaxDotNorm(t *testing.T) {
 	if v != 4 || i != 2 {
 		t.Fatalf("Max = %v at %d", v, i)
 	}
-	b := FromSlice([]float32{1, 1, 1}, 3)
-	if Dot(a, b) != 6 {
-		t.Fatalf("Dot = %v", Dot(a, b))
-	}
-	if !almostEq(DistSlice(a.Data, b.Data), float32(math.Sqrt(4+4+9)), 1e-5) {
-		t.Fatalf("DistSlice = %v", DistSlice(a.Data, b.Data))
+	if SumSqBlocked(a.Data) != 9+1+16 {
+		t.Fatalf("SumSqBlocked = %v", SumSqBlocked(a.Data))
 	}
 }
 
@@ -207,7 +165,7 @@ func TestMatMulTMatchesExplicitTranspose(t *testing.T) {
 	got := New(9, 11)
 	MatMulT(got, a, b)
 	want := New(9, 11)
-	MatMul(want, a, Transpose(b))
+	MatMul(want, a, transpose(b))
 	for i := range want.Data {
 		if !almostEq(got.Data[i], want.Data[i], 1e-4) {
 			t.Fatal("MatMulT != MatMul with explicit transpose")
@@ -224,7 +182,7 @@ func TestMatMulTAMatchesExplicitTranspose(t *testing.T) {
 	got := New(6, 8)
 	MatMulTA(got, a, b)
 	want := New(6, 8)
-	MatMul(want, Transpose(a), b)
+	MatMul(want, transpose(a), b)
 	for i := range want.Data {
 		if !almostEq(got.Data[i], want.Data[i], 1e-4) {
 			t.Fatal("MatMulTA != MatMul with explicit transpose")
@@ -236,7 +194,10 @@ func TestTransposeInvolution(t *testing.T) {
 	r := rng.New(5)
 	a := New(17, 23)
 	r.FillNormal(a.Data, 0, 1)
-	b := Transpose(Transpose(a))
+	tr := New(23, 17)
+	TransposeInto(tr, a)
+	b := New(17, 23)
+	TransposeInto(b, tr)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("transpose twice != identity")
@@ -257,9 +218,9 @@ func TestQuickMatMulTransposeLaw(t *testing.T) {
 		r.FillNormal(b.Data, 0, 1)
 		ab := New(m, n)
 		MatMul(ab, a, b)
-		lhs := Transpose(ab)
+		lhs := transpose(ab)
 		rhs := New(n, m)
-		MatMul(rhs, Transpose(b), Transpose(a))
+		MatMul(rhs, transpose(b), transpose(a))
 		for i := range lhs.Data {
 			if !almostEq(lhs.Data[i], rhs.Data[i], 1e-4) {
 				return false
@@ -289,8 +250,8 @@ func TestIm2ColKnown(t *testing.T) {
 	}
 	for i, row := range want {
 		for j, w := range row {
-			if dst.At(i, j) != w {
-				t.Fatalf("Im2Col[%d][%d] = %v, want %v", i, j, dst.At(i, j), w)
+			if at(dst, i, j) != w {
+				t.Fatalf("Im2Col[%d][%d] = %v, want %v", i, j, at(dst, i, j), w)
 			}
 		}
 	}
@@ -304,8 +265,8 @@ func TestIm2ColMultiChannel(t *testing.T) {
 	dst := New(4, 8)
 	Im2Col(dst, img, 2, 2)
 	// First window, channel 1 starts at flat index 9.
-	if dst.At(0, 4) != 9 {
-		t.Fatalf("multi-channel Im2Col wrong: got %v", dst.At(0, 4))
+	if at(dst, 0, 4) != 9 {
+		t.Fatalf("multi-channel Im2Col wrong: got %v", at(dst, 0, 4))
 	}
 }
 
@@ -321,11 +282,11 @@ func TestCol2ImAdjoint(t *testing.T) {
 
 	ix := New(outH*outW, c*kh*kw)
 	Im2Col(ix, x, kh, kw)
-	lhs := Dot(ix, y)
+	lhs := dot(ix, y)
 
 	cy := New(c, h, w)
 	Col2Im(cy, y, kh, kw)
-	rhs := Dot(x, cy)
+	rhs := dot(x, cy)
 
 	if !almostEq(lhs, rhs, 1e-3) {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)

@@ -76,10 +76,9 @@ const (
 	TypeUpdateC       byte = 7 // client → server: compressed trained update
 )
 
-// Payload encodings carried by the compressed message types.
+// Payload encodings carried by the compressed message types. Raw
+// vectors travel in the uncompressed types, so no encoding is 0.
 const (
-	// EncRaw marks legacy raw little-endian float32 vectors.
-	EncRaw byte = 0
 	// EncCodec marks a codec byte-plane blob of the full vector.
 	EncCodec byte = 1
 	// EncDelta marks a codec blob of the XOR delta against a reference
