@@ -187,8 +187,10 @@ func writeFile(dir, name string, write func(*os.File) error) {
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
 	if err := write(f); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)

@@ -83,14 +83,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *rounds > 0 {
-		setup.Rounds = *rounds
-	}
-	if *serverLR > 0 {
-		setup.ServerLR = *serverLR
-	}
-	if *samples > 0 {
-		setup.Samples = *samples
+	if err := applyOverrides(&setup, *rounds, *samples, *serverLR); err != nil {
+		fatal(err)
 	}
 	if *matrix {
 		if err := checkMatrixFlags(flag.CommandLine); err != nil {
@@ -147,8 +141,10 @@ func main() {
 		float64(wireUp)/(1<<20), float64(wireDown)/(1<<20))
 
 	if *csv {
-		experiment.WriteSeriesCSV(os.Stdout, []*experiment.Result{res},
-			func(r *experiment.Result) string { return r.Strategy })
+		if err := experiment.WriteSeriesCSV(os.Stdout, []*experiment.Result{res},
+			func(r *experiment.Result) string { return r.Strategy }); err != nil {
+			fatal(err)
+		}
 	}
 	if *confusion {
 		test := setup.TestData()
@@ -171,6 +167,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "checkpoint written to %s (%d parameters)\n",
 			*save, len(res.History.FinalWeights))
 	}
+}
+
+// applyOverrides sets what -rounds, -samples and -server-lr override on
+// the preset: zero keeps the preset's value, and a negative one is an
+// error rather than silently the preset's.
+func applyOverrides(setup *experiment.Setup, rounds, samples int, serverLR float64) error {
+	switch {
+	case rounds < 0:
+		return fmt.Errorf("-rounds = %d", rounds)
+	case samples < 0:
+		return fmt.Errorf("-samples = %d", samples)
+	case !(serverLR >= 0):
+		return fmt.Errorf("-server-lr = %v", serverLR)
+	}
+	if rounds > 0 {
+		setup.Rounds = rounds
+	}
+	if serverLR > 0 {
+		setup.ServerLR = serverLR
+	}
+	if samples > 0 {
+		setup.Samples = samples
+	}
+	return nil
 }
 
 // checkMatrixFlags fails on the first of matrixRefuses set explicitly on
@@ -221,7 +241,9 @@ func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
 	if err != nil {
 		fatal(err)
 	}
-	experiment.WriteTableIV(os.Stdout, results)
+	if err := experiment.WriteTableIV(os.Stdout, results); err != nil {
+		fatal(err)
+	}
 
 	if *matrixCSV != "" {
 		if err := writeFileWith(*matrixCSV, func(w *os.File) error {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"flag"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"fedguard/internal/experiment"
 )
 
 // TestFlagSurface pins fedsim's command line: the shared binding must
@@ -51,5 +54,41 @@ func TestMatrixRefusesSingleRunFlags(t *testing.T) {
 		if err := checkMatrixFlags(fs); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
 			t.Fatalf("-%s with -matrix: error %v", name, err)
 		}
+	}
+}
+
+// TestNegativeOverridesRefused: -rounds, -samples and -server-lr below
+// zero fail, naming the flag, instead of running the preset's value;
+// zero keeps the preset's and a positive value replaces it.
+func TestNegativeOverridesRefused(t *testing.T) {
+	preset := experiment.Setup{Rounds: 8, Samples: 32, ServerLR: 1}
+	same := func(s experiment.Setup) bool {
+		return s.Rounds == preset.Rounds && s.Samples == preset.Samples && s.ServerLR == preset.ServerLR
+	}
+	for _, tc := range []struct {
+		flag            string
+		rounds, samples int
+		serverLR        float64
+	}{
+		{"-rounds", -1, 0, 0},
+		{"-samples", 0, -5, 0},
+		{"-server-lr", 0, 0, -0.5},
+		{"-server-lr", 0, 0, math.NaN()},
+	} {
+		setup := preset
+		err := applyOverrides(&setup, tc.rounds, tc.samples, tc.serverLR)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("%s below zero: error %v", tc.flag, err)
+		}
+		if !same(setup) {
+			t.Errorf("%s below zero changed the setup: %+v", tc.flag, setup)
+		}
+	}
+	setup := preset
+	if err := applyOverrides(&setup, 0, 0, 0); err != nil || !same(setup) {
+		t.Fatalf("zero overrides: %v, setup %+v", err, setup)
+	}
+	if err := applyOverrides(&setup, 3, 10, 0.5); err != nil || setup.Rounds != 3 || setup.Samples != 10 || setup.ServerLR != 0.5 {
+		t.Fatalf("positive overrides: %v, setup %+v", err, setup)
 	}
 }

@@ -2,10 +2,12 @@ package classifier
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fedguard/internal/dataset"
 	"fedguard/internal/rng"
+	"fedguard/internal/tensor"
 )
 
 // TestEvalLogitsEqualTrainLogits holds the evaluation forward — conv
@@ -31,7 +33,8 @@ func TestEvalLogitsEqualTrainLogits(t *testing.T) {
 			}
 			for _, b := range []int{1, 7, 25, 32, 100} {
 				x, _ := ds.Batch(dataset.Range(ds.Len())[100-b:])
-				want := model.Forward(x, true).Clone()
+				want := model.Forward(x, true)
+				want = tensor.FromSlice(slices.Clone(want.Data), want.Shape()...)
 				got := model.Forward(x, false)
 				for i, w := range want.Data {
 					if math.Float32bits(got.Data[i]) != math.Float32bits(w) {

@@ -86,9 +86,6 @@ func NewSet(arch Arch) *Set {
 	return s
 }
 
-// Size returns the bound: how many workers the set will ever build.
-func (s *Set) Size() int { return s.size }
-
 // Built returns how many workers the set has built so far.
 func (s *Set) Built() int {
 	s.mu.Lock()

@@ -263,16 +263,16 @@ func TestSetBoundsBorrowers(t *testing.T) {
 // the tensor pool's width when the set is built, read once — GOMAXPROCS
 // (capped at the pool's 256) unless something set the width.
 func TestNewSetDefaultsToGOMAXPROCS(t *testing.T) {
-	if got, want := NewSet(Tiny()).Size(), min(runtime.GOMAXPROCS(0), 256); got != want {
+	if got, want := NewSet(Tiny()).size, min(runtime.GOMAXPROCS(0), 256); got != want {
 		t.Fatalf("a set built at the default width has size %d, want GOMAXPROCS = %d", got, want)
 	}
 	poolWidth(t, 4)
 	set := NewSet(Tiny())
 	tensor.SetWorkers(7)
-	if set.Size() != 4 || set.Built() != 0 {
-		t.Fatalf("a set built at width 4: size %d, built %d", set.Size(), set.Built())
+	if set.size != 4 || set.Built() != 0 {
+		t.Fatalf("a set built at width 4: size %d, built %d", set.size, set.Built())
 	}
-	if got := NewSet(Tiny()).Size(); got != 7 {
+	if got := NewSet(Tiny()).size; got != 7 {
 		t.Fatalf("a set built at width 7 has size %d", got)
 	}
 }

@@ -249,7 +249,6 @@ func DefaultTrainConfig() TrainConfig { return TrainConfig{Epochs: 30, BatchSize
 // Dataset is the minimal view of a training set the CVAE needs; it is
 // satisfied by *dataset.Dataset.
 type Dataset interface {
-	Len() int
 	// FlatBatchInto gathers the indexed examples as (B, Input) rows into
 	// the caller's scratch, grown on demand, and returns it.
 	FlatBatchInto(x *tensor.Tensor, labels []int, indices []int) (*tensor.Tensor, []int)

@@ -74,17 +74,6 @@ func (d *Dataset) gather(x *tensor.Tensor, labels []int, indices []int) (*tensor
 	return x, labels
 }
 
-// Clone deep-copies the dataset (used by data-poisoning attacks so the
-// benign copy survives).
-func (d *Dataset) Clone() *Dataset {
-	return &Dataset{
-		X:      append([]float32(nil), d.X...),
-		Labels: append([]int(nil), d.Labels...),
-		H:      d.H,
-		W:      d.W,
-	}
-}
-
 // GenOptions controls SynthDigits rendering.
 type GenOptions struct {
 	// MaxShift is the maximum |translation| in pixels (default 3).

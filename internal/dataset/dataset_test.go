@@ -139,6 +139,8 @@ func TestFlatBatch(t *testing.T) {
 	}
 }
 
+// TestSubsetAndClone: subset picks the indexed examples, and what
+// Batch gathers is a copy — writing it leaves the dataset alone.
 func TestSubsetAndClone(t *testing.T) {
 	r := rng.New(8)
 	d := Generate(10, DefaultGenOptions(), r)
@@ -146,11 +148,10 @@ func TestSubsetAndClone(t *testing.T) {
 	if s.Len() != 2 || s.Labels[0] != d.Labels[1] {
 		t.Fatal("Subset wrong")
 	}
-	c := d.Clone()
-	c.X[0] = 99
-	c.Labels[0] = 5
-	if d.X[0] == 99 {
-		t.Fatal("Clone aliases X")
+	x, labels := d.Batch([]int{0})
+	x.Data[0], labels[0] = 99, d.Labels[0]+1
+	if d.X[0] == 99 || d.Labels[0] == labels[0] {
+		t.Fatal("Batch aliases the dataset")
 	}
 }
 

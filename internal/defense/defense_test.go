@@ -16,6 +16,7 @@ import (
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
+	"fedguard/internal/tensor"
 )
 
 // buildFixture returns (benign weights, decoder payload, cvae config).
@@ -198,44 +199,69 @@ func TestFedGuardEmptyRound(t *testing.T) {
 	}
 }
 
+// TestFedGuardMaxDecodersSubset: every submitted decoder synthesizes
+// its share of the set — sample i is update i mod m's decoder's image
+// of (z_i, y_i) — so no round draws its set from a subset of its
+// decoders.
 func TestFedGuardMaxDecodersSubset(t *testing.T) {
 	r := rng.New(10)
 	_, dec, ccfg := buildFixture(t, r)
 	g := NewFedGuard(classifier.Tiny(), ccfg)
 	g.Samples = 20
-	g.MaxDecoders = 1
-	updates := []fl.Update{
-		{ClientID: 0, Weights: nil, NumSamples: 1, Decoder: dec},
-		{ClientID: 1, Weights: nil, NumSamples: 1, Decoder: dec},
-		{ClientID: 2, Weights: nil, NumSamples: 1, Decoder: dec},
+	updates := make([]fl.Update, 3)
+	for i := range updates {
+		// Distinct decoders, so which one drew a sample shows in its pixels.
+		d := append([]float32(nil), dec...)
+		for j := range d {
+			d[j] *= float32(i + 1)
+		}
+		updates[i] = fl.Update{ClientID: i, NumSamples: 1, Decoder: d}
 	}
-	x, _, err := g.Synthesize(ctxWith(updates, 11))
+	x, labels, err := g.Synthesize(ctxWith(updates, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x.Dim(0) != 20 {
-		t.Fatalf("MaxDecoders changed the sample count: %v", x.Shape())
+		t.Fatalf("set shape %v, want 20 samples", x.Shape())
+	}
+	z, _ := g.drawPlan(rng.New(11), len(updates))
+	lat, size := ccfg.Latent, ccfg.Input
+	for i, y := range labels {
+		d, err := cvae.NewDecoder(ccfg, updates[i%len(updates)].Decoder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := d.Generate(tensor.FromSlice(z.Data[i*lat:(i+1)*lat], 1, lat), []int{y})
+		if !slices.Equal(img.Data, x.Data[i*size:(i+1)*size]) {
+			t.Fatalf("sample %d is not decoder %d's image", i, i%len(updates))
+		}
 	}
 }
 
+// TestFedGuardCustomClassProbs: the conditioning labels are uniform
+// draws over the classes, taken from the round's RNG right after the
+// latents — and 200 of them cover every class.
 func TestFedGuardCustomClassProbs(t *testing.T) {
 	r := rng.New(12)
 	_, dec, ccfg := buildFixture(t, r)
 	g := NewFedGuard(classifier.Tiny(), ccfg)
 	g.Samples = 200
-	// All mass on class 3: every conditioning label must be 3.
-	probs := make([]float64, 10)
-	probs[3] = 1
-	g.ClassProbs = probs
 	updates := []fl.Update{{ClientID: 0, Weights: nil, NumSamples: 1, Decoder: dec}}
 	_, labels, err := g.Synthesize(ctxWith(updates, 13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range labels {
-		if l != 3 {
-			t.Fatalf("label %d sampled under point-mass on 3", l)
+	want := rng.New(13)
+	want.FillNormal(make([]float32, g.Samples*ccfg.Latent), 0, 1)
+	seen := make([]bool, ccfg.Classes)
+	for i, l := range labels {
+		if w := want.CategoricalUniform(ccfg.Classes); l != w {
+			t.Fatalf("label %d is %d, want the uniform draw %d", i, l, w)
 		}
+		seen[l] = true
+	}
+	if slices.Contains(seen, false) {
+		t.Fatalf("200 uniform labels missed a class: %v", seen)
 	}
 }
 
@@ -303,11 +329,11 @@ func TestFedGuardParallelAuditMatchesSerial(t *testing.T) {
 func TestFedGuardParallelSynthesizeMatchesSerial(t *testing.T) {
 	updates, ccfg := routedUpdates(t)
 	for _, routed := range []bool{false, true} {
-		for _, maxDecoders := range []int{0, 3} {
+		// Four samples over six decoders leaves two blocks empty.
+		for _, samples := range []int{50, 4} {
 			guard := func(workers int) *FedGuard {
 				g := streamGuard(t, ccfg, workers)
-				g.Samples = 50
-				g.MaxDecoders = maxDecoders
+				g.Samples = samples
 				g.UseDecoderClasses = routed
 				return g
 			}
@@ -318,10 +344,10 @@ func TestFedGuardParallelSynthesizeMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !slices.Equal(labels, wantLabels) {
-					t.Fatalf("routed=%v maxDecoders=%d workers=%d: labels differ", routed, maxDecoders, workers)
+					t.Fatalf("routed=%v samples=%d workers=%d: labels differ", routed, samples, workers)
 				}
 				if !slices.Equal(x.Data, wantX.Data) {
-					t.Fatalf("routed=%v maxDecoders=%d workers=%d: pixels differ", routed, maxDecoders, workers)
+					t.Fatalf("routed=%v samples=%d workers=%d: pixels differ", routed, samples, workers)
 				}
 			}
 		}

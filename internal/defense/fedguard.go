@@ -16,7 +16,8 @@ import (
 
 // FedGuard is the paper's contribution (Alg. 1 lines 1–7). Each round it
 //
-//  1. samples t latent vectors z ~ N(0,1) and t labels y ~ Cat(L, α),
+//  1. samples t latent vectors z ~ N(0,1) and t labels y uniform over
+//     the L classes (the paper's class-balanced setting),
 //  2. synthesizes a validation set by spreading the (z, y) pairs across
 //     the active clients' uploaded CVAE decoders,
 //  3. scores every client's classifier update by its accuracy on the
@@ -32,14 +33,6 @@ type FedGuard struct {
 	// Samples is t, the number of synthetic validation samples per round.
 	// The paper uses t = 2m. If zero, 2·len(updates) is used.
 	Samples int
-	// MaxDecoders optionally caps how many of the active clients'
-	// decoders participate in data synthesis (paper §VI-A "tuneable
-	// system": fewer decoders, less server compute). 0 means all.
-	MaxDecoders int
-	// ClassProbs is α, the assumed per-class probability for conditioning
-	// label sampling. nil means uniform (the paper's class-balanced
-	// setting).
-	ClassProbs []float64
 	// Inner is the aggregation operator applied to the surviving updates;
 	// nil means FedAvg (aggregate.WeightedMean). Paper §VI-C notes the
 	// operator is swappable.
@@ -151,18 +144,9 @@ func (g *FedGuard) Synthesize(ctx *fl.RoundContext) (*tensor.Tensor, []int, erro
 }
 
 // drawPlan makes every random draw of a round of m updates, in the
-// documented order: the decoder subset (the slots whose decoders
-// synthesize, all m unless MaxDecoders caps them), then the latents
-// z ~ N(0,1), then the labels y ~ Cat(L, α) (Alg. 1 lines 2–3).
-func (g *FedGuard) drawPlan(r *rng.RNG, m int) (order []int, z *tensor.Tensor, labels []int) {
-	if g.MaxDecoders > 0 && g.MaxDecoders < m {
-		order = r.Sample(m, g.MaxDecoders)
-	} else {
-		order = make([]int, m)
-		for i := range order {
-			order[i] = i
-		}
-	}
+// documented order: the latents z ~ N(0,1), then the labels, uniform
+// over the classes (Alg. 1 lines 2–3).
+func (g *FedGuard) drawPlan(r *rng.RNG, m int) (z *tensor.Tensor, labels []int) {
 	t := g.Samples
 	if t <= 0 {
 		t = 2 * m
@@ -171,13 +155,9 @@ func (g *FedGuard) drawPlan(r *rng.RNG, m int) (order []int, z *tensor.Tensor, l
 	r.FillNormal(z.Data, 0, 1)
 	labels = make([]int, t)
 	for i := range labels {
-		if g.ClassProbs != nil {
-			labels[i] = r.Categorical(g.ClassProbs)
-		} else {
-			labels[i] = r.CategoricalUniform(g.CVAECfg.Classes)
-		}
+		labels[i] = r.CategoricalUniform(g.CVAECfg.Classes)
 	}
-	return order, z, labels
+	return z, labels
 }
 
 // assignSamples spreads the t (z, y) pairs across the decoders (Alg. 1

@@ -22,13 +22,6 @@ import (
 func referenceSet(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64) (*tensor.Tensor, []int) {
 	t.Helper()
 	r, m, cfg := rng.New(seed), len(updates), g.CVAECfg
-	order := make([]int, m) // order[k]: the update whose decoder is the k-th
-	for i := range order {
-		order[i] = i
-	}
-	if g.MaxDecoders > 0 && g.MaxDecoders < m {
-		order = r.Sample(m, g.MaxDecoders)
-	}
 	n := g.Samples
 	if n <= 0 {
 		n = 2 * m
@@ -36,22 +29,18 @@ func referenceSet(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64) (
 	z, labels := tensor.New(n, cfg.Latent), make([]int, n)
 	r.FillNormal(z.Data, 0, 1)
 	for i := range labels {
-		if g.ClassProbs != nil {
-			labels[i] = r.Categorical(g.ClassProbs)
-		} else {
-			labels[i] = r.CategoricalUniform(cfg.Classes)
-		}
+		labels[i] = r.CategoricalUniform(cfg.Classes)
 	}
 	turn := make([]int, cfg.Classes) // per class, whose turn among its claimants
-	// Per decoder: its latents, its labels, and which samples they are.
-	zs, ys, rows := make([][]float32, len(order)), make([][]int, len(order)), make([][]int, len(order))
+	// Per update's decoder: its latents, its labels, and which samples
+	// they are.
+	zs, ys, rows := make([][]float32, m), make([][]int, m), make([][]int, m)
 	for i, y := range labels {
-		k := i % len(order)
+		k := i % m
 		var claimants []int
-		for c, j := range order {
-			classes := updates[j].DecoderClasses
-			if g.UseDecoderClasses && (classes == nil || slices.Contains(classes, y)) {
-				claimants = append(claimants, c)
+		for j, u := range updates {
+			if g.UseDecoderClasses && (u.DecoderClasses == nil || slices.Contains(u.DecoderClasses, y)) {
+				claimants = append(claimants, j)
 			}
 		}
 		if len(claimants) > 0 {
@@ -65,7 +54,7 @@ func referenceSet(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64) (
 		if len(idxs) == 0 {
 			continue
 		}
-		dec, err := cvae.NewDecoder(cfg, updates[order[k]].Decoder)
+		dec, err := cvae.NewDecoder(cfg, updates[k].Decoder)
 		if err != nil {
 			t.Fatal(err)
 		}

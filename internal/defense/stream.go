@@ -17,13 +17,13 @@ import (
 // the barrier audit (Aggregate) and the streaming audit (BeginRound,
 // Submit, Finalize) are two arrival schedules of it. The whole round is
 // fixed the moment the participant count m is known: every RNG draw
-// (decoder subset, latents, labels) happens up front, on a clone of the
-// round RNG so that the original stays pristine for a plan re-begun on
-// the delivered updates. Work then unlocks as updates arrive. A slot's
-// arrival binds its decoder; once the samples are partitioned over the
-// decoders — at once when round-robin, at the last contributing arrival
-// when class-routed, which needs every chosen decoder's class list — a
-// bound decoder's block can be synthesized, and its rows join the set in
+// (latents, labels) happens up front, on a clone of the round RNG so
+// that the original stays pristine for a plan re-begun on the delivered
+// updates. Work then unlocks as updates arrive. Slot d's
+// arrival binds decoder d; once the samples are partitioned over the
+// decoders — at once when round-robin, at the last arrival when
+// class-routed, which needs every decoder's class list — a bound
+// decoder's block can be synthesized, and its rows join the set in
 // the order blocks complete. An arrived update is scored against every
 // row that is ready and that it has not yet seen, in one job and one
 // LoadParams, but only once a slab of rows — a quarter of the set — is
@@ -55,7 +55,6 @@ type AuditStream struct {
 	// The drawn plan, read-only once begin returns.
 	z      *tensor.Tensor // latents by sample, (t, Latent)
 	labels []int          // conditioning labels by sample
-	block  []int          // slot -> block of the decoder it contributes, or -1
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -68,13 +67,13 @@ type AuditStream struct {
 	// synthJobs and scoreJobs count finished jobs. A scoring job is one
 	// LoadParams.
 	synthJobs, scoreJobs int
-	// errs holds block d's decoder error at d, in drawn order, and slot
-	// j's weights error at len(decoders)+j: the lowest index is the
-	// round's error whatever the arrival order.
+	// errs holds slot d's decoder error at d and slot j's weights error
+	// at m+j: the lowest index is the round's error whatever the arrival
+	// order.
 	errs []error
 
-	// By block.
-	unbound  int // contributing slots not yet submitted
+	// By decoder, which is by slot.
+	unbound  int // slots not yet submitted
 	decoders []*cvae.Decoder
 	classes  [][]int
 	samples  [][]int // sample indices the block is yet to generate; nil until assigned
@@ -113,16 +112,16 @@ func (g *FedGuard) begin(ctx *fl.RoundContext, m int, hold bool) (*AuditStream, 
 	if m <= 0 {
 		return nil, aggregate.ErrNoUpdates
 	}
-	order, z, labels := g.drawPlan(ctx.RNG.Clone(), m)
-	nd, t := len(order), len(labels)
+	z, labels := g.drawPlan(ctx.RNG.Clone(), m)
+	t := len(labels)
 	s := &AuditStream{
 		g: g, m: m, t: t, slab: (t + scorePasses - 1) / scorePasses,
-		z: z, labels: labels, block: make([]int, m),
+		z: z, labels: labels,
 		hold:      hold,
-		errs:      make([]error, nd+m),
-		unbound:   nd,
-		decoders:  make([]*cvae.Decoder, nd),
-		classes:   make([][]int, nd),
+		errs:      make([]error, 2*m),
+		unbound:   m,
+		decoders:  make([]*cvae.Decoder, m),
+		classes:   make([][]int, m),
 		x:         tensor.New(t, 1, g.ImageH, g.ImageW),
 		rowLabel:  make([]int, 0, t),
 		rowSample: make([]int, 0, t),
@@ -132,12 +131,6 @@ func (g *FedGuard) begin(ctx *fl.RoundContext, m int, hold bool) (*AuditStream, 
 		hits:      make([]int, m),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for slot := range s.block {
-		s.block[slot] = -1
-	}
-	for d, slot := range order {
-		s.block[slot] = d
-	}
 	s.assign()
 	w := g.workers(m)
 	for len(g.auditModels) < w {
@@ -151,9 +144,8 @@ func (g *FedGuard) begin(ctx *fl.RoundContext, m int, hold bool) (*AuditStream, 
 }
 
 // assign partitions the samples over the decoders as soon as that can be
-// done: at begin when round-robin, once every contributing slot has
-// brought its class list when class-routed. Callers hold s.mu (or are
-// begin).
+// done: at begin when round-robin, once every slot has brought its class
+// list when class-routed. Callers hold s.mu (or are begin).
 func (s *AuditStream) assign() {
 	if s.samples != nil || (s.g.UseDecoderClasses && s.unbound > 0) {
 		return
@@ -165,22 +157,16 @@ func (s *AuditStream) assign() {
 	}
 }
 
-// Submit implements fl.RoundStream. A contributing slot's decoder payload
-// is validated and bound to a view here, outside the lock (it costs a
+// Submit implements fl.RoundStream. The slot's decoder payload is
+// validated and bound to a view here, outside the lock (it costs a
 // length check; the payload is neither copied nor written).
 func (s *AuditStream) Submit(slot int, u fl.Update) {
-	d := -1
-	if slot >= 0 && slot < s.m {
-		d = s.block[slot]
-	}
 	var dec *cvae.Decoder
 	var err error
-	if d >= 0 {
-		if u.Decoder == nil {
-			err = fmt.Errorf("defense: client %d sent no decoder payload", u.ClientID)
-		} else if dec, err = cvae.NewDecoder(s.g.CVAECfg, u.Decoder); err != nil {
-			err = fmt.Errorf("defense: client %d: %w", u.ClientID, err)
-		}
+	if u.Decoder == nil {
+		err = fmt.Errorf("defense: client %d sent no decoder payload", u.ClientID)
+	} else if dec, err = cvae.NewDecoder(s.g.CVAECfg, u.Decoder); err != nil {
+		err = fmt.Errorf("defense: client %d: %w", u.ClientID, err)
 	}
 
 	s.mu.Lock()
@@ -194,16 +180,14 @@ func (s *AuditStream) Submit(slot int, u fl.Update) {
 	}
 	s.arrived[slot] = true
 	s.updates[slot] = u
-	if d >= 0 {
-		s.decoders[d], s.classes[d], s.errs[d] = dec, u.DecoderClasses, err
-		s.unbound--
-		s.assign()
-	}
+	s.decoders[slot], s.classes[slot], s.errs[slot] = dec, u.DecoderClasses, err
+	s.unbound--
+	s.assign()
 	s.cond.Broadcast()
 }
 
 // synthesizable returns a block whose decoder is bound and whose samples
-// are assigned but not yet generated, or -1. Empty blocks (t < nd) have
+// are assigned but not yet generated, or -1. Empty blocks (t < m) have
 // nothing to synthesize; their decoders are validated all the same.
 func (s *AuditStream) synthesizable() int {
 	for d, idxs := range s.samples {
@@ -300,7 +284,7 @@ func (s *AuditStream) score(model *nn.Sequential, j int) {
 	s.scoreJobs++
 	s.hits[j] += hits
 	if err != nil {
-		s.errs[len(s.decoders)+j] = fmt.Errorf("defense: audit client %d: %w", s.updates[j].ClientID, err)
+		s.errs[s.m+j] = fmt.Errorf("defense: audit client %d: %w", s.updates[j].ClientID, err)
 		s.scored[j] = s.t // no further job can do better
 	}
 }

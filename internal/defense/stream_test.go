@@ -116,34 +116,38 @@ func routedUpdates(t *testing.T) ([]fl.Update, cvae.Config) {
 }
 
 // TestAuditStreamMatchesBatch pins the plan's determinism contract: for
-// any arrival order, worker count, decoder subsetting and routing, the
-// stream schedule and the barrier schedule both produce the reference's
-// weights, threshold and per-update decisions, bit for bit.
+// any arrival order, worker count, set size and routing, the stream
+// schedule and the barrier schedule both produce the reference's
+// weights, threshold and per-update decisions, bit for bit. The
+// maxdecoders cases draw fewer samples than there are decoders, so some
+// decoders synthesize nothing and are only validated.
 func TestAuditStreamMatchesBatch(t *testing.T) {
 	updates, ccfg := routedUpdates(t)
 	const seed = 41
 
 	for _, tc := range []struct {
-		name        string
-		workers     int
-		maxDecoders int
-		routed      bool
-		order       []int
+		name    string
+		workers int
+		samples int
+		routed  bool
+		order   []int
 	}{
 		{name: "serial-inorder", workers: 1, order: []int{0, 1, 2, 3, 4, 5}},
 		{name: "serial-reversed", workers: 1, order: []int{5, 4, 3, 2, 1, 0}},
 		{name: "parallel-shuffled", workers: 4, order: []int{3, 0, 5, 1, 4, 2}},
 		{name: "gomaxprocs-shuffled", workers: runtime.GOMAXPROCS(0), order: []int{2, 5, 0, 4, 1, 3}},
-		{name: "maxdecoders", workers: 3, maxDecoders: 3, order: []int{4, 1, 5, 0, 2, 3}},
+		{name: "maxdecoders", workers: 3, samples: 4, order: []int{4, 1, 5, 0, 2, 3}},
 		{name: "routed-inorder", workers: 1, routed: true, order: []int{0, 1, 2, 3, 4, 5}},
 		{name: "routed-shuffled", workers: 4, routed: true, order: []int{3, 0, 5, 1, 4, 2}},
-		{name: "routed-maxdecoders", workers: 2, maxDecoders: 3, routed: true, order: []int{4, 1, 5, 0, 2, 3}},
-		{name: "routed-maxdecoders-reversed", workers: runtime.GOMAXPROCS(0), maxDecoders: 3, routed: true, order: []int{5, 4, 3, 2, 1, 0}},
+		{name: "routed-maxdecoders", workers: 2, samples: 4, routed: true, order: []int{4, 1, 5, 0, 2, 3}},
+		{name: "routed-maxdecoders-reversed", workers: runtime.GOMAXPROCS(0), samples: 4, routed: true, order: []int{5, 4, 3, 2, 1, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			guard := func() *FedGuard {
 				g := streamGuard(t, ccfg, tc.workers)
-				g.MaxDecoders = tc.maxDecoders
+				if tc.samples > 0 {
+					g.Samples = tc.samples
+				}
 				g.UseDecoderClasses = tc.routed
 				return g
 			}
@@ -264,24 +268,23 @@ func TestAuditStreamDoesNotAdvanceRNG(t *testing.T) {
 }
 
 // TestAuditErrorsAreDeterministic: the round's error is the lowest
-// failing decoder's in drawn order, else the lowest failing slot's
-// weights, whatever the arrival order and on either schedule.
+// failing slot's decoder error, else the lowest failing slot's weights,
+// whatever the arrival order and on either schedule.
 func TestAuditErrorsAreDeterministic(t *testing.T) {
 	good, ccfg := auditDeterminismUpdates(t)
 	const seed = 59
 	for _, tc := range []struct {
-		name        string
-		maxDecoders int
-		spoil       func(updates []fl.Update)
+		name  string
+		spoil func(updates []fl.Update)
 	}{
 		{name: "two bad decoders", spoil: func(u []fl.Update) {
 			u[1].Decoder = u[1].Decoder[:10]
 			u[4].Decoder = nil
 		}},
-		{name: "two bad decoders, drawn order", maxDecoders: 4, spoil: func(u []fl.Update) {
-			for i := range u {
-				u[i].Decoder = u[i].Decoder[:10+i]
-			}
+		// Decoder d is slot d's, so the drawn order is the slot order.
+		{name: "two bad decoders, drawn order", spoil: func(u []fl.Update) {
+			u[5].Decoder = u[5].Decoder[:10]
+			u[3].Decoder = u[3].Decoder[:11]
 		}},
 		{name: "two bad weight vectors", spoil: func(u []fl.Update) {
 			u[2].Weights = u[2].Weights[:5]
@@ -295,11 +298,7 @@ func TestAuditErrorsAreDeterministic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			updates := append([]fl.Update(nil), good...)
 			tc.spoil(updates)
-			guard := func() *FedGuard {
-				g := streamGuard(t, ccfg, 2)
-				g.MaxDecoders = tc.maxDecoders
-				return g
-			}
+			guard := func() *FedGuard { return streamGuard(t, ccfg, 2) }
 			_, err := guard().Aggregate(ctxWith(updates, seed))
 			if err == nil {
 				t.Fatal("Aggregate accepted the round")
@@ -317,28 +316,23 @@ func TestAuditErrorsAreDeterministic(t *testing.T) {
 			}
 		})
 	}
-	// The drawn-order case must really be decided by the draw: the first
-	// drawn slot is not the lowest drawn slot at this seed.
-	g := streamGuard(t, ccfg, 1)
-	g.MaxDecoders = 4
-	if order, _, _ := g.drawPlan(rng.New(seed), len(good)); order[0] == slices.Min(order) {
-		t.Fatalf("seed %d draws %v, which no longer tells drawn order from slot order; pick another", seed, order)
-	}
 }
 
 // TestAuditPlanJobShape pins the plan's cost model, not just its bytes.
-// On the barrier schedule nd decoders and m updates are exactly nd
-// synthesis jobs and m scoring jobs (a scoring job is one LoadParams and
+// On the barrier schedule m updates over t samples are exactly min(t, m)
+// synthesis jobs — a decoder with no samples has none — and m scoring
+// jobs (a scoring job is one LoadParams and
 // one forward pass over every row it has not seen). On the stream
 // schedule an update waits for a quarter of the set, or its completion,
 // so it takes at most scorePasses jobs — never one per block.
 func TestAuditPlanJobShape(t *testing.T) {
 	updates, ccfg := auditDeterminismUpdates(t)
 	m := len(updates)
-	for _, nd := range []int{m, 3} {
+	for _, samples := range []int{40, 3} {
+		nd := min(samples, m)
 		for _, workers := range []int{1, 3} {
 			g := streamGuard(t, ccfg, workers)
-			g.MaxDecoders = nd
+			g.Samples = samples
 			s, err := g.synthesized(ctxWith(updates, 61))
 			if err != nil {
 				t.Fatal(err)

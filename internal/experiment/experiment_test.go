@@ -142,6 +142,25 @@ func TestNewStrategyRegistry(t *testing.T) {
 	}
 }
 
+// TestFedGuardVariantsStream: every FedGuard variant is a streaming
+// strategy, so -stream-audit audits its updates as they land rather
+// than falling back to the barrier.
+func TestFedGuardVariantsStream(t *testing.T) {
+	setup := MustSetup(PresetQuick)
+	for _, name := range ExtendedStrategyNames() {
+		if !strings.HasPrefix(name, "FedGuard") {
+			continue
+		}
+		s, err := NewStrategy(name, setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.(fl.StreamingStrategy); !ok {
+			t.Errorf("%s is not an fl.StreamingStrategy", name)
+		}
+	}
+}
+
 // TestRunQuickFedAvgBenign reads the shared benign FedAvg run: OnRound
 // heard every round, and the run learned.
 func TestRunQuickFedAvgBenign(t *testing.T) {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -9,8 +10,10 @@ import (
 // WriteTableIV renders the paper's Table IV from a result matrix:
 // strategies as rows, attack scenarios as columns, cells showing the mean
 // ± std test accuracy over the last LastN rounds — starred when the
-// defense excluded updates, ERROR when the run failed.
-func WriteTableIV(w io.Writer, results []*Result) error {
+// defense excluded updates, ERROR when the run failed. It returns the
+// first write error.
+func WriteTableIV(out io.Writer, results []*Result) error {
+	w := bufio.NewWriter(out)
 	type key struct{ scenario, strategy string }
 	cells := map[key]*Result{}
 	var scenarios []string
@@ -58,14 +61,16 @@ func WriteTableIV(w io.Writer, results []*Result) error {
 	if starred {
 		fmt.Fprintln(w, "\n* excluded updates; see malicious_exclusion_rate in the CSV/JSON output")
 	}
-	return nil
+	return w.Flush()
 }
 
 // WriteTableV renders the paper's Table V from one result per strategy
 // (the no-attack row of a Table IV sweep): per-round server traffic and
 // training time with percentage overheads relative to the FedAvg row,
-// plus the client-compute / server-defense split of the round time.
-func WriteTableV(w io.Writer, results []*Result) error {
+// plus the client-compute / server-defense split of the round time. It
+// returns the first write error.
+func WriteTableV(out io.Writer, results []*Result) error {
+	w := bufio.NewWriter(out)
 	type row struct{ up, down, total, secs, train, agg, eval float64 }
 	rows := make([]row, len(results))
 	var base *row
@@ -99,15 +104,17 @@ func WriteTableV(w io.Writer, results []*Result) error {
 			results[i].Strategy, r.up, upP, r.down, downP, r.total, totP,
 			r.secs, secP, r.train, r.agg, r.eval)
 	}
-	return nil
+	return w.Flush()
 }
 
 // WriteSeriesCSV emits per-round accuracy series (Fig. 4 / Fig. 5
-// material): one column per result, one row per round.
-func WriteSeriesCSV(w io.Writer, results []*Result, label func(*Result) string) error {
+// material): one column per result, one row per round. It returns the
+// first write error.
+func WriteSeriesCSV(out io.Writer, results []*Result, label func(*Result) string) error {
 	if len(results) == 0 {
 		return nil
 	}
+	w := bufio.NewWriter(out)
 	fmt.Fprint(w, "round")
 	maxRounds := 0
 	for _, r := range results {
@@ -128,7 +135,7 @@ func WriteSeriesCSV(w io.Writer, results []*Result, label func(*Result) string) 
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
+	return w.Flush()
 }
 
 // WriteASCIIChart renders accuracy series as a rough terminal line chart,

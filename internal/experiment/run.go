@@ -86,10 +86,6 @@ type RunOptions struct {
 	// Telemetry, when non-nil, receives the run's structured events and
 	// phase-level metrics (threaded into fl.FederationConfig).
 	Telemetry *telemetry.T
-	// Strategy, when non-nil, is used instead of resolving strategyName
-	// through the registry — for runs that need a specially configured
-	// strategy instance (the name still labels the result).
-	Strategy fl.Strategy
 	// StreamAudit enables the streaming round pipeline: strategies that
 	// implement fl.StreamingStrategy audit each update as it lands
 	// instead of waiting for the round barrier. Bit-identical results
@@ -123,12 +119,9 @@ func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Resul
 	if tt, ok := att.(attack.AGRTailored); ok {
 		tt.TailorTo(strategyName)
 	}
-	strat := opts.Strategy
-	if strat == nil {
-		strat, err = NewStrategy(strategyName, setup)
-		if err != nil {
-			return nil, err
-		}
+	strat, err := NewStrategy(strategyName, setup)
+	if err != nil {
+		return nil, err
 	}
 	train, test, _ := setup.Data()
 

@@ -163,10 +163,10 @@ func NewPretrainedSpectral(setup Setup) *defense.Spectral {
 	return s
 }
 
-// renamed wraps a strategy under a different report name (for the
-// FedGuard inner-operator variants).
+// renamed reports a FedGuard inner-operator variant under its own name.
+// It embeds the concrete type, so the variant streams like FedGuard.
 type renamed struct {
-	fl.Strategy
+	*defense.FedGuard
 	name string
 }
 

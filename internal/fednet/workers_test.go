@@ -45,9 +45,6 @@ func TestCoLocatedClientsShareWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Size() != 2 {
-		t.Fatalf("the process's set holds %d workers at width 2", set.Size())
-	}
 	if built := set.Built(); built < 1 || built > 2 {
 		t.Fatalf("eight co-located clients and their server built %d models, want at most 2", built)
 	}

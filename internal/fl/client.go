@@ -114,18 +114,6 @@ func (c *Client) NumParams() int { return c.workers.NumParams() }
 // may share one bundle; the registry is concurrency-safe.
 func (c *Client) SetTelemetry(t *telemetry.T) { c.tel = t }
 
-// NumSamples returns the currently visible local partition size.
-func (c *Client) NumSamples() int { return c.visible }
-
-// Malicious reports whether the client runs a real attack.
-func (c *Client) Malicious() bool {
-	_, benign := c.att.(attack.None)
-	return !benign
-}
-
-// AttackName returns the client's attack name ("none" when benign).
-func (c *Client) AttackName() string { return c.att.Name() }
-
 func (c *Client) view() (*dataset.Dataset, []int) {
 	if !c.viewReady {
 		c.viewDS, c.viewIndices = c.att.PoisonData(c.ds, c.indices[:c.visible])

@@ -91,16 +91,14 @@ func TestClientMaliciousFlag(t *testing.T) {
 	r := rng.New(3)
 	d := dataset.Generate(20, dataset.DefaultGenOptions(), r)
 	cfg := tinyClientConfig()
+	// A nil attack is attack.None: the client is benign.
 	benign := NewClient(0, d, dataset.Range(20), cfg, nil, r.Split())
-	if benign.Malicious() {
-		t.Fatal("benign client reports malicious")
+	if _, ok := benign.att.(attack.None); !ok {
+		t.Fatalf("a client built with no attack runs %q", benign.att.Name())
 	}
 	mal := NewClient(1, d, dataset.Range(20), cfg, attack.NewSignFlip(), r.Split())
-	if !mal.Malicious() {
-		t.Fatal("sign-flip client reports benign")
-	}
-	if mal.AttackName() != "sign-flip" {
-		t.Fatalf("AttackName = %q", mal.AttackName())
+	if mal.att.Name() != "sign-flip" {
+		t.Fatalf("a sign-flip client runs %q", mal.att.Name())
 	}
 }
 
@@ -530,8 +528,8 @@ func TestClientStreamGrowth(t *testing.T) {
 	cfg := tinyClientConfig()
 	c := NewClient(0, d, dataset.Range(100), cfg, nil, r.Split())
 	c.EnableStream(0.2, 10, 0)
-	if c.NumSamples() != 20 {
-		t.Fatalf("initial visible = %d, want 20", c.NumSamples())
+	if c.visible != 20 {
+		t.Fatalf("initial visible = %d, want 20", c.visible)
 	}
 	global := cfg.Arch(rng.New(7)).FlattenParams()
 	u := c.RunRound(global, false)

@@ -48,7 +48,7 @@ func TestSoftmaxCrossEntropyGradNumeric(t *testing.T) {
 func TestSoftmaxCrossEntropyDecreasesWithCorrectLogit(t *testing.T) {
 	logits := tensor.New(1, 3)
 	l0, _ := SoftmaxCrossEntropy(logits, []int{2})
-	logits.Set(5, 0, 2)
+	logits.Data[2] = 5
 	l1, _ := SoftmaxCrossEntropy(logits, []int{2})
 	if l1 >= l0 {
 		t.Fatalf("raising the true-class logit did not reduce loss: %v -> %v", l0, l1)

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestLabelFlipSignature(t *testing.T) {
 	test := dataset.Generate(400, dataset.DefaultGenOptions(), r)
 
 	// Flip 5<->7 in the training labels.
-	flipped := train.Clone()
+	flipped := &dataset.Dataset{X: train.X, Labels: slices.Clone(train.Labels), H: train.H, W: train.W}
 	for i, l := range flipped.Labels {
 		switch l {
 		case 5:

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fedguard/internal/rng"
@@ -111,7 +112,7 @@ func TestLinearInputGradOff(t *testing.T) {
 		if dx := l.Backward(g); dx == nil || dx.Dim(0) != b || dx.Dim(1) != in {
 			t.Fatalf("%v: Backward returned %v, want a (%d,%d) input gradient", s, dx, b, in)
 		}
-		wantDW, wantDB := l.dW.Clone(), l.dB.Clone()
+		wantDW, wantDB := clone(l.dW), clone(l.dB)
 
 		l.dW.Zero()
 		l.dB.Zero()
@@ -194,6 +195,11 @@ func TestLinearViewBackwardPanics(t *testing.T) {
 	view.Backward(tensor.New(1, 2))
 }
 
+// clone returns a deep copy of x.
+func clone(x *tensor.Tensor) *tensor.Tensor {
+	return tensor.FromSlice(slices.Clone(x.Data), x.Shape()...)
+}
+
 // firstBitDiff returns the first index at which a and b differ as bit
 // patterns (NaN payloads and the sign of zero included), or -1.
 func firstBitDiff(a, b []float32) int {
@@ -264,8 +270,8 @@ func TestEvalConvBlockMatchesTraining(t *testing.T) {
 			block := NewSequential(conv, NewReLU(), NewMaxPool2D(2, 2))
 			x := blockBatch(r, s, b)
 
-			wantConv := conv.Forward(x, true).Clone()
-			want := block.Forward(x, true).Clone()
+			wantConv := clone(conv.Forward(x, true))
+			want := clone(block.Forward(x, true))
 			got := block.Forward(x, false)
 			if !reflect.DeepEqual(got.Shape(), want.Shape()) {
 				t.Fatalf("%+v batch %d: eval block shape %v, want %v", s, b, got.Shape(), want.Shape())

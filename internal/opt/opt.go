@@ -19,10 +19,6 @@ type Optimizer interface {
 	// Step applies one update and leaves gradients untouched (callers zero
 	// them via the model's ZeroGrad).
 	Step()
-	// SetLR changes the learning rate for subsequent steps.
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
 }
 
 // SGD is stochastic gradient descent, optionally with classical momentum
@@ -86,12 +82,6 @@ func (s *SGD) Step() {
 		}
 	}
 }
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.lr }
 
 // Adam is the Adam optimizer (Kingma & Ba, 2015) with bias correction.
 type Adam struct {
@@ -158,9 +148,3 @@ func adamStep(val, g, m, v []float32, b1, b2 float32, lr, eps float64) {
 		val[j] -= float32(lr * float64(m[j]) / (math.Sqrt(float64(v[j])) + eps))
 	}
 }
-
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.lr }

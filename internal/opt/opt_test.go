@@ -105,8 +105,8 @@ func TestAdamResetEqualsNew(t *testing.T) {
 			}
 		}
 	}
-	if a.LR() != 0.01 {
-		t.Fatalf("LR after Reset(0.01) = %g", a.LR())
+	if a.lr != 0.01 {
+		t.Fatalf("lr after Reset(0.01) = %g", a.lr)
 	}
 }
 
@@ -170,16 +170,26 @@ func TestSGDTrainsLinearRegression(t *testing.T) {
 	}
 }
 
+// TestSetLR: an optimizer's rate changes only through Reset, and the
+// next step moves by the new rate — SGD by lr·g, Adam's first step by
+// about lr.
 func TestSetLR(t *testing.T) {
-	var o Optimizer = NewSGD(nil, 0.1, 0, 0)
-	o.SetLR(0.5)
-	if o.LR() != 0.5 {
-		t.Fatal("SGD SetLR failed")
+	unit := func() nn.Param {
+		return nn.Param{Name: "w", Value: tensor.New(1), Grad: tensor.FromSlice([]float32{1}, 1)}
 	}
-	o = NewAdam(nil, 0.1)
-	o.SetLR(0.5)
-	if o.LR() != 0.5 {
-		t.Fatal("Adam SetLR failed")
+	p := unit()
+	s := NewSGD([]nn.Param{p}, 0.1, 0, 0)
+	s.Reset(0.5, 0, 0)
+	s.Step()
+	if got := p.Value.Data[0]; got != -0.5 {
+		t.Fatalf("SGD reset to 0.5 stepped a unit gradient to %v", got)
+	}
+	p = unit()
+	a := NewAdam([]nn.Param{p}, 0.1)
+	a.Reset(0.5)
+	a.Step()
+	if got := p.Value.Data[0]; math.Abs(float64(got)+0.5) > 1e-4 {
+		t.Fatalf("Adam reset to 0.5 took a first step to %v", got)
 	}
 }
 

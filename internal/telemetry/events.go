@@ -251,13 +251,6 @@ func (s *JSONLSink) Flush() error {
 	return s.err
 }
 
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
 // FileSink is a JSONLSink over an owned file.
 type FileSink struct {
 	*JSONLSink
@@ -295,13 +288,6 @@ func (s *CollectSink) Emit(e Event) {
 	s.mu.Lock()
 	s.events = append(s.events, e)
 	s.mu.Unlock()
-}
-
-// Events returns a copy of everything emitted so far.
-func (s *CollectSink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
 }
 
 // ByKind returns the collected events of one kind, in emission order.

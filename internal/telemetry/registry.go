@@ -77,9 +77,6 @@ type Gauge struct{ v atomicFloat }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v.Store(v) }
 
-// Add shifts the value by d.
-func (g *Gauge) Add(d float64) { g.v.Add(d) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
 

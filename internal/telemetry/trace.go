@@ -80,14 +80,6 @@ func NewTracer(node string, sink Sink, metrics *Registry) *Tracer {
 	return &Tracer{node: node, hi: hi, sink: sink, metrics: metrics}
 }
 
-// Node returns the tracer's node name.
-func (tr *Tracer) Node() string {
-	if tr == nil {
-		return ""
-	}
-	return tr.node
-}
-
 // nextID returns a process-unique nonzero ID.
 func (tr *Tracer) nextID() uint64 {
 	return tr.hi | (tr.ctr.Add(1) & math.MaxUint32)
@@ -151,14 +143,6 @@ func (s *Span) Context() SpanContext {
 		return SpanContext{}
 	}
 	return s.ctx
-}
-
-// Name returns the span's name.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }
 
 // Child opens a sub-span parented to s.

@@ -26,7 +26,7 @@ func TestSpanTreeParenting(t *testing.T) {
 	var sink CollectSink
 	tel := New(&sink)
 	tr := tel.EnableTracing("server")
-	if tr == nil || tr.Node() != "server" {
+	if tr == nil || tr.node != "server" {
 		t.Fatalf("tracer = %+v", tr)
 	}
 
@@ -318,7 +318,7 @@ func TestJSONLSinkConcurrentWriters(t *testing.T) {
 			t.Fatalf("line %d is not valid JSON (interleaved writes?): %v\n%s", i, err, line)
 		}
 	}
-	if err := s.Err(); err != nil {
+	if err := s.err; err != nil {
 		t.Fatal(err)
 	}
 }

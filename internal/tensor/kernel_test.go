@@ -103,7 +103,7 @@ func TestKernelEquivalence(t *testing.T) {
 				// element.
 				init := New(m, n)
 				r.FillNormal(init.Data, 0, 1)
-				acc := init.Clone()
+				acc := clone(init)
 				MatMulTAAcc(acc, at, b)
 				for i := range want.Data {
 					want.Data[i] = init.Data[i] + want.Data[i]
@@ -111,7 +111,7 @@ func TestKernelEquivalence(t *testing.T) {
 				requireBitEqual(t, "MatMulTAAcc", acc, want)
 
 				naiveMatMul(want, a, b)
-				acc = init.Clone()
+				acc = clone(init)
 				MatMulAcc(acc, a, b)
 				for i := range want.Data {
 					want.Data[i] = init.Data[i] + want.Data[i]
@@ -272,7 +272,7 @@ func TestWideTileKernel(t *testing.T) {
 						var got [2][]uint32
 						for w, wide := range []bool{true, false} {
 							useAVX512 = wide
-							dst := init.Clone()
+							dst := clone(init)
 							f.run(dst, a, at, b)
 							got[w] = bits(dst)
 						}

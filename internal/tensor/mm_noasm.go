@@ -5,10 +5,6 @@ package tensor
 // Non-amd64 builds (or -tags purego) use the scalar kernels everywhere.
 const useAVX = false
 
-// useAVX512 is never read here; it is a variable only so the kernel
-// tests, which toggle it on the assembly build, compile on this one.
-var useAVX512 = false
-
 func matmulRowsAVX(dst, a, b []float32, lo, hi, arow, ap, k, n int, acc bool) {
 	panic("tensor: matmulRowsAVX called without AVX support")
 }

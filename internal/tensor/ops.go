@@ -11,28 +11,6 @@ func Add(dst, a, b *Tensor) {
 	}
 }
 
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float32 {
-	var s float32
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Max returns the maximum element and its flat index. It panics on an
-// empty tensor (which cannot be constructed).
-func (t *Tensor) Max() (float32, int) {
-	best := t.Data[0]
-	at := 0
-	for i, v := range t.Data {
-		if v > best {
-			best, at = v, i
-		}
-	}
-	return best, at
-}
-
 // TransposeInto writes the transpose of the 2-D tensor a into dst, which
 // must be shaped (cols, rows). nn.Conv2D uses it to maintain its
 // transposed-filter scratch for the vector matmul kernels.

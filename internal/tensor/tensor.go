@@ -4,8 +4,8 @@
 // reductions, and the im2col/col2im transforms used by convolution.
 //
 // Tensors are row-major. A Tensor owns its backing slice unless it was
-// produced by a view operation (Reshape), in which case it aliases the
-// original storage — this is deliberate and documented per operation.
+// made by FromSlice or Bind, in which case it aliases the caller's
+// storage — this is deliberate and documented per operation.
 package tensor
 
 import (
@@ -56,7 +56,7 @@ func checkShape(shape []int) int {
 // across steps (`c.cols = tensor.Ensure(c.cols, ...)`) so steady-state
 // training allocates nothing. The returned tensor's contents are
 // unspecified when the shape changes — callers must overwrite every
-// element. t must be exclusively owned scratch (never a Reshape view of
+// element. t must be exclusively owned scratch (never a FromSlice view of
 // shared storage); passing nil is allowed and allocates.
 func Ensure(t *Tensor, shape ...int) *Tensor {
 	n := shapeVolume(shape)
@@ -132,32 +132,6 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
-
-// Clone returns a deep copy of the tensor.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
-// Set assigns the element at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
 
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +18,25 @@ func almostEq(a, b, eps float32) bool {
 }
 
 // at reads the element at a multi-index.
-func at(t *Tensor, idx ...int) float32 { return t.Data[t.offset(idx)] }
+func at(t *Tensor, idx ...int) float32 { return t.Data[offset(t, idx)] }
+
+// offset is the row-major flat index of a multi-index.
+func offset(t *Tensor, idx []int) int {
+	if len(idx) != t.Rank() {
+		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), t.Rank()))
+	}
+	off := 0
+	for i, x := range idx {
+		if x < 0 || x >= t.Dim(i) {
+			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.Shape()))
+		}
+		off = off*t.Dim(i) + x
+	}
+	return off
+}
+
+// clone returns a deep copy of t.
+func clone(t *Tensor) *Tensor { return FromSlice(slices.Clone(t.Data), t.Shape()...) }
 
 // transpose returns a new tensor holding the transpose of the 2-D a.
 func transpose(a *Tensor) *Tensor {
@@ -64,23 +84,36 @@ func TestFromSlicePanicsOnMismatch(t *testing.T) {
 	FromSlice([]float32{1, 2, 3}, 2, 2)
 }
 
+// TestAtSet: tensors are row-major as the kernels read them — element
+// (i, j) of a (2, 3) matrix is Data[3i+j], and its transpose holds it
+// at Data[2j+i].
 func TestAtSet(t *testing.T) {
-	x := New(2, 3, 4)
-	x.Set(7.5, 1, 2, 3)
-	if at(x, 1, 2, 3) != 7.5 {
-		t.Fatal("Set/offset round trip failed")
-	}
-	if x.Data[1*12+2*4+3] != 7.5 {
+	x := New(2, 3)
+	x.Data[1*3+2] = 7.5
+	if at(x, 1, 2) != 7.5 {
 		t.Fatal("row-major layout violated")
+	}
+	xt := New(3, 2)
+	TransposeInto(xt, x)
+	if xt.Data[2*2+1] != 7.5 || at(xt, 2, 1) != 7.5 {
+		t.Fatalf("TransposeInto put (1,2) elsewhere: %v", xt.Data)
 	}
 }
 
+// TestCloneIndependent: New and FromSlice keep a shape of their own, so
+// a caller reusing its shape slice does not reshape the tensor, and two
+// tensors from New never share storage.
 func TestCloneIndependent(t *testing.T) {
-	x := FromSlice([]float32{1, 2}, 2)
-	y := x.Clone()
-	y.Data[0] = 5
-	if x.Data[0] != 1 {
-		t.Fatal("Clone must deep-copy")
+	shape := []int{2, 3}
+	x, y := New(shape...), FromSlice(make([]float32, 6), shape...)
+	shape[0] = 3
+	if x.Dim(0) != 2 || y.Dim(0) != 2 {
+		t.Fatalf("a caller's shape slice reshaped the tensors: %v, %v", x.Shape(), y.Shape())
+	}
+	z := New(2, 3)
+	z.Data[0] = 5
+	if x.Data[0] != 0 {
+		t.Fatal("two tensors from New share storage")
 	}
 }
 
@@ -96,13 +129,6 @@ func TestElementwiseOps(t *testing.T) {
 
 func TestSumMaxDotNorm(t *testing.T) {
 	a := FromSlice([]float32{3, -1, 4}, 3)
-	if a.Sum() != 6 {
-		t.Fatalf("Sum = %v", a.Sum())
-	}
-	v, i := a.Max()
-	if v != 4 || i != 2 {
-		t.Fatalf("Max = %v at %d", v, i)
-	}
 	if SumSqBlocked(a.Data) != 9+1+16 {
 		t.Fatalf("SumSqBlocked = %v", SumSqBlocked(a.Data))
 	}
@@ -127,7 +153,7 @@ func TestMatMulIdentity(t *testing.T) {
 	r.FillNormal(a.Data, 0, 1)
 	id := New(5, 5)
 	for i := 0; i < 5; i++ {
-		id.Set(1, i, i)
+		id.Data[i*5+i] = 1
 	}
 	dst := New(5, 5)
 	MatMul(dst, a, id)
