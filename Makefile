@@ -178,10 +178,11 @@ test-resume:
 	$(GO) test -race -short -run 'KillResume|CrashPoint|Resume' ./internal/fednet/
 
 # test-cli is the command-line gate: fedsim's and fednode's flag names
-# and defaults are pinned (they are bound from one shared table), the
-# server fednode builds from its flags ends on experiment.Run's weights
-# over loopback, raw and compressed. Race on — the equivalence test
-# drives sixteen concurrent sockets.
+# and defaults are pinned (they are bound from one shared table), and
+# the server fednode builds from its flags ends on experiment.Run's
+# weights over loopback in three cases, six federations: FedGuard and
+# additive noise over the raw dialect, benign FedAvg compressed. Race
+# on — the equivalence test drives sixteen concurrent sockets.
 test-cli:
 	$(GO) test -race ./cmd/fedsim/ ./cmd/fednode/
 

@@ -36,25 +36,33 @@ func TestFlagSurface(t *testing.T) {
 
 // TestServerEqualsFedsim holds the server this binary builds from its
 // flags to the simulator: over loopback, against ServeClientOpts clients,
-// raw and compressed, it ends on the weights — and reports the per-round
-// accuracies — experiment.Run produces for the same preset, scenario and
-// strategy. Rounds are trimmed on both sides to keep the test short: one
-// FedGuard round trains every sampled client's CVAE and audits the
-// decoders it uploads; three FedAvg rounds move the delta base off ψ₀.
-// The additive-noise case runs at a seed that is not the preset's, set on
+// it ends on the weights — and reports the per-round accuracies —
+// experiment.Run produces for the same preset, scenario and strategy.
+// Each case runs over one transport: FedGuard and the additive-noise
+// case over the raw dialect, the benign FedAvg case compressed (fednet
+// pins that the two dialects end on the same bits). Rounds are trimmed
+// on both sides to keep the test short: one FedGuard round trains every
+// sampled client's CVAE and audits the decoders it uploads; three
+// compressed FedAvg rounds move the delta base off ψ₀. The
+// additive-noise case runs at a seed that is not the preset's, set on
 // both sides, so the colluders' shared noise must follow the run's seed.
 func TestServerEqualsFedsim(t *testing.T) {
 	if testing.Short() {
-		t.Skip("nine quick-preset federations, three of them training CVAEs")
+		t.Skip("six quick-preset federations, two of them training CVAEs")
+	}
+	for _, name := range []string{"preset", "scenario", "strategy", "compress"} {
+		old := flag.Lookup(name).Value.String()
+		t.Cleanup(func() { flag.Set(name, old) })
 	}
 	for _, tc := range []struct {
 		scenario, strategy string
 		rounds             int
 		seed               uint64
+		compress           string
 	}{
-		{"sign-flip-50", "FedGuard", 1, 0},
-		{"no-attack", "FedAvg", 3, 0},
-		{"additive-noise-50", "FedAvg", 2, 11},
+		{"sign-flip-50", "FedGuard", 1, 0, "false"},
+		{"no-attack", "FedAvg", 3, 0, "true"},
+		{"additive-noise-50", "FedAvg", 2, 11, "false"},
 	} {
 		t.Run(tc.scenario+"/"+tc.strategy, func(t *testing.T) {
 			setup := experiment.MustSetup(experiment.PresetQuick)
@@ -67,60 +75,58 @@ func TestServerEqualsFedsim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, compress := range []string{"false", "true"} {
-				args := map[string]string{"preset": "quick", "scenario": tc.scenario, "strategy": tc.strategy, "compress": compress}
-				for name, value := range args {
-					if err := flag.Set(name, value); err != nil {
-						t.Fatal(err)
+			args := map[string]string{"preset": "quick", "scenario": tc.scenario, "strategy": tc.strategy, "compress": tc.compress}
+			for name, value := range args {
+				if err := flag.Set(name, value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			setup, cfg, strat, err := serverConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Experiment.Rounds = tc.rounds
+			if tc.seed != 0 {
+				cfg.Experiment.Seed = tc.seed
+			}
+			srv, err := fednet.NewServer(cfg, setup.TestData(), strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for id := 0; id < setup.NumClients; id++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					conn, err := net.Dial("tcp", ln.Addr().String())
+					if err != nil {
+						t.Errorf("client %d: %v", id, err)
+						return
 					}
-				}
-				setup, cfg, strat, err := serverConfig()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Experiment.Rounds = tc.rounds
-				if tc.seed != 0 {
-					cfg.Experiment.Seed = tc.seed
-				}
-				srv, err := fednet.NewServer(cfg, setup.TestData(), strat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				for id := 0; id < setup.NumClients; id++ {
-					wg.Add(1)
-					go func(id int) {
-						defer wg.Done()
-						conn, err := net.Dial("tcp", ln.Addr().String())
-						if err != nil {
-							t.Errorf("client %d: %v", id, err)
-							return
-						}
-						defer conn.Close()
-						if err := fednet.ServeClientOpts(conn, id, fednet.ClientOptions{Compress: cfg.Compress}); err != nil {
-							t.Errorf("client %d: %v", id, err)
-						}
-					}(id)
-				}
-				h, err := srv.Run(ln, nil)
-				ln.Close()
-				wg.Wait()
-				if err != nil {
-					t.Fatalf("fednode %v: %v", args, err)
-				}
-				for i, rec := range h.Rounds {
-					if rec.TestAccuracy != sim.History.Rounds[i].TestAccuracy {
-						t.Fatalf("fednode %v round %d: accuracy %v, fedsim %v", args, i+1,
-							rec.TestAccuracy, sim.History.Rounds[i].TestAccuracy)
+					defer conn.Close()
+					if err := fednet.ServeClientOpts(conn, id, fednet.ClientOptions{Compress: cfg.Compress}); err != nil {
+						t.Errorf("client %d: %v", id, err)
 					}
+				}(id)
+			}
+			h, err := srv.Run(ln, nil)
+			ln.Close()
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("fednode %v: %v", args, err)
+			}
+			for i, rec := range h.Rounds {
+				if rec.TestAccuracy != sim.History.Rounds[i].TestAccuracy {
+					t.Fatalf("fednode %v round %d: accuracy %v, fedsim %v", args, i+1,
+						rec.TestAccuracy, sim.History.Rounds[i].TestAccuracy)
 				}
-				if !reflect.DeepEqual(h.FinalWeights, sim.History.FinalWeights) {
-					t.Fatalf("fednode %v: final weights differ from fedsim's", args)
-				}
+			}
+			if !reflect.DeepEqual(h.FinalWeights, sim.History.FinalWeights) {
+				t.Fatalf("fednode %v: final weights differ from fedsim's", args)
 			}
 		})
 	}

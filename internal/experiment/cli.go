@@ -19,12 +19,15 @@ type CLI struct {
 	// Run receives -stream-audit, -checkpoint-dir, -checkpoint-every and
 	// -resume.
 	Run RunOptions
+	// fs is the flag set BindFlags declared the flags on; Validate asks
+	// it which flags the command line set.
+	fs *flag.FlagSet
 }
 
 // BindFlags declares the shared flags on fs. The preset a bare
 // invocation runs is the one thing the programs disagree on.
 func BindFlags(fs *flag.FlagSet, defaultPreset Preset) *CLI {
-	c := &CLI{}
+	c := &CLI{fs: fs}
 	fs.StringVar(&c.Preset, "preset", string(defaultPreset), "experiment scale: quick, default, paper")
 	fs.StringVar(&c.Scenario, "scenario", "no-attack", "attack scenario (see fedsim -list)")
 	fs.StringVar(&c.Strategy, "strategy", "FedGuard", "aggregation strategy (see fedsim -list)")
@@ -44,9 +47,13 @@ func BindFlags(fs *flag.FlagSet, defaultPreset Preset) *CLI {
 
 // Validate rejects flag combinations no run can honour.
 func (c *CLI) Validate() error {
+	everySet := false
+	c.fs.Visit(func(f *flag.Flag) { everySet = everySet || f.Name == "checkpoint-every" })
 	switch {
 	case c.Run.Resume && c.Run.CheckpointDir == "":
 		return fmt.Errorf("-resume requires -checkpoint-dir")
+	case everySet && c.Run.CheckpointDir == "":
+		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
 	case c.Run.CheckpointEvery < 0:
 		return fmt.Errorf("-checkpoint-every = %d", c.Run.CheckpointEvery)
 	}

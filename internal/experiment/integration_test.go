@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -65,10 +66,12 @@ func canonical(t *testing.T, strategy, scenario string, rounds int) *canonicalRu
 // FinalWeights at every width. Each kernel-backed strategy runs three
 // rounds serially, at a fixed pool and at GOMAXPROCS. FedGuard runs the
 // preset's full eight rounds, so the audit scores late-round updates
-// too: at widths 1 and 4 on both audit schedules, and resumed serially
-// from a checkpoint a width-4 run wrote after round 2, each against the
-// one canonical run at GOMAXPROCS that every FedGuard sign-flip test in
-// this package reads.
+// too, as two checkpoint splices of four rounds each: the barrier audit
+// at width 1 (FedGuard) resumed at width 4 (Audit), and the stream audit
+// at width 4 (FedGuard-stream) resumed at width 1 (Resume). Each half is
+// held to the one canonical run at GOMAXPROCS that every FedGuard
+// sign-flip test in this package reads: the first by its round records,
+// the second by its records and final weights.
 func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -77,7 +80,7 @@ func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 	full := MustSetup(PresetQuick)
 	sc, _ := ScenarioByID("sign-flip-50")
 
-	run := func(t *testing.T, setup Setup, width int, strategy string, opts RunOptions) []float32 {
+	run := func(t *testing.T, setup Setup, width int, strategy string, opts RunOptions) *fl.History {
 		t.Helper()
 		tensor.SetWorkers(width)
 		res, err := Run(setup, sc, strategy, opts)
@@ -87,7 +90,7 @@ func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 		if len(res.History.FinalWeights) == 0 {
 			t.Fatal("no final weights recorded")
 		}
-		return res.History.FinalWeights
+		return res.History
 	}
 	sameBits := func(t *testing.T, want, got []float32, leg string) {
 		t.Helper()
@@ -105,49 +108,69 @@ func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 	kernels.Rounds = 3 // enough rounds to exercise every kernel; keeps the kernel legs affordable
 	for _, strategy := range []string{"FedAvg", "GeoMed", "Krum"} {
 		t.Run(strategy, func(t *testing.T) {
-			serial := run(t, kernels, 1, strategy, RunOptions{})
+			serial := run(t, kernels, 1, strategy, RunOptions{}).FinalWeights
 			for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
-				got := run(t, kernels, w, strategy, RunOptions{})
+				got := run(t, kernels, w, strategy, RunOptions{}).FinalWeights
 				sameBits(t, serial, got, fmt.Sprintf("%s at width %d", strategy, w))
 			}
 		})
 	}
 
-	// FedGuard is the barrier audit serially, Audit the barrier audit at a
-	// fixed pool, FedGuard-stream the stream audit at both widths.
-	for _, leg := range []struct {
-		name   string
-		widths []int
-		opts   RunOptions
-	}{
-		{"FedGuard", []int{1}, RunOptions{}},
-		{"Audit", []int{4}, RunOptions{}},
-		{"FedGuard-stream", []int{1, 4}, RunOptions{StreamAudit: true}},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			want := canonical(t, "FedGuard", "sign-flip-50", full.Rounds).res.History.FinalWeights
-			for _, w := range leg.widths {
-				got := run(t, full, w, "FedGuard", leg.opts)
-				sameBits(t, want, got, fmt.Sprintf("%s at width %d", leg.name, w))
+	// sameRecords holds got's rounds to the canonical run's first
+	// len(got) rounds: accuracy, threshold and every decision.
+	sameRecords := func(t *testing.T, got []fl.RoundRecord, leg string) {
+		t.Helper()
+		want := canonical(t, "FedGuard", "sign-flip-50", full.Rounds).res.History.Rounds
+		if len(got) == 0 || len(got) > len(want) {
+			t.Fatalf("%s: %d round records, want 1..%d", leg, len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			if g.Round != w.Round || math.Float64bits(g.TestAccuracy) != math.Float64bits(w.TestAccuracy) ||
+				math.Float64bits(g.Threshold) != math.Float64bits(w.Threshold) ||
+				len(g.Decisions) == 0 || !reflect.DeepEqual(g.Decisions, w.Decisions) {
+				t.Fatalf("%s: round %d record differs:\n got acc %v at %v: %v\nwant acc %v at %v: %v", leg, w.Round,
+					g.TestAccuracy, g.Threshold, g.Decisions, w.TestAccuracy, w.Threshold, w.Decisions)
 			}
-		})
+		}
 	}
 
-	t.Run("Resume", func(t *testing.T) {
-		want := canonical(t, "FedGuard", "sign-flip-50", full.Rounds).res.History.FinalWeights
-		// Checkpoint every round but stop after round 2 at a wide pool,
-		// then resume the remaining rounds serially; the spliced run must
-		// reproduce the uninterrupted one bit for bit.
+	// Each audit schedule runs rounds 1–4 at one width, checkpointing
+	// every round, and resumes at the other width for rounds 5–8; the
+	// spliced run must reproduce the uninterrupted one bit for bit. The
+	// first half's leg writes the checkpoint its second half reads.
+	half := full
+	half.Rounds = full.Rounds / 2
+	for _, splice := range []struct {
+		first, second string
+		widths        [2]int
+		stream        bool
+	}{
+		{"FedGuard", "Audit", [2]int{1, 4}, false},
+		{"FedGuard-stream", "Resume", [2]int{4, 1}, true},
+	} {
 		dir := t.TempDir()
-		short := full
-		short.Rounds = 2
-		tensor.SetWorkers(4)
-		if _, err := Run(short, sc, "FedGuard", RunOptions{CheckpointDir: dir}); err != nil {
-			t.Fatal(err)
-		}
-		resumed := run(t, full, 1, "FedGuard", RunOptions{CheckpointDir: dir, Resume: true})
-		sameBits(t, want, resumed, "resumed")
-	})
+		t.Run(splice.first, func(t *testing.T) {
+			h := run(t, half, splice.widths[0], "FedGuard", RunOptions{StreamAudit: splice.stream, CheckpointDir: dir})
+			sameRecords(t, h.Rounds, fmt.Sprintf("%s rounds 1–%d at width %d", splice.first, half.Rounds, splice.widths[0]))
+		})
+		t.Run(splice.second, func(t *testing.T) {
+			leg := fmt.Sprintf("%s rounds %d–%d at width %d", splice.second, half.Rounds+1, full.Rounds, splice.widths[1])
+			var resumed []int
+			h := run(t, full, splice.widths[1], "FedGuard", RunOptions{
+				StreamAudit: splice.stream, CheckpointDir: dir, Resume: true,
+				OnRound: func(rec fl.RoundRecord) { resumed = append(resumed, rec.Round) },
+			})
+			if len(resumed) != full.Rounds-half.Rounds || resumed[0] != half.Rounds+1 {
+				t.Fatalf("%s: ran rounds %v, want %d–%d from %s's checkpoint", leg, resumed, half.Rounds+1, full.Rounds, splice.first)
+			}
+			if len(h.Rounds) != full.Rounds {
+				t.Fatalf("%s: %d round records, want %d", leg, len(h.Rounds), full.Rounds)
+			}
+			sameRecords(t, h.Rounds, leg)
+			sameBits(t, canonical(t, "FedGuard", "sign-flip-50", full.Rounds).res.History.FinalWeights, h.FinalWeights, leg)
+		})
+	}
 }
 
 // These tests reproduce the paper's qualitative claims end-to-end at

@@ -61,8 +61,9 @@ func TestStreamAuditLoopbackMatchesBarrier(t *testing.T) {
 // TestStreamAuditQuickPreset is the pipeline acceptance run: the quick
 // experiment preset with streaming audit plus encode-once broadcasts
 // over the codec lands on the bytes of the in-process barrier run. The
-// streamed in-process run is a leg of experiment's
-// TestIntegrationPoolWidthDeterminism.
+// streamed in-process run is experiment's
+// TestIntegrationPoolWidthDeterminism splice: rounds 1–4 at width 4
+// (FedGuard-stream) resumed at width 1 (Resume).
 func TestStreamAuditQuickPreset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a networked quick-preset federation beside the shared in-process one")
