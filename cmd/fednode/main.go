@@ -109,7 +109,7 @@ func main() {
 }
 
 func runClient() error {
-	tel, closeTel, err := cli.OpenTelemetry("fednode", fmt.Sprintf("client-%d", *id), "")
+	tel, closeTel, err := cli.OpenTelemetry("fednode", fmt.Sprintf("client-%d", *id))
 	if err != nil {
 		return err
 	}
@@ -157,7 +157,7 @@ func runServer() error {
 	if err != nil {
 		return err
 	}
-	tel, closeTel, err := cli.OpenTelemetry("fednode", "server", "")
+	tel, closeTel, err := cli.OpenTelemetry("fednode", "server")
 	if err != nil {
 		return err
 	}

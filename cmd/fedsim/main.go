@@ -39,7 +39,7 @@ import (
 // come from -matrix-scenarios and -matrix-strategies, and run silent,
 // without per-run output, telemetry or checkpoints.
 var matrixRefuses = []string{"scenario", "strategy", "csv", "confusion", "save",
-	"checkpoint-dir", "checkpoint-every", "resume", "trace", "metrics-out"}
+	"checkpoint-dir", "checkpoint-every", "resume", "trace"}
 
 // The command line: cli holds the flags fedsim shares with fednode.
 var (
@@ -59,8 +59,6 @@ var (
 	matrixStrategies = flag.String("matrix-strategies", "", "comma-separated strategies for -matrix (default: FedAvg,Krum,FedGuard)")
 	matrixCSV        = flag.String("matrix-csv", "", "write the -matrix results as deterministic long-form CSV to this path")
 	matrixJSON       = flag.String("matrix-json", "", "write the -matrix results as JSON to this path")
-
-	metricsOut = flag.String("metrics-out", "", "write a JSON metrics snapshot to this path on exit")
 )
 
 func main() {
@@ -93,7 +91,7 @@ func main() {
 		if *matrixWorkers < 1 {
 			fatal(fmt.Errorf("-matrix-workers = %d", *matrixWorkers))
 		}
-		tel, cleanup, err := cli.OpenTelemetry("fedsim", "sim", "")
+		tel, cleanup, err := cli.OpenTelemetry("fedsim", "sim")
 		if err != nil {
 			fatal(err)
 		}
@@ -110,7 +108,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "fedsim: preset=%s scenario=%s strategy=%s clients=%d m=%d rounds=%d arch=%s\n",
 		cli.Preset, sc.ID, cli.Strategy, setup.NumClients, setup.PerRound, setup.Rounds, setup.ArchName)
 
-	tel, cleanup, err := cli.OpenTelemetry("fedsim", "sim", *metricsOut)
+	tel, cleanup, err := cli.OpenTelemetry("fedsim", "sim")
 	if err != nil {
 		fatal(err)
 	}
@@ -128,6 +126,9 @@ func main() {
 	}
 	res, err := experiment.Run(setup, sc, cli.Strategy, opts)
 	if err != nil {
+		// fatal's os.Exit skips the deferred close, and the event log of
+		// a failed run, its spans included, is the one worth reading.
+		cleanup()
 		fatal(err)
 	}
 

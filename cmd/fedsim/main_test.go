@@ -20,7 +20,7 @@ func TestFlagSurface(t *testing.T) {
 		"csv": "false", "confusion": "false", "save": "", "list": "false",
 		"matrix": "false", "matrix-workers": "1", "matrix-scenarios": "", "matrix-strategies": "",
 		"matrix-csv": "", "matrix-json": "",
-		"events": "", "debug-addr": "", "metrics-out": "", "trace": "false",
+		"events": "", "debug-addr": "", "trace": "false",
 	}
 	got := map[string]string{}
 	flag.VisitAll(func(f *flag.Flag) {

@@ -290,7 +290,6 @@ func TestTraceSmoke(t *testing.T) {
 		IOTimeout:          1500 * time.Millisecond,
 		RoundTimeout:       10 * time.Second,
 		MaxRetries:         1,
-		RetryBackoff:       50 * time.Millisecond,
 		Trace:              true,
 	}
 	dir := t.TempDir()

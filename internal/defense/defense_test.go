@@ -118,11 +118,15 @@ func TestFedGuardExcludesGarbageUpdates(t *testing.T) {
 	g := NewFedGuard(classifier.Tiny(), ccfg)
 	g.Samples = 60
 	ctx := ctxWith(updates, 4)
-	ctx.Telemetry = telemetry.New(nil)
+	var sink telemetry.CollectSink
+	tel := telemetry.New(&sink)
+	tel.EnableTracing("server")
+	ctx.Span = tel.StartRoot("server.aggregate")
 	out, err := g.Aggregate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx.Span.End()
 	// Aggregation of the surviving benign (identical) updates must equal
 	// them exactly.
 	for i := range out {
@@ -154,11 +158,18 @@ func TestFedGuardExcludesGarbageUpdates(t *testing.T) {
 	if ctx.Decisions[3].Kept || ctx.Decisions[4].Kept {
 		t.Fatalf("poison clients 3 and 4 survived: %+v", ctx.Decisions)
 	}
-	// Phase spans must have fired for synthesis and auditing.
+	// Synthesis and auditing must each have exported one phase span
+	// under the round's aggregation span.
+	parent := fmt.Sprintf("%016x", ctx.Span.Context().SpanID)
+	phases := map[string]int{}
+	for _, e := range sink.ByKind("Span") {
+		if sp := e.(telemetry.SpanEnded); sp.Parent == parent {
+			phases[sp.Name]++
+		}
+	}
 	for _, phase := range []string{"server.synthesize", "server.audit"} {
-		h := ctx.Telemetry.Metrics.Histogram(telemetry.PhaseMetric, telemetry.L("phase", phase))
-		if h.Count() == 0 {
-			t.Fatalf("no %s span recorded", phase)
+		if phases[phase] != 1 {
+			t.Fatalf("%d %s spans under server.aggregate: %v", phases[phase], phase, phases)
 		}
 	}
 }

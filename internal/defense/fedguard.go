@@ -76,12 +76,12 @@ func (g *FedGuard) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 		return nil, err
 	}
 	// Score every update on the synthetic validation set (line 5).
-	stopAudit := ctx.StartPhase("server.audit")
+	audit := ctx.Span.Child("server.audit")
 	accs, err := s.scores()
+	audit.End()
 	if err != nil {
 		return nil, err
 	}
-	stopAudit()
 	return g.finalizeScores(ctx, accs)
 }
 
@@ -89,7 +89,7 @@ func (g *FedGuard) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 // on the delivered updates, all of them submitted, scoring held, waited
 // on until every decoder's block is in.
 func (g *FedGuard) synthesized(ctx *fl.RoundContext) (*AuditStream, error) {
-	defer ctx.StartPhase("server.synthesize")()
+	defer ctx.Span.Child("server.synthesize").End()
 	s, err := g.begin(ctx, len(ctx.Updates), true)
 	if err != nil {
 		return nil, err

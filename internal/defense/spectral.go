@@ -133,7 +133,7 @@ func (s *Spectral) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 	if len(updates) == 0 {
 		return nil, aggregate.ErrNoUpdates
 	}
-	stopAudit := ctx.StartPhase("server.audit")
+	audit := ctx.Span.Child("server.audit")
 	x := tensor.New(len(updates), s.SurrogateDim)
 	// Each update owns its surrogate row, so the projections parallelize
 	// without affecting results.
@@ -143,7 +143,7 @@ func (s *Spectral) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 		}
 	})
 	errs := s.vae.ReconstructionError(x)
-	stopAudit()
+	audit.End()
 	var mean float64
 	for _, e := range errs {
 		mean += e

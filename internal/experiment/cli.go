@@ -32,7 +32,7 @@ func BindFlags(fs *flag.FlagSet, defaultPreset Preset) *CLI {
 	fs.StringVar(&c.Scenario, "scenario", "no-attack", "attack scenario (see fedsim -list)")
 	fs.StringVar(&c.Strategy, "strategy", "FedGuard", "aggregation strategy (see fedsim -list)")
 	fs.StringVar(&c.Events, "events", "", "write a structured JSONL event log to this path")
-	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address (e.g. 127.0.0.1:6060)")
+	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve /healthz, expvar and pprof on this address (e.g. 127.0.0.1:6060)")
 	fs.BoolVar(&c.Trace, "trace", false,
 		"record span trees, exported into the -events log (analyze with fedtrace); over the network trace context propagates (CapTrace) when both endpoints pass it")
 	fs.BoolVar(&c.Run.StreamAudit, "stream-audit", false,
@@ -56,20 +56,18 @@ func (c *CLI) Validate() error {
 		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
 	case c.Run.CheckpointEvery < 0:
 		return fmt.Errorf("-checkpoint-every = %d", c.Run.CheckpointEvery)
+	case c.Trace && c.Events == "":
+		return fmt.Errorf("-trace requires -events")
 	}
 	return nil
 }
 
 // OpenTelemetry assembles the observability the flags ask for: a JSONL
-// event log, a debug HTTP listener, span trees recorded under node, and
-// (metricsOut) a JSON metrics snapshot written by close. Nothing
-// requested returns a nil *T, which keeps every instrumentation call in
-// the hot path a no-op. Messages are prefixed with prog.
-func (c *CLI) OpenTelemetry(prog, node, metricsOut string) (tel *telemetry.T, closeAll func(), err error) {
-	if c.Events == "" && c.DebugAddr == "" && metricsOut == "" && !c.Trace {
-		return nil, func() {}, nil
-	}
-	tel = telemetry.New(nil)
+// event log, span trees recorded under node into it, and a debug HTTP
+// listener. Only -events builds a *T; without it the returned bundle is
+// nil, which keeps every instrumentation call in the hot path a no-op.
+// Messages are prefixed with prog.
+func (c *CLI) OpenTelemetry(prog, node string) (tel *telemetry.T, closeAll func(), err error) {
 	var closers []func()
 	closeAll = func() {
 		for i := len(closers) - 1; i >= 0; i-- {
@@ -81,42 +79,24 @@ func (c *CLI) OpenTelemetry(prog, node, metricsOut string) (tel *telemetry.T, cl
 		if err != nil {
 			return nil, nil, err
 		}
-		tel.Events = sink
+		tel = telemetry.New(sink)
 		closers = append(closers, func() {
 			if err := sink.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: event log: %v\n", prog, err)
 			}
 		})
+		if c.Trace {
+			tel.EnableTracing(node)
+		}
 	}
 	if c.DebugAddr != "" {
-		ds, err := telemetry.ServeDebug(c.DebugAddr, tel.Metrics)
+		ds, err := telemetry.ServeDebug(c.DebugAddr)
 		if err != nil {
 			closeAll()
 			return nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "%s: debug endpoints on http://%s/\n", prog, ds.Addr())
 		closers = append(closers, func() { ds.Close() })
-	}
-	if metricsOut != "" {
-		closers = append(closers, func() {
-			f, err := os.Create(metricsOut)
-			if err == nil {
-				err = tel.Metrics.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: metrics snapshot: %v\n", prog, err)
-			}
-		})
-	}
-	if c.Trace {
-		if c.Events == "" {
-			fmt.Fprintf(os.Stderr,
-				"%s: -trace without -events feeds the phase histograms only; add -events to export spans for fedtrace\n", prog)
-		}
-		tel.EnableTracing(node)
 	}
 	return tel, closeAll, nil
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"flag"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,9 @@ func TestCLIValidate(t *testing.T) {
 		{[]string{"-checkpoint-every", "3"}, "-checkpoint-every requires -checkpoint-dir"},
 		{[]string{"-checkpoint-every", "1"}, "-checkpoint-every requires -checkpoint-dir"},
 		{[]string{"-checkpoint-dir", "d", "-checkpoint-every", "-2"}, "-checkpoint-every = -2"},
+		{[]string{"-trace", "-events", "e.jsonl"}, ""},
+		{[]string{"-trace"}, "-trace requires -events"},
+		{[]string{"-trace", "-debug-addr", "127.0.0.1:0"}, "-trace requires -events"},
 	} {
 		fs := flag.NewFlagSet("cli", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -40,5 +44,36 @@ func TestCLIValidate(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%q: got %v, want an error naming %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestOpenTelemetryBuildsTOnlyForEvents holds OpenTelemetry to what the
+// flags ask for: the event log is the one thing a *T records into, so
+// -debug-addr alone serves its listener and builds no bundle, and -trace
+// rides on -events.
+func TestOpenTelemetryBuildsTOnlyForEvents(t *testing.T) {
+	events := filepath.Join(t.TempDir(), "e.jsonl")
+	for _, tc := range []struct {
+		args         []string
+		tel, tracing bool
+	}{
+		{nil, false, false},
+		{[]string{"-debug-addr", "127.0.0.1:0"}, false, false},
+		{[]string{"-events", events}, true, false},
+		{[]string{"-events", events, "-trace", "-debug-addr", "127.0.0.1:0"}, true, true},
+	} {
+		fs := flag.NewFlagSet("cli", flag.ContinueOnError)
+		c := BindFlags(fs, PresetQuick)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		tel, closeAll, err := c.OpenTelemetry("test", "sim")
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if (tel != nil) != tc.tel || (tel != nil && (tel.Tracer != nil) != tc.tracing) {
+			t.Errorf("%q: bundle %+v, want bundle %v, tracing %v", tc.args, tel, tc.tel, tc.tracing)
+		}
+		closeAll()
 	}
 }

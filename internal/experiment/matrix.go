@@ -63,7 +63,7 @@ type MatrixOptions struct {
 // each constructs a fresh attack and strategy instance via the registry
 // (so latch-state attacks like AdditiveNoise never leak across cells) and
 // AGR-tailored attacks are pointed at the cell's strategy. A cell's run is
-// silent: concurrent cells share no event log or registry.
+// silent: concurrent cells share no event log.
 //
 // The cells are validated up front; an unknown strategy or attack fails
 // fast before any training starts. A cell that fails at run time records

@@ -60,11 +60,11 @@ func TestRecordIsWhole(t *testing.T) {
 			t.Fatal(err)
 		}
 		sink.Flush()
-		var lines []telemetry.RoundCompleted
+		var lines []fl.RoundRecord
 		for _, line := range strings.Split(log.String(), "\n") {
 			var env struct {
 				Event string
-				Data  telemetry.RoundCompleted
+				Data  fl.RoundRecord
 			}
 			if strings.Contains(line, `"RoundCompleted"`) {
 				if err := json.Unmarshal([]byte(line), &env); err != nil {

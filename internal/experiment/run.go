@@ -83,8 +83,9 @@ type RunOptions struct {
 	// Seed overrides the setup seed when non-zero (for repeat runs); the
 	// attack's collusion seed follows it.
 	Seed uint64
-	// Telemetry, when non-nil, receives the run's structured events and
-	// phase-level metrics (threaded into fl.FederationConfig).
+	// Telemetry, when non-nil, receives the run's structured events and,
+	// with tracing enabled, its span tree (threaded into
+	// fl.FederationConfig).
 	Telemetry *telemetry.T
 	// StreamAudit enables the streaming round pipeline: strategies that
 	// implement fl.StreamingStrategy audit each update as it lands

@@ -3,7 +3,6 @@ package fednet
 import (
 	"strconv"
 	"sync"
-	"time"
 
 	"fedguard/internal/codec"
 	"fedguard/internal/telemetry"
@@ -107,7 +106,6 @@ func (s *Server) encodeBroadcast(round, baseRound uint32, global, base []float32
 	}
 	sp := reqSpan.Child("server.encode_broadcast",
 		telemetry.L("base_round", strconv.Itoa(int(baseRound))))
-	start := time.Now()
 	buf, _ := bcastBufPool.Get().([]byte)
 	payload, err := codec.AppendEncodeDelta(buf[:0], global, base)
 	if err != nil {
@@ -117,7 +115,6 @@ func (s *Server) encodeBroadcast(round, baseRound uint32, global, base []float32
 	s.bcastEncodes.Add(1)
 	sp.SetInt("bytes", int64(len(payload)))
 	sp.End()
-	s.cfg.Telemetry.Observe(telemetry.BroadcastEncodeMetric, time.Since(start).Seconds())
 	e := &bcastEntry{payload: payload, refs: 1}
 	s.bcast[baseRound] = e
 	return e, nil

@@ -1,10 +1,12 @@
 package fednet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +29,6 @@ func chaosConfig() Config {
 	cfg.IOTimeout = 1500 * time.Millisecond
 	cfg.RoundTimeout = 6 * time.Second
 	cfg.MaxRetries = 1
-	cfg.RetryBackoff = 50 * time.Millisecond
 	return cfg
 }
 
@@ -308,6 +309,35 @@ func TestPartialRegistrationQuorum(t *testing.T) {
 		if d := ev.(telemetry.ClientDropped); d.Reason != "disconnected" {
 			t.Fatalf("drop reason %q, want %q", d.Reason, "disconnected")
 		}
+	}
+}
+
+// TestRefusedRegistrationIsAnEvent: a tolerant server turns away a
+// registration claiming an ID outside the federation, says so in one
+// RegistrationRefused event naming the handshake error, and runs on.
+func TestRefusedRegistrationIsAnEvent(t *testing.T) {
+	cfg := testConfig()
+	cfg.MinClientsPerRound = 1
+	sink := &telemetry.CollectSink{}
+	cfg.Telemetry = telemetry.New(sink)
+	// Client 0 first registers as 999 and is refused; only then does it
+	// register as itself, so the refusal lands in the registration loop.
+	client := func(addr string, id int) error {
+		if id == 0 && RunClient(addr, 999, ClientOptions{}) == nil {
+			return errors.New("client 999 was served")
+		}
+		return RunClient(addr, id, ClientOptions{})
+	}
+	h := loopback{client: client}.mustRun(t, newServer(t, cfg, testSet(), aggregate.NewFedAvg()))
+	if len(h.Rounds) != cfg.Experiment.Rounds {
+		t.Fatalf("completed %d rounds, want %d", len(h.Rounds), cfg.Experiment.Rounds)
+	}
+	refused := sink.ByKind("RegistrationRefused")
+	if len(refused) != 1 {
+		t.Fatalf("%d RegistrationRefused events, want 1", len(refused))
+	}
+	if ev := refused[0].(telemetry.RegistrationRefused); ev.Round != 0 || !strings.Contains(ev.Err, "client ID 999 out of range") {
+		t.Fatalf("refusal = %+v", ev)
 	}
 }
 

@@ -33,15 +33,14 @@ type ClientOptions struct {
 	// runs raw frames.
 	Compress bool
 	// Trace advertises the trace-propagation capability (wire.CapTrace).
-	// Effective only when the server opts in too AND Telemetry below has
-	// tracing enabled; otherwise the client runs legacy frames and local
-	// flat timers.
+	// Once the server opts in too, round frames carry trace context both
+	// ways; a server that does not keeps the connection on legacy frames.
 	Trace bool
-	// Telemetry, when non-nil, receives the client's phase metrics and —
-	// with tracing enabled via EnableTracing — its span tree, parented
-	// onto the server's request spans on CapTrace connections. The
-	// connection is wrapped for byte accounting so upload spans carry
-	// measured byte counts.
+	// Telemetry, when non-nil and with tracing enabled via
+	// EnableTracing, receives the client's span tree, parented onto the
+	// server's request spans on CapTrace connections. The connection is
+	// wrapped for byte accounting so upload spans carry measured byte
+	// counts.
 	Telemetry *telemetry.T
 }
 
@@ -128,7 +127,6 @@ func serveClient(conn net.Conn, clientID int, opts ClientOptions, sess *clientSe
 		}
 		*sess = clientSession{client: client, sig: sig}
 	}
-	sess.client.SetTelemetry(tel)
 
 	var d dialect = rawDialect{}
 	if opts.Compress && setup.Encodings&wire.CapCodec != 0 {
@@ -138,7 +136,7 @@ func serveClient(conn net.Conn, clientID int, opts ClientOptions, sess *clientSe
 		}
 		// A fresh connection's delta base is ψ₀, which both ends derive
 		// from the seed.
-		d = &codecDialect{tel: tel, base: fl.InitialGlobalFrom(arch, setup.Seed)}
+		d = &codecDialect{base: fl.InitialGlobalFrom(arch, setup.Seed)}
 	}
 	for {
 		msg, err := wire.ReadMessage(rw)
@@ -260,7 +258,6 @@ func (rawDialect) update(_ roundRequest, t *trainedRound, _ *telemetry.Span) (an
 // distinct round, so both ends agree on what the next broadcast is a
 // delta against.
 type codecDialect struct {
-	tel       *telemetry.T
 	base      []float32
 	baseRound uint32
 }
@@ -273,7 +270,7 @@ func (d *codecDialect) request(msg any, sp *telemetry.Span) (roundRequest, error
 	// A same-connection retry finds the base already at this round's
 	// global: the first delivery moved it there.
 	if d.baseRound != m.Round {
-		_, stop := d.tel.StartPhase(sp, "client.decode")
+		decode := sp.Child("client.decode")
 		var global []float32
 		var err error
 		switch {
@@ -289,7 +286,7 @@ func (d *codecDialect) request(msg any, sp *telemetry.Span) (roundRequest, error
 		if err == nil && len(global) != int(m.NumParams) {
 			err = fmt.Errorf("decoded %d params, header says %d", len(global), m.NumParams)
 		}
-		stop()
+		decode.End()
 		if err != nil {
 			return roundRequest{}, err
 		}
@@ -299,8 +296,7 @@ func (d *codecDialect) request(msg any, sp *telemetry.Span) (roundRequest, error
 }
 
 func (d *codecDialect) update(req roundRequest, t *trainedRound, sp *telemetry.Span) (any, error) {
-	_, stop := d.tel.StartPhase(sp, "client.encode")
-	defer stop()
+	defer sp.Child("client.encode").End()
 	u := t.update
 	blob, err := codec.EncodeDelta(u.Weights, req.global)
 	if err != nil {

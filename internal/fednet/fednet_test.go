@@ -438,6 +438,7 @@ func TestLoopbackTelemetry(t *testing.T) {
 	cfg := testConfig()
 	sink := &telemetry.CollectSink{}
 	cfg.Telemetry = telemetry.New(sink)
+	cfg.Telemetry.EnableTracing("server")
 	h := runLoopback(t, cfg, aggregate.NewFedAvg(), testSet(), ClientOptions{})
 
 	if got := len(sink.ByKind("RoundCompleted")); got != cfg.Experiment.Rounds {
@@ -448,15 +449,41 @@ func TestLoopbackTelemetry(t *testing.T) {
 			t.Fatalf("round %d phase split does not sum: %+v", i+1, rec)
 		}
 	}
-	// Measured per-peer byte gauges must exist and be positive for every
-	// registered client (setup traffic alone guarantees both directions).
-	reg := cfg.Telemetry.Metrics
-	for id := 0; id < cfg.Experiment.NumClients; id++ {
-		l := telemetry.L("client", strconv.Itoa(id))
-		read := reg.Gauge("fedguard_peer_bytes_read", l).Value()
-		written := reg.Gauge("fedguard_peer_bytes_written", l).Value()
-		if read <= 0 || written <= 0 {
-			t.Fatalf("client %d peer gauges: read=%v written=%v", id, read, written)
+	// Measured per-peer bytes are the server.request spans': positive
+	// both ways for every sampled client, and summing, per round, to the
+	// record's measured wire columns.
+	rounds := map[string]int{}
+	for _, e := range sink.ByKind("Span") {
+		if sp := e.(telemetry.SpanEnded); sp.Name == "round" {
+			round, _ := strconv.Atoi(labelOf(sp, "round"))
+			rounds[sp.Span] = round
+		}
+	}
+	read := make([]int64, cfg.Experiment.Rounds+1)
+	written := make([]int64, cfg.Experiment.Rounds+1)
+	requests := 0
+	for _, e := range sink.ByKind("Span") {
+		sp := e.(telemetry.SpanEnded)
+		if sp.Name != "server.request" {
+			continue
+		}
+		r, _ := strconv.ParseInt(labelOf(sp, "bytes_read"), 10, 64)
+		w, _ := strconv.ParseInt(labelOf(sp, "bytes_written"), 10, 64)
+		if r <= 0 || w <= 0 {
+			t.Fatalf("client %s request bytes: read=%d written=%d", labelOf(sp, "client"), r, w)
+		}
+		round := rounds[sp.Parent]
+		read[round] += r
+		written[round] += w
+		requests++
+	}
+	if requests != cfg.Experiment.Rounds*cfg.Experiment.PerRound {
+		t.Fatalf("%d server.request spans for %d rounds of %d", requests, cfg.Experiment.Rounds, cfg.Experiment.PerRound)
+	}
+	for _, rec := range h.Rounds {
+		if read[rec.Round] != rec.WireDownloadBytes || written[rec.Round] != rec.WireUploadBytes {
+			t.Fatalf("round %d: requests read %d and wrote %d bytes, the record says %d and %d",
+				rec.Round, read[rec.Round], written[rec.Round], rec.WireDownloadBytes, rec.WireUploadBytes)
 		}
 	}
 }

@@ -89,19 +89,24 @@ func TestStreamAuditMixedPeersMatchesBarrier(t *testing.T) {
 		return loopback{client: mixed}.mustRun(t, newServer(t, cfg, testSet(), newTestGuard()))
 	}
 	barrier := run(false, nil)
-	tel := telemetry.New(nil)
+	var sink telemetry.CollectSink
+	tel := telemetry.New(&sink)
+	tel.EnableTracing("server")
 	streamed := run(true, tel)
 	if !reflect.DeepEqual(barrier.FinalWeights, streamed.FinalWeights) {
 		t.Fatal("streaming audit with mixed peers diverged from barrier run")
 	}
 	// The equality above is only meaningful if the stream actually ran:
-	// the server records one audit-overlap observation per streamed round.
-	overlaps := tel.Metrics.Histogram(telemetry.AuditOverlapMetric).Count()
-	if want := int64(testConfig().Experiment.Rounds); overlaps != want {
-		t.Fatalf("%d audit-overlap observations, want %d — streaming audit never engaged", overlaps, want)
+	// the server records one audit-overlap span per streamed round.
+	spans := map[string]int{}
+	for _, e := range sink.ByKind("Span") {
+		spans[e.(telemetry.SpanEnded).Name]++
 	}
-	if tel.Metrics.Histogram(telemetry.BroadcastEncodeMetric).Count() == 0 {
-		t.Fatal("no broadcast-encode observations on the compressed path")
+	if want := testConfig().Experiment.Rounds; spans["server.audit_stream"] != want {
+		t.Fatalf("%d audit-overlap spans, want %d — streaming audit never engaged", spans["server.audit_stream"], want)
+	}
+	if spans["server.encode_broadcast"] == 0 {
+		t.Fatal("no broadcast-encode spans on the compressed path")
 	}
 }
 

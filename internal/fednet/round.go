@@ -41,7 +41,6 @@ func (s *Server) Train(round int, sampled []int, global []float32, needDecoders 
 // on drop-free rounds, which is exactly when the stream's fast path is
 // valid (Finalize detects the mismatch otherwise and falls back).
 func (s *Server) trainRound(round int, sampled []int, global []float32, needDecoders bool, stream fl.RoundStream, roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
-	tel := s.cfg.Telemetry
 	conns := make([]*clientConn, len(sampled))
 	s.mu.Lock()
 	for i, id := range sampled {
@@ -99,20 +98,19 @@ func (s *Server) trainRound(round int, sampled []int, global []float32, needDeco
 			round, len(updates), s.cfg.MinClientsPerRound)
 	}
 	if len(dropped) > 0 {
-		tel.Emit(telemetry.RoundDegraded{
+		s.cfg.Telemetry.Emit(telemetry.RoundDegraded{
 			Round:      round,
 			Sampled:    len(sampled),
 			Responsive: len(updates),
 			Dropped:    dropped,
 		})
-		tel.AddCounter("fedguard_net_rounds_degraded_total", 1)
 	}
 	return updates, dropped, nil
 }
 
 // dropClient abandons id's connection for this round: it is removed from
 // the registry (unless a rejoin already replaced it), closed, and the
-// drop is published as an event plus a reason-labeled counter.
+// drop is published as a ClientDropped event with its reason.
 func (s *Server) dropClient(round, id int, c *clientConn, cause error) {
 	s.mu.Lock()
 	if c != nil && s.clients[id] == c {
@@ -127,10 +125,7 @@ func (s *Server) dropClient(round, id int, c *clientConn, cause error) {
 		c.mu.Unlock()
 		c.count.Close()
 	}
-	reason := dropReason(cause)
-	tel := s.cfg.Telemetry
-	tel.Emit(telemetry.ClientDropped{Round: round, ClientID: id, Reason: reason})
-	tel.AddCounter("fedguard_net_drops_total", 1, telemetry.L("reason", reason))
+	s.cfg.Telemetry.Emit(telemetry.ClientDropped{Round: round, ClientID: id, Reason: dropReason(cause)})
 }
 
 // dropReason classifies a drop cause for telemetry.
@@ -162,6 +157,10 @@ func transientErr(err error) bool {
 	return errors.Is(err, wire.ErrChecksum)
 }
 
+// retryBackoff is the sleep before a client's first re-request in a
+// round; it doubles with each further attempt.
+const retryBackoff = 25 * time.Millisecond
+
 // trainOne sends one round's work to a client and reads back its update,
 // retrying transient failures with exponential backoff while the round
 // deadline allows. Clients cache their last computed update per round,
@@ -169,25 +168,24 @@ func transientErr(err error) bool {
 // does not perturb the client's deterministic random stream).
 //
 // The whole per-client exchange — retries included — is one
-// "server.request" span under the round: its labels carry the retry
-// count, outcome (with drop reason on failure), negotiated encoding, and
-// the measured bytes both ways, and each attempt's latency lands in the
-// per-peer histogram. On CapTrace connections the span's context rides
-// the request frame so the client's spans parent onto it.
+// "server.request" span under the round: its duration is the peer's
+// latency, and its labels carry the retry and timeout counts, outcome
+// (with drop reason on failure), negotiated encoding, and the measured
+// bytes both ways. On CapTrace connections the span's context rides the
+// request frame so the client's spans parent onto it.
 func (s *Server) trainOne(c *clientConn, round int, needDecoder bool, global []float32, deadline time.Time, roundSpan *telemetry.Span) (fl.Update, error) {
-	tel := s.cfg.Telemetry
-	clientLabel := telemetry.L("client", strconv.Itoa(c.id))
-	sp := roundSpan.Child("server.request", clientLabel,
+	sp := roundSpan.Child("server.request", telemetry.L("client", strconv.Itoa(c.id)),
 		telemetry.L("encoding", encName(c.enc)))
-	retries := 0
+	retries, timeouts := 0, 0
 	r0, w0 := c.count.BytesRead(), c.count.BytesWritten()
 	defer func() {
 		sp.SetInt("retries", int64(retries))
+		sp.SetInt("timeouts", int64(timeouts))
 		sp.SetInt("bytes_read", c.count.BytesRead()-r0)
 		sp.SetInt("bytes_written", c.count.BytesWritten()-w0)
 		sp.End()
 	}()
-	backoff := s.cfg.RetryBackoff
+	backoff := retryBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -200,12 +198,8 @@ func (s *Server) trainOne(c *clientConn, round int, needDecoder bool, global []f
 			time.Sleep(backoff)
 			backoff *= 2
 			retries++
-			tel.AddCounter("fedguard_net_retries_total", 1)
 		}
-		attemptStart := time.Now()
 		u, err := s.requestOnce(c, round, needDecoder, global, deadline, sp)
-		tel.Observe(telemetry.PeerLatencyMetric,
-			time.Since(attemptStart).Seconds(), clientLabel)
 		if err == nil {
 			sp.SetLabel("outcome", "ok")
 			return u, nil
@@ -213,7 +207,7 @@ func (s *Server) trainOne(c *clientConn, round int, needDecoder bool, global []f
 		lastErr = err
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
-			tel.AddCounter("fedguard_net_timeouts_total", 1)
+			timeouts++
 		}
 		if !transientErr(err) {
 			break

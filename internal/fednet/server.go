@@ -35,8 +35,9 @@
 // responsive quorum. Dropped or late clients may re-register at any
 // time and rejoin from the next round, receiving the current global
 // model with their next TrainRequest. All of it is observable:
-// ClientDropped / ClientRejoined / RoundDegraded events plus retry,
-// timeout, and drop counters. With MinClientsPerRound == 0 (the zero
+// ClientDropped / ClientRejoined / RegistrationRefused / RoundDegraded
+// events, and each request's retry and timeout counts on its
+// server.request span. With MinClientsPerRound == 0 (the zero
 // value) there are no deadlines and any client failure aborts the run.
 package fednet
 
@@ -45,7 +46,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,8 +79,10 @@ type Config struct {
 	// SynthDigits training set locally (no pixels on the wire).
 	DataSeed  uint64
 	TrainSize int
-	// Telemetry, when non-nil, receives structured run events,
-	// phase-level metrics, and per-peer measured byte-count gauges.
+	// Telemetry, when non-nil, receives structured run events (the
+	// round engine's and the network's: drops, rejoins, refused
+	// registrations, degraded rounds) and, with tracing enabled, the
+	// server's span tree.
 	Telemetry *telemetry.T
 
 	// MinClientsPerRound enables fault-tolerant operation when > 0: a
@@ -95,11 +97,9 @@ type Config struct {
 	// unless RoundTimeout caps it).
 	IOTimeout time.Duration
 	// MaxRetries bounds per-client re-requests after transient errors
-	// (timeouts, checksum-corrupt frames) within one round.
+	// (timeouts, checksum-corrupt frames) within one round. The first
+	// retry waits 25 ms, and each further one twice the last.
 	MaxRetries int
-	// RetryBackoff is the initial sleep between retries, doubling each
-	// attempt (default 25ms when retries are enabled).
-	RetryBackoff time.Duration
 	// RegisterTimeout bounds the initial registration wait. When it
 	// expires with at least MinClientsPerRound clients registered, the
 	// run starts without the missing ones (they may still rejoin);
@@ -122,10 +122,11 @@ type Config struct {
 	// server's request-span identity so the client's train/upload spans
 	// parent onto it, and updates carry the client's round-span identity
 	// back. Negotiated per connection exactly like Compress; legacy or
-	// trace-off peers interoperate on byte-identical legacy frames.
-	// Spans are actually minted only when Telemetry has tracing enabled
-	// (telemetry.T.EnableTracing); Trace alone just negotiates the
-	// capability.
+	// trace-off peers interoperate on byte-identical legacy frames. The
+	// server's own spans are minted only when Telemetry has tracing
+	// enabled (telemetry.T.EnableTracing); without it the request frames
+	// carry a zero context, and a traced client's spans root trees of
+	// their own.
 	Trace bool
 
 	// StreamAudit overlaps the strategy's per-update audit with the
@@ -257,12 +258,8 @@ func NewServer(cfg Config, test *dataset.Dataset, strategy fl.Strategy) (*Server
 		return nil, fmt.Errorf("fednet: MinClientsPerRound = %d with m = %d",
 			cfg.MinClientsPerRound, exp.PerRound)
 	}
-	if cfg.RoundTimeout < 0 || cfg.IOTimeout < 0 || cfg.MaxRetries < 0 ||
-		cfg.RetryBackoff < 0 || cfg.RegisterTimeout < 0 {
+	if cfg.RoundTimeout < 0 || cfg.IOTimeout < 0 || cfg.MaxRetries < 0 || cfg.RegisterTimeout < 0 {
 		return nil, fmt.Errorf("fednet: negative fault-tolerance parameter")
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
 	}
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("fednet: Resume requires CheckpointDir")
@@ -420,18 +417,10 @@ func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History
 	if err := s.register(ln); err != nil {
 		return nil, err
 	}
-	tel := s.cfg.Telemetry
-	if tel != nil && tel.Metrics != nil {
-		// Per-peer request latency wants log-spaced resolution: a LAN
-		// exchange and a straggler behind chaos injection differ by four
-		// orders of magnitude.
-		tel.Metrics.SetBuckets(telemetry.PeerLatencyMetric,
-			telemetry.LogBuckets(0.0005, 120, 5))
-	}
 	// Root of the run's trace (nil — and free — unless tracing was
 	// enabled on the bundle). Created before the rejoin accept loop
 	// starts so its goroutine can parent rejoin spans onto it.
-	s.runSpan = tel.StartRoot("run", telemetry.L("strategy", s.strategy.Name()))
+	s.runSpan = s.cfg.Telemetry.StartRoot("run", telemetry.L("strategy", s.strategy.Name()))
 	defer func() {
 		for _, c := range s.snapshot() {
 			// A killed server crashes silently: no Shutdown frames, so
@@ -443,8 +432,6 @@ func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History
 				}
 				c.send(&wire.Shutdown{})
 			}
-			// Closing the wrapper (not the raw conn) fires the counting
-			// hook, publishing each peer's final byte totals.
 			c.count.Close()
 		}
 	}()
@@ -481,7 +468,6 @@ func (s *Server) Workers() *classifier.Set { return s.workers }
 // uploads, reads are downloads.
 func (s *Server) WireBytes([]fl.Update, int64) (up, down int64) {
 	read, written := s.totalBytes()
-	s.publishPeerBytes()
 	up, down = written-s.lastWritten, read-s.lastRead
 	s.lastRead, s.lastWritten = read, written
 	return up, down
@@ -523,19 +509,4 @@ func (s *Server) totalBytes() (read, written int64) {
 		written += c.count.BytesWritten()
 	}
 	return read, written
-}
-
-// publishPeerBytes refreshes the per-peer measured byte gauges from the
-// counting wrappers (labels: client=<id>; direction from the server's
-// perspective).
-func (s *Server) publishPeerBytes() {
-	tel := s.cfg.Telemetry
-	if tel == nil || tel.Metrics == nil {
-		return
-	}
-	for _, c := range s.snapshot() {
-		l := telemetry.L("client", strconv.Itoa(c.id))
-		tel.SetGauge("fedguard_peer_bytes_read", float64(c.count.BytesRead()), l)
-		tel.SetGauge("fedguard_peer_bytes_written", float64(c.count.BytesWritten()), l)
-	}
 }

@@ -63,7 +63,7 @@ func (s *Server) register(ln net.Listener) error {
 			conn.Close()
 			if tolerant {
 				// A broken or hostile registration must not sink the run.
-				s.cfg.Telemetry.AddCounter("fedguard_net_bad_registrations_total", 1)
+				s.refuse(err)
 				continue
 			}
 			return err
@@ -111,13 +111,6 @@ func (s *Server) handshake(conn net.Conn) (*clientConn, error) {
 		return nil, fmt.Errorf("fednet: client ID %d out of range", id)
 	}
 	c := &clientConn{id: id, conn: conn, count: count}
-	if tel := s.cfg.Telemetry; tel != nil {
-		l := telemetry.L("client", strconv.Itoa(id))
-		count.OnClose(func(read, written int64) {
-			tel.SetGauge("fedguard_peer_bytes_read", float64(read), l)
-			tel.SetGauge("fedguard_peer_bytes_written", float64(written), l)
-		})
-	}
 	setup := s.setupFor(id, s.parts[id], s.malicious[id])
 	// Negotiate the compressed encodings: only when this server opts in
 	// AND the client advertised the capability. Either side staying
@@ -166,7 +159,7 @@ func (s *Server) acceptRejoins(ln net.Listener, stop <-chan struct{}, wg *sync.W
 		c, err := s.handshake(conn)
 		if err != nil {
 			conn.Close()
-			s.cfg.Telemetry.AddCounter("fedguard_net_bad_registrations_total", 1)
+			s.refuse(err)
 			continue
 		}
 		s.mu.Lock()
@@ -185,8 +178,12 @@ func (s *Server) acceptRejoins(ln net.Listener, stop <-chan struct{}, wg *sync.W
 			Round:    int(s.round.Load()),
 			ClientID: c.id,
 		})
-		s.cfg.Telemetry.AddCounter("fedguard_net_rejoins_total", 1)
 	}
+}
+
+// refuse records a registration the tolerant server turned away.
+func (s *Server) refuse(err error) {
+	s.cfg.Telemetry.Emit(telemetry.RegistrationRefused{Round: int(s.round.Load()), Err: err.Error()})
 }
 
 func (s *Server) setupFor(id int, indices []int, isMalicious bool) *wire.Setup {

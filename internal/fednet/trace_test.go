@@ -1,10 +1,12 @@
 package fednet
 
 import (
+	"errors"
 	"strconv"
 	"testing"
 
 	"fedguard/internal/aggregate"
+	"fedguard/internal/fl"
 	"fedguard/internal/telemetry"
 )
 
@@ -188,5 +190,38 @@ func TestTracedCompressedLoopback(t *testing.T) {
 	}
 	if decodes == 0 || encodes == 0 {
 		t.Fatalf("codec phases missing from trace: %d decodes, %d encodes", decodes, encodes)
+	}
+}
+
+// TestTracedKilledServerExportsWholeTrees kills a traced server after
+// round 1: the run span and both round spans are still exported, so no
+// span in the server's log names a parent the log does not hold.
+func TestTracedKilledServerExportsWholeTrees(t *testing.T) {
+	cfg := testConfig()
+	sink := &telemetry.CollectSink{}
+	cfg.Telemetry = telemetry.New(sink)
+	cfg.Telemetry.EnableTracing("server")
+	srv := newServer(t, cfg, testSet(), aggregate.NewFedAvg())
+	kill := loopback{onRound: func(rec fl.RoundRecord) {
+		if rec.Round == 1 {
+			srv.Kill()
+		}
+	}}
+	if _, _, err := kill.run(t, srv); !errors.Is(err, ErrKilled) {
+		t.Fatalf("server error = %v, want ErrKilled", err)
+	}
+	names := map[string]int{}
+	ids := map[string]bool{}
+	for _, s := range spansOf(sink) {
+		names[s.Name]++
+		ids[s.Span] = true
+	}
+	if names["run"] != 1 || names["round"] != 2 {
+		t.Fatalf("exported spans %v, want one run and two rounds", names)
+	}
+	for _, s := range spansOf(sink) {
+		if s.Parent != "" && !ids[s.Parent] {
+			t.Fatalf("%s span names parent %s, which was never exported", s.Name, s.Parent)
+		}
 	}
 }

@@ -59,10 +59,6 @@ type Client struct {
 	decoder        []float32
 	decoderHash    uint64
 	decoderClasses []int
-
-	// tel records client-phase spans (nil-safe; set by the federation or
-	// the networked client loop).
-	tel *telemetry.T
 }
 
 // NewClient builds a client over the partition ds[indices]. att may be
@@ -109,11 +105,6 @@ func (c *Client) EnableStream(initialFraction float64, grow, retrainEvery int) {
 // the length a global handed to RunRound must have.
 func (c *Client) NumParams() int { return c.workers.NumParams() }
 
-// SetTelemetry attaches the run's telemetry bundle (nil disables
-// client-phase spans). Concurrent RunRound calls on *different* clients
-// may share one bundle; the registry is concurrency-safe.
-func (c *Client) SetTelemetry(t *telemetry.T) { c.tel = t }
-
 func (c *Client) view() (*dataset.Dataset, []int) {
 	if !c.viewReady {
 		c.viewDS, c.viewIndices = c.att.PoisonData(c.ds, c.indices[:c.visible])
@@ -147,7 +138,7 @@ func (c *Client) RunRound(global []float32, needDecoder bool) Update {
 // train/cvae_train phases become children of parent when the run is
 // traced (in-process runs hand in the per-client round span; the
 // networked client parents onto the span received over the wire). A nil
-// parent degrades to the flat phase timers.
+// parent times nothing.
 //
 // The client borrows its worker first and returns it last: training,
 // the model-poisoning hook and a first participation's CVAE training all
@@ -185,8 +176,7 @@ func (c *Client) RunRoundSpan(global []float32, needDecoder bool, parent *teleme
 // leave it. The train phase starts once the worker is borrowed — waiting
 // for one is not training.
 func (c *Client) train(w *classifier.Worker, ds *dataset.Dataset, indices []int, global []float32, parent *telemetry.Span) []float32 {
-	_, stopTrain := c.tel.StartPhase(parent, "client.train")
-	defer stopTrain()
+	defer parent.Child("client.train").End()
 	w.Model.Reset(c.rng)
 	if err := w.Model.LoadParams(global); err != nil {
 		panic(err) // architecture mismatch is a programming error
@@ -204,8 +194,7 @@ func (c *Client) train(w *classifier.Worker, ds *dataset.Dataset, indices []int,
 func (c *Client) decoderPayload(w *classifier.Worker, parent *telemetry.Span) ([]float32, []int) {
 	stale := c.retrainEvery > 0 && c.sinceCVAETrain >= c.retrainEvery
 	if c.decoder == nil || stale {
-		_, stop := c.tel.StartPhase(parent, "client.cvae_train")
-		defer stop()
+		defer parent.Child("client.cvae_train").End()
 		ds, indices := c.cvaeView()
 		m := w.CVAE(c.cfg.CVAE, c.rng)
 		m.Train(ds, indices, c.cfg.CVAETrain, c.rng)

@@ -55,7 +55,8 @@ type Cohort interface {
 // RunRounds ends it. A non-nil resume continues after resume.Round; the
 // caller has validated it with CheckResume and restored the cohort's own
 // state from it. On error the returned history holds the rounds
-// completed so far.
+// completed so far, and every span RunRounds opened is ended, so a
+// failed traced run exports no span without its parent.
 func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, cohort Cohort,
 	runSpan *telemetry.Span, resume *Checkpoint, onRound func(RoundRecord)) (*History, error) {
 	// All streams are derived from the experiment seed by domain tag, so
@@ -89,6 +90,13 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 	}
 
 	tel := cfg.Telemetry
+	var roundSpan, aggSpan *telemetry.Span
+	defer func() {
+		// End is idempotent: on success these have ended already.
+		aggSpan.End()
+		roundSpan.End()
+		runSpan.End()
+	}()
 	attackName := ""
 	if cfg.Attack != nil {
 		attackName = cfg.Attack.Name()
@@ -114,7 +122,7 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 
 	for round := startRound; round <= cfg.Rounds; round++ {
 		trainStart := time.Now()
-		roundSpan := runSpan.Child("round", telemetry.L("round", strconv.Itoa(round)))
+		roundSpan = runSpan.Child("round", telemetry.L("round", strconv.Itoa(round)))
 
 		// J ← sample(range(1,N), m) (Alg. 1 line 17).
 		sampled := sampler.SampleClients(history.Rounds, cfg.NumClients, cfg.PerRound, serverRNG)
@@ -128,11 +136,10 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		// strategy can pre-draw its plan; nothing draws from serverRNG in
 		// between, so the child stream is identical to a post-barrier split.
 		ctx := &RoundContext{
-			Round:     round,
-			Global:    global,
-			RNG:       serverRNG.Split(),
-			Report:    map[string]float64{},
-			Telemetry: tel,
+			Round:  round,
+			Global: global,
+			RNG:    serverRNG.Split(),
+			Report: map[string]float64{},
 		}
 		// A cohort-aware attack rewrites the malicious drafts after the
 		// round barrier, so updates streamed as they land would be
@@ -158,7 +165,7 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		trainSecs := time.Since(trainStart).Seconds()
 
 		aggStart := time.Now()
-		aggSpan, stopAgg := tel.StartPhase(roundSpan, "server.aggregate",
+		aggSpan = roundSpan.Child("server.aggregate",
 			telemetry.L("strategy", strategy.Name()),
 			telemetry.L("workers", strconv.Itoa(tensor.Workers())))
 		ctx.Updates = updates
@@ -172,7 +179,6 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 			sp.SetInt("overlap_us", busy.Microseconds())
 			sp.SetInt("jobs", int64(jobs))
 			sp.End()
-			tel.Observe(telemetry.AuditOverlapMetric, busy.Seconds())
 			agg, err = stream.Finalize(ctx)
 		} else {
 			agg, err = strategy.Aggregate(ctx)
@@ -191,7 +197,7 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		next := make([]float32, len(global))
 		tensor.LerpInto(next, global, agg, float32(cfg.ServerLR))
 		global = next
-		stopAgg()
+		aggSpan.End()
 		aggSecs := time.Since(aggStart).Seconds()
 		// The strategy scored and filtered; the ground truth is the
 		// engine's to add, so no strategy ever sees it.
@@ -227,9 +233,9 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		}
 
 		evalStart := time.Now()
-		_, stopEval := tel.StartPhase(roundSpan, "server.eval")
+		evalSpan := roundSpan.Child("server.eval")
 		rec.TestAccuracy, err = cohort.Workers().Evaluate(global, test, testIdx)
-		stopEval()
+		evalSpan.End()
 		if err != nil {
 			return history, err
 		}
@@ -239,7 +245,7 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		roundSpan.SetInt("sampled", int64(len(sampled)))
 		roundSpan.SetInt("dropped", int64(len(dropped)))
 		roundSpan.End()
-		recordRound(tel, rec)
+		tel.Emit(rec)
 		history.Rounds = append(history.Rounds, rec)
 		// Snapshot BEFORE onRound: a crash inside the callback (or any
 		// time after it) then resumes at round+1, never replaying a round
@@ -259,9 +265,8 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 			if err != nil {
 				return history, fmt.Errorf("fl: round %d checkpoint: %w", round, err)
 			}
-			secs := time.Since(ckStart).Seconds()
-			tel.Observe(telemetry.CheckpointMetric, secs)
-			tel.Emit(telemetry.CheckpointWritten{Round: round, Path: path, Bytes: n, Seconds: secs})
+			tel.Emit(telemetry.CheckpointWritten{Round: round, Path: path, Bytes: n,
+				Seconds: time.Since(ckStart).Seconds()})
 		}
 		if onRound != nil {
 			onRound(rec)
@@ -301,36 +306,4 @@ func applyCohortAttack(ca attack.CohortAware, updates []Update, malicious map[in
 		ids[k] = updates[i].ClientID
 	}
 	ca.PoisonCohort(drafts, ids, rng.New(rng.DeriveSeed(seed, "cohort", uint64(round))))
-}
-
-// recordRound publishes one round's record as a structured event plus
-// current-state gauges and totals counters.
-func recordRound(tel *telemetry.T, rec RoundRecord) {
-	tel.Emit(telemetry.RoundCompleted{
-		Round:             rec.Round,
-		TestAccuracy:      rec.TestAccuracy,
-		TrainSeconds:      rec.TrainSeconds,
-		AggregateSeconds:  rec.AggregateSeconds,
-		EvalSeconds:       rec.EvalSeconds,
-		Seconds:           rec.Seconds,
-		UploadBytes:       rec.UploadBytes,
-		DownloadBytes:     rec.DownloadBytes,
-		WireUploadBytes:   rec.WireUploadBytes,
-		WireDownloadBytes: rec.WireDownloadBytes,
-		Sampled:           rec.Sampled,
-		MaliciousSampled:  rec.MaliciousSampled,
-		Dropped:           rec.Dropped,
-		Threshold:         rec.Threshold,
-		Decisions:         rec.Decisions,
-		Report:            rec.Report,
-	})
-	tel.AddCounter("fedguard_rounds_total", 1)
-	tel.AddCounter("fedguard_clients_excluded_total", float64(rec.Excluded()))
-	tel.AddCounter("fedguard_upload_bytes_total", float64(rec.UploadBytes))
-	tel.AddCounter("fedguard_download_bytes_total", float64(rec.DownloadBytes))
-	tel.AddCounter("fedguard_wire_upload_bytes_total", float64(rec.WireUploadBytes))
-	tel.AddCounter("fedguard_wire_download_bytes_total", float64(rec.WireDownloadBytes))
-	tel.SetGauge("fedguard_round", float64(rec.Round))
-	tel.SetGauge("fedguard_test_accuracy", rec.TestAccuracy)
-	tel.Observe("fedguard_round_seconds", rec.Seconds)
 }

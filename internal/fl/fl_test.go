@@ -1,9 +1,13 @@
 package fl
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"fedguard/internal/attack"
@@ -710,6 +714,7 @@ func TestFederationEmitsTelemetry(t *testing.T) {
 	cfg.Attack = attack.NewSignFlip()
 	sink := &telemetry.CollectSink{}
 	cfg.Telemetry = telemetry.New(sink)
+	cfg.Telemetry.EnableTracing("sim")
 	fed, err := NewFederation(train, test, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -731,12 +736,12 @@ func TestFederationEmitsTelemetry(t *testing.T) {
 		t.Fatalf("%d RoundCompleted events for %d rounds", len(rounds), cfg.Rounds)
 	}
 	for i, e := range rounds {
-		rc := e.(telemetry.RoundCompleted)
+		rc := e.(RoundRecord)
 		rec := h.Rounds[i]
 		if rc.Round != i+1 {
 			t.Fatalf("event %d is round %d", i, rc.Round)
 		}
-		if rc.TestAccuracy != rec.TestAccuracy || rc.UploadBytes != rec.UploadBytes {
+		if !reflect.DeepEqual(rc, rec) {
 			t.Fatalf("event %d disagrees with history: %+v vs %+v", i, rc, rec)
 		}
 		sum := rec.TrainSeconds + rec.AggregateSeconds + rec.EvalSeconds
@@ -753,7 +758,7 @@ func TestFederationEmitsTelemetry(t *testing.T) {
 	// ground truth it never saw, which must match the placement.
 	var excluded, attacked int
 	for i, e := range rounds {
-		rc, rec := e.(telemetry.RoundCompleted), h.Rounds[i]
+		rc, rec := e.(RoundRecord), h.Rounds[i]
 		if rc.Threshold != 0.5 || rec.Threshold != 0.5 {
 			t.Fatalf("round %d threshold: event %v, record %v", i+1, rc.Threshold, rec.Threshold)
 		}
@@ -782,18 +787,59 @@ func TestFederationEmitsTelemetry(t *testing.T) {
 	if attacked == 0 {
 		t.Fatal("no malicious client was ever sampled; the ground-truth check is vacuous")
 	}
-	if got := cfg.Telemetry.Metrics.Counter("fedguard_clients_excluded_total").Value(); got != float64(excluded) {
-		t.Fatalf("clients_excluded_total = %v, want %d", got, excluded)
+	// The log's exclusions are the history's: one not-kept decision per
+	// excluded update, summed over the RoundCompleted events.
+	logged := 0
+	for _, e := range rounds {
+		logged += e.(RoundRecord).Excluded()
+	}
+	if logged != excluded {
+		t.Fatalf("log holds %d exclusions, history %d", logged, excluded)
 	}
 
-	// Metrics side: round counter and client.train spans.
-	reg := cfg.Telemetry.Metrics
-	if got := reg.Counter("fedguard_rounds_total").Value(); got != float64(cfg.Rounds) {
-		t.Fatalf("rounds_total = %v", got)
+	// Span side: one round span per RoundCompleted event, one client.train
+	// span per sampled client per round.
+	spans := map[string]int{}
+	for _, e := range sink.ByKind("Span") {
+		spans[e.(telemetry.SpanEnded).Name]++
 	}
-	trainSpans := reg.Histogram(telemetry.PhaseMetric, telemetry.L("phase", "client.train"))
-	if got := trainSpans.Count(); got != int64(cfg.Rounds*cfg.PerRound) {
+	if spans["round"] != cfg.Rounds {
+		t.Fatalf("round spans = %d, want %d", spans["round"], cfg.Rounds)
+	}
+	if got := spans["client.train"]; got != cfg.Rounds*cfg.PerRound {
 		t.Fatalf("client.train spans = %d, want %d", got, cfg.Rounds*cfg.PerRound)
+	}
+
+	// On the JSONL wire the record is the RoundCompleted line, under the
+	// keys fedtrace and the README's event table name.
+	var buf bytes.Buffer
+	js := telemetry.NewJSONLSink(&buf)
+	js.Emit(h.Rounds[0])
+	if err := js.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Event string                     `json:"event"`
+		Data  map[string]json.RawMessage `json:"data"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range env.Data {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"aggregate_seconds", "decisions", "download_bytes", "eval_seconds", "malicious_sampled",
+		"round", "sampled", "seconds", "test_accuracy", "threshold", "train_seconds", "upload_bytes",
+		"wire_download_bytes", "wire_upload_bytes"}
+	if env.Event != "RoundCompleted" || !slices.Equal(keys, want) {
+		t.Fatalf("RoundCompleted line: event %q, keys %v, want %v", env.Event, keys, want)
+	}
+	d := h.Rounds[0].Decisions[0]
+	if wantDecision := fmt.Sprintf(`"decisions":[{"client_id":%d,"score":%v,"kept":%v,"malicious":%v}`,
+		d.ClientID, d.Score, d.Kept, d.Malicious); !strings.Contains(buf.String(), wantDecision) {
+		t.Fatalf("decision keys changed: %s", buf.String())
 	}
 }
 
@@ -828,6 +874,62 @@ func TestFederationNilTelemetryUnchanged(t *testing.T) {
 	for i := range plain.Rounds {
 		if plain.Rounds[i].TestAccuracy != instrumented.Rounds[i].TestAccuracy {
 			t.Fatal("telemetry changed per-round accuracy")
+		}
+	}
+}
+
+// failingStrategy averages like fedAvgForTest until its failRound, whose
+// aggregation fails.
+type failingStrategy struct {
+	fedAvgForTest
+	failRound int
+}
+
+func (f failingStrategy) Aggregate(ctx *RoundContext) ([]float32, error) {
+	if ctx.Round == f.failRound {
+		return nil, fmt.Errorf("round %d refused", ctx.Round)
+	}
+	return f.fedAvgForTest.Aggregate(ctx)
+}
+
+// TestFailedTracedRunExportsWholeTrees fails a traced run's aggregation
+// in round 2: the run, both rounds and round 2's aggregation are still
+// exported, so every client span of the failed round has its parent in
+// the log and fedtrace counts no orphan.
+func TestFailedTracedRunExportsWholeTrees(t *testing.T) {
+	r := rng.New(43)
+	train := dataset.Generate(120, dataset.DefaultGenOptions(), r)
+	test := dataset.Generate(40, dataset.DefaultGenOptions(), r)
+	cfg := tinyFederationConfig()
+	sink := &telemetry.CollectSink{}
+	cfg.Telemetry = telemetry.New(sink)
+	cfg.Telemetry.EnableTracing("sim")
+	fed, err := NewFederation(train, test, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := fed.Run(failingStrategy{failRound: 2}, nil)
+	if err == nil || !strings.Contains(err.Error(), "round 2 refused") {
+		t.Fatalf("run error = %v, want round 2's", err)
+	}
+	if len(h.Rounds) != 1 {
+		t.Fatalf("history holds %d rounds, want 1", len(h.Rounds))
+	}
+	names := map[string]int{}
+	ids := map[string]bool{}
+	spans := sink.ByKind("Span")
+	for _, e := range spans {
+		sp := e.(telemetry.SpanEnded)
+		names[sp.Name]++
+		ids[sp.Span] = true
+	}
+	if names["run"] != 1 || names["round"] != 2 || names["server.aggregate"] != 2 ||
+		names["client.round"] != 2*cfg.PerRound {
+		t.Fatalf("exported spans %v, want 1 run, 2 rounds, 2 aggregations, %d client rounds", names, 2*cfg.PerRound)
+	}
+	for _, e := range spans {
+		if sp := e.(telemetry.SpanEnded); sp.Parent != "" && !ids[sp.Parent] {
+			t.Fatalf("%s span names parent %s, which was never exported", sp.Name, sp.Parent)
 		}
 	}
 }

@@ -2,54 +2,60 @@ package fl
 
 import "math"
 
-// RoundRecord captures one federated round's outcome and cost.
+// RoundRecord captures one federated round's outcome and cost. It is
+// also the round's telemetry: RunRounds emits it as the RoundCompleted
+// event, under the JSON keys below.
 type RoundRecord struct {
-	Round        int
-	TestAccuracy float64
-	// Seconds is the total wall-clock duration of the round; it equals
-	// TrainSeconds + AggregateSeconds + EvalSeconds.
-	Seconds float64
+	Round        int     `json:"round"`
+	TestAccuracy float64 `json:"test_accuracy"`
 	// TrainSeconds is the client-compute phase (parallel local training,
 	// including CVAE work and — in the networked deployment — the wire
 	// round-trips). AggregateSeconds is the server's defense/aggregation
 	// cost, and EvalSeconds the global-model evaluation. The split is
 	// what lets Table V-style overhead reports separate client compute
 	// from server defense cost.
-	TrainSeconds     float64
-	AggregateSeconds float64
-	EvalSeconds      float64
+	TrainSeconds     float64 `json:"train_seconds"`
+	AggregateSeconds float64 `json:"aggregate_seconds"`
+	EvalSeconds      float64 `json:"eval_seconds"`
+	// Seconds is the total wall-clock duration of the round; it equals
+	// TrainSeconds + AggregateSeconds + EvalSeconds.
+	Seconds float64 `json:"seconds"`
 	// UploadBytes is the server→client traffic (global model broadcast);
 	// DownloadBytes is the client→server traffic (updates, plus decoders
 	// under FedGuard). Both follow the paper's Table V accounting: the
 	// logical payload sizes at 4 bytes per parameter.
-	UploadBytes   int64
-	DownloadBytes int64
+	UploadBytes   int64 `json:"upload_bytes"`
+	DownloadBytes int64 `json:"download_bytes"`
 	// WireUploadBytes/WireDownloadBytes are the bytes that actually
 	// crossed the socket this round, including framing, retries, and the
 	// savings from decoder dedup, delta encoding and the float codec. In
 	// the in-process simulator they mirror the logical sizes with dedup
 	// semantics applied (a decoder is charged only when it would be
 	// (re)sent), so Table V can report logical vs on-wire side by side.
-	WireUploadBytes   int64
-	WireDownloadBytes int64
+	WireUploadBytes   int64 `json:"wire_upload_bytes"`
+	WireDownloadBytes int64 `json:"wire_download_bytes"`
 	// Sampled lists this round's participating client IDs.
-	Sampled []int
+	Sampled []int `json:"sampled"`
 	// MaliciousSampled counts how many of them were malicious.
-	MaliciousSampled int
+	MaliciousSampled int `json:"malicious_sampled"`
 	// Dropped lists sampled clients excluded from this round's
 	// aggregation because they failed to deliver an update (networked
 	// deployments only; nil for in-process runs and healthy rounds).
-	Dropped []int
+	Dropped []int `json:"dropped,omitempty"`
 	// Threshold is the bar the round's defense held its scores to (their
 	// mean) and Decisions its verdict on every delivered update, in
 	// aggregation order: score, kept or dropped, and whether the client
 	// was in fact malicious. Zero and nil under strategies that audit
 	// nothing (FedAvg, GeoMed, Krum).
-	Threshold float64
-	Decisions []Decision
+	Threshold float64    `json:"threshold,omitempty"`
+	Decisions []Decision `json:"decisions,omitempty"`
 	// Report carries strategy-specific diagnostics (e.g. Krum's pick).
-	Report map[string]float64
+	Report map[string]float64 `json:"report,omitempty"`
 }
+
+// Kind implements telemetry.Event: a round's record is its
+// RoundCompleted event.
+func (RoundRecord) Kind() string { return "RoundCompleted" }
 
 // Excluded returns the number of updates the round's defense rejected
 // (0 when no defense decided anything).

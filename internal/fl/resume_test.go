@@ -362,13 +362,12 @@ func TestResumeRejectsGlobalShapeMismatch(t *testing.T) {
 }
 
 // TestCheckpointTelemetry asserts the observability contract: every
-// snapshot emits CheckpointWritten and lands in the duration histogram,
+// snapshot emits one CheckpointWritten carrying its round and its cost,
 // and a resumed run announces itself with RunResumed.
 func TestCheckpointTelemetry(t *testing.T) {
 	cfg := resumeConfig()
 	events := &telemetry.CollectSink{}
-	tel := telemetry.New(events)
-	cfg.Telemetry = tel
+	cfg.Telemetry = telemetry.New(events)
 	dir := t.TempDir()
 	cfg.CheckpointSink = func(ck *fl.Checkpoint) (string, int64, error) {
 		return persist.SaveCheckpoint(dir, ck)
@@ -384,8 +383,10 @@ func TestCheckpointTelemetry(t *testing.T) {
 	if ev.Round != 1 || ev.Bytes <= 0 || ev.Path == "" {
 		t.Fatalf("malformed CheckpointWritten: %+v", ev)
 	}
-	if got := tel.Metrics.Histogram(telemetry.CheckpointMetric).Count(); got != int64(cfg.Rounds) {
-		t.Fatalf("checkpoint histogram count %d, want %d", got, cfg.Rounds)
+	for i, e := range written {
+		if ev := e.(telemetry.CheckpointWritten); ev.Round != i+1 || ev.Seconds <= 0 {
+			t.Fatalf("checkpoint event %d: round %d, %v s", i, ev.Round, ev.Seconds)
+		}
 	}
 	if len(events.ByKind("RunResumed")) != 0 {
 		t.Fatal("cold run emitted RunResumed")

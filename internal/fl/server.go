@@ -65,9 +65,10 @@ type FederationConfig struct {
 	TestSubset int
 	// Seed derives every random stream in the run.
 	Seed uint64
-	// Telemetry, when non-nil, receives structured run events and
-	// phase-level metrics. nil disables all instrumentation at the cost
-	// of a nil check per call site.
+	// Telemetry, when non-nil, receives structured run events (each
+	// round's RoundRecord among them) and, with tracing enabled, the
+	// run's span tree. nil disables all instrumentation at the cost of a
+	// nil check per call site.
 	Telemetry *telemetry.T
 }
 
@@ -217,7 +218,6 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 		}
 		p.clients[i] = NewClient(i, f.train, parts[i], cfg.Client, att,
 			rng.New(rng.DeriveSeed(cfg.Seed, "client", uint64(i))))
-		p.clients[i].SetTelemetry(cfg.Telemetry)
 		p.clients[i].UseWorkers(p.workers)
 		if cfg.Stream != nil {
 			p.clients[i].EnableStream(cfg.Stream.InitialFraction,

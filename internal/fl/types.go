@@ -20,10 +20,19 @@ import (
 // A defense's keep-or-drop decisions are not diagnostics: see Decide.
 const ReportKrumSelected = "krum_selected"
 
-// Decision is one delivered update's audit outcome. The type lives in
-// telemetry because RoundCompleted carries it and telemetry cannot
-// import fl.
-type Decision = telemetry.Decision
+// Decision is a defense's verdict on one delivered update (Alg. 1 lines
+// 5–7): the client's score on the round's validation signal
+// (synthetic-set accuracy for FedGuard, reconstruction error for
+// Spectral), whether the update entered the aggregate, and the ground
+// truth to audit the verdict against.
+type Decision struct {
+	ClientID int     `json:"client_id"`
+	Score    float64 `json:"score"`
+	Kept     bool    `json:"kept"`
+	// Malicious is stamped by the round engine from the experiment's
+	// placement; a strategy never sees it.
+	Malicious bool `json:"malicious"`
+}
 
 // Update is one client's per-round submission: classifier parameters in
 // the flat wire format, the sample count used for FedAvg weighting, and
@@ -63,22 +72,10 @@ type RoundContext struct {
 	// order. A strategy that audits nothing leaves them zero.
 	Threshold float64
 	Decisions []Decision
-	// Telemetry is the run's observability bundle. It is nil-safe: a
-	// strategy may call its methods unconditionally.
-	Telemetry *telemetry.T
-	// Span is the aggregation span of this round's trace, when tracing is
-	// enabled (nil otherwise — and nil is safe). Strategies open their
-	// phase timers through StartPhase so sub-phases land in the trace
-	// tree when one exists and in the flat histograms either way.
+	// Span is the round's server.aggregate span when the run is traced,
+	// nil otherwise. A strategy times a sub-phase as
+	// ctx.Span.Child(name) … End(); on a nil Span both are free.
 	Span *telemetry.Span
-}
-
-// StartPhase opens a named sub-phase of this round's aggregation: a
-// child span of ctx.Span when the run is traced, a flat phase timer
-// otherwise. Call the returned stop function exactly once (defer).
-func (ctx *RoundContext) StartPhase(name string, labels ...telemetry.Label) func() {
-	_, stop := ctx.Telemetry.StartPhase(ctx.Span, name, labels...)
-	return stop
 }
 
 // Decide records the round's defense decision (Alg. 1 lines 6–7) and
@@ -115,7 +112,7 @@ func (ctx *RoundContext) Decide(threshold float64, scores []float64, keep func(s
 type StreamingStrategy interface {
 	Strategy
 	// BeginRound opens a streaming round expecting m updates. ctx carries
-	// the round's Global/RNG/Telemetry but no Updates yet. A nil return
+	// the round's Global and RNG but no Updates yet. A nil return
 	// means only that there is nothing to stream — an empty round, or a
 	// configuration Aggregate will report as an error; the caller uses
 	// Aggregate.

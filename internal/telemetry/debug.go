@@ -6,55 +6,27 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
 // DebugServer is the live-introspection HTTP listener behind the
 // commands' -debug-addr flag. Endpoints:
 //
-//	/metrics       Prometheus text exposition of the registry
-//	/metrics.json  the same snapshot as JSON
 //	/healthz       liveness probe ("ok")
-//	/debug/vars    expvar (runtime memstats, cmdline, registry snapshot)
+//	/debug/vars    expvar (runtime memstats, cmdline)
 //	/debug/pprof/  the standard Go profiling suite
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// expvarOnce guards the process-wide expvar publication (expvar panics
-// on duplicate names, and tests may start several debug servers).
-var expvarOnce sync.Once
-
 // ServeDebug binds addr (e.g. "127.0.0.1:6060" or ":0") and serves the
-// debug endpoints for reg in a background goroutine until Close.
-func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
+// debug endpoints in a background goroutine until Close.
+func ServeDebug(addr string) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: debug listener: %w", err)
 	}
-	expvarOnce.Do(func() {
-		// The raw snapshot carries a +Inf histogram bound that
-		// json.Marshal rejects; publish the JSON-safe form.
-		expvar.Publish("fedguard_metrics", expvar.Func(func() any { return jsonSafeSnapshot(reg.Snapshot()) }))
-	})
-	srv := &http.Server{Handler: Handler(reg)}
-	go srv.Serve(ln)
-	return &DebugServer{ln: ln, srv: srv}, nil
-}
-
-// Handler returns the debug mux for reg (exposed for embedding into an
-// existing server).
-func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w)
-	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -64,7 +36,9 @@ func Handler(reg *Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	srv := &http.Server{Handler: mux}
+	go srv.Serve(ln)
+	return &DebugServer{ln: ln, srv: srv}, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").

@@ -30,55 +30,6 @@ type RunStarted struct {
 // Kind implements Event.
 func (RunStarted) Kind() string { return "RunStarted" }
 
-// Decision is a defense's verdict on one delivered update (Alg. 1 lines
-// 5–7): the client's score on the round's validation signal
-// (synthetic-set accuracy for FedGuard, reconstruction error for
-// Spectral), whether the update entered the aggregate, and the ground
-// truth to audit the verdict against. fl.RoundRecord holds the same
-// values (as fl.Decision), kept clients' included.
-type Decision struct {
-	ClientID int     `json:"client_id"`
-	Score    float64 `json:"score"`
-	Kept     bool    `json:"kept"`
-	// Malicious is stamped by the round engine from the experiment's
-	// placement; a strategy never sees it.
-	Malicious bool `json:"malicious"`
-}
-
-// RoundCompleted records one federated round's full outcome: quality,
-// phase-split wall-clock cost, wire traffic (Table V columns) and the
-// defense's per-client decisions.
-type RoundCompleted struct {
-	Round            int     `json:"round"`
-	TestAccuracy     float64 `json:"test_accuracy"`
-	TrainSeconds     float64 `json:"train_seconds"`
-	AggregateSeconds float64 `json:"aggregate_seconds"`
-	EvalSeconds      float64 `json:"eval_seconds"`
-	Seconds          float64 `json:"seconds"`
-	UploadBytes      int64   `json:"upload_bytes"`
-	DownloadBytes    int64   `json:"download_bytes"`
-	// WireUploadBytes/WireDownloadBytes are the measured on-socket bytes
-	// (framing, retries, and compression included), as opposed to the
-	// logical Table V sizes above.
-	WireUploadBytes   int64 `json:"wire_upload_bytes"`
-	WireDownloadBytes int64 `json:"wire_download_bytes"`
-	Sampled           []int `json:"sampled"`
-	MaliciousSampled  int   `json:"malicious_sampled"`
-	// Dropped lists sampled clients that failed to deliver an update
-	// (networked runs only; empty when the full cohort responded).
-	Dropped []int `json:"dropped,omitempty"`
-	// Threshold is the bar the round's scores were held to (their mean)
-	// and Decisions one entry per delivered update, in aggregation order;
-	// both are absent under strategies that audit nothing.
-	Threshold float64    `json:"threshold,omitempty"`
-	Decisions []Decision `json:"decisions,omitempty"`
-	// Report is the strategy's per-round diagnostic map, carried verbatim.
-	Report map[string]float64 `json:"report,omitempty"`
-}
-
-// Kind implements Event.
-func (RoundCompleted) Kind() string { return "RoundCompleted" }
-
 // ClientDropped records the networked server abandoning one client for
 // the rest of a round: the client missed its deadline, exhausted its
 // retries, or died mid-frame. Its update is excluded from aggregation
@@ -107,6 +58,20 @@ type ClientRejoined struct {
 // Kind implements Event.
 func (ClientRejoined) Kind() string { return "ClientRejoined" }
 
+// RegistrationRefused records the networked server turning away a
+// connection whose registration handshake failed: a missing or malformed
+// Hello, an out-of-range client ID, or a Setup it could not send. Only a
+// fault-tolerant server refuses and carries on; a strict one fails the
+// run. Round is the last round the server had begun (0 before the
+// first).
+type RegistrationRefused struct {
+	Round int    `json:"round"`
+	Err   string `json:"err"`
+}
+
+// Kind implements Event.
+func (RegistrationRefused) Kind() string { return "RegistrationRefused" }
+
 // RoundDegraded records a round that proceeded without its full sampled
 // cohort: Responsive of Sampled clients returned updates and the rest
 // were dropped (listed in Dropped, in sampled order).
@@ -124,8 +89,8 @@ func (RoundDegraded) Kind() string { return "RoundDegraded" }
 // (already fsynced and atomically renamed into place). Bytes is what
 // this save wrote — the round file plus any decoder payload persisted
 // for the first time — not the size of the checkpoint directory.
-// Seconds is the full persistence cost and also feeds the
-// CheckpointMetric histogram.
+// Seconds is the full persistence cost: snapshot, serialize, fsync and
+// rename.
 type CheckpointWritten struct {
 	Round   int     `json:"round"`
 	Path    string  `json:"path,omitempty"`
@@ -196,8 +161,9 @@ type envelope struct {
 // JSONLSink writes one JSON object per event to an io.Writer, newline
 // delimited and buffered (64 KiB — span-heavy traced runs emit far too
 // many events for one syscall each). Marshalling errors are swallowed
-// (telemetry must never abort an experiment); write errors are retained
-// and available via Err.
+// (telemetry must never abort an experiment); the first write error is
+// retained, stops further writes, and is returned by Flush (and so by
+// FileSink.Close).
 //
 // JSONLSink is goroutine-safe: Emit and Flush may be called from any
 // number of goroutines (the networked server's per-client request

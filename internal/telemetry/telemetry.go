@@ -1,35 +1,41 @@
+// Package telemetry is the observability substrate of the repository:
+// a structured event log behind a pluggable Sink, span trees that time
+// the federated hot path phase by phase, and a debug HTTP server
+// exposing expvar and pprof.
+//
+// Each quantity has one record. A round's accuracy, phase-split time and
+// traffic (the paper's Table V) are its fl.RoundRecord, logged as the
+// RoundCompleted event; where its time went below those phases is the
+// span tree, exported as Span events through the same sink. Everything
+// here is nil-safe: a nil *T (the bundle handed to the federation) and a
+// nil *Span make every instrumentation call a no-op, so code can be
+// instrumented unconditionally.
 package telemetry
 
-import "time"
-
-// T bundles the two halves of a run's telemetry: a metrics registry for
-// numeric series and a sink for structured events. Every method is safe
-// on a nil receiver and with nil fields, so instrumented code never
-// branches on whether observability is enabled — a disabled run costs a
-// nil check per call site and nothing else.
+// T bundles a run's telemetry: a sink for structured events and, when
+// tracing is on, the tracer whose spans that sink exports. Every method
+// is safe on a nil receiver and with nil fields, so instrumented code
+// never branches on whether observability is enabled.
 type T struct {
-	Metrics *Registry
-	Events  Sink
-	// Tracer, when non-nil, upgrades phase timers to real span trees
-	// (see EnableTracing). nil keeps tracing off with zero cost.
+	Events Sink
+	// Tracer, when non-nil, mints the run's span trees (see
+	// EnableTracing). nil keeps tracing off at no cost.
 	Tracer *Tracer
 }
 
-// New returns a T with a fresh registry and the given sink (nil sink
-// keeps events disabled while metrics collect).
+// New returns a T emitting into sink.
 func New(sink Sink) *T {
-	return &T{Metrics: NewRegistry(), Events: sink}
+	return &T{Events: sink}
 }
 
 // EnableTracing attaches a tracer for the named node: subsequent
 // StartRoot/StartRemote calls mint real spans, exported as "Span"
-// events through the T's sink alongside the structured run events and
-// observed into the phase histogram on End.
+// events through the T's sink alongside the structured run events.
 func (t *T) EnableTracing(node string) *Tracer {
 	if t == nil {
 		return nil
 	}
-	t.Tracer = NewTracer(node, t.Events, t.Metrics)
+	t.Tracer = NewTracer(node, t.Events)
 	return t.Tracer
 }
 
@@ -51,19 +57,6 @@ func (t *T) StartRemote(parent SpanContext, name string, labels ...Label) *Span 
 	return t.Tracer.StartRemote(parent, name, labels...)
 }
 
-// StartPhase opens a child span under parent when one is live, falling
-// back to a flat phase timer otherwise. Either way the duration lands
-// in the PhaseMetric histogram exactly once; call the returned stop
-// function to finish. The *Span is nil in the fallback (and always
-// safe to use).
-func (t *T) StartPhase(parent *Span, name string, labels ...Label) (*Span, func()) {
-	if parent != nil {
-		sp := parent.Child(name, labels...)
-		return sp, sp.End
-	}
-	return nil, t.StartSpan(name, labels...)
-}
-
 // Emit forwards e to the event sink, if any.
 func (t *T) Emit(e Event) {
 	if t == nil || t.Events == nil {
@@ -72,49 +65,11 @@ func (t *T) Emit(e Event) {
 	t.Events.Emit(e)
 }
 
-// noopStop is returned by disabled spans.
-func noopStop() {}
-
-// PhaseMetric is the histogram family name all spans observe into,
-// labeled by phase.
-const PhaseMetric = "fedguard_phase_seconds"
-
-// StartSpan opens a phase timer. The returned stop function records the
-// elapsed seconds into the PhaseMetric histogram labeled
-// phase=<name> (plus any extra labels); call it exactly once, typically
-// via defer.
-func (t *T) StartSpan(phase string, labels ...Label) func() {
-	if t == nil || t.Metrics == nil {
-		return noopStop
-	}
-	all := make([]Label, 0, len(labels)+1)
-	all = append(all, L("phase", phase))
-	all = append(all, labels...)
-	h := t.Metrics.Histogram(PhaseMetric, all...)
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Seconds()) }
+// Label is one key=value span dimension (e.g. client="3").
+type Label struct {
+	Key   string `json:"key"`
+	Value string `json:"value"`
 }
 
-// AddCounter increments the named counter by d.
-func (t *T) AddCounter(name string, d float64, labels ...Label) {
-	if t == nil || t.Metrics == nil {
-		return
-	}
-	t.Metrics.Counter(name, labels...).Add(d)
-}
-
-// SetGauge sets the named gauge to v.
-func (t *T) SetGauge(name string, v float64, labels ...Label) {
-	if t == nil || t.Metrics == nil {
-		return
-	}
-	t.Metrics.Gauge(name, labels...).Set(v)
-}
-
-// Observe records v into the named histogram.
-func (t *T) Observe(name string, v float64, labels ...Label) {
-	if t == nil || t.Metrics == nil {
-		return
-	}
-	t.Metrics.Histogram(name, labels...).Observe(v)
-}
+// L is shorthand for constructing a Label.
+func L(key, value string) Label { return Label{Key: key, Value: value} }

@@ -10,18 +10,18 @@ import (
 	"time"
 )
 
-// This file is the distributed-tracing half of the package: real span
-// trees (trace ID, span ID, parent ID, monotonic durations, labels)
-// that upgrade the flat closure timers of StartSpan. Spans are exported
-// as "Span" events through the same JSONL sink as the structured run
-// events, so one file per process carries both; cmd/fedtrace merges the
-// files from a server and its clients back into per-round timelines.
+// This file is the distributed-tracing half of the package: span trees
+// (trace ID, span ID, parent ID, monotonic durations, labels), the one
+// phase timer of a run. A phase is parent.Child(name) … End(), and a nil
+// parent makes it free. Spans are exported as "Span" events through the
+// same JSONL sink as the structured run events, so one file per process
+// carries both; cmd/fedtrace merges the files from a server and its
+// clients back into per-round timelines.
 //
 // A SpanContext is 16 bytes and crosses the wire (see wire.Trace and
 // the CapTrace capability), which is what lets a client's train/upload
-// spans parent onto the span the server opened for its request — the
-// causality the flat phase timers could never express across the TCP
-// boundary.
+// spans parent onto the span the server opened for its request across
+// the TCP boundary.
 
 // SpanContext identifies one span within one trace: the compact pair
 // that crosses process boundaries.
@@ -59,25 +59,22 @@ func (SpanEnded) Kind() string { return "Span" }
 // different nodes of one federation never collide and a merged trace
 // stays unambiguous without coordination.
 type Tracer struct {
-	node    string
-	hi      uint64
-	ctr     atomic.Uint64
-	sink    Sink
-	metrics *Registry
+	node string
+	hi   uint64
+	ctr  atomic.Uint64
+	sink Sink
 }
 
 // NewTracer returns a tracer for the named node. sink receives the
-// SpanEnded events (nil discards them); metrics receives each span's
-// duration as a PhaseMetric observation labeled phase=<span name>, so
-// traced and untraced runs feed the same histograms.
-func NewTracer(node string, sink Sink, metrics *Registry) *Tracer {
+// SpanEnded events (nil discards them).
+func NewTracer(node string, sink Sink) *Tracer {
 	h := fnv.New64a()
 	h.Write([]byte(node))
 	hi := h.Sum64() << 32
 	if hi == 0 {
 		hi = 1 << 32
 	}
-	return &Tracer{node: node, hi: hi, sink: sink, metrics: metrics}
+	return &Tracer{node: node, hi: hi, sink: sink}
 }
 
 // nextID returns a process-unique nonzero ID.
@@ -172,9 +169,9 @@ func (s *Span) SetLabel(key, value string) {
 // SetInt attaches an integer-valued label.
 func (s *Span) SetInt(key string, v int64) { s.SetLabel(key, strconv.FormatInt(v, 10)) }
 
-// End finishes the span: its monotonic duration is observed into the
-// phase histogram and the span is exported as a SpanEnded event. Only
-// the first End has any effect.
+// End finishes the span and exports it as a SpanEnded event, with its
+// duration measured on the monotonic clock. Only the first End has any
+// effect.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -188,9 +185,6 @@ func (s *Span) End() {
 	s.ended = true
 	labels := append([]Label(nil), s.labels...)
 	s.mu.Unlock()
-	if s.tr.metrics != nil {
-		s.tr.metrics.Histogram(PhaseMetric, L("phase", s.name)).Observe(d.Seconds())
-	}
 	if s.tr.sink != nil {
 		e := SpanEnded{
 			Trace:    fmt.Sprintf("%016x", s.ctx.TraceID),
@@ -207,47 +201,3 @@ func (s *Span) End() {
 		s.tr.sink.Emit(e)
 	}
 }
-
-// LogBuckets returns histogram bucket upper bounds log-spaced from min
-// to at least max with perDecade buckets per factor of ten — the shape
-// latency distributions want, where a 1 ms and a 10 s observation both
-// need resolution. Degenerate arguments fall back to DefaultBuckets.
-func LogBuckets(min, max float64, perDecade int) []float64 {
-	if min <= 0 || max <= min || perDecade <= 0 {
-		return append([]float64(nil), DefaultBuckets...)
-	}
-	step := math.Pow(10, 1/float64(perDecade))
-	var out []float64
-	for b := min; ; b *= step {
-		out = append(out, b)
-		if b >= max || len(out) >= 200 {
-			break
-		}
-	}
-	return out
-}
-
-// PeerLatencyMetric is the per-peer request-latency histogram the
-// networked server observes: one full request/update exchange per
-// observation, labeled client=<id>. Registered with log-spaced buckets
-// (see LogBuckets) before the first observation.
-const PeerLatencyMetric = "fedguard_peer_latency_seconds"
-
-// BroadcastEncodeMetric is the histogram of broadcast-encoding times:
-// one observation per actual delta encode of the round's outgoing
-// global. With encode-once sharing, connections holding the same delta
-// base reuse one buffer, so observations stay O(1) per round however
-// many clients participate.
-const BroadcastEncodeMetric = "fedguard_broadcast_encode_seconds"
-
-// AuditOverlapMetric is the histogram of per-round streaming-audit
-// overlap: the audit compute (decoder synthesis + scoring) that ran
-// while client uploads were still in flight, i.e. work hidden in the
-// network shadow instead of serialized after the round barrier.
-const AuditOverlapMetric = "fedguard_audit_overlap_seconds"
-
-// CheckpointMetric is the histogram of checkpoint persistence cost: one
-// observation per crash-safe snapshot (serialize + fsync + atomic
-// rename), so the Table V overhead of running with -checkpoint-dir is
-// directly readable from /metrics.
-const CheckpointMetric = "fedguard_checkpoint_seconds"

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // spanOf extracts the SpanEnded events from a CollectSink by name.
@@ -114,8 +115,8 @@ func TestSpanRemoteParenting(t *testing.T) {
 func TestSpanIDsDistinctAcrossNodes(t *testing.T) {
 	// Two nodes minting IDs without coordination must not collide: the
 	// node-hash high bits keep the streams disjoint.
-	a := NewTracer("server", nil, nil)
-	b := NewTracer("client-7", nil, nil)
+	a := NewTracer("server", nil)
+	b := NewTracer("client-7", nil)
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
 		for _, tr := range []*Tracer{a, b} {
@@ -162,15 +163,14 @@ func TestSpanNilSafety(t *testing.T) {
 	if s := tel.StartRoot("x"); s != nil {
 		t.Fatal("nil T minted a span")
 	}
-	// T without tracing: StartPhase falls back to the flat timer.
-	tel = New(nil)
-	sp2, stop := tel.StartPhase(nil, "client.train")
-	if sp2 != nil {
-		t.Fatal("fallback returned a live span")
-	}
-	stop()
-	if got := tel.Metrics.Histogram(PhaseMetric, L("phase", "client.train")).Count(); got != 1 {
-		t.Fatalf("fallback observed %d times", got)
+	// T without tracing: no root, so every phase under it is free.
+	var sink CollectSink
+	tel = New(&sink)
+	root := tel.StartRoot("run")
+	root.Child("client.train").End()
+	root.End()
+	if root != nil || len(sink.ByKind("Span")) != 0 {
+		t.Fatal("an untraced T exported spans")
 	}
 }
 
@@ -185,24 +185,29 @@ func TestSpanEndIdempotentAndObservesOnce(t *testing.T) {
 	if got := len(sink.ByKind("Span")); got != 1 {
 		t.Fatalf("exported %d spans, want 1", got)
 	}
-	if got := tel.Metrics.Histogram(PhaseMetric, L("phase", "round")).Count(); got != 1 {
-		t.Fatalf("observed %d durations, want 1", got)
-	}
 }
 
 func TestStartPhaseSpanObservesOnce(t *testing.T) {
-	// The traced path must feed the same histogram as the untraced one,
-	// exactly once per phase.
-	tel := New(nil)
+	// A phase is a child span: ended (even twice) it is exported exactly
+	// once, under its parent, with a duration.
+	var sink CollectSink
+	tel := New(&sink)
 	tel.EnableTracing("n")
 	root := tel.StartRoot("run")
-	sp, stop := tel.StartPhase(root, "server.aggregate")
+	sp := root.Child("server.aggregate")
 	if sp == nil {
-		t.Fatal("traced StartPhase returned nil span")
+		t.Fatal("a traced parent returned a nil child")
 	}
-	stop()
-	if got := tel.Metrics.Histogram(PhaseMetric, L("phase", "server.aggregate")).Count(); got != 1 {
-		t.Fatalf("observed %d durations, want 1", got)
+	time.Sleep(time.Millisecond)
+	sp.End()
+	sp.End()
+	spans := sink.ByKind("Span")
+	if len(spans) != 1 {
+		t.Fatalf("exported %d spans, want 1", len(spans))
+	}
+	got := spans[0].(SpanEnded)
+	if got.Name != "server.aggregate" || got.Parent != fmt.Sprintf("%016x", root.Context().SpanID) || got.Duration <= 0 {
+		t.Fatalf("phase span = %+v", got)
 	}
 }
 
@@ -245,32 +250,6 @@ func TestSpanJSONLExport(t *testing.T) {
 	}
 	if env.Data.Start == 0 {
 		t.Fatal("span lost its start time")
-	}
-}
-
-func TestLogBuckets(t *testing.T) {
-	b := LogBuckets(0.001, 10, 3)
-	if b[0] != 0.001 {
-		t.Fatalf("first bucket = %v", b[0])
-	}
-	if last := b[len(b)-1]; last < 10 {
-		t.Fatalf("last bucket %v does not cover max", last)
-	}
-	for i := 1; i < len(b); i++ {
-		if b[i] <= b[i-1] {
-			t.Fatalf("buckets not increasing at %d: %v", i, b)
-		}
-	}
-	// 3 per decade over 4 decades ≈ 13 bounds.
-	if len(b) < 12 || len(b) > 14 {
-		t.Fatalf("unexpected bucket count %d: %v", len(b), b)
-	}
-	// Degenerate arguments fall back rather than looping or panicking.
-	if got := LogBuckets(0, 1, 3); len(got) != len(DefaultBuckets) {
-		t.Fatalf("degenerate min fallback = %v", got)
-	}
-	if got := LogBuckets(5, 1, 3); len(got) != len(DefaultBuckets) {
-		t.Fatalf("degenerate max fallback = %v", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"io"
-	"sync"
 	"sync/atomic"
 )
 
@@ -13,16 +12,11 @@ import (
 //
 // CountingConn is an io.Closer: callers that hold only the wrapper can
 // (and should) close it, and the close passes through to the wrapped
-// stream so the underlying net.Conn is not leaked. An optional OnClose
-// hook surfaces the final byte counts exactly once at close time — the
-// hand-off point to a telemetry gauge.
+// stream so the underlying net.Conn is not leaked.
 type CountingConn struct {
 	rw      io.ReadWriter
 	read    atomic.Int64
 	written atomic.Int64
-
-	closeOnce sync.Once
-	onClose   func(read, written int64)
 }
 
 // NewCountingConn wraps rw.
@@ -30,21 +24,9 @@ func NewCountingConn(rw io.ReadWriter) *CountingConn {
 	return &CountingConn{rw: rw}
 }
 
-// OnClose registers fn to receive the final byte counts when the
-// connection is closed (fired at most once, before the underlying
-// stream's Close). Call before any concurrent use.
-func (c *CountingConn) OnClose(fn func(read, written int64)) { c.onClose = fn }
-
-// Close implements io.Closer: it fires the OnClose hook with the final
-// counts, then closes the wrapped stream if it is itself a Closer.
-// Subsequent Closes skip the hook but still forward to the underlying
-// stream.
+// Close implements io.Closer: it closes the wrapped stream if it is
+// itself a Closer. Every Close forwards; the counts stay readable.
 func (c *CountingConn) Close() error {
-	c.closeOnce.Do(func() {
-		if c.onClose != nil {
-			c.onClose(c.read.Load(), c.written.Load())
-		}
-	})
 	if cl, ok := c.rw.(io.Closer); ok {
 		return cl.Close()
 	}

@@ -100,66 +100,18 @@ func TestCountingConnConcurrent(t *testing.T) {
 	}
 }
 
-// TestCountingConnOnCloseOnce closes the conn from many goroutines
-// concurrently with in-flight writes: the OnClose hook must fire exactly
-// once, with counts no lower than the traffic completed before the first
-// Close, and every Close must still forward to the wrapped stream.
-func TestCountingConnOnCloseOnce(t *testing.T) {
-	const closers = 8
-	p := &countPipe{}
-	c := NewCountingConn(p)
-
-	var fired atomic.Int64
-	var hookRead, hookWritten atomic.Int64
-	c.OnClose(func(read, written int64) {
-		fired.Add(1)
-		hookRead.Store(read)
-		hookWritten.Store(written)
-	})
-
-	if _, err := c.Write(make([]byte, 128)); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < closers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.Close(); err != nil {
-				t.Errorf("close: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if got := fired.Load(); got != 1 {
-		t.Fatalf("OnClose fired %d times, want exactly 1", got)
-	}
-	if got := hookWritten.Load(); got != 128 {
-		t.Fatalf("OnClose saw written=%d, want 128", got)
-	}
-	if got := hookRead.Load(); got != 0 {
-		t.Fatalf("OnClose saw read=%d, want 0", got)
-	}
-	// Every Close forwards to the wrapped stream even after the hook
-	// already fired.
-	if got := p.closed.Load(); got != closers {
-		t.Fatalf("underlying Close called %d times, want %d", got, closers)
-	}
-}
-
 // TestCountingConnNonCloserStream checks Close on a wrapper around a
-// plain ReadWriter (no Closer) still fires the hook and returns nil.
+// plain ReadWriter (no Closer) returns nil and keeps the counts.
 func TestCountingConnNonCloserStream(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCountingConn(struct{ io.ReadWriter }{&buf})
-	var fired int
-	c.OnClose(func(read, written int64) { fired++ })
+	if _, err := c.Write(make([]byte, 5)); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 1 {
-		t.Fatalf("OnClose fired %d times, want 1", fired)
+	if c.BytesWritten() != 5 {
+		t.Fatalf("written = %d after close, want 5", c.BytesWritten())
 	}
 }
