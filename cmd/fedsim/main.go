@@ -95,8 +95,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer cleanup()
-		runMatrixCLI(setup, tel)
+		err = runMatrixCLI(setup, tel)
+		// Close before fatal's os.Exit: the cells a sweep finished before
+		// failing are in the event log.
+		cleanup()
+		if err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -209,14 +214,14 @@ func checkMatrixFlags(fs *flag.FlagSet) error {
 // runMatrixCLI resolves the grid from the flag values and executes the
 // sweep, printing Table IV on stdout and writing the optional CSV/JSON
 // artifacts.
-func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
+func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) error {
 	scenarios := experiment.MatrixScenarios()
 	if *matrixScenarios != "" {
 		scenarios = scenarios[:0]
 		for _, id := range strings.Split(*matrixScenarios, ",") {
 			sc, err := experiment.ScenarioByID(strings.TrimSpace(id))
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			scenarios = append(scenarios, sc)
 		}
@@ -240,17 +245,17 @@ func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
 			Progress:    os.Stderr,
 		})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := experiment.WriteTableIV(os.Stdout, results); err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *matrixCSV != "" {
 		if err := writeFileWith(*matrixCSV, func(w *os.File) error {
 			return experiment.WriteMatrixCSV(w, results)
 		}); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "fedsim: matrix CSV written to %s\n", *matrixCSV)
 	}
@@ -258,10 +263,11 @@ func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) {
 		if err := writeFileWith(*matrixJSON, func(w *os.File) error {
 			return experiment.WriteMatrixJSON(w, results)
 		}); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "fedsim: matrix JSON written to %s\n", *matrixJSON)
 	}
+	return nil
 }
 
 func writeFileWith(path string, fn func(*os.File) error) error {

@@ -3,11 +3,13 @@ package main
 import (
 	"flag"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"fedguard/internal/experiment"
+	"fedguard/internal/telemetry"
 )
 
 // TestFlagSurface pins fedsim's command line: the shared binding must
@@ -90,5 +92,26 @@ func TestNegativeOverridesRefused(t *testing.T) {
 	}
 	if err := applyOverrides(&setup, 3, 10, 0.5); err != nil || setup.Rounds != 3 || setup.Samples != 10 || setup.ServerLR != 0.5 {
 		t.Fatalf("positive overrides: %v, setup %+v", err, setup)
+	}
+}
+
+// TestMatrixWriteErrorReturns: a sweep whose -matrix-csv cannot be
+// written returns the error to main, which closes the event log before
+// exiting, instead of exiting from inside the sweep past that close.
+func TestMatrixWriteErrorReturns(t *testing.T) {
+	setup := experiment.MustSetup(experiment.PresetQuick)
+	setup.Rounds = 1
+	saved := []string{*matrixScenarios, *matrixStrategies, *matrixCSV}
+	defer func() { *matrixScenarios, *matrixStrategies, *matrixCSV = saved[0], saved[1], saved[2] }()
+	*matrixScenarios, *matrixStrategies = "no-attack", "FedAvg"
+	*matrixCSV = filepath.Join(t.TempDir(), "missing", "matrix.csv")
+
+	sink := &telemetry.CollectSink{}
+	err := runMatrixCLI(setup, telemetry.New(sink))
+	if err == nil || !strings.Contains(err.Error(), "matrix.csv") {
+		t.Fatalf("err = %v, want the CSV write's", err)
+	}
+	if n := len(sink.ByKind("MatrixCellCompleted")); n != 1 {
+		t.Fatalf("%d MatrixCellCompleted events before the error, want 1", n)
 	}
 }

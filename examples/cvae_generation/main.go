@@ -25,8 +25,12 @@ func main() {
 
 	cfg := cvae.SmallConfig()
 	model := cvae.New(cfg, r)
+	params := 0
+	for _, p := range model.Params() {
+		params += p.Value.Len()
+	}
 	fmt.Printf("training a %d-parameter CVAE (hidden %d, latent %d) for 30 epochs on %d digits...\n",
-		model.NumParams(), cfg.Hidden, cfg.Latent, train.Len())
+		params, cfg.Hidden, cfg.Latent, train.Len())
 	loss := model.Train(train, dataset.Range(train.Len()),
 		cvae.TrainConfig{Epochs: 30, BatchSize: 32, LR: 1e-3}, r)
 	fmt.Printf("final ELBO loss: %.1f\n\n", loss)
@@ -53,11 +57,33 @@ func main() {
 
 		fmt.Printf("class %d: real | generated | generated\n", class)
 		printSideBySide(
-			dataset.ASCIIArt(real, 28, 28),
-			dataset.ASCIIArt(gen.Data[:784], 28, 28),
-			dataset.ASCIIArt(gen.Data[784:], 28, 28),
+			asciiArt(real, 28, 28),
+			asciiArt(gen.Data[:784], 28, 28),
+			asciiArt(gen.Data[784:], 28, 28),
 		)
 	}
+}
+
+// asciiArt renders image data (h*w floats in [0,1]) as text for
+// terminal inspection, using a 5-level density ramp.
+func asciiArt(img []float32, h, w int) string {
+	ramp := []byte(" .:*#")
+	out := make([]byte, 0, h*(w+1))
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := img[y*w+x]
+			lvl := int(v * float32(len(ramp)))
+			if lvl >= len(ramp) {
+				lvl = len(ramp) - 1
+			}
+			if lvl < 0 {
+				lvl = 0
+			}
+			out = append(out, ramp[lvl])
+		}
+		out = append(out, '\n')
+	}
+	return string(out)
 }
 
 func printSideBySide(arts ...string) {

@@ -35,7 +35,15 @@ func main() {
 	}
 	rounds := res.History.Rounds
 
-	excluded, seen := fl.ExclusionCounts(rounds)
+	excluded, seen := map[int]int{}, map[int]int{}
+	for _, rec := range rounds {
+		for _, d := range rec.Decisions {
+			seen[d.ClientID]++
+			if !d.Kept {
+				excluded[d.ClientID]++
+			}
+		}
+	}
 	rate := func(id int) float64 { return float64(excluded[id]) / float64(seen[id]) }
 	var ids []int
 	for id := range seen {

@@ -123,15 +123,6 @@ func decoderNet(hidden, out *nn.Linear) *nn.Sequential {
 // must not modify it.
 func (m *CVAE) Params() []nn.Param { return m.params }
 
-// NumParams returns the learnable scalar count.
-func (m *CVAE) NumParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Value.Len()
-	}
-	return n
-}
-
 func (m *CVAE) zeroGrad() {
 	for _, p := range m.Params() {
 		p.Grad.Zero()

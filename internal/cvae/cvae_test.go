@@ -17,7 +17,11 @@ func TestPaperConfigParameterCounts(t *testing.T) {
 	m := New(PaperConfig(), r)
 	// Table III: encoder 318,000 + 8,020 + 8,020; decoder 12,400 + 318,394;
 	// total 664,834.
-	if got := m.NumParams(); got != 664834 {
+	got := 0
+	for _, p := range m.Params() {
+		got += p.Value.Len()
+	}
+	if got != 664834 {
 		t.Fatalf("paper CVAE has %d params, want 664834", got)
 	}
 	if got := len(m.DecoderParams()); got != 330794 {

@@ -328,25 +328,3 @@ func Range(n int) []int {
 	}
 	return out
 }
-
-// ASCIIArt renders image data (H*W floats in [0,1]) as text for terminal
-// inspection, using a 5-level density ramp.
-func ASCIIArt(img []float32, h, w int) string {
-	ramp := []byte(" .:*#")
-	out := make([]byte, 0, h*(w+1))
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			v := img[y*w+x]
-			lvl := int(v * float32(len(ramp)))
-			if lvl >= len(ramp) {
-				lvl = len(ramp) - 1
-			}
-			if lvl < 0 {
-				lvl = 0
-			}
-			out = append(out, ramp[lvl])
-		}
-		out = append(out, '\n')
-	}
-	return string(out)
-}

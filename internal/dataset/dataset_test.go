@@ -280,13 +280,3 @@ func TestApportionSumsExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestASCIIArt(t *testing.T) {
-	r := rng.New(13)
-	img := make([]float32, ImageH*ImageW)
-	RenderDigit(img, 8, DefaultGenOptions(), r)
-	art := ASCIIArt(img, ImageH, ImageW)
-	if len(art) != ImageH*(ImageW+1) {
-		t.Fatalf("ASCIIArt length %d", len(art))
-	}
-}

@@ -508,7 +508,19 @@ func TestFedGuardDetectionStats(t *testing.T) {
 	}
 	// A round that audited nothing (FedAvg's) counts for nobody.
 	rounds = append(rounds, fl.RoundRecord{Sampled: []int{10, 12}})
-	excluded, seen := fl.ExclusionCounts(rounds)
+	counts := func(rounds []fl.RoundRecord) (excluded, seen map[int]int) {
+		excluded, seen = map[int]int{}, map[int]int{}
+		for _, r := range rounds {
+			for _, d := range r.Decisions {
+				seen[d.ClientID]++
+				if !d.Kept {
+					excluded[d.ClientID]++
+				}
+			}
+		}
+		return excluded, seen
+	}
+	excluded, seen := counts(rounds)
 	if seen[10] != 3 || seen[11] != 3 || seen[12] != 3 || len(seen) != 3 {
 		t.Fatalf("participation counts wrong: %v", seen)
 	}
@@ -522,7 +534,7 @@ func TestFedGuardDetectionStats(t *testing.T) {
 		t.Fatalf("Excluded() over an audited and an unaudited round = %d, want 1", got)
 	}
 	// Only a prefix of the history: what a sampler sees mid-run.
-	if e, s := fl.ExclusionCounts(rounds[:1]); e[12] != 1 || s[10] != 1 {
+	if e, s := counts(rounds[:1]); e[12] != 1 || s[10] != 1 {
 		t.Fatalf("one-round prefix counts %v / %v", e, s)
 	}
 }
@@ -592,47 +604,5 @@ func TestFedGuardSynthesizeWithDecoderClasses(t *testing.T) {
 	}
 	if x.Dim(0) != 40 || len(labels) != 40 {
 		t.Fatalf("shape %v, %d labels", x.Shape(), len(labels))
-	}
-}
-
-func TestQualitySamplerBiasesAwayFromExcluded(t *testing.T) {
-	// Fabricate a history: client 0 always excluded, client 1 never,
-	// clients 2..4 unseen.
-	history := make([]fl.RoundRecord, 10)
-	for i := range history {
-		history[i].Decisions = []fl.Decision{{ClientID: 0}, {ClientID: 1, Kept: true}}
-	}
-
-	q := NewQualitySampler()
-	r := rng.New(1)
-	counts := make([]int, 5)
-	const trials = 3000
-	for i := 0; i < trials; i++ {
-		for _, id := range q.SampleClients(history, 5, 2, r) {
-			counts[id]++
-		}
-	}
-	// Client 0 should be picked far less often than client 1.
-	if counts[0]*4 > counts[1] {
-		t.Fatalf("quality sampler barely penalized a fully excluded client: %v", counts)
-	}
-	// Floor keeps client 0 occasionally selectable.
-	if counts[0] == 0 {
-		t.Fatal("floor failed: fully excluded client never sampled again")
-	}
-}
-
-func TestQualitySamplerDistinctAndComplete(t *testing.T) {
-	q := NewQualitySampler()
-	r := rng.New(2)
-	for i := 0; i < 50; i++ {
-		out := q.SampleClients(nil, 10, 10, r)
-		seen := map[int]bool{}
-		for _, id := range out {
-			if id < 0 || id >= 10 || seen[id] {
-				t.Fatalf("bad sample %v", out)
-			}
-			seen[id] = true
-		}
 	}
 }

@@ -38,9 +38,9 @@ type ClientOptions struct {
 	Trace bool
 	// Telemetry, when non-nil and with tracing enabled via
 	// EnableTracing, receives the client's span tree, parented onto the
-	// server's request spans on CapTrace connections. The connection is
-	// wrapped for byte accounting so upload spans carry measured byte
-	// counts.
+	// server's request spans on CapTrace connections. A traced
+	// connection is wrapped for byte accounting so upload spans carry
+	// measured byte counts.
 	Telemetry *telemetry.T
 }
 
@@ -94,12 +94,12 @@ func serveClient(conn net.Conn, clientID int, opts ClientOptions, sess *clientSe
 	if opts.Trace {
 		hello.Encodings |= wire.CapTrace
 	}
-	// With telemetry attached, wrap the stream for byte accounting so
-	// upload spans can carry measured byte counts.
+	// With tracing on, wrap the stream for byte accounting so upload
+	// spans can carry measured byte counts; nothing else reads them.
 	tel := opts.Telemetry
 	var rw io.ReadWriter = conn
 	var count *wire.CountingConn
-	if tel != nil {
+	if tel != nil && tel.Tracer != nil {
 		count = wire.NewCountingConn(conn)
 		rw = count
 	}

@@ -3,6 +3,7 @@ package fednet
 import (
 	"errors"
 	"strconv"
+	"sync"
 	"testing"
 
 	"fedguard/internal/aggregate"
@@ -193,12 +194,26 @@ func TestTracedCompressedLoopback(t *testing.T) {
 	}
 }
 
+// lastEventSink is a CollectSink that also keeps the last event it saw.
+type lastEventSink struct {
+	telemetry.CollectSink
+	mu   sync.Mutex
+	last telemetry.Event
+}
+
+func (s *lastEventSink) Emit(e telemetry.Event) {
+	s.CollectSink.Emit(e)
+	s.mu.Lock()
+	s.last = e
+	s.mu.Unlock()
+}
+
 // TestTracedKilledServerExportsWholeTrees kills a traced server after
 // round 1: the run span and both round spans are still exported, so no
 // span in the server's log names a parent the log does not hold.
 func TestTracedKilledServerExportsWholeTrees(t *testing.T) {
 	cfg := testConfig()
-	sink := &telemetry.CollectSink{}
+	sink := &lastEventSink{}
 	cfg.Telemetry = telemetry.New(sink)
 	cfg.Telemetry.EnableTracing("server")
 	srv := newServer(t, cfg, testSet(), aggregate.NewFedAvg())
@@ -212,16 +227,21 @@ func TestTracedKilledServerExportsWholeTrees(t *testing.T) {
 	}
 	names := map[string]int{}
 	ids := map[string]bool{}
-	for _, s := range spansOf(sink) {
+	for _, s := range spansOf(&sink.CollectSink) {
 		names[s.Name]++
 		ids[s.Span] = true
 	}
 	if names["run"] != 1 || names["round"] != 2 {
 		t.Fatalf("exported spans %v, want one run and two rounds", names)
 	}
-	for _, s := range spansOf(sink) {
+	for _, s := range spansOf(&sink.CollectSink) {
 		if s.Parent != "" && !ids[s.Parent] {
 			t.Fatalf("%s span names parent %s, which was never exported", s.Name, s.Parent)
 		}
+	}
+	// The log closes on the kill, not on the last span.
+	done, ok := sink.last.(telemetry.RunCompleted)
+	if !ok || done.Rounds != 1 || done.Error != ErrKilled.Error() {
+		t.Fatalf("log ends on %#v, want a RunCompleted of 1 round with error %q", sink.last, ErrKilled)
 	}
 }

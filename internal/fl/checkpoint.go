@@ -19,9 +19,10 @@ import (
 //
 // Ownership: Global and every decoder payload slice (DecoderState.Params,
 // ClientState.Decoder) alias the live run's memory. That is safe because
-// neither is ever written in place — ψ is replaced each round, a decoder
-// is replaced on retrain — and it is why a snapshot costs nothing per
-// decoder. A sink must not modify them or keep them past its return.
+// neither is ever written in place — ψ is replaced each round, and a
+// client trains its decoder once — and it is why a snapshot costs
+// nothing per decoder. A sink must not modify them or keep them past
+// its return.
 type Checkpoint struct {
 	// Round is the last completed round the snapshot reflects.
 	Round int
@@ -64,10 +65,8 @@ type DecoderState struct {
 // poisoned data view is deliberately absent — it is a pure function of
 // the partition and recomputed on demand.
 type ClientState struct {
-	ID             int
-	RNG            rng.State
-	Visible        int
-	SinceCVAETrain int
+	ID  int
+	RNG rng.State
 	// Decoder is the trained decoder payload (nil before the client's
 	// first FedGuard participation), aliased from the client and never
 	// rewritten; DecoderHash is codec.Hash of it (0 = no decoder), the
@@ -87,17 +86,14 @@ type ClientState struct {
 type CheckpointSink func(*Checkpoint) (path string, bytes int64, err error)
 
 // CaptureState snapshots everything a resumed run must restore to keep
-// this client's stream bit-identical: the RNG position, the streaming
-// counters, and the trained CVAE decoder (losing the decoder would
-// force a retrain, advancing the RNG stream relative to the original
-// run). The decoder is aliased, not copied: the client replaces it on
-// retrain and never writes it in place.
+// this client's stream bit-identical: the RNG position and the trained
+// CVAE decoder (losing the decoder would force a retrain, advancing the
+// RNG stream relative to the original run). The decoder is aliased, not
+// copied: the client trains it once and never writes it in place.
 func (c *Client) CaptureState() ClientState {
 	return ClientState{
 		ID:             c.ID,
 		RNG:            c.rng.State(),
-		Visible:        c.visible,
-		SinceCVAETrain: c.sinceCVAETrain,
 		Decoder:        c.decoder,
 		DecoderHash:    c.decoderHash,
 		DecoderClasses: append([]int(nil), c.decoderClasses...),
@@ -105,21 +101,16 @@ func (c *Client) CaptureState() ClientState {
 }
 
 // RestoreState overwrites the client's mutable state with a snapshot
-// taken by CaptureState. The poisoned view is invalidated and rebuilt
-// deterministically on next use.
+// taken by CaptureState. The poisoned view is a function of the
+// partition alone, so it stays.
 func (c *Client) RestoreState(st ClientState) {
 	c.rng.SetState(st.RNG)
-	c.visible = st.Visible
-	c.sinceCVAETrain = st.SinceCVAETrain
 	c.decoder = append([]float32(nil), st.Decoder...)
 	c.decoderHash = 0
 	if len(c.decoder) > 0 {
 		c.decoderHash = codec.Hash(c.decoder)
 	}
 	c.decoderClasses = append([]int(nil), st.DecoderClasses...)
-	c.viewReady = false
-	c.viewDS = nil
-	c.viewIndices = nil
 }
 
 // CheckResume validates that a checkpoint belongs to this (federation,

@@ -44,18 +44,9 @@ type Client struct {
 	viewDS      *dataset.Dataset
 	viewIndices []int
 
-	// Streaming state (§VI-C dynamic datasets): when grow > 0 the client
-	// only sees a growing prefix of its partition, and the CVAE is
-	// retrained every retrainEvery participations instead of once.
-	visible        int
-	grow           int
-	retrainEvery   int
-	sinceCVAETrain int
-
-	// Cached CVAE decoder payload, its content hash (computed once per
+	// Cached CVAE decoder payload, its content hash (computed once at
 	// training, 0 = none yet) and the classes it saw. The payload is
-	// replaced on retrain and never written in place: updates and
-	// checkpoints alias it.
+	// never written in place: updates and checkpoints alias it.
 	decoder        []float32
 	decoderHash    uint64
 	decoderClasses []int
@@ -70,7 +61,7 @@ func NewClient(id int, ds *dataset.Dataset, indices []int, cfg ClientConfig, att
 		att = attack.None{}
 	}
 	return &Client{ID: id, ds: ds, indices: indices, cfg: cfg, att: att, rng: r,
-		workers: classifier.NewSet(cfg.Arch), visible: len(indices)}
+		workers: classifier.NewSet(cfg.Arch)}
 }
 
 // UseWorkers makes the client borrow its classifier from set — of the
@@ -79,35 +70,13 @@ func NewClient(id int, ds *dataset.Dataset, indices []int, cfg ClientConfig, att
 // round at once. Call before the first round.
 func (c *Client) UseWorkers(set *classifier.Set) { c.workers = set }
 
-// EnableStream switches the client to the paper's §VI-C dynamic-dataset
-// mode: ⌊initialFraction·len(partition)⌋ samples, and at least one, are
-// visible at first, grow more arrive before each participation (the
-// first one included, so it trains on the initial share plus grow), and
-// the CVAE is retrained every retrainEvery participations (0 keeps the
-// train-once behaviour). Call before the first round.
-func (c *Client) EnableStream(initialFraction float64, grow, retrainEvery int) {
-	if initialFraction < 0 {
-		initialFraction = 0
-	}
-	if initialFraction > 1 {
-		initialFraction = 1
-	}
-	c.visible = int(initialFraction * float64(len(c.indices)))
-	if c.visible < 1 && len(c.indices) > 0 {
-		c.visible = 1
-	}
-	c.grow = grow
-	c.retrainEvery = retrainEvery
-	c.viewReady = false
-}
-
 // NumParams returns the parameter count of the client's architecture:
 // the length a global handed to RunRound must have.
 func (c *Client) NumParams() int { return c.workers.NumParams() }
 
 func (c *Client) view() (*dataset.Dataset, []int) {
 	if !c.viewReady {
-		c.viewDS, c.viewIndices = c.att.PoisonData(c.ds, c.indices[:c.visible])
+		c.viewDS, c.viewIndices = c.att.PoisonData(c.ds, c.indices)
 		c.viewReady = true
 	}
 	return c.viewDS, c.viewIndices
@@ -120,7 +89,7 @@ func (c *Client) view() (*dataset.Dataset, []int) {
 // same poisoned view, the paper's behaviour.
 func (c *Client) cvaeView() (*dataset.Dataset, []int) {
 	if ca, ok := c.att.(attack.CVAEDataAware); ok {
-		return ca.PoisonCVAEData(c.ds, c.indices[:c.visible])
+		return ca.PoisonCVAEData(c.ds, c.indices)
 	}
 	return c.view()
 }
@@ -147,13 +116,6 @@ func (c *Client) RunRound(global []float32, needDecoder bool) Update {
 func (c *Client) RunRoundSpan(global []float32, needDecoder bool, parent *telemetry.Span) Update {
 	w := c.workers.Get()
 	defer c.workers.Put(w)
-	if c.grow > 0 && c.visible < len(c.indices) {
-		c.visible += c.grow
-		if c.visible > len(c.indices) {
-			c.visible = len(c.indices)
-		}
-		c.viewReady = false
-	}
 	ds, indices := c.view()
 
 	weights := c.train(w, ds, indices, global, parent)
@@ -185,15 +147,12 @@ func (c *Client) train(w *classifier.Worker, ds *dataset.Dataset, indices []int,
 	return w.Model.FlattenParams()
 }
 
-// decoderPayload trains the client's CVAE on first use — and, in
-// streaming mode, retrains it every retrainEvery participations so the
-// decoder tracks the evolving local distribution — returning the cached
-// flat decoder vector and the classes it was trained on. The CVAE is the
-// borrowed worker's, drawn from the client's stream as cvae.New would
-// draw it; the client keeps only the decoder copy.
+// decoderPayload trains the client's CVAE on first use, returning the
+// cached flat decoder vector and the classes it was trained on. The
+// CVAE is the borrowed worker's, drawn from the client's stream as
+// cvae.New would draw it; the client keeps only the decoder copy.
 func (c *Client) decoderPayload(w *classifier.Worker, parent *telemetry.Span) ([]float32, []int) {
-	stale := c.retrainEvery > 0 && c.sinceCVAETrain >= c.retrainEvery
-	if c.decoder == nil || stale {
+	if c.decoder == nil {
 		defer parent.Child("client.cvae_train").End()
 		ds, indices := c.cvaeView()
 		m := w.CVAE(c.cfg.CVAE, c.rng)
@@ -201,9 +160,7 @@ func (c *Client) decoderPayload(w *classifier.Worker, parent *telemetry.Span) ([
 		c.decoder = m.DecoderParams()
 		c.decoderHash = codec.Hash(c.decoder)
 		c.decoderClasses = classesOf(ds, indices, c.cfg.CVAE.Classes)
-		c.sinceCVAETrain = 0
 	}
-	c.sinceCVAETrain++
 	return c.decoder, c.decoderClasses
 }
 

@@ -56,9 +56,11 @@ type Cohort interface {
 // caller has validated it with CheckResume and restored the cohort's own
 // state from it. On error the returned history holds the rounds
 // completed so far, and every span RunRounds opened is ended, so a
-// failed traced run exports no span without its parent.
+// failed traced run exports no span without its parent. Every return
+// closes the event stream with RunCompleted, a failed run's carrying its
+// error, so a reader tells a failed run from a truncated log.
 func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, cohort Cohort,
-	runSpan *telemetry.Span, resume *Checkpoint, onRound func(RoundRecord)) (*History, error) {
+	runSpan *telemetry.Span, resume *Checkpoint, onRound func(RoundRecord)) (_ *History, err error) {
 	// All streams are derived from the experiment seed by domain tag, so
 	// every deployment — and a remote client on its own — reconstructs the
 	// identical stream and produces bit-identical results.
@@ -77,26 +79,7 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 	needDecoders := strategy.NeedsDecoders()
 	history := &History{Strategy: strategy.Name()}
 
-	startRound := 1
-	if resume != nil {
-		if len(resume.Global) != len(global) {
-			return nil, fmt.Errorf("fl: checkpoint holds %d parameters, architecture has %d",
-				len(resume.Global), len(global))
-		}
-		global = append([]float32(nil), resume.Global...)
-		serverRNG.SetState(resume.ServerRNG)
-		history.Rounds = append(history.Rounds, resume.Rounds...)
-		startRound = resume.Round + 1
-	}
-
 	tel := cfg.Telemetry
-	var roundSpan, aggSpan *telemetry.Span
-	defer func() {
-		// End is idempotent: on success these have ended already.
-		aggSpan.End()
-		roundSpan.End()
-		runSpan.End()
-	}()
 	attackName := ""
 	if cfg.Attack != nil {
 		attackName = cfg.Attack.Name()
@@ -110,10 +93,36 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		Attack:            attackName,
 		MaliciousFraction: cfg.MaliciousFraction,
 	})
+	var roundSpan, aggSpan *telemetry.Span
+	runStart := time.Now()
+	defer func() {
+		// End is idempotent: on success these have ended already.
+		aggSpan.End()
+		roundSpan.End()
+		runSpan.End()
+		done := telemetry.RunCompleted{
+			Rounds:        len(history.Rounds),
+			FinalAccuracy: history.FinalAccuracy(),
+			TotalSeconds:  time.Since(runStart).Seconds(),
+		}
+		if err != nil {
+			done.Error = err.Error()
+		}
+		tel.Emit(done)
+	}()
+
+	startRound := 1
 	if resume != nil {
+		if len(resume.Global) != len(global) {
+			return nil, fmt.Errorf("fl: checkpoint holds %d parameters, architecture has %d",
+				len(resume.Global), len(global))
+		}
+		global = append([]float32(nil), resume.Global...)
+		serverRNG.SetState(resume.ServerRNG)
+		history.Rounds = append(history.Rounds, resume.Rounds...)
+		startRound = resume.Round + 1
 		tel.Emit(telemetry.RunResumed{Round: resume.Round, Strategy: strategy.Name()})
 	}
-	runStart := time.Now()
 	cohortAttack, _ := cfg.Attack.(attack.CohortAware)
 	every := cfg.CheckpointEvery
 	if every <= 0 {
@@ -273,12 +282,6 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		}
 	}
 	history.FinalWeights = global
-	runSpan.End()
-	tel.Emit(telemetry.RunCompleted{
-		Rounds:        cfg.Rounds,
-		FinalAccuracy: history.FinalAccuracy(),
-		TotalSeconds:  time.Since(runStart).Seconds(),
-	})
 	return history, nil
 }
 

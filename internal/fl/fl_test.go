@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"fedguard/internal/attack"
@@ -526,82 +527,6 @@ func TestClientLabelFlipChangesDecoderClassesView(t *testing.T) {
 	}
 }
 
-func TestClientStreamGrowth(t *testing.T) {
-	r := rng.New(23)
-	d := dataset.Generate(100, dataset.DefaultGenOptions(), r)
-	cfg := tinyClientConfig()
-	c := NewClient(0, d, dataset.Range(100), cfg, nil, r.Split())
-	c.EnableStream(0.2, 10, 0)
-	if c.visible != 20 {
-		t.Fatalf("initial visible = %d, want 20", c.visible)
-	}
-	global := cfg.Arch(rng.New(7)).FlattenParams()
-	u := c.RunRound(global, false)
-	if u.NumSamples != 30 {
-		t.Fatalf("after 1 round NumSamples = %d, want 30", u.NumSamples)
-	}
-	for i := 0; i < 10; i++ {
-		u = c.RunRound(global, false)
-	}
-	if u.NumSamples != 100 {
-		t.Fatalf("stream did not saturate: %d", u.NumSamples)
-	}
-}
-
-func TestClientStreamCVAERetrain(t *testing.T) {
-	r := rng.New(24)
-	d := dataset.Generate(60, dataset.DefaultGenOptions(), r)
-	cfg := tinyClientConfig()
-	c := NewClient(0, d, dataset.Range(60), cfg, nil, r.Split())
-	c.EnableStream(0.5, 5, 2) // retrain every 2 participations
-	global := cfg.Arch(rng.New(7)).FlattenParams()
-	u1 := c.RunRound(global, true)
-	u2 := c.RunRound(global, true)
-	if &u1.Decoder[0] != &u2.Decoder[0] {
-		t.Fatal("decoder retrained before retrainEvery participations")
-	}
-	u3 := c.RunRound(global, true)
-	if &u2.Decoder[0] == &u3.Decoder[0] {
-		t.Fatal("decoder not retrained after retrainEvery participations")
-	}
-}
-
-func TestStreamConfigValidation(t *testing.T) {
-	cfg := tinyFederationConfig()
-	cfg.Stream = &StreamConfig{InitialFraction: 0, PerRound: 1}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("zero InitialFraction accepted")
-	}
-	cfg.Stream = &StreamConfig{InitialFraction: 0.5, PerRound: -1}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative PerRound accepted")
-	}
-	cfg.Stream = &StreamConfig{InitialFraction: 0.5, PerRound: 2, CVAERetrainEvery: 3}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("valid stream config rejected: %v", err)
-	}
-}
-
-func TestFederationWithStreamRuns(t *testing.T) {
-	r := rng.New(25)
-	train := dataset.Generate(200, dataset.DefaultGenOptions(), r)
-	test := dataset.Generate(40, dataset.DefaultGenOptions(), r)
-	cfg := tinyFederationConfig()
-	cfg.Rounds = 3
-	cfg.Stream = &StreamConfig{InitialFraction: 0.3, PerRound: 3, CVAERetrainEvery: 2}
-	fed, err := NewFederation(train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := fed.Run(&fedAvgForTest{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Rounds) != 3 {
-		t.Fatalf("%d rounds", len(h.Rounds))
-	}
-}
-
 func TestClientGlobalAwareAttack(t *testing.T) {
 	r := rng.New(26)
 	d := dataset.Generate(30, dataset.DefaultGenOptions(), r)
@@ -892,6 +817,20 @@ func (f failingStrategy) Aggregate(ctx *RoundContext) ([]float32, error) {
 	return f.fedAvgForTest.Aggregate(ctx)
 }
 
+// lastEventSink is a CollectSink that also keeps the last event it saw.
+type lastEventSink struct {
+	telemetry.CollectSink
+	mu   sync.Mutex
+	last telemetry.Event
+}
+
+func (s *lastEventSink) Emit(e telemetry.Event) {
+	s.CollectSink.Emit(e)
+	s.mu.Lock()
+	s.last = e
+	s.mu.Unlock()
+}
+
 // TestFailedTracedRunExportsWholeTrees fails a traced run's aggregation
 // in round 2: the run, both rounds and round 2's aggregation are still
 // exported, so every client span of the failed round has its parent in
@@ -901,7 +840,7 @@ func TestFailedTracedRunExportsWholeTrees(t *testing.T) {
 	train := dataset.Generate(120, dataset.DefaultGenOptions(), r)
 	test := dataset.Generate(40, dataset.DefaultGenOptions(), r)
 	cfg := tinyFederationConfig()
-	sink := &telemetry.CollectSink{}
+	sink := &lastEventSink{}
 	cfg.Telemetry = telemetry.New(sink)
 	cfg.Telemetry.EnableTracing("sim")
 	fed, err := NewFederation(train, test, cfg)
@@ -931,5 +870,10 @@ func TestFailedTracedRunExportsWholeTrees(t *testing.T) {
 		if sp := e.(telemetry.SpanEnded); sp.Parent != "" && !ids[sp.Parent] {
 			t.Fatalf("%s span names parent %s, which was never exported", sp.Name, sp.Parent)
 		}
+	}
+	// The log closes on the failure, not on the last span.
+	done, ok := sink.last.(telemetry.RunCompleted)
+	if !ok || done.Rounds != 1 || done.Error != err.Error() {
+		t.Fatalf("log ends on %#v, want a RunCompleted of 1 round with error %q", sink.last, err)
 	}
 }

@@ -69,24 +69,6 @@ func (r RoundRecord) Excluded() int {
 	return n
 }
 
-// ExclusionCounts returns, per client ID, how many of its updates the
-// defense rejected and how many it audited over the given rounds. The
-// ratio is a malicious-peer score (the paper's conclusion suggests
-// flagging defective or adversarial participants this way) and what
-// defense.QualitySampler biases selection by.
-func ExclusionCounts(rounds []RoundRecord) (excluded, seen map[int]int) {
-	excluded, seen = map[int]int{}, map[int]int{}
-	for _, r := range rounds {
-		for _, d := range r.Decisions {
-			seen[d.ClientID]++
-			if !d.Kept {
-				excluded[d.ClientID]++
-			}
-		}
-	}
-	return excluded, seen
-}
-
 // History is the full record of one federation run.
 type History struct {
 	Strategy string

@@ -7,6 +7,7 @@ package fl_test
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"fedguard/internal/aggregate"
@@ -180,6 +181,25 @@ func TestResumeFedGuardCrashPoints(t *testing.T) {
 	}
 }
 
+// leastExcludedSampler picks the m clients the defense has excluded
+// least often so far, ties in a random order: a sampler that biases
+// selection by past exclusions, a function of the history alone.
+type leastExcludedSampler struct{}
+
+func (leastExcludedSampler) SampleClients(history []fl.RoundRecord, n, m int, r *rng.RNG) []int {
+	excluded := make([]int, n)
+	for _, rec := range history {
+		for _, d := range rec.Decisions {
+			if !d.Kept {
+				excluded[d.ClientID]++
+			}
+		}
+	}
+	order := r.Perm(n)
+	sort.SliceStable(order, func(i, j int) bool { return excluded[order[i]] < excluded[order[j]] })
+	return order[:m]
+}
+
 // TestResumeQualitySamplerFromHistory: a sampler that biases selection
 // by past exclusions is a function of the checkpointed records, so a
 // fresh federation, strategy and sampler resumed from the round-2
@@ -197,7 +217,7 @@ func TestResumeQualitySamplerFromHistory(t *testing.T) {
 		return g
 	}
 	var snapshot *fl.Checkpoint
-	cfg.Sampler = defense.NewQualitySampler()
+	cfg.Sampler = leastExcludedSampler{}
 	cfg.CheckpointSink = func(ck *fl.Checkpoint) (string, int64, error) {
 		if ck.Round == 2 {
 			// The sink may not keep ck's history past its return.
@@ -215,7 +235,7 @@ func TestResumeQualitySamplerFromHistory(t *testing.T) {
 		t.Fatal("nothing excluded before the snapshot: the sampler has nothing to remember")
 	}
 
-	cfg.Sampler, cfg.CheckpointSink = defense.NewQualitySampler(), nil
+	cfg.Sampler, cfg.CheckpointSink = leastExcludedSampler{}, nil
 	fed, err := fl.NewFederation(train, test, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -38,11 +38,6 @@ type FederationConfig struct {
 	// Sampler selects the per-round participant subset; nil means
 	// UniformSampler (the paper's setting).
 	Sampler Sampler
-	// Stream, when non-nil, enables the paper's §VI-C dynamic-dataset
-	// mode: clients start with a fraction of their partition, receive more
-	// samples before every participation, and retrain their CVAEs
-	// periodically instead of once.
-	Stream *StreamConfig
 	// StreamAudit overlaps the strategy's per-update audit work with
 	// client training when the strategy implements StreamingStrategy
 	// (FedGuard): each update is submitted to the round's stream as its
@@ -72,21 +67,6 @@ type FederationConfig struct {
 	Telemetry *telemetry.T
 }
 
-// StreamConfig parameterizes dynamic client datasets (§VI-C future
-// work).
-type StreamConfig struct {
-	// InitialFraction of each partition visible before a client's first
-	// participation, in (0, 1]: ⌊InitialFraction·n⌋ of its n samples,
-	// and at least one.
-	InitialFraction float64
-	// PerRound samples revealed before each participation, the first
-	// one included.
-	PerRound int
-	// CVAERetrainEvery participations between CVAE retrainings
-	// (0 = train once, the paper's static behaviour).
-	CVAERetrainEvery int
-}
-
 // Validate checks the configuration for consistency.
 func (c *FederationConfig) Validate() error {
 	switch {
@@ -106,14 +86,6 @@ func (c *FederationConfig) Validate() error {
 		return fmt.Errorf("fl: MaliciousFraction %v with nil Attack", c.MaliciousFraction)
 	case c.Client.Arch == nil:
 		return fmt.Errorf("fl: Client.Arch is nil")
-	}
-	if s := c.Stream; s != nil {
-		if s.InitialFraction <= 0 || s.InitialFraction > 1 {
-			return fmt.Errorf("fl: Stream.InitialFraction = %v, want (0,1]", s.InitialFraction)
-		}
-		if s.PerRound < 0 || s.CVAERetrainEvery < 0 {
-			return fmt.Errorf("fl: negative Stream parameters")
-		}
 	}
 	return nil
 }
@@ -219,10 +191,6 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 		p.clients[i] = NewClient(i, f.train, parts[i], cfg.Client, att,
 			rng.New(rng.DeriveSeed(cfg.Seed, "client", uint64(i))))
 		p.clients[i].UseWorkers(p.workers)
-		if cfg.Stream != nil {
-			p.clients[i].EnableStream(cfg.Stream.InitialFraction,
-				cfg.Stream.PerRound, cfg.Stream.CVAERetrainEvery)
-		}
 	}
 	if resume != nil {
 		for _, st := range resume.Clients {

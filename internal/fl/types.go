@@ -144,9 +144,8 @@ type RoundStream interface {
 }
 
 // Sampler chooses which clients participate in a round. The default is
-// uniform sampling without replacement (Alg. 1 line 17); the paper's
-// conclusion suggests biasing selection toward high-quality candidates,
-// implemented by defense.QualitySampler.
+// uniform sampling without replacement (Alg. 1 line 17), the paper's
+// setting.
 type Sampler interface {
 	// SampleClients returns m distinct client IDs from [0, n) for round
 	// len(history)+1, drawing randomness from r only. history is the

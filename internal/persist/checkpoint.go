@@ -25,7 +25,7 @@ import (
 //
 // A client trains its CVAE once (paper footnote 5), so its decoder is
 // uploaded once and persisted once; every later round rewrites only the
-// round file. Round file format, version 3, everything little-endian:
+// round file. Round file format, version 4, everything little-endian:
 //
 //	[4B magic "FdGC"][4B version][4B payload length][4B CRC-32C(payload)]
 //	payload:
@@ -33,7 +33,7 @@ import (
 //	  u32 n · n×f32 global
 //	  u32 n · n×record history rounds
 //	  u32 n · n×entry decoder cache (id, ref)
-//	  u32 n · n×entry client state (id, rng, counters, ref, classes)
+//	  u32 n · n×entry client state (id, rng, ref, classes)
 //
 // where str is u32 length + bytes, rng is 4×u64 + u8 + f64, ref is a
 // decoder reference — u64 content hash + u32 parameter count, never the
@@ -48,7 +48,9 @@ import (
 // Version 3 added the round's defense decisions to a record, ahead of
 // its report — f64 threshold, u32 n, n × (u32 client, f64 score, u8 kept,
 // u8 malicious) — because a sampler that reads the history must find
-// them after a resume.
+// them after a resume. Version 4 dropped a client's two u32 counters
+// (visible samples, participations since its CVAE trained), which only a
+// dynamic-dataset mode that retrained the CVAE ever moved.
 //
 // Blobs are keyed per client on purpose. codec.Hash is FNV-1a over
 // 64-bit words, so a second preimage is one solved word; in a shared
@@ -57,7 +59,7 @@ import (
 // is per client for the same reason.
 const (
 	checkpointMagic   = 0x46644743 // "FdGC"
-	checkpointVersion = 3
+	checkpointVersion = 4
 	headerBytes       = 16
 	// maxCheckpointBytes guards corrupt headers. Real round files are a
 	// few MB even at the paper's 100-client scale (ψ plus R round
@@ -265,10 +267,10 @@ func listDir(dir string) (map[string]bool, error) {
 }
 
 // prunable reports whether name is a file only SaveCheckpoint creates
-// and may therefore delete once unreferenced: a decoder blob (streaming-
-// mode retrains leave stale ones) or a temporary of a blob or of the
-// round file (crashed saves leave them). Anything else in the directory
-// is not ours to remove.
+// and may therefore delete once unreferenced: a decoder blob (a
+// networked client that sends a new decoder leaves a stale one) or a
+// temporary of a blob or of the round file (crashed saves leave them).
+// Anything else in the directory is not ours to remove.
 func prunable(name string) bool {
 	if name == CheckpointFile+tmpSuffix {
 		return true
@@ -498,8 +500,6 @@ func appendCheckpoint(b []byte, ck *fl.Checkpoint) []byte {
 		c := &ck.Clients[i]
 		b = appendU32(b, uint32(c.ID))
 		b = appendRNG(b, c.RNG)
-		b = appendU32(b, uint32(c.Visible))
-		b = appendU32(b, uint32(c.SinceCVAETrain))
 		b = appendRef(b, c.DecoderHash, c.Decoder)
 		b = appendInts(b, c.DecoderClasses)
 	}
@@ -694,15 +694,13 @@ func (d *ckDecoder) checkpoint() *fl.Checkpoint {
 			d.lens.decoders[i] = int(d.u32())
 		}
 	}
-	if n := d.count(69); n > 0 { // client: id(4) + rng(41) + 2*4 + ref(12) + 4
+	if n := d.count(61); n > 0 { // client: id(4) + rng(41) + ref(12) + 4
 		ck.Clients = make([]fl.ClientState, n)
 		d.lens.clients = make([]int, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			c := &ck.Clients[i]
 			c.ID = int(d.u32())
 			c.RNG = d.rngState()
-			c.Visible = int(d.u32())
-			c.SinceCVAETrain = int(d.u32())
 			c.DecoderHash = d.u64()
 			d.lens.clients[i] = int(d.u32())
 			c.DecoderClasses = d.ints()

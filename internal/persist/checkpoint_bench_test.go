@@ -71,7 +71,6 @@ func benchCheckpoint(networked bool, clients, globalLen, decoderLen int) *fl.Che
 		ck.Decoders = append(ck.Decoders, fl.DecoderState{ID: id, Hash: hash})
 		ck.Clients = append(ck.Clients, fl.ClientState{
 			ID: id, RNG: rng.New(uint64(id)).State(),
-			Visible: 150, SinceCVAETrain: 3,
 			Decoder: decoder, DecoderHash: hash,
 			DecoderClasses: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
 		})

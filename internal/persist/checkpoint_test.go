@@ -62,7 +62,7 @@ func fullCheckpoint() *fl.Checkpoint {
 			{ID: 3, Hash: codec.Hash(cached), Params: cached},
 		},
 		Clients: []fl.ClientState{
-			{ID: 0, RNG: rng.New(7).State(), Visible: 30, SinceCVAETrain: 2,
+			{ID: 0, RNG: rng.New(7).State(),
 				Decoder: trained, DecoderHash: codec.Hash(trained), DecoderClasses: []int{0, 4, 9}},
 			{ID: 1, RNG: rng.New(8).State()},
 		},
@@ -147,11 +147,10 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		Decoders: []fl.DecoderState{{ID: 1, Hash: codec.Hash([]float32{3}), Params: []float32{3}}},
 		Clients: []fl.ClientState{{
 			ID: 1, RNG: rng.State{Hi: 1, Lo: 2, IncHi: 3, IncLo: 5},
-			Visible: 4, SinceCVAETrain: 1,
 			Decoder: []float32{-1}, DecoderHash: codec.Hash([]float32{-1}), DecoderClasses: []int{2},
 		}},
 	}
-	const want = "43476446030000004d01000021110426" + // header: magic, version 3, len, crc
+	const want = "4347644604000000450100005d1a9378" + // header: magic, version 4, len, crc
 		"0700000000000000" + // seed
 		"01000000" + // round
 		"06000000466564417667" + // strategy "FedAvg"
@@ -171,7 +170,6 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		"01000000" + "01000000" + "dfb7c1b2b9bd63ef" + "01000000" + // decoders: 1 entry, id 1, hash of [3], 1 param
 		"01000000" + "01000000" + // 1 client, id 1
 		"010000000000000002000000000000000300000000000000050000000000000000" + "0000000000000000" + // client rng
-		"0400000001000000" + // visible, sinceCVAETrain
 		"dfb78154d1bc632f" + "01000000" + "0100000002000000" // hash of [-1], 1 param, classes [2]
 	var buf bytes.Buffer
 	if _, err := WriteCheckpoint(&buf, ck); err != nil {
@@ -211,10 +209,11 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("wrong version", func(t *testing.T) {
-		// 1 is the retired inline-decoder format and 2 the one whose
-		// records carry no decisions: refused by name, not migrated — no
+		// 1 is the retired inline-decoder format, 2 the one whose records
+		// carry no decisions and 3 the one whose client entries carry two
+		// dynamic-dataset counters: refused by name, not migrated — no
 		// peer holds such a file.
-		for _, version := range []uint32{1, 2, 99} {
+		for _, version := range []uint32{1, 2, 3, 99} {
 			data := append([]byte(nil), valid...)
 			binary.LittleEndian.PutUint32(data[4:], version)
 			_, _, err := readRoundFile(bytes.NewReader(data))

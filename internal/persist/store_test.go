@@ -43,15 +43,19 @@ func networkedCheckpoint(round, clients, decoderLen int) *fl.Checkpoint {
 
 // inProcessCheckpoint is the shape fl's pool produces: hash-only dedup
 // entries, and every client — the last one has not trained a CVAE yet.
+// A client's stream has advanced one draw per round.
 func inProcessCheckpoint(round, clients, decoderLen int) *fl.Checkpoint {
 	ck := networkedCheckpoint(round, 0, 0)
 	for id := 0; id < clients; id++ {
-		st := fl.ClientState{ID: id, RNG: rng.New(uint64(100 + id)).State(), Visible: 20}
+		r := rng.New(uint64(100 + id))
+		for range round {
+			r.Uint64()
+		}
+		st := fl.ClientState{ID: id, RNG: r.State()}
 		if id < clients-1 {
 			st.Decoder = testDecoder(uint64(id), decoderLen)
 			st.DecoderHash = codec.Hash(st.Decoder)
 			st.DecoderClasses = []int{1, 7}
-			st.SinceCVAETrain = round
 			ck.Decoders = append(ck.Decoders, fl.DecoderState{ID: id, Hash: st.DecoderHash})
 		}
 		ck.Clients = append(ck.Clients, st)
@@ -154,7 +158,8 @@ func TestSaveCheckpointSteadyState(t *testing.T) {
 	mustLoadEqual(t, dir, ck)
 }
 
-// (b) A retrained decoder (streaming mode) adds one blob and retires one.
+// (b) A replaced decoder (a networked client that sends a new one) adds
+// one blob and retires one.
 func TestSaveCheckpointReplacesOneDecoder(t *testing.T) {
 	dir := t.TempDir()
 	ck := networkedCheckpoint(1, 3, 100)

@@ -56,31 +56,6 @@ func (r *RNG) SkipNormFloat64(n int) {
 	}
 }
 
-// Categorical draws an index from the discrete distribution given by
-// probs. Probabilities need not be normalized; they must be non-negative
-// and not all zero.
-func (r *RNG) Categorical(probs []float64) int {
-	var total float64
-	for _, p := range probs {
-		if p < 0 || math.IsNaN(p) {
-			panic("rng: Categorical with negative or NaN probability")
-		}
-		total += p
-	}
-	if total <= 0 {
-		panic("rng: Categorical with zero total mass")
-	}
-	x := r.Float64() * total
-	var acc float64
-	for i, p := range probs {
-		acc += p
-		if x < acc {
-			return i
-		}
-	}
-	return len(probs) - 1 // floating point slack
-}
-
 // CategoricalUniform draws an index from Cat(L, alpha = 1/L), the
 // class-balanced conditioning distribution FedGuard uses to synthesize
 // validation labels.

@@ -163,31 +163,6 @@ func TestSampleUniformCoverage(t *testing.T) {
 	}
 }
 
-func TestCategorical(t *testing.T) {
-	r := New(29)
-	probs := []float64{0.1, 0.2, 0.7}
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(probs)]++
-	}
-	for i, p := range probs {
-		got := float64(counts[i]) / n
-		if math.Abs(got-p) > 0.01 {
-			t.Fatalf("category %d frequency %v, want ~%v", i, got, p)
-		}
-	}
-}
-
-func TestCategoricalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Categorical with zero mass did not panic")
-		}
-	}()
-	New(1).Categorical([]float64{0, 0})
-}
-
 func TestDirichletSimplex(t *testing.T) {
 	r := New(31)
 	for _, alpha := range []float64{0.1, 1, 10, 100} {

@@ -113,11 +113,14 @@ type RunResumed struct {
 // Kind implements Event.
 func (RunResumed) Kind() string { return "RunResumed" }
 
-// RunCompleted closes an experiment's event stream.
+// RunCompleted closes an experiment's event stream, a failed run's too:
+// Rounds is how many rounds the history holds, and Error names the
+// failure.
 type RunCompleted struct {
 	Rounds        int     `json:"rounds"`
 	FinalAccuracy float64 `json:"final_accuracy"`
 	TotalSeconds  float64 `json:"total_seconds"`
+	Error         string  `json:"error,omitempty"`
 }
 
 // Kind implements Event.
