@@ -93,7 +93,9 @@ bench-agg:
 
 # bench-guard re-measures the round-pipeline critical benchmarks and
 # fails if any exceed the ceilings committed in BENCH_guard.json — the
-# regression tripwire for the pooled frame writer, the codec fast paths,
+# regression tripwire for the pooled frame writer, the frame reader (one
+# allocation per decoded vector, none for the decoder itself), the codec
+# fast paths,
 # the per-round checkpoint cost (round-file serialization, and a
 # steady-state save that must not re-serialise a decoder: ≤ 1 MB B/op
 # beside 25 MB of referenced payloads), the blocked aggregation kernels,
@@ -115,7 +117,7 @@ bench-agg:
 # noise passes but a lost fast path or reintroduced per-op allocation
 # fails.
 bench-guard:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkWireWriteUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench '$(CKPT_BENCH)' -benchmem -benchtime=50x ./internal/persist/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$' -benchtime=20x . ; \

@@ -22,6 +22,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"fedguard/internal/lebin"
 	"fedguard/internal/tensor"
 )
 
@@ -34,11 +35,6 @@ const DefaultMaxElems = 64 << 20
 // repeat costs up to three token bytes plus the value byte, so shorter
 // runs are cheaper left inside a literal.
 const minRun = 4
-
-// allocChunk bounds how far ahead of the decoded bytes a plane buffer
-// grows, so a hostile count claim costs at most one chunk before the
-// missing tokens are detected.
-const allocChunk = 1 << 20
 
 // ErrCorrupt reports a blob that cannot be a codec encoding: truncated
 // tokens, a plane that over- or under-runs its length, or trailing
@@ -289,7 +285,7 @@ func Decode(data []byte, maxElems int) ([]float32, error) {
 // decodePlane consumes tokens from data until exactly want bytes are
 // produced, returning the plane and the remaining input.
 func decodePlane(data []byte, want int) (plane, rest []byte, err error) {
-	plane = make([]byte, 0, min(want, allocChunk))
+	plane = make([]byte, 0, min(want, lebin.AllocChunk))
 	for len(plane) < want {
 		v, n := binary.Uvarint(data)
 		if n <= 0 {
@@ -322,11 +318,12 @@ func decodePlane(data []byte, want int) (plane, rest []byte, err error) {
 }
 
 // growPlane extends plane by n zero bytes, growing capacity at most
-// allocChunk beyond the current length so claimed-but-unbacked sizes
-// stay cheap.
+// lebin.AllocChunk beyond the current length so claimed-but-unbacked
+// sizes stay cheap (the wire's and the checkpoint's hostile-length
+// policy).
 func growPlane(plane []byte, n int) []byte {
 	for n > 0 {
-		k := min(n, allocChunk)
+		k := min(n, lebin.AllocChunk)
 		plane = append(plane, make([]byte, k)...)
 		n -= k
 	}

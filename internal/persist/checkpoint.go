@@ -1,12 +1,9 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +11,7 @@ import (
 
 	"fedguard/internal/codec"
 	"fedguard/internal/fl"
+	"fedguard/internal/lebin"
 	"fedguard/internal/rng"
 )
 
@@ -66,10 +64,6 @@ const (
 	// records; 6.7 MB at N = 100, R = 50) because decoder payloads live
 	// in blobs — inline, as version 1 had them, the same state was 132 MB.
 	maxCheckpointBytes = 1 << 30
-	// allocChunk bounds how far any allocation runs ahead of bytes
-	// actually read, so a hostile length prefix costs at most 1 MiB
-	// before truncation is detected (same policy as the wire framing).
-	allocChunk = 1 << 20
 )
 
 // CheckpointFile is the round file's name inside a checkpoint directory.
@@ -90,8 +84,6 @@ var ErrNoCheckpoint = errors.New("persist: no checkpoint")
 // directory.
 var ErrCorruptCheckpoint = errors.New("persist: corrupt checkpoint")
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // WriteCheckpoint serializes a checkpoint's round file to w and returns
 // the number of bytes written (header included). Decoder payloads are
 // written as references only; SaveCheckpoint stores the floats.
@@ -108,10 +100,9 @@ func WriteCheckpoint(w io.Writer, ck *fl.Checkpoint) (int64, error) {
 	if len(payload) > maxCheckpointBytes {
 		return 0, fmt.Errorf("persist: checkpoint payload %d bytes exceeds %d", len(payload), maxCheckpointBytes)
 	}
-	binary.LittleEndian.PutUint32(b[0:], checkpointMagic)
-	binary.LittleEndian.PutUint32(b[4:], checkpointVersion)
-	binary.LittleEndian.PutUint32(b[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[12:], crc32.Checksum(payload, crcTable))
+	// Appending to the empty prefix fills the reserved header in place.
+	h := lebin.AppendU32(lebin.AppendU32(b[:0], checkpointMagic), checkpointVersion)
+	lebin.AppendU32(lebin.AppendU32(h, uint32(len(payload))), lebin.Checksum(0, payload))
 	if _, err := w.Write(b); err != nil {
 		return 0, fmt.Errorf("persist: writing checkpoint: %w", err)
 	}
@@ -130,36 +121,34 @@ type blobLens struct{ decoders, clients []int }
 // ErrCorruptCheckpoint (except a valid header of another version, which
 // is its own error).
 func readRoundFile(r io.Reader) (*fl.Checkpoint, *blobLens, error) {
-	var header [headerBytes]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+	head, err := lebin.ReadFull(r, headerBytes)
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: reading header: %v", ErrCorruptCheckpoint, err)
 	}
-	if magic := binary.LittleEndian.Uint32(header[0:]); magic != checkpointMagic {
+	h := lebin.NewReader(head)
+	if magic := h.U32(); magic != checkpointMagic {
 		return nil, nil, fmt.Errorf("%w: bad magic %#x", ErrCorruptCheckpoint, magic)
 	}
-	if version := binary.LittleEndian.Uint32(header[4:]); version != checkpointVersion {
+	if version := h.U32(); version != checkpointVersion {
 		return nil, nil, fmt.Errorf("persist: unsupported checkpoint version %d", version)
 	}
-	n := binary.LittleEndian.Uint32(header[8:])
+	n, wantCRC := h.U32(), h.U32()
 	if n > maxCheckpointBytes {
 		return nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorruptCheckpoint, n)
 	}
-	payload, err := readChunked(r, int(n))
+	payload, err := lebin.ReadFull(r, int(n))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: reading payload: %v", ErrCorruptCheckpoint, err)
 	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(header[12:]); got != want {
-		return nil, nil, fmt.Errorf("%w: CRC mismatch (got %#x, want %#x)", ErrCorruptCheckpoint, got, want)
+	if got := lebin.Checksum(0, payload); got != wantCRC {
+		return nil, nil, fmt.Errorf("%w: CRC mismatch (got %#x, want %#x)", ErrCorruptCheckpoint, got, wantCRC)
 	}
-	d := &ckDecoder{b: payload}
-	ck := d.checkpoint()
-	if d.err != nil {
-		return nil, nil, d.err
+	d := lebin.NewReader(payload)
+	ck, lens := readCheckpoint(d)
+	if err := d.End(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
-	if d.off != len(d.b) {
-		return nil, nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorruptCheckpoint, len(d.b)-d.off)
-	}
-	return ck, &d.lens, nil
+	return ck, lens, nil
 }
 
 // CheckpointPath returns the round file SaveCheckpoint writes inside dir.
@@ -360,351 +349,160 @@ func loadBlob(dir string, clientID int, hash uint64, n int) ([]float32, error) {
 	return params, nil
 }
 
-// readChunked reads exactly n bytes, growing the buffer at most
-// allocChunk ahead of the bytes actually received (the wire framing's
-// hostile-length policy).
-func readChunked(r io.Reader, n int) ([]byte, error) {
-	if n <= allocChunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, allocChunk)
-	for len(buf) < n {
-		k := allocChunk
-		if rest := n - len(buf); rest < k {
-			k = rest
-		}
-		off := len(buf)
-		buf = append(buf, make([]byte, k)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// --- payload encoding ---
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendF64(b []byte, v float64) []byte {
-	return appendU64(b, math.Float64bits(v))
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendF32s(b []byte, vs []float32) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendU32(b, math.Float32bits(v))
-	}
-	return b
-}
-
-// appendRef writes a decoder reference: the payload's content hash and
-// its length, never its floats.
-func appendRef(b []byte, hash uint64, params []float32) []byte {
-	b = appendU64(b, hash)
-	return appendU32(b, uint32(len(params)))
-}
-
-func appendInts(b []byte, vs []int) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendU32(b, uint32(v))
-	}
-	return b
-}
+// --- payload layout ---
 
 func appendRNG(b []byte, s rng.State) []byte {
-	b = appendU64(b, s.Hi)
-	b = appendU64(b, s.Lo)
-	b = appendU64(b, s.IncHi)
-	b = appendU64(b, s.IncLo)
-	b = appendBool(b, s.HaveGauss)
-	return appendF64(b, s.Gauss)
+	b = lebin.AppendU64(b, s.Hi)
+	b = lebin.AppendU64(b, s.Lo)
+	b = lebin.AppendU64(b, s.IncHi)
+	b = lebin.AppendU64(b, s.IncLo)
+	b = lebin.AppendBool(b, s.HaveGauss)
+	return lebin.AppendF64(b, s.Gauss)
 }
 
 func appendRecord(b []byte, rec *fl.RoundRecord) []byte {
-	b = appendU32(b, uint32(rec.Round))
-	b = appendF64(b, rec.TestAccuracy)
-	b = appendF64(b, rec.Seconds)
-	b = appendF64(b, rec.TrainSeconds)
-	b = appendF64(b, rec.AggregateSeconds)
-	b = appendF64(b, rec.EvalSeconds)
-	b = appendU64(b, uint64(rec.UploadBytes))
-	b = appendU64(b, uint64(rec.DownloadBytes))
-	b = appendU64(b, uint64(rec.WireUploadBytes))
-	b = appendU64(b, uint64(rec.WireDownloadBytes))
-	b = appendInts(b, rec.Sampled)
-	b = appendU32(b, uint32(rec.MaliciousSampled))
-	b = appendInts(b, rec.Dropped)
-	b = appendF64(b, rec.Threshold)
-	b = appendU32(b, uint32(len(rec.Decisions)))
+	b = lebin.AppendU32(b, uint32(rec.Round))
+	b = lebin.AppendF64(b, rec.TestAccuracy)
+	b = lebin.AppendF64(b, rec.Seconds)
+	b = lebin.AppendF64(b, rec.TrainSeconds)
+	b = lebin.AppendF64(b, rec.AggregateSeconds)
+	b = lebin.AppendF64(b, rec.EvalSeconds)
+	b = lebin.AppendU64(b, uint64(rec.UploadBytes))
+	b = lebin.AppendU64(b, uint64(rec.DownloadBytes))
+	b = lebin.AppendU64(b, uint64(rec.WireUploadBytes))
+	b = lebin.AppendU64(b, uint64(rec.WireDownloadBytes))
+	b = lebin.AppendInts(b, rec.Sampled)
+	b = lebin.AppendU32(b, uint32(rec.MaliciousSampled))
+	b = lebin.AppendInts(b, rec.Dropped)
+	b = lebin.AppendF64(b, rec.Threshold)
+	b = lebin.AppendU32(b, uint32(len(rec.Decisions)))
 	for _, d := range rec.Decisions {
-		b = appendU32(b, uint32(d.ClientID))
-		b = appendF64(b, d.Score)
-		b = appendBool(b, d.Kept)
-		b = appendBool(b, d.Malicious)
+		b = lebin.AppendU32(b, uint32(d.ClientID))
+		b = lebin.AppendF64(b, d.Score)
+		b = lebin.AppendBool(b, d.Kept)
+		b = lebin.AppendBool(b, d.Malicious)
 	}
 	keys := make([]string, 0, len(rec.Report))
 	for k := range rec.Report {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	b = appendU32(b, uint32(len(keys)))
+	b = lebin.AppendU32(b, uint32(len(keys)))
 	for _, k := range keys {
-		b = appendStr(b, k)
-		b = appendF64(b, rec.Report[k])
+		b = lebin.AppendStr(b, k)
+		b = lebin.AppendF64(b, rec.Report[k])
 	}
 	return b
 }
 
+// appendCheckpoint writes the payload. A decoder reference is the
+// payload's content hash and its length, never its floats.
 func appendCheckpoint(b []byte, ck *fl.Checkpoint) []byte {
-	b = appendU64(b, ck.Seed)
-	b = appendU32(b, uint32(ck.Round))
-	b = appendStr(b, ck.Strategy)
+	b = lebin.AppendU64(b, ck.Seed)
+	b = lebin.AppendU32(b, uint32(ck.Round))
+	b = lebin.AppendStr(b, ck.Strategy)
 	b = appendRNG(b, ck.ServerRNG)
-	b = appendF32s(b, ck.Global)
-	b = appendU32(b, uint32(len(ck.Rounds)))
+	b = lebin.AppendF32s(b, ck.Global)
+	b = lebin.AppendU32(b, uint32(len(ck.Rounds)))
 	for i := range ck.Rounds {
 		b = appendRecord(b, &ck.Rounds[i])
 	}
-	b = appendU32(b, uint32(len(ck.Decoders)))
+	b = lebin.AppendU32(b, uint32(len(ck.Decoders)))
 	for i := range ck.Decoders {
 		d := &ck.Decoders[i]
-		b = appendU32(b, uint32(d.ID))
-		b = appendRef(b, d.Hash, d.Params)
+		b = lebin.AppendU32(b, uint32(d.ID))
+		b = lebin.AppendU64(b, d.Hash)
+		b = lebin.AppendU32(b, uint32(len(d.Params)))
 	}
-	b = appendU32(b, uint32(len(ck.Clients)))
+	b = lebin.AppendU32(b, uint32(len(ck.Clients)))
 	for i := range ck.Clients {
 		c := &ck.Clients[i]
-		b = appendU32(b, uint32(c.ID))
+		b = lebin.AppendU32(b, uint32(c.ID))
 		b = appendRNG(b, c.RNG)
-		b = appendRef(b, c.DecoderHash, c.Decoder)
-		b = appendInts(b, c.DecoderClasses)
+		b = lebin.AppendU64(b, c.DecoderHash)
+		b = lebin.AppendU32(b, uint32(len(c.Decoder)))
+		b = lebin.AppendInts(b, c.DecoderClasses)
 	}
 	return b
 }
 
-// --- payload decoding ---
-
-// ckDecoder walks a fully-read, CRC-verified payload. Every count is
-// validated against the bytes remaining BEFORE any allocation, so even
-// a payload that passes the CRC (e.g. crafted by a fuzzer) can never
-// make a slice allocation exceed the payload it arrived in.
-type ckDecoder struct {
-	b    []byte
-	off  int
-	err  error
-	lens blobLens
+func readRNG(d *lebin.Reader) rng.State {
+	return rng.State{Hi: d.U64(), Lo: d.U64(), IncHi: d.U64(), IncLo: d.U64(), HaveGauss: d.Bool(), Gauss: d.F64()}
 }
 
-func (d *ckDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorruptCheckpoint}, args...)...)
-	}
-}
-
-// need reports whether n more bytes are available, recording an error
-// when they are not.
-func (d *ckDecoder) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if n < 0 || len(d.b)-d.off < n {
-		d.fail("truncated payload at offset %d (need %d bytes)", d.off, n)
-		return false
-	}
-	return true
-}
-
-func (d *ckDecoder) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *ckDecoder) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *ckDecoder) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *ckDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *ckDecoder) str() string {
-	n := int(d.u32())
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *ckDecoder) f32s() []float32 {
-	n := int(d.u32())
-	if !d.need(4 * n) {
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off:]))
-		d.off += 4
-	}
-	return out
-}
-
-func (d *ckDecoder) ints() []int {
-	n := int(d.u32())
-	if !d.need(4 * n) {
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(int32(binary.LittleEndian.Uint32(d.b[d.off:])))
-		d.off += 4
-	}
-	return out
-}
-
-func (d *ckDecoder) rngState() rng.State {
-	return rng.State{
-		Hi:        d.u64(),
-		Lo:        d.u64(),
-		IncHi:     d.u64(),
-		IncLo:     d.u64(),
-		HaveGauss: d.u8() != 0,
-		Gauss:     d.f64(),
-	}
-}
-
-// count reads a element count and bounds it by the bytes remaining at
-// minSize per element, so slice-of-struct allocations stay within the
-// payload.
-func (d *ckDecoder) count(minSize int) int {
-	n := int(d.u32())
-	if d.err != nil {
-		return 0
-	}
-	if rem := len(d.b) - d.off; n > rem/minSize {
-		d.fail("element count %d exceeds remaining %d bytes", n, rem)
-		return 0
-	}
-	return n
-}
-
-func (d *ckDecoder) record() fl.RoundRecord {
+func readRecord(d *lebin.Reader) fl.RoundRecord {
 	rec := fl.RoundRecord{
-		Round:             int(d.u32()),
-		TestAccuracy:      d.f64(),
-		Seconds:           d.f64(),
-		TrainSeconds:      d.f64(),
-		AggregateSeconds:  d.f64(),
-		EvalSeconds:       d.f64(),
-		UploadBytes:       int64(d.u64()),
-		DownloadBytes:     int64(d.u64()),
-		WireUploadBytes:   int64(d.u64()),
-		WireDownloadBytes: int64(d.u64()),
-		Sampled:           d.ints(),
+		Round:             int(d.U32()),
+		TestAccuracy:      d.F64(),
+		Seconds:           d.F64(),
+		TrainSeconds:      d.F64(),
+		AggregateSeconds:  d.F64(),
+		EvalSeconds:       d.F64(),
+		UploadBytes:       int64(d.U64()),
+		DownloadBytes:     int64(d.U64()),
+		WireUploadBytes:   int64(d.U64()),
+		WireDownloadBytes: int64(d.U64()),
+		Sampled:           d.Ints(),
+		MaliciousSampled:  int(d.U32()),
+		Dropped:           d.Ints(),
+		Threshold:         d.F64(),
 	}
-	rec.MaliciousSampled = int(d.u32())
-	rec.Dropped = d.ints()
-	rec.Threshold = d.f64()
-	if n := d.count(14); n > 0 { // decision: client(4) + score(8) + kept(1) + malicious(1)
+	if n := d.Count(14); n > 0 { // decision: client(4) + score(8) + kept(1) + malicious(1)
 		rec.Decisions = make([]fl.Decision, n)
 		for i := range rec.Decisions {
-			rec.Decisions[i] = fl.Decision{ClientID: int(int32(d.u32())), Score: d.f64(), Kept: d.u8() != 0, Malicious: d.u8() != 0}
+			rec.Decisions[i] = fl.Decision{ClientID: int(int32(d.U32())), Score: d.F64(), Kept: d.Bool(), Malicious: d.Bool()}
 		}
 	}
-	n := d.count(12) // min per entry: empty key (4) + f64 (8)
+	n := d.Count(12) // min per entry: empty key (4) + f64 (8)
 	// Always non-nil: live records carry the round context's (possibly
 	// empty) report map, and restored history must compare equal to it.
 	rec.Report = make(map[string]float64, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		k := d.str()
-		rec.Report[k] = d.f64()
+	for i := 0; i < n && d.Len() > 0; i++ {
+		k := d.Str()
+		rec.Report[k] = d.F64()
 	}
 	return rec
 }
 
-func (d *ckDecoder) checkpoint() *fl.Checkpoint {
+// readCheckpoint decodes the payload, returning decoder references'
+// parameter counts beside it. Counts are bounded by the smallest legal
+// encoding of each element (all variable-length parts empty), so a
+// CRC-valid payload crafted to lie still cannot allocate past itself.
+func readCheckpoint(d *lebin.Reader) (*fl.Checkpoint, *blobLens) {
 	ck := &fl.Checkpoint{
-		Seed:      d.u64(),
-		Round:     int(d.u32()),
-		Strategy:  d.str(),
-		ServerRNG: d.rngState(),
-		Global:    d.f32s(),
+		Seed:      d.U64(),
+		Round:     int(d.U32()),
+		Strategy:  d.Str(),
+		ServerRNG: readRNG(d),
+		Global:    d.F32s(),
 	}
-	// Min sizes below are the smallest legal encodings of each element
-	// (all variable-length parts empty).
-	if n := d.count(104); n > 0 { // record: 4 + 6*8 + 4*8 + 5*4 = 104
+	lens := &blobLens{}
+	if n := d.Count(104); n > 0 { // record: 4 + 6*8 + 4*8 + 5*4 = 104
 		ck.Rounds = make([]fl.RoundRecord, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			ck.Rounds = append(ck.Rounds, d.record())
+		for i := 0; i < n && d.Len() > 0; i++ {
+			ck.Rounds = append(ck.Rounds, readRecord(d))
 		}
 	}
-	if n := d.count(16); n > 0 { // decoder: id(4) + ref(12)
+	if n := d.Count(16); n > 0 { // decoder: id(4) + ref(12)
 		ck.Decoders = make([]fl.DecoderState, n)
-		d.lens.decoders = make([]int, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			ck.Decoders[i].ID = int(d.u32())
-			ck.Decoders[i].Hash = d.u64()
-			d.lens.decoders[i] = int(d.u32())
+		lens.decoders = make([]int, n)
+		for i := range ck.Decoders {
+			ck.Decoders[i].ID = int(d.U32())
+			ck.Decoders[i].Hash = d.U64()
+			lens.decoders[i] = int(d.U32())
 		}
 	}
-	if n := d.count(61); n > 0 { // client: id(4) + rng(41) + ref(12) + 4
+	if n := d.Count(61); n > 0 { // client: id(4) + rng(41) + ref(12) + 4
 		ck.Clients = make([]fl.ClientState, n)
-		d.lens.clients = make([]int, n)
-		for i := 0; i < n && d.err == nil; i++ {
+		lens.clients = make([]int, n)
+		for i := range ck.Clients {
 			c := &ck.Clients[i]
-			c.ID = int(d.u32())
-			c.RNG = d.rngState()
-			c.DecoderHash = d.u64()
-			d.lens.clients[i] = int(d.u32())
-			c.DecoderClasses = d.ints()
+			c.ID = int(d.U32())
+			c.RNG = readRNG(d)
+			c.DecoderHash = d.U64()
+			lens.clients[i] = int(d.U32())
+			c.DecoderClasses = d.Ints()
 		}
 	}
-	return ck
+	return ck, lens
 }

@@ -9,6 +9,7 @@ import (
 
 	"fedguard/internal/codec"
 	"fedguard/internal/fl"
+	"fedguard/internal/lebin"
 	"fedguard/internal/rng"
 )
 
@@ -48,16 +49,16 @@ func FuzzReadCheckpoint(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[8:], 512<<20)
 	f.Add(huge)
 	lying := make([]byte, 0, 64)
-	lying = appendU64(lying, 1)
-	lying = appendU32(lying, 1)
-	lying = appendStr(lying, "s")
+	lying = lebin.AppendU64(lying, 1)
+	lying = lebin.AppendU32(lying, 1)
+	lying = lebin.AppendStr(lying, "s")
 	lying = appendRNG(lying, rng.State{})
-	lying = appendU32(lying, 1<<27) // global count with no bytes behind it
+	lying = lebin.AppendU32(lying, 1<<27) // global count with no bytes behind it
 	frame := make([]byte, 0, len(lying)+16)
-	frame = appendU32(frame, checkpointMagic)
-	frame = appendU32(frame, checkpointVersion)
-	frame = appendU32(frame, uint32(len(lying)))
-	frame = appendU32(frame, crc32Of(lying))
+	frame = lebin.AppendU32(frame, checkpointMagic)
+	frame = lebin.AppendU32(frame, checkpointVersion)
+	frame = lebin.AppendU32(frame, uint32(len(lying)))
+	frame = lebin.AppendU32(frame, lebin.Checksum(0, lying))
 	frame = append(frame, lying...)
 	f.Add(frame)
 
@@ -123,9 +124,9 @@ func FuzzLoadCheckpointDir(f *testing.F) {
 	// A header claiming 1 GiB of floats on a 12-byte file, a short blob,
 	// a missing one, and a garbage round file.
 	var hostile []byte
-	hostile = appendU32(hostile, weightsMagic)
-	hostile = appendU32(hostile, weightsVersion)
-	hostile = appendU32(hostile, 1<<28)
+	hostile = lebin.AppendU32(hostile, weightsMagic)
+	hostile = lebin.AppendU32(hostile, weightsVersion)
+	hostile = lebin.AppendU32(hostile, 1<<28)
 	f.Add(round.Bytes(), hostile)
 	f.Add(round.Bytes(), blob.Bytes()[:blob.Len()-2])
 	f.Add(round.Bytes(), []byte{})
@@ -159,7 +160,7 @@ func FuzzLoadCheckpointDir(f *testing.F) {
 		got, err := LoadCheckpoint(dir)
 		// Decoded structs are a few times larger than their encodings;
 		// a claimed length honoured up front would be ≥ 1 GiB.
-		if used, limit := totalAllocBytes()-before, int64(2*allocChunk+64*(len(roundFile)+len(blobFile))+64<<10); used > limit {
+		if used, limit := totalAllocBytes()-before, int64(2*lebin.AllocChunk+64*(len(roundFile)+len(blobFile))+64<<10); used > limit {
 			t.Fatalf("LoadCheckpoint allocated %d bytes on %d+%d input bytes", used, len(roundFile), len(blobFile))
 		}
 		if err != nil {

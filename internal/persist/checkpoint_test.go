@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +15,7 @@ import (
 
 	"fedguard/internal/codec"
 	"fedguard/internal/fl"
+	"fedguard/internal/lebin"
 	"fedguard/internal/rng"
 )
 
@@ -245,7 +245,7 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		data := append(append([]byte(nil), valid...), 0xaa, 0xbb)
 		payload := data[16:]
 		binary.LittleEndian.PutUint32(data[8:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(data[12:], crc32Of(payload))
+		binary.LittleEndian.PutUint32(data[12:], lebin.Checksum(0, payload))
 		if _, _, err := readRoundFile(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 		}
@@ -254,16 +254,16 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		// A CRC-valid payload whose global count claims more floats than
 		// the payload holds must fail without allocating the claim.
 		payload := make([]byte, 0, 64)
-		payload = appendU64(payload, 1)           // seed
-		payload = appendU32(payload, 1)           // round
-		payload = appendStr(payload, "s")         // strategy
+		payload = lebin.AppendU64(payload, 1)     // seed
+		payload = lebin.AppendU32(payload, 1)     // round
+		payload = lebin.AppendStr(payload, "s")   // strategy
 		payload = appendRNG(payload, rng.State{}) // server rng
-		payload = appendU32(payload, 1<<28)       // global count lie
+		payload = lebin.AppendU32(payload, 1<<28) // global count lie
 		data := make([]byte, 0, len(payload)+16)
-		data = appendU32(data, checkpointMagic)
-		data = appendU32(data, checkpointVersion)
-		data = appendU32(data, uint32(len(payload)))
-		data = appendU32(data, crc32Of(payload))
+		data = lebin.AppendU32(data, checkpointMagic)
+		data = lebin.AppendU32(data, checkpointVersion)
+		data = lebin.AppendU32(data, uint32(len(payload)))
+		data = lebin.AppendU32(data, lebin.Checksum(0, payload))
 		data = append(data, payload...)
 		before := totalAllocBytes()
 		if _, _, err := readRoundFile(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
@@ -280,17 +280,17 @@ func TestReadCheckpointAllocBound(t *testing.T) {
 	// reader must fail after at most two growth chunks, not reserve the
 	// claim up front.
 	data := make([]byte, 0, 32)
-	data = appendU32(data, checkpointMagic)
-	data = appendU32(data, checkpointVersion)
-	data = appendU32(data, 256<<20)
-	data = appendU32(data, 0)
+	data = lebin.AppendU32(data, checkpointMagic)
+	data = lebin.AppendU32(data, checkpointVersion)
+	data = lebin.AppendU32(data, 256<<20)
+	data = lebin.AppendU32(data, 0)
 	data = append(data, make([]byte, 100)...)
 	before := totalAllocBytes()
 	if _, _, err := readRoundFile(bytes.NewReader(data)); err == nil {
 		t.Fatal("lying length prefix accepted")
 	}
 	// Same slack policy as the wire framing's alloc-bound test.
-	if limit := int64(2*allocChunk + 64<<10); totalAllocBytes()-before > limit {
+	if limit := int64(2*lebin.AllocChunk + 64<<10); totalAllocBytes()-before > limit {
 		t.Fatalf("claimed-256MB checkpoint allocated %d bytes; want ≤ %d", totalAllocBytes()-before, limit)
 	}
 }
@@ -299,10 +299,6 @@ func totalAllocBytes() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.TotalAlloc)
-}
-
-func crc32Of(b []byte) uint32 {
-	return crc32.Checksum(b, crcTable)
 }
 
 func TestSaveLoadCheckpoint(t *testing.T) {

@@ -5,12 +5,11 @@
 package persist
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
+
+	"fedguard/internal/lebin"
 )
 
 // Magic and version identify the weight-vector file format.
@@ -19,58 +18,59 @@ const (
 	weightsVersion = 1
 	// weightsHeaderBytes is magic + version + count.
 	weightsHeaderBytes = 12
+	// writeChunk is WriteWeights' buffer: bufio's default size, so a
+	// decoder blob of any length costs one small allocation to write.
+	writeChunk = 4096
 )
 
 // WriteWeights serializes a flat parameter vector to w: magic, version,
-// length, then raw little-endian float32s.
+// length, then raw little-endian float32s, streamed through one
+// writeChunk-sized buffer.
 func WriteWeights(w io.Writer, weights []float32) error {
-	bw := bufio.NewWriter(w)
-	header := []uint32{weightsMagic, weightsVersion, uint32(len(weights))}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("persist: writing header: %w", err)
-		}
-	}
-	buf := make([]byte, 4)
-	for _, v := range weights {
-		binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-		if _, err := bw.Write(buf); err != nil {
+	b := make([]byte, 0, writeChunk)
+	b = lebin.AppendU32(lebin.AppendU32(b, weightsMagic), weightsVersion)
+	b = lebin.AppendU32(b, uint32(len(weights)))
+	for {
+		k := min(len(weights), (cap(b)-len(b))/4)
+		b = lebin.AppendFloats(b, weights[:k])
+		weights = weights[k:]
+		if _, err := w.Write(b); err != nil {
 			return fmt.Errorf("persist: writing weights: %w", err)
 		}
+		if len(weights) == 0 {
+			return nil
+		}
+		b = b[:0]
 	}
-	return bw.Flush()
 }
 
 // ReadWeights deserializes a parameter vector written by WriteWeights.
-// The header's count is untrusted: the body is read through readChunked,
-// so a hostile count costs at most allocChunk beyond the bytes actually
-// present before truncation is noticed (a checkpoint directory's decoder
-// blobs are read through here on resume).
+// The header's count is untrusted: the body is read through
+// lebin.ReadFull, so a hostile count costs at most one allocation chunk
+// beyond the bytes actually present before truncation is noticed (a
+// checkpoint directory's decoder blobs are read through here on resume).
 func ReadWeights(r io.Reader) ([]float32, error) {
-	var header [weightsHeaderBytes]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+	head, err := lebin.ReadFull(r, weightsHeaderBytes)
+	if err != nil {
 		return nil, fmt.Errorf("persist: reading header: %w", err)
 	}
-	if magic := binary.LittleEndian.Uint32(header[0:]); magic != weightsMagic {
+	h := lebin.NewReader(head)
+	if magic := h.U32(); magic != weightsMagic {
 		return nil, fmt.Errorf("persist: bad magic %#x", magic)
 	}
-	if version := binary.LittleEndian.Uint32(header[4:]); version != weightsVersion {
+	if version := h.U32(); version != weightsVersion {
 		return nil, fmt.Errorf("persist: unsupported version %d", version)
 	}
-	n := binary.LittleEndian.Uint32(header[8:])
+	n := h.U32()
 	const maxParams = 1 << 28 // 1 GiB of float32s; guards corrupt headers
 	if n > maxParams {
 		return nil, fmt.Errorf("persist: implausible parameter count %d", n)
 	}
-	raw, err := readChunked(r, 4*int(n))
+	raw, err := lebin.ReadFull(r, 4*int(n))
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading %d weights: %w", n, err)
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out, nil
+	return lebin.NewReader(raw).Floats(n), nil
 }
 
 // SaveWeights writes a parameter vector to path, atomically and

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fedguard/internal/lebin"
 	"fedguard/internal/rng"
 )
 
@@ -119,16 +120,16 @@ func TestReadWeightsRejectsHugeCount(t *testing.T) {
 // blobs in a checkpoint directory are read through here on resume.
 func TestReadWeightsAllocBound(t *testing.T) {
 	var data []byte
-	data = appendU32(data, weightsMagic)
-	data = appendU32(data, weightsVersion)
-	data = appendU32(data, 1<<28)
+	data = lebin.AppendU32(data, weightsMagic)
+	data = lebin.AppendU32(data, weightsVersion)
+	data = lebin.AppendU32(data, 1<<28)
 	data = append(data, make([]byte, 100)...)
 	before := totalAllocBytes()
 	if _, err := ReadWeights(bytes.NewReader(data)); err == nil {
 		t.Fatal("lying parameter count accepted")
 	}
 	// Same slack policy as TestReadCheckpointAllocBound.
-	if limit := int64(2*allocChunk + 64<<10); totalAllocBytes()-before > limit {
+	if limit := int64(2*lebin.AllocChunk + 64<<10); totalAllocBytes()-before > limit {
 		t.Fatalf("claimed-1GiB weights file allocated %d bytes; want ≤ %d", totalAllocBytes()-before, limit)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"fedguard/internal/codec"
 	"fedguard/internal/fl"
+	"fedguard/internal/lebin"
 	"fedguard/internal/rng"
 )
 
@@ -269,9 +270,9 @@ func TestLoadCheckpointRejectsBadBlobs(t *testing.T) {
 		},
 		"lying header on a short file": func(t *testing.T, dir string) {
 			var hostile []byte
-			hostile = appendU32(hostile, weightsMagic)
-			hostile = appendU32(hostile, weightsVersion)
-			hostile = appendU32(hostile, 1<<28)
+			hostile = lebin.AppendU32(hostile, weightsMagic)
+			hostile = lebin.AppendU32(hostile, weightsVersion)
+			hostile = lebin.AppendU32(hostile, 1<<28)
 			if err := os.WriteFile(blobPath(dir, victim), hostile, 0o644); err != nil {
 				t.Fatal(err)
 			}

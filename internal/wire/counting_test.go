@@ -115,3 +115,55 @@ func TestCountingConnNonCloserStream(t *testing.T) {
 		t.Fatalf("written = %d after close, want 5", c.BytesWritten())
 	}
 }
+
+func TestCountingConn(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewCountingConn(&buf)
+	if err := WriteMessage(c, &Hello{ClientID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	written := c.BytesWritten()
+	if written != int64(buf.Len()) {
+		t.Fatalf("counted %d written, buffer has %d", written, buf.Len())
+	}
+	if _, err := ReadMessage(c); err != nil {
+		t.Fatal(err)
+	}
+	if c.BytesRead() != written {
+		t.Fatalf("read count %d, want %d", c.BytesRead(), written)
+	}
+}
+
+// closableBuffer records whether Close reached the wrapped stream.
+type closableBuffer struct {
+	bytes.Buffer
+	closed int
+}
+
+func (c *closableBuffer) Close() error {
+	c.closed++
+	return nil
+}
+
+func TestCountingConnClose(t *testing.T) {
+	var under closableBuffer
+	c := NewCountingConn(&under)
+	if err := WriteMessage(c, &Hello{ClientID: 7}); err != nil {
+		t.Fatal(err)
+	}
+	written := c.BytesWritten()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if under.closed != 1 {
+		t.Fatalf("underlying stream closed %d times, want 1", under.closed)
+	}
+	// A second Close forwards too, and the counts outlive the close.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if under.closed != 2 || c.BytesWritten() != written || c.BytesRead() != 0 {
+		t.Fatalf("after two closes: %d forwarded, counts (%d, %d), want 2 and (0, %d)",
+			under.closed, c.BytesRead(), c.BytesWritten(), written)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"fedguard/internal/lebin"
 )
 
 // FuzzReadMessage hammers the frame decoder with arbitrary bytes: it
@@ -44,10 +46,10 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(buildFrame(nil))
 	f.Add(buildFrame([]byte{99}))
 	lying := []byte{TypeUpdate}
-	lying = appendU32(lying, 1)
-	lying = appendU32(lying, 1)
-	lying = appendU32(lying, 1)
-	lying = appendU32(lying, 1<<30)
+	lying = lebin.AppendU32(lying, 1)
+	lying = lebin.AppendU32(lying, 1)
+	lying = lebin.AppendU32(lying, 1)
+	lying = lebin.AppendU32(lying, 1<<30)
 	f.Add(buildFrame(lying))
 	truncated := buildFrame([]byte{TypeHello, 1, 2, 3, 4})
 	f.Add(truncated[:len(truncated)-2])

@@ -115,11 +115,12 @@ var goldenFrames = []struct {
 }
 
 // TestTraceBlockLegacySafe pins the compatibility contract of CapTrace:
-// a zero Trace adds no bytes (traced builds talking to legacy peers emit
-// exactly the golden legacy frames), and stripping the trailing 16-byte
-// block from a traced frame's body yields the legacy body bit-for-bit —
-// which is why a legacy decoder, which ignores leftover trailing bytes,
-// still decodes every field of a traced frame correctly.
+// a zero Trace adds no bytes (traced builds talking to peers that did
+// not negotiate it emit exactly the golden untraced frames), and
+// stripping the trailing 16-byte block from a traced frame's body yields
+// the untraced body bit-for-bit. The decoder accepts both shapes and
+// nothing else (TestReadMessageRejectsTrailingBytes); a peer that never
+// advertised CapTrace is never sent the block.
 func TestTraceBlockLegacySafe(t *testing.T) {
 	tr := Trace{TraceID: 0x0123456789ABCDEF, SpanID: 0xFEDCBA9876543210}
 	pairs := []struct {

@@ -20,18 +20,18 @@
 // peer can re-request). Frames are capped at MaxFrame to bound memory
 // against corrupt or hostile peers, and payload buffers grow
 // incrementally as bytes actually arrive, so a lying length prefix
-// cannot force a large up-front allocation.
+// cannot force a large up-front allocation. Fields are encoded and
+// bounds-checked by package lebin, the codec the checkpoint files share.
 package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"sync"
+
+	"fedguard/internal/lebin"
 )
 
 // MaxFrame bounds a single frame's payload (type byte + body). The paper
@@ -40,15 +40,6 @@ const MaxFrame = 256 << 20
 
 // headerSize is the fixed frame prelude: payload length plus CRC-32C.
 const headerSize = 8
-
-// allocChunk bounds how much payload buffer is allocated ahead of the
-// bytes actually received, so a corrupt or hostile length prefix costs
-// at most one chunk before the truncation is detected.
-const allocChunk = 1 << 20
-
-// crcTable is the Castagnoli polynomial table (hardware-accelerated on
-// amd64/arm64).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrChecksum reports a frame whose payload bytes do not match the
 // header checksum. The stream is still frame-aligned after this error
@@ -98,9 +89,9 @@ const CapCodec byte = 1
 // propagation: when both ends set it, TrainRequest/Update frames (and
 // their compressed variants) may carry a trailing 16-byte Trace block
 // linking the client's spans to the server's round span. Negotiated
-// exactly like CapCodec — a silent peer never sees the extra bytes, and
-// because the block trails the legacy body, a legacy decoder that does
-// receive one simply ignores it.
+// exactly like CapCodec — a silent peer never sees the extra bytes — and
+// the block trails the untraced body unchanged, so a frame without it is
+// the untraced frame.
 const CapTrace byte = 2
 
 // Trace is the compact trace context propagated across the wire: which
@@ -115,8 +106,8 @@ type Trace struct {
 func (t Trace) Valid() bool { return t.TraceID != 0 && t.SpanID != 0 }
 
 // Hello registers a client with the server. Encodings is the optional
-// capability bitmask (CapCodec); zero encodes exactly like the legacy
-// frame, and legacy servers ignore the trailing byte when set.
+// capability bitmask (CapCodec, CapTrace): a trailing byte, omitted when
+// zero, so a peer that advertises nothing sends the pinned golden frame.
 type Hello struct {
 	ClientID  uint32
 	Encodings byte
@@ -252,50 +243,47 @@ func WriteMessage(w io.Writer, msg any) error {
 	switch m := msg.(type) {
 	case *Hello:
 		typ = TypeHello
-		body = appendU32(body, m.ClientID)
-		if m.Encodings != 0 {
-			body = append(body, m.Encodings)
-		}
+		body = appendOptByte(lebin.AppendU32(body, m.ClientID), m.Encodings)
 	case *Setup:
 		typ = TypeSetup
 		body = encodeSetup(m, body)
 	case *TrainRequest:
 		typ = TypeTrainRequest
-		body = appendU32(body, m.Round)
-		body = append(body, boolByte(m.NeedDecoder))
-		body = appendF32s(body, m.Global)
+		body = lebin.AppendU32(body, m.Round)
+		body = lebin.AppendBool(body, m.NeedDecoder)
+		body = lebin.AppendF32s(body, m.Global)
 		body = appendTrace(body, m.Trace)
 	case *Update:
 		typ = TypeUpdate
-		body = appendU32(body, m.Round)
-		body = appendU32(body, m.ClientID)
-		body = appendU32(body, m.NumSamples)
-		body = appendF32s(body, m.Weights)
-		body = appendF32s(body, m.Decoder)
-		body = appendU32s(body, m.DecoderClasses)
+		body = lebin.AppendU32(body, m.Round)
+		body = lebin.AppendU32(body, m.ClientID)
+		body = lebin.AppendU32(body, m.NumSamples)
+		body = lebin.AppendF32s(body, m.Weights)
+		body = lebin.AppendF32s(body, m.Decoder)
+		body = lebin.AppendU32s(body, m.DecoderClasses)
 		body = appendTrace(body, m.Trace)
 	case *TrainRequestC:
 		typ = TypeTrainRequestC
-		body = appendU32(body, m.Round)
-		body = append(body, boolByte(m.NeedDecoder))
-		body = appendU64(body, m.DecoderHash)
+		body = lebin.AppendU32(body, m.Round)
+		body = lebin.AppendBool(body, m.NeedDecoder)
+		body = lebin.AppendU64(body, m.DecoderHash)
 		body = append(body, m.Encoding)
-		body = appendU32(body, m.BaseRound)
-		body = appendU32(body, m.NumParams)
-		body = appendBytes(body, m.Payload)
+		body = lebin.AppendU32(body, m.BaseRound)
+		body = lebin.AppendU32(body, m.NumParams)
+		body = lebin.AppendBytes(body, m.Payload)
 		body = appendTrace(body, m.Trace)
 	case *UpdateC:
 		typ = TypeUpdateC
-		body = appendU32(body, m.Round)
-		body = appendU32(body, m.ClientID)
-		body = appendU32(body, m.NumSamples)
+		body = lebin.AppendU32(body, m.Round)
+		body = lebin.AppendU32(body, m.ClientID)
+		body = lebin.AppendU32(body, m.NumSamples)
 		body = append(body, m.Encoding)
-		body = appendU32(body, m.NumParams)
-		body = appendBytes(body, m.Weights)
-		body = appendU64(body, m.DecoderHash)
-		body = appendU32(body, m.NumDecoderParams)
-		body = appendBytes(body, m.Decoder)
-		body = appendU32s(body, m.DecoderClasses)
+		body = lebin.AppendU32(body, m.NumParams)
+		body = lebin.AppendBytes(body, m.Weights)
+		body = lebin.AppendU64(body, m.DecoderHash)
+		body = lebin.AppendU32(body, m.NumDecoderParams)
+		body = lebin.AppendBytes(body, m.Decoder)
+		body = lebin.AppendU32s(body, m.DecoderClasses)
 		body = appendTrace(body, m.Trace)
 	case *Shutdown:
 		typ = TypeShutdown
@@ -322,9 +310,10 @@ func writeFrame(fb *frameBuf, w io.Writer, typ byte, body []byte) error {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	fb.header[headerSize] = typ
-	crc := crc32.Update(crc32.Checksum(fb.header[headerSize:], crcTable), crcTable, body)
-	binary.LittleEndian.PutUint32(fb.header[:], uint32(n))
-	binary.LittleEndian.PutUint32(fb.header[4:], crc)
+	crc := lebin.Checksum(lebin.Checksum(0, fb.header[headerSize:]), body)
+	// Appending to the header's empty prefix overwrites its first eight
+	// bytes in place.
+	lebin.AppendU32(lebin.AppendU32(fb.header[:0], uint32(n)), crc)
 	bw := fb.bw
 	if bw == nil {
 		bw = bufio.NewWriterSize(w, 64<<10)
@@ -344,328 +333,123 @@ func writeFrame(fb *frameBuf, w io.Writer, typ byte, body []byte) error {
 
 // ReadMessage reads and decodes one framed message. A checksum failure
 // returns an error wrapping ErrChecksum with the stream still aligned on
-// the next frame; a bad length prefix returns ErrBadFrame.
+// the next frame; a bad length prefix returns ErrBadFrame. A frame must
+// end exactly after its last field, its capability byte (Hello, Setup)
+// or its one trace block (TrainRequest, Update and their compressed
+// variants); anything else is a decode error.
 func ReadMessage(r io.Reader) (any, error) {
-	var head [headerSize]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	head, err := lebin.ReadFull(r, headerSize)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(head[:4])
+	h := lebin.NewReader(head)
+	n, wantCRC := h.U32(), h.U32()
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d", ErrBadFrame, n)
 	}
-	wantCRC := binary.LittleEndian.Uint32(head[4:])
-	payload, err := readPayload(r, int(n))
+	payload, err := lebin.ReadFull(r, int(n))
 	if err != nil {
 		return nil, fmt.Errorf("wire: truncated frame: %w", err)
 	}
-	if got := crc32.Checksum(payload, crcTable); got != wantCRC {
+	if got := lebin.Checksum(0, payload); got != wantCRC {
 		return nil, fmt.Errorf("%w: got %08x, header says %08x", ErrChecksum, got, wantCRC)
 	}
-	typ := payload[0]
-	body := payload[1:]
-	d := &decoder{buf: body}
-	switch typ {
+	d := lebin.NewReader(payload[1:])
+	var msg any
+	switch typ := payload[0]; typ {
 	case TypeHello:
-		m := &Hello{ClientID: d.u32()}
-		m.Encodings = d.optByte()
-		return m, d.err
+		msg = &Hello{ClientID: d.U32(), Encodings: optByte(d)}
 	case TypeSetup:
-		return decodeSetup(d)
+		msg = decodeSetup(d)
 	case TypeTrainRequest:
-		m := &TrainRequest{Round: d.u32()}
-		m.NeedDecoder = d.u8() != 0
-		m.Global = d.f32s()
-		m.Trace = d.optTrace()
-		return m, d.err
+		msg = &TrainRequest{Round: d.U32(), NeedDecoder: d.Bool(), Global: d.F32s(), Trace: optTrace(d)}
 	case TypeUpdate:
-		m := &Update{Round: d.u32(), ClientID: d.u32(), NumSamples: d.u32()}
-		m.Weights = d.f32s()
-		m.Decoder = d.f32s()
-		m.DecoderClasses = d.u32s()
-		m.Trace = d.optTrace()
-		return m, d.err
+		msg = &Update{Round: d.U32(), ClientID: d.U32(), NumSamples: d.U32(),
+			Weights: d.F32s(), Decoder: d.F32s(), DecoderClasses: d.U32s(), Trace: optTrace(d)}
 	case TypeTrainRequestC:
-		m := &TrainRequestC{Round: d.u32()}
-		m.NeedDecoder = d.u8() != 0
-		m.DecoderHash = d.u64()
-		m.Encoding = d.u8()
-		m.BaseRound = d.u32()
-		m.NumParams = d.u32()
-		m.Payload = d.bytes()
-		m.Trace = d.optTrace()
-		return m, d.err
+		msg = &TrainRequestC{Round: d.U32(), NeedDecoder: d.Bool(), DecoderHash: d.U64(),
+			Encoding: d.U8(), BaseRound: d.U32(), NumParams: d.U32(), Payload: d.Bytes(),
+			Trace: optTrace(d)}
 	case TypeUpdateC:
-		m := &UpdateC{Round: d.u32(), ClientID: d.u32(), NumSamples: d.u32()}
-		m.Encoding = d.u8()
-		m.NumParams = d.u32()
-		m.Weights = d.bytes()
-		m.DecoderHash = d.u64()
-		m.NumDecoderParams = d.u32()
-		m.Decoder = d.bytes()
-		m.DecoderClasses = d.u32s()
-		m.Trace = d.optTrace()
-		return m, d.err
+		msg = &UpdateC{Round: d.U32(), ClientID: d.U32(), NumSamples: d.U32(),
+			Encoding: d.U8(), NumParams: d.U32(), Weights: d.Bytes(),
+			DecoderHash: d.U64(), NumDecoderParams: d.U32(), Decoder: d.Bytes(),
+			DecoderClasses: d.U32s(), Trace: optTrace(d)}
 	case TypeShutdown:
-		return &Shutdown{}, nil
+		msg = &Shutdown{}
 	default:
 		return nil, fmt.Errorf("wire: unknown message type %d", typ)
 	}
-}
-
-// readPayload reads exactly n payload bytes, growing the buffer at most
-// allocChunk ahead of the bytes actually received. A frame header that
-// lies about its length therefore fails with a truncation error after a
-// bounded allocation instead of reserving the claimed size up front.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	if n <= allocChunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+	if err := d.End(); err != nil {
+		return nil, fmt.Errorf("wire: message type %d: %w", payload[0], err)
 	}
-	buf := make([]byte, 0, allocChunk)
-	for len(buf) < n {
-		k := allocChunk
-		if rest := n - len(buf); rest < k {
-			k = rest
-		}
-		off := len(buf)
-		buf = append(buf, make([]byte, k)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return msg, nil
 }
 
 func encodeSetup(m *Setup, dst []byte) []byte {
-	b := appendU64(dst, m.Seed)
-	b = appendU64(b, m.DataSeed)
-	b = appendU32(b, m.TrainSize)
-	b = appendU32s(b, m.Indices)
-	b = appendString(b, m.ArchName)
-	b = appendU32(b, m.Epochs)
-	b = appendU32(b, m.BatchSize)
-	b = appendF64(b, m.LR)
-	b = appendF64(b, m.Momentum)
-	b = appendU32(b, m.CVAEHidden)
-	b = appendU32(b, m.CVAELatent)
-	b = appendU32(b, m.CVAEEpochs)
-	b = appendU32(b, m.CVAEBatch)
-	b = appendF64(b, m.CVAELR)
-	b = appendU32(b, m.NumClasses)
-	b = appendString(b, m.Attack)
-	b = appendU64(b, m.AttackSeed)
-	if m.Encodings != 0 {
-		b = append(b, m.Encodings)
+	b := lebin.AppendU64(dst, m.Seed)
+	b = lebin.AppendU64(b, m.DataSeed)
+	b = lebin.AppendU32(b, m.TrainSize)
+	b = lebin.AppendU32s(b, m.Indices)
+	b = lebin.AppendStr(b, m.ArchName)
+	b = lebin.AppendU32(b, m.Epochs)
+	b = lebin.AppendU32(b, m.BatchSize)
+	b = lebin.AppendF64(b, m.LR)
+	b = lebin.AppendF64(b, m.Momentum)
+	b = lebin.AppendU32(b, m.CVAEHidden)
+	b = lebin.AppendU32(b, m.CVAELatent)
+	b = lebin.AppendU32(b, m.CVAEEpochs)
+	b = lebin.AppendU32(b, m.CVAEBatch)
+	b = lebin.AppendF64(b, m.CVAELR)
+	b = lebin.AppendU32(b, m.NumClasses)
+	b = lebin.AppendStr(b, m.Attack)
+	b = lebin.AppendU64(b, m.AttackSeed)
+	return appendOptByte(b, m.Encodings)
+}
+
+func decodeSetup(d *lebin.Reader) *Setup {
+	return &Setup{Seed: d.U64(), DataSeed: d.U64(), TrainSize: d.U32(), Indices: d.U32s(),
+		ArchName: d.Str(), Epochs: d.U32(), BatchSize: d.U32(), LR: d.F64(), Momentum: d.F64(),
+		CVAEHidden: d.U32(), CVAELatent: d.U32(), CVAEEpochs: d.U32(), CVAEBatch: d.U32(),
+		CVAELR: d.F64(), NumClasses: d.U32(), Attack: d.Str(), AttackSeed: d.U64(),
+		Encodings: optByte(d)}
+}
+
+// appendOptByte appends the trailing capability byte, or nothing when it
+// is zero — keeping frames to and from peers that advertise nothing
+// byte-identical to the pinned golden format.
+func appendOptByte(b []byte, v byte) []byte {
+	if v == 0 {
+		return b
 	}
-	return b
+	return append(b, v)
 }
 
-func decodeSetup(d *decoder) (*Setup, error) {
-	m := &Setup{}
-	m.Seed = d.u64()
-	m.DataSeed = d.u64()
-	m.TrainSize = d.u32()
-	m.Indices = d.u32s()
-	m.ArchName = d.str()
-	m.Epochs = d.u32()
-	m.BatchSize = d.u32()
-	m.LR = d.f64()
-	m.Momentum = d.f64()
-	m.CVAEHidden = d.u32()
-	m.CVAELatent = d.u32()
-	m.CVAEEpochs = d.u32()
-	m.CVAEBatch = d.u32()
-	m.CVAELR = d.f64()
-	m.NumClasses = d.u32()
-	m.Attack = d.str()
-	m.AttackSeed = d.u64()
-	m.Encodings = d.optByte()
-	return m, d.err
-}
-
-// --- primitive encoders ------------------------------------------------
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
+// optByte reads the trailing capability byte: a frame that ends before
+// it decodes as zero.
+func optByte(d *lebin.Reader) byte {
+	if d.Len() == 0 {
+		return 0
 	}
-	return 0
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendF64(b []byte, v float64) []byte {
-	return appendU64(b, math.Float64bits(v))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendU32s(b []byte, vs []uint32) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendU32(b, v)
-	}
-	return b
-}
-
-func appendBytes(b []byte, vs []byte) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	return append(b, vs...)
+	return d.U8()
 }
 
 // appendTrace appends the 16-byte trailing trace-context block, or
 // nothing when the context is the zero value — keeping untraced frames
-// byte-identical to the golden legacy format.
+// byte-identical to the golden format.
 func appendTrace(b []byte, t Trace) []byte {
 	if !t.Valid() {
 		return b
 	}
-	b = appendU64(b, t.TraceID)
-	return appendU64(b, t.SpanID)
+	return lebin.AppendU64(lebin.AppendU64(b, t.TraceID), t.SpanID)
 }
 
-func appendF32s(b []byte, vs []float32) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	off := len(b)
-	b = append(b, make([]byte, 4*len(vs))...)
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(b[off+4*i:], math.Float32bits(v))
-	}
-	return b
-}
-
-// --- primitive decoder --------------------------------------------------
-
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.buf) < n {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// optByte reads a trailing optional byte: absent (no bytes left) decodes
-// as zero, which is how capability fields stay byte-compatible with
-// legacy frames.
-func (d *decoder) optByte() byte {
-	if d.err != nil || len(d.buf) == 0 {
-		return 0
-	}
-	return d.u8()
-}
-
-// optTrace reads a trailing optional 16-byte trace-context block:
-// absent decodes as the zero Trace, which is how traced peers stay
-// byte-compatible with legacy frames (which simply end earlier).
-func (d *decoder) optTrace() Trace {
-	if d.err != nil || len(d.buf) < 16 {
+// optTrace reads the trailing trace-context block: a frame that ends
+// before it decodes as the zero Trace, and one that ends inside it is
+// truncated.
+func optTrace(d *lebin.Reader) Trace {
+	if d.Len() == 0 {
 		return Trace{}
 	}
-	return Trace{TraceID: d.u64(), SpanID: d.u64()}
-}
-
-// bytes reads a u32-length-prefixed byte string, sharing the frame's
-// backing array.
-func (d *decoder) bytes() []byte {
-	n := d.u32()
-	if d.err != nil || uint64(n) > uint64(len(d.buf)) {
-		if d.err == nil {
-			d.err = io.ErrUnexpectedEOF
-		}
-		return nil
-	}
-	return d.take(int(n))
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *decoder) f64() float64 {
-	return math.Float64frombits(d.u64())
-}
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != nil || n > uint32(len(d.buf)) {
-		if d.err == nil {
-			d.err = io.ErrUnexpectedEOF
-		}
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-func (d *decoder) u32s() []uint32 {
-	n := d.u32()
-	if d.err != nil || uint64(n)*4 > uint64(len(d.buf)) {
-		if d.err == nil {
-			d.err = io.ErrUnexpectedEOF
-		}
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = d.u32()
-	}
-	return out
-}
-
-func (d *decoder) f32s() []float32 {
-	n := d.u32()
-	if d.err != nil || uint64(n)*4 > uint64(len(d.buf)) {
-		if d.err == nil {
-			d.err = io.ErrUnexpectedEOF
-		}
-		return nil
-	}
-	raw := d.take(int(n) * 4)
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out
+	return Trace{TraceID: d.U64(), SpanID: d.U64()}
 }

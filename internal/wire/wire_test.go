@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
 
+	"fedguard/internal/lebin"
 	"fedguard/internal/rng"
 )
 
@@ -120,9 +120,8 @@ func TestMultipleMessagesOnOneStream(t *testing.T) {
 // buildFrame assembles a raw frame around payload (type byte + body)
 // with a correct checksum, so tests can probe decode paths past the CRC.
 func buildFrame(payload []byte) []byte {
-	frame := make([]byte, headerSize)
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+	frame := lebin.AppendU32(nil, uint32(len(payload)))
+	frame = lebin.AppendU32(frame, lebin.Checksum(0, payload))
 	return append(frame, payload...)
 }
 
@@ -189,7 +188,7 @@ func TestReadMessageBoundsAllocationOnLyingLength(t *testing.T) {
 	// Allow 64 KiB of slack over the two growth chunks: the race
 	// runtime pads large allocations by a few hundred bytes, which must
 	// not fail a bound that exists to catch 256 MB up-front reserves.
-	if limit := int64(2*allocChunk + 64<<10); totalAllocBytes()-before > limit {
+	if limit := int64(2*lebin.AllocChunk + 64<<10); totalAllocBytes()-before > limit {
 		t.Fatalf("claimed-256MB frame allocated %d bytes; want ≤ %d", totalAllocBytes()-before, limit)
 	}
 }
@@ -211,13 +210,40 @@ func TestReadMessageRejectsTruncatedBody(t *testing.T) {
 	}
 }
 
+// A frame must end exactly after its last field, its capability byte
+// (Hello, Setup) or its one trace block: 1, 15 or 17 bytes past that
+// are a decode error, whether they fall short of a trace block or trail
+// a whole one.
+func TestReadMessageRejectsTrailingBytes(t *testing.T) {
+	for _, msg := range []any{
+		&Hello{ClientID: 7, Encodings: CapCodec},
+		&Setup{Seed: 1, ArchName: "tiny", Attack: "none", Encodings: CapCodec},
+		&TrainRequest{Round: 2, Global: []float32{1, 2}},
+		&TrainRequestC{Round: 2, Encoding: EncCodec, NumParams: 1, Payload: []byte{7}},
+		&Update{Round: 2, ClientID: 1, NumSamples: 3, Weights: []float32{4}},
+		&UpdateC{Round: 2, ClientID: 1, NumSamples: 3, Encoding: EncCodec, NumParams: 1, Weights: []byte{7}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, msg); err != nil {
+			t.Fatal(err)
+		}
+		payload := buf.Bytes()[headerSize:]
+		for _, extra := range []int{1, 15, 17} {
+			padded := append(append([]byte(nil), payload...), bytes.Repeat([]byte{0xA5}, extra)...)
+			if got, err := ReadMessage(bytes.NewReader(buildFrame(padded))); err == nil {
+				t.Errorf("%T with %d trailing bytes decoded as %+v", msg, extra, got)
+			}
+		}
+	}
+}
+
 func TestDecoderGuardsLengthLies(t *testing.T) {
 	// An Update whose f32s header claims more floats than the body holds.
 	payload := []byte{TypeUpdate}
-	payload = appendU32(payload, 1)          // round
-	payload = appendU32(payload, 1)          // client
-	payload = appendU32(payload, 1)          // samples
-	payload = appendU32(payload, 1000000000) // claimed weight count
+	payload = lebin.AppendU32(payload, 1)          // round
+	payload = lebin.AppendU32(payload, 1)          // client
+	payload = lebin.AppendU32(payload, 1)          // samples
+	payload = lebin.AppendU32(payload, 1000000000) // claimed weight count
 	if _, err := ReadMessage(bytes.NewReader(buildFrame(payload))); err == nil {
 		t.Fatal("length-lying frame accepted")
 	}
@@ -264,66 +290,6 @@ func sameBits(a, b float32) bool {
 	return (a == b) || (a != a && b != b) // equal, or both NaN
 }
 
-func TestCountingConn(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewCountingConn(&buf)
-	if err := WriteMessage(c, &Hello{ClientID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	written := c.BytesWritten()
-	if written != int64(buf.Len()) {
-		t.Fatalf("counted %d written, buffer has %d", written, buf.Len())
-	}
-	if _, err := ReadMessage(c); err != nil {
-		t.Fatal(err)
-	}
-	if c.BytesRead() != written {
-		t.Fatalf("read count %d, want %d", c.BytesRead(), written)
-	}
-}
-
-// closableBuffer records whether Close reached the wrapped stream.
-type closableBuffer struct {
-	bytes.Buffer
-	closed int
-}
-
-func (c *closableBuffer) Close() error {
-	c.closed++
-	return nil
-}
-
-func TestCountingConnClose(t *testing.T) {
-	var under closableBuffer
-	c := NewCountingConn(&under)
-	if err := WriteMessage(c, &Hello{ClientID: 7}); err != nil {
-		t.Fatal(err)
-	}
-	written := c.BytesWritten()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if under.closed != 1 {
-		t.Fatalf("underlying stream closed %d times, want 1", under.closed)
-	}
-	// A second Close forwards too, and the counts outlive the close.
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if under.closed != 2 || c.BytesWritten() != written || c.BytesRead() != 0 {
-		t.Fatalf("after two closes: %d forwarded, counts (%d, %d), want 2 and (0, %d)",
-			under.closed, c.BytesRead(), c.BytesWritten(), written)
-	}
-}
-
-func TestCountingConnCloseWithoutCloser(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewCountingConn(&buf) // bytes.Buffer is not a Closer
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWriteMessageRejectsUnknownType(t *testing.T) {
 	if err := WriteMessage(io.Discard, struct{}{}); err == nil {
 		t.Fatal("unknown message type accepted")
@@ -365,7 +331,8 @@ func TestUpdateCRoundTrip(t *testing.T) {
 // The capability byte must be invisible when zero: frames are
 // byte-identical to the legacy encoding, and legacy frames (without the
 // byte) decode with Encodings == 0. That is the whole negotiation story
-// — an old peer neither sends nor is sent anything it doesn't know.
+// — an old peer neither sends nor is sent anything it doesn't know; the
+// decoder takes at most the one byte (TestReadMessageRejectsTrailingBytes).
 func TestCapabilityByteCompat(t *testing.T) {
 	var plain, withCap bytes.Buffer
 	if err := WriteMessage(&plain, &Hello{ClientID: 9}); err != nil {
@@ -423,12 +390,12 @@ func TestCapabilityByteCompat(t *testing.T) {
 
 func TestUpdateCGuardsLengthLies(t *testing.T) {
 	payload := []byte{TypeUpdateC}
-	payload = appendU32(payload, 1) // round
-	payload = appendU32(payload, 1) // client
-	payload = appendU32(payload, 1) // samples
+	payload = lebin.AppendU32(payload, 1) // round
+	payload = lebin.AppendU32(payload, 1) // client
+	payload = lebin.AppendU32(payload, 1) // samples
 	payload = append(payload, EncCodec)
-	payload = appendU32(payload, 1)
-	payload = appendU32(payload, 1<<30) // claimed blob length
+	payload = lebin.AppendU32(payload, 1)
+	payload = lebin.AppendU32(payload, 1<<30) // claimed blob length
 	if _, err := ReadMessage(bytes.NewReader(buildFrame(payload))); err == nil {
 		t.Fatal("length-lying UpdateC accepted")
 	}
