@@ -113,9 +113,11 @@ bench-agg:
 # (the skip-draw walk's time, and that it keeps a partition and not the
 # training set), and a client's round after its first (≤ 1 MiB B/op: it
 # trains on the worker it borrowed before; a model built per round is
-# 9.8 MB). Ceilings are loose (≈2-3× the measured numbers) so CI
-# noise passes but a lost fast path or reintroduced per-op allocation
-# fails.
+# 9.8 MB), and the round engine's finite-value admission of one
+# default-preset FedGuard update (≈ 0.14–0.30 ms for 227 908 floats
+# read in place: 0 allocs/op). Ceilings are loose (≈2-3× the measured
+# numbers) so CI noise passes but a lost fast path or reintroduced
+# per-op allocation fails.
 bench-guard:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench '$(CKPT_BENCH)' -benchmem -benchtime=50x ./internal/persist/ ; \
@@ -125,7 +127,8 @@ bench-guard:
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierInfer$$' -benchmem -benchtime=100x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardAudit$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClientRoundWarm$$' -benchmem -benchtime=20x . ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClientRoundWarm$$' -benchmem -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkAdmitUpdate$$' -benchmem -benchtime=200x ./internal/fl/ ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json
 
 # bench-harness vets and tests benchmark/, the ledger's program. It is

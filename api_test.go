@@ -27,8 +27,6 @@ var apiHooks = map[string]string{
 	"fednet.Server.Kill":                 "the kill/resume drills crash a server mid-round",
 	"cvae.CVAE.Step":                     "BenchmarkCVAEStep in make bench-guard measures one training step alone; Train runs its own loop",
 	"fednet.ClientOptions.RedialBackoff": "the resume drills redial every 10 ms instead of the 250 ms default",
-	"fl.FederationConfig.Sampler":        "TestEngineRecordsCohortAnswers, TestCustomSamplerUsed and TestLoopbackCustomSamplerMatchesInProcess pin cohorts through it, and TestResumeQualitySamplerFromHistory samples by the history",
-	"defense.FedGuard.UseDecoderClasses": "TestFedGuardAssignSamplesByClass, TestFedGuardAssignSamplesFallback, TestFedGuardSynthesizeWithDecoderClasses, TestFedGuardParallelSynthesizeMatchesSerial and TestAuditStreamMatchesBatch route synthesis by decoder class (§VI-B)",
 }
 
 // apiExempt are the internal packages whose declarations the guard does

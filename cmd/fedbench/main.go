@@ -119,8 +119,10 @@ func main() {
 	for _, a := range []float64{100, 10, 1, 0.5} {
 		s := setup
 		s.Alpha = a
-		alphaCells = append(alphaCells, experiment.Cell{Setup: s, Scenario: mustScenario("label-flip-30"),
-			Strategy: "FedGuard", Label: fmt.Sprintf("FedGuard-alpha-%g", a)})
+		for _, strategy := range []string{"FedGuard", "FedGuard-routed"} {
+			alphaCells = append(alphaCells, experiment.Cell{Setup: s, Scenario: mustScenario("label-flip-30"),
+				Strategy: strategy, Label: fmt.Sprintf("%s-alpha-%g", strategy, a)})
+		}
 	}
 	for _, study := range []struct {
 		file  string

@@ -31,22 +31,15 @@ var ErrNoUpdates = errors.New("aggregate: no updates")
 // composes one of these behind its selective filter.
 type Inner func(updates []fl.Update) ([]float32, error)
 
-// checkUpdates validates that there is at least one update and that all
-// updates share a parameter dimension, returning that dimension. Every
-// operator calls it first, so a ragged cohort is an error everywhere
-// rather than an index panic in some paths.
+// checkUpdates returns the parameter dimension of a round that has at
+// least one update, and ErrNoUpdates otherwise. Every operator calls it
+// first. Shapes and values are settled before any operator runs: at the
+// wire edge and by the round engine's admission.
 func checkUpdates(updates []fl.Update) (int, error) {
 	if len(updates) == 0 {
 		return 0, ErrNoUpdates
 	}
-	dim := len(updates[0].Weights)
-	for _, u := range updates {
-		if len(u.Weights) != dim {
-			return 0, fmt.Errorf("aggregate: update from client %d has %d parameters, want %d",
-				u.ClientID, len(u.Weights), dim)
-		}
-	}
-	return dim, nil
+	return len(updates[0].Weights), nil
 }
 
 // rowsOf extracts the weight vectors for the tensor kernels.
@@ -58,9 +51,10 @@ func rowsOf(updates []fl.Update) [][]float32 {
 	return rows
 }
 
-// WeightedMean is the FedAvg operator: the sample-count-weighted mean of
-// the update vectors. Updates reporting zero (or negative) sample counts
-// contribute with weight 1 rather than vanishing.
+// WeightedMean is the FedAvg operator: the mean of the update vectors
+// weighted by their sample counts, which are the sizes of the partitions
+// the server drew. An empty Dirichlet partition (a zero count) weighs 1
+// rather than vanishing.
 func WeightedMean(updates []fl.Update) ([]float32, error) {
 	dim, err := checkUpdates(updates)
 	if err != nil {
@@ -185,9 +179,7 @@ func Krum(updates []fl.Update, f int) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float32, len(updates[idx].Weights))
-	copy(out, updates[idx].Weights)
-	return out, nil
+	return slices.Clone(updates[idx].Weights), nil
 }
 
 // CoordinateMedian returns the coordinate-wise median of the update

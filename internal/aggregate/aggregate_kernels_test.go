@@ -20,28 +20,9 @@ func kernelUpdates(seed uint64, n, dim int) []fl.Update {
 	return ups
 }
 
-// Every operator must reject a ragged cohort with an error instead of
-// indexing out of bounds.
-func TestAllOpsRejectMismatchedDims(t *testing.T) {
-	ragged := []fl.Update{upd(0, 1, 1, 2, 3), upd(1, 1, 1, 2)}
-	ops := map[string]func() error{
-		"WeightedMean":     func() error { _, err := WeightedMean(ragged); return err },
-		"GeometricMedian":  func() error { _, err := GeometricMedian(ragged); return err },
-		"CoordinateMedian": func() error { _, err := CoordinateMedian(ragged); return err },
-		"TrimmedMean":      func() error { _, err := TrimmedMean(ragged, 0); return err },
-		"NormClip":         func() error { _, err := NormClip(ragged, 1); return err },
-		"KrumScores":       func() error { _, err := KrumScores(ragged, 0); return err },
-		"Krum":             func() error { _, err := Krum(ragged, 0); return err },
-	}
-	for name, op := range ops {
-		if err := op(); err == nil {
-			t.Errorf("%s accepted mismatched update dimensions", name)
-		}
-	}
-}
-
 // Zero- and negative-sample updates contribute with weight 1 instead of
-// vanishing (or poisoning the total with zeros).
+// vanishing (or poisoning the total with zeros): an empty Dirichlet
+// partition is a zero count.
 func TestWeightedMeanZeroSampleCounts(t *testing.T) {
 	out, err := WeightedMean([]fl.Update{
 		upd(0, 0, 2),  // weight 1

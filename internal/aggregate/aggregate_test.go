@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -66,11 +67,8 @@ func TestWeightedMeanOfIdenticalIsIdentity(t *testing.T) {
 }
 
 func TestWeightedMeanErrors(t *testing.T) {
-	if _, err := WeightedMean(nil); err == nil {
-		t.Fatal("no error on empty updates")
-	}
-	if _, err := WeightedMean([]fl.Update{upd(0, 1, 1), upd(1, 1, 1, 2)}); err == nil {
-		t.Fatal("no error on dimension mismatch")
+	if _, err := WeightedMean(nil); !errors.Is(err, ErrNoUpdates) {
+		t.Fatalf("empty updates: err = %v, want ErrNoUpdates", err)
 	}
 }
 

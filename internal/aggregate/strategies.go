@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"math"
+	"slices"
 
 	"fedguard/internal/fl"
 	"fedguard/internal/tensor"
@@ -62,9 +63,7 @@ func (s *KrumStrategy) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 		return nil, err
 	}
 	ctx.Report[fl.ReportKrumSelected] = float64(ctx.Updates[idx].ClientID)
-	out := make([]float32, len(ctx.Updates[idx].Weights))
-	copy(out, ctx.Updates[idx].Weights)
-	return out, nil
+	return slices.Clone(ctx.Updates[idx].Weights), nil
 }
 
 // MedianStrategy aggregates with the coordinate-wise median.
@@ -138,12 +137,9 @@ func medianNorm(updates []fl.Update) (float64, error) {
 			norms[i] = tensor.SumSqBlocked(updates[i].Weights)
 		}
 	})
-	// Selection by sorting; m is small.
-	for i := 1; i < len(norms); i++ {
-		for j := i; j > 0 && norms[j] < norms[j-1]; j-- {
-			norms[j], norms[j-1] = norms[j-1], norms[j]
-		}
-	}
+	// Selection by sorting; m is small, and admitted updates have finite
+	// norms, so every sort agrees.
+	slices.Sort(norms)
 	mid := norms[len(norms)/2]
 	return math.Sqrt(mid), nil
 }

@@ -5,6 +5,8 @@
 package defense
 
 import (
+	"slices"
+
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
@@ -168,37 +170,24 @@ func (g *FedGuard) drawPlan(r *rng.RNG, m int) (z *tensor.Tensor, labels []int) 
 // claiming its label (cycling among claimants, §VI-B), falling back to
 // the global cycle when no decoder claims the class.
 func (g *FedGuard) assignSamples(labels []int, nd int, decoderClasses [][]int) []int {
-	assign := make([]int, len(labels))
-	if !g.UseDecoderClasses {
-		for i := range assign {
-			assign[i] = i % nd
-		}
-		return assign
-	}
-	byClass := make([][]int, g.CVAECfg.Classes)
+	byClass := make([][]int, g.CVAECfg.Classes) // claimants by class; none unless routed
 	for d, classes := range decoderClasses {
-		if classes == nil {
-			// Unknown coverage: treat as trained on everything.
-			for c := range byClass {
-				byClass[c] = append(byClass[c], d)
-			}
-			continue
-		}
-		for _, c := range classes {
-			if c >= 0 && c < len(byClass) {
+		for c := range byClass {
+			// nil classes mean unknown coverage: trained on everything.
+			if g.UseDecoderClasses && (classes == nil || slices.Contains(classes, c)) {
 				byClass[c] = append(byClass[c], d)
 			}
 		}
 	}
+	assign := make([]int, len(labels))
 	counters := make([]int, g.CVAECfg.Classes)
 	for i, y := range labels {
-		claimants := byClass[y]
-		if len(claimants) == 0 {
+		if claimants := byClass[y]; len(claimants) > 0 {
+			assign[i] = claimants[counters[y]%len(claimants)]
+			counters[y]++
+		} else {
 			assign[i] = i % nd
-			continue
 		}
-		assign[i] = claimants[counters[y]%len(claimants)]
-		counters[y]++
 	}
 	return assign
 }

@@ -159,13 +159,11 @@ func (s *AuditStream) assign() {
 
 // Submit implements fl.RoundStream. The slot's decoder payload is
 // validated and bound to a view here, outside the lock (it costs a
-// length check; the payload is neither copied nor written).
+// length check, missing payloads included; it is neither copied nor
+// written).
 func (s *AuditStream) Submit(slot int, u fl.Update) {
-	var dec *cvae.Decoder
-	var err error
-	if u.Decoder == nil {
-		err = fmt.Errorf("defense: client %d sent no decoder payload", u.ClientID)
-	} else if dec, err = cvae.NewDecoder(s.g.CVAECfg, u.Decoder); err != nil {
+	dec, err := cvae.NewDecoder(s.g.CVAECfg, u.Decoder)
+	if err != nil {
 		err = fmt.Errorf("defense: client %d: %w", u.ClientID, err)
 	}
 

@@ -105,13 +105,14 @@ func StrategyNames() []string {
 // implements (usable from the CLI, not part of the paper's tables).
 func ExtendedStrategyNames() []string {
 	return append(StrategyNames(), "Median", "TrimmedMean", "NormClip",
-		"FedGuard-GeoMed", "FedGuard-Median")
+		"FedGuard-GeoMed", "FedGuard-Median", "FedGuard-routed")
 }
 
 // NewStrategy instantiates the named strategy for the given setup.
 // Spectral is pre-trained on the setup's auxiliary dataset (the paper
 // grants it that, §II / §IV-C). The FedGuard-<op> variants exercise the
-// §VI-C pluggable inner aggregation operator.
+// §VI-C pluggable inner aggregation operator, FedGuard-routed §VI-B's
+// class-routed synthesis.
 func NewStrategy(name string, setup Setup) (fl.Strategy, error) {
 	switch name {
 	case "FedAvg":
@@ -132,11 +133,13 @@ func NewStrategy(name string, setup Setup) (fl.Strategy, error) {
 	case "FedGuard":
 		return newFedGuard(setup, nil), nil
 	case "FedGuard-GeoMed":
-		g := newFedGuard(setup, aggregate.GeometricMedian)
-		return renamed{g, "FedGuard-GeoMed"}, nil
+		return renamed{newFedGuard(setup, aggregate.GeometricMedian), name}, nil
 	case "FedGuard-Median":
-		g := newFedGuard(setup, aggregate.CoordinateMedian)
-		return renamed{g, "FedGuard-Median"}, nil
+		return renamed{newFedGuard(setup, aggregate.CoordinateMedian), name}, nil
+	case "FedGuard-routed":
+		g := newFedGuard(setup, nil)
+		g.UseDecoderClasses = true
+		return renamed{g, name}, nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown strategy %q", name)
 	}
@@ -163,7 +166,7 @@ func NewPretrainedSpectral(setup Setup) *defense.Spectral {
 	return s
 }
 
-// renamed reports a FedGuard inner-operator variant under its own name.
+// renamed reports a FedGuard variant under its own name.
 // It embeds the concrete type, so the variant streams like FedGuard.
 type renamed struct {
 	*defense.FedGuard

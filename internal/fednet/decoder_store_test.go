@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fedguard/internal/codec"
+	"fedguard/internal/fl"
 	"fedguard/internal/wire"
 )
 
@@ -46,7 +47,7 @@ func pipeServer(t *testing.T, tolerant bool, modelSize, decoderSize int) (*Serve
 	if tolerant {
 		cfg.MinClientsPerRound = 1
 	}
-	s := &Server{cfg: cfg, clients: map[int]*clientConn{}, decoders: map[int]*decoderCache{},
+	s := &Server{cfg: cfg, clients: map[int]*clientConn{}, decoders: map[int]*decoderCache{}, parts: make([][]int, 2),
 		initGlobal: make([]float32, modelSize), decoderSize: decoderSize, kill: make(chan struct{})}
 	var far [2]net.Conn
 	for id := range far {
@@ -98,7 +99,7 @@ func TestDecoderChangedUnderUnchangedHash(t *testing.T) {
 				errs := make(chan error, 2)
 				go func() { errs <- answer(far[0], 0, global, first) }()
 				go func() { errs <- answer(far[1], 1, global, honest) }()
-				updates, dropped, err := s.trainRound(r, []int{0, 1}, global, true, nil, nil)
+				updates, dropped, err := s.trainRound(r, []int{0, 1}, global, true, func(int, fl.Update) {}, nil)
 				for range far {
 					if cerr := <-errs; cerr != nil {
 						t.Fatalf("round %d client: %v (server: %v)", r, cerr, err)

@@ -7,14 +7,18 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"fedguard/internal/aggregate"
+	"fedguard/internal/classifier"
 	"fedguard/internal/codec"
 	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
+	"fedguard/internal/defense"
 	"fedguard/internal/fl"
+	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
 	"fedguard/internal/wire"
 )
@@ -23,6 +27,7 @@ import (
 // neither dialect.
 type updateSpec struct {
 	clientID         int
+	samples          uint32
 	weights, decoder []float32
 }
 
@@ -30,10 +35,10 @@ type updateSpec struct {
 // (EncCodec weights, the decoder in full), so it needs no shared state.
 func (u updateSpec) frame(round uint32, enc bool) any {
 	if !enc {
-		return &wire.Update{Round: round, ClientID: uint32(u.clientID), NumSamples: 1,
+		return &wire.Update{Round: round, ClientID: uint32(u.clientID), NumSamples: u.samples,
 			Weights: u.weights, Decoder: u.decoder}
 	}
-	m := &wire.UpdateC{Round: round, ClientID: uint32(u.clientID), NumSamples: 1,
+	m := &wire.UpdateC{Round: round, ClientID: uint32(u.clientID), NumSamples: u.samples,
 		Encoding: wire.EncCodec, NumParams: uint32(len(u.weights)), Weights: codec.Encode(u.weights)}
 	if len(u.decoder) > 0 {
 		m.DecoderHash = codec.Hash(u.decoder)
@@ -60,13 +65,15 @@ var hostileFrames = []struct {
 		func(u *updateSpec, _ int) { u.weights = nil }, "params"},
 	{"decoder of the wrong length", true,
 		func(u *updateSpec, _ int) { u.decoder = u.decoder[1:] }, "decoder of"},
+	{"no decoder when asked", true,
+		func(u *updateSpec, _ int) { u.decoder = nil }, "decoder of 0"},
 	{"decoder nobody asked for", false,
 		func(u *updateSpec, n int) { u.decoder = make([]float32, n) }, "asked for none"},
 }
 
 // honestSpec is the update the hostile list bends.
 func honestSpec(id, modelSize, decoderSize int, needDecoder bool) updateSpec {
-	u := updateSpec{clientID: id, weights: make([]float32, modelSize)}
+	u := updateSpec{clientID: id, samples: 1, weights: make([]float32, modelSize)}
 	if needDecoder {
 		u.decoder = make([]float32, decoderSize)
 		u.decoder[0] = 1
@@ -75,19 +82,25 @@ func honestSpec(id, modelSize, decoderSize int, needDecoder bool) updateSpec {
 }
 
 // edgeServer is a server with client 0 registered in the given dialect,
-// for calling the edge by hand.
+// for calling the edge by hand. Client 0's partition holds edgeSamples
+// indices.
 func edgeServer(t testing.TB, enc bool, modelSize, decoderSize int) (*Server, *clientConn) {
 	t.Helper()
 	near, far := net.Pipe()
 	t.Cleanup(func() { near.Close(); far.Close() })
 	c := &clientConn{id: 0, conn: near, count: wire.NewCountingConn(near), enc: enc}
 	s := &Server{cfg: testConfig(), clients: map[int]*clientConn{0: c}, decoders: map[int]*decoderCache{},
-		initGlobal: make([]float32, modelSize), decoderSize: decoderSize, kill: make(chan struct{})}
+		parts: [][]int{make([]int, edgeSamples)}, initGlobal: make([]float32, modelSize),
+		decoderSize: decoderSize, kill: make(chan struct{})}
 	return s, c
 }
 
+const edgeSamples = 5
+
 // checkEdgeInvariants is what every update toUpdate lets through must
-// satisfy, whatever frame it came from.
+// satisfy, whatever frame it came from: the connection's client, the
+// model's size, a decoder of the configured size exactly when the round
+// asked for one, and the server's own count of the client's samples.
 func checkEdgeInvariants(t *testing.T, s *Server, c *clientConn, u fl.Update, needDecoder bool, modelSize int) {
 	t.Helper()
 	if u.ClientID != c.id {
@@ -96,8 +109,11 @@ func checkEdgeInvariants(t *testing.T, s *Server, c *clientConn, u fl.Update, ne
 	if len(u.Weights) != modelSize {
 		t.Fatalf("accepted %d weights for a model of %d", len(u.Weights), modelSize)
 	}
-	if len(u.Decoder) != 0 && (!needDecoder || len(u.Decoder) != s.decoderSize) {
+	if needDecoder && len(u.Decoder) != s.decoderSize || !needDecoder && len(u.Decoder) != 0 {
 		t.Fatalf("accepted a decoder of %d params (asked: %v, size %d)", len(u.Decoder), needDecoder, s.decoderSize)
+	}
+	if u.NumSamples != len(s.parts[c.id]) {
+		t.Fatalf("accepted a count of %d samples for a partition of %d", u.NumSamples, len(s.parts[c.id]))
 	}
 	if e := s.decoders[c.id]; e != nil && len(e.params) != s.decoderSize {
 		t.Fatalf("cached a decoder of %d params, size is %d", len(e.params), s.decoderSize)
@@ -263,6 +279,99 @@ func TestHostileFramesOverLoopback(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestNonFiniteUploadsOverLoopback: the edge lets a well-shaped update
+// with a NaN through, and the round engine refuses it, in both dialects.
+// A tolerant run whose peer sends NaN weights (FedAvg), or a NaN decoder
+// (FedGuard, audit streamed), ends on the weights of the run in which
+// that peer hung up; a strict run completes with the peer in Dropped.
+func TestNonFiniteUploadsOverLoopback(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.MinClientsPerRound = 1
+	cfg.StreamAudit = true
+	modelSize, decoderSize := len(fl.InitialGlobal(cfg.Experiment)), cvae.DecoderSize(cfg.Experiment.Client.CVAE)
+	bad := rng.New(rng.DeriveSeed(cfg.Experiment.Seed, "server", 0)).Sample(cfg.Experiment.NumClients, cfg.Experiment.PerRound)[0]
+	for _, tc := range []struct {
+		name        string
+		newStrategy func() fl.Strategy
+		poison      func(u *updateSpec)
+	}{
+		{"NaN weights", func() fl.Strategy { return aggregate.NewFedAvg() },
+			func(u *updateSpec) { u.weights[1] = float32(math.NaN()) }},
+		{"NaN decoder", func() fl.Strategy { return defense.NewFedGuard(classifier.Tiny(), cfg.Experiment.Client.CVAE) },
+			func(u *updateSpec) { u.decoder[1] = float32(math.NaN()) }},
+	} {
+		needDecoder := tc.newStrategy().NeedsDecoders()
+		hungUp, _, err := runWithPeer(t, cfg, tc.newStrategy(), bad, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range []bool{false, true} {
+			answer := func(round uint32) any {
+				spec := honestSpec(bad, modelSize, decoderSize, needDecoder)
+				tc.poison(&spec)
+				return spec.frame(round, enc)
+			}
+			for _, strict := range []bool{false, true} {
+				if strict && needDecoder {
+					continue // the strict leg does not depend on the strategy
+				}
+				t.Run(fmt.Sprintf("%s/%s/strict=%v", tc.name, encName(enc), strict), func(t *testing.T) {
+					rcfg := cfg
+					rcfg.Compress = enc
+					if strict {
+						rcfg.MinClientsPerRound = 0
+					}
+					got, sink, err := runWithPeer(t, rcfg, tc.newStrategy(), bad, answer)
+					if err != nil {
+						t.Fatalf("run failed: %v", err)
+					}
+					for _, rec := range got.Rounds {
+						if slices.Contains(rec.Sampled, bad) != reflect.DeepEqual(rec.Dropped, []int{bad}) {
+							t.Fatalf("round %d sampled %v and dropped %v", rec.Round, rec.Sampled, rec.Dropped)
+						}
+					}
+					if first := sink.ByKind("ClientDropped")[0].(telemetry.ClientDropped); first.ClientID != bad || first.Reason != "invalid" {
+						t.Fatalf("first drop %+v, want client %d for reason invalid", first, bad)
+					}
+					if !strict && !reflect.DeepEqual(got.FinalWeights, hungUp.FinalWeights) {
+						t.Fatal("final weights differ from the run where the client hung up")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSampleCountIsTheServers: FedAvg weighs an update by the partition
+// the server drew, so a peer that reports 100× its count ends the run on
+// the weights of one that reports its true count.
+func TestSampleCountIsTheServers(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	modelSize := len(fl.InitialGlobal(cfg.Experiment))
+	bad := rng.New(rng.DeriveSeed(cfg.Experiment.Seed, "server", 0)).Sample(cfg.Experiment.NumClients, cfg.Experiment.PerRound)[0]
+	labels := dataset.GenerateLabels(cfg.TrainSize, rng.New(cfg.DataSeed))
+	count := uint32(len(fl.Partition(&dataset.Dataset{Labels: labels}, cfg.Experiment)[bad]))
+	run := func(samples uint32) *fl.History {
+		h, _, err := runWithPeer(t, cfg, aggregate.NewFedAvg(), bad, func(round uint32) any {
+			spec := honestSpec(bad, modelSize, 0, false)
+			spec.samples = samples
+			return spec.frame(round, false)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Rounds[0].Dropped != nil {
+			t.Fatalf("round 1 dropped %v: the peer's update must be aggregated", h.Rounds[0].Dropped)
+		}
+		return h
+	}
+	if truth, lie := run(count), run(100*count); !reflect.DeepEqual(lie.FinalWeights, truth.FinalWeights) {
+		t.Fatal("the reported sample count moved FedAvg")
 	}
 }
 

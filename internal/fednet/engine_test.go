@@ -114,31 +114,6 @@ func TestLoopbackCohortAttackMatchesInProcess(t *testing.T) {
 	}
 }
 
-// rotatingSampler picks a deterministic window of clients per round
-// without touching the RNG.
-type rotatingSampler struct{}
-
-func (rotatingSampler) SampleClients(history []fl.RoundRecord, n, m int, r *rng.RNG) []int {
-	ids := make([]int, m)
-	for i := range ids {
-		ids[i] = (len(history) + 1 + i) % n
-	}
-	return ids
-}
-
-// TestLoopbackCustomSamplerMatchesInProcess: Experiment.Sampler decides
-// who participates over TCP too.
-func TestLoopbackCustomSamplerMatchesInProcess(t *testing.T) {
-	cfg := testConfig()
-	cfg.Experiment.Sampler = rotatingSampler{}
-	test := testSet()
-	netHist := runLoopback(t, cfg, aggregate.NewFedAvg(), test, ClientOptions{})
-	if want := []int{1, 2, 3}; !reflect.DeepEqual(netHist.Rounds[0].Sampled, want) {
-		t.Fatalf("round 1 sampled %v, want the sampler's %v", netHist.Rounds[0].Sampled, want)
-	}
-	expectSameRun(t, netHist, inProcess(t, cfg, aggregate.NewFedAvg(), test))
-}
-
 // shortStrategy returns one parameter too few.
 type shortStrategy struct{}
 

@@ -19,12 +19,12 @@ import (
 // Train implements fl.Cohort around trainRound. After Kill the round
 // does not start, and a round that failed on the server's own severed
 // connections is not a failed round: both are ErrKilled.
-func (s *Server) Train(round int, sampled []int, global []float32, needDecoders bool, stream fl.RoundStream, roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
+func (s *Server) Train(round int, sampled []int, global []float32, needDecoders bool, submit func(int, fl.Update), roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
 	if s.killed() {
 		return nil, nil, ErrKilled
 	}
 	s.round.Store(int64(round))
-	updates, dropped, err := s.trainRound(round, sampled, global, needDecoders, stream, roundSpan)
+	updates, dropped, err := s.trainRound(round, sampled, global, needDecoders, submit, roundSpan)
 	if err != nil && s.killed() {
 		return nil, nil, ErrKilled
 	}
@@ -35,12 +35,12 @@ func (s *Server) Train(round int, sampled []int, global []float32, needDecoders 
 // collects the responsive updates in sampled order. In tolerant mode,
 // failing clients are dropped (telemetry + connection teardown) and the
 // round proceeds as long as the quorum holds; in strict mode any failure
-// aborts. A non-nil stream receives each decoded update at its sampled
-// slot the moment it arrives, so the strategy's audit overlaps the
+// aborts. Each decoded update goes to submit at its sampled slot the
+// moment it arrives, so a streaming strategy's audit overlaps the
 // remaining uploads; slots line up with the compacted updates slice only
 // on drop-free rounds, which is exactly when the stream's fast path is
 // valid (Finalize detects the mismatch otherwise and falls back).
-func (s *Server) trainRound(round int, sampled []int, global []float32, needDecoders bool, stream fl.RoundStream, roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
+func (s *Server) trainRound(round int, sampled []int, global []float32, needDecoders bool, submit func(int, fl.Update), roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
 	conns := make([]*clientConn, len(sampled))
 	s.mu.Lock()
 	for i, id := range sampled {
@@ -73,8 +73,8 @@ func (s *Server) trainRound(round int, sampled []int, global []float32, needDeco
 		go func(i int) {
 			defer wg.Done()
 			results[i], errs[i] = s.trainOne(conns[i], round, needDecoders, global, deadline, roundSpan)
-			if errs[i] == nil && stream != nil {
-				stream.Submit(i, results[i])
+			if errs[i] == nil {
+				submit(i, results[i])
 			}
 		}(i)
 	}
@@ -282,32 +282,34 @@ func updateRound(msg any, enc bool) (round uint32, ok bool) {
 
 // toUpdate is the server's update edge: the one place a received frame,
 // of either dialect, becomes the fl.Update the round engine sees, and so
-// the one place its claims are held against what the server knows. The
+// the one place its shape is held against what the server knows. The
 // update must be filed under the identity the connection registered with
 // (exclusion records and detection statistics are keyed on it), carry
 // exactly the model's parameter count — the decoded payload's, whatever
-// a frame header says — and attach a decoder only when the round asked
-// for one and only of the configured CVAE's size. A violation is
+// a frame header says — and attach a decoder exactly when the round
+// asked for one, of the configured CVAE's size. A violation is
 // errProtocol — the frame passed its checksum, so it is the peer's
 // doing, not line noise: a drop in tolerant mode, an error naming the
-// client in strict mode. A decoder that arrived in full over the codec
-// dialect enters the dedup cache only once the edge holds.
+// client in strict mode. The frame's sample count is ignored for the
+// partition the server drew, and values are the round engine's to admit.
+// A decoder that arrived in full over the codec dialect enters the dedup
+// cache only once the edge holds.
 func (s *Server) toUpdate(c *clientConn, msg any, needDecoder bool, global []float32) (fl.Update, error) {
 	var (
-		id, samples      uint32
+		id               uint32
 		weights, decoder []float32
 		classes          []uint32
 		fresh            uint64 // hash of a decoder that arrived in full over the codec dialect
 	)
 	switch m := msg.(type) {
 	case *wire.Update:
-		id, samples, weights, decoder, classes = m.ClientID, m.NumSamples, m.Weights, m.Decoder, m.DecoderClasses
+		id, weights, decoder, classes = m.ClientID, m.Weights, m.Decoder, m.DecoderClasses
 	case *wire.UpdateC:
 		var err error
 		if weights, decoder, err = s.decodeUpdateC(c, m, global); err != nil {
 			return fl.Update{}, err
 		}
-		id, samples, classes = m.ClientID, m.NumSamples, m.DecoderClasses
+		id, classes = m.ClientID, m.DecoderClasses
 		if len(m.Decoder) > 0 {
 			fresh = m.DecoderHash
 		}
@@ -323,11 +325,11 @@ func (s *Server) toUpdate(c *clientConn, msg any, needDecoder bool, global []flo
 			errProtocol, len(weights), len(global))
 	case len(decoder) > 0 && !needDecoder:
 		return fl.Update{}, fmt.Errorf("%w: decoder attached to a round that asked for none", errProtocol)
-	case len(decoder) > 0 && len(decoder) != s.decoderSize:
+	case needDecoder && len(decoder) != s.decoderSize:
 		return fl.Update{}, fmt.Errorf("%w: decoder of %d params, expected %d",
 			errProtocol, len(decoder), s.decoderSize)
 	}
-	out := fl.Update{ClientID: c.id, Weights: weights, NumSamples: int(samples)}
+	out := fl.Update{ClientID: c.id, Weights: weights, NumSamples: len(s.parts[c.id])}
 	if len(decoder) > 0 {
 		out.Decoder = decoder
 		out.DecoderClasses = castInts[int](classes)

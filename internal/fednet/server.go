@@ -63,7 +63,7 @@ import (
 
 // Config describes a networked federation. Experiment carries the
 // federation shape (N, m, R, α, server LR, malicious fraction, client
-// hyperparameters, sampler). NewServer overwrites the Experiment fields
+// hyperparameters). NewServer overwrites the Experiment fields
 // this Config states in networked form: Attack and Client.Arch come from
 // AttackName and ArchName — both travel by name so remote clients can
 // construct their own — and Telemetry, StreamAudit and the checkpoint

@@ -33,10 +33,9 @@ type Checkpoint struct {
 	Global []float32
 	// ServerRNG is the server stream frozen at the round boundary.
 	ServerRNG rng.State
-	// Rounds is the history prefix through Round (including Dropped and
-	// the wire-byte columns, so a resumed run's Table V is seamless, and
-	// every round's Decisions: the history is also the only state a
-	// Sampler may depend on).
+	// Rounds is the history prefix through Round, Dropped, Decisions and
+	// the wire-byte columns included, so a resumed run's record and
+	// Table V are seamless.
 	Rounds []RoundRecord
 	// Decoders is the per-client decoder-dedup state: content hashes
 	// in-process, hashes plus cached payloads for the networked server

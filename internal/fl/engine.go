@@ -2,6 +2,8 @@ package fl
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -24,12 +26,12 @@ type Cohort interface {
 	// Train hands global to the sampled clients and collects their
 	// updates. A transport that tolerates failures returns the responsive
 	// updates compacted in sampled order plus the IDs it dropped, so
-	// callers identify an update by its ClientID, never by its slot. A
-	// non-nil stream receives each update at its sampled slot as it
-	// arrives. roundSpan (nil when untraced) parents the per-client spans.
-	// Errors name their own round and abort the run.
+	// callers identify an update by its ClientID, never by its slot. Each
+	// update goes to submit at its sampled slot as it arrives, from any
+	// goroutine. roundSpan (nil when untraced) parents the per-client
+	// spans. Errors name their own round and abort the run.
 	Train(round int, sampled []int, global []float32, needDecoders bool,
-		stream RoundStream, roundSpan *telemetry.Span) (updates []Update, dropped []int, err error)
+		submit func(slot int, u Update), roundSpan *telemetry.Span) (updates []Update, dropped []int, err error)
 	// WireBytes returns what the round just trained moved on the wire,
 	// from the server's side: up is the broadcast, down the updates.
 	// broadcast is the round's logical upload (Table V: 4 bytes per
@@ -71,10 +73,6 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 	testIdx := dataset.Range(test.Len())
 	if cfg.TestSubset > 0 && cfg.TestSubset < len(testIdx) {
 		testIdx = testIdx[:cfg.TestSubset]
-	}
-	sampler := cfg.Sampler
-	if sampler == nil {
-		sampler = UniformSampler{}
 	}
 	needDecoders := strategy.NeedsDecoders()
 	history := &History{Strategy: strategy.Name()}
@@ -124,17 +122,14 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		tel.Emit(telemetry.RunResumed{Round: resume.Round, Strategy: strategy.Name()})
 	}
 	cohortAttack, _ := cfg.Attack.(attack.CohortAware)
-	every := cfg.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
+	every := max(cfg.CheckpointEvery, 1)
 
 	for round := startRound; round <= cfg.Rounds; round++ {
 		trainStart := time.Now()
 		roundSpan = runSpan.Child("round", telemetry.L("round", strconv.Itoa(round)))
 
 		// J ← sample(range(1,N), m) (Alg. 1 line 17).
-		sampled := sampler.SampleClients(history.Rounds, cfg.NumClients, cfg.PerRound, serverRNG)
+		sampled := serverRNG.Sample(cfg.NumClients, cfg.PerRound)
 		maliciousSampled := 0
 		for _, id := range sampled {
 			if malicious[id] {
@@ -161,15 +156,27 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 				stream = ss.BeginRound(ctx, len(sampled))
 			}
 		}
-		updates, dropped, err := cohort.Train(round, sampled, global, needDecoders, stream, roundSpan)
+		// The per-arrival hook: only an admitted update reaches the stream.
+		// Concurrent arrivals hold distinct slots.
+		refused := make([]bool, len(sampled))
+		submit := func(slot int, u Update) {
+			if refused[slot] = !admissible(u); !refused[slot] && stream != nil {
+				stream.Submit(slot, u)
+			}
+		}
+		delivered, dropped, err := cohort.Train(round, sampled, global, needDecoders, submit, roundSpan)
 		if err != nil {
 			if stream != nil {
 				stream.Abort()
 			}
 			return history, err
 		}
+		updates, dropped := expel(round, sampled, refused, delivered, dropped, tel)
 		if rewrite {
-			applyCohortAttack(cohortAttack, updates, malicious, cfg.Seed, round)
+			for _, u := range applyCohortAttack(cohortAttack, updates, malicious, cfg.Seed, round) {
+				refused[slices.Index(sampled, u.ClientID)] = !admissible(Update{Weights: u.Weights})
+			}
+			updates, dropped = expel(round, sampled, refused, updates, dropped, tel)
 		}
 		trainSecs := time.Since(trainStart).Seconds()
 
@@ -215,16 +222,17 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		}
 
 		// Byte accounting per Table V: uploads are the global broadcast to
-		// the m sampled clients; downloads are their returned updates plus
-		// any decoder payloads, every payload charged in full at 4 bytes
-		// per parameter. The wire columns are the cohort's: what the round
-		// actually (or, in-process, would have) put on the sockets.
+		// the m sampled clients; downloads are their delivered (even if
+		// refused) updates plus any decoder payloads, every payload charged
+		// in full at 4 bytes per parameter. The wire columns are the
+		// cohort's: what the round actually (or, in-process, would have)
+		// put on the sockets.
 		up := int64(cfg.PerRound) * int64(len(global)) * 4
 		var down int64
-		for _, u := range updates {
+		for _, u := range delivered {
 			down += int64(len(u.Weights)+len(u.Decoder)) * 4
 		}
-		wireUp, wireDown := cohort.WireBytes(updates, up)
+		wireUp, wireDown := cohort.WireBytes(delivered, up)
 		rec := RoundRecord{
 			Round:             round,
 			TrainSeconds:      trainSecs,
@@ -290,23 +298,60 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 // exchanging their locally trained updates before upload. Drafts are
 // found by ClientID and ordered by ascending ID, and the cohort RNG is
 // derived from (seed, round), so the rewrite is deterministic for a
-// given set of delivered updates — including across a checkpoint resume
-// — regardless of arrival order, transport, or dropped clients.
-func applyCohortAttack(ca attack.CohortAware, updates []Update, malicious map[int]bool, seed uint64, round int) {
-	var slots []int
-	for i, u := range updates {
+// given set of admitted updates — including across a checkpoint resume
+// — regardless of arrival order, transport, or dropped clients. It
+// returns the rewritten updates.
+func applyCohortAttack(ca attack.CohortAware, updates []Update, malicious map[int]bool, seed uint64, round int) []Update {
+	var drafts []Update
+	for _, u := range updates {
 		if malicious[u.ClientID] {
-			slots = append(slots, i)
+			drafts = append(drafts, u)
 		}
 	}
-	sort.Slice(slots, func(a, b int) bool {
-		return updates[slots[a]].ClientID < updates[slots[b]].ClientID
-	})
-	drafts := make([][]float32, len(slots))
-	ids := make([]int, len(slots))
-	for k, i := range slots {
-		drafts[k] = updates[i].Weights
-		ids[k] = updates[i].ClientID
+	sort.Slice(drafts, func(a, b int) bool { return drafts[a].ClientID < drafts[b].ClientID })
+	weights := make([][]float32, len(drafts))
+	ids := make([]int, len(drafts))
+	for k, u := range drafts {
+		weights[k], ids[k] = u.Weights, u.ClientID
 	}
-	ca.PoisonCohort(drafts, ids, rng.New(rng.DeriveSeed(seed, "cohort", uint64(round))))
+	ca.PoisonCohort(weights, ids, rng.New(rng.DeriveSeed(seed, "cohort", uint64(round))))
+	return drafts
+}
+
+// admissible reports whether every float of u's weights and decoder is
+// finite: the engine's one check on a client's values (shapes are settled
+// before an update arrives). It reads the floats in place.
+func admissible(u Update) bool {
+	for _, xs := range [2][]float32{u.Weights, u.Decoder} {
+		for _, x := range xs {
+			if math.Float32bits(x)&0x7f800000 == 0x7f800000 { // exponent all ones: ±Inf or NaN
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// expel takes the updates refused at their sampled slots out of the
+// round: their clients join the cohort's drops in sampled order, each
+// with a ClientDropped for "invalid", and a stream's Finalize falls back
+// on the admitted updates. It clears refused.
+func expel(round int, sampled []int, refused []bool, updates []Update, dropped []int, tel *telemetry.T) ([]Update, []int) {
+	if !slices.Contains(refused, true) {
+		return updates, dropped
+	}
+	updates = slices.DeleteFunc(slices.Clone(updates), func(u Update) bool {
+		return refused[slices.Index(sampled, u.ClientID)]
+	})
+	var all []int
+	for slot, id := range sampled {
+		if refused[slot] {
+			tel.Emit(telemetry.ClientDropped{Round: round, ClientID: id, Reason: "invalid"})
+		}
+		if refused[slot] || slices.Contains(dropped, id) {
+			all = append(all, id)
+		}
+	}
+	clear(refused)
+	return updates, all
 }

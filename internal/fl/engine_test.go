@@ -2,43 +2,51 @@ package fl
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"fedguard/internal/classifier"
+	"fedguard/internal/cvae"
 	"fedguard/internal/dataset"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
 )
 
 // fakeCohort is a Cohort with no clients behind it: every sampled ID not
-// listed in drop "delivers" the current global, so RunRounds can be
-// driven through rounds — and through failures no real transport
-// produces on demand — without training anything.
+// listed in drop "delivers" the current global, submitted at its slot,
+// so RunRounds can be driven through rounds — and through failures no
+// real transport produces on demand — without training anything.
 type fakeCohort struct {
 	failAt  int   // Train fails in this round (0 = never)
 	drop    []int // client IDs that never deliver
+	nan     []int // client IDs whose update carries a NaN
 	sampled [][]int
 	workers *classifier.Set
 }
 
 var errFakeTrain = errors.New("fake cohort: train failed")
 
-func (c *fakeCohort) Train(round int, sampled []int, global []float32, needDecoders bool, stream RoundStream, roundSpan *telemetry.Span) ([]Update, []int, error) {
+func (c *fakeCohort) Train(round int, sampled []int, global []float32, needDecoders bool, submit func(int, Update), roundSpan *telemetry.Span) ([]Update, []int, error) {
 	c.sampled = append(c.sampled, sampled)
 	if round == c.failAt {
 		return nil, nil, errFakeTrain
 	}
 	var updates []Update
 	var dropped []int
-	for _, id := range sampled {
+	for slot, id := range sampled {
 		if slices.Contains(c.drop, id) {
 			dropped = append(dropped, id)
 			continue
 		}
-		updates = append(updates, Update{ClientID: id, Weights: append([]float32(nil), global...), NumSamples: 1})
+		u := Update{ClientID: id, Weights: append([]float32(nil), global...), NumSamples: 1}
+		if slices.Contains(c.nan, id) {
+			u.Weights[len(u.Weights)/2] = float32(math.NaN())
+		}
+		submit(slot, u)
+		updates = append(updates, u)
 	}
 	return updates, dropped, nil
 }
@@ -65,7 +73,10 @@ type countingStreams struct {
 	streams []*countingStream
 }
 
-type countingStream struct{ finalized, aborted int }
+type countingStream struct {
+	finalized, aborted int
+	slots              []int // what was submitted
+}
 
 func (s *countingStreams) BeginRound(ctx *RoundContext, m int) RoundStream {
 	st := &countingStream{}
@@ -73,8 +84,8 @@ func (s *countingStreams) BeginRound(ctx *RoundContext, m int) RoundStream {
 	return st
 }
 
-func (st *countingStream) Submit(int, Update) {}
-func (st *countingStream) Abort()             { st.aborted++ }
+func (st *countingStream) Submit(slot int, _ Update) { st.slots = append(st.slots, slot) }
+func (st *countingStream) Abort()                    { st.aborted++ }
 func (st *countingStream) Overlap() (time.Duration, int) {
 	return 0, 0
 }
@@ -118,17 +129,18 @@ func TestEngineTrainErrorAbortsStream(t *testing.T) {
 
 // TestEngineRecordsCohortAnswers: what the cohort reports is what the
 // record and the checkpoint carry — dropped clients, the wire-byte pair,
-// the transport-owned checkpoint fields — the sampler chooses who is
-// asked, and a sink error stops the run before onRound.
+// the transport-owned checkpoint fields — the seed's server stream
+// chooses who is asked (Alg. 1 line 17), and a sink error stops the run
+// before onRound.
 func TestEngineRecordsCohortAnswers(t *testing.T) {
 	cfg := tinyFederationConfig()
-	cfg.Sampler = fixedSampler{ids: []int{5, 1, 4, 2}}
+	cohortOf1 := rng.New(rng.DeriveSeed(cfg.Seed, "server", 0)).Sample(cfg.NumClients, cfg.PerRound)
 	var got *Checkpoint
 	cfg.CheckpointSink = func(ck *Checkpoint) (string, int64, error) {
 		got = ck
 		return "", 0, errors.New("disk on fire")
 	}
-	cohort := &fakeCohort{drop: []int{4}}
+	cohort := &fakeCohort{drop: []int{cohortOf1[2]}}
 	onRound := 0
 	h, err := RunRounds(cfg, engineTestSet(), &fakeStrategy{}, cohort, nil, nil,
 		func(RoundRecord) { onRound++ })
@@ -139,11 +151,11 @@ func TestEngineRecordsCohortAnswers(t *testing.T) {
 		t.Fatalf("%d rounds in the partial history", len(h.Rounds))
 	}
 	rec := h.Rounds[0]
-	if !reflect.DeepEqual(cohort.sampled, [][]int{{5, 1, 4, 2}}) || !reflect.DeepEqual(rec.Sampled, []int{5, 1, 4, 2}) {
-		t.Fatalf("sampler ignored: cohort asked %v, record %v", cohort.sampled, rec.Sampled)
+	if !reflect.DeepEqual(cohort.sampled, [][]int{cohortOf1}) || !reflect.DeepEqual(rec.Sampled, cohortOf1) {
+		t.Fatalf("cohort asked %v, record %v; the seed draws %v", cohort.sampled, rec.Sampled, cohortOf1)
 	}
-	if !reflect.DeepEqual(rec.Dropped, []int{4}) {
-		t.Fatalf("Dropped = %v, want [4]", rec.Dropped)
+	if !reflect.DeepEqual(rec.Dropped, cohortOf1[2:3]) {
+		t.Fatalf("Dropped = %v, want %v", rec.Dropped, cohortOf1[2:3])
 	}
 	if rec.WireUploadBytes != 7 || rec.WireDownloadBytes != 11 {
 		t.Fatalf("wire bytes %d/%d, want the cohort's 7/11", rec.WireUploadBytes, rec.WireDownloadBytes)
@@ -154,5 +166,89 @@ func TestEngineRecordsCohortAnswers(t *testing.T) {
 	}
 	if got == nil || got.Round != 1 || !reflect.DeepEqual(got.Decoders, []DecoderState{{ID: 3, Hash: 9}}) {
 		t.Fatalf("checkpoint %+v lacks the cohort's snapshot", got)
+	}
+}
+
+// TestAdmissible: an update is admitted exactly when every float of its
+// weights and its decoder is finite — extremes, subnormals and −0
+// included.
+func TestAdmissible(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	quietNaN := math.Float32frombits(0xffc00001)
+	for _, tc := range []struct {
+		name string
+		u    Update
+		want bool
+	}{
+		{"empty", Update{}, true},
+		{"finite", Update{Weights: []float32{0, float32(math.Copysign(0, -1)), math.MaxFloat32, -math.MaxFloat32,
+			math.SmallestNonzeroFloat32}, Decoder: []float32{1, -1}}, true},
+		{"NaN weight", Update{Weights: []float32{1, nan, 2}}, false},
+		{"+Inf weight", Update{Weights: []float32{inf}}, false},
+		{"-Inf weight", Update{Weights: []float32{1, -inf}}, false},
+		{"NaN decoder", Update{Weights: []float32{1}, Decoder: []float32{2, quietNaN}}, false},
+		{"+Inf decoder", Update{Weights: []float32{1}, Decoder: []float32{inf}}, false},
+	} {
+		if got := admissible(tc.u); got != tc.want {
+			t.Errorf("%s: admissible = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestEngineExpelsRefusedUpdates: a non-finite update leaves the round
+// at arrival. It never reaches the stream, its client joins the
+// transport's drops in sampled order with a ClientDropped for "invalid",
+// and the strategy aggregates the rest.
+func TestEngineExpelsRefusedUpdates(t *testing.T) {
+	cfg := tinyFederationConfig()
+	cfg.Rounds = 1
+	cfg.StreamAudit = true
+	sink := &telemetry.CollectSink{}
+	cfg.Telemetry = telemetry.New(sink)
+	sampled := rng.New(rng.DeriveSeed(cfg.Seed, "server", 0)).Sample(cfg.NumClients, cfg.PerRound)
+	cohort := &fakeCohort{drop: sampled[1:2], nan: []int{sampled[3], sampled[0]}}
+	strat := &countingStreams{}
+	h, err := RunRounds(cfg, engineTestSet(), strat, cohort, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{sampled[0], sampled[1], sampled[3]}; !reflect.DeepEqual(h.Rounds[0].Dropped, want) {
+		t.Fatalf("Dropped = %v, want %v (sampled %v)", h.Rounds[0].Dropped, want, sampled)
+	}
+	if got := strat.streams[0].slots; !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("stream saw slots %v, want only the admitted slot 2", got)
+	}
+	var invalid []int
+	for _, e := range sink.ByKind("ClientDropped") {
+		d := e.(telemetry.ClientDropped)
+		if d.Reason != "invalid" || d.Round != 1 {
+			t.Fatalf("drop event %+v", d)
+		}
+		invalid = append(invalid, d.ClientID)
+	}
+	if want := []int{sampled[0], sampled[3]}; !reflect.DeepEqual(invalid, want) {
+		t.Fatalf("ClientDropped for %v, want %v", invalid, want)
+	}
+}
+
+// BenchmarkAdmitUpdate scans one default-preset FedGuard update: the
+// small classifier's 20 522 weights and the small CVAE's 207 386-float
+// decoder. make bench-guard holds it to a time ceiling and 0 allocs/op:
+// the check reads the floats in place.
+func BenchmarkAdmitUpdate(b *testing.B) {
+	r := rng.New(3)
+	u := Update{
+		Weights: classifier.Small()(r).FlattenParams(),
+		Decoder: cvae.New(cvae.SmallConfig(), r).DecoderParams(),
+	}
+	if len(u.Weights) != 20522 || len(u.Decoder) != 207386 {
+		b.Fatalf("update of %d weights and %d decoder floats, not the default preset's", len(u.Weights), len(u.Decoder))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if !admissible(u) {
+			b.Fatal("a finite update was refused")
+		}
 	}
 }

@@ -578,35 +578,6 @@ func TestByteAccountingExact(t *testing.T) {
 	}
 }
 
-func TestCustomSamplerUsed(t *testing.T) {
-	r := rng.New(31)
-	train := dataset.Generate(120, dataset.DefaultGenOptions(), r)
-	test := dataset.Generate(30, dataset.DefaultGenOptions(), r)
-	cfg := tinyFederationConfig()
-	cfg.Rounds = 2
-	fixed := fixedSampler{ids: []int{1, 2, 3, 4}}
-	cfg.Sampler = fixed
-	fed, err := NewFederation(train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := fed.Run(&fedAvgForTest{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range h.Rounds {
-		for i, id := range rec.Sampled {
-			if id != fixed.ids[i] {
-				t.Fatalf("sampler ignored: sampled %v", rec.Sampled)
-			}
-		}
-	}
-}
-
-type fixedSampler struct{ ids []int }
-
-func (f fixedSampler) SampleClients(_ []RoundRecord, n, m int, r *rng.RNG) []int { return f.ids }
-
 // excludingStrategy rejects the first update every round through
 // ctx.Decide, scoring each update by its slot, and keeps what it decided
 // for comparison with the record and the event log.

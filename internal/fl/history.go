@@ -38,9 +38,10 @@ type RoundRecord struct {
 	Sampled []int `json:"sampled"`
 	// MaliciousSampled counts how many of them were malicious.
 	MaliciousSampled int `json:"malicious_sampled"`
-	// Dropped lists sampled clients excluded from this round's
-	// aggregation because they failed to deliver an update (networked
-	// deployments only; nil for in-process runs and healthy rounds).
+	// Dropped lists, in sampled order, the clients excluded from this
+	// round's aggregation because they delivered no update (networked
+	// deployments only) or one the engine refused as non-finite; nil for
+	// healthy rounds.
 	Dropped []int `json:"dropped,omitempty"`
 	// Threshold is the bar the round's defense held its scores to (their
 	// mean) and Decisions its verdict on every delivered update, in

@@ -35,9 +35,6 @@ type FederationConfig struct {
 	Attack attack.Attack
 	// Client bundles the per-client model/training configuration.
 	Client ClientConfig
-	// Sampler selects the per-round participant subset; nil means
-	// UniformSampler (the paper's setting).
-	Sampler Sampler
 	// StreamAudit overlaps the strategy's per-update audit work with
 	// client training when the strategy implements StreamingStrategy
 	// (FedGuard): each update is submitted to the round's stream as its
@@ -209,9 +206,9 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 // Train implements Cohort: every sampled client runs its round on its
 // own goroutine, under its own "client.round" span, and waits there for a
 // worker of the run's set — the one bound on how many train at once. Each
-// finished update goes to the stream immediately so the strategy's audit
+// finished update is submitted immediately so the strategy's audit
 // overlaps the remaining clients' training. Local clients never drop.
-func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bool, stream RoundStream, roundSpan *telemetry.Span) ([]Update, []int, error) {
+func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bool, submit func(int, Update), roundSpan *telemetry.Span) ([]Update, []int, error) {
 	out := make([]Update, len(sampled))
 	var wg sync.WaitGroup
 	for i, id := range sampled {
@@ -220,11 +217,8 @@ func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bo
 			defer wg.Done()
 			sp := roundSpan.Child("client.round", telemetry.L("client", strconv.Itoa(id)))
 			out[i] = p.clients[id].RunRoundSpan(global, needDecoders, sp)
-			sp.SetInt("num_samples", int64(out[i].NumSamples))
 			sp.End()
-			if stream != nil {
-				stream.Submit(i, out[i])
-			}
+			submit(i, out[i])
 			// Nothing the round computed on dies here — the classifier
 			// and, under FedGuard, the CVAE with its Adam are the
 			// worker's — but last round's updates and the round's small

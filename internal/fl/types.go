@@ -35,12 +35,12 @@ type Decision struct {
 }
 
 // Update is one client's per-round submission: classifier parameters in
-// the flat wire format, the sample count used for FedAvg weighting, and
-// (for FedGuard) the client's CVAE decoder payload.
+// the flat wire format, the FedAvg weight, and (for FedGuard) the
+// client's CVAE decoder payload.
 type Update struct {
 	ClientID   int
 	Weights    []float32
-	NumSamples int
+	NumSamples int // the partition the server drew, never a client's claim
 	// Decoder is the flat CVAE decoder parameter vector, or nil when the
 	// active strategy does not request decoders.
 	Decoder []float32
@@ -141,26 +141,6 @@ type RoundStream interface {
 	// far and across how many jobs. Read it just before Finalize to
 	// measure the work that overlapped the upload phase.
 	Overlap() (busy time.Duration, jobs int)
-}
-
-// Sampler chooses which clients participate in a round. The default is
-// uniform sampling without replacement (Alg. 1 line 17), the paper's
-// setting.
-type Sampler interface {
-	// SampleClients returns m distinct client IDs from [0, n) for round
-	// len(history)+1, drawing randomness from r only. history is the
-	// run's records so far — the checkpointed state, so a sampler that is
-	// a function of it samples the same cohort after a resume.
-	SampleClients(history []RoundRecord, n, m int, r *rng.RNG) []int
-}
-
-// UniformSampler is the default sampler: m clients uniformly without
-// replacement.
-type UniformSampler struct{}
-
-// SampleClients implements Sampler.
-func (UniformSampler) SampleClients(_ []RoundRecord, n, m int, r *rng.RNG) []int {
-	return r.Sample(n, m)
 }
 
 // Strategy turns a round's submissions into the next global parameter

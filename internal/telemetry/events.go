@@ -30,17 +30,20 @@ type RunStarted struct {
 // Kind implements Event.
 func (RunStarted) Kind() string { return "RunStarted" }
 
-// ClientDropped records the networked server abandoning one client for
-// the rest of a round: the client missed its deadline, exhausted its
-// retries, or died mid-frame. Its update is excluded from aggregation
-// (and from FedGuard's audit) exactly like a defense-excluded one, and
-// the client may rejoin at a later round.
+// ClientDropped records one client leaving a round: the networked
+// server abandoned it (it missed its deadline, exhausted its retries, or
+// died mid-frame), or the round engine refused its update. Its update is
+// excluded from aggregation (and from FedGuard's audit) exactly like a
+// defense-excluded one, and a networked client may rejoin at a later
+// round.
 type ClientDropped struct {
 	Round    int `json:"round"`
 	ClientID int `json:"client_id"`
 	// Reason is "timeout" (deadline expired), "transport" (connection
-	// died), "protocol" (corrupt or unexpected frames), or
-	// "disconnected" (no live connection when the round started).
+	// died), "protocol" (corrupt or unexpected frames), "disconnected"
+	// (no live connection when the round started), or "invalid" (a
+	// non-finite weight or decoder float, refused in any transport; the
+	// connection stays).
 	Reason string `json:"reason"`
 }
 

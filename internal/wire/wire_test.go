@@ -237,15 +237,31 @@ func TestReadMessageRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// lengthLieHead is the round, client and samples prefix of an update frame
+// of type typ, ahead of its vector fields.
+func lengthLieHead(typ byte) []byte {
+	payload := lebin.AppendU32([]byte{typ}, 1) // round
+	payload = lebin.AppendU32(payload, 1)      // client
+	return lebin.AppendU32(payload, 1)         // samples
+}
+
+// TestDecoderGuardsLengthLies: the frames' vector fields decode through
+// lebin's Reader, so an Update whose weight count claims more floats than
+// the body holds is an error (the rule itself is tested in package lebin).
 func TestDecoderGuardsLengthLies(t *testing.T) {
-	// An Update whose f32s header claims more floats than the body holds.
-	payload := []byte{TypeUpdate}
-	payload = lebin.AppendU32(payload, 1)          // round
-	payload = lebin.AppendU32(payload, 1)          // client
-	payload = lebin.AppendU32(payload, 1)          // samples
-	payload = lebin.AppendU32(payload, 1000000000) // claimed weight count
+	payload := lebin.AppendU32(lengthLieHead(TypeUpdate), 1000000000) // claimed weight count
 	if _, err := ReadMessage(bytes.NewReader(buildFrame(payload))); err == nil {
-		t.Fatal("length-lying frame accepted")
+		t.Fatal("length-lying Update accepted")
+	}
+}
+
+// TestUpdateCGuardsLengthLies is the same guard in the compressed dialect:
+// a codec blob length past the body's end is an error.
+func TestUpdateCGuardsLengthLies(t *testing.T) {
+	payload := lebin.AppendU32(append(lengthLieHead(TypeUpdateC), EncCodec), 1)
+	payload = lebin.AppendU32(payload, 1<<30) // claimed blob length
+	if _, err := ReadMessage(bytes.NewReader(buildFrame(payload))); err == nil {
+		t.Fatal("length-lying UpdateC accepted")
 	}
 }
 
@@ -385,18 +401,5 @@ func TestCapabilityByteCompat(t *testing.T) {
 	}
 	if m1.(*Setup).Encodings != CapCodec {
 		t.Fatal("Setup capability byte lost")
-	}
-}
-
-func TestUpdateCGuardsLengthLies(t *testing.T) {
-	payload := []byte{TypeUpdateC}
-	payload = lebin.AppendU32(payload, 1) // round
-	payload = lebin.AppendU32(payload, 1) // client
-	payload = lebin.AppendU32(payload, 1) // samples
-	payload = append(payload, EncCodec)
-	payload = lebin.AppendU32(payload, 1)
-	payload = lebin.AppendU32(payload, 1<<30) // claimed blob length
-	if _, err := ReadMessage(bytes.NewReader(buildFrame(payload))); err == nil {
-		t.Fatal("length-lying UpdateC accepted")
 	}
 }
