@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: all build test test-short race vet ci bench bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check clean
 
 # The substrate microbenchmarks bench-smoke runs once each.
-MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkClassifierInfer$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkFedGuardAudit$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
+MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkClassifierInfer$$|BenchmarkCVAEStep$$|BenchmarkCVAEStepContended$$|BenchmarkSigmoidForward$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkFedGuardAudit$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
 # The wire-layer microbenchmarks (raw vs codec framing and the per-round
 # byte cost).
 WIRE_BENCH = BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$|BenchmarkRoundWireBytes$$
@@ -100,7 +100,12 @@ bench-agg:
 # steady-state save that must not re-serialise a decoder: ≤ 1 MB B/op
 # beside 25 MB of referenced payloads), the blocked aggregation kernels,
 # the classifier's train epoch (its time: ≈ 2× a reading on the fused
-# conv blocks), the CVAE's step, a CVAE train epoch on a kept model
+# conv blocks), the CVAE's step, alone and with two steppers holding
+# both compute slots of a width-2 set (≈ 3× its time, 0 allocs/op and
+# ≤ 1 sched/op: ≈ 2 means products split into slots other borrowers
+# hold again), the decoder's sigmoid over a 32 × 794 batch (≈ 3× the
+# vector kernel's time, 0 allocs/op; the scalar loop reads ≈ 8× slower),
+# a CVAE train epoch on a kept model
 # (≤ 64 KiB B/op: an Adam built per Train is 3.3 MB), the server's
 # per-round synthesis (its time, and ≤ 3 MiB B/op for sixteen decoders:
 # a decoder copied out of its payload again is 1.69 MB each), one audit
@@ -123,6 +128,7 @@ bench-guard:
 	  $(GO) test -run '^$$' -bench '$(CKPT_BENCH)' -benchmem -benchtime=50x ./internal/persist/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$' -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkCVAEStepContended$$|BenchmarkSigmoidForward$$' -benchmem -benchtime=100x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardSynthesize$$' -benchmem -benchtime=50x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierInfer$$' -benchmem -benchtime=100x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardAudit$$' -benchmem -benchtime=20x . ; \

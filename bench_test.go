@@ -9,6 +9,8 @@ package fedguard
 //	go test -run '^$' -bench=BenchmarkClassifierTrainEpoch -benchtime=20x
 
 import (
+	"runtime/metrics"
+	"sync"
 	"testing"
 
 	"fedguard/internal/aggregate"
@@ -240,6 +242,83 @@ func BenchmarkCVAEStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model.Step(x, labels, optim, r)
+	}
+}
+
+// BenchmarkCVAEStepContended is BenchmarkCVAEStep with every compute
+// slot borrowed: two goroutines, each holding a worker of one width-2
+// classifier.Set and training the CVAE it carries, step at once — two
+// FedGuard clients' cold rounds at the benchmark's width. An op is one
+// step of each. Holding both slots, each step runs its products whole on
+// its own core; splitting them into slots somebody holds hands half of
+// every product to a pool goroutine with no core to run on. That costs
+// little time here (≈ 3 %: the two steppers and the pool goroutine share
+// the cores fairly), but it wakes a parked goroutine for every split
+// product, and sched/op counts those wake-ups: ≈ 0.1–0.4 a step pair
+// with the products whole (the runtime samples one scheduling in eight;
+// what is left is preemption), ≈ 2 with them split.
+func BenchmarkCVAEStepContended(b *testing.B) {
+	prev := tensor.Workers()
+	tensor.SetWorkers(2)
+	defer tensor.SetWorkers(prev)
+	set := classifier.NewSet(classifier.Small())
+	cfg := cvae.SmallConfig()
+	var ready, done sync.WaitGroup
+	start := make(chan struct{})
+	for g := range 2 {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			w := set.Get()
+			defer set.Put(w)
+			r := rng.New(uint64(5 + g))
+			model := w.CVAE(cfg, r)
+			train := dataset.Generate(32, dataset.DefaultGenOptions(), r)
+			x, labels := train.FlatBatchInto(nil, nil, dataset.Range(32))
+			optim := opt.NewAdam(model.Params(), 1e-3)
+			model.Step(x, labels, optim, r) // grows the scratch: allocs/op reads the steady state
+			ready.Done()
+			<-start
+			for i := 0; i < b.N; i++ {
+				model.Step(x, labels, optim, r)
+			}
+		}()
+	}
+	ready.Wait()
+	before := schedEvents()
+	b.ReportAllocs()
+	b.ResetTimer()
+	close(start)
+	done.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(schedEvents()-before)/float64(b.N), "sched/op")
+}
+
+// schedEvents is how many times the process's goroutines have gone from
+// runnable to running: the runtime's scheduling-latency samples.
+func schedEvents() uint64 {
+	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// BenchmarkSigmoidForward is the CVAE decoder's output layer on one
+// training batch: the logistic function over 32 × 794 pre-activations,
+// on the vector kernel where the CPU has one.
+func BenchmarkSigmoidForward(b *testing.B) {
+	x := tensor.New(32, cvae.SmallConfig().Input+cvae.SmallConfig().Classes)
+	rng.New(14).FillNormal(x.Data, 0, 4)
+	s := nn.NewSigmoid()
+	s.Forward(x, true) // grows the layer's output
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Forward(x, true)
 	}
 }
 

@@ -66,6 +66,13 @@ func (w *Worker) countCorrect(ds *dataset.Dataset, indices []int) int {
 // and at most Size borrowers compute at once. Workers are built on
 // demand: a set nobody borrows from costs nothing, and one client alone
 // in its process builds one model however large the set.
+//
+// A borrow also holds one of the process's tensor.Workers() compute
+// slots until Put (tensor.HoldSlot): the borrower computes on its own
+// goroutine, so the tensor kernels split a product only into the slots
+// no other borrower holds. With every slot borrowed each product runs
+// whole on its caller's core; a borrower left alone splits across all
+// of them. Splitting never changes a result.
 type Set struct {
 	arch Arch
 	size int
@@ -121,16 +128,18 @@ func (s *Set) build() *Worker {
 	return w
 }
 
-// Get borrows a worker, blocking while all Size of them are out. The
-// caller owns it — models, scratch and all — until Put, and must Put it
-// back on every path (defer): a worker that does not return is a
-// borrower the set can no longer serve.
+// Get borrows a worker and a compute slot, blocking while all Size
+// workers are out. The caller owns the worker — models, scratch and all
+// — until Put, and must Put it back on every path (defer): a worker that
+// does not return is a borrower the set can no longer serve, and a slot
+// every later product is split around.
 func (s *Set) Get() *Worker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.free) == 0 && s.built == s.size {
 		s.freed.Wait()
 	}
+	tensor.HoldSlot()
 	if n := len(s.free); n > 0 {
 		w := s.free[n-1]
 		s.free = s.free[:n-1]
@@ -139,8 +148,9 @@ func (s *Set) Get() *Worker {
 	return s.build()
 }
 
-// Put returns a worker borrowed with Get.
+// Put returns a worker borrowed with Get, and its compute slot.
 func (s *Set) Put(w *Worker) {
+	tensor.ReleaseSlot()
 	s.mu.Lock()
 	s.free = append(s.free, w)
 	s.mu.Unlock()

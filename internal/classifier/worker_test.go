@@ -257,6 +257,46 @@ func TestSetBoundsBorrowers(t *testing.T) {
 	if len(holders) != set.Built() {
 		t.Fatalf("%d distinct workers seen, %d built", len(holders), set.Built())
 	}
+	if got := freeChunks(); got != size {
+		t.Fatalf("a parallel range splits into %d chunks after every borrow, want %d: a slot was not given back", got, size)
+	}
+}
+
+// chunkCounter is a tensor.RangeRunner that counts the chunks it runs.
+type chunkCounter struct{ n *atomic.Int32 }
+
+func (c chunkCounter) RunRange(lo, hi int) { c.n.Add(1) }
+
+// freeChunks is how many chunks a parallel range splits into now: the
+// compute slots no borrower holds, counting the caller as one.
+func freeChunks() int {
+	var n atomic.Int32
+	tensor.ParallelRanges(chunkCounter{&n}, 60)
+	return int(n.Load())
+}
+
+// TestBorrowHoldsASlot: a worker borrowed from a set holds one compute
+// slot until Put, so a parallel range splits only into the slots other
+// borrowers do not hold — Workers() − (held − 1), at least one.
+func TestBorrowHoldsASlot(t *testing.T) {
+	poolWidth(t, 3)
+	set := NewSet(Tiny())
+	var held []*Worker
+	for _, want := range []int{3, 3, 2, 1} {
+		if got := freeChunks(); got != want {
+			t.Fatalf("with %d workers borrowed: %d chunks, want %d", len(held), got, want)
+		}
+		if len(held) < 3 {
+			held = append(held, set.Get())
+		}
+	}
+	for _, want := range []int{2, 3, 3} {
+		set.Put(held[len(held)-1])
+		held = held[:len(held)-1]
+		if got := freeChunks(); got != want {
+			t.Fatalf("with %d workers borrowed: %d chunks, want %d", len(held), got, want)
+		}
+	}
 }
 
 // TestNewSetDefaultsToGOMAXPROCS pins where a set's bound comes from:

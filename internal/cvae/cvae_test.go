@@ -49,6 +49,38 @@ func TestStepReducesLoss(t *testing.T) {
 	}
 }
 
+// TestStepSameAtAnyHeldSlots: a step's products (≥ 6.5 M MACs at a batch
+// of 32) split into as many chunks as there are free compute slots, and
+// the split never shows — three steps with 0, 1 and 2 of two slots held
+// end on the same parameters, bit for bit.
+func TestStepSameAtAnyHeldSlots(t *testing.T) {
+	defer tensor.SetWorkers(tensor.Workers())
+	tensor.SetWorkers(2)
+	d := dataset.Generate(32, dataset.DefaultGenOptions(), rng.New(4))
+	x, labels := d.FlatBatchInto(nil, nil, dataset.Range(32))
+	steps := func(held int) []float32 {
+		for range held {
+			tensor.HoldSlot()
+			defer tensor.ReleaseSlot()
+		}
+		r := rng.New(5)
+		m := New(SmallConfig(), r)
+		optim := opt.NewAdam(m.Params(), 1e-3)
+		for range 3 {
+			m.Step(x, labels, optim, r)
+		}
+		var params []float32
+		for _, p := range m.Params() {
+			params = append(params, p.Value.Data...)
+		}
+		return params
+	}
+	want := steps(0)
+	for _, held := range []int{1, 2} {
+		requireSameBits(t, fmt.Sprintf("params with %d of 2 slots held", held), steps(held), want)
+	}
+}
+
 func TestTrainAndGenerateClassConditional(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a full CVAE; several seconds")

@@ -99,7 +99,7 @@ func TestDecoderChangedUnderUnchangedHash(t *testing.T) {
 				errs := make(chan error, 2)
 				go func() { errs <- answer(far[0], 0, global, first) }()
 				go func() { errs <- answer(far[1], 1, global, honest) }()
-				updates, dropped, err := s.trainRound(r, []int{0, 1}, global, true, func(int, fl.Update) {}, nil)
+				updates, dropped, err := s.trainRound(r, []int{0, 1}, global, true, func(int, fl.Update) bool { return true }, nil)
 				for range far {
 					if cerr := <-errs; cerr != nil {
 						t.Fatalf("round %d client: %v (server: %v)", r, cerr, err)

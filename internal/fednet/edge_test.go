@@ -18,6 +18,7 @@ import (
 	"fedguard/internal/dataset"
 	"fedguard/internal/defense"
 	"fedguard/internal/fl"
+	"fedguard/internal/persist"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
 	"fedguard/internal/wire"
@@ -100,8 +101,11 @@ const edgeSamples = 5
 // checkEdgeInvariants is what every update toUpdate lets through must
 // satisfy, whatever frame it came from: the connection's client, the
 // model's size, a decoder of the configured size exactly when the round
-// asked for one, and the server's own count of the client's samples.
-func checkEdgeInvariants(t *testing.T, s *Server, c *clientConn, u fl.Update, needDecoder bool, modelSize int) {
+// asked for one, and the server's own count of the client's samples. A
+// cache entry it hands back is that decoder, and the client's cache entry
+// is still was: the edge files nothing, only an admitted update's decoder
+// is cached.
+func checkEdgeInvariants(t *testing.T, s *Server, c *clientConn, u fl.Update, entry, was *decoderCache, needDecoder bool, modelSize int) {
 	t.Helper()
 	if u.ClientID != c.id {
 		t.Fatalf("accepted an update for client %d on client %d's connection", u.ClientID, c.id)
@@ -115,8 +119,11 @@ func checkEdgeInvariants(t *testing.T, s *Server, c *clientConn, u fl.Update, ne
 	if u.NumSamples != len(s.parts[c.id]) {
 		t.Fatalf("accepted a count of %d samples for a partition of %d", u.NumSamples, len(s.parts[c.id]))
 	}
-	if e := s.decoders[c.id]; e != nil && len(e.params) != s.decoderSize {
-		t.Fatalf("cached a decoder of %d params, size is %d", len(e.params), s.decoderSize)
+	if entry != nil && !sameBits(entry.params, u.Decoder) {
+		t.Fatal("the cache entry is not the update's decoder")
+	}
+	if s.decoders[c.id] != was {
+		t.Fatal("the edge changed the decoder cache")
 	}
 }
 
@@ -131,14 +138,14 @@ func TestUpdateEdgeRefusesHostileFrames(t *testing.T) {
 			t.Run(encName(enc)+"/"+h.name, func(t *testing.T) {
 				s, c := edgeServer(t, enc, modelSize, decoderSize)
 				spec := honestSpec(c.id, modelSize, decoderSize, h.needDecoder)
-				u, err := s.toUpdate(c, spec.frame(1, enc), h.needDecoder, global)
+				u, entry, err := s.toUpdate(c, spec.frame(1, enc), h.needDecoder, global)
 				if err != nil {
 					t.Fatalf("honest update refused: %v", err)
 				}
-				checkEdgeInvariants(t, s, c, u, h.needDecoder, modelSize)
+				checkEdgeInvariants(t, s, c, u, entry, nil, h.needDecoder, modelSize)
 
 				h.bend(&spec, decoderSize)
-				_, err = s.toUpdate(c, spec.frame(1, enc), h.needDecoder, global)
+				_, _, err = s.toUpdate(c, spec.frame(1, enc), h.needDecoder, global)
 				if !errors.Is(err, errProtocol) || dropReason(err) != "protocol" || !strings.Contains(err.Error(), h.want) {
 					t.Fatalf("err = %v, want a protocol violation mentioning %q", err, h.want)
 				}
@@ -293,7 +300,7 @@ func TestNonFiniteUploadsOverLoopback(t *testing.T) {
 	cfg.MinClientsPerRound = 1
 	cfg.StreamAudit = true
 	modelSize, decoderSize := len(fl.InitialGlobal(cfg.Experiment)), cvae.DecoderSize(cfg.Experiment.Client.CVAE)
-	bad := rng.New(rng.DeriveSeed(cfg.Experiment.Seed, "server", 0)).Sample(cfg.Experiment.NumClients, cfg.Experiment.PerRound)[0]
+	bad := firstSampled(cfg)
 	for _, tc := range []struct {
 		name        string
 		newStrategy func() fl.Strategy
@@ -343,6 +350,87 @@ func TestNonFiniteUploadsOverLoopback(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// firstSampled is the first client round 1 samples: sampling does not
+// depend on what clients answer, so it is the one to play.
+func firstSampled(cfg Config) int {
+	return rng.New(rng.DeriveSeed(cfg.Experiment.Seed, "server", 0)).Sample(cfg.Experiment.NumClients, cfg.Experiment.PerRound)[0]
+}
+
+// TestQuorumCountsAdmittedUpdates: the quorum holds on the updates the
+// round engine admits, not on the frames that arrived. With m = 3 and a
+// quorum of 3, a peer whose weights hold a NaN leaves two admitted
+// updates, and the first round fails on the quorum.
+func TestQuorumCountsAdmittedUpdates(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.Experiment.PerRound = 3
+	cfg.MinClientsPerRound = 3
+	modelSize := len(fl.InitialGlobal(cfg.Experiment))
+	bad := firstSampled(cfg)
+	answer := func(round uint32) any {
+		spec := honestSpec(bad, modelSize, 0, false)
+		spec.weights[1] = float32(math.NaN())
+		return spec.frame(round, false)
+	}
+	_, _, err := runWithPeer(t, cfg, aggregate.NewFedAvg(), bad, answer)
+	if err == nil || !strings.Contains(err.Error(), "round 1: 2 admitted updates from 3 responsive clients, quorum is 3") {
+		t.Fatalf("err = %v, want round 1 to fail on the quorum", err)
+	}
+}
+
+// TestRefusedDecoderIsNeverCached: a decoder that arrives in full over
+// the codec dialect enters the dedup cache — and so the checkpoint — only
+// once the round engine admitted its update. A tolerant streamed FedGuard
+// run whose peer sends a NaN in its decoder leaves no non-finite float in
+// the cache or in any round's checkpoint.
+func TestRefusedDecoderIsNeverCached(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.MinClientsPerRound = 1
+	cfg.StreamAudit = true
+	cfg.Compress = true
+	cfg.CheckpointDir = t.TempDir()
+	modelSize, decoderSize := len(fl.InitialGlobal(cfg.Experiment)), cvae.DecoderSize(cfg.Experiment.Client.CVAE)
+	bad := firstSampled(cfg)
+	answer := func(round uint32) any {
+		spec := honestSpec(bad, modelSize, decoderSize, true)
+		spec.decoder[1] = float32(math.NaN())
+		return spec.frame(round, true)
+	}
+	finite := func(what string, id int, params []float32) {
+		if slices.ContainsFunc(params, func(x float32) bool { return math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) }) {
+			t.Errorf("%s holds client %d's non-finite decoder", what, id)
+		}
+	}
+	client := func(addr string, id int) error {
+		if id == bad {
+			return edgePeer(addr, id, true, answer)
+		}
+		return RunClient(addr, id, ClientOptions{Compress: true})
+	}
+	onRound := func(rec fl.RoundRecord) {
+		ck, err := persist.LoadCheckpoint(cfg.CheckpointDir)
+		if err != nil {
+			t.Errorf("round %d checkpoint: %v", rec.Round, err)
+			return
+		}
+		for _, d := range ck.Decoders {
+			finite(fmt.Sprintf("round %d's checkpoint", rec.Round), d.ID, d.Params)
+		}
+	}
+	srv := newServer(t, cfg, testSet(), defense.NewFedGuard(classifier.Tiny(), cfg.Experiment.Client.CVAE))
+	h, _, err := loopback{client: client, onRound: onRound}.run(t, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(h.Rounds[0].Dropped, []int{bad}) {
+		t.Fatalf("round 1 dropped %v, want the peer %d", h.Rounds[0].Dropped, bad)
+	}
+	for id, e := range srv.decoders {
+		finite("the dedup cache", id, e.params)
 	}
 }
 
@@ -416,7 +504,8 @@ func FuzzUpdateEdge(f *testing.F) {
 	f.Fuzz(func(t *testing.T, enc, needDecoder bool, clientID, numParams, numDecoderParams uint32,
 		encoding byte, hash uint64, weights, decoder []byte) {
 		s, c := edgeServer(t, enc, modelSize, decoderSize)
-		s.decoders[c.id] = &decoderCache{hash: codec.Hash(cached), params: cached}
+		was := &decoderCache{hash: codec.Hash(cached), params: cached}
+		s.decoders[c.id] = was
 		floats := func(b []byte) []float32 {
 			v := make([]float32, len(b)/4)
 			for i := range v {
@@ -433,14 +522,14 @@ func FuzzUpdateEdge(f *testing.F) {
 			msg = &wire.Update{Round: 1, ClientID: clientID, NumSamples: 1,
 				Weights: floats(weights), Decoder: floats(decoder), DecoderClasses: []uint32{3, 300}}
 		}
-		u, err := s.toUpdate(c, msg, needDecoder, global)
+		u, entry, err := s.toUpdate(c, msg, needDecoder, global)
 		if err != nil {
 			if !errors.Is(err, errProtocol) {
 				t.Fatalf("refusal is not a protocol violation: %v", err)
 			}
 			return
 		}
-		checkEdgeInvariants(t, s, c, u, needDecoder, modelSize)
+		checkEdgeInvariants(t, s, c, u, entry, was, needDecoder, modelSize)
 	})
 }
 

@@ -19,7 +19,7 @@ import (
 // Train implements fl.Cohort around trainRound. After Kill the round
 // does not start, and a round that failed on the server's own severed
 // connections is not a failed round: both are ErrKilled.
-func (s *Server) Train(round int, sampled []int, global []float32, needDecoders bool, submit func(int, fl.Update), roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
+func (s *Server) Train(round int, sampled []int, global []float32, needDecoders bool, submit func(int, fl.Update) bool, roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
 	if s.killed() {
 		return nil, nil, ErrKilled
 	}
@@ -34,13 +34,16 @@ func (s *Server) Train(round int, sampled []int, global []float32, needDecoders 
 // trainRound fans one round's work out to the sampled clients and
 // collects the responsive updates in sampled order. In tolerant mode,
 // failing clients are dropped (telemetry + connection teardown) and the
-// round proceeds as long as the quorum holds; in strict mode any failure
-// aborts. Each decoded update goes to submit at its sampled slot the
-// moment it arrives, so a streaming strategy's audit overlaps the
-// remaining uploads; slots line up with the compacted updates slice only
-// on drop-free rounds, which is exactly when the stream's fast path is
-// valid (Finalize detects the mismatch otherwise and falls back).
-func (s *Server) trainRound(round int, sampled []int, global []float32, needDecoders bool, submit func(int, fl.Update), roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
+// round proceeds as long as the quorum holds — counted on the updates the
+// engine admitted, since it takes a refused one out of the round; in
+// strict mode any failure aborts. Each decoded update goes to submit at
+// its sampled slot the moment it arrives, so a streaming strategy's audit
+// overlaps the remaining uploads; slots line up with the compacted
+// updates slice only on drop-free rounds, which is exactly when the
+// stream's fast path is valid (Finalize detects the mismatch otherwise
+// and falls back). A decoder that arrived in full enters the dedup cache
+// — and so the checkpoint — only once submit admitted its update.
+func (s *Server) trainRound(round int, sampled []int, global []float32, needDecoders bool, submit func(int, fl.Update) bool, roundSpan *telemetry.Span) ([]fl.Update, []int, error) {
 	conns := make([]*clientConn, len(sampled))
 	s.mu.Lock()
 	for i, id := range sampled {
@@ -55,6 +58,7 @@ func (s *Server) trainRound(round int, sampled []int, global []float32, needDeco
 
 	results := make([]fl.Update, len(sampled))
 	errs := make([]error, len(sampled))
+	admitted := make([]bool, len(sampled))
 	var wg sync.WaitGroup
 	for i := range sampled {
 		if conns[i] == nil {
@@ -72,9 +76,15 @@ func (s *Server) trainRound(round int, sampled []int, global []float32, needDeco
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.trainOne(conns[i], round, needDecoders, global, deadline, roundSpan)
-			if errs[i] == nil {
-				submit(i, results[i])
+			var fresh *decoderCache
+			results[i], fresh, errs[i] = s.trainOne(conns[i], round, needDecoders, global, deadline, roundSpan)
+			if errs[i] != nil {
+				return
+			}
+			if admitted[i] = submit(i, results[i]); admitted[i] && fresh != nil {
+				s.mu.Lock()
+				s.decoders[conns[i].id] = fresh
+				s.mu.Unlock()
 			}
 		}(i)
 	}
@@ -82,9 +92,13 @@ func (s *Server) trainRound(round int, sampled []int, global []float32, needDeco
 
 	updates := make([]fl.Update, 0, len(sampled))
 	var dropped []int
+	quorum := 0 // admitted updates
 	for i, err := range errs {
 		if err == nil {
 			updates = append(updates, results[i])
+			if admitted[i] {
+				quorum++
+			}
 			continue
 		}
 		if !s.cfg.tolerant() {
@@ -93,9 +107,9 @@ func (s *Server) trainRound(round int, sampled []int, global []float32, needDeco
 		dropped = append(dropped, sampled[i])
 		s.dropClient(round, sampled[i], conns[i], err)
 	}
-	if s.cfg.tolerant() && len(updates) < s.cfg.MinClientsPerRound {
-		return nil, nil, fmt.Errorf("fednet: round %d: %d responsive clients, quorum is %d",
-			round, len(updates), s.cfg.MinClientsPerRound)
+	if s.cfg.tolerant() && quorum < s.cfg.MinClientsPerRound {
+		return nil, nil, fmt.Errorf("fednet: round %d: %d admitted updates from %d responsive clients, quorum is %d",
+			round, quorum, len(updates), s.cfg.MinClientsPerRound)
 	}
 	if len(dropped) > 0 {
 		s.cfg.Telemetry.Emit(telemetry.RoundDegraded{
@@ -173,7 +187,7 @@ const retryBackoff = 25 * time.Millisecond
 // (with drop reason on failure), negotiated encoding, and the measured
 // bytes both ways. On CapTrace connections the span's context rides the
 // request frame so the client's spans parent onto it.
-func (s *Server) trainOne(c *clientConn, round int, needDecoder bool, global []float32, deadline time.Time, roundSpan *telemetry.Span) (fl.Update, error) {
+func (s *Server) trainOne(c *clientConn, round int, needDecoder bool, global []float32, deadline time.Time, roundSpan *telemetry.Span) (fl.Update, *decoderCache, error) {
 	sp := roundSpan.Child("server.request", telemetry.L("client", strconv.Itoa(c.id)),
 		telemetry.L("encoding", encName(c.enc)))
 	retries, timeouts := 0, 0
@@ -199,10 +213,10 @@ func (s *Server) trainOne(c *clientConn, round int, needDecoder bool, global []f
 			backoff *= 2
 			retries++
 		}
-		u, err := s.requestOnce(c, round, needDecoder, global, deadline, sp)
+		u, fresh, err := s.requestOnce(c, round, needDecoder, global, deadline, sp)
 		if err == nil {
 			sp.SetLabel("outcome", "ok")
-			return u, nil
+			return u, fresh, nil
 		}
 		lastErr = err
 		var ne net.Error
@@ -215,7 +229,7 @@ func (s *Server) trainOne(c *clientConn, round int, needDecoder bool, global []f
 	}
 	sp.SetLabel("outcome", "dropped")
 	sp.SetLabel("reason", dropReason(lastErr))
-	return fl.Update{}, lastErr
+	return fl.Update{}, nil, lastErr
 }
 
 // encName labels a connection's negotiated wire encoding.
@@ -233,17 +247,17 @@ func encName(enc bool) string {
 // CapTrace connections the request carries reqSpan's context; the span
 // is constant across a round's retries (trainOne owns it), so retried
 // frames stay byte-identical.
-func (s *Server) requestOnce(c *clientConn, round int, needDecoder bool, global []float32, deadline time.Time, reqSpan *telemetry.Span) (fl.Update, error) {
+func (s *Server) requestOnce(c *clientConn, round int, needDecoder bool, global []float32, deadline time.Time, reqSpan *telemetry.Span) (fl.Update, *decoderCache, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.conn.SetDeadline(s.opDeadline(deadline))
 	defer c.conn.SetDeadline(time.Time{})
 	req, err := s.buildRequest(c, round, needDecoder, global, reqSpan)
 	if err != nil {
-		return fl.Update{}, err
+		return fl.Update{}, nil, err
 	}
 	if err := c.send(req); err != nil {
-		return fl.Update{}, err
+		return fl.Update{}, nil, err
 	}
 	// A retried earlier round can leave its late update in the stream;
 	// skip a bounded number of stale frames.
@@ -251,21 +265,21 @@ func (s *Server) requestOnce(c *clientConn, round int, needDecoder bool, global 
 		c.conn.SetReadDeadline(s.opDeadline(deadline))
 		msg, err := c.recv()
 		if err != nil {
-			return fl.Update{}, err
+			return fl.Update{}, nil, err
 		}
 		got, ok := updateRound(msg, c.enc)
 		if !ok {
-			return fl.Update{}, fmt.Errorf("%w: %T on a %s connection", errProtocol, msg, encName(c.enc))
+			return fl.Update{}, nil, fmt.Errorf("%w: %T on a %s connection", errProtocol, msg, encName(c.enc))
 		}
 		if got < uint32(round) {
 			continue
 		}
 		if got != uint32(round) {
-			return fl.Update{}, fmt.Errorf("fednet: update for round %d, expected %d", got, round)
+			return fl.Update{}, nil, fmt.Errorf("fednet: update for round %d, expected %d", got, round)
 		}
 		return s.toUpdate(c, msg, needDecoder, global)
 	}
-	return fl.Update{}, fmt.Errorf("fednet: too many stale updates from client %d", c.id)
+	return fl.Update{}, nil, fmt.Errorf("fednet: too many stale updates from client %d", c.id)
 }
 
 // updateRound reads the round off an update frame of the connection's
@@ -292,9 +306,10 @@ func updateRound(msg any, enc bool) (round uint32, ok bool) {
 // doing, not line noise: a drop in tolerant mode, an error naming the
 // client in strict mode. The frame's sample count is ignored for the
 // partition the server drew, and values are the round engine's to admit.
-// A decoder that arrived in full over the codec dialect enters the dedup
-// cache only once the edge holds.
-func (s *Server) toUpdate(c *clientConn, msg any, needDecoder bool, global []float32) (fl.Update, error) {
+// A decoder that arrived in full over the codec dialect comes back as the
+// dedup-cache entry it makes, for trainRound to file once the engine has
+// admitted the update; the edge itself caches nothing.
+func (s *Server) toUpdate(c *clientConn, msg any, needDecoder bool, global []float32) (fl.Update, *decoderCache, error) {
 	var (
 		id               uint32
 		weights, decoder []float32
@@ -307,39 +322,38 @@ func (s *Server) toUpdate(c *clientConn, msg any, needDecoder bool, global []flo
 	case *wire.UpdateC:
 		var err error
 		if weights, decoder, err = s.decodeUpdateC(c, m, global); err != nil {
-			return fl.Update{}, err
+			return fl.Update{}, nil, err
 		}
 		id, classes = m.ClientID, m.DecoderClasses
 		if len(m.Decoder) > 0 {
 			fresh = m.DecoderHash
 		}
 	default:
-		return fl.Update{}, fmt.Errorf("%w: %T is not an update", errProtocol, msg)
+		return fl.Update{}, nil, fmt.Errorf("%w: %T is not an update", errProtocol, msg)
 	}
 	switch {
 	case int(id) != c.id:
-		return fl.Update{}, fmt.Errorf("%w: update filed under client %d on client %d's connection",
+		return fl.Update{}, nil, fmt.Errorf("%w: update filed under client %d on client %d's connection",
 			errProtocol, id, c.id)
 	case len(weights) != len(global):
-		return fl.Update{}, fmt.Errorf("%w: update of %d params, model has %d",
+		return fl.Update{}, nil, fmt.Errorf("%w: update of %d params, model has %d",
 			errProtocol, len(weights), len(global))
 	case len(decoder) > 0 && !needDecoder:
-		return fl.Update{}, fmt.Errorf("%w: decoder attached to a round that asked for none", errProtocol)
+		return fl.Update{}, nil, fmt.Errorf("%w: decoder attached to a round that asked for none", errProtocol)
 	case needDecoder && len(decoder) != s.decoderSize:
-		return fl.Update{}, fmt.Errorf("%w: decoder of %d params, expected %d",
+		return fl.Update{}, nil, fmt.Errorf("%w: decoder of %d params, expected %d",
 			errProtocol, len(decoder), s.decoderSize)
 	}
 	out := fl.Update{ClientID: c.id, Weights: weights, NumSamples: len(s.parts[c.id])}
+	var entry *decoderCache
 	if len(decoder) > 0 {
 		out.Decoder = decoder
 		out.DecoderClasses = castInts[int](classes)
 		if fresh != 0 {
-			s.mu.Lock()
-			s.decoders[c.id] = &decoderCache{hash: fresh, params: decoder}
-			s.mu.Unlock()
+			entry = &decoderCache{hash: fresh, params: decoder}
 		}
 	}
-	return out, nil
+	return out, entry, nil
 }
 
 // decodeUpdateC reverses the codec dialect's payloads: weights are a

@@ -28,10 +28,13 @@ type Cohort interface {
 	// updates compacted in sampled order plus the IDs it dropped, so
 	// callers identify an update by its ClientID, never by its slot. Each
 	// update goes to submit at its sampled slot as it arrives, from any
-	// goroutine. roundSpan (nil when untraced) parents the per-client
-	// spans. Errors name their own round and abort the run.
+	// goroutine, and submit reports whether the engine admitted it: a
+	// refused update is still returned (RunRounds takes it out of the
+	// round), but a transport keeps nothing of it and does not count it
+	// towards a quorum. roundSpan (nil when untraced) parents the
+	// per-client spans. Errors name their own round and abort the run.
 	Train(round int, sampled []int, global []float32, needDecoders bool,
-		submit func(slot int, u Update), roundSpan *telemetry.Span) (updates []Update, dropped []int, err error)
+		submit func(slot int, u Update) (admitted bool), roundSpan *telemetry.Span) (updates []Update, dropped []int, err error)
 	// WireBytes returns what the round just trained moved on the wire,
 	// from the server's side: up is the broadcast, down the updates.
 	// broadcast is the round's logical upload (Table V: 4 bytes per
@@ -156,13 +159,15 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 				stream = ss.BeginRound(ctx, len(sampled))
 			}
 		}
-		// The per-arrival hook: only an admitted update reaches the stream.
-		// Concurrent arrivals hold distinct slots.
+		// The per-arrival hook: only an admitted update reaches the stream,
+		// and the cohort learns the verdict. Concurrent arrivals hold
+		// distinct slots.
 		refused := make([]bool, len(sampled))
-		submit := func(slot int, u Update) {
+		submit := func(slot int, u Update) bool {
 			if refused[slot] = !admissible(u); !refused[slot] && stream != nil {
 				stream.Submit(slot, u)
 			}
+			return !refused[slot]
 		}
 		delivered, dropped, err := cohort.Train(round, sampled, global, needDecoders, submit, roundSpan)
 		if err != nil {

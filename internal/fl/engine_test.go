@@ -24,12 +24,13 @@ type fakeCohort struct {
 	drop    []int // client IDs that never deliver
 	nan     []int // client IDs whose update carries a NaN
 	sampled [][]int
+	refused []int // client IDs whose update submit said it refused
 	workers *classifier.Set
 }
 
 var errFakeTrain = errors.New("fake cohort: train failed")
 
-func (c *fakeCohort) Train(round int, sampled []int, global []float32, needDecoders bool, submit func(int, Update), roundSpan *telemetry.Span) ([]Update, []int, error) {
+func (c *fakeCohort) Train(round int, sampled []int, global []float32, needDecoders bool, submit func(int, Update) bool, roundSpan *telemetry.Span) ([]Update, []int, error) {
 	c.sampled = append(c.sampled, sampled)
 	if round == c.failAt {
 		return nil, nil, errFakeTrain
@@ -45,7 +46,9 @@ func (c *fakeCohort) Train(round int, sampled []int, global []float32, needDecod
 		if slices.Contains(c.nan, id) {
 			u.Weights[len(u.Weights)/2] = float32(math.NaN())
 		}
-		submit(slot, u)
+		if !submit(slot, u) {
+			c.refused = append(c.refused, id)
+		}
 		updates = append(updates, u)
 	}
 	return updates, dropped, nil
@@ -196,9 +199,10 @@ func TestAdmissible(t *testing.T) {
 }
 
 // TestEngineExpelsRefusedUpdates: a non-finite update leaves the round
-// at arrival. It never reaches the stream, its client joins the
-// transport's drops in sampled order with a ClientDropped for "invalid",
-// and the strategy aggregates the rest.
+// at arrival. It never reaches the stream, submit tells the cohort it
+// was refused, its client joins the transport's drops in sampled order
+// with a ClientDropped for "invalid", and the strategy aggregates the
+// rest.
 func TestEngineExpelsRefusedUpdates(t *testing.T) {
 	cfg := tinyFederationConfig()
 	cfg.Rounds = 1
@@ -228,6 +232,9 @@ func TestEngineExpelsRefusedUpdates(t *testing.T) {
 	}
 	if want := []int{sampled[0], sampled[3]}; !reflect.DeepEqual(invalid, want) {
 		t.Fatalf("ClientDropped for %v, want %v", invalid, want)
+	}
+	if want := []int{sampled[0], sampled[3]}; !reflect.DeepEqual(cohort.refused, want) {
+		t.Fatalf("submit refused %v, want %v: the cohort must learn each verdict", cohort.refused, want)
 	}
 }
 

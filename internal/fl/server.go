@@ -208,7 +208,7 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 // worker of the run's set — the one bound on how many train at once. Each
 // finished update is submitted immediately so the strategy's audit
 // overlaps the remaining clients' training. Local clients never drop.
-func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bool, submit func(int, Update), roundSpan *telemetry.Span) ([]Update, []int, error) {
+func (p *pool) Train(round int, sampled []int, global []float32, needDecoders bool, submit func(int, Update) bool, roundSpan *telemetry.Span) ([]Update, []int, error) {
 	out := make([]Update, len(sampled))
 	var wg sync.WaitGroup
 	for i, id := range sampled {

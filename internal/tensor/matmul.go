@@ -15,7 +15,8 @@ import "fmt"
 // for the small classifier), and its dense products at a batch of 32
 // are ≤ 0.5 M MACs, so a small-classifier train step runs on the calling
 // goroutine; what splits are the CVAE's products (≥ 6.5 M MACs at a
-// batch of 32) and the paper classifier's dense layers. The previous
+// batch of 32) and the paper classifier's dense layers, and those only
+// into compute slots no other borrower holds (pool.go). The previous
 // value, 1<<16, dispatched 2 µs of work.
 const parallelThreshold = 1 << 20
 

@@ -14,9 +14,17 @@ import (
 // the one-time cost) and then live for the life of the process, blocked
 // on a task channel when idle.
 //
-// Sizing: the pool defaults to GOMAXPROCS workers and never uses more
-// than Workers() chunks per call. Constrain it either by lowering
-// GOMAXPROCS before first use or by calling SetWorkers.
+// Sizing: Workers() is the process's number of compute slots, by
+// default GOMAXPROCS; constrain it either by lowering GOMAXPROCS before
+// first use or by calling SetWorkers. A borrower that computes for a long
+// time on its own goroutine — a client holding a classifier worker for
+// its round — holds a slot (HoldSlot) until it is done, and a dispatch
+// splits only into the slots nobody holds: its caller's own and the free
+// ones, Workers() − (held − 1) chunks and never fewer than one. Two
+// clients training at width 2 therefore run their products whole, each
+// on its own core, instead of each handing half of every product to a
+// pool goroutine that has no core to run on; a client left alone in the
+// round gets both halves back.
 
 // maxPoolWorkers is a hard cap on pool goroutines; it exists so tests
 // can force multi-worker execution on single-core machines without the
@@ -63,7 +71,8 @@ var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 var (
 	poolTasks = make(chan poolTask, 4*maxPoolWorkers)
-	poolLimit atomic.Int32 // desired parallelism per call
+	poolLimit atomic.Int32 // compute slots: the parallelism bound per call
+	poolHeld  atomic.Int32 // slots held by borrowers (HoldSlot)
 	poolLive  int          // workers actually started (guarded by poolMu)
 	poolMu    sync.Mutex
 )
@@ -93,6 +102,21 @@ func SetWorkers(n int) { poolLimit.Store(int32(clampWorkers(n))) }
 // Workers returns the current parallelism bound of the kernel pool.
 func Workers() int { return int(poolLimit.Load()) }
 
+// HoldSlot takes one of the Workers() compute slots for a borrower that
+// computes on its own goroutine until the matching ReleaseSlot. Holding
+// changes how products are split, never their result.
+func HoldSlot() { poolHeld.Add(1) }
+
+// ReleaseSlot gives back a slot taken with HoldSlot.
+func ReleaseSlot() { poolHeld.Add(-1) }
+
+// freeSlots is the number of chunks a dispatch may use: every slot but
+// those other holders keep, counting the caller as one of the holders,
+// and at least one.
+func freeSlots() int {
+	return max(1, Workers()-max(int(poolHeld.Load())-1, 0))
+}
+
 // ensureWorkers starts pool goroutines until at least n are live.
 func ensureWorkers(n int) {
 	poolMu.Lock()
@@ -119,12 +143,12 @@ func (t *poolTask) exec(lo, hi int) {
 	}
 }
 
-// dispatch splits [0, n) into at most Workers() contiguous chunks, sends
-// a copy of t for every chunk but the first to the pool, runs the first
-// on the calling goroutine and waits for completion. t travels by value,
-// so a dispatch allocates nothing.
+// dispatch splits [0, n) into at most freeSlots() contiguous chunks,
+// sends a copy of t for every chunk but the first to the pool, runs the
+// first on the calling goroutine and waits for completion. t travels by
+// value, so a dispatch allocates nothing.
 func dispatch(n int, t poolTask) {
-	workers := min(Workers(), n)
+	workers := min(freeSlots(), n)
 	if workers <= 1 {
 		if n > 0 {
 			t.exec(0, n)
@@ -144,13 +168,14 @@ func dispatch(n int, t poolTask) {
 	wgPool.Put(t.wg)
 }
 
-// ParallelRanges splits [0, n) into at most Workers() contiguous chunks,
-// runs the first chunk on the calling goroutine and the rest on the
-// pool, and waits for completion. rr.RunRange must be safe to execute
-// concurrently on disjoint ranges. Like the kernels, results must never
-// depend on the partitioning; the codec's per-plane encoder satisfies
-// this because each plane is encoded independently and concatenated in
-// index order afterwards.
+// ParallelRanges splits [0, n) into at most as many contiguous chunks as
+// there are free compute slots (see dispatch), runs the first chunk on
+// the calling goroutine and the rest on the pool, and waits for
+// completion. rr.RunRange must be safe to execute concurrently on
+// disjoint ranges. Like the kernels, results must never depend on the
+// partitioning; the codec's per-plane encoder satisfies this because
+// each plane is encoded independently and concatenated in index order
+// afterwards.
 func ParallelRanges(rr RangeRunner, n int) { dispatch(n, poolTask{rr: rr}) }
 
 // parallelRows is ParallelRanges for a row kernel: run must be safe to

@@ -42,8 +42,8 @@ type rangeFunc func(lo, hi int)
 
 func (f rangeFunc) RunRange(lo, hi int) { f(lo, hi) }
 
-// ParallelBlocks splits [0, n) into at most Workers() contiguous chunks
-// and runs f on each, waiting for completion. f must own its output
+// ParallelBlocks splits [0, n) into at most as many contiguous chunks as
+// there are free compute slots and runs f on each, waiting for completion. f must own its output
 // range exclusively; see the package comment for the determinism
 // contract.
 func ParallelBlocks(n int, f func(lo, hi int)) { ParallelRanges(rangeFunc(f), n) }
