@@ -61,17 +61,21 @@ docs-check:
 	$(GO) test -run 'TestDocsReferencesExist' .
 
 # test-purego reruns the compute substrate with the assembly kernels
-# compiled out. The bitwise kernel tables, the golden FinalWeights in
-# internal/classifier and the golden decoder and loss in internal/cvae
-# then hold the scalar matmul and Adam loops to the same bits as the AVX
-# kernels the default build runs. internal/rng and internal/dataset ride
-# along for the skip-draw walk: its bitwise tables and Generate's pinned
-# bytes must not depend on the build either. internal/defense runs the
-# server's view decoders and the audit plan, on both schedules and
-# against its straight-line reference, on the scalar forward form
-# (MatMulT against W as stored), which no default build reaches.
+# compiled out. The bitwise kernel tables and TestOracle — the executable
+# Algorithm 1 in oracle_test.go, which federations and cvae.Train must
+# match bit for bit — then hold the scalar matmul, reduction and Adam loops
+# to the same spec the default build's kernels meet. The default build on
+# an AVX-512 host runs the ZMM tile; the YMM tile stays covered by
+# TestWideTileKernel, which holds ZMM to YMM. internal/rng and
+# internal/dataset ride along for the skip-draw walk: its bitwise tables
+# and Generate's pinned bytes must not depend on the build either.
+# internal/defense runs the server's view decoders and the audit plan, on
+# both schedules and against its straight-line reference, on the scalar
+# forward form (MatMulT against W as stored), which no default build
+# reaches.
 test-purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/loss ./internal/cvae ./internal/classifier ./internal/defense ./internal/rng ./internal/dataset
+	$(GO) test -tags purego -run TestOracle .
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
@@ -99,8 +103,8 @@ bench-agg:
 # the per-round checkpoint cost (round-file serialization, and a
 # steady-state save that must not re-serialise a decoder: ≤ 1 MB B/op
 # beside 25 MB of referenced payloads), the blocked aggregation kernels,
-# the classifier's train epoch (its time: ≈ 2× a reading on the fused
-# conv blocks), the CVAE's step, alone and with two steppers holding
+# the classifier's train epoch (its time: ≈ 2× a reading on the conv
+# blocks, each one pass per image both ways), the CVAE's step, alone and with two steppers holding
 # both compute slots of a width-2 set (≈ 3× its time, 0 allocs/op and
 # ≤ 1 sched/op: ≈ 2 means products split into slots other borrowers
 # hold again), the decoder's sigmoid over a 32 × 794 batch (≈ 3× the

@@ -97,15 +97,15 @@ var convShapes = []convShape{
 	{"small-8to16-b32", 8, 16, 32, 12},
 }
 
-// convBlock builds shape s's Conv2D → ReLU → MaxPool2D(2,2) block, the
-// unit a Sequential runs in both directions, and a batch for it.
-func convBlock(s convShape, seed uint64) (*nn.Sequential, *tensor.Tensor, *rng.RNG) {
+// convBlock builds shape s's conv block (5×5 convolution, ReLU, 2×2
+// max pool) and a batch for it.
+func convBlock(s convShape, seed uint64) (*nn.ConvBlock, *tensor.Tensor, *rng.RNG) {
 	r := rng.New(seed)
-	conv := nn.NewConv2D(s.inC, s.outC, 5, 5, r)
-	conv.InputGradOff = s.inC == 1
+	block := nn.NewConvBlock(s.inC, s.outC, 5, r)
+	block.InputGradOff = s.inC == 1
 	x := tensor.New(s.b, s.inC, s.h, s.h)
 	r.FillNormal(x.Data, 0, 1)
-	return nn.NewSequential(conv, nn.NewReLU(), nn.NewMaxPool2D(2, 2)), x, r
+	return block, x, r
 }
 
 // BenchmarkConvForward runs each shape's block as training does (the

@@ -22,21 +22,17 @@ import (
 // Reset(r) on a built model draw r as Arch(r) does.
 type Arch func(r *rng.RNG) *nn.Sequential
 
-// Paper returns the exact architecture of Table II: two ReLU-activated
-// 5×5 convolutions (32 and 64 channels) each followed by 2×2 max
-// pooling, a 512-unit ReLU FCL and a 10-unit output FCL.
+// Paper returns the exact architecture of Table II: two conv blocks —
+// a ReLU-activated 5×5 convolution (32, then 64 channels) and a 2×2 max
+// pool each — a 512-unit ReLU FCL and a 10-unit output FCL.
 // 1,662,752 parameters. The softmax is fused into the loss.
 func Paper() Arch {
 	return func(r *rng.RNG) *nn.Sequential {
-		c1 := nn.NewConv2D(1, 32, 5, 5, r)
+		c1 := nn.NewConvBlock(1, 32, 5, r)
 		c1.InputGradOff = true // first layer: its input gradient is never consumed
 		return nn.NewSequential(
 			c1,
-			nn.NewReLU(),
-			nn.NewMaxPool2D(2, 2),
-			nn.NewConv2D(32, 64, 5, 5, r),
-			nn.NewReLU(),
-			nn.NewMaxPool2D(2, 2),
+			nn.NewConvBlock(32, 64, 5, r),
 			nn.NewFlatten(),
 			nn.NewLinear(64*4*4, 512, r),
 			nn.NewReLU(),
@@ -50,15 +46,11 @@ func Paper() Arch {
 // the attack/defense dynamics; the experiment presets use it by default.
 func Small() Arch {
 	return func(r *rng.RNG) *nn.Sequential {
-		c1 := nn.NewConv2D(1, 8, 5, 5, r)
+		c1 := nn.NewConvBlock(1, 8, 5, r)
 		c1.InputGradOff = true // first layer: its input gradient is never consumed
 		return nn.NewSequential(
 			c1,
-			nn.NewReLU(),
-			nn.NewMaxPool2D(2, 2),
-			nn.NewConv2D(8, 16, 5, 5, r),
-			nn.NewReLU(),
-			nn.NewMaxPool2D(2, 2),
+			nn.NewConvBlock(8, 16, 5, r),
 			nn.NewFlatten(),
 			nn.NewLinear(16*4*4, 64, r),
 			nn.NewReLU(),
@@ -105,9 +97,9 @@ func Train(model *nn.Sequential, ds *dataset.Dataset, indices []int, cfg TrainCo
 func (w *Worker) Train(ds *dataset.Dataset, indices []int, cfg TrainConfig, r *rng.RNG) float64 {
 	model := w.Model
 	if w.sgd == nil {
-		w.sgd = opt.NewSGD(model.Params(), cfg.LR, cfg.Momentum, 0)
+		w.sgd = opt.NewSGD(model.Params(), cfg.LR, cfg.Momentum)
 	} else {
-		w.sgd.Reset(cfg.LR, cfg.Momentum, 0)
+		w.sgd.Reset(cfg.LR, cfg.Momentum)
 	}
 	var epochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestEvalLogitsEqualTrainLogits holds the evaluation forward — conv
-// blocks fused and taken image by image, nothing retained — to the bits
+// blocks taken image by image, nothing retained — to the bits
 // of the training forward, logit for logit, for every architecture at
 // the batch sizes the system evaluates in (a single row, the audit's
 // slabs, the training batch, the whole synthetic set). The images' blank

@@ -1,7 +1,9 @@
 package cvae
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -418,4 +420,15 @@ func TestVAEFlagsOutliers(t *testing.T) {
 	if outMean < 2*inMean {
 		t.Fatalf("outliers not separable: in %v vs out %v", inMean, outMean)
 	}
+}
+
+// fnv64a hashes the little-endian bit patterns of v.
+func fnv64a(v []float32) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, f := range v {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }

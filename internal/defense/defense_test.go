@@ -384,7 +384,7 @@ func TestFedGuardNeverWritesDecoderPayloads(t *testing.T) {
 }
 
 // TestFedGuardSynthesizeChecksImageShapeFirst: a CVAE whose input is not
-// an ImageH×ImageW image is a configuration error, reported before any
+// a dataset.ImageH×ImageW image is a configuration error, reported before any
 // decoder is looked at, any draw is made or the t×H×W set is allocated.
 func TestFedGuardSynthesizeChecksImageShapeFirst(t *testing.T) {
 	cfg := cvae.SmallConfig()

@@ -10,6 +10,7 @@ import (
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
+	"fedguard/internal/dataset"
 	"fedguard/internal/fl"
 	"fedguard/internal/nn"
 	"fedguard/internal/rng"
@@ -45,8 +46,6 @@ type FedGuard struct {
 	// §VI-B mitigation for highly heterogeneous clients whose CVAEs have
 	// never seen some classes.
 	UseDecoderClasses bool
-	// ImageH and ImageW shape the synthetic images for the classifier.
-	ImageH, ImageW int
 
 	// auditModels is the only state kept across rounds: one model per
 	// worker, built lazily. What the strategy decided is in the round's
@@ -54,10 +53,11 @@ type FedGuard struct {
 	auditModels []*nn.Sequential
 }
 
-// NewFedGuard returns a FedGuard strategy with the paper's defaults for
-// 28×28 SynthDigits/MNIST-shaped data.
+// NewFedGuard returns a FedGuard strategy with the paper's defaults. The
+// synthetic images are SynthDigits/MNIST-shaped: dataset.ImageH ×
+// dataset.ImageW.
 func NewFedGuard(arch classifier.Arch, cfg cvae.Config) *FedGuard {
-	return &FedGuard{Arch: arch, CVAECfg: cfg, ImageH: 28, ImageW: 28}
+	return &FedGuard{Arch: arch, CVAECfg: cfg}
 }
 
 // Name implements fl.Strategy.
@@ -137,7 +137,7 @@ func (g *FedGuard) Synthesize(ctx *fl.RoundContext) (*tensor.Tensor, []int, erro
 		return nil, nil, err
 	}
 	s.Abort()
-	x := tensor.New(s.t, 1, g.ImageH, g.ImageW)
+	x := tensor.New(s.t, 1, dataset.ImageH, dataset.ImageW)
 	size := g.CVAECfg.Input
 	for row, i := range s.rowSample {
 		copy(x.Data[i*size:(i+1)*size], s.x.Data[row*size:(row+1)*size])

@@ -7,6 +7,7 @@ import (
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
+	"fedguard/internal/dataset"
 	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 	"fedguard/internal/tensor"
@@ -49,7 +50,7 @@ func referenceSet(t *testing.T, g *FedGuard, updates []fl.Update, seed uint64) (
 		}
 		zs[k], ys[k], rows[k] = append(zs[k], z.Data[i*cfg.Latent:(i+1)*cfg.Latent]...), append(ys[k], y), append(rows[k], i)
 	}
-	x := tensor.New(n, 1, g.ImageH, g.ImageW)
+	x := tensor.New(n, 1, dataset.ImageH, dataset.ImageW)
 	for k, idxs := range rows {
 		if len(idxs) == 0 {
 			continue

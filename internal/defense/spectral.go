@@ -28,19 +28,23 @@ func newInitRNG() *rng.RNG { return rng.New(0xa0d17) }
 type Spectral struct {
 	// Arch is the classifier architecture (shared with the federation).
 	Arch classifier.Arch
-	// SurrogateDim is the random-projection dimensionality (default 64).
-	SurrogateDim int
-	// VAEHidden and VAELatent size the detection VAE (defaults 64 / 8).
-	VAEHidden, VAELatent int
 
 	proj    *projection
 	vae     *cvae.VAE
 	trained bool
 }
 
-// NewSpectral returns a Spectral strategy with default detector sizes.
+// The detector's sizes: the random-projection dimensionality and the
+// detection VAE's hidden and latent widths.
+const (
+	surrogateDim = 64
+	vaeHidden    = 64
+	vaeLatent    = 8
+)
+
+// NewSpectral returns a Spectral strategy.
 func NewSpectral(arch classifier.Arch) *Spectral {
-	return &Spectral{Arch: arch, SurrogateDim: 64, VAEHidden: 64, VAELatent: 8}
+	return &Spectral{Arch: arch}
 }
 
 // Name implements fl.Strategy.
@@ -52,14 +56,14 @@ func (s *Spectral) NeedsDecoders() bool { return false }
 // PretrainConfig controls the server-side preparation phase.
 type PretrainConfig struct {
 	// Clients is the number of pseudo-clients the auxiliary dataset is
-	// split into (default 5).
+	// split into.
 	Clients int
-	// Rounds of simulated benign FedAvg (default 5).
+	// Rounds of simulated benign FedAvg.
 	Rounds int
 	// Train is the local training configuration of the pseudo-clients;
 	// it should match the real federation's client config.
 	Train classifier.TrainConfig
-	// VAEEpochs fits the detection VAE (default 100).
+	// VAEEpochs fits the detection VAE.
 	VAEEpochs int
 	// Seed fixes the preparation randomness.
 	Seed uint64
@@ -74,21 +78,12 @@ func DefaultPretrainConfig(train classifier.TrainConfig) PretrainConfig {
 // rounds on aux, collect the updates, and fit the detection VAE on their
 // surrogate projections. Must be called before the first Aggregate.
 func (s *Spectral) Pretrain(aux *dataset.Dataset, cfg PretrainConfig) error {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 5
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 5
-	}
-	if cfg.VAEEpochs <= 0 {
-		cfg.VAEEpochs = 100
-	}
 	r := rng.New(cfg.Seed)
 	parts := dataset.PartitionDirichlet(aux, cfg.Clients, 10, r)
 
 	model := s.Arch(r.Split())
 	dim := model.NumParams()
-	s.proj = newProjection(dim, s.SurrogateDim, 0x5fec7a1)
+	s.proj = newProjection(dim, surrogateDim, 0x5fec7a1)
 
 	global := model.FlattenParams()
 	var surrogates []float32
@@ -116,8 +111,8 @@ func (s *Spectral) Pretrain(aux *dataset.Dataset, cfg PretrainConfig) error {
 		global = agg
 	}
 
-	x := tensor.FromSlice(surrogates, count, s.SurrogateDim)
-	s.vae = cvae.NewVAE(s.SurrogateDim, s.VAEHidden, s.VAELatent, r.Split())
+	x := tensor.FromSlice(surrogates, count, surrogateDim)
+	s.vae = cvae.NewVAE(surrogateDim, vaeHidden, vaeLatent, r.Split())
 	s.vae.Fit(x, cfg.VAEEpochs, 1e-3, 0.05, r.Split())
 	s.trained = true
 	return nil
@@ -134,12 +129,12 @@ func (s *Spectral) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 		return nil, aggregate.ErrNoUpdates
 	}
 	audit := ctx.Span.Child("server.audit")
-	x := tensor.New(len(updates), s.SurrogateDim)
+	x := tensor.New(len(updates), surrogateDim)
 	// Each update owns its surrogate row, so the projections parallelize
 	// without affecting results.
 	tensor.ParallelBlocks(len(updates), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s.proj.applyInto(x.Data[i*s.SurrogateDim:(i+1)*s.SurrogateDim], updates[i].Weights)
+			s.proj.applyInto(x.Data[i*surrogateDim:(i+1)*surrogateDim], updates[i].Weights)
 		}
 	})
 	errs := s.vae.ReconstructionError(x)
@@ -160,8 +155,8 @@ func (s *Spectral) Aggregate(ctx *fl.RoundContext) ([]float32, error) {
 
 // projection is a fixed sparse random projection (Achlioptas-style signs
 // on a subsampled coordinate set) mapping a dim-parameter update to a
-// SurrogateDim vector. Sparse sampling keeps per-update projection cost
-// at O(SurrogateDim · k) instead of O(SurrogateDim · dim).
+// surrogateDim vector. Sparse sampling keeps per-update projection cost
+// at O(surrogateDim · k) instead of O(surrogateDim · dim).
 type projection struct {
 	in, out int
 	idx     [][]int     // per output row: sampled input coordinates

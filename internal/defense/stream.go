@@ -8,6 +8,7 @@ import (
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
+	"fedguard/internal/dataset"
 	"fedguard/internal/fl"
 	"fedguard/internal/nn"
 	"fedguard/internal/tensor"
@@ -105,9 +106,9 @@ func (g *FedGuard) BeginRound(ctx *fl.RoundContext, m int) fl.RoundStream {
 
 // begin draws the plan for m updates and starts its workers.
 func (g *FedGuard) begin(ctx *fl.RoundContext, m int, hold bool) (*AuditStream, error) {
-	if g.CVAECfg.Input != g.ImageH*g.ImageW {
+	if g.CVAECfg.Input != dataset.ImageH*dataset.ImageW {
 		return nil, fmt.Errorf("defense: CVAE input %d does not match %dx%d images",
-			g.CVAECfg.Input, g.ImageH, g.ImageW)
+			g.CVAECfg.Input, dataset.ImageH, dataset.ImageW)
 	}
 	if m <= 0 {
 		return nil, aggregate.ErrNoUpdates
@@ -122,7 +123,7 @@ func (g *FedGuard) begin(ctx *fl.RoundContext, m int, hold bool) (*AuditStream, 
 		unbound:   m,
 		decoders:  make([]*cvae.Decoder, m),
 		classes:   make([][]int, m),
-		x:         tensor.New(t, 1, g.ImageH, g.ImageW),
+		x:         tensor.New(t, 1, dataset.ImageH, dataset.ImageW),
 		rowLabel:  make([]int, 0, t),
 		rowSample: make([]int, 0, t),
 		arrived:   make([]bool, m),
@@ -275,7 +276,7 @@ func (s *AuditStream) score(model *nn.Sequential, j int) {
 	err := model.LoadParams(s.updates[j].Weights)
 	for at := lo; err == nil && at < hi; at += s.slab {
 		end := min(at+s.slab, hi)
-		rows := tensor.FromSlice(s.x.Data[at*size:end*size], end-at, 1, s.g.ImageH, s.g.ImageW)
+		rows := tensor.FromSlice(s.x.Data[at*size:end*size], end-at, 1, dataset.ImageH, dataset.ImageW)
 		hits += classifier.CountCorrectTensor(model, rows, rowLabel[at-lo:end-lo])
 	}
 	s.mu.Lock()

@@ -236,7 +236,7 @@ func TestAuditStreamFallback(t *testing.T) {
 }
 
 // TestAuditStreamUnsupported pins when BeginRound must refuse: empty
-// rounds, and a CVAE config that is not an ImageH×ImageW image (which
+// rounds, and a CVAE config that is not a dataset.ImageH×ImageW image (which
 // Aggregate reports as an error).
 func TestAuditStreamUnsupported(t *testing.T) {
 	_, _, ccfg := buildFixture(t, rng.New(40))

@@ -53,7 +53,7 @@ func reluBits(v float32) uint32 {
 // i.e. where the retained output is +0.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.y == nil {
-		panic("nn: ReLU Backward without a Forward of its own (a conv block's ReLU keeps no output)")
+		panic("nn: ReLU Backward without a Forward")
 	}
 	r.dx = tensor.Ensure(r.dx, grad.Shape()...)
 	dx := r.dx.Data[:len(grad.Data)]

@@ -13,18 +13,18 @@ import (
 )
 
 // TestConvForwardAllocsSteadyState pins the scratch-reuse property: once
-// warmed up, Conv2D.Forward allocates nothing — no per-batch-item
+// warmed up, ConvBlock.Forward allocates nothing — no per-batch-item
 // tensors, no dispatch closures (the kernel pool ships typed tasks), no
 // escaping shape slices.
 func TestConvForwardAllocsSteadyState(t *testing.T) {
 	r := rng.New(0xa110c)
-	conv := NewConv2D(1, 32, 5, 5, r)
+	conv := NewConvBlock(1, 32, 5, r)
 	x := tensor.New(8, 1, 28, 28)
 	r.FillNormal(x.Data, 0, 1)
 	conv.Forward(x, true) // warm up scratch
 	allocs := testing.AllocsPerRun(20, func() { conv.Forward(x, true) })
 	if allocs > 0 {
-		t.Fatalf("steady-state Conv2D.Forward allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state ConvBlock.Forward allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -32,7 +32,7 @@ func TestConvForwardAllocsSteadyState(t *testing.T) {
 // including the per-image dW accumulation (Bind views, no fresh tensors).
 func TestConvBackwardAllocsSteadyState(t *testing.T) {
 	r := rng.New(0xa110d)
-	conv := NewConv2D(1, 32, 5, 5, r)
+	conv := NewConvBlock(1, 32, 5, r)
 	x := tensor.New(8, 1, 28, 28)
 	r.FillNormal(x.Data, 0, 1)
 	y := conv.Forward(x, true)
@@ -41,7 +41,7 @@ func TestConvBackwardAllocsSteadyState(t *testing.T) {
 	conv.Backward(g) // warm up scratch
 	allocs := testing.AllocsPerRun(20, func() { conv.Backward(g) })
 	if allocs > 0 {
-		t.Fatalf("steady-state Conv2D.Backward allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state ConvBlock.Backward allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -87,17 +87,16 @@ func TestLinearForwardAllocsAlternatingBatches(t *testing.T) {
 
 // evalStack is the small classifier's topology: two conv blocks and two
 // dense layers.
-func evalStack(r *rng.RNG) (*Sequential, *Conv2D, *Conv2D) {
-	c1, c2 := NewConv2D(1, 8, 5, 5, r), NewConv2D(8, 16, 5, 5, r)
+func evalStack(r *rng.RNG) (*Sequential, *ConvBlock, *ConvBlock) {
+	c1, c2 := NewConvBlock(1, 8, 5, r), NewConvBlock(8, 16, 5, r)
 	return NewSequential(
-		c1, NewReLU(), NewMaxPool2D(2, 2),
-		c2, NewReLU(), NewMaxPool2D(2, 2),
+		c1, c2,
 		NewFlatten(), NewLinear(16*4*4, 64, r), NewReLU(), NewLinear(64, 10, r),
 	), c1, c2
 }
 
 // TestTrainStepAllocsSteadyState pins the same property for a training
-// step through the fused conv blocks — forward, the masked scatter and
+// step through the conv blocks — forward, the masked scatter and
 // the per-image im2col of Backward — at a full batch and the epoch's
 // 4-row tail.
 func TestTrainStepAllocsSteadyState(t *testing.T) {
@@ -160,7 +159,7 @@ func TestEvalOnlyModelScratchFootprint(t *testing.T) {
 	r.FillNormal(x.Data, 0, 1)
 	model.Forward(x, false)
 	for _, tc := range []struct {
-		c                *Conv2D
+		c                *ConvBlock
 		oHW, pooled, fan int
 	}{{c1, 24 * 24, 12 * 12, 25}, {c2, 8 * 8, 4 * 4, 200}} {
 		c := tc.c
@@ -182,16 +181,9 @@ func TestEvalOnlyModelScratchFootprint(t *testing.T) {
 			t.Errorf("%s: evaluation left backward state behind", c.Name())
 		}
 	}
-	for _, l := range model.Layers[:6] {
-		switch l := l.(type) {
-		case *ReLU:
-			if l.y != nil {
-				t.Errorf("a fused ReLU holds an activation of %d floats", cap(l.y.Data))
-			}
-		case *MaxPool2D:
-			if l.y != nil || l.argmax != nil {
-				t.Errorf("a fused %s holds an output or an argmax", l.Name())
-			}
+	for _, c := range []*ConvBlock{c1, c2} {
+		if c.argmax != nil || c.dConv != nil {
+			t.Errorf("%s: evaluation left winners or a conv-output gradient behind", c.Name())
 		}
 	}
 }

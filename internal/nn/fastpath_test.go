@@ -52,47 +52,40 @@ func TestReLUMatchesComparison(t *testing.T) {
 	}
 }
 
-// TestMaxPool2x2MatchesGeneric holds Forward on the 2×2 window to its
-// definition — the first strict maximum in row-major window order, value
-// and argmax — on ReLU-like inputs full of ties, on the special values,
-// and on odd heights and widths. (The fused conv block's epilogue is
-// held to Forward by TestTrainConvBlockMatchesLayers.)
+// TestMaxPool2x2MatchesGeneric holds the block's pool to its definition
+// — the first strict maximum in row-major window order, value and
+// winner — through a 1×1 identity convolution, on inputs full of ties
+// (as behind a ReLU), on the special values, and on odd heights and
+// widths.
 func TestMaxPool2x2MatchesGeneric(t *testing.T) {
 	r := rng.New(0x9001)
 	for _, hw := range [][2]int{{2, 2}, {4, 6}, {5, 7}, {12, 12}, {24, 24}, {3, 9}} {
 		h, w := hw[0], hw[1]
-		x := tensor.New(3, 2, h, w)
+		x := tensor.New(3, 1, h, w)
 		r.FillNormal(x.Data, 0, 1)
 		for i := range x.Data {
 			switch {
 			case r.Float64() < 0.5:
-				x.Data[i] = 0 // ties, as behind a ReLU
+				x.Data[i] = 0
 			case r.Float64() < 0.1:
 				x.Data[i] = specials[r.Intn(len(specials))]
 			}
 		}
-		p := NewMaxPool2D(2, 2)
+		p := identityBlock()
 		y := p.Forward(x, true)
-		outH, outW := h/2, w/2
-		for plane := 0; plane < 3*2; plane++ {
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					bestIdx := plane*h*w + 2*oy*w + 2*ox
-					best := x.Data[bestIdx]
-					for _, d := range []int{1, w, w + 1} {
-						if v := x.Data[plane*h*w+2*oy*w+2*ox+d]; v > best {
-							best, bestIdx = v, plane*h*w+2*oy*w+2*ox+d
-						}
-					}
-					out := (plane*outH+oy)*outW + ox
-					if math.Float32bits(y.Data[out]) != math.Float32bits(best) || int(p.argmax[out]) != bestIdx {
-						t.Fatalf("%dx%d plane %d (%d,%d): got %v@%d, want %v@%d",
-							h, w, plane, oy, ox, y.Data[out], p.argmax[out], best, bestIdx)
-					}
-				}
-			}
+		want, arg := refForward(p, x)
+		if i := firstBitDiff(y.Data, want.Data); i >= 0 || !slices.Equal(p.argmax, arg) {
+			t.Fatalf("%dx%d: pooled output or winners differ from the definition (first value at %d)", h, w, i)
 		}
 	}
+}
+
+// identityBlock returns a 1×1 block with the filter 1 and the bias 0:
+// the ReLU and the pool alone.
+func identityBlock() *ConvBlock {
+	c := NewConvBlock(1, 1, 1, rng.New(1))
+	c.W.Data[0] = 1
+	return c
 }
 
 // TestLinearInputGradOff runs the same layer twice over the same batch
@@ -232,8 +225,8 @@ var blockShapes = []blockShape{
 
 // blockConv returns a conv layer of shape s whose first three channels
 // have the bias −1e6 (its whole pooled plane is +0), +Inf and NaN.
-func blockConv(r *rng.RNG, s blockShape) *Conv2D {
-	conv := NewConv2D(s.inC, s.outC, s.k, s.k, r)
+func blockConv(r *rng.RNG, s blockShape) *ConvBlock {
+	conv := NewConvBlock(s.inC, s.outC, s.k, r)
 	r.FillNormal(conv.B.Data, 0, 0.5)
 	conv.B.Data[0] = -1e6
 	conv.B.Data[1] = float32(math.Inf(1))
@@ -259,18 +252,15 @@ func blockBatch(r *rng.RNG, s blockShape, b int) *tensor.Tensor {
 }
 
 // TestEvalConvBlockMatchesTraining holds an evaluation forward through
-// Conv2D → ReLU → MaxPool2D(2,2) — one fused pass per image — to the
-// bits of the block's training forward, and a lone Conv2D's evaluation
-// forward to its training forward, at every blockShape.
+// a block — one pass per image, nothing retained — to the bits of its
+// training forward, at every blockShape.
 func TestEvalConvBlockMatchesTraining(t *testing.T) {
 	r := rng.New(0xe7a1)
 	for _, s := range blockShapes {
 		for _, b := range []int{1, 3, 8} {
-			conv := blockConv(r, s)
-			block := NewSequential(conv, NewReLU(), NewMaxPool2D(2, 2))
+			block := blockConv(r, s)
 			x := blockBatch(r, s, b)
 
-			wantConv := clone(conv.Forward(x, true))
 			want := clone(block.Forward(x, true))
 			got := block.Forward(x, false)
 			if !reflect.DeepEqual(got.Shape(), want.Shape()) {
@@ -286,41 +276,33 @@ func TestEvalConvBlockMatchesTraining(t *testing.T) {
 					t.Fatalf("%+v: the -1e6, +Inf and NaN bias channels pooled to %v, %v, %v", s, want.Data[i], want.Data[plane+i], want.Data[2*plane+i])
 				}
 			}
-			got = conv.Forward(x, false)
-			if i := firstBitDiff(got.Data, wantConv.Data); i >= 0 || !reflect.DeepEqual(got.Shape(), wantConv.Shape()) {
-				t.Fatalf("%+v batch %d: lone eval conv differs from training at %d (shape %v, want %v)", s, b, i, got.Shape(), wantConv.Shape())
-			}
 		}
 	}
 }
 
-// TestTrainConvBlockMatchesLayers holds the fused training block — one
+// TestTrainConvBlockMatchesLayers holds the training block — one
 // epilogue that pools and records the winners, one masked scatter back —
-// to the three layers run one by one on a copy of the convolution, bit
-// for bit: the pooled output, the argmax, the gradient that reaches the
-// convolution, and dW, dB and dx, at every blockShape. The incoming
-// gradient has −0 and +0 elements (the scatter must leave +0 + g, as the
-// pool's += into a zeroed buffer does). Each shape runs the batch sizes
-// 8, 3, 1 on the same layers, so the gradients accumulate over three
-// steps and every scratch tensor is reused at a smaller size.
+// to its three stages run one by one by their definitions (refForward,
+// refBackward), bit for bit: the pooled output, the winners, the
+// gradient that reaches the convolution, and dW, dB and dx, at every
+// blockShape. The incoming gradient has −0 and +0 elements (the scatter
+// must leave +0 + g, as a += into a zeroed buffer does). Each shape runs
+// the batch sizes 8, 3, 1 on the same block, so the gradients accumulate
+// over three steps and every scratch tensor is reused at a smaller size.
 func TestTrainConvBlockMatchesLayers(t *testing.T) {
 	r := rng.New(0xb10c)
 	for _, s := range blockShapes {
-		conv := blockConv(r, s)
-		ref := NewConv2D(s.inC, s.outC, s.k, s.k, r)
-		copy(ref.W.Data, conv.W.Data)
-		copy(ref.B.Data, conv.B.Data)
-		relu, pool, fusedPool := NewReLU(), NewMaxPool2D(2, 2), NewMaxPool2D(2, 2)
-		block := NewSequential(conv, NewReLU(), fusedPool)
+		block := blockConv(r, s)
+		wantDW, wantDB := clone(block.dW), clone(block.dB)
 		for _, b := range []int{8, 3, 1} {
 			x := blockBatch(r, s, b)
-			want := pool.Forward(relu.Forward(ref.Forward(x, true), true), true)
+			want, arg := refForward(block, x)
 			got := block.Forward(x, true)
 			if i := firstBitDiff(got.Data, want.Data); i >= 0 || !reflect.DeepEqual(got.Shape(), want.Shape()) {
-				t.Fatalf("%+v batch %d: block output differs from the layers' at %d (shape %v, want %v)", s, b, i, got.Shape(), want.Shape())
+				t.Fatalf("%+v batch %d: block output differs from the definition at %d (shape %v, want %v)", s, b, i, got.Shape(), want.Shape())
 			}
-			if !reflect.DeepEqual(fusedPool.argmax, pool.argmax) {
-				t.Fatalf("%+v batch %d: block argmax differs from the pool's", s, b)
+			if !slices.Equal(block.argmax, arg) {
+				t.Fatalf("%+v batch %d: block winners differ from the definition", s, b)
 			}
 
 			g := tensor.New(want.Shape()...)
@@ -328,18 +310,17 @@ func TestTrainConvBlockMatchesLayers(t *testing.T) {
 			for i := 0; i < len(g.Data); i += 3 {
 				g.Data[i] = specials[i%2] // +0, −0
 			}
-			wantGrad := relu.Backward(pool.Backward(g))
-			wantDx := ref.Backward(wantGrad)
+			wantGrad, wantDx := refBackward(block, x, want, arg, g, wantDW, wantDB)
 			gotDx := block.Backward(g)
 			for _, c := range []struct {
 				name      string
 				got, want *tensor.Tensor
 			}{
-				{"conv-output gradient", fusedPool.dx, wantGrad},
-				{"dW", conv.dW, ref.dW}, {"dB", conv.dB, ref.dB}, {"dx", gotDx, wantDx},
+				{"conv-output gradient", block.dConv, wantGrad},
+				{"dW", block.dW, wantDW}, {"dB", block.dB, wantDB}, {"dx", gotDx, wantDx},
 			} {
 				if i := firstBitDiff(c.got.Data, c.want.Data); i >= 0 {
-					t.Fatalf("%+v batch %d: %s[%d] = %v (bits %#x), the layers give %v (bits %#x)", s, b, c.name,
+					t.Fatalf("%+v batch %d: %s[%d] = %v (bits %#x), the definition gives %v (bits %#x)", s, b, c.name,
 						i, c.got.Data[i], math.Float32bits(c.got.Data[i]), c.want.Data[i], math.Float32bits(c.want.Data[i]))
 				}
 			}
@@ -347,44 +328,41 @@ func TestTrainConvBlockMatchesLayers(t *testing.T) {
 	}
 }
 
-// TestBlockKeepsNoReLUMask pins that a training forward through a block
-// leaves its ReLU no mask: the pool's own Backward still routes (the
-// argmax is the block's), and the ReLU's Backward then panics by name
-// instead of reading the output of an earlier Forward of its own.
+// TestBlockKeepsNoReLUMask pins that a training forward writes no
+// unpooled activation: what Backward needs of the ReLU is read off the
+// pooled output and the winners, so after a forward the block's only
+// batch-sized tensors are those two, and the conv-output gradient
+// buffer first appears with Backward.
 func TestBlockKeepsNoReLUMask(t *testing.T) {
 	r := rng.New(0xe7a3)
-	conv, relu, pool := NewConv2D(1, 8, 5, 5, r), NewReLU(), NewMaxPool2D(2, 2)
-	block := NewSequential(conv, relu, pool)
+	block := NewConvBlock(1, 8, 5, r)
 	x := tensor.New(4, 1, 28, 28)
 	r.FillNormal(x.Data, 0, 1)
-	relu.Forward(conv.Forward(x, true), true) // the mask that would go stale
-	g := tensor.New(block.Forward(x, true).Shape()...)
-	r.FillNormal(g.Data, 0, 1)
-	dy := pool.Backward(g)
-	defer func() {
-		if msg, _ := recover().(string); msg != "nn: ReLU Backward without a Forward of its own (a conv block's ReLU keeps no output)" {
-			t.Fatalf("layer-by-layer Backward after a block forward: recovered %q", msg)
-		}
-	}()
-	relu.Backward(dy)
-	t.Fatal("ReLU Backward after a block forward returned")
+	y := block.Forward(x, true)
+	pooled := 4 * 8 * 12 * 12
+	if cap(y.Data) != pooled || cap(block.argmax) != pooled || block.dConv != nil {
+		t.Fatalf("a training forward holds output %d, winners %d and a conv-output buffer %v; want %d, %d and none",
+			cap(y.Data), cap(block.argmax), block.dConv != nil, pooled, pooled)
+	}
+	if got, want := cap(block.prod.Data), 24*24*8; got != want {
+		t.Fatalf("the product scratch holds %d floats, want one image's %d", got, want)
+	}
 }
 
 // TestEvalForwardRetainsNothing pins what an evaluation forward leaves
 // behind: no input (an audit model must not pin the round's synthetic
-// set), no ReLU output or argmax, and a Backward that says which layer
-// was never given a training forward instead of reading stale scratch —
-// also right after a training forward whose Backward would have worked.
+// set), no winners, and a Backward that says which layer was never
+// given a training forward instead of reading stale scratch — also
+// right after a training forward whose Backward would have worked.
 func TestEvalForwardRetainsNothing(t *testing.T) {
 	r := rng.New(0xe7a2)
-	conv, relu, pool := NewConv2D(1, 8, 5, 5, r), NewReLU(), NewMaxPool2D(2, 2)
-	block := NewSequential(conv, relu, pool)
+	block := NewConvBlock(1, 8, 5, r)
 	x := tensor.New(4, 1, 28, 28)
 	r.FillNormal(x.Data, 0, 1)
 
 	y := block.Forward(x, false)
-	if conv.x != nil || conv.cols != nil && tensor.HasVectorKernels() || relu.y != nil || pool.y != nil || pool.argmax != nil {
-		t.Fatalf("an evaluation-only block holds x=%v cols=%v relu.y=%v pool.y=%v argmax=%d", conv.x, conv.cols, relu.y, pool.y, len(pool.argmax))
+	if block.x != nil || block.cols != nil && tensor.HasVectorKernels() || block.argmax != nil {
+		t.Fatalf("an evaluation-only block holds x=%v cols=%v argmax=%d", block.x, block.cols, len(block.argmax))
 	}
 	if y.Dim(2) != 12 || y.Dim(3) != 12 {
 		t.Fatalf("eval block output shape %v", y.Shape())
@@ -392,16 +370,15 @@ func TestEvalForwardRetainsNothing(t *testing.T) {
 	for _, prepare := range []func(){
 		func() {},
 		func() { block.Forward(x, true); block.Forward(x, false) },
-		func() { conv.Forward(x, true); conv.Forward(x, false) },
 	} {
 		prepare()
 		func() {
 			defer func() {
-				if msg, _ := recover().(string); msg != "nn: Conv2D(1->8, 5x5) Backward without a training Forward" {
+				if msg, _ := recover().(string); msg != "nn: ConvBlock(1->8, 5x5) Backward without a training Forward" {
 					t.Fatalf("Backward after an evaluation forward: recovered %q", msg)
 				}
 			}()
-			conv.Backward(tensor.New(4, 8, 24, 24))
+			block.Backward(tensor.New(4, 8, 12, 12))
 			t.Fatal("Backward after an evaluation forward returned")
 		}()
 	}

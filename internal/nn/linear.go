@@ -18,7 +18,7 @@ type Linear struct {
 	dW, dB  *tensor.Tensor // nil on a NewLinearView layer
 
 	// InputGradOff, when set, makes Backward skip dx = grad @ W and
-	// return nil — the twin of Conv2D.InputGradOff, for a network whose
+	// return nil — the twin of ConvBlock.InputGradOff, for a network whose
 	// first layer is dense. Parameter gradients are unaffected.
 	InputGradOff bool
 

@@ -6,14 +6,13 @@
 //
 // All layers operate on batched tensors: (B, features) for dense layers
 // and (B, C, H, W) for spatial layers. A training forward leaves in the
-// model what the model's Backward reads — for a Conv2D → ReLU →
-// MaxPool2D(2,2) block, which Sequential runs as one, the conv's input,
-// the pooled output and the pool's winners, and no ReLU output (the
-// ReLU's own Backward panics) — so a layer instance must not be shared
-// between concurrent training loops; federated clients take turns on
-// long-lived models, one holder at a time, each starting from Reset (see
-// Resetter). An evaluation forward (train == false) computes the same
-// bits and, through the conv blocks, keeps nothing for a backward pass.
+// model what the model's Backward reads — for a ConvBlock, the input,
+// the pooled output and the pool's winners — so a layer instance must
+// not be shared between concurrent training loops; federated clients
+// take turns on long-lived models, one holder at a time, each starting
+// from Reset (see Resetter). An evaluation forward (train == false)
+// computes the same bits and, through the conv blocks, keeps nothing for
+// a backward pass.
 //
 // Buffer-reuse contract: layers own their output, gradient, and work
 // tensors as scratch that is grown on demand and reused across steps, so
@@ -76,46 +75,18 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward runs the full stack, each Conv2D → ReLU → MaxPool2D(2,2) as one
-// pass over the convolution's products (Conv2D.forward): the same bits,
-// no unpooled activation, and no ReLU output for a stale Backward to read.
+// Forward runs the full stack.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for i := 0; i < len(s.Layers); i++ {
-		if c, relu, pool := s.convBlock(i); c != nil {
-			relu.y = nil
-			x = c.forward(x, train, pool)
-			i += 2
-			continue
-		}
-		x = s.Layers[i].Forward(x, train)
+	for _, l := range s.Layers {
+		x = l.Forward(x, train)
 	}
 	return x
 }
 
-// convBlock returns layers i, i+1 and i+2 when they are a Conv2D, a ReLU
-// and a 2×2 MaxPool2D, and nils otherwise.
-func (s *Sequential) convBlock(i int) (*Conv2D, *ReLU, *MaxPool2D) {
-	if i < 0 || i+2 >= len(s.Layers) {
-		return nil, nil, nil
-	}
-	c, isConv := s.Layers[i].(*Conv2D)
-	relu, isReLU := s.Layers[i+1].(*ReLU)
-	pool, isPool := s.Layers[i+2].(*MaxPool2D)
-	if !isConv || !isReLU || !isPool || pool.PH != 2 || pool.PW != 2 {
-		return nil, nil, nil
-	}
-	return c, relu, pool
-}
-
 // Backward runs the stack in reverse, returning the gradient w.r.t. the
-// original input; a conv block is one pass too (Conv2D.backward).
+// original input.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		if c, _, pool := s.convBlock(i - 2); c != nil {
-			grad = c.backward(grad, pool)
-			i -= 2
-			continue
-		}
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad
@@ -196,3 +167,33 @@ func (s *Sequential) LoadParams(flat []float32) error {
 	}
 	return nil
 }
+
+// Flatten reshapes (B, ...) to (B, rest) for the transition from spatial
+// to dense layers. The forward and backward results are allocation-free
+// views over the argument's storage, held in reusable headers.
+type Flatten struct {
+	inShape []int
+	y, dx   tensor.Tensor
+}
+
+// NewFlatten constructs a flatten layer.
+func NewFlatten() *Flatten { return &Flatten{} }
+
+// Forward flattens all non-batch dimensions.
+func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	f.inShape = append(f.inShape[:0], x.Shape()...)
+	f.y.Bind(x.Data, x.Dim(0), x.Len()/x.Dim(0))
+	return &f.y
+}
+
+// Backward restores the original spatial shape.
+func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	f.dx.Bind(grad.Data, f.inShape...)
+	return &f.dx
+}
+
+// Params returns nil.
+func (f *Flatten) Params() []Param { return nil }
+
+// Name implements Layer.
+func (f *Flatten) Name() string { return "Flatten" }

@@ -13,9 +13,7 @@ import (
 // drawn parameters (conv, dense) and layers with scratch only.
 func resetStack(r *rng.RNG) *Sequential {
 	return NewSequential(
-		NewConv2D(1, 2, 3, 3, r),
-		NewReLU(),
-		NewMaxPool2D(2, 2),
+		NewConvBlock(1, 2, 3, r),
 		NewFlatten(),
 		NewLinear(2*3*3, 4, r),
 	)

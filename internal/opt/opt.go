@@ -21,29 +21,27 @@ type Optimizer interface {
 	Step()
 }
 
-// SGD is stochastic gradient descent, optionally with classical momentum
-// and L2 weight decay.
+// SGD is stochastic gradient descent, optionally with classical momentum.
 type SGD struct {
 	params   []nn.Param
 	lr       float64
 	momentum float64
-	decay    float64
 	velocity []*tensor.Tensor
 }
 
 // NewSGD builds an SGD optimizer over params. momentum 0 disables the
-// velocity buffers; decay 0 disables weight decay.
-func NewSGD(params []nn.Param, lr, momentum, decay float64) *SGD {
+// velocity buffers.
+func NewSGD(params []nn.Param, lr, momentum float64) *SGD {
 	s := &SGD{params: params}
-	s.Reset(lr, momentum, decay)
+	s.Reset(lr, momentum)
 	return s
 }
 
 // Reset leaves the optimizer as NewSGD over the same parameters would
 // build it — these hyperparameters, zero velocity — and keeps the
 // velocity buffers it already has.
-func (s *SGD) Reset(lr, momentum, decay float64) {
-	s.lr, s.momentum, s.decay = lr, momentum, decay
+func (s *SGD) Reset(lr, momentum float64) {
+	s.lr, s.momentum = lr, momentum
 	if momentum == 0 {
 		s.velocity = nil
 		return
@@ -63,7 +61,6 @@ func (s *SGD) Reset(lr, momentum, decay float64) {
 // Step applies one SGD update.
 func (s *SGD) Step() {
 	lr := float32(s.lr)
-	wd := float32(s.decay)
 	for i, p := range s.params {
 		g := p.Grad.Data
 		v := p.Value.Data
@@ -71,13 +68,12 @@ func (s *SGD) Step() {
 			vel := s.velocity[i].Data
 			mom := float32(s.momentum)
 			for j := range v {
-				grad := g[j] + wd*v[j]
-				vel[j] = mom*vel[j] + grad
+				vel[j] = mom*vel[j] + g[j]
 				v[j] -= lr * vel[j]
 			}
 		} else {
 			for j := range v {
-				v[j] -= lr * (g[j] + wd*v[j])
+				v[j] -= lr * g[j]
 			}
 		}
 	}

@@ -16,24 +16,10 @@ func TestSGDStep(t *testing.T) {
 		Value: tensor.FromSlice([]float32{1, 2}, 2),
 		Grad:  tensor.FromSlice([]float32{0.5, -0.5}, 2),
 	}
-	s := NewSGD([]nn.Param{p}, 0.1, 0, 0)
+	s := NewSGD([]nn.Param{p}, 0.1, 0)
 	s.Step()
 	if math.Abs(float64(p.Value.Data[0])-0.95) > 1e-6 || math.Abs(float64(p.Value.Data[1])-2.05) > 1e-6 {
 		t.Fatalf("SGD step gave %v", p.Value.Data)
-	}
-}
-
-func TestSGDWeightDecay(t *testing.T) {
-	p := nn.Param{
-		Name:  "w",
-		Value: tensor.FromSlice([]float32{1}, 1),
-		Grad:  tensor.FromSlice([]float32{0}, 1),
-	}
-	s := NewSGD([]nn.Param{p}, 0.1, 0, 0.5)
-	s.Step()
-	// w -= lr * decay * w = 1 - 0.05
-	if math.Abs(float64(p.Value.Data[0])-0.95) > 1e-6 {
-		t.Fatalf("weight decay gave %v", p.Value.Data[0])
 	}
 }
 
@@ -43,7 +29,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 		Value: tensor.FromSlice([]float32{0}, 1),
 		Grad:  tensor.FromSlice([]float32{1}, 1),
 	}
-	s := NewSGD([]nn.Param{p}, 1, 0.9, 0)
+	s := NewSGD([]nn.Param{p}, 1, 0.9)
 	s.Step() // v=1, w=-1
 	s.Step() // v=1.9, w=-2.9
 	if math.Abs(float64(p.Value.Data[0])+2.9) > 1e-6 {
@@ -155,7 +141,7 @@ func TestSGDTrainsLinearRegression(t *testing.T) {
 	for i := 0; i < n; i++ {
 		target.Data[i] = 2*x.Data[3*i] - x.Data[3*i+1] + 0.5*x.Data[3*i+2] + 1
 	}
-	optim := NewSGD(model.Params(), 0.1, 0.9, 0)
+	optim := NewSGD(model.Params(), 0.1, 0.9)
 	var final float64
 	for epoch := 0; epoch < 200; epoch++ {
 		model.ZeroGrad()
@@ -178,8 +164,8 @@ func TestSetLR(t *testing.T) {
 		return nn.Param{Name: "w", Value: tensor.New(1), Grad: tensor.FromSlice([]float32{1}, 1)}
 	}
 	p := unit()
-	s := NewSGD([]nn.Param{p}, 0.1, 0, 0)
-	s.Reset(0.5, 0, 0)
+	s := NewSGD([]nn.Param{p}, 0.1, 0)
+	s.Reset(0.5, 0)
 	s.Step()
 	if got := p.Value.Data[0]; got != -0.5 {
 		t.Fatalf("SGD reset to 0.5 stepped a unit gradient to %v", got)

@@ -12,7 +12,7 @@ func Add(dst, a, b *Tensor) {
 }
 
 // TransposeInto writes the transpose of the 2-D tensor a into dst, which
-// must be shaped (cols, rows). nn.Conv2D uses it to maintain its
+// must be shaped (cols, rows). nn.ConvBlock uses it to maintain its
 // transposed-filter scratch for the vector matmul kernels.
 func TransposeInto(dst, a *Tensor) {
 	if a.Rank() != 2 || dst.Rank() != 2 {
