@@ -157,7 +157,7 @@ bench-harness:
 # worker pool are concurrent.
 test-attacks:
 	$(GO) test -race ./internal/attack/
-	$(GO) test -race -run 'Attack|Cohort|StreamAuditGated' ./internal/fl/
+	$(GO) test -race -run 'Attack|Cohort|StreamByDefault' ./internal/fl/
 	$(GO) test -race -run 'CohortAttack' ./internal/fednet/
 	$(GO) test -race -run 'Matrix|Fig5Runner|AblationRunners|OverheadRunner' ./internal/experiment/
 

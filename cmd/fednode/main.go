@@ -16,11 +16,12 @@
 // mapping and data seeds fedsim runs on, so a networked run reproduces
 // `fedsim` with the same -preset, -scenario and -strategy bit for bit
 // (TestServerEqualsFedsim holds the config built from these flags to
-// that). A
-// client process walks the shared training stream to do so but renders
-// and keeps only its own partition — 100 of 3 000 images at the default
-// preset (0.36 MB, 21 ms), 600 of 60 000 at the paper's (2.6 MB,
-// 0.38 s) — and the server renders none: it partitions over the labels.
+// that). Like fedsim, a FedGuard server audits each update as it lands;
+// no flag selects that. A client process walks the shared training
+// stream to reproduce the run but renders and keeps only its own
+// partition — 100 of 3 000 images at the default preset (0.36 MB,
+// 21 ms), 600 of 60 000 at the paper's (2.6 MB, 0.38 s) — and the
+// server renders none: it partitions over the labels.
 //
 // Fault tolerance is off by default (any client failure aborts the run,
 // matching the simulator's semantics). -min-clients enables graceful
@@ -145,7 +146,6 @@ func serverConfig() (experiment.Setup, fednet.Config, fl.Strategy, error) {
 	cfg.DataSeed = setup.TrainDataSeed()
 	cfg.TrainSize = setup.TrainSize
 	cfg.Trace = cli.Trace
-	cfg.StreamAudit = cli.Run.StreamAudit
 	cfg.CheckpointDir = cli.Run.CheckpointDir
 	cfg.CheckpointEvery = cli.Run.CheckpointEvery
 	cfg.Resume = cli.Run.Resume

@@ -1,6 +1,7 @@
 // Command fedsim runs a single federated-learning experiment: one attack
 // scenario under one aggregation strategy at a chosen scale, streaming
-// per-round progress and finishing with summary statistics.
+// per-round progress and finishing with summary statistics. FedGuard
+// audits each update as it lands, and no flag selects that.
 //
 // Examples:
 //
@@ -238,11 +239,10 @@ func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) error {
 		len(scenarios), len(strategies), *matrixWorkers)
 	results, err := experiment.RunMatrix(experiment.Grid(setup, scenarios, strategies),
 		experiment.MatrixOptions{
-			Workers:     *matrixWorkers,
-			Seed:        *seed,
-			StreamAudit: cli.Run.StreamAudit,
-			Telemetry:   tel,
-			Progress:    os.Stderr,
+			Workers:   *matrixWorkers,
+			Seed:      *seed,
+			Telemetry: tel,
+			Progress:  os.Stderr,
 		})
 	if err != nil {
 		return err

@@ -17,7 +17,7 @@ import (
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
 		"preset": "default", "scenario": "no-attack", "strategy": "FedGuard",
-		"server-lr": "0", "seed": "0", "rounds": "0", "samples": "0", "stream-audit": "false",
+		"server-lr": "0", "seed": "0", "rounds": "0", "samples": "0",
 		"checkpoint-dir": "", "checkpoint-every": "1", "resume": "false",
 		"csv": "false", "confusion": "false", "save": "", "list": "false",
 		"matrix": "false", "matrix-workers": "1", "matrix-scenarios": "", "matrix-strategies": "",

@@ -438,7 +438,7 @@ func TestTraceSmoke(t *testing.T) {
 }
 
 // TestTraceStreamOverlap is the streaming-pipeline half of the tracing
-// gate: a traced FedGuard federation with StreamAudit on must surface
+// gate: a traced FedGuard federation, which streams its audit, must surface
 // nonzero audit/upload overlap in the reconstructed per-round report —
 // the proof that decoder synthesis and scoring ran inside the network
 // shadow rather than after the barrier.
@@ -460,15 +460,13 @@ func TestTraceStreamOverlap(t *testing.T) {
 				CVAETrain:  cvae.TrainConfig{Epochs: 1, BatchSize: 16, LR: 1e-3},
 				NumClasses: 10,
 			},
-			TestSubset:  40,
-			Seed:        99,
-			StreamAudit: true,
+			TestSubset: 40,
+			Seed:       99,
 		},
-		ArchName:    "tiny",
-		DataSeed:    1234,
-		TrainSize:   150,
-		StreamAudit: true,
-		Trace:       true,
+		ArchName:  "tiny",
+		DataSeed:  1234,
+		TrainSize: 150,
+		Trace:     true,
 	}
 	dir := t.TempDir()
 	serverLog := filepath.Join(dir, "server.jsonl")

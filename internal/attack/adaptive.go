@@ -46,9 +46,8 @@ type CVAEDataAware interface {
 }
 
 // AGRTailored is implemented by attacks that adapt to the aggregation
-// rule they face (the min-max attack). Runners that know the defense
-// under evaluation — the experiment matrix does — call TailorTo with the
-// strategy name before the run.
+// rule they face (the min-max attack). The round engine (fl.RunRounds)
+// calls TailorTo with its strategy's name before the first round.
 type AGRTailored interface {
 	Attack
 	// TailorTo points the attack at the named aggregation rule

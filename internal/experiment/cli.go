@@ -16,8 +16,7 @@ type CLI struct {
 	Preset, Scenario, Strategy string
 	Events, DebugAddr          string
 	Trace                      bool
-	// Run receives -stream-audit, -checkpoint-dir, -checkpoint-every and
-	// -resume.
+	// Run receives -checkpoint-dir, -checkpoint-every and -resume.
 	Run RunOptions
 	// fs is the flag set BindFlags declared the flags on; Validate asks
 	// it which flags the command line set.
@@ -35,8 +34,6 @@ func BindFlags(fs *flag.FlagSet, defaultPreset Preset) *CLI {
 	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve /healthz, expvar and pprof on this address (e.g. 127.0.0.1:6060)")
 	fs.BoolVar(&c.Trace, "trace", false,
 		"record span trees, exported into the -events log (analyze with fedtrace); over the network trace context propagates (CapTrace) when both endpoints pass it")
-	fs.BoolVar(&c.Run.StreamAudit, "stream-audit", false,
-		"audit each update as it lands instead of after the round barrier (bit-identical results; server-side only, no negotiation)")
 	fs.StringVar(&c.Run.CheckpointDir, "checkpoint-dir", "",
 		"persist a crash-safe run checkpoint to this directory after each round: checkpoint.fgc rewritten per round, one write-once dec-<client>-<hash>.fgw per decoder; stale dec-* files there are pruned")
 	fs.IntVar(&c.Run.CheckpointEvery, "checkpoint-every", 1, "checkpoint cadence in rounds (with -checkpoint-dir)")

@@ -17,7 +17,6 @@ func TestCLIValidate(t *testing.T) {
 		want string // the refusal's text, or "" for a valid command line
 	}{
 		{nil, ""},
-		{[]string{"-stream-audit"}, ""},
 		{[]string{"-checkpoint-dir", "d"}, ""},
 		{[]string{"-checkpoint-dir", "d", "-resume"}, ""},
 		{[]string{"-checkpoint-dir", "d", "-checkpoint-every", "3"}, ""},

@@ -143,8 +143,8 @@ func TestNewStrategyRegistry(t *testing.T) {
 }
 
 // TestFedGuardVariantsStream: every FedGuard variant is a streaming
-// strategy, so -stream-audit audits its updates as they land rather
-// than falling back to the barrier.
+// strategy, so the round engine audits its updates as they land rather
+// than after the barrier.
 func TestFedGuardVariantsStream(t *testing.T) {
 	setup := MustSetup(PresetQuick)
 	for _, name := range ExtendedStrategyNames() {

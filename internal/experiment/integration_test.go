@@ -138,27 +138,48 @@ func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 	// Each audit schedule runs rounds 1–4 at one width, checkpointing
 	// every round, and resumes at the other width for rounds 5–8; the
 	// spliced run must reproduce the uninterrupted one bit for bit. The
-	// first half's leg writes the checkpoint its second half reads.
+	// first half's leg writes the checkpoint its second half reads. The
+	// engine streams every FedGuard round it can, so the barrier splice
+	// hides the strategy's BeginRound.
+	runGuard := func(t *testing.T, setup Setup, width int, barrier bool, opts RunOptions) *fl.History {
+		t.Helper()
+		if !barrier {
+			return run(t, setup, width, "FedGuard", opts)
+		}
+		strat, err := NewStrategy("FedGuard", setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensor.SetWorkers(width)
+		res, err := runStrategy(setup, sc, "FedGuard", barrierOnly{strat}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.History.FinalWeights) == 0 {
+			t.Fatal("no final weights recorded")
+		}
+		return res.History
+	}
 	half := full
 	half.Rounds = full.Rounds / 2
 	for _, splice := range []struct {
 		first, second string
 		widths        [2]int
-		stream        bool
+		barrier       bool
 	}{
-		{"FedGuard", "Audit", [2]int{1, 4}, false},
-		{"FedGuard-stream", "Resume", [2]int{4, 1}, true},
+		{"FedGuard", "Audit", [2]int{1, 4}, true},
+		{"FedGuard-stream", "Resume", [2]int{4, 1}, false},
 	} {
 		dir := t.TempDir()
 		t.Run(splice.first, func(t *testing.T) {
-			h := run(t, half, splice.widths[0], "FedGuard", RunOptions{StreamAudit: splice.stream, CheckpointDir: dir})
+			h := runGuard(t, half, splice.widths[0], splice.barrier, RunOptions{CheckpointDir: dir})
 			sameRecords(t, h.Rounds, fmt.Sprintf("%s rounds 1–%d at width %d", splice.first, half.Rounds, splice.widths[0]))
 		})
 		t.Run(splice.second, func(t *testing.T) {
 			leg := fmt.Sprintf("%s rounds %d–%d at width %d", splice.second, half.Rounds+1, full.Rounds, splice.widths[1])
 			var resumed []int
-			h := run(t, full, splice.widths[1], "FedGuard", RunOptions{
-				StreamAudit: splice.stream, CheckpointDir: dir, Resume: true,
+			h := runGuard(t, full, splice.widths[1], splice.barrier, RunOptions{
+				CheckpointDir: dir, Resume: true,
 				OnRound: func(rec fl.RoundRecord) { resumed = append(resumed, rec.Round) },
 			})
 			if len(resumed) != full.Rounds-half.Rounds || resumed[0] != half.Rounds+1 {
@@ -172,6 +193,10 @@ func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// barrierOnly hides a strategy's BeginRound, so the engine audits its
+// rounds after the barrier: the schedule the stream must equal.
+type barrierOnly struct{ fl.Strategy }
 
 // These tests reproduce the paper's qualitative claims end-to-end at
 // quick-preset scale: under majority model-poisoning attacks the

@@ -45,9 +45,8 @@ type MatrixOptions struct {
 	// sequentially). Results are identical at any setting: every cell is
 	// an independent seeded run and lands at its index.
 	Workers int
-	// Seed and StreamAudit forward into each cell's RunOptions.
-	Seed        uint64
-	StreamAudit bool
+	// Seed forwards into each cell's RunOptions.
+	Seed uint64
 	// Telemetry, when non-nil, receives one MatrixCellCompleted event per
 	// cell as it finishes. With Workers > 1 the emission order follows
 	// completion, not cell order; the returned slice and the CSV writer
@@ -120,10 +119,7 @@ func RunMatrix(cells []Cell, opts MatrixOptions) ([]*Result, error) {
 
 func runCell(c Cell, opts MatrixOptions) *Result {
 	start := time.Now()
-	r, err := Run(c.Setup, c.Scenario, c.Strategy, RunOptions{
-		Seed:        opts.Seed,
-		StreamAudit: opts.StreamAudit,
-	})
+	r, err := Run(c.Setup, c.Scenario, c.Strategy, RunOptions{Seed: opts.Seed})
 	if err != nil {
 		r = &Result{Scenario: c.Scenario, History: &fl.History{}, LastN: c.Setup.LastN, Err: err}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"fedguard/internal/attack"
 	"fedguard/internal/fl"
 	"fedguard/internal/persist"
 	"fedguard/internal/telemetry"
@@ -87,11 +86,6 @@ type RunOptions struct {
 	// with tracing enabled, its span tree (threaded into
 	// fl.FederationConfig).
 	Telemetry *telemetry.T
-	// StreamAudit enables the streaming round pipeline: strategies that
-	// implement fl.StreamingStrategy audit each update as it lands
-	// instead of waiting for the round barrier. Bit-identical results
-	// either way; this only reorders the server's compute.
-	StreamAudit bool
 	// CheckpointDir enables crash-safe round checkpointing when non-empty:
 	// the full federation state (global weights, RNG streams, history,
 	// client CVAE decoders) is atomically persisted after each
@@ -109,6 +103,16 @@ type RunOptions struct {
 // Run executes one (setup, scenario, strategy) cell and returns its
 // result.
 func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Result, error) {
+	strat, err := NewStrategy(strategyName, setup)
+	if err != nil {
+		return nil, err
+	}
+	return runStrategy(setup, sc, strategyName, strat, opts)
+}
+
+// runStrategy is Run with the strategy already built; strategyName labels
+// the result.
+func runStrategy(setup Setup, sc Scenario, strategyName string, strat fl.Strategy, opts RunOptions) (*Result, error) {
 	cfg := setup.Federation(sc)
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
@@ -117,17 +121,9 @@ func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	if tt, ok := att.(attack.AGRTailored); ok {
-		tt.TailorTo(strategyName)
-	}
-	strat, err := NewStrategy(strategyName, setup)
-	if err != nil {
-		return nil, err
-	}
 	train, test, _ := setup.Data()
 
 	cfg.Telemetry = opts.Telemetry
-	cfg.StreamAudit = opts.StreamAudit
 	if sc.MaliciousFraction > 0 {
 		cfg.Attack = att
 	}

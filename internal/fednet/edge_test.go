@@ -298,7 +298,6 @@ func TestNonFiniteUploadsOverLoopback(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.MinClientsPerRound = 1
-	cfg.StreamAudit = true
 	modelSize, decoderSize := len(fl.InitialGlobal(cfg.Experiment)), cvae.DecoderSize(cfg.Experiment.Client.CVAE)
 	bad := firstSampled(cfg)
 	for _, tc := range []struct {
@@ -390,7 +389,6 @@ func TestRefusedDecoderIsNeverCached(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.MinClientsPerRound = 1
-	cfg.StreamAudit = true
 	cfg.Compress = true
 	cfg.CheckpointDir = t.TempDir()
 	modelSize, decoderSize := len(fl.InitialGlobal(cfg.Experiment)), cvae.DecoderSize(cfg.Experiment.Client.CVAE)

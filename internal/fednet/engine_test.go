@@ -32,13 +32,9 @@ func inProcess(t *testing.T, cfg Config, strategy fl.Strategy, test *dataset.Dat
 // runInProcess is inProcess for runs that may fail.
 func runInProcess(cfg Config, strategy fl.Strategy, test *dataset.Dataset) (*fl.History, error) {
 	inCfg := cfg.Experiment
-	inCfg.StreamAudit = cfg.StreamAudit
 	att, err := attack.ByName(cfg.AttackName, attack.CollusionSeed(inCfg.Seed))
 	if err != nil {
 		return nil, err
-	}
-	if tt, ok := att.(attack.AGRTailored); ok {
-		tt.TailorTo(strategy.Name())
 	}
 	inCfg.Attack = att
 	train := dataset.Generate(cfg.TrainSize, dataset.DefaultGenOptions(), rng.New(cfg.DataSeed))
@@ -83,7 +79,7 @@ func expectSameRun(t *testing.T, got, want *fl.History) {
 // are the same attack as in-process — networked malicious clients upload
 // their drafts and the engine rewrites them jointly after the barrier —
 // so the final weights are byte-equal, under a mean and under a
-// selecting aggregator, with stream audit requested.
+// selecting aggregator.
 func TestLoopbackCohortAttackMatchesInProcess(t *testing.T) {
 	test := testSet()
 	for _, attackName := range []string{"alie", "min-max"} {
@@ -97,7 +93,6 @@ func TestLoopbackCohortAttackMatchesInProcess(t *testing.T) {
 				cfg.Experiment.PerRound = 6
 				cfg.Experiment.MaliciousFraction = 0.3
 				cfg.AttackName = attackName
-				cfg.StreamAudit = true
 				netHist := runLoopback(t, cfg, newStrategy(), test, ClientOptions{})
 				inHist := inProcess(t, cfg, newStrategy(), test)
 				expectSameRun(t, netHist, inHist)

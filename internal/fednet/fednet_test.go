@@ -106,7 +106,7 @@ var (
 		if err != nil {
 			return nil, err
 		}
-		return runInProcess(quickConfig(), guard, quickTestSet())
+		return runInProcess(quickConfig(), barrierOnly{guard}, quickTestSet())
 	}}
 	// quickStreamRun is the quick-preset FedGuard federation over
 	// loopback TCP with the codec, streaming audit and encode-once
@@ -119,7 +119,6 @@ var (
 		}
 		cfg := quickConfig()
 		cfg.Compress = true
-		cfg.StreamAudit = true
 		srv, err := NewServer(cfg, quickTestSet(), guard)
 		if err != nil {
 			return nil, err

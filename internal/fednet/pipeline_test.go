@@ -23,11 +23,15 @@ func newTestGuard() *defense.FedGuard {
 		cvae.Config{Input: 784, Hidden: 16, Latent: 2, Classes: 10})
 }
 
+// barrierOnly hides a strategy's BeginRound, so the round engine audits
+// its rounds after the barrier: the schedule the stream must equal.
+type barrierOnly struct{ fl.Strategy }
+
 // TestStreamAuditLoopbackMatchesBarrier is the round-pipeline
-// determinism pin: a streaming-audit FedGuard federation must finish
-// with byte-identical weights and decisions to the barrier ordering, for
-// several experiment seeds, over the compressed wire path (so
-// encode-once broadcast sharing is in the loop too).
+// determinism pin: a FedGuard federation, which streams its audit, must
+// finish with byte-identical weights and decisions to the barrier
+// ordering, for several experiment seeds, over the compressed wire path
+// (so encode-once broadcast sharing is in the loop too).
 func TestStreamAuditLoopbackMatchesBarrier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains CVAEs over the network, twice per seed")
@@ -39,9 +43,7 @@ func TestStreamAuditLoopbackMatchesBarrier(t *testing.T) {
 			cfg.Experiment.Seed = seed
 			cfg.Compress = true
 
-			barrier := runLoopback(t, cfg, newTestGuard(), test, ClientOptions{Compress: true})
-
-			cfg.StreamAudit = true
+			barrier := runLoopback(t, cfg, barrierOnly{newTestGuard()}, test, ClientOptions{Compress: true})
 			streamed := runLoopback(t, cfg, newTestGuard(), test, ClientOptions{Compress: true})
 
 			if !reflect.DeepEqual(barrier.FinalWeights, streamed.FinalWeights) {
@@ -61,9 +63,9 @@ func TestStreamAuditLoopbackMatchesBarrier(t *testing.T) {
 // TestStreamAuditQuickPreset is the pipeline acceptance run: the quick
 // experiment preset with streaming audit plus encode-once broadcasts
 // over the codec lands on the bytes of the in-process barrier run. The
-// streamed in-process run is experiment's
-// TestIntegrationPoolWidthDeterminism splice: rounds 1–4 at width 4
-// (FedGuard-stream) resumed at width 1 (Resume).
+// streamed in-process run is experiment's canonical FedGuard run, and
+// its TestIntegrationPoolWidthDeterminism splice: rounds 1–4 at width 1
+// (FedGuard) resumed at width 4 (Resume).
 func TestStreamAuditQuickPreset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a networked quick-preset federation beside the shared in-process one")
@@ -79,20 +81,19 @@ func TestStreamAuditMixedPeersMatchesBarrier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains CVAEs over the network, twice")
 	}
-	run := func(streamAudit bool, tel *telemetry.T) *fl.History {
+	run := func(strategy fl.Strategy, tel *telemetry.T) *fl.History {
 		cfg := testConfig()
 		cfg.Compress = true
-		cfg.StreamAudit = streamAudit
 		cfg.Telemetry = tel
 		// Even IDs advertise the codec, odd IDs stay raw.
 		mixed := func(addr string, id int) error { return RunClient(addr, id, ClientOptions{Compress: id%2 == 0}) }
-		return loopback{client: mixed}.mustRun(t, newServer(t, cfg, testSet(), newTestGuard()))
+		return loopback{client: mixed}.mustRun(t, newServer(t, cfg, testSet(), strategy))
 	}
-	barrier := run(false, nil)
+	barrier := run(barrierOnly{newTestGuard()}, nil)
 	var sink telemetry.CollectSink
 	tel := telemetry.New(&sink)
 	tel.EnableTracing("server")
-	streamed := run(true, tel)
+	streamed := run(newTestGuard(), tel)
 	if !reflect.DeepEqual(barrier.FinalWeights, streamed.FinalWeights) {
 		t.Fatal("streaming audit with mixed peers diverged from barrier run")
 	}
@@ -132,14 +133,12 @@ func TestStreamAuditChaosMatchesBarrier(t *testing.T) {
 			},
 		}
 	}
-	run := func(streamAudit bool) *fl.History {
-		cfg := chaosConfig()
-		cfg.StreamAudit = streamAudit
-		h, _ := runChaos(t, cfg, newTestGuard(), plan(), ClientOptions{})
+	run := func(strategy fl.Strategy) *fl.History {
+		h, _ := runChaos(t, chaosConfig(), strategy, plan(), ClientOptions{})
 		return h
 	}
-	barrier := run(false)
-	streamed := run(true)
+	barrier := run(barrierOnly{newTestGuard()})
+	streamed := run(newTestGuard())
 	if len(barrier.Rounds) != len(streamed.Rounds) {
 		t.Fatalf("round counts differ: %d vs %d", len(barrier.Rounds), len(streamed.Rounds))
 	}

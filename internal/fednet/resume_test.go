@@ -242,7 +242,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			g.Samples = 8
 			return g
 		}
-		baseline := runLoopback(t, base, newGuard(), test, ClientOptions{})
+		baseline := runLoopback(t, base, barrierOnly{newGuard()}, test, ClientOptions{})
 		for _, compress := range []bool{false, true} {
 			for _, streamAudit := range []bool{false, true} {
 				for k := 1; k < base.Experiment.Rounds; k++ {
@@ -250,8 +250,11 @@ func TestCrashPointMatrix(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						cfg := base
 						cfg.Compress = compress
-						cfg.StreamAudit = streamAudit
-						resumed := runKillResume(t, cfg, test, newGuard, resilientOpts(compress), k)
+						newStrategy := newGuard
+						if !streamAudit {
+							newStrategy = func() fl.Strategy { return barrierOnly{newGuard()} }
+						}
+						resumed := runKillResume(t, cfg, test, newStrategy, resilientOpts(compress), k)
 						expectSameRun(t, resumed, baseline)
 					})
 				}

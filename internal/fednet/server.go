@@ -66,8 +66,8 @@ import (
 // hyperparameters). NewServer overwrites the Experiment fields
 // this Config states in networked form: Attack and Client.Arch come from
 // AttackName and ArchName — both travel by name so remote clients can
-// construct their own — and Telemetry, StreamAudit and the checkpoint
-// sink and cadence from the fields below.
+// construct their own — and Telemetry and the checkpoint sink and
+// cadence from the fields below.
 type Config struct {
 	Experiment fl.FederationConfig
 	// AttackName is the malicious clients' attack ("" or "none" = benign
@@ -129,15 +129,12 @@ type Config struct {
 	// their own.
 	Trace bool
 
-	// StreamAudit overlaps the strategy's per-update audit with the
-	// round's upload phase when the strategy implements
-	// fl.StreamingStrategy (FedGuard): each client's update is handed to
-	// the round's stream the moment it is decoded, so decoder synthesis
-	// and scoring hide in the network shadow instead of running serially
-	// after the quorum barrier. Results are byte-identical to the barrier
-	// path — on drop-outs or any stream inconsistency the round falls
-	// back to the batch computation internally. false keeps the strict
-	// barrier ordering.
+	// StreamAudit is ignored: the round engine audits each update as it
+	// lands whenever the strategy implements fl.StreamingStrategy and the
+	// round has no cohort rewrite.
+	//
+	// Deprecated: nothing reads it; it remains only because the
+	// benchmark harness still sets it.
 	StreamAudit bool
 
 	// CheckpointDir enables crash-safe round checkpointing when non-empty:
@@ -232,8 +229,8 @@ type decoderCache struct {
 // round engine's fl.FederationConfig: the named architecture and attack
 // become instances (the server-side attack instance performs the
 // post-barrier cohort rewrite for colluding attacks, exactly as the
-// in-process federation does), and telemetry, stream audit and
-// checkpointing move from their Config fields into Experiment.
+// in-process federation does), and telemetry and checkpointing move
+// from their Config fields into Experiment.
 func NewServer(cfg Config, test *dataset.Dataset, strategy fl.Strategy) (*Server, error) {
 	arch, err := classifier.ByName(cfg.ArchName)
 	if err != nil {
@@ -247,9 +244,6 @@ func NewServer(cfg Config, test *dataset.Dataset, strategy fl.Strategy) (*Server
 	att, err := attack.ByName(cfg.AttackName, attack.CollusionSeed(exp.Seed))
 	if err != nil {
 		return nil, err
-	}
-	if t, ok := att.(attack.AGRTailored); ok {
-		t.TailorTo(strategy.Name())
 	}
 	if cfg.TrainSize <= 0 {
 		return nil, fmt.Errorf("fednet: TrainSize = %d", cfg.TrainSize)
@@ -267,7 +261,6 @@ func NewServer(cfg Config, test *dataset.Dataset, strategy fl.Strategy) (*Server
 	exp.Client.Arch = arch
 	exp.Attack = att
 	exp.Telemetry = cfg.Telemetry
-	exp.StreamAudit = cfg.StreamAudit
 	exp.CheckpointEvery = cfg.CheckpointEvery
 	exp.CheckpointSink = nil
 	if dir := cfg.CheckpointDir; dir != "" {

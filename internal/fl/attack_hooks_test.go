@@ -108,15 +108,18 @@ func TestClientAttackHookDispatch(t *testing.T) {
 }
 
 // cohortSpy is a CohortAware attack that stamps every colluder draft
-// with a sentinel value and records the cohort IDs it was shown.
+// with a sentinel value and records the cohort IDs it was shown. It is
+// AGRTailored too, and records the strategy it was pointed at.
 type cohortSpy struct {
-	sentinel float32
+	sentinel   float32
+	tailoredTo string
 
 	mu      sync.Mutex
 	cohorts [][]int
 }
 
-func (s *cohortSpy) Name() string { return "cohort-spy" }
+func (s *cohortSpy) Name() string             { return "cohort-spy" }
+func (s *cohortSpy) TailorTo(strategy string) { s.tailoredTo = strategy }
 func (s *cohortSpy) PoisonData(ds *dataset.Dataset, indices []int) (*dataset.Dataset, []int) {
 	return ds, indices
 }
@@ -167,8 +170,9 @@ func (c *cohortChecker) Aggregate(ctx *RoundContext) ([]float32, error) {
 
 // TestFederationCohortAttackRewrite drives a real federation with a
 // CohortAware attack and checks that exactly the sampled malicious
-// drafts are rewritten at the round barrier, and that the cohort hook
-// sees IDs in ascending order (the determinism contract).
+// drafts are rewritten at the round barrier, that the cohort hook sees
+// IDs in ascending order (the determinism contract), and that the
+// engine tailored the attack to the strategy it ran.
 func TestFederationCohortAttackRewrite(t *testing.T) {
 	train := dataset.Generate(120, dataset.DefaultGenOptions(), rng.New(50))
 	test := dataset.Generate(30, dataset.DefaultGenOptions(), rng.New(51))
@@ -186,6 +190,9 @@ func TestFederationCohortAttackRewrite(t *testing.T) {
 	}
 	if check.rounds != cfg.Rounds {
 		t.Fatalf("strategy saw %d rounds, want %d", check.rounds, cfg.Rounds)
+	}
+	if spy.tailoredTo != check.Name() {
+		t.Fatalf("attack tailored to %q, want %q", spy.tailoredTo, check.Name())
 	}
 	for _, ids := range spy.cohorts {
 		if !sort.IntsAreSorted(ids) {
@@ -212,12 +219,12 @@ func (s *streamSpy) BeginRound(ctx *RoundContext, m int) RoundStream {
 	return nil
 }
 
-// TestStreamAuditGatedByCohortAttack pins the interaction between the
-// streaming audit and cohort attacks: streamed updates would be
-// pre-rewrite, so rounds where a CohortAware attack has sampled
-// malicious clients must not open a stream, while a benign federation
-// streams every round.
-func TestStreamAuditGatedByCohortAttack(t *testing.T) {
+// TestStreamByDefaultGatedByCohortAttack pins when the engine streams:
+// with no option set it opens a stream on every round of a streaming
+// strategy, except where a CohortAware attack has sampled malicious
+// clients — streamed updates would be pre-rewrite, so those rounds must
+// not open one.
+func TestStreamByDefaultGatedByCohortAttack(t *testing.T) {
 	train := dataset.Generate(120, dataset.DefaultGenOptions(), rng.New(52))
 	test := dataset.Generate(30, dataset.DefaultGenOptions(), rng.New(53))
 
@@ -227,7 +234,6 @@ func TestStreamAuditGatedByCohortAttack(t *testing.T) {
 	cfg := tinyFederationConfig()
 	cfg.MaliciousFraction = 1.0
 	cfg.Attack = spy
-	cfg.StreamAudit = true
 	fed, err := NewFederation(train, test, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +248,6 @@ func TestStreamAuditGatedByCohortAttack(t *testing.T) {
 
 	// Benign federation: the stream opens every round.
 	cfg = tinyFederationConfig()
-	cfg.StreamAudit = true
 	fed, err = NewFederation(train, test, cfg)
 	if err != nil {
 		t.Fatal(err)

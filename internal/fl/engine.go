@@ -124,6 +124,10 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 		startRound = resume.Round + 1
 		tel.Emit(telemetry.RunResumed{Round: resume.Round, Strategy: strategy.Name()})
 	}
+	// An attack that adapts to the aggregation rule faces this run's.
+	if t, ok := cfg.Attack.(attack.AGRTailored); ok {
+		t.TailorTo(strategy.Name())
+	}
 	cohortAttack, _ := cfg.Attack.(attack.CohortAware)
 	every := max(cfg.CheckpointEvery, 1)
 
@@ -148,13 +152,14 @@ func RunRounds(cfg FederationConfig, test *dataset.Dataset, strategy Strategy, c
 			RNG:    serverRNG.Split(),
 			Report: map[string]float64{},
 		}
-		// A cohort-aware attack rewrites the malicious drafts after the
+		// A streaming strategy audits each update as it lands. A
+		// cohort-aware attack rewrites the malicious drafts after the
 		// round barrier, so updates streamed as they land would be
 		// pre-rewrite; rounds with such a cohort fall back to the batch
 		// audit path (benign rounds still stream).
 		rewrite := cohortAttack != nil && maliciousSampled > 0
 		var stream RoundStream
-		if cfg.StreamAudit && !rewrite {
+		if !rewrite {
 			if ss, ok := strategy.(StreamingStrategy); ok {
 				stream = ss.BeginRound(ctx, len(sampled))
 			}

@@ -108,7 +108,6 @@ func engineTestSet() *dataset.Dataset {
 func TestEngineTrainErrorAbortsStream(t *testing.T) {
 	cfg := tinyFederationConfig()
 	cfg.Rounds = 3
-	cfg.StreamAudit = true
 	strat := &countingStreams{}
 	onRound := 0
 	h, err := RunRounds(cfg, engineTestSet(), strat, &fakeCohort{failAt: 2}, nil, nil,
@@ -206,7 +205,6 @@ func TestAdmissible(t *testing.T) {
 func TestEngineExpelsRefusedUpdates(t *testing.T) {
 	cfg := tinyFederationConfig()
 	cfg.Rounds = 1
-	cfg.StreamAudit = true
 	sink := &telemetry.CollectSink{}
 	cfg.Telemetry = telemetry.New(sink)
 	sampled := rng.New(rng.DeriveSeed(cfg.Seed, "server", 0)).Sample(cfg.NumClients, cfg.PerRound)

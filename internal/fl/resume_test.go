@@ -150,27 +150,36 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// barrierOnly hides a strategy's BeginRound, so the engine audits its
+// rounds after the barrier: the schedule the stream must equal.
+type barrierOnly struct{ fl.Strategy }
+
 // TestResumeFedGuardCrashPoints is the defense-strategy matrix: FedGuard
 // under a sign-flip attack, killed after every interior round, in both
-// barrier and streaming audit modes. The client CVAE decoders and every
-// RNG stream must survive the checkpoint for the exclusion sequence to
-// reproduce.
+// barrier and streaming audit schedules, each held to the uninterrupted
+// barrier run. The client CVAE decoders and every RNG stream must
+// survive the checkpoint for the exclusion sequence to reproduce.
 func TestResumeFedGuardCrashPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains CVAEs across multiple full federations")
 	}
 	train, test := resumeData(t)
+	cfg := resumeConfig()
+	newGuard := func() fl.Strategy {
+		g := defense.NewFedGuard(cfg.Client.Arch, cvae.Config{
+			Input: 784, Hidden: 16, Latent: 2, Classes: 10,
+		})
+		g.Samples = 8
+		return g
+	}
+	baseline := mustRun(t, cfg, train, test, barrierOnly{newGuard()})
 	for _, streaming := range []bool{false, true} {
-		cfg := resumeConfig()
-		cfg.StreamAudit = streaming
 		newStrategy := func() fl.Strategy {
-			g := defense.NewFedGuard(cfg.Client.Arch, cvae.Config{
-				Input: 784, Hidden: 16, Latent: 2, Classes: 10,
-			})
-			g.Samples = 8
-			return g
+			if streaming {
+				return newGuard()
+			}
+			return barrierOnly{newGuard()}
 		}
-		baseline := mustRun(t, cfg, train, test, newStrategy())
 		for k := 1; k < cfg.Rounds; k++ {
 			t.Run(fmt.Sprintf("stream=%v/k=%d", streaming, k), func(t *testing.T) {
 				resumed := runKillResume(t, cfg, train, test, newStrategy, k)

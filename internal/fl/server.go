@@ -31,18 +31,10 @@ type FederationConfig struct {
 	MaliciousFraction float64
 	// Attack is the shared attack instance for all malicious clients
 	// (sharing is what lets additive-noise attackers collude). nil means
-	// benign.
+	// benign. RunRounds tailors an attack.AGRTailored to its strategy.
 	Attack attack.Attack
 	// Client bundles the per-client model/training configuration.
 	Client ClientConfig
-	// StreamAudit overlaps the strategy's per-update audit work with
-	// client training when the strategy implements StreamingStrategy
-	// (FedGuard): each update is submitted to the round's stream as its
-	// client finishes, so decoder synthesis and scoring run in parallel
-	// with the remaining clients instead of serially after the barrier.
-	// Results are byte-identical either way; false keeps the pure
-	// barrier-then-aggregate ordering.
-	StreamAudit bool
 	// CheckpointSink, when non-nil, receives a full resumable snapshot
 	// after every CheckpointEvery-th round, before onRound fires — so a
 	// crash anywhere after round k's snapshot resumes at k+1. A sink
