@@ -179,14 +179,13 @@ test-codec:
 
 # test-resume is the crash-recovery gate: checkpoint format pins and
 # fuzz-adjacent rejection tests in persist, the in-process kill/resume
-# suite in fl (a history-driven sampler's resume included), and the
-# networked drill in fednet — a server killed at
+# suite in fl, and the networked drill in fednet — a server killed at
 # each interior round boundary (and once mid-round, after uploads but
 # before aggregation) resumes on the same address against surviving
 # resilient clients with bit-identical results. Race on — the drill
 # spans two server lifetimes of concurrent sockets. -short keeps the
-# full 3-seed × raw/codec × barrier/stream FedGuard crash-point matrix
-# out of the CI budget; `go test ./...` still covers it.
+# full 3-seed × raw/codec × streamed/after-barrier FedGuard crash-point
+# matrix out of the CI budget; `go test ./...` still covers it.
 test-resume:
 	$(GO) test ./internal/persist/
 	$(GO) test -race -short -run 'Resume|Checkpoint' ./internal/fl/

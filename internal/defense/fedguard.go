@@ -99,7 +99,7 @@ func (g *FedGuard) synthesized(ctx *fl.RoundContext) (*AuditStream, error) {
 	for slot, u := range ctx.Updates {
 		s.Submit(slot, u)
 	}
-	if err := s.drain(); err != nil {
+	if err := s.drain(true); err != nil {
 		s.Abort()
 		return nil, err
 	}
@@ -137,12 +137,12 @@ func (g *FedGuard) Synthesize(ctx *fl.RoundContext) (*tensor.Tensor, []int, erro
 		return nil, nil, err
 	}
 	s.Abort()
-	x := tensor.New(s.t, 1, dataset.ImageH, dataset.ImageW)
+	x := tensor.New(s.plan.t, 1, dataset.ImageH, dataset.ImageW)
 	size := g.CVAECfg.Input
-	for row, i := range s.rowSample {
+	for row, i := range s.plan.rows {
 		copy(x.Data[i*size:(i+1)*size], s.x.Data[row*size:(row+1)*size])
 	}
-	return x, s.labels, nil
+	return x, s.plan.labels, nil
 }
 
 // drawPlan makes every random draw of a round of m updates, in the
@@ -190,14 +190,4 @@ func (g *FedGuard) assignSamples(labels []int, nd int, decoderClasses [][]int) [
 		}
 	}
 	return assign
-}
-
-// workers bounds the goroutines that synthesize and score: the tensor
-// pool's width, capped by the independent work available. Any width
-// produces bit-identical results: every RNG draw happens before the
-// workers start, a synthetic row depends only on its own (z, y) and
-// decoder, scores are integer hit counts kept per update and the mean is
-// reduced serially — parallelism changes only wall-clock time.
-func (g *FedGuard) workers(jobs int) int {
-	return max(min(tensor.Workers(), jobs), 1)
 }

@@ -2,6 +2,7 @@ package defense
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,79 +17,164 @@ import (
 
 // The audit plan is FedGuard's one implementation of Alg. 1 lines 1–5;
 // the barrier audit (Aggregate) and the streaming audit (BeginRound,
-// Submit, Finalize) are two arrival schedules of it. The whole round is
-// fixed the moment the participant count m is known: every RNG draw
-// (latents, labels) happens up front, on a clone of the round RNG so
-// that the original stays pristine for a plan re-begun on the delivered
-// updates. Work then unlocks as updates arrive. Slot d's
-// arrival binds decoder d; once the samples are partitioned over the
-// decoders — at once when round-robin, at the last arrival when
-// class-routed, which needs every decoder's class list — a bound
-// decoder's block can be synthesized, and its rows join the set in
-// the order blocks complete. An arrived update is scored against every
-// row that is ready and that it has not yet seen, in one job and one
-// LoadParams, but only once a slab of rows — a quarter of the set — is
-// waiting for it or the set is complete: at most scorePasses jobs per
-// update however many decoders there are. A row's pixels depend only on
-// its own (z, y) and decoder, the forward pass is per-row, and hits are
-// summed as integers, so the accuracies — and therefore the filtered
-// aggregate — are byte-identical at any worker count, arrival order and
-// schedule.
+// Submit, Finalize) are two arrival schedules of it. Every RNG draw
+// happens once m is known, on a clone of the round RNG, so the original
+// stays pristine for a plan re-begun on the delivered updates. The plan
+// is a single-threaded core, auditPlan, that chooses jobs — no lock, no
+// goroutine, no clock, so a test walks every state it reaches — and a
+// pool, AuditStream, that runs them on the audit models. Slot d's
+// arrival binds decoder d; once the samples are partitioned — at once
+// when round-robin, at the last arrival when class-routed — a bound
+// decoder's block is synthesized and its rows join the set in the order
+// blocks complete. An arrived update is scored against every ready row
+// it has not seen, in one job and one LoadParams, once a slab is waiting
+// for it or the set is complete. A row's pixels depend only on its own
+// (z, y) and decoder, the forward pass is per-row, and hits are summed
+// as integers, so the accuracies — and the filtered aggregate — are
+// byte-identical at any worker count, arrival order and schedule.
 
 // scorePasses is how many slabs the synthetic set is scored in: a slab
-// is ⌈t/scorePasses⌉ rows. It bounds both the scoring jobs one update
-// can take on the stream schedule and the batch an audit model ever
-// sees, so a model's pooled-activation and dense-layer buffers — all of
-// its scratch that grows with the batch — are sized once by its first
-// slab rather than regrown for every larger backlog (tensor.Ensure
-// grows exactly). Scoring costs the same per row at any batch size, so
-// the slab is not a tuning knob.
+// is ⌈t/scorePasses⌉ rows. It bounds the scoring jobs one update takes
+// and the batch an audit model ever sees, so a model's batch-sized
+// scratch is sized once by its first slab rather than regrown for every
+// larger backlog (tensor.Ensure grows exactly). Scoring costs the same
+// per row at any batch size, so the slab is not a tuning knob.
 const scorePasses = 4
 
-// AuditStream is one round's audit plan and FedGuard's fl.RoundStream.
-// A FedGuard instance runs at most one at a time (it borrows the shared
-// audit models).
-type AuditStream struct {
-	g    *FedGuard
-	m, t int // expected updates, synthetic samples
-	slab int // rows per forward pass
+// job is one unit of audit work: block's synthesis when block >= 0,
+// else slot's scoring of rows [lo, hi). A value: it allocates nothing.
+type job struct{ block, slot, lo, hi int }
 
-	// The drawn plan, read-only once begin returns.
-	z      *tensor.Tensor // latents by sample, (t, Latent)
-	labels []int          // conditioning labels by sample
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	wg       sync.WaitGroup
-	hold     bool // barrier schedule: no scoring until scores releases it
-	closed   bool
-	misused  bool // a slot out of range or submitted twice
-	inflight int
-	busy     time.Duration
-	// synthJobs and scoreJobs count finished jobs. A scoring job is one
-	// LoadParams.
-	synthJobs, scoreJobs int
+// auditPlan is the audit's job choice: arrivals go in through submit,
+// the enabled job comes out of next, a finished one goes back through
+// done.
+type auditPlan struct {
+	g                     *FedGuard
+	labels                []int // conditioning labels by sample
+	m, t, slab            int   // expected updates, synthetic samples, rows per slab
+	hold, closed, misused bool  // hold: the barrier's, no scoring until cleared
 	// errs holds slot d's decoder error at d and slot j's weights error
-	// at m+j: the lowest index is the round's error whatever the arrival
-	// order.
+	// at m+j: the lowest index is the round's error whatever the order.
 	errs []error
 
-	// By decoder, which is by slot.
-	unbound  int // slots not yet submitted
-	decoders []*cvae.Decoder
-	classes  [][]int
-	samples  [][]int // sample indices the block is yet to generate; nil until assigned
-
-	// The synthetic set, rows in the order blocks completed.
-	x         *tensor.Tensor // (t, 1, H, W); rows [0, len(rowLabel)) are ready
-	rowLabel  []int
-	rowSample []int
+	// By decoder, which is by slot; decoder d is bound once slot d has
+	// arrived without a decoder error.
+	classes [][]int
+	samples [][]int // sample indices by block; nil until assigned
+	claimed []bool
+	rows    []int // sample index by row, in the order blocks completed
 
 	// By slot.
 	arrived []bool
-	updates []fl.Update
 	scored  []int // rows claimed by the slot's scoring jobs
 	hits    []int // summed argmax hits
+}
+
+// newAuditPlan begins the plan for m updates over labels' samples.
+func newAuditPlan(g *FedGuard, labels []int, m int, hold bool) auditPlan {
+	t := len(labels)
+	p := auditPlan{g: g, labels: labels, m: m, t: t, slab: (t + scorePasses - 1) / scorePasses, hold: hold,
+		errs: make([]error, 2*m), classes: make([][]int, m), claimed: make([]bool, m),
+		rows: make([]int, 0, t), arrived: make([]bool, m), scored: make([]int, m), hits: make([]int, m)}
+	p.assign()
+	return p
+}
+
+// assign partitions the samples over the decoders as soon as that can be
+// done: at once when round-robin, once every slot has brought its class
+// list when class-routed.
+func (p *auditPlan) assign() {
+	if p.samples != nil || (p.g.UseDecoderClasses && slices.Contains(p.arrived, false)) {
+		return
+	}
+	p.samples = make([][]int, p.m)
+	for i, d := range p.g.assignSamples(p.labels, p.m, p.classes) {
+		p.samples[d] = append(p.samples[d], i)
+	}
+}
+
+// submit records slot's arrival, its decoder's class list and error,
+// and reports whether it was taken: a slot out of range or submitted
+// twice marks the plan misused instead; a closed plan takes nothing.
+func (p *auditPlan) submit(slot int, classes []int, err error) bool {
+	if p.closed || slot < 0 || slot >= p.m || p.arrived[slot] {
+		p.misused = p.misused || !p.closed
+		return false
+	}
+	p.arrived[slot] = true
+	p.classes[slot], p.errs[slot] = classes, err
+	p.assign()
+	return true
+}
+
+// enabled returns the job to run next without handing it out: the
+// lowest block whose decoder is bound and whose samples are assigned,
+// else the lowest arrived slot with enough ready rows it has not seen —
+// a slab, or whatever is left of a complete set. Empty blocks (t < m)
+// have nothing to synthesize; their decoders are validated all the same.
+func (p *auditPlan) enabled() (job, bool) {
+	if p.closed {
+		return job{}, false
+	}
+	for d, idxs := range p.samples {
+		if len(idxs) > 0 && !p.claimed[d] && p.arrived[d] && p.errs[d] == nil {
+			return job{block: d, slot: -1}, true
+		}
+	}
+	ready := len(p.rows)
+	for j, n := range p.scored {
+		if !p.hold && p.arrived[j] && n < ready && (ready == p.t || ready-n >= p.slab) {
+			return job{block: -1, slot: j, lo: n, hi: ready}, true
+		}
+	}
+	return job{}, false
+}
+
+// next hands out the enabled job, if any.
+func (p *auditPlan) next() (job, bool) {
+	j, ok := p.enabled()
+	if ok && j.block >= 0 {
+		p.claimed[j.block] = true
+	} else if ok {
+		p.scored[j.slot] = j.hi
+	}
+	return j, ok
+}
+
+// done takes a finished job back: a block's rows join the set, a
+// scoring job's hits its slot's; a scoring error ends the slot's
+// scoring, since no further job can do better.
+func (p *auditPlan) done(j job, hits int, err error) {
+	if j.block >= 0 {
+		p.rows = append(p.rows, p.samples[j.block]...)
+		return
+	}
+	p.hits[j.slot] += hits
+	if err != nil {
+		p.errs[p.m+j.slot] = err
+		p.scored[j.slot] = p.t
+	}
+}
+
+// AuditStream is one round's audit plan and FedGuard's fl.RoundStream:
+// the pool that runs the plan's jobs. A FedGuard instance runs at most
+// one at a time (it borrows the shared audit models).
+type AuditStream struct {
+	g              *FedGuard
+	z              *tensor.Tensor // latents by sample, (t, Latent)
+	mu             sync.Mutex
+	cond           *sync.Cond
+	wg             sync.WaitGroup
+	plan           auditPlan
+	inflight, jobs int // jobs: finished
+	busy           time.Duration
+	decoders       []*cvae.Decoder // by slot
+	updates        []fl.Update     // by slot
+	// The synthetic set: rows [0, len(plan.rows)) of x are ready, rowLabel
+	// their labels. Ready rows are never written again and rowLabel never
+	// reallocates, so jobs read them unlocked.
+	x        *tensor.Tensor // (t, 1, H, W)
+	rowLabel []int
 }
 
 var _ fl.StreamingStrategy = (*FedGuard)(nil)
@@ -97,11 +183,10 @@ var _ fl.StreamingStrategy = (*FedGuard)(nil)
 // empty round and for a mis-shaped CVAE config, which Aggregate reports
 // as the usual error.
 func (g *FedGuard) BeginRound(ctx *fl.RoundContext, m int) fl.RoundStream {
-	s, err := g.begin(ctx, m, false)
-	if err != nil {
-		return nil
+	if s, err := g.begin(ctx, m, false); err == nil {
+		return s
 	}
-	return s
+	return nil
 }
 
 // begin draws the plan for m updates and starts its workers.
@@ -114,26 +199,11 @@ func (g *FedGuard) begin(ctx *fl.RoundContext, m int, hold bool) (*AuditStream, 
 		return nil, aggregate.ErrNoUpdates
 	}
 	z, labels := g.drawPlan(ctx.RNG.Clone(), m)
-	t := len(labels)
-	s := &AuditStream{
-		g: g, m: m, t: t, slab: (t + scorePasses - 1) / scorePasses,
-		z: z, labels: labels,
-		hold:      hold,
-		errs:      make([]error, 2*m),
-		unbound:   m,
-		decoders:  make([]*cvae.Decoder, m),
-		classes:   make([][]int, m),
-		x:         tensor.New(t, 1, dataset.ImageH, dataset.ImageW),
-		rowLabel:  make([]int, 0, t),
-		rowSample: make([]int, 0, t),
-		arrived:   make([]bool, m),
-		updates:   make([]fl.Update, m),
-		scored:    make([]int, m),
-		hits:      make([]int, m),
-	}
+	s := &AuditStream{g: g, z: z, plan: newAuditPlan(g, labels, m, hold),
+		decoders: make([]*cvae.Decoder, m), updates: make([]fl.Update, m),
+		x: tensor.New(len(labels), 1, dataset.ImageH, dataset.ImageW), rowLabel: make([]int, 0, len(labels))}
 	s.cond = sync.NewCond(&s.mu)
-	s.assign()
-	w := g.workers(m)
+	w := min(tensor.Workers(), m) // the pool's width, capped by the updates
 	for len(g.auditModels) < w {
 		g.auditModels = append(g.auditModels, g.Arch(newInitRNG()))
 	}
@@ -142,20 +212,6 @@ func (g *FedGuard) begin(ctx *fl.RoundContext, m int, hold bool) (*AuditStream, 
 		go s.worker(model)
 	}
 	return s, nil
-}
-
-// assign partitions the samples over the decoders as soon as that can be
-// done: at begin when round-robin, once every slot has brought its class
-// list when class-routed. Callers hold s.mu (or are begin).
-func (s *AuditStream) assign() {
-	if s.samples != nil || (s.g.UseDecoderClasses && s.unbound > 0) {
-		return
-	}
-	nd := len(s.decoders)
-	s.samples = make([][]int, nd)
-	for i, d := range s.g.assignSamples(s.labels, nd, s.classes) {
-		s.samples[d] = append(s.samples[d], i)
-	}
 }
 
 // Submit implements fl.RoundStream. The slot's decoder payload is
@@ -167,136 +223,94 @@ func (s *AuditStream) Submit(slot int, u fl.Update) {
 	if err != nil {
 		err = fmt.Errorf("defense: client %d: %w", u.ClientID, err)
 	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return
+	if s.plan.submit(slot, u.DecoderClasses, err) {
+		s.updates[slot], s.decoders[slot] = u, dec
+		s.cond.Broadcast()
 	}
-	if slot < 0 || slot >= s.m || s.arrived[slot] {
-		s.misused = true
-		return
-	}
-	s.arrived[slot] = true
-	s.updates[slot] = u
-	s.decoders[slot], s.classes[slot], s.errs[slot] = dec, u.DecoderClasses, err
-	s.unbound--
-	s.assign()
-	s.cond.Broadcast()
 }
 
-// synthesizable returns a block whose decoder is bound and whose samples
-// are assigned but not yet generated, or -1. Empty blocks (t < m) have
-// nothing to synthesize; their decoders are validated all the same.
-func (s *AuditStream) synthesizable() int {
-	for d, idxs := range s.samples {
-		if len(idxs) > 0 && s.decoders[d] != nil {
-			return d
-		}
-	}
-	return -1
-}
-
-// scorable returns an arrived slot with enough ready rows it has not
-// seen — a slab, or whatever is left of a complete set — or -1.
-func (s *AuditStream) scorable() int {
-	ready := len(s.rowLabel)
-	if s.hold {
-		return -1
-	}
-	for j, n := range s.scored {
-		if s.arrived[j] && n < ready && (ready == s.t || ready-n >= s.slab) {
-			return j
-		}
-	}
-	return -1
-}
-
-// worker runs jobs until the plan closes, synthesis before scoring. Each
-// worker owns one audit model.
+// worker runs the plan's jobs until it closes. Each worker owns one
+// audit model.
 func (s *AuditStream) worker(model *nn.Sequential) {
 	defer s.wg.Done()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.closed {
-		d, j := s.synthesizable(), -1
-		if d < 0 {
-			if j = s.scorable(); j < 0 {
-				s.cond.Wait()
-				continue
-			}
+	for !s.plan.closed {
+		j, ok := s.plan.next()
+		if !ok {
+			s.cond.Wait()
+			continue
 		}
 		s.inflight++
 		start := time.Now()
-		if d >= 0 {
-			s.synthesize(d)
+		if j.block >= 0 {
+			s.synthesize(j)
 		} else {
 			s.score(model, j)
 		}
 		s.busy += time.Since(start)
+		s.jobs++
 		s.inflight--
 		s.cond.Broadcast()
 	}
 }
 
-// synthesize generates block d from its gathered latents and labels and
-// appends the rows to the set. Called with s.mu held; the lock is
-// released around the compute.
-func (s *AuditStream) synthesize(d int) {
-	idxs := s.samples[d]
-	s.samples[d] = nil // claimed
+// synthesize generates job j's block from its gathered latents and
+// labels and writes its rows after the ready ones. Called with s.mu
+// held; the lock is released around the compute.
+func (s *AuditStream) synthesize(j job) {
 	s.mu.Unlock()
+	idxs := s.plan.samples[j.block]
 	lat := s.g.CVAECfg.Latent
 	zd := tensor.New(len(idxs), lat)
 	ld := make([]int, len(idxs))
 	for k, i := range idxs {
 		copy(zd.Data[k*lat:(k+1)*lat], s.z.Data[i*lat:(i+1)*lat])
-		ld[k] = s.labels[i]
+		ld[k] = s.plan.labels[i]
 	}
 	// The images are the decoder's scratch; each decoder generates once.
-	imgs := s.decoders[d].Generate(zd, ld)
+	imgs := s.decoders[j.block].Generate(zd, ld)
 	s.mu.Lock()
 	copy(s.x.Data[len(s.rowLabel)*s.g.CVAECfg.Input:], imgs.Data)
 	s.rowLabel = append(s.rowLabel, ld...)
-	s.rowSample = append(s.rowSample, idxs...)
-	s.synthJobs++
+	s.plan.done(j, 0, nil)
 }
 
-// score runs slot j's update over every ready row it has not seen, a
-// slab at a time. Called with s.mu held; the lock is released around the
-// compute. Rows below len(s.rowLabel) are never written again and
-// rowLabel never reallocates, so the job reads them unlocked.
-func (s *AuditStream) score(model *nn.Sequential, j int) {
-	lo, hi := s.scored[j], len(s.rowLabel)
-	s.scored[j] = hi
-	rowLabel := s.rowLabel[lo:hi]
+// score runs job j's update over its rows, a slab at a time. Called
+// with s.mu held; the lock is released around the compute.
+func (s *AuditStream) score(model *nn.Sequential, j job) {
+	rowLabel := s.rowLabel[j.lo:j.hi]
 	s.mu.Unlock()
-	size := s.g.CVAECfg.Input
-	hits := 0
-	err := model.LoadParams(s.updates[j].Weights)
-	for at := lo; err == nil && at < hi; at += s.slab {
-		end := min(at+s.slab, hi)
+	size, hits := s.g.CVAECfg.Input, 0
+	err := model.LoadParams(s.updates[j.slot].Weights)
+	for at := j.lo; err == nil && at < j.hi; at += s.plan.slab {
+		end := min(at+s.plan.slab, j.hi)
 		rows := tensor.FromSlice(s.x.Data[at*size:end*size], end-at, 1, dataset.ImageH, dataset.ImageW)
-		hits += classifier.CountCorrectTensor(model, rows, rowLabel[at-lo:end-lo])
+		hits += classifier.CountCorrectTensor(model, rows, rowLabel[at-j.lo:end-j.lo])
+	}
+	if err != nil {
+		err = fmt.Errorf("defense: audit client %d: %w", s.updates[j.slot].ClientID, err)
 	}
 	s.mu.Lock()
-	s.scoreJobs++
-	s.hits[j] += hits
-	if err != nil {
-		s.errs[s.m+j] = fmt.Errorf("defense: audit client %d: %w", s.updates[j].ClientID, err)
-		s.scored[j] = s.t // no further job can do better
-	}
+	s.plan.done(j, hits, err)
 }
 
-// drain waits until no job is running or runnable and returns the
-// round's error, if any.
-func (s *AuditStream) drain() error {
+// drain sets whether scoring is held, waits until no job is running or
+// enabled and returns the round's error: the lowest-index one.
+func (s *AuditStream) drain(hold bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.closed && (s.inflight > 0 || s.synthesizable() >= 0 || s.scorable() >= 0) {
+	s.plan.hold = hold
+	s.cond.Broadcast()
+	for !s.plan.closed {
+		if _, ok := s.plan.enabled(); !ok && s.inflight == 0 {
+			break
+		}
 		s.cond.Wait()
 	}
-	for _, err := range s.errs {
+	for _, err := range s.plan.errs {
 		if err != nil {
 			return err
 		}
@@ -308,18 +322,14 @@ func (s *AuditStream) drain() error {
 // update's accuracy on the synthetic set: integer hits over the set
 // size, the division classifier.Evaluate performs.
 func (s *AuditStream) scores() ([]float64, error) {
-	s.mu.Lock()
-	s.hold = false
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	err := s.drain()
+	err := s.drain(false)
 	s.Abort()
 	if err != nil {
 		return nil, err
 	}
-	accs := make([]float64, s.m)
-	for j, h := range s.hits {
-		accs[j] = float64(h) / float64(s.t)
+	accs := make([]float64, s.plan.m)
+	for j, h := range s.plan.hits {
+		accs[j] = float64(h) / float64(s.plan.t)
 	}
 	return accs, nil
 }
@@ -345,11 +355,11 @@ func (s *AuditStream) Finalize(ctx *fl.RoundContext) ([]float32, error) {
 func (s *AuditStream) delivered(updates []fl.Update) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.misused || len(updates) != s.m {
+	if s.plan.misused || len(updates) != s.plan.m {
 		return false
 	}
 	for slot, u := range updates {
-		if !s.arrived[slot] || s.updates[slot].ClientID != u.ClientID {
+		if !s.plan.arrived[slot] || s.updates[slot].ClientID != u.ClientID {
 			return false
 		}
 	}
@@ -361,7 +371,7 @@ func (s *AuditStream) delivered(updates []fl.Update) bool {
 // releases its workers the same way.
 func (s *AuditStream) Abort() {
 	s.mu.Lock()
-	s.closed = true
+	s.plan.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -373,5 +383,5 @@ func (s *AuditStream) Abort() {
 func (s *AuditStream) Overlap() (time.Duration, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.busy, s.synthJobs + s.scoreJobs
+	return s.busy, s.jobs
 }

@@ -318,67 +318,6 @@ func TestAuditErrorsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestAuditPlanJobShape pins the plan's cost model, not just its bytes.
-// On the barrier schedule m updates over t samples are exactly min(t, m)
-// synthesis jobs — a decoder with no samples has none — and m scoring
-// jobs (a scoring job is one LoadParams and
-// one forward pass over every row it has not seen). On the stream
-// schedule an update waits for a quarter of the set, or its completion,
-// so it takes at most scorePasses jobs — never one per block.
-func TestAuditPlanJobShape(t *testing.T) {
-	updates, ccfg := auditDeterminismUpdates(t)
-	m := len(updates)
-	for _, samples := range []int{40, 3} {
-		nd := min(samples, m)
-		for _, workers := range []int{1, 3} {
-			g := streamGuard(t, ccfg, workers)
-			g.Samples = samples
-			s, err := g.synthesized(ctxWith(updates, 61))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.synthJobs != nd || s.scoreJobs != 0 {
-				t.Fatalf("nd=%d: %d synthesis and %d scoring jobs before scoring was released", nd, s.synthJobs, s.scoreJobs)
-			}
-			if _, err := s.scores(); err != nil {
-				t.Fatal(err)
-			}
-			if s.synthJobs != nd || s.scoreJobs != m {
-				t.Fatalf("nd=%d workers=%d: barrier ran %d synthesis + %d scoring jobs, want %d + %d",
-					nd, workers, s.synthJobs, s.scoreJobs, nd, m)
-			}
-		}
-	}
-
-	// Streamed, one worker, each arrival drained before the next: the
-	// schedule that made the per-block plan score every (update, block)
-	// pair on its own — 21 jobs for six in-order arrivals.
-	for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {3, 0, 5, 1, 4, 2}} {
-		g := streamGuard(t, ccfg, 1)
-		ctx := ctxWith(nil, 61)
-		s := g.BeginRound(ctx, m).(*AuditStream)
-		for _, slot := range order {
-			s.Submit(slot, updates[slot])
-			if err := s.drain(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctx.Updates = updates
-		if _, err := s.Finalize(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if perBlock := m * (m + 1) / 2; s.synthJobs != m || s.scoreJobs > scorePasses*m || s.scoreJobs >= perBlock {
-			t.Fatalf("arrival %v: %d synthesis + %d scoring jobs for %d updates and blocks (one per block: %d)",
-				order, s.synthJobs, s.scoreJobs, m, perBlock)
-		}
-		for j, n := range s.scored {
-			if n != s.t {
-				t.Fatalf("arrival %v: slot %d scored %d of %d rows", order, j, n, s.t)
-			}
-		}
-	}
-}
-
 // TestAuditModelsHoldNoBatchScratch pins what a FedGuard server keeps
 // per audit model. The models only ever evaluate, so beyond their
 // parameters each holds one image's conv products and a slab's pooled

@@ -66,12 +66,12 @@ func canonical(t *testing.T, strategy, scenario string, rounds int) *canonicalRu
 // FinalWeights at every width. Each kernel-backed strategy runs three
 // rounds serially, at a fixed pool and at GOMAXPROCS. FedGuard runs the
 // preset's full eight rounds, so the audit scores late-round updates
-// too, as two checkpoint splices of four rounds each: the barrier audit
-// at width 1 (FedGuard) resumed at width 4 (Audit), and the stream audit
-// at width 4 (FedGuard-stream) resumed at width 1 (Resume). Each half is
-// held to the one canonical run at GOMAXPROCS that every FedGuard
-// sign-flip test in this package reads: the first by its round records,
-// the second by its records and final weights.
+// too, as two checkpoint splices of four rounds each: width 1
+// (FedGuard) resumed at width 4 (Audit), and width 4 (FedGuard-stream)
+// resumed at width 1 (Resume). Each half is held to the one canonical
+// run at GOMAXPROCS that every FedGuard sign-flip test in this package
+// reads: the first by its round records, the second by its records and
+// final weights.
 func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -135,55 +135,52 @@ func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 		}
 	}
 
-	// Each audit schedule runs rounds 1–4 at one width, checkpointing
-	// every round, and resumes at the other width for rounds 5–8; the
-	// spliced run must reproduce the uninterrupted one bit for bit. The
-	// first half's leg writes the checkpoint its second half reads. The
-	// engine streams every FedGuard round it can, so the barrier splice
-	// hides the strategy's BeginRound.
-	runGuard := func(t *testing.T, setup Setup, width int, barrier bool, opts RunOptions) *fl.History {
-		t.Helper()
-		if !barrier {
-			return run(t, setup, width, "FedGuard", opts)
-		}
-		strat, err := NewStrategy("FedGuard", setup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tensor.SetWorkers(width)
-		res, err := runStrategy(setup, sc, "FedGuard", barrierOnly{strat}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.History.FinalWeights) == 0 {
-			t.Fatal("no final weights recorded")
-		}
-		return res.History
-	}
+	// Each splice runs rounds 1–4 at one width, checkpointing every
+	// round, and resumes at the other width for rounds 5–8; the spliced
+	// run must reproduce the uninterrupted one bit for bit. A splice's
+	// first half runs once, for whichever of its legs asks first, so
+	// either leg runs alone.
 	half := full
 	half.Rounds = full.Rounds / 2
-	for _, splice := range []struct {
+	type splice struct {
 		first, second string
 		widths        [2]int
-		barrier       bool
-	}{
-		{"FedGuard", "Audit", [2]int{1, 4}, true},
-		{"FedGuard-stream", "Resume", [2]int{4, 1}, false},
-	} {
-		dir := t.TempDir()
-		t.Run(splice.first, func(t *testing.T) {
-			h := runGuard(t, half, splice.widths[0], splice.barrier, RunOptions{CheckpointDir: dir})
-			sameRecords(t, h.Rounds, fmt.Sprintf("%s rounds 1–%d at width %d", splice.first, half.Rounds, splice.widths[0]))
+		dir           string
+		once          sync.Once
+		h             *fl.History // the first half's
+		err           error
+	}
+	firstHalf := func(t *testing.T, sp *splice) *fl.History {
+		t.Helper()
+		sp.once.Do(func() {
+			tensor.SetWorkers(sp.widths[0])
+			var res *Result
+			if res, sp.err = Run(half, sc, "FedGuard", RunOptions{CheckpointDir: sp.dir}); sp.err == nil {
+				sp.h = res.History
+			}
 		})
-		t.Run(splice.second, func(t *testing.T) {
-			leg := fmt.Sprintf("%s rounds %d–%d at width %d", splice.second, half.Rounds+1, full.Rounds, splice.widths[1])
+		if sp.err != nil {
+			t.Fatalf("%s rounds 1–%d at width %d: %v", sp.first, half.Rounds, sp.widths[0], sp.err)
+		}
+		return sp.h
+	}
+	for _, sp := range []*splice{
+		{first: "FedGuard", second: "Audit", widths: [2]int{1, 4}, dir: t.TempDir()},
+		{first: "FedGuard-stream", second: "Resume", widths: [2]int{4, 1}, dir: t.TempDir()},
+	} {
+		t.Run(sp.first, func(t *testing.T) {
+			sameRecords(t, firstHalf(t, sp).Rounds, fmt.Sprintf("%s rounds 1–%d at width %d", sp.first, half.Rounds, sp.widths[0]))
+		})
+		t.Run(sp.second, func(t *testing.T) {
+			firstHalf(t, sp)
+			leg := fmt.Sprintf("%s rounds %d–%d at width %d", sp.second, half.Rounds+1, full.Rounds, sp.widths[1])
 			var resumed []int
-			h := runGuard(t, full, splice.widths[1], splice.barrier, RunOptions{
-				CheckpointDir: dir, Resume: true,
+			h := run(t, full, sp.widths[1], "FedGuard", RunOptions{
+				CheckpointDir: sp.dir, Resume: true,
 				OnRound: func(rec fl.RoundRecord) { resumed = append(resumed, rec.Round) },
 			})
 			if len(resumed) != full.Rounds-half.Rounds || resumed[0] != half.Rounds+1 {
-				t.Fatalf("%s: ran rounds %v, want %d–%d from %s's checkpoint", leg, resumed, half.Rounds+1, full.Rounds, splice.first)
+				t.Fatalf("%s: ran rounds %v, want %d–%d from %s's checkpoint", leg, resumed, half.Rounds+1, full.Rounds, sp.first)
 			}
 			if len(h.Rounds) != full.Rounds {
 				t.Fatalf("%s: %d round records, want %d", leg, len(h.Rounds), full.Rounds)
@@ -193,10 +190,6 @@ func TestIntegrationPoolWidthDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// barrierOnly hides a strategy's BeginRound, so the engine audits its
-// rounds after the barrier: the schedule the stream must equal.
-type barrierOnly struct{ fl.Strategy }
 
 // These tests reproduce the paper's qualitative claims end-to-end at
 // quick-preset scale: under majority model-poisoning attacks the

@@ -107,12 +107,6 @@ func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	return runStrategy(setup, sc, strategyName, strat, opts)
-}
-
-// runStrategy is Run with the strategy already built; strategyName labels
-// the result.
-func runStrategy(setup Setup, sc Scenario, strategyName string, strat fl.Strategy, opts RunOptions) (*Result, error) {
 	cfg := setup.Federation(sc)
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed

@@ -147,22 +147,31 @@ func TestChaosFederationSurvivesFaults(t *testing.T) {
 }
 
 // TestChaosExclusionSequenceDeterministic runs the same adversarial plan
-// twice: the same fault seed must reproduce the identical round-by-round
-// exclusion sequence and the identical final model.
+// twice with FedGuard: the same fault seed must reproduce the identical
+// round-by-round drop sequence, the identical audit decisions and the
+// identical final model. Dropped clients send every round's streamed
+// audit back to the plan begun again on the delivered updates.
 func TestChaosExclusionSequenceDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-second fault-injection run")
+		t.Skip("multi-second fault-injection run with CVAE training")
 	}
 	t.Parallel()
 	run := func() *fl.History {
-		h, _ := runChaos(t, chaosConfig(), aggregate.NewFedAvg(), chaosPlan(7), ClientOptions{})
+		h, _ := runChaos(t, chaosConfig(), newTestGuard(), chaosPlan(7), ClientOptions{})
 		return h
 	}
 	a, b := run(), run()
+	if len(a.Rounds) != len(b.Rounds) {
+		t.Fatalf("round counts differ: %d vs %d", len(a.Rounds), len(b.Rounds))
+	}
 	for i := range a.Rounds {
-		if !reflect.DeepEqual(a.Rounds[i].Dropped, b.Rounds[i].Dropped) {
-			t.Fatalf("round %d exclusion differs across runs: %v vs %v",
-				i+1, a.Rounds[i].Dropped, b.Rounds[i].Dropped)
+		ra, rb := a.Rounds[i], b.Rounds[i]
+		if !reflect.DeepEqual(ra.Dropped, rb.Dropped) {
+			t.Fatalf("round %d exclusion differs across runs: %v vs %v", i+1, ra.Dropped, rb.Dropped)
+		}
+		if len(ra.Decisions) == 0 || ra.Threshold != rb.Threshold || !reflect.DeepEqual(ra.Decisions, rb.Decisions) {
+			t.Fatalf("round %d audit differs across runs: %v at %v vs %v at %v",
+				i+1, ra.Decisions, ra.Threshold, rb.Decisions, rb.Threshold)
 		}
 	}
 	if !reflect.DeepEqual(a.FinalWeights, b.FinalWeights) {

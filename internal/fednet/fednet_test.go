@@ -98,15 +98,15 @@ func (c *canonical) get(t testing.TB) *fl.History {
 }
 
 var (
-	// quickGuardRun is the quick-preset FedGuard federation in process
-	// with the barrier audit: what quickStreamRun ends on, and the
-	// logical side of TestCompressedQuickPresetFedGuard's byte check.
+	// quickGuardRun is the quick-preset FedGuard federation in process:
+	// what quickStreamRun ends on, and the logical side of
+	// TestCompressedQuickPresetFedGuard's byte check.
 	quickGuardRun = &canonical{run: func() (*fl.History, error) {
 		guard, err := experiment.NewStrategy("FedGuard", quickSetup)
 		if err != nil {
 			return nil, err
 		}
-		return runInProcess(quickConfig(), barrierOnly{guard}, quickTestSet())
+		return runInProcess(quickConfig(), guard, quickTestSet())
 	}}
 	// quickStreamRun is the quick-preset FedGuard federation over
 	// loopback TCP with the codec, streaming audit and encode-once

@@ -2,16 +2,12 @@ package fednet
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
-	"time"
 
 	"fedguard/internal/aggregate"
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
 	"fedguard/internal/defense"
-	"fedguard/internal/faultnet"
-	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
 )
@@ -23,49 +19,12 @@ func newTestGuard() *defense.FedGuard {
 		cvae.Config{Input: 784, Hidden: 16, Latent: 2, Classes: 10})
 }
 
-// barrierOnly hides a strategy's BeginRound, so the round engine audits
-// its rounds after the barrier: the schedule the stream must equal.
-type barrierOnly struct{ fl.Strategy }
-
-// TestStreamAuditLoopbackMatchesBarrier is the round-pipeline
-// determinism pin: a FedGuard federation, which streams its audit, must
-// finish with byte-identical weights and decisions to the barrier
-// ordering, for several experiment seeds, over the compressed wire path
-// (so encode-once broadcast sharing is in the loop too).
-func TestStreamAuditLoopbackMatchesBarrier(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains CVAEs over the network, twice per seed")
-	}
-	test := testSet()
-	for _, seed := range []uint64{99, 7, 21} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Experiment.Seed = seed
-			cfg.Compress = true
-
-			barrier := runLoopback(t, cfg, barrierOnly{newTestGuard()}, test, ClientOptions{Compress: true})
-			streamed := runLoopback(t, cfg, newTestGuard(), test, ClientOptions{Compress: true})
-
-			if !reflect.DeepEqual(barrier.FinalWeights, streamed.FinalWeights) {
-				t.Fatal("streaming audit diverged from barrier final weights")
-			}
-			for i := range barrier.Rounds {
-				b, s := barrier.Rounds[i], streamed.Rounds[i]
-				if len(b.Decisions) == 0 || b.Threshold != s.Threshold || !reflect.DeepEqual(b.Decisions, s.Decisions) {
-					t.Fatalf("round %d decisions differ: %v at %v vs %v at %v",
-						i+1, b.Decisions, b.Threshold, s.Decisions, s.Threshold)
-				}
-			}
-		})
-	}
-}
-
 // TestStreamAuditQuickPreset is the pipeline acceptance run: the quick
 // experiment preset with streaming audit plus encode-once broadcasts
-// over the codec lands on the bytes of the in-process barrier run. The
-// streamed in-process run is experiment's canonical FedGuard run, and
-// its TestIntegrationPoolWidthDeterminism splice: rounds 1–4 at width 1
-// (FedGuard) resumed at width 4 (Resume).
+// over the codec lands on the bytes of the same federation in process.
+// The in-process run is experiment's canonical FedGuard run, and its
+// TestIntegrationPoolWidthDeterminism splices: rounds 1–4 at width 1
+// resumed at width 4, and at width 4 resumed at width 1.
 func TestStreamAuditQuickPreset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a networked quick-preset federation beside the shared in-process one")
@@ -73,30 +32,23 @@ func TestStreamAuditQuickPreset(t *testing.T) {
 	expectSameRun(t, quickStreamRun.get(t), quickGuardRun.get(t))
 }
 
-// TestStreamAuditMixedPeersMatchesBarrier runs streaming audit over a
+// TestStreamAuditMixedPeersMatchesInProcess runs streaming audit over a
 // federation where only half the clients negotiate the codec: raw and
 // compressed connections interleave within each round, and the result
-// must still match the barrier run of the identical mixed federation.
-func TestStreamAuditMixedPeersMatchesBarrier(t *testing.T) {
+// must still match the same federation in process.
+func TestStreamAuditMixedPeersMatchesInProcess(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains CVAEs over the network, twice")
+		t.Skip("trains CVAEs over the network")
 	}
-	run := func(strategy fl.Strategy, tel *telemetry.T) *fl.History {
-		cfg := testConfig()
-		cfg.Compress = true
-		cfg.Telemetry = tel
-		// Even IDs advertise the codec, odd IDs stay raw.
-		mixed := func(addr string, id int) error { return RunClient(addr, id, ClientOptions{Compress: id%2 == 0}) }
-		return loopback{client: mixed}.mustRun(t, newServer(t, cfg, testSet(), strategy))
-	}
-	barrier := run(barrierOnly{newTestGuard()}, nil)
+	cfg := testConfig()
+	cfg.Compress = true
 	var sink telemetry.CollectSink
-	tel := telemetry.New(&sink)
-	tel.EnableTracing("server")
-	streamed := run(newTestGuard(), tel)
-	if !reflect.DeepEqual(barrier.FinalWeights, streamed.FinalWeights) {
-		t.Fatal("streaming audit with mixed peers diverged from barrier run")
-	}
+	cfg.Telemetry = telemetry.New(&sink)
+	cfg.Telemetry.EnableTracing("server")
+	// Even IDs advertise the codec, odd IDs stay raw.
+	mixed := func(addr string, id int) error { return RunClient(addr, id, ClientOptions{Compress: id%2 == 0}) }
+	streamed := loopback{client: mixed}.mustRun(t, newServer(t, cfg, testSet(), newTestGuard()))
+	expectSameRun(t, streamed, inProcess(t, testConfig(), newTestGuard(), testSet()))
 	// The equality above is only meaningful if the stream actually ran:
 	// the server records one audit-overlap span per streamed round.
 	spans := map[string]int{}
@@ -108,48 +60,6 @@ func TestStreamAuditMixedPeersMatchesBarrier(t *testing.T) {
 	}
 	if spans["server.encode_broadcast"] == 0 {
 		t.Fatal("no broadcast-encode spans on the compressed path")
-	}
-}
-
-// TestStreamAuditChaosMatchesBarrier drives the streaming pipeline
-// through fault injection — a mid-upload crasher and a straggler — with
-// a real FedGuard. Dropped clients force the stream's batch fallback;
-// the run must drop the same clients and produce the same bytes as the
-// barrier ordering under the identical fault seed.
-func TestStreamAuditChaosMatchesBarrier(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second fault-injection run with CVAE training")
-	}
-	t.Parallel()
-	// Write-count-dependent faults would diverge between runs only if the
-	// two runs wrote different frame sequences; stream vs barrier changes
-	// server-side compute order, not frames, so the crasher stays.
-	plan := func() *faultnet.Plan {
-		return &faultnet.Plan{
-			Seed: 7,
-			Peers: map[int]faultnet.PeerPlan{
-				0: {SkipWrites: 1, DropAfterWrites: 2},
-				1: {SkipWrites: 1, WriteDelay: 5 * time.Minute},
-			},
-		}
-	}
-	run := func(strategy fl.Strategy) *fl.History {
-		h, _ := runChaos(t, chaosConfig(), strategy, plan(), ClientOptions{})
-		return h
-	}
-	barrier := run(barrierOnly{newTestGuard()})
-	streamed := run(newTestGuard())
-	if len(barrier.Rounds) != len(streamed.Rounds) {
-		t.Fatalf("round counts differ: %d vs %d", len(barrier.Rounds), len(streamed.Rounds))
-	}
-	for i := range barrier.Rounds {
-		if !reflect.DeepEqual(barrier.Rounds[i].Dropped, streamed.Rounds[i].Dropped) {
-			t.Fatalf("round %d drops differ: %v vs %v",
-				i+1, barrier.Rounds[i].Dropped, streamed.Rounds[i].Dropped)
-		}
-	}
-	if !reflect.DeepEqual(barrier.FinalWeights, streamed.FinalWeights) {
-		t.Fatal("streaming audit under chaos diverged from barrier final weights")
 	}
 }
 

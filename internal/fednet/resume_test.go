@@ -220,12 +220,14 @@ func TestKillResumeMidRound(t *testing.T) {
 }
 
 // TestCrashPointMatrix is the acceptance matrix: a networked FedGuard
-// federation under sign-flip attack, killed after every interior round
-// and resumed, across three seeds, raw and codec peers, and barrier and
-// stream audit. Every cell must land on the single uninterrupted
-// baseline's exact final weights and exclusion sequence — the baseline
-// is run raw/barrier, so codec and stream cells simultaneously re-prove
-// their own bit-identity contracts under crash recovery.
+// federation killed after every interior round and resumed, across
+// three seeds and raw and codec peers. Under sign-flip every round
+// streams its audit (stream=true). Under ALIE, with three of five
+// clients colluding, every round samples a colluder, so the engine
+// rewrites the cohort after the barrier and the audit runs there
+// (stream=false). Every cell must land on its schedule's uninterrupted
+// raw baseline's exact final weights and exclusion sequence, so codec
+// cells re-prove the codec's bit-identity contract under crash recovery.
 func TestCrashPointMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many full networked FedGuard federations")
@@ -233,28 +235,32 @@ func TestCrashPointMatrix(t *testing.T) {
 	t.Parallel()
 	test := testSet()
 	for _, seed := range []uint64{99, 7, 21} {
-		base := signFlipConfig()
-		base.Experiment.Seed = seed
-		newGuard := func() fl.Strategy {
-			g := defense.NewFedGuard(base.Experiment.Client.Arch, cvae.Config{
-				Input: 784, Hidden: 16, Latent: 2, Classes: 10,
-			})
-			g.Samples = 8
-			return g
-		}
-		baseline := runLoopback(t, base, barrierOnly{newGuard()}, test, ClientOptions{})
-		for _, compress := range []bool{false, true} {
-			for _, streamAudit := range []bool{false, true} {
+		for _, streamAudit := range []bool{false, true} {
+			base := signFlipConfig()
+			base.Experiment.Seed = seed
+			if !streamAudit {
+				base.AttackName, base.Experiment.MaliciousFraction = "alie", 0.6
+			}
+			newGuard := func() fl.Strategy {
+				g := defense.NewFedGuard(base.Experiment.Client.Arch, cvae.Config{
+					Input: 784, Hidden: 16, Latent: 2, Classes: 10,
+				})
+				g.Samples = 8
+				return g
+			}
+			baseline := runLoopback(t, base, newGuard(), test, ClientOptions{})
+			for _, rec := range baseline.Rounds {
+				if !streamAudit && rec.MaliciousSampled == 0 {
+					t.Fatalf("seed %d: round %d sampled no colluder, so it streamed", seed, rec.Round)
+				}
+			}
+			for _, compress := range []bool{false, true} {
 				for k := 1; k < base.Experiment.Rounds; k++ {
 					name := fmt.Sprintf("seed=%d/compress=%v/stream=%v/k=%d", seed, compress, streamAudit, k)
 					t.Run(name, func(t *testing.T) {
 						cfg := base
 						cfg.Compress = compress
-						newStrategy := newGuard
-						if !streamAudit {
-							newStrategy = func() fl.Strategy { return barrierOnly{newGuard()} }
-						}
-						resumed := runKillResume(t, cfg, test, newStrategy, resilientOpts(compress), k)
+						resumed := runKillResume(t, cfg, test, newGuard, resilientOpts(compress), k)
 						expectSameRun(t, resumed, baseline)
 					})
 				}

@@ -150,39 +150,40 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// barrierOnly hides a strategy's BeginRound, so the engine audits its
-// rounds after the barrier: the schedule the stream must equal.
-type barrierOnly struct{ fl.Strategy }
-
 // TestResumeFedGuardCrashPoints is the defense-strategy matrix: FedGuard
-// under a sign-flip attack, killed after every interior round, in both
-// barrier and streaming audit schedules, each held to the uninterrupted
-// barrier run. The client CVAE decoders and every RNG stream must
-// survive the checkpoint for the exclusion sequence to reproduce.
+// killed after every interior round, each resumed run held to its
+// uninterrupted one. Under sign-flip every round streams its audit
+// (stream=true). Under ALIE, with half the clients colluding, every
+// round samples a colluder, so the engine rewrites the cohort after the
+// barrier and the audit runs there (stream=false). The client CVAE
+// decoders and every RNG stream must survive the checkpoint for the
+// exclusion sequence to reproduce.
 func TestResumeFedGuardCrashPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains CVAEs across multiple full federations")
 	}
 	train, test := resumeData(t)
-	cfg := resumeConfig()
-	newGuard := func() fl.Strategy {
-		g := defense.NewFedGuard(cfg.Client.Arch, cvae.Config{
-			Input: 784, Hidden: 16, Latent: 2, Classes: 10,
-		})
-		g.Samples = 8
-		return g
-	}
-	baseline := mustRun(t, cfg, train, test, barrierOnly{newGuard()})
 	for _, streaming := range []bool{false, true} {
-		newStrategy := func() fl.Strategy {
-			if streaming {
-				return newGuard()
+		cfg := resumeConfig()
+		if !streaming {
+			cfg.Attack, cfg.MaliciousFraction = attack.NewALIE(), 0.5
+		}
+		newGuard := func() fl.Strategy {
+			g := defense.NewFedGuard(cfg.Client.Arch, cvae.Config{
+				Input: 784, Hidden: 16, Latent: 2, Classes: 10,
+			})
+			g.Samples = 8
+			return g
+		}
+		baseline := mustRun(t, cfg, train, test, newGuard())
+		for _, rec := range baseline.Rounds {
+			if !streaming && rec.MaliciousSampled == 0 {
+				t.Fatalf("round %d sampled no colluder, so it streamed", rec.Round)
 			}
-			return barrierOnly{newGuard()}
 		}
 		for k := 1; k < cfg.Rounds; k++ {
 			t.Run(fmt.Sprintf("stream=%v/k=%d", streaming, k), func(t *testing.T) {
-				resumed := runKillResume(t, cfg, train, test, newStrategy, k)
+				resumed := runKillResume(t, cfg, train, test, newGuard, k)
 				expectIdentical(t, k, baseline, resumed)
 			})
 		}
