@@ -126,19 +126,22 @@ bench-agg:
 # default-preset FedGuard update (≈ 0.14–0.30 ms for 227 908 floats
 # read in place: 0 allocs/op). Ceilings are loose (≈2-3× the measured
 # numbers) so CI noise passes but a lost fast path or reintroduced
-# per-op allocation fails.
+# per-op allocation fails. Each benchmark runs three times and the gate
+# reads the fastest of the three (benchjson keeps the minimum ns/op and
+# the minimum of each metric per name): load on the host only slows a
+# run, so one loaded count no longer fails code nobody changed.
 bench-guard:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
-	  $(GO) test -run '^$$' -bench '$(CKPT_BENCH)' -benchmem -benchtime=50x ./internal/persist/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$' -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCVAEStepContended$$|BenchmarkSigmoidForward$$' -benchmem -benchtime=100x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardSynthesize$$' -benchmem -benchtime=50x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClassifierInfer$$' -benchmem -benchtime=100x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFedGuardAudit$$' -benchmem -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClientRoundWarm$$' -benchmem -benchtime=20x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAdmitUpdate$$' -benchmem -benchtime=200x ./internal/fl/ ; } \
+	{ $(GO) test -run '^$$' -count 3 -bench 'BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
+	  $(GO) test -run '^$$' -count 3 -bench '$(CKPT_BENCH)' -benchmem -benchtime=50x ./internal/persist/ ; \
+	  $(GO) test -run '^$$' -count 3 -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -count 3 -bench 'BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkCVAETrainEpoch$$' -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -count 3 -bench 'BenchmarkCVAEStepContended$$|BenchmarkSigmoidForward$$' -benchmem -benchtime=100x . ; \
+	  $(GO) test -run '^$$' -count 3 -bench 'BenchmarkFedGuardSynthesize$$' -benchmem -benchtime=50x . ; \
+	  $(GO) test -run '^$$' -count 3 -bench 'BenchmarkClassifierInfer$$' -benchmem -benchtime=100x . ; \
+	  $(GO) test -run '^$$' -count 3 -bench 'BenchmarkFedGuardAudit$$' -benchmem -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -count 3 -bench 'BenchmarkGenerateSubset$$/3000x100$$' -benchmem -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -count 3 -bench 'BenchmarkClientRoundWarm$$' -benchmem -benchtime=20x . ; \
+	  $(GO) test -run '^$$' -count 3 -bench 'BenchmarkAdmitUpdate$$' -benchmem -benchtime=200x ./internal/fl/ ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json
 
 # bench-harness vets and tests benchmark/, the ledger's program. It is
@@ -211,8 +214,10 @@ trace-smoke:
 
 # fuzz-smoke gives the wire-frame, codec and checkpoint decoders (the
 # round file alone, and a directory with its blob), the skip-draw
-# dataset walk, and the server's update edge (arbitrary frames of both
-# dialects into toUpdate) a bounded randomized beating on every CI run;
+# dataset walk, the server's update edge (arbitrary frames of both
+# dialects into toUpdate) and every aggregation strategy (hostile cohorts
+# of finite updates: an error or finite values, never a panic or a hang)
+# a bounded randomized beating on every CI run;
 # go test -fuzz takes over for longer campaigns.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/wire/
@@ -221,6 +226,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpointDir -fuzztime 10s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzGenerateSubset -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzUpdateEdge -fuzztime 10s ./internal/fednet/
+	$(GO) test -run '^$$' -fuzz FuzzAggregate -fuzztime 10s ./internal/aggregate/
 
 clean:
 	$(GO) clean ./...

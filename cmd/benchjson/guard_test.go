@@ -50,6 +50,33 @@ BenchmarkWireWriteUpdate/codec-8   10   1391962 ns/op   1300000 B/op   21 allocs
 	}
 }
 
+// TestGuardReadsFastestRepeat: with -count 3 a benchmark prints three
+// lines, and the gate reads the best of them, so one loaded repeat over
+// a ceiling passes beside one under it, while three over it still fail.
+func TestGuardReadsFastestRepeat(t *testing.T) {
+	gf := GuardFile{Thresholds: []Threshold{{
+		Name:       "BenchmarkCVAEStep",
+		MaxNsPerOp: 5_500_000,
+		MaxMetrics: map[string]float64{"allocs/op": 0},
+	}}}
+	pass := parseBench(t, `
+BenchmarkCVAEStep-2   20   10300000 ns/op   0 B/op   1 allocs/op
+BenchmarkCVAEStep-2   20    2700000 ns/op   0 B/op   0 allocs/op
+`)
+	if v := guard(pass, gf); len(v) != 0 {
+		t.Fatalf("one repeat under the ceilings: unexpected violations %v", v)
+	}
+	fail := parseBench(t, `
+BenchmarkCVAEStep-2   20   10300000 ns/op   0 B/op   1 allocs/op
+BenchmarkCVAEStep-2   20    6100000 ns/op   0 B/op   2 allocs/op
+BenchmarkCVAEStep-2   20    5600000 ns/op   0 B/op   1 allocs/op
+`)
+	v := guard(fail, gf)
+	if len(v) != 2 || !strings.Contains(v[0], "5600000 ns/op") || !strings.Contains(v[1], "1 allocs/op") {
+		t.Fatalf("every repeat over the ceilings: want the fastest ns/op and allocs/op as violations, got %v", v)
+	}
+}
+
 func TestGuardFlagsMissingBenchmarkAndMetric(t *testing.T) {
 	snap := parseBench(t, `
 BenchmarkSomethingElse-8   100   10 ns/op

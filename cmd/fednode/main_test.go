@@ -65,16 +65,6 @@ func TestServerEqualsFedsim(t *testing.T) {
 		{"additive-noise-50", "FedAvg", 2, 11, "false"},
 	} {
 		t.Run(tc.scenario+"/"+tc.strategy, func(t *testing.T) {
-			setup := experiment.MustSetup(experiment.PresetQuick)
-			setup.Rounds = tc.rounds
-			sc, err := experiment.ScenarioByID(tc.scenario)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim, err := experiment.Run(setup, sc, tc.strategy, experiment.RunOptions{Seed: tc.seed})
-			if err != nil {
-				t.Fatal(err)
-			}
 			args := map[string]string{"preset": "quick", "scenario": tc.scenario, "strategy": tc.strategy, "compress": tc.compress}
 			for name, value := range args {
 				if err := flag.Set(name, value); err != nil {
@@ -85,10 +75,19 @@ func TestServerEqualsFedsim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Experiment.Rounds = tc.rounds
+			setup.Rounds = tc.rounds
 			if tc.seed != 0 {
-				cfg.Experiment.Seed = tc.seed
+				setup.Seed = tc.seed
 			}
+			sc, err := experiment.ScenarioByID(tc.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := experiment.Run(setup, sc, tc.strategy, experiment.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Experiment = setup.Federation(sc)
 			srv, err := fednet.NewServer(cfg, setup.TestData(), strat)
 			if err != nil {
 				t.Fatal(err)

@@ -19,7 +19,8 @@
 //	       -matrix-strategies FedAvg,Krum,FedGuard -matrix-csv matrix.csv
 //
 // The flags that shape or report a single run (-scenario, -strategy,
-// -csv, -checkpoint-dir, …) are refused with -matrix.
+// -csv, -checkpoint-dir, …) are refused with -matrix. -seed sets the
+// run's seed, single run or sweep; the data stays the preset's.
 package main
 
 import (
@@ -46,7 +47,7 @@ var matrixRefuses = []string{"scenario", "strategy", "csv", "confusion", "save",
 var (
 	cli       = experiment.BindFlags(flag.CommandLine, experiment.PresetDefault)
 	serverLR  = flag.Float64("server-lr", 0, "override server learning rate (0 = preset value)")
-	seed      = flag.Uint64("seed", 0, "override experiment seed (0 = preset value)")
+	seed      = flag.Uint64("seed", 0, "override the run's seed: partition, malicious placement, sampling, initial model, client streams and collusion; the data stays the preset's (0 = preset value)")
 	rounds    = flag.Int("rounds", 0, "override round count (0 = preset value)")
 	samples   = flag.Int("samples", 0, "override FedGuard synthetic sample count t (0 = preset value)")
 	csv       = flag.Bool("csv", false, "emit the per-round accuracy series as CSV on stdout")
@@ -82,7 +83,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := applyOverrides(&setup, *rounds, *samples, *serverLR); err != nil {
+	if err := applyOverrides(&setup, *rounds, *samples, *serverLR, *seed); err != nil {
 		fatal(err)
 	}
 	if *matrix {
@@ -121,7 +122,7 @@ func main() {
 	defer cleanup()
 
 	opts := cli.Run
-	opts.Seed, opts.Telemetry = *seed, tel
+	opts.Telemetry = tel
 	opts.OnRound = func(rec fl.RoundRecord) {
 		fmt.Fprintf(os.Stderr, "round %3d  acc=%.4f  malicious-sampled=%d/%d  %.2fs",
 			rec.Round, rec.TestAccuracy, rec.MaliciousSampled, len(rec.Sampled), rec.Seconds)
@@ -176,10 +177,10 @@ func main() {
 	}
 }
 
-// applyOverrides sets what -rounds, -samples and -server-lr override on
-// the preset: zero keeps the preset's value, and a negative one is an
-// error rather than silently the preset's.
-func applyOverrides(setup *experiment.Setup, rounds, samples int, serverLR float64) error {
+// applyOverrides sets what -rounds, -samples, -server-lr and -seed
+// override on the preset: zero keeps the preset's value, and a negative
+// one is an error rather than silently the preset's.
+func applyOverrides(setup *experiment.Setup, rounds, samples int, serverLR float64, seed uint64) error {
 	switch {
 	case rounds < 0:
 		return fmt.Errorf("-rounds = %d", rounds)
@@ -196,6 +197,9 @@ func applyOverrides(setup *experiment.Setup, rounds, samples int, serverLR float
 	}
 	if samples > 0 {
 		setup.Samples = samples
+	}
+	if seed > 0 {
+		setup.Seed = seed
 	}
 	return nil
 }
@@ -240,7 +244,6 @@ func runMatrixCLI(setup experiment.Setup, tel *telemetry.T) error {
 	results, err := experiment.RunMatrix(experiment.Grid(setup, scenarios, strategies),
 		experiment.MatrixOptions{
 			Workers:   *matrixWorkers,
-			Seed:      *seed,
 			Telemetry: tel,
 			Progress:  os.Stderr,
 		})

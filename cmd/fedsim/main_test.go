@@ -61,11 +61,11 @@ func TestMatrixRefusesSingleRunFlags(t *testing.T) {
 
 // TestNegativeOverridesRefused: -rounds, -samples and -server-lr below
 // zero fail, naming the flag, instead of running the preset's value;
-// zero keeps the preset's and a positive value replaces it.
+// zero keeps the preset's and a positive value replaces it, -seed's too.
 func TestNegativeOverridesRefused(t *testing.T) {
-	preset := experiment.Setup{Rounds: 8, Samples: 32, ServerLR: 1}
+	preset := experiment.Setup{Rounds: 8, Samples: 32, ServerLR: 1, Seed: 7}
 	same := func(s experiment.Setup) bool {
-		return s.Rounds == preset.Rounds && s.Samples == preset.Samples && s.ServerLR == preset.ServerLR
+		return s.Rounds == preset.Rounds && s.Samples == preset.Samples && s.ServerLR == preset.ServerLR && s.Seed == preset.Seed
 	}
 	for _, tc := range []struct {
 		flag            string
@@ -78,7 +78,7 @@ func TestNegativeOverridesRefused(t *testing.T) {
 		{"-server-lr", 0, 0, math.NaN()},
 	} {
 		setup := preset
-		err := applyOverrides(&setup, tc.rounds, tc.samples, tc.serverLR)
+		err := applyOverrides(&setup, tc.rounds, tc.samples, tc.serverLR, 11)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
 			t.Errorf("%s below zero: error %v", tc.flag, err)
 		}
@@ -87,10 +87,10 @@ func TestNegativeOverridesRefused(t *testing.T) {
 		}
 	}
 	setup := preset
-	if err := applyOverrides(&setup, 0, 0, 0); err != nil || !same(setup) {
+	if err := applyOverrides(&setup, 0, 0, 0, 0); err != nil || !same(setup) {
 		t.Fatalf("zero overrides: %v, setup %+v", err, setup)
 	}
-	if err := applyOverrides(&setup, 3, 10, 0.5); err != nil || setup.Rounds != 3 || setup.Samples != 10 || setup.ServerLR != 0.5 {
+	if err := applyOverrides(&setup, 3, 10, 0.5, 11); err != nil || setup.Rounds != 3 || setup.Samples != 10 || setup.ServerLR != 0.5 || setup.Seed != 11 {
 		t.Fatalf("positive overrides: %v, setup %+v", err, setup)
 	}
 }

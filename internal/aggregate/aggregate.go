@@ -214,7 +214,10 @@ func CoordinateMedian(updates []fl.Update) ([]float32, error) {
 						loMid = v
 					}
 				}
-				out[i] = (loMid + hiMid) / 2
+				// Halved in float64: two float32 extremes overflow their
+				// float32 sum. Rounding once to float32 is the float32
+				// sum's bits halved everywhere that sum is finite.
+				out[i] = float32((float64(loMid) + float64(hiMid)) / 2)
 			}
 		}
 	})
@@ -290,7 +293,9 @@ func TrimmedMean(updates []fl.Update, trim int) ([]float32, error) {
 // NormClip rescales every update whose L2 norm exceeds bound down to the
 // bound (Sun et al., "Can you really backdoor federated learning?") and
 // then applies FedAvg. It returns the clipped copy, leaving inputs
-// untouched.
+// untouched. Workers split the updates, and each scales its own in a
+// plain loop: a dispatch nested in a pool chunk waits on pool goroutines
+// that are all running outer chunks, and never returns.
 func NormClip(updates []fl.Update, bound float64) ([]fl.Update, error) {
 	if _, err := checkUpdates(updates); err != nil {
 		return nil, err
@@ -302,9 +307,11 @@ func NormClip(updates []fl.Update, bound float64) ([]fl.Update, error) {
 			norm := math.Sqrt(tensor.SumSqBlocked(u.Weights))
 			cp := u
 			if norm > bound && norm > 0 {
-				scaled := make([]float32, len(u.Weights))
-				tensor.ScaleInto(scaled, u.Weights, float32(bound/norm))
-				cp.Weights = scaled
+				s := float32(bound / norm)
+				cp.Weights = make([]float32, len(u.Weights))
+				for j, v := range u.Weights {
+					cp.Weights[j] = v * s
+				}
 			}
 			out[i] = cp
 		}

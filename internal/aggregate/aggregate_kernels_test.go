@@ -53,6 +53,47 @@ func TestTrimmedMeanBoundary(t *testing.T) {
 	}
 }
 
+// TestTrimmedMeanZeroIsMean: trimming nothing is the plain coordinate
+// mean — each column summed in float64, divided by the count and rounded
+// once to float32 (the sums here are exact, so the sorted order
+// TrimmedMean adds in cannot matter). It also meets WeightedMean at
+// equal sample counts, which scales its float64 sum by the rounded
+// reciprocal of the total rather than dividing: within one float32 ulp
+// (on these inputs they are bit-equal; the log counts the coordinates
+// that are not).
+func TestTrimmedMeanZeroIsMean(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 16} {
+		unequal := 0
+		ups := kernelUpdates(uint64(40+n), n, 3000)
+		for i := range ups {
+			ups[i].NumSamples = 37
+		}
+		got, err := TrimmedMean(ups, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fedAvg, err := WeightedMean(ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			var sum float64
+			for _, u := range ups {
+				sum += float64(u.Weights[i])
+			}
+			if want := float32(sum / float64(n)); math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("n=%d coordinate %d: TrimmedMean(u, 0) = %v, column mean %v", n, i, got[i], want)
+			}
+			if d := int32(math.Float32bits(got[i]) - math.Float32bits(fedAvg[i])); d < -1 || d > 1 {
+				t.Errorf("n=%d coordinate %d: TrimmedMean(u, 0) = %v, WeightedMean %v (%d ulp)", n, i, got[i], fedAvg[i], d)
+			} else if d != 0 {
+				unequal++
+			}
+		}
+		t.Logf("n=%d: %d of %d coordinates differ from WeightedMean by one ulp", n, unequal, len(got))
+	}
+}
+
 // Regression for the scale-aware Weiszfeld tolerance: at 1e7-magnitude
 // weights, float64 noise sits around 1e-2 absolute, so the old absolute
 // tol=1e-6 check could never fire and every call burned all 50 sweeps.

@@ -2,6 +2,7 @@ package defense
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -188,6 +189,42 @@ func TestFedGuardKeepsAllWhenEqual(t *testing.T) {
 	}
 	if len(ctx.Decisions) != 2 || !ctx.Decisions[0].Kept || !ctx.Decisions[1].Kept {
 		t.Fatalf("identical updates not all kept: %+v", ctx.Decisions)
+	}
+}
+
+// TestFedGuardAllPassIsFedAvg: a round whose audit keeps every update
+// aggregates exactly as FedAvg does. The updates share one classifier
+// and one decoder, so they score alike, yet differ: each final-layer
+// bias is shifted by its own small power of two and each update has its
+// own sample count.
+func TestFedGuardAllPassIsFedAvg(t *testing.T) {
+	benign, dec, ccfg := buildFixture(t, rng.New(9))
+	updates := make([]fl.Update, 5)
+	for i := range updates {
+		w := slices.Clone(benign)
+		for j := len(w) - 10; j < len(w); j++ { // the last Linear's bias
+			w[j] += float32(math.Ldexp(1, -12-i))
+		}
+		updates[i] = fl.Update{ClientID: i, Weights: w, NumSamples: 10 + 7*i, Decoder: dec}
+	}
+	g := NewFedGuard(classifier.Tiny(), ccfg)
+	g.Samples = 40
+	ctx := ctxWith(updates, 10)
+	got, err := g.Aggregate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ctx.Decisions {
+		if d.Score != ctx.Decisions[0].Score || !d.Kept {
+			t.Fatalf("the audit told the updates apart: %+v", ctx.Decisions)
+		}
+	}
+	want, err := aggregate.NewFedAvg().Aggregate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(got, want, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+		t.Fatal("an all-pass FedGuard round differs from FedAvg's aggregate")
 	}
 }
 

@@ -5,9 +5,12 @@ import (
 	"encoding/xml"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"fedguard/internal/dataset"
 	"fedguard/internal/fl"
 )
 
@@ -69,6 +72,50 @@ func TestDataDeterministicAndDisjointStreams(t *testing.T) {
 	}
 	if same > 900 {
 		t.Fatal("train and test streams look identical")
+	}
+}
+
+// TestSeedMovesRunNotData: Setup.Seed is a run's one seed. Two Setups
+// that differ only in Seed draw byte-identical data — so cells that
+// differ only in Seed are repeats of one experiment — yet their runs end
+// on different weights.
+func TestSeedMovesRunNotData(t *testing.T) {
+	at7 := MustSetup(PresetQuick)
+	at7.Rounds, at7.Seed = 1, 7
+	at11 := at7
+	at11.Seed = 11
+	if at7.TrainDataSeed() != at11.TrainDataSeed() {
+		t.Fatalf("TrainDataSeed %x at seed 7, %x at seed 11", at7.TrainDataSeed(), at11.TrainDataSeed())
+	}
+	sameBits := func(a, b *dataset.Dataset) bool {
+		return slices.Equal(a.Labels, b.Labels) && slices.EqualFunc(a.X, b.X, func(x, y float32) bool {
+			return math.Float32bits(x) == math.Float32bits(y)
+		})
+	}
+	tr7, te7, aux7 := at7.Data()
+	tr11, te11, aux11 := at11.Data()
+	for name, pair := range map[string][2]*dataset.Dataset{
+		"train": {tr7, tr11}, "test": {te7, te11}, "aux": {aux7, aux11},
+		"TestData": {at7.TestData(), at11.TestData()},
+	} {
+		if !sameBits(pair[0], pair[1]) {
+			t.Errorf("%s data differs between seeds 7 and 11", name)
+		}
+	}
+	sc, err := ScenarioByID("no-attack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r7, err := Run(at7, sc, "FedAvg", RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r11, err := Run(at11, sc, "FedAvg", RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(r7.History.FinalWeights, r11.History.FinalWeights) {
+		t.Fatal("runs at seeds 7 and 11 end on the same weights")
 	}
 }
 

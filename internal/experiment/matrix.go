@@ -17,8 +17,8 @@ import (
 )
 
 // Cell is one run of a sweep. A study's override (t, α, server learning
-// rate) is already in Setup; Label names the result's row
-// ("FedGuard-lr-0.3"), and an empty Label means Strategy.
+// rate, seed: a repeat on the same data) is already in Setup; Label names
+// the result's row ("FedGuard-lr-0.3"), and an empty Label means Strategy.
 type Cell struct {
 	Setup    Setup
 	Scenario Scenario
@@ -45,8 +45,6 @@ type MatrixOptions struct {
 	// sequentially). Results are identical at any setting: every cell is
 	// an independent seeded run and lands at its index.
 	Workers int
-	// Seed forwards into each cell's RunOptions.
-	Seed uint64
 	// Telemetry, when non-nil, receives one MatrixCellCompleted event per
 	// cell as it finishes. With Workers > 1 the emission order follows
 	// completion, not cell order; the returned slice and the CSV writer
@@ -96,7 +94,7 @@ func RunMatrix(cells []Cell, opts MatrixOptions) ([]*Result, error) {
 				if i >= len(cells) {
 					return
 				}
-				r := runCell(cells[i], opts)
+				r := runCell(cells[i])
 				results[i] = r
 				opts.Telemetry.Emit(cellEvent(r))
 				if opts.Progress != nil {
@@ -117,9 +115,9 @@ func RunMatrix(cells []Cell, opts MatrixOptions) ([]*Result, error) {
 	return results, nil
 }
 
-func runCell(c Cell, opts MatrixOptions) *Result {
+func runCell(c Cell) *Result {
 	start := time.Now()
-	r, err := Run(c.Setup, c.Scenario, c.Strategy, RunOptions{Seed: opts.Seed})
+	r, err := Run(c.Setup, c.Scenario, c.Strategy, RunOptions{})
 	if err != nil {
 		r = &Result{Scenario: c.Scenario, History: &fl.History{}, LastN: c.Setup.LastN, Err: err}
 	}

@@ -79,9 +79,6 @@ func ratio(n, d int) float64 {
 type RunOptions struct {
 	// OnRound, if non-nil, receives every round record as it completes.
 	OnRound func(fl.RoundRecord)
-	// Seed overrides the setup seed when non-zero (for repeat runs); the
-	// attack's collusion seed follows it.
-	Seed uint64
 	// Telemetry, when non-nil, receives the run's structured events and,
 	// with tracing enabled, its span tree (threaded into
 	// fl.FederationConfig).
@@ -101,16 +98,14 @@ type RunOptions struct {
 }
 
 // Run executes one (setup, scenario, strategy) cell and returns its
-// result.
+// result. The run's seed is setup.Seed; the attack's collusion seed
+// follows it.
 func Run(setup Setup, sc Scenario, strategyName string, opts RunOptions) (*Result, error) {
 	strat, err := NewStrategy(strategyName, setup)
 	if err != nil {
 		return nil, err
 	}
 	cfg := setup.Federation(sc)
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
 	att, err := NewAttack(sc.Attack, cfg.Seed)
 	if err != nil {
 		return nil, err

@@ -153,12 +153,12 @@ func newFedGuard(setup Setup, inner aggregate.Inner) *defense.FedGuard {
 }
 
 // NewPretrainedSpectral builds and pretrains the Spectral strategy on the
-// setup's auxiliary dataset.
+// setup's auxiliary dataset, seeded like the data: the preset's at any Seed.
 func NewPretrainedSpectral(setup Setup) *defense.Spectral {
 	s := defense.NewSpectral(setup.Arch)
 	_, _, aux := setup.Data()
 	pcfg := defense.DefaultPretrainConfig(setup.Train)
-	pcfg.Seed = setup.Seed ^ 0x5bec
+	pcfg.Seed = dataSeed ^ 0x5bec
 	if err := s.Pretrain(aux, pcfg); err != nil {
 		// Pretrain can only fail on empty aux data, which Setup rules out.
 		panic(err)

@@ -54,8 +54,14 @@ type Setup struct {
 	LastN int
 	// TestSubset caps per-round evaluation (0 = whole test set).
 	TestSubset int
-	Seed       uint64
+	// Seed is the run's one seed: partition, malicious placement,
+	// sampling, ψ₀, client streams and collusion. The data is dataSeed's.
+	Seed uint64
 }
+
+// dataSeed seeds every preset's data at any Seed: the train, test and
+// auxiliary sets and Spectral's pretraining.
+const dataSeed = 7
 
 // NewSetup returns the named preset.
 func NewSetup(p Preset) (Setup, error) {
@@ -112,23 +118,23 @@ func MustSetup(p Preset) Setup {
 
 // TrainDataSeed seeds the setup's training stream. Data draws from it
 // and a networked run hands it to its clients, so every deployment of a
-// (preset, seed) pair sees the same data.
-func (s Setup) TrainDataSeed() uint64 { return s.Seed ^ 0x7261696e } // "rain"
+// preset sees the same data, whatever the run's Seed.
+func (s Setup) TrainDataSeed() uint64 { return dataSeed ^ 0x7261696e } // "rain"
 
 // TestData renders the held-out set alone — all of the data a networked
 // server needs, which evaluates and leaves training to its clients.
 func (s Setup) TestData() *dataset.Dataset {
-	return dataset.Generate(s.TestSize, dataset.DefaultGenOptions(), rng.New(s.Seed^0x74657374)) // "test"
+	return dataset.Generate(s.TestSize, dataset.DefaultGenOptions(), rng.New(dataSeed^0x74657374)) // "test"
 }
 
 // Data materializes the setup's train, test and auxiliary datasets. The
-// streams are decoupled so every (preset, seed) pair always sees the same
-// data regardless of which strategies run.
+// streams are decoupled so a preset always sees the same data regardless
+// of which strategies run or at which Seed.
 func (s Setup) Data() (train, test, aux *dataset.Dataset) {
 	opts := dataset.DefaultGenOptions()
 	train = dataset.Generate(s.TrainSize, opts, rng.New(s.TrainDataSeed()))
 	test = s.TestData()
-	aux = dataset.Generate(s.AuxSize, opts, rng.New(s.Seed^0x617578)) // "aux"
+	aux = dataset.Generate(s.AuxSize, opts, rng.New(dataSeed^0x617578)) // "aux"
 	return train, test, aux
 }
 

@@ -393,8 +393,9 @@ func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History
 					len(ck.Global), len(s.initGlobal))
 			}
 			for _, d := range ck.Decoders {
-				// Hash-only entries (params not checkpointed) are useless
-				// here: a client resending a token needs the bytes back.
+				// Snapshot writes every entry with its payload, but a
+				// hostile round file can declare a zero-length blob, and
+				// a client resending a token needs the bytes back.
 				if len(d.Params) > 0 {
 					s.decoders[d.ID] = &decoderCache{
 						hash:   d.Hash,

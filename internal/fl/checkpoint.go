@@ -37,9 +37,11 @@ type Checkpoint struct {
 	// the wire-byte columns included, so a resumed run's record and
 	// Table V are seamless.
 	Rounds []RoundRecord
-	// Decoders is the per-client decoder-dedup state: content hashes
-	// in-process, hashes plus cached payloads for the networked server
-	// (which must answer hash-only tokens from restored state).
+	// Decoders is the networked server's decoder-dedup cache: hashes
+	// plus cached payloads, so a resumed server can answer hash-only
+	// tokens. In-process checkpoints leave it empty: each client's
+	// DecoderHash is its dedup entry, and hash-only entries that older
+	// round files carry are ignored on resume.
 	Decoders []DecoderState
 	// Clients holds in-process client snapshots. Networked checkpoints
 	// leave it empty: remote clients own their state and carry it across
@@ -47,15 +49,14 @@ type Checkpoint struct {
 	Clients []ClientState
 }
 
-// DecoderState is one client's entry in the decoder dedup cache.
+// DecoderState is one client's entry in the networked server's decoder
+// dedup cache.
 type DecoderState struct {
 	ID int
 	// Hash is codec.Hash of the decoder the client last delivered.
 	Hash uint64
 	// Params is the cached decoder payload, aliased from the server's
-	// cache and never rewritten; empty for in-process checkpoints, where
-	// the entry is wire accounting only and the client snapshot carries
-	// the payload.
+	// cache and never rewritten.
 	Params []float32
 }
 

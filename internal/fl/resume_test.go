@@ -168,13 +168,7 @@ func TestResumeFedGuardCrashPoints(t *testing.T) {
 		if !streaming {
 			cfg.Attack, cfg.MaliciousFraction = attack.NewALIE(), 0.5
 		}
-		newGuard := func() fl.Strategy {
-			g := defense.NewFedGuard(cfg.Client.Arch, cvae.Config{
-				Input: 784, Hidden: 16, Latent: 2, Classes: 10,
-			})
-			g.Samples = 8
-			return g
-		}
+		newGuard := func() fl.Strategy { return resumeGuard(cfg) }
 		baseline := mustRun(t, cfg, train, test, newGuard())
 		for _, rec := range baseline.Rounds {
 			if !streaming && rec.MaliciousSampled == 0 {
@@ -188,6 +182,64 @@ func TestResumeFedGuardCrashPoints(t *testing.T) {
 			})
 		}
 	}
+}
+
+// resumeGuard is the FedGuard the resume tests run: resumeConfig's CVAE
+// and eight synthetic samples.
+func resumeGuard(cfg fl.FederationConfig) fl.Strategy {
+	g := defense.NewFedGuard(cfg.Client.Arch, cfg.Client.CVAE)
+	g.Samples = 8
+	return g
+}
+
+// TestResumeFromHashOnlyEntries: round files written before the pool
+// named each decoder once also carry a hash-only dedup entry for every
+// trained decoder. Such a file still loads, and the run resumed from it
+// is the uninterrupted one, wire byte columns included.
+func TestResumeFromHashOnlyEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains CVAEs across three federations")
+	}
+	cfg := resumeConfig()
+	train, test := resumeData(t)
+	baseline := mustRun(t, cfg, train, test, resumeGuard(cfg))
+
+	dir := t.TempDir()
+	partial := cfg
+	partial.Rounds = 1
+	partial.CheckpointSink = func(ck *fl.Checkpoint) (string, int64, error) { return persist.SaveCheckpoint(dir, ck) }
+	mustRun(t, partial, train, test, resumeGuard(cfg))
+	ck, err := persist.LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Decoders) != 0 {
+		t.Fatalf("an in-process checkpoint carries %d dedup entries", len(ck.Decoders))
+	}
+	for _, st := range ck.Clients {
+		if st.DecoderHash != 0 {
+			ck.Decoders = append(ck.Decoders, fl.DecoderState{ID: st.ID, Hash: st.DecoderHash})
+		}
+	}
+	legacy := t.TempDir()
+	if _, _, err := persist.SaveCheckpoint(legacy, ck); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err = persist.LoadCheckpoint(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Decoders) == 0 {
+		t.Fatal("round 1 trained no decoder")
+	}
+	fed, err := fl.NewFederation(train, test, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := fed.Resume(resumeGuard(cfg), ck, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectIdentical(t, 1, baseline, resumed)
 }
 
 // TestResumeAcrossSeeds re-proves the guarantee under different seeds —

@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -187,9 +186,9 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 				return nil, fmt.Errorf("fl: checkpoint client %d outside 0..%d", st.ID, len(p.clients)-1)
 			}
 			p.clients[st.ID].RestoreState(st)
-		}
-		for _, d := range resume.Decoders {
-			p.decoderHashes[d.ID] = d.Hash
+			if st.DecoderHash != 0 {
+				p.decoderHashes[st.ID] = st.DecoderHash
+			}
 		}
 	}
 	return p, nil
@@ -250,19 +249,12 @@ func (p *pool) WireBytes(updates []Update, broadcast int64) (up, down int64) {
 	return broadcast, down
 }
 
-// Snapshot implements Cohort: dedup hashes and every client in ID order.
-// The hashes are flattened in ID order too, so checkpoint bytes are
-// deterministic for a given run state.
+// Snapshot implements Cohort: every client in ID order. A client's
+// DecoderHash is also its dedup entry — a decoder never changes once
+// trained, and the round that trains it delivers it — so the checkpoint
+// names each decoder once and newPool rebuilds decoderHashes from the
+// clients.
 func (p *pool) Snapshot(ck *Checkpoint) {
-	ids := make([]int, 0, len(p.decoderHashes))
-	for id := range p.decoderHashes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	ck.Decoders = make([]DecoderState, len(ids))
-	for i, id := range ids {
-		ck.Decoders[i] = DecoderState{ID: id, Hash: p.decoderHashes[id]}
-	}
 	ck.Clients = make([]ClientState, len(p.clients))
 	for i, c := range p.clients {
 		ck.Clients[i] = c.CaptureState()

@@ -68,7 +68,6 @@ func benchCheckpoint(networked bool, clients, globalLen, decoderLen int) *fl.Che
 			ck.Decoders = append(ck.Decoders, fl.DecoderState{ID: id, Hash: hash, Params: decoder})
 			continue
 		}
-		ck.Decoders = append(ck.Decoders, fl.DecoderState{ID: id, Hash: hash})
 		ck.Clients = append(ck.Clients, fl.ClientState{
 			ID: id, RNG: rng.New(uint64(id)).State(),
 			Decoder: decoder, DecoderHash: hash,

@@ -42,9 +42,10 @@ func networkedCheckpoint(round, clients, decoderLen int) *fl.Checkpoint {
 	return ck
 }
 
-// inProcessCheckpoint is the shape fl's pool produces: hash-only dedup
-// entries, and every client — the last one has not trained a CVAE yet.
-// A client's stream has advanced one draw per round.
+// inProcessCheckpoint is the shape fl's pool produces: every client —
+// the last one has not trained a CVAE yet — and no dedup entries, each
+// client's DecoderHash being its own. A client's stream has advanced one
+// draw per round.
 func inProcessCheckpoint(round, clients, decoderLen int) *fl.Checkpoint {
 	ck := networkedCheckpoint(round, 0, 0)
 	for id := 0; id < clients; id++ {
@@ -57,7 +58,6 @@ func inProcessCheckpoint(round, clients, decoderLen int) *fl.Checkpoint {
 			st.Decoder = testDecoder(uint64(id), decoderLen)
 			st.DecoderHash = codec.Hash(st.Decoder)
 			st.DecoderClasses = []int{1, 7}
-			ck.Decoders = append(ck.Decoders, fl.DecoderState{ID: id, Hash: st.DecoderHash})
 		}
 		ck.Clients = append(ck.Clients, st)
 	}
@@ -347,14 +347,22 @@ func TestSaveCheckpointRejectsHashMismatch(t *testing.T) {
 }
 
 // (g) LoadCheckpoint(SaveCheckpoint(ck)) == ck for both transports'
-// shapes, including clients that have no decoder yet and a checkpoint
-// with no decoders at all.
+// shapes, including clients that have no decoder yet, a checkpoint with
+// no decoders at all, and the older in-process shape that also named
+// each client's decoder in a hash-only dedup entry.
 func TestSaveLoadCheckpointShapes(t *testing.T) {
+	hashOnly := inProcessCheckpoint(3, 5, 333)
+	for _, st := range hashOnly.Clients {
+		if st.DecoderHash != 0 {
+			hashOnly.Decoders = append(hashOnly.Decoders, fl.DecoderState{ID: st.ID, Hash: st.DecoderHash})
+		}
+	}
 	shapes := map[string]*fl.Checkpoint{
-		"networked":   networkedCheckpoint(3, 5, 333),
-		"in-process":  inProcessCheckpoint(3, 5, 333),
-		"no decoders": networkedCheckpoint(1, 0, 0),
-		"every field": fullCheckpoint(),
+		"networked":          networkedCheckpoint(3, 5, 333),
+		"in-process":         inProcessCheckpoint(3, 5, 333),
+		"in-process, hashes": hashOnly,
+		"no decoders":        networkedCheckpoint(1, 0, 0),
+		"every field":        fullCheckpoint(),
 	}
 	for name, ck := range shapes {
 		t.Run(name, func(t *testing.T) {

@@ -294,19 +294,6 @@ func ScaleF64To32(dst []float32, src []float64, s float64) {
 	})
 }
 
-// ScaleInto sets dst[i] = a[i] * s, parallel over coordinates.
-func ScaleInto(dst, a []float32, s float32) {
-	if len(dst) != len(a) {
-		panic(fmt.Sprintf("tensor: ScaleInto length mismatch %d vs %d", len(dst), len(a)))
-	}
-	ParallelBlocks(len(dst), func(lo, hi int) {
-		d, av := dst[lo:hi], a[lo:hi]
-		for i, v := range av {
-			d[i] = v * s
-		}
-	})
-}
-
 // LerpInto sets dst[i] = a[i] + t*(b[i] - a[i]) — the server's
 // ψ ← ψ + lr·(agg − ψ) update as a kernel. dst may alias a or b.
 // Purely element-wise, so worker count cannot affect results.

@@ -198,13 +198,6 @@ func TestLerpScaleKernels(t *testing.T) {
 			t.Fatalf("ScaleF64To32[%d] = %g want %g", i, dst[i], want)
 		}
 	}
-	out := make([]float32, dim)
-	ScaleInto(out, a, 2)
-	for i := range out {
-		if want := a[i] * 2; out[i] != want {
-			t.Fatalf("ScaleInto[%d] = %g want %g", i, out[i], want)
-		}
-	}
 }
 
 func TestDistSqManyInto(t *testing.T) {
