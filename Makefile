@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet ci bench bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check clean
+.PHONY: all build test test-short race vet fmt-check ci bench bench-smoke bench-agg bench-guard bench-harness test-purego test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check clean
 
 # The substrate microbenchmarks bench-smoke runs once each.
 MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkClassifierInfer$$|BenchmarkCVAEStep$$|BenchmarkCVAEStepContended$$|BenchmarkSigmoidForward$$|BenchmarkCVAETrainEpoch$$|BenchmarkAdamStep$$|BenchmarkDecoderGenerate$$|BenchmarkFedGuardSynthesize$$|BenchmarkFedGuardAudit$$|BenchmarkGenerate$$|BenchmarkGenerateSubset$$|BenchmarkGenerateLabels$$
@@ -41,18 +41,23 @@ race:
 vet:
 	$(GO) vet ./...
 
-# ci is the gate for every change: static analysis, the short test suite
-# under the race detector (telemetry and fednet are concurrent), one
-# iteration of every substrate microbenchmark so a broken kernel fails
-# fast even when its unit tests are skipped, the adversary-suite gate,
-# the fault-injection chaos suite, the lossless-codec stack, the
-# crash-recovery kill/resume drill, the command-line gate (flag surfaces
-# and fednode == fedsim), the distributed-tracing smoke run, bounded fuzz
-# passes over the wire, codec, and checkpoint decoders and the server's
-# update edge, the benchmark module's own vet and tests, the compute
-# substrate again on its scalar kernels, and the docs' path and make
-# target references.
-ci: vet race test-purego bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check
+# fmt-check fails when gofmt would rewrite any Go file in the
+# repository, the benchmark module's included, and lists them.
+fmt-check:
+	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
+
+# ci is the gate for every change: static analysis, gofmt-clean sources,
+# the short test suite under the race detector (telemetry and fednet are
+# concurrent), one iteration of every substrate microbenchmark so a
+# broken kernel fails fast even when its unit tests are skipped, the
+# adversary-suite gate, the fault-injection chaos suite, the
+# lossless-codec stack, the crash-recovery kill/resume drill, the
+# command-line gate (flag surfaces and fednode == fedsim), the
+# distributed-tracing smoke run, bounded fuzz passes over the wire,
+# codec, and checkpoint decoders and the server's update edge, the
+# benchmark module's own vet and tests, the compute substrate again on
+# its scalar kernels, and the docs' path and make target references.
+ci: vet fmt-check race test-purego bench-smoke bench-guard bench-harness test-attacks test-chaos test-codec test-resume test-cli trace-smoke fuzz-smoke docs-check
 
 # docs-check fails when README.md, DESIGN.md or EXPERIMENTS.md names a
 # repo path or a make target that does not exist, or an invocation of a

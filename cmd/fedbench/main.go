@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"fedguard/internal/experiment"
 )
@@ -35,18 +34,10 @@ var (
 	out       = flag.String("out", "results", "output directory")
 	ablations = flag.Bool("ablations", false, "also run the §VI ablation sweeps")
 	fig4Only  = flag.Bool("fig4-only", false, "run only the Fig. 4 / Table IV matrix (and Table V, its no-attack row)")
-	svgFrom   = flag.String("svg-from-csv", "", "re-render an archived series CSV as SVG and exit")
 )
 
 func main() {
 	flag.Parse()
-
-	if *svgFrom != "" {
-		if err := svgFromCSV(*svgFrom); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	setup, err := experiment.NewSetup(experiment.Preset(*preset))
 	if err != nil {
@@ -148,31 +139,6 @@ func sweep(cells []experiment.Cell) []*experiment.Result {
 		fatal(err)
 	}
 	return results
-}
-
-// svgFromCSV re-renders an archived WriteSeriesCSV file as an SVG chart
-// next to it.
-func svgFromCSV(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	results, err := experiment.ResultsFromSeriesCSV(f)
-	if err != nil {
-		return err
-	}
-	outPath := strings.TrimSuffix(path, ".csv") + ".svg"
-	out, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	if err := experiment.WriteSVGChart(out, results, filepath.Base(strings.TrimSuffix(path, ".csv"))); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
 }
 
 func mustScenario(id string) experiment.Scenario {

@@ -12,7 +12,7 @@ import (
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
 		"preset": "default", "out": "results", "ablations": "false",
-		"fig4-only": "false", "svg-from-csv": "",
+		"fig4-only": "false",
 	}
 	got := map[string]string{}
 	flag.VisitAll(func(f *flag.Flag) {

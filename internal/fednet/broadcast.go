@@ -60,7 +60,7 @@ func (s *Server) buildRequestC(c *clientConn, round int, needDecoder bool, globa
 	var hash uint64
 	s.mu.Lock()
 	if e := s.decoders[c.id]; e != nil {
-		hash = e.hash
+		hash = e.Hash
 	}
 	s.mu.Unlock()
 	tr := &wire.TrainRequestC{

@@ -47,7 +47,7 @@ func pipeServer(t *testing.T, tolerant bool, modelSize, decoderSize int) (*Serve
 	if tolerant {
 		cfg.MinClientsPerRound = 1
 	}
-	s := &Server{cfg: cfg, clients: map[int]*clientConn{}, decoders: map[int]*decoderCache{}, parts: make([][]int, 2),
+	s := &Server{cfg: cfg, clients: map[int]*clientConn{}, decoders: map[int]*fl.DecoderState{}, parts: make([][]int, 2),
 		initGlobal: make([]float32, modelSize), decoderSize: decoderSize, kill: make(chan struct{})}
 	var far [2]net.Conn
 	for id := range far {
@@ -125,7 +125,7 @@ func TestDecoderChangedUnderUnchangedHash(t *testing.T) {
 			} else if !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), "decoder changed under an unchanged hash") {
 				t.Fatalf("err = %v, want the same-hash protocol violation", err)
 			}
-			if e := s.decoders[0]; e == nil || !sameBits(e.params, honest) {
+			if e := s.decoders[0]; e == nil || !sameBits(e.Params, honest) {
 				t.Fatal("the cache took the forged decoder")
 			}
 		})

@@ -90,7 +90,7 @@ func edgeServer(t testing.TB, enc bool, modelSize, decoderSize int) (*Server, *c
 	near, far := net.Pipe()
 	t.Cleanup(func() { near.Close(); far.Close() })
 	c := &clientConn{id: 0, conn: near, count: wire.NewCountingConn(near), enc: enc}
-	s := &Server{cfg: testConfig(), clients: map[int]*clientConn{0: c}, decoders: map[int]*decoderCache{},
+	s := &Server{cfg: testConfig(), clients: map[int]*clientConn{0: c}, decoders: map[int]*fl.DecoderState{},
 		parts: [][]int{make([]int, edgeSamples)}, initGlobal: make([]float32, modelSize),
 		decoderSize: decoderSize, kill: make(chan struct{})}
 	return s, c
@@ -105,7 +105,7 @@ const edgeSamples = 5
 // cache entry it hands back is that decoder, and the client's cache entry
 // is still was: the edge files nothing, only an admitted update's decoder
 // is cached.
-func checkEdgeInvariants(t *testing.T, s *Server, c *clientConn, u fl.Update, entry, was *decoderCache, needDecoder bool, modelSize int) {
+func checkEdgeInvariants(t *testing.T, s *Server, c *clientConn, u fl.Update, entry, was *fl.DecoderState, needDecoder bool, modelSize int) {
 	t.Helper()
 	if u.ClientID != c.id {
 		t.Fatalf("accepted an update for client %d on client %d's connection", u.ClientID, c.id)
@@ -119,7 +119,7 @@ func checkEdgeInvariants(t *testing.T, s *Server, c *clientConn, u fl.Update, en
 	if u.NumSamples != len(s.parts[c.id]) {
 		t.Fatalf("accepted a count of %d samples for a partition of %d", u.NumSamples, len(s.parts[c.id]))
 	}
-	if entry != nil && !sameBits(entry.params, u.Decoder) {
+	if entry != nil && !sameBits(entry.Params, u.Decoder) {
 		t.Fatal("the cache entry is not the update's decoder")
 	}
 	if s.decoders[c.id] != was {
@@ -428,7 +428,7 @@ func TestRefusedDecoderIsNeverCached(t *testing.T) {
 		t.Fatalf("round 1 dropped %v, want the peer %d", h.Rounds[0].Dropped, bad)
 	}
 	for id, e := range srv.decoders {
-		finite("the dedup cache", id, e.params)
+		finite("the dedup cache", id, e.Params)
 	}
 }
 
@@ -502,7 +502,7 @@ func FuzzUpdateEdge(f *testing.F) {
 	f.Fuzz(func(t *testing.T, enc, needDecoder bool, clientID, numParams, numDecoderParams uint32,
 		encoding byte, hash uint64, weights, decoder []byte) {
 		s, c := edgeServer(t, enc, modelSize, decoderSize)
-		was := &decoderCache{hash: codec.Hash(cached), params: cached}
+		was := &fl.DecoderState{Hash: codec.Hash(cached), Params: cached}
 		s.decoders[c.id] = was
 		floats := func(b []byte) []float32 {
 			v := make([]float32, len(b)/4)

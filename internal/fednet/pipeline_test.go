@@ -8,6 +8,7 @@ import (
 	"fedguard/internal/classifier"
 	"fedguard/internal/cvae"
 	"fedguard/internal/defense"
+	"fedguard/internal/fl"
 	"fedguard/internal/rng"
 	"fedguard/internal/telemetry"
 )
@@ -94,7 +95,7 @@ func BenchmarkServerBroadcastFanout(b *testing.B) {
 	for _, m := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("conns=%d", m), func(b *testing.B) {
 			s := &Server{initGlobal: base}
-			s.decoders = make(map[int]*decoderCache)
+			s.decoders = make(map[int]*fl.DecoderState)
 			conns := make([]*clientConn, m)
 			for i := range conns {
 				conns[i] = &clientConn{id: i, enc: true}

@@ -76,7 +76,7 @@ func (s *Server) trainRound(round int, sampled []int, global []float32, needDeco
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var fresh *decoderCache
+			var fresh *fl.DecoderState
 			results[i], fresh, errs[i] = s.trainOne(conns[i], round, needDecoders, global, deadline, roundSpan)
 			if errs[i] != nil {
 				return
@@ -187,7 +187,7 @@ const retryBackoff = 25 * time.Millisecond
 // (with drop reason on failure), negotiated encoding, and the measured
 // bytes both ways. On CapTrace connections the span's context rides the
 // request frame so the client's spans parent onto it.
-func (s *Server) trainOne(c *clientConn, round int, needDecoder bool, global []float32, deadline time.Time, roundSpan *telemetry.Span) (fl.Update, *decoderCache, error) {
+func (s *Server) trainOne(c *clientConn, round int, needDecoder bool, global []float32, deadline time.Time, roundSpan *telemetry.Span) (fl.Update, *fl.DecoderState, error) {
 	sp := roundSpan.Child("server.request", telemetry.L("client", strconv.Itoa(c.id)),
 		telemetry.L("encoding", encName(c.enc)))
 	retries, timeouts := 0, 0
@@ -247,7 +247,7 @@ func encName(enc bool) string {
 // CapTrace connections the request carries reqSpan's context; the span
 // is constant across a round's retries (trainOne owns it), so retried
 // frames stay byte-identical.
-func (s *Server) requestOnce(c *clientConn, round int, needDecoder bool, global []float32, deadline time.Time, reqSpan *telemetry.Span) (fl.Update, *decoderCache, error) {
+func (s *Server) requestOnce(c *clientConn, round int, needDecoder bool, global []float32, deadline time.Time, reqSpan *telemetry.Span) (fl.Update, *fl.DecoderState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.conn.SetDeadline(s.opDeadline(deadline))
@@ -309,7 +309,7 @@ func updateRound(msg any, enc bool) (round uint32, ok bool) {
 // A decoder that arrived in full over the codec dialect comes back as the
 // dedup-cache entry it makes, for trainRound to file once the engine has
 // admitted the update; the edge itself caches nothing.
-func (s *Server) toUpdate(c *clientConn, msg any, needDecoder bool, global []float32) (fl.Update, *decoderCache, error) {
+func (s *Server) toUpdate(c *clientConn, msg any, needDecoder bool, global []float32) (fl.Update, *fl.DecoderState, error) {
 	var (
 		id               uint32
 		weights, decoder []float32
@@ -345,12 +345,12 @@ func (s *Server) toUpdate(c *clientConn, msg any, needDecoder bool, global []flo
 			errProtocol, len(decoder), s.decoderSize)
 	}
 	out := fl.Update{ClientID: c.id, Weights: weights, NumSamples: len(s.parts[c.id])}
-	var entry *decoderCache
+	var entry *fl.DecoderState
 	if len(decoder) > 0 {
 		out.Decoder = decoder
 		out.DecoderClasses = castInts[int](classes)
 		if fresh != 0 {
-			entry = &decoderCache{hash: fresh, params: decoder}
+			entry = &fl.DecoderState{ID: c.id, Hash: fresh, Params: decoder}
 		}
 	}
 	return out, entry, nil
@@ -382,10 +382,10 @@ func (s *Server) decodeUpdateC(c *clientConn, u *wire.UpdateC, global []float32)
 	cached := s.decoders[c.id]
 	s.mu.Unlock()
 	if len(u.Decoder) == 0 {
-		if cached == nil || cached.hash != u.DecoderHash {
+		if cached == nil || cached.Hash != u.DecoderHash {
 			return nil, nil, fmt.Errorf("%w: decoder token %016x not cached", errProtocol, u.DecoderHash)
 		}
-		return weights, cached.params, nil
+		return weights, cached.Params, nil
 	}
 	if decoder, err = codec.Decode(u.Decoder, s.decoderSize); err != nil {
 		return nil, nil, fmt.Errorf("%w: decoder blob: %v", errProtocol, err)
@@ -398,7 +398,7 @@ func (s *Server) decodeUpdateC(c *clientConn, u *wire.UpdateC, global []float32)
 	// the live cache and the store disagreeing, and a resumed run
 	// diverging from this one. Honest clients never get here — they
 	// answer a cached hash with the token.
-	if cached != nil && cached.hash == u.DecoderHash && !sameBits(cached.params, decoder) {
+	if cached != nil && cached.Hash == u.DecoderHash && !sameBits(cached.Params, decoder) {
 		return nil, nil, fmt.Errorf("%w: decoder changed under an unchanged hash %016x",
 			errProtocol, u.DecoderHash)
 	}

@@ -191,7 +191,7 @@ type Server struct {
 	// connections, so a rejoining client's unchanged decoder still
 	// dedups. decoderSize is the trusted decode cap for decoder blobs.
 	initGlobal  []float32
-	decoders    map[int]*decoderCache // guarded by mu
+	decoders    map[int]*fl.DecoderState // guarded by mu
 	decoderSize int
 
 	// Encode-once broadcast sharing (guarded by mu): one encoded delta
@@ -215,12 +215,6 @@ type Server struct {
 	// frames — so resilient clients redial instead of exiting cleanly.
 	kill     chan struct{}
 	killOnce sync.Once
-}
-
-// decoderCache is one client's last-delivered decoder payload.
-type decoderCache struct {
-	hash   uint64
-	params []float32
 }
 
 // NewServer validates the configuration and returns a server. test is
@@ -368,7 +362,7 @@ func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History
 	s.parts = fl.Partition(&dataset.Dataset{Labels: labels}, cfg)
 	s.malicious = fl.MaliciousPlacement(cfg)
 	s.initGlobal = fl.InitialGlobal(cfg)
-	s.decoders = make(map[int]*decoderCache)
+	s.decoders = make(map[int]*fl.DecoderState)
 	dcfg := cfg.Client.CVAE
 	dcfg.Input = dataset.ImageH * dataset.ImageW
 	s.decoderSize = cvae.DecoderSize(dcfg)
@@ -392,16 +386,8 @@ func (s *Server) Run(ln net.Listener, onRound func(fl.RoundRecord)) (*fl.History
 				return nil, fmt.Errorf("fednet: checkpoint global has %d params, model has %d",
 					len(ck.Global), len(s.initGlobal))
 			}
-			for _, d := range ck.Decoders {
-				// Snapshot writes every entry with its payload, but a
-				// hostile round file can declare a zero-length blob, and
-				// a client resending a token needs the bytes back.
-				if len(d.Params) > 0 {
-					s.decoders[d.ID] = &decoderCache{
-						hash:   d.Hash,
-						params: append([]float32(nil), d.Params...),
-					}
-				}
+			for i := range ck.Decoders {
+				s.decoders[ck.Decoders[i].ID] = &ck.Decoders[i]
 			}
 			s.round.Store(int64(ck.Round))
 			resume = ck
@@ -477,8 +463,8 @@ func (s *Server) WireBytes([]fl.Update, int64) (up, down int64) {
 func (s *Server) Snapshot(ck *fl.Checkpoint) {
 	s.mu.Lock()
 	decs := make([]fl.DecoderState, 0, len(s.decoders))
-	for id, e := range s.decoders {
-		decs = append(decs, fl.DecoderState{ID: id, Hash: e.hash, Params: e.params})
+	for _, e := range s.decoders {
+		decs = append(decs, *e)
 	}
 	s.mu.Unlock()
 	sort.Slice(decs, func(i, j int) bool { return decs[i].ID < decs[j].ID })

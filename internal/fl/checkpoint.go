@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 
-	"fedguard/internal/codec"
 	"fedguard/internal/rng"
 )
 
@@ -13,16 +12,15 @@ import (
 // The server RNG is captured after the round's sample and split, so the
 // next round's draws continue the exact stream; client and decoder
 // state carry the pieces that are NOT re-derivable from the seed (a
-// client's private stream position, its trained CVAE decoder, the
-// server's dedup cache). persist.SaveCheckpoint/LoadCheckpoint give the
-// on-disk form.
+// client's private stream position and the CVAE decoders clients have
+// delivered). persist.SaveCheckpoint/LoadCheckpoint give the on-disk
+// form.
 //
-// Ownership: Global and every decoder payload slice (DecoderState.Params,
-// ClientState.Decoder) alias the live run's memory. That is safe because
-// neither is ever written in place — ψ is replaced each round, and a
-// client trains its decoder once — and it is why a snapshot costs
-// nothing per decoder. A sink must not modify them or keep them past
-// its return.
+// Ownership: Global and every DecoderState.Params alias the live run's
+// memory. That is safe because neither is ever written in place — ψ is
+// replaced each round, and a client trains its decoder once — and it is
+// why a snapshot costs nothing per decoder. A sink must not modify them
+// or keep them past its return.
 type Checkpoint struct {
 	// Round is the last completed round the snapshot reflects.
 	Round int
@@ -37,43 +35,39 @@ type Checkpoint struct {
 	// the wire-byte columns included, so a resumed run's record and
 	// Table V are seamless.
 	Rounds []RoundRecord
-	// Decoders is the networked server's decoder-dedup cache: hashes
-	// plus cached payloads, so a resumed server can answer hash-only
-	// tokens. In-process checkpoints leave it empty: each client's
-	// DecoderHash is its dedup entry, and hash-only entries that older
-	// round files carry are ignored on resume.
+	// Decoders is the one place a checkpoint holds a decoder: one entry
+	// per client that has one, in ID order. In process it is each
+	// client's trained decoder, restored into the client (which then
+	// skips retraining) and into the pool's dedup table. Over the network
+	// it is the server's dedup cache — the payload each client last
+	// delivered — so a resumed server can answer hash-only tokens; the
+	// remote client keeps its own copy.
 	Decoders []DecoderState
-	// Clients holds in-process client snapshots. Networked checkpoints
+	// Clients holds in-process client streams. Networked checkpoints
 	// leave it empty: remote clients own their state and carry it across
 	// redials themselves.
 	Clients []ClientState
 }
 
-// DecoderState is one client's entry in the networked server's decoder
-// dedup cache.
+// DecoderState is one client's decoder: its payload and the payload's
+// content hash, the name it is persisted and deduplicated under.
 type DecoderState struct {
 	ID int
-	// Hash is codec.Hash of the decoder the client last delivered.
+	// Hash is codec.Hash(Params).
 	Hash uint64
-	// Params is the cached decoder payload, aliased from the server's
-	// cache and never rewritten.
+	// Params is the decoder payload, aliased from the client or the
+	// server's cache and never rewritten.
 	Params []float32
 }
 
-// ClientState is the non-re-derivable state of one in-process client:
-// the private RNG stream position and the trained CVAE decoder. The
-// poisoned data view is deliberately absent — it is a pure function of
-// the partition and recomputed on demand.
+// ClientState is the one non-re-derivable piece of an in-process client
+// besides its decoder: the private RNG stream position. The poisoned
+// data views and the classes a decoder was trained on are deliberately
+// absent — they are pure functions of the partition and the attack, and
+// recomputed on demand.
 type ClientState struct {
 	ID  int
 	RNG rng.State
-	// Decoder is the trained decoder payload (nil before the client's
-	// first FedGuard participation), aliased from the client and never
-	// rewritten; DecoderHash is codec.Hash of it (0 = no decoder), the
-	// name the payload is persisted under.
-	Decoder        []float32
-	DecoderHash    uint64
-	DecoderClasses []int
 }
 
 // CheckpointSink persists one snapshot and reports where it landed and
@@ -85,32 +79,16 @@ type ClientState struct {
 // format.
 type CheckpointSink func(*Checkpoint) (path string, bytes int64, err error)
 
-// CaptureState snapshots everything a resumed run must restore to keep
-// this client's stream bit-identical: the RNG position and the trained
-// CVAE decoder (losing the decoder would force a retrain, advancing the
-// RNG stream relative to the original run). The decoder is aliased, not
-// copied: the client trains it once and never writes it in place.
-func (c *Client) CaptureState() ClientState {
-	return ClientState{
-		ID:             c.ID,
-		RNG:            c.rng.State(),
-		Decoder:        c.decoder,
-		DecoderHash:    c.decoderHash,
-		DecoderClasses: append([]int(nil), c.decoderClasses...),
-	}
-}
-
-// RestoreState overwrites the client's mutable state with a snapshot
-// taken by CaptureState. The poisoned view is a function of the
-// partition alone, so it stays.
-func (c *Client) RestoreState(st ClientState) {
-	c.rng.SetState(st.RNG)
-	c.decoder = append([]float32(nil), st.Decoder...)
-	c.decoderHash = 0
-	if len(c.decoder) > 0 {
-		c.decoderHash = codec.Hash(c.decoder)
-	}
-	c.decoderClasses = append([]int(nil), st.DecoderClasses...)
+// restoreDecoder gives the client back a decoder it trained before a
+// checkpoint, so it does not train (and draw from its stream) again. The
+// payload is aliased, as Snapshot aliases it: nothing writes a decoder
+// in place. The classes it was trained on are those of the CVAE view,
+// exactly as at training time.
+func (c *Client) restoreDecoder(d DecoderState) {
+	c.decoder = d.Params
+	c.decoderHash = d.Hash
+	ds, indices := c.cvaeView()
+	c.decoderClasses = classesOf(ds, indices, c.cfg.CVAE.Classes)
 }
 
 // CheckResume validates that a checkpoint belongs to this (federation,

@@ -7,6 +7,7 @@ package fl_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fedguard/internal/aggregate"
@@ -157,26 +158,40 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 // round samples a colluder, so the engine rewrites the cohort after the
 // barrier and the audit runs there (stream=false). The client CVAE
 // decoders and every RNG stream must survive the checkpoint for the
-// exclusion sequence to reproduce.
+// exclusion sequence to reproduce. Under label-flip with class routing
+// (routed), a flipper's decoder classes — which a checkpoint does not
+// store, and a resumed client derives again from its data view — must
+// also come back, or synthesis routes differently.
 func TestResumeFedGuardCrashPoints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains CVAEs across multiple full federations")
-	}
 	train, test := resumeData(t)
-	for _, streaming := range []bool{false, true} {
+	for _, name := range []string{"stream=false", "stream=true", "routed"} {
 		cfg := resumeConfig()
-		if !streaming {
+		switch name {
+		case "stream=false":
 			cfg.Attack, cfg.MaliciousFraction = attack.NewALIE(), 0.5
+		case "routed":
+			cfg.Attack, cfg.Alpha, cfg.Seed = attack.NewLabelFlip(), 0.3, 7
 		}
-		newGuard := func() fl.Strategy { return resumeGuard(cfg) }
+		newGuard := func() fl.Strategy {
+			g := resumeGuard(cfg)
+			if name == "routed" {
+				// At 8 samples, routing by a flipper's clean classes
+				// happens to leave every score as it was.
+				g.UseDecoderClasses, g.Samples = true, 16
+			}
+			return g
+		}
 		baseline := mustRun(t, cfg, train, test, newGuard())
 		for _, rec := range baseline.Rounds {
-			if !streaming && rec.MaliciousSampled == 0 {
+			if name == "stream=false" && rec.MaliciousSampled == 0 {
 				t.Fatalf("round %d sampled no colluder, so it streamed", rec.Round)
 			}
 		}
+		if name == "routed" {
+			requireFlippedClasses(t, cfg, train, baseline)
+		}
 		for k := 1; k < cfg.Rounds; k++ {
-			t.Run(fmt.Sprintf("stream=%v/k=%d", streaming, k), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
 				resumed := runKillResume(t, cfg, train, test, newGuard, k)
 				expectIdentical(t, k, baseline, resumed)
 			})
@@ -186,60 +201,45 @@ func TestResumeFedGuardCrashPoints(t *testing.T) {
 
 // resumeGuard is the FedGuard the resume tests run: resumeConfig's CVAE
 // and eight synthetic samples.
-func resumeGuard(cfg fl.FederationConfig) fl.Strategy {
+func resumeGuard(cfg fl.FederationConfig) *defense.FedGuard {
 	g := defense.NewFedGuard(cfg.Client.Arch, cfg.Client.CVAE)
 	g.Samples = 8
 	return g
 }
 
-// TestResumeFromHashOnlyEntries: round files written before the pool
-// named each decoder once also carry a hash-only dedup entry for every
-// trained decoder. Such a file still loads, and the run resumed from it
-// is the uninterrupted one, wire byte columns included.
-func TestResumeFromHashOnlyEntries(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains CVAEs across three federations")
+// requireFlippedClasses fails unless, at every interior round k, some
+// malicious client sampled both by round k and after it has a poisoned
+// view whose class set is neither its clean one nor all classes: only
+// then does deriving a resumed decoder's classes from the wrong view, or
+// not at all, change what the resumed run routes.
+func requireFlippedClasses(t *testing.T, cfg fl.FederationConfig, train *dataset.Dataset, baseline *fl.History) {
+	t.Helper()
+	classes := func(ds *dataset.Dataset, indices []int) []int {
+		var out []int
+		for _, i := range indices {
+			out = append(out, ds.Labels[i])
+		}
+		slices.Sort(out)
+		return slices.Compact(out)
 	}
-	cfg := resumeConfig()
-	train, test := resumeData(t)
-	baseline := mustRun(t, cfg, train, test, resumeGuard(cfg))
-
-	dir := t.TempDir()
-	partial := cfg
-	partial.Rounds = 1
-	partial.CheckpointSink = func(ck *fl.Checkpoint) (string, int64, error) { return persist.SaveCheckpoint(dir, ck) }
-	mustRun(t, partial, train, test, resumeGuard(cfg))
-	ck, err := persist.LoadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
+	malicious := fl.MaliciousPlacement(cfg)
+	parts := fl.Partition(train, cfg)
+	flipper := func(id int) bool {
+		flipped := classes(cfg.Attack.PoisonData(train, parts[id]))
+		return malicious[id] && !slices.Equal(flipped, classes(train, parts[id])) && len(flipped) < cfg.Client.NumClasses
 	}
-	if len(ck.Decoders) != 0 {
-		t.Fatalf("an in-process checkpoint carries %d dedup entries", len(ck.Decoders))
+	sampled := func(rounds []fl.RoundRecord, id int) bool {
+		return slices.ContainsFunc(rounds, func(r fl.RoundRecord) bool { return slices.Contains(r.Sampled, id) })
 	}
-	for _, st := range ck.Clients {
-		if st.DecoderHash != 0 {
-			ck.Decoders = append(ck.Decoders, fl.DecoderState{ID: st.ID, Hash: st.DecoderHash})
+	for k := 1; k < cfg.Rounds; k++ {
+		covered := false
+		for id := range parts {
+			covered = covered || flipper(id) && sampled(baseline.Rounds[:k], id) && sampled(baseline.Rounds[k:], id)
+		}
+		if !covered {
+			t.Fatalf("no flipper whose classes differ from its clean view and the full set trains by round %d and runs after it", k)
 		}
 	}
-	legacy := t.TempDir()
-	if _, _, err := persist.SaveCheckpoint(legacy, ck); err != nil {
-		t.Fatal(err)
-	}
-	if ck, err = persist.LoadCheckpoint(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if len(ck.Decoders) == 0 {
-		t.Fatal("round 1 trained no decoder")
-	}
-	fed, err := fl.NewFederation(train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := fed.Resume(resumeGuard(cfg), ck, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectIdentical(t, 1, baseline, resumed)
 }
 
 // TestResumeAcrossSeeds re-proves the guarantee under different seeds —

@@ -124,9 +124,9 @@ func (f *Federation) Run(strategy Strategy, onRound func(RoundRecord)) (*History
 }
 
 // Resume continues a run from a checkpoint taken by a CheckpointSink:
-// client streams, the server stream, ψ and the dedup state are restored
-// and rounds continue at ck.Round+1. The remaining rounds — and the
-// FinalWeights — are byte-identical to an uninterrupted run, because
+// client streams and decoders, the server stream, ψ and the dedup state
+// are restored and rounds continue at ck.Round+1. The remaining rounds —
+// and the FinalWeights — are byte-identical to an uninterrupted run, because
 // every piece of state that feeds a random draw or an aggregation is
 // either re-derived from the seed or carried in the checkpoint.
 func (f *Federation) Resume(strategy Strategy, ck *Checkpoint, onRound func(RoundRecord)) (*History, error) {
@@ -180,16 +180,29 @@ func (f *Federation) newPool(resume *Checkpoint) (*pool, error) {
 			rng.New(rng.DeriveSeed(cfg.Seed, "client", uint64(i))))
 		p.clients[i].UseWorkers(p.workers)
 	}
-	if resume != nil {
-		for _, st := range resume.Clients {
-			if st.ID < 0 || st.ID >= len(p.clients) {
-				return nil, fmt.Errorf("fl: checkpoint client %d outside 0..%d", st.ID, len(p.clients)-1)
-			}
-			p.clients[st.ID].RestoreState(st)
-			if st.DecoderHash != 0 {
-				p.decoderHashes[st.ID] = st.DecoderHash
-			}
+	if resume == nil {
+		return p, nil
+	}
+	client := func(id int) (*Client, error) {
+		if id < 0 || id >= len(p.clients) {
+			return nil, fmt.Errorf("fl: checkpoint client %d outside 0..%d", id, len(p.clients)-1)
 		}
+		return p.clients[id], nil
+	}
+	for _, st := range resume.Clients {
+		c, err := client(st.ID)
+		if err != nil {
+			return nil, err
+		}
+		c.rng.SetState(st.RNG)
+	}
+	for _, d := range resume.Decoders {
+		c, err := client(d.ID)
+		if err != nil {
+			return nil, err
+		}
+		c.restoreDecoder(d)
+		p.decoderHashes[d.ID] = d.Hash
 	}
 	return p, nil
 }
@@ -249,15 +262,18 @@ func (p *pool) WireBytes(updates []Update, broadcast int64) (up, down int64) {
 	return broadcast, down
 }
 
-// Snapshot implements Cohort: every client in ID order. A client's
-// DecoderHash is also its dedup entry — a decoder never changes once
-// trained, and the round that trains it delivers it — so the checkpoint
-// names each decoder once and newPool rebuilds decoderHashes from the
-// clients.
+// Snapshot implements Cohort: every client's stream, and the decoder of
+// every client that has trained one, in ID order. A decoder never
+// changes once trained, and the round that trains it delivers it, so
+// the decoder list is also the pool's dedup table, and newPool rebuilds
+// decoderHashes from it.
 func (p *pool) Snapshot(ck *Checkpoint) {
 	ck.Clients = make([]ClientState, len(p.clients))
 	for i, c := range p.clients {
-		ck.Clients[i] = c.CaptureState()
+		ck.Clients[i] = ClientState{ID: c.ID, RNG: c.rng.State()}
+		if c.decoder != nil {
+			ck.Decoders = append(ck.Decoders, DecoderState{ID: c.ID, Hash: c.decoderHash, Params: c.decoder})
+		}
 	}
 }
 

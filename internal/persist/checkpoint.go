@@ -23,22 +23,21 @@ import (
 //
 // A client trains its CVAE once (paper footnote 5), so its decoder is
 // uploaded once and persisted once; every later round rewrites only the
-// round file. Round file format, version 4, everything little-endian:
+// round file. Round file format, version 5, everything little-endian:
 //
 //	[4B magic "FdGC"][4B version][4B payload length][4B CRC-32C(payload)]
 //	payload:
 //	  u64 seed · u32 round · str strategy · rng server stream
 //	  u32 n · n×f32 global
 //	  u32 n · n×record history rounds
-//	  u32 n · n×entry decoder cache (id, ref)
-//	  u32 n · n×entry client state (id, rng, ref, classes)
+//	  u32 n · n×entry decoders (id, ref)
+//	  u32 n · n×entry client streams (id, rng)
 //
 // where str is u32 length + bytes, rng is 4×u64 + u8 + f64, ref is a
 // decoder reference — u64 content hash + u32 parameter count, never the
-// floats; count 0 means no blob (a hash-only dedup entry, or a client
-// that has no decoder yet) — and map entries are written in sorted key
-// order: checkpoint bytes are a pure function of the run state, which is
-// what makes golden pins possible. The CRC guards the whole payload: a
+// floats, and never 0: every reference names a blob — and map entries
+// are written in sorted key order: checkpoint bytes are a pure function
+// of the run state, which is what makes golden pins possible. The CRC guards the whole payload: a
 // torn or bit-flipped round file is rejected as corrupt rather than
 // resumed from. A blob is guarded by the hash in its own name, which is
 // codec.Hash of its floats and must equal the referencing hash.
@@ -48,7 +47,13 @@ import (
 // u8 malicious) — because a sampler that reads the history must find
 // them after a resume. Version 4 dropped a client's two u32 counters
 // (visible samples, participations since its CVAE trained), which only a
-// dynamic-dataset mode that retrained the CVAE ever moved.
+// dynamic-dataset mode that retrained the CVAE ever moved. Version 5
+// holds every decoder in the one decoder table, on both transports: a
+// client entry lost its decoder reference and its decoder's classes
+// (derived again from the client's data view on resume), and a
+// reference of count 0, which version 4 admitted as a hash-only dedup
+// entry, is corrupt. A networked round file, whose client table is
+// empty, kept version 4's payload byte for byte.
 //
 // Blobs are keyed per client on purpose. codec.Hash is FNV-1a over
 // 64-bit words, so a second preimage is one solved word; in a shared
@@ -57,7 +62,7 @@ import (
 // is per client for the same reason.
 const (
 	checkpointMagic   = 0x46644743 // "FdGC"
-	checkpointVersion = 4
+	checkpointVersion = 5
 	headerBytes       = 16
 	// maxCheckpointBytes guards corrupt headers. Real round files are a
 	// few MB even at the paper's 100-client scale (ψ plus R round
@@ -91,7 +96,7 @@ func WriteCheckpoint(w io.Writer, ck *fl.Checkpoint) (int64, error) {
 	// The hint covers everything but long reports and sample lists, so
 	// the buffer is allocated once for any realistic round file.
 	hint := 256 + len(ck.Strategy) + 4*len(ck.Global) + 256*len(ck.Rounds) +
-		16*len(ck.Decoders) + 128*len(ck.Clients)
+		16*len(ck.Decoders) + 48*len(ck.Clients)
 	for i := range ck.Rounds {
 		hint += 14 * len(ck.Rounds[i].Decisions)
 	}
@@ -109,18 +114,16 @@ func WriteCheckpoint(w io.Writer, ck *fl.Checkpoint) (int64, error) {
 	return int64(len(b)), nil
 }
 
-// blobLens holds the parameter count of every decoder reference in a
-// round file, parallel to Checkpoint.Decoders and Checkpoint.Clients.
-type blobLens struct{ decoders, clients []int }
-
 // readRoundFile deserializes a round file written by WriteCheckpoint,
 // verifying the CRC before decoding. Decoder payloads come back as
-// references (hash set, floats nil), their parameter counts in the
-// blobLens; LoadCheckpoint resolves them. Corruption of any kind — bad magic, truncation, flipped bits, trailing
-// garbage, implausible lengths — returns an error wrapping
+// references (hash set, floats nil), their parameter counts returned
+// beside them, one per Checkpoint.Decoders entry; LoadCheckpoint
+// resolves them. Corruption of any kind — bad magic, truncation,
+// flipped bits, trailing garbage, implausible lengths, a reference of
+// count 0 — returns an error wrapping
 // ErrCorruptCheckpoint (except a valid header of another version, which
 // is its own error).
-func readRoundFile(r io.Reader) (*fl.Checkpoint, *blobLens, error) {
+func readRoundFile(r io.Reader) (*fl.Checkpoint, []int, error) {
 	head, err := lebin.ReadFull(r, headerBytes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: reading header: %v", ErrCorruptCheckpoint, err)
@@ -147,6 +150,11 @@ func readRoundFile(r io.Reader) (*fl.Checkpoint, *blobLens, error) {
 	ck, lens := readCheckpoint(d)
 	if err := d.End(); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
+	}
+	for i, n := range lens {
+		if n == 0 {
+			return nil, nil, fmt.Errorf("%w: client %d's decoder reference names no payload", ErrCorruptCheckpoint, ck.Decoders[i].ID)
+		}
 	}
 	return ck, lens, nil
 }
@@ -183,32 +191,22 @@ func SaveCheckpoint(dir string, ck *fl.Checkpoint) (path string, bytes int64, er
 	if err != nil {
 		return "", 0, err
 	}
-	save := func(id int, hash uint64, params []float32) error {
-		if len(params) == 0 {
-			return nil
+	for i := range ck.Decoders {
+		d := &ck.Decoders[i]
+		if len(d.Params) == 0 {
+			return "", 0, fmt.Errorf("persist: client %d decoder entry has no payload", d.ID)
 		}
-		name := blobName(id, hash)
+		name := blobName(d.ID, d.Hash)
 		if _, ok := present[name]; !ok {
-			if got := codec.Hash(params); got != hash {
-				return fmt.Errorf("persist: client %d decoder hashes to %016x, checkpoint records %016x", id, got, hash)
+			if got := codec.Hash(d.Params); got != d.Hash {
+				return "", 0, fmt.Errorf("persist: client %d decoder hashes to %016x, checkpoint records %016x", d.ID, got, d.Hash)
 			}
-			if err := SaveWeights(filepath.Join(dir, name), params); err != nil {
-				return err
+			if err := SaveWeights(filepath.Join(dir, name), d.Params); err != nil {
+				return "", 0, err
 			}
-			bytes += weightsHeaderBytes + 4*int64(len(params))
+			bytes += weightsHeaderBytes + 4*int64(len(d.Params))
 		}
 		present[name] = true
-		return nil
-	}
-	for i := range ck.Decoders {
-		if err := save(ck.Decoders[i].ID, ck.Decoders[i].Hash, ck.Decoders[i].Params); err != nil {
-			return "", 0, err
-		}
-	}
-	for i := range ck.Clients {
-		if err := save(ck.Clients[i].ID, ck.Clients[i].DecoderHash, ck.Clients[i].Decoder); err != nil {
-			return "", 0, err
-		}
 	}
 	if bytes > 0 {
 		// The blob renames must be durable before a round file that
@@ -301,28 +299,18 @@ func LoadCheckpoint(dir string) (*fl.Checkpoint, error) {
 	}
 	for i := range ck.Decoders {
 		d := &ck.Decoders[i]
-		if d.Params, err = loadBlob(dir, d.ID, d.Hash, lens.decoders[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i := range ck.Clients {
-		c := &ck.Clients[i]
-		if c.Decoder, err = loadBlob(dir, c.ID, c.DecoderHash, lens.clients[i]); err != nil {
+		if d.Params, err = loadBlob(dir, d.ID, d.Hash, lens[i]); err != nil {
 			return nil, err
 		}
 	}
 	return ck, nil
 }
 
-// loadBlob reads the n-parameter decoder payload a round file references
-// (nil for n == 0, a reference without a blob). n comes from a
-// CRC-checked round file but is still untrusted: the file's size must
-// agree with it before anything is read, so no allocation exceeds the
-// bytes on disk.
+// loadBlob reads the n-parameter decoder payload a round file references.
+// n comes from a CRC-checked round file but is still untrusted: the
+// file's size must agree with it before anything is read, so no
+// allocation exceeds the bytes on disk.
 func loadBlob(dir string, clientID int, hash uint64, n int) ([]float32, error) {
-	if n == 0 {
-		return nil, nil
-	}
 	name := blobName(clientID, hash)
 	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
@@ -419,9 +407,6 @@ func appendCheckpoint(b []byte, ck *fl.Checkpoint) []byte {
 		c := &ck.Clients[i]
 		b = lebin.AppendU32(b, uint32(c.ID))
 		b = appendRNG(b, c.RNG)
-		b = lebin.AppendU64(b, c.DecoderHash)
-		b = lebin.AppendU32(b, uint32(len(c.Decoder)))
-		b = lebin.AppendInts(b, c.DecoderClasses)
 	}
 	return b
 }
@@ -468,7 +453,7 @@ func readRecord(d *lebin.Reader) fl.RoundRecord {
 // parameter counts beside it. Counts are bounded by the smallest legal
 // encoding of each element (all variable-length parts empty), so a
 // CRC-valid payload crafted to lie still cannot allocate past itself.
-func readCheckpoint(d *lebin.Reader) (*fl.Checkpoint, *blobLens) {
+func readCheckpoint(d *lebin.Reader) (*fl.Checkpoint, []int) {
 	ck := &fl.Checkpoint{
 		Seed:      d.U64(),
 		Round:     int(d.U32()),
@@ -476,7 +461,7 @@ func readCheckpoint(d *lebin.Reader) (*fl.Checkpoint, *blobLens) {
 		ServerRNG: readRNG(d),
 		Global:    d.F32s(),
 	}
-	lens := &blobLens{}
+	var lens []int
 	if n := d.Count(104); n > 0 { // record: 4 + 6*8 + 4*8 + 5*4 = 104
 		ck.Rounds = make([]fl.RoundRecord, 0, n)
 		for i := 0; i < n && d.Len() > 0; i++ {
@@ -485,23 +470,17 @@ func readCheckpoint(d *lebin.Reader) (*fl.Checkpoint, *blobLens) {
 	}
 	if n := d.Count(16); n > 0 { // decoder: id(4) + ref(12)
 		ck.Decoders = make([]fl.DecoderState, n)
-		lens.decoders = make([]int, n)
+		lens = make([]int, n)
 		for i := range ck.Decoders {
 			ck.Decoders[i].ID = int(d.U32())
 			ck.Decoders[i].Hash = d.U64()
-			lens.decoders[i] = int(d.U32())
+			lens[i] = int(d.U32())
 		}
 	}
-	if n := d.Count(61); n > 0 { // client: id(4) + rng(41) + ref(12) + 4
+	if n := d.Count(45); n > 0 { // client: id(4) + rng(41)
 		ck.Clients = make([]fl.ClientState, n)
-		lens.clients = make([]int, n)
 		for i := range ck.Clients {
-			c := &ck.Clients[i]
-			c.ID = int(d.U32())
-			c.RNG = readRNG(d)
-			c.DecoderHash = d.U64()
-			lens.clients[i] = int(d.U32())
-			c.DecoderClasses = d.Ints()
+			ck.Clients[i] = fl.ClientState{ID: int(d.U32()), RNG: readRNG(d)}
 		}
 	}
 	return ck, lens

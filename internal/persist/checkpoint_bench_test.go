@@ -11,7 +11,7 @@ import (
 
 // benchShapes are the two checkpoints the ledger tracks. "quick" mirrors
 // a quick-preset in-process FedGuard run mid-flight: a Tiny-scale global
-// vector and every client's snapshot with its trained decoder. "default"
+// vector, every client's stream and every client's trained decoder. "default"
 // is what fednet.Server.Snapshot hands over each round of the
 // default-preset networked run the benchmark's fedguard-tcp workload
 // drives: 30 cached decoders of 207 386 parameters — 25 MB that a round
@@ -63,16 +63,10 @@ func benchCheckpoint(networked bool, clients, globalLen, decoderLen int) *fl.Che
 		// decoder with its own real hash.
 		decoder := append([]float32(nil), base...)
 		decoder[0] = float32(id)
-		hash := codec.Hash(decoder)
-		if networked {
-			ck.Decoders = append(ck.Decoders, fl.DecoderState{ID: id, Hash: hash, Params: decoder})
-			continue
+		ck.Decoders = append(ck.Decoders, fl.DecoderState{ID: id, Hash: codec.Hash(decoder), Params: decoder})
+		if !networked {
+			ck.Clients = append(ck.Clients, fl.ClientState{ID: id, RNG: rng.New(uint64(id)).State()})
 		}
-		ck.Clients = append(ck.Clients, fl.ClientState{
-			ID: id, RNG: rng.New(uint64(id)).State(),
-			Decoder: decoder, DecoderHash: hash,
-			DecoderClasses: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
-		})
 	}
 	return ck
 }

@@ -17,8 +17,9 @@ import (
 // LoadCheckpoint runs first, with arbitrary bytes: it must return an
 // error or a checkpoint — never panic, and never allocate far beyond the
 // bytes supplied (lying length prefixes and lying element counts are the
-// classic traps). Anything that
-// decodes must survive a re-encode/re-decode round trip byte-exactly.
+// classic traps). Anything that decodes — its decoder references given
+// payloads of the counts they declare — must survive a
+// re-encode/re-decode round trip byte-exactly.
 func FuzzReadCheckpoint(f *testing.F) {
 	// Seed corpus: well-formed checkpoints of increasing shape…
 	shapes := []*fl.Checkpoint{
@@ -72,20 +73,32 @@ func FuzzReadCheckpoint(f *testing.F) {
 				t.Skip()
 			}
 		}
-		ck, _, err := readRoundFile(bytes.NewReader(data))
+		ck, lens, err := readRoundFile(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		// A reference is written with its payload's length: stand in
+		// zeros, unless a count claims more than the input could hold.
+		withPayloads := func(ck *fl.Checkpoint, lens []int) {
+			for i, n := range lens {
+				if n > len(data) {
+					t.Skip()
+				}
+				ck.Decoders[i].Params = make([]float32, n)
+			}
+		}
+		withPayloads(ck, lens)
 		// Byte-level round-trip comparison sidesteps NaN payloads in
 		// floats while still pinning every field.
 		var first bytes.Buffer
 		if _, err := WriteCheckpoint(&first, ck); err != nil {
 			t.Fatalf("decoded checkpoint does not re-encode: %v", err)
 		}
-		again, _, err := readRoundFile(bytes.NewReader(first.Bytes()))
+		again, lens, err := readRoundFile(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
 		}
+		withPayloads(again, lens)
 		var second bytes.Buffer
 		if _, err := WriteCheckpoint(&second, again); err != nil {
 			t.Fatal(err)
@@ -167,13 +180,8 @@ func FuzzLoadCheckpointDir(f *testing.F) {
 			return
 		}
 		for _, d := range got.Decoders {
-			if len(d.Params) > 0 && codec.Hash(d.Params) != d.Hash {
+			if len(d.Params) == 0 || codec.Hash(d.Params) != d.Hash {
 				t.Fatalf("client %d's decoder does not hash to its reference", d.ID)
-			}
-		}
-		for _, c := range got.Clients {
-			if len(c.Decoder) > 0 && codec.Hash(c.Decoder) != c.DecoderHash {
-				t.Fatalf("client %d's decoder does not hash to its reference", c.ID)
 			}
 		}
 	})

@@ -21,8 +21,8 @@ import (
 
 // fullCheckpoint exercises every field of the format: history with
 // drops, wire bytes, reports and defense decisions (a kept and an
-// excluded client, malicious both ways), decoder cache entries with and without
-// payloads, client snapshots with and without a decoder and with an
+// excluded client, malicious both ways), decoders of different sizes, and
+// client streams of a client with a decoder and one without, with an
 // armed Gaussian cache.
 func fullCheckpoint() *fl.Checkpoint {
 	r := rng.New(42)
@@ -58,12 +58,11 @@ func fullCheckpoint() *fl.Checkpoint {
 			},
 		},
 		Decoders: []fl.DecoderState{
-			{ID: 0, Hash: 0xdeadbeefcafef00d},
+			{ID: 0, Hash: codec.Hash(trained), Params: trained},
 			{ID: 3, Hash: codec.Hash(cached), Params: cached},
 		},
 		Clients: []fl.ClientState{
-			{ID: 0, RNG: rng.New(7).State(),
-				Decoder: trained, DecoderHash: codec.Hash(trained), DecoderClasses: []int{0, 4, 9}},
+			{ID: 0, RNG: rng.New(7).State()},
 			{ID: 1, RNG: rng.New(8).State()},
 		},
 	}
@@ -76,10 +75,6 @@ func refsOnly(ck *fl.Checkpoint) *fl.Checkpoint {
 	out.Decoders = append([]fl.DecoderState(nil), ck.Decoders...)
 	for i := range out.Decoders {
 		out.Decoders[i].Params = nil
-	}
-	out.Clients = append([]fl.ClientState(nil), ck.Clients...)
-	for i := range out.Clients {
-		out.Clients[i].Decoder = nil
 	}
 	return &out
 }
@@ -145,12 +140,9 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 			Report:    map[string]float64{"x": 1},
 		}},
 		Decoders: []fl.DecoderState{{ID: 1, Hash: codec.Hash([]float32{3}), Params: []float32{3}}},
-		Clients: []fl.ClientState{{
-			ID: 1, RNG: rng.State{Hi: 1, Lo: 2, IncHi: 3, IncLo: 5},
-			Decoder: []float32{-1}, DecoderHash: codec.Hash([]float32{-1}), DecoderClasses: []int{2},
-		}},
+		Clients:  []fl.ClientState{{ID: 1, RNG: rng.State{Hi: 1, Lo: 2, IncHi: 3, IncLo: 5}}},
 	}
-	const want = "4347644604000000450100005d1a9378" + // header: magic, version 4, len, crc
+	const want = "434764460500000031010000602affcc" + // header: magic, version 5, len, crc
 		"0700000000000000" + // seed
 		"01000000" + // round
 		"06000000466564417667" + // strategy "FedAvg"
@@ -169,8 +161,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		"010000000100000078000000000000f03f" + // report {"x": 1}
 		"01000000" + "01000000" + "dfb7c1b2b9bd63ef" + "01000000" + // decoders: 1 entry, id 1, hash of [3], 1 param
 		"01000000" + "01000000" + // 1 client, id 1
-		"010000000000000002000000000000000300000000000000050000000000000000" + "0000000000000000" + // client rng
-		"dfb78154d1bc632f" + "01000000" + "0100000002000000" // hash of [-1], 1 param, classes [2]
+		"010000000000000002000000000000000300000000000000050000000000000000" + "0000000000000000" // client rng
 	var buf bytes.Buffer
 	if _, err := WriteCheckpoint(&buf, ck); err != nil {
 		t.Fatal(err)
@@ -210,10 +201,11 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 	})
 	t.Run("wrong version", func(t *testing.T) {
 		// 1 is the retired inline-decoder format, 2 the one whose records
-		// carry no decisions and 3 the one whose client entries carry two
-		// dynamic-dataset counters: refused by name, not migrated — no
-		// peer holds such a file.
-		for _, version := range []uint32{1, 2, 3, 99} {
+		// carry no decisions, 3 the one whose client entries carry two
+		// dynamic-dataset counters and 4 the one whose client entries
+		// carry their own decoder reference and classes: refused by name,
+		// not migrated — no peer holds such a file.
+		for _, version := range []uint32{1, 2, 3, 4, 99} {
 			data := append([]byte(nil), valid...)
 			binary.LittleEndian.PutUint32(data[4:], version)
 			_, _, err := readRoundFile(bytes.NewReader(data))
@@ -221,6 +213,15 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 			if err == nil || errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), want) {
 				t.Fatalf("version %d: err = %v, want %q", version, err, want)
 			}
+		}
+	})
+	t.Run("decoder reference without payload", func(t *testing.T) {
+		// CRC-valid, but a reference of count 0 names no blob to load.
+		ck := fullCheckpoint()
+		ck.Decoders[1].Params = nil
+		data := encodeCheckpoint(t, ck)
+		if _, _, err := readRoundFile(bytes.NewReader(data)); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 		}
 	})
 	t.Run("truncated at every boundary", func(t *testing.T) {

@@ -42,24 +42,17 @@ func networkedCheckpoint(round, clients, decoderLen int) *fl.Checkpoint {
 	return ck
 }
 
-// inProcessCheckpoint is the shape fl's pool produces: every client —
-// the last one has not trained a CVAE yet — and no dedup entries, each
-// client's DecoderHash being its own. A client's stream has advanced one
-// draw per round.
+// inProcessCheckpoint is the shape fl's pool produces: every client's
+// stream, and a decoder for every client but the last, which has not
+// trained a CVAE yet. A client's stream has advanced one draw per round.
 func inProcessCheckpoint(round, clients, decoderLen int) *fl.Checkpoint {
-	ck := networkedCheckpoint(round, 0, 0)
+	ck := networkedCheckpoint(round, clients-1, decoderLen)
 	for id := 0; id < clients; id++ {
 		r := rng.New(uint64(100 + id))
 		for range round {
 			r.Uint64()
 		}
-		st := fl.ClientState{ID: id, RNG: r.State()}
-		if id < clients-1 {
-			st.Decoder = testDecoder(uint64(id), decoderLen)
-			st.DecoderHash = codec.Hash(st.Decoder)
-			st.DecoderClasses = []int{1, 7}
-		}
-		ck.Clients = append(ck.Clients, st)
+		ck.Clients = append(ck.Clients, fl.ClientState{ID: id, RNG: r.State()})
 	}
 	return ck
 }
@@ -325,7 +318,8 @@ func TestSaveCheckpointRemovesStrayTemporaries(t *testing.T) {
 }
 
 // (f) A payload that does not hash to the value recorded for it is never
-// written, and the failed save leaves the previous checkpoint loadable.
+// written, nor is a decoder entry without a payload, and the failed save
+// leaves the previous checkpoint loadable.
 func TestSaveCheckpointRejectsHashMismatch(t *testing.T) {
 	dir := t.TempDir()
 	old := networkedCheckpoint(1, 2, 100)
@@ -339,30 +333,29 @@ func TestSaveCheckpointRejectsHashMismatch(t *testing.T) {
 	mustLoadEqual(t, dir, old)
 
 	inproc := inProcessCheckpoint(2, 3, 100)
-	inproc.Clients[0].DecoderHash ^= 1
+	inproc.Decoders[0].Hash ^= 1
 	if _, _, err := SaveCheckpoint(dir, inproc); err == nil {
 		t.Fatal("client decoder saved under a hash it does not have")
+	}
+	mustLoadEqual(t, dir, old)
+
+	hashOnly := networkedCheckpoint(2, 3, 100)
+	hashOnly.Decoders[1].Params = nil
+	if _, _, err := SaveCheckpoint(dir, hashOnly); err == nil || !strings.Contains(err.Error(), "no payload") {
+		t.Fatalf("err = %v, want a decoder entry without payload refused", err)
 	}
 	mustLoadEqual(t, dir, old)
 }
 
 // (g) LoadCheckpoint(SaveCheckpoint(ck)) == ck for both transports'
-// shapes, including clients that have no decoder yet, a checkpoint with
-// no decoders at all, and the older in-process shape that also named
-// each client's decoder in a hash-only dedup entry.
+// shapes, including clients that have no decoder yet and a checkpoint
+// with no decoders at all.
 func TestSaveLoadCheckpointShapes(t *testing.T) {
-	hashOnly := inProcessCheckpoint(3, 5, 333)
-	for _, st := range hashOnly.Clients {
-		if st.DecoderHash != 0 {
-			hashOnly.Decoders = append(hashOnly.Decoders, fl.DecoderState{ID: st.ID, Hash: st.DecoderHash})
-		}
-	}
 	shapes := map[string]*fl.Checkpoint{
-		"networked":          networkedCheckpoint(3, 5, 333),
-		"in-process":         inProcessCheckpoint(3, 5, 333),
-		"in-process, hashes": hashOnly,
-		"no decoders":        networkedCheckpoint(1, 0, 0),
-		"every field":        fullCheckpoint(),
+		"networked":   networkedCheckpoint(3, 5, 333),
+		"in-process":  inProcessCheckpoint(3, 5, 333),
+		"no decoders": networkedCheckpoint(1, 0, 0),
+		"every field": fullCheckpoint(),
 	}
 	for name, ck := range shapes {
 		t.Run(name, func(t *testing.T) {

@@ -25,6 +25,11 @@ import (
 // on its own core, instead of each handing half of every product to a
 // pool goroutine that has no core to run on; a client left alone in the
 // round gets both halves back.
+//
+// Nesting: a dispatch hands a chunk only to a pool goroutine it has
+// reserved as idle, and runs every chunk it could not hand out itself.
+// A dispatch inside a chunk of another (or one racing others for the
+// pool) therefore never waits for a goroutine that is waiting for it.
 
 // maxPoolWorkers is a hard cap on pool goroutines; it exists so tests
 // can force multi-worker execution on single-core machines without the
@@ -70,9 +75,12 @@ type poolTask struct {
 var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 var (
-	poolTasks = make(chan poolTask, 4*maxPoolWorkers)
+	// poolTasks only ever holds tasks for reserved workers, at most one
+	// per live worker, so a send never blocks.
+	poolTasks = make(chan poolTask, maxPoolWorkers)
 	poolLimit atomic.Int32 // compute slots: the parallelism bound per call
 	poolHeld  atomic.Int32 // slots held by borrowers (HoldSlot)
+	poolIdle  atomic.Int32 // live workers no dispatch has reserved
 	poolLive  int          // workers actually started (guarded by poolMu)
 	poolMu    sync.Mutex
 )
@@ -121,15 +129,31 @@ func freeSlots() int {
 func ensureWorkers(n int) {
 	poolMu.Lock()
 	for poolLive < n {
+		poolIdle.Add(1)
 		go poolWorker()
 		poolLive++
 	}
 	poolMu.Unlock()
 }
 
+// reserve claims up to want idle workers and returns how many it got.
+func reserve(want int) int {
+	for {
+		idle := poolIdle.Load()
+		k := min(int(idle), want)
+		if k == 0 || poolIdle.CompareAndSwap(idle, idle-int32(k)) {
+			return k
+		}
+	}
+}
+
+// poolWorker runs one reserved task at a time. It is idle again before
+// it reports the task done, so the dispatch that waited for it can
+// reserve it for the next product.
 func poolWorker() {
 	for t := range poolTasks {
 		t.exec(t.lo, t.hi)
+		poolIdle.Add(1)
 		t.wg.Done()
 	}
 }
@@ -144,9 +168,10 @@ func (t *poolTask) exec(lo, hi int) {
 }
 
 // dispatch splits [0, n) into at most freeSlots() contiguous chunks,
-// sends a copy of t for every chunk but the first to the pool, runs the
-// first on the calling goroutine and waits for completion. t travels by
-// value, so a dispatch allocates nothing.
+// sends a copy of t for each of the last chunks to a reserved pool
+// worker, runs the others — the first always — on the calling goroutine
+// and waits for completion. t travels by value, so a dispatch allocates
+// nothing.
 func dispatch(n int, t poolTask) {
 	workers := min(freeSlots(), n)
 	if workers <= 1 {
@@ -157,13 +182,18 @@ func dispatch(n int, t poolTask) {
 	}
 	ensureWorkers(workers - 1)
 	chunk := (n + workers - 1) / workers
+	rest := (n - 1) / chunk // chunks after the first
+	sent := reserve(rest)
+	split := min((1+rest-sent)*chunk, n)
 	t.wg = wgPool.Get().(*sync.WaitGroup)
-	for lo := chunk; lo < n; lo += chunk {
+	t.wg.Add(sent)
+	for lo := split; lo < n; lo += chunk {
 		t.lo, t.hi = lo, min(lo+chunk, n)
-		t.wg.Add(1)
 		poolTasks <- t
 	}
-	t.exec(0, chunk)
+	for lo := 0; lo < split; lo += chunk {
+		t.exec(lo, min(lo+chunk, split))
+	}
 	t.wg.Wait()
 	wgPool.Put(t.wg)
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fedguard/internal/rng"
 )
@@ -70,5 +72,32 @@ func TestDispatchSplitsIntoFreeSlots(t *testing.T) {
 				requireBitEqual(t, "MatMul", got, want)
 			})
 		}
+	}
+}
+
+// TestNestedDispatchFinishes: at the pool cap every pool goroutine runs
+// a chunk of the outer dispatch, and each of those chunks dispatches
+// again. The inner dispatches must run what no idle worker can take
+// instead of waiting for one.
+func TestNestedDispatchFinishes(t *testing.T) {
+	defer SetWorkers(Workers())
+	SetWorkers(maxPoolWorkers)
+	var inner atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		ParallelBlocks(maxPoolWorkers, func(lo, hi int) {
+			for range hi - lo {
+				ParallelBlocks(maxPoolWorkers, func(lo, hi int) { inner.Add(int64(hi - lo)) })
+			}
+		})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a dispatch inside a chunk of another did not finish in 30 s")
+	}
+	if got := inner.Load(); got != maxPoolWorkers*maxPoolWorkers {
+		t.Fatalf("inner chunks covered %d indices, want %d", got, maxPoolWorkers*maxPoolWorkers)
 	}
 }
